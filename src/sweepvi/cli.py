@@ -43,7 +43,13 @@ from .core import (
     Trajectory,
 )
 from .evi import AuditError, MonotoneOperator, NonConvergenceError, audit_operator, vi_residual
-from .histop import VolterraKernel, identity_operator, volterra_operator, zero_operator
+from .histop import (
+    ExponentialProfile,
+    VolterraKernel,
+    identity_operator,
+    volterra_operator,
+    zero_operator,
+)
 from .inclusion import (
     InclusionSpec,
     SmallnessError,
@@ -157,13 +163,10 @@ def _material_from(sec) -> Material:
     a = _floats(_get(sec, "a"))
     amp = float(sec.get("beta", "0"))
     rate = float(sec.get("beta_rate", "0"))
-    beta = None
-    if amp != 0.0:
-        beta = (lambda t, c=amp: c) if rate == 0.0 else (lambda t, c=amp, r=rate: c * np.exp(-r * t))
     return Material(a=float(a[0]) if a.size == 1 else a,
                     mu=float(sec.get("mu", "0")),
                     b=float(sec.get("b", "0")),
-                    beta=beta)
+                    beta=ExponentialProfile(amp, rate) if amp != 0.0 else None)
 
 
 def _abstract_from(sec) -> dict:
@@ -285,11 +288,9 @@ def _build_abstract(cfg: RunConfig) -> InclusionSpec:
         raise ConfigError(f"[abstract] unknown functional {fk!r}")
 
     def _volterra(amp, rate, out_space):
-        profile = (lambda t, c=amp: c) if rate == 0.0 else (lambda t, c=amp, r=rate: c * np.exp(-r * t))
-        C = np.eye(out_space.dim, dim)
-        return volterra_operator(VolterraKernel(scalar_profile=profile, matrix=C,
-                                                symmetric=out_space.dim == dim),
-                                 cfg.grid, x_space, out_space=out_space)
+        kernel = VolterraKernel.exponential(amp, rate, np.eye(out_space.dim, dim),
+                                            symmetric=out_space.dim == dim)
+        return volterra_operator(kernel, cfg.grid, x_space, out_space=out_space)
 
     if ab["variant"] == "state_parameter":
         parameter = identity_operator(tag="state_feedback")
@@ -548,10 +549,8 @@ def _verify_fields(cfg, problem, core, u_samples, v_samples, out):
     failures = []
     driver = v_samples if v_samples is not None else u_samples
     traj = Trajectory(core.x_space, cfg.grid, driver)
-    eta = np.array([core.parameter_memory.at_node(traj, k)
-                    for k in range(cfg.grid.steps + 1)])
-    xi = np.array([core.load_memory.at_node(traj, k)
-                   for k in range(cfg.grid.steps + 1)])
+    eta = core.parameter_memory(traj).samples
+    xi = core.load_memory(traj).samples
     theta = Trajectory(core.theta_space, cfg.grid, np.hstack([eta, xi]))
 
     worst_vi = -np.inf
@@ -659,8 +658,6 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--seed", type=int, default=None, help="override sampling seed")
         q.add_argument("--force", action="store_true",
                        help="run even when the smallness gate fails")
-        q.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface compatibility; runs are sequential")
         if name == "convergence":
             q.add_argument("--refinements", type=int, default=3,
                            help="number of halvings (>= 2)")

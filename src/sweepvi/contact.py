@@ -18,7 +18,7 @@ contact traction is the discrete equilibrium residual at the contact dof.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -125,7 +125,9 @@ class Material:
     odd and increasing, so it never degrades monotonicity.
     ``b``: elastic coefficient for the displacement coupling (zero for the
     purely viscoelastic rod problems).
-    ``beta``: scalar relaxation profile beta(t) for the fading-memory term.
+    ``beta``: scalar relaxation profile beta(t) for the fading-memory term;
+    an :class:`~sweepvi.histop.ExponentialProfile` makes the memory O(1) per
+    node, and ``None`` means no memory term.
     """
 
     a: object
@@ -369,12 +371,35 @@ def assemble_relaxation(material: Material, dim: int) -> VolterraKernel:
     return VolterraKernel(scalar_profile=beta, matrix=np.eye(dim), symmetric=True)
 
 
-def _accumulated(fn: Callable[[np.ndarray], np.ndarray], scalar_series: np.ndarray,
-                 dt: float) -> np.ndarray:
-    from scipy.integrate import cumulative_trapezoid
+def _threshold_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
+                      y_space: HilbertSpace | None, magnitude: Callable[[float], float],
+                      tag: str) -> HistoryOperator:
+    """``F(int magnitude(u at the contact dof) ds)`` as a running trapezoid sum.
 
-    acc = cumulative_trapezoid(scalar_series, dx=dt, initial=0.0)
-    return np.asarray(fn(acc), dtype=float)
+    The state is the accumulated integral, the last integrand value and the
+    last (read-only) output, so each node costs O(1), and F is evaluated
+    only where the integral grows; the sum is the same as
+    ``cumulative_trapezoid``.
+    """
+    dt, F = grid.dt, law.F
+
+    def threshold(acc: float) -> np.ndarray:
+        # read-only: the start state and every node where the integral does
+        # not grow hand out this same array
+        out = np.array(F(np.array([acc])), dtype=float)
+        out.flags.writeable = False
+        return out
+
+    def advance(state, k, u_k):
+        acc, prev, out = state
+        value = magnitude(float(u_k[contact_dof]))
+        if k and prev + value:
+            acc = acc + dt * (prev + value) / 2.0
+            out = threshold(acc)
+        return (acc, value, out), out
+
+    return HistoryOperator.causal((0.0, 0.0, threshold(0.0)), advance, l=0.0, L=law.L_F,
+                                  tag=tag, out_space=y_space or HilbertSpace(1), grid=grid)
 
 
 def penetration_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
@@ -385,41 +410,14 @@ def penetration_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
     trace bound, L = c0 * L_F, supplied by the caller via the declared L on
     the returned operator when assembling the problem.
     """
-    y_space = y_space or HilbertSpace(1)
-
-    def fn(traj: Trajectory) -> Trajectory:
-        series = np.maximum(traj.samples[:, contact_dof], 0.0)
-        vals = _accumulated(law.F, series, traj.grid.dt)
-        return Trajectory(y_space, traj.grid, vals[:, None])
-
-    def fn_node(traj: Trajectory, k: int) -> np.ndarray:
-        series = np.maximum(traj.samples[:k + 1, contact_dof], 0.0)
-        if k == 0:
-            acc = 0.0
-        else:
-            acc = np.trapezoid(series, dx=traj.grid.dt)
-        return np.array([float(law.F(np.array([acc]))[0])])
-
-    return HistoryOperator(fn=fn, l=0.0, L=law.L_F, tag="penetration_threshold",
-                           fn_node=fn_node)
+    return _threshold_memory(law, contact_dof, grid, y_space, lambda x: max(x, 0.0),
+                             "penetration_threshold")
 
 
 def slip_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
                 y_space: HilbertSpace | None = None) -> HistoryOperator:
     """Threshold trajectory F(int |tangential velocity at the contact node| ds)."""
-    y_space = y_space or HilbertSpace(1)
-
-    def fn(traj: Trajectory) -> Trajectory:
-        series = np.abs(traj.samples[:, contact_dof])
-        vals = _accumulated(law.F, series, traj.grid.dt)
-        return Trajectory(y_space, traj.grid, vals[:, None])
-
-    def fn_node(traj: Trajectory, k: int) -> np.ndarray:
-        series = np.abs(traj.samples[:k + 1, contact_dof])
-        acc = 0.0 if k == 0 else np.trapezoid(series, dx=traj.grid.dt)
-        return np.array([float(law.F(np.array([acc]))[0])])
-
-    return HistoryOperator(fn=fn, l=0.0, L=law.L_F, tag="slip_threshold", fn_node=fn_node)
+    return _threshold_memory(law, contact_dof, grid, y_space, abs, "slip_threshold")
 
 
 def assemble_loads(mesh: Mesh1D, loads: Loads, grid: TimeGrid,
@@ -497,8 +495,11 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
     n = mesh.n_free
     A = assemble_A(mesh, material, space, components)
     f, covectors = assemble_loads(mesh, loads, grid, space, components)
-    relaxation = volterra_operator(assemble_relaxation(material, space.dim), grid,
-                                   space, tag="relaxation")
+    if material.beta is None:
+        relaxation = zero_operator(space, tag="relaxation")
+    else:
+        relaxation = volterra_operator(assemble_relaxation(material, space.dim), grid,
+                                       space, tag="relaxation")
 
     if kind == "normal_compliance":
         if law.kind != "compliance":
@@ -509,9 +510,7 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
         y_space = HilbertSpace(1)
         functional = HomogeneousFunctional.positive_part(space, y_space,
                                                          weights=[1.0], indices=[contact])
-        memory = penetration_memory(law, contact, grid, y_space)
-        memory = HistoryOperator(fn=memory.fn, l=0.0, L=c0 * law.L_F,
-                                 tag=memory.tag, fn_node=memory.fn_node)
+        memory = replace(penetration_memory(law, contact, grid, y_space), L=c0 * law.L_F)
         spec = InclusionSpec(x_space=space, y_space=y_space,
                              cone=ConstraintCone.whole_space(space), operator=A,
                              functional=functional, parameter_memory=memory,
@@ -539,9 +538,7 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
         y_space = HilbertSpace(1)
         functional = HomogeneousFunctional.block_norm(space, y_space, weights=[1.0],
                                                       blocks=[[tau_dof]])
-        memory = slip_memory(law, tau_dof, grid, y_space)
-        memory = HistoryOperator(fn=memory.fn, l=0.0, L=c0 * law.L_F,
-                                 tag=memory.tag, fn_node=memory.fn_node)
+        memory = replace(slip_memory(law, tau_dof, grid, y_space), L=c0 * law.L_F)
         core = InclusionSpec(x_space=space, y_space=y_space,
                              cone=ConstraintCone.zero(space, [nu_dof]), operator=A,
                              functional=functional, parameter_memory=memory,

@@ -33,9 +33,7 @@ __all__ = [
     "ConstraintCone",
     "HomogeneousFunctional",
     "MovingSet",
-    "ShiftedSet",
     "sample_unit_directions",
-    "normal_cone_identities",
 ]
 
 _COUPLING_RTOL = 1e-10
@@ -124,7 +122,7 @@ class HilbertSpace:
 
     def norms_many(self, vs: np.ndarray) -> np.ndarray:
         vs = np.asarray(vs, dtype=float)
-        return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", vs, self.metric, vs), 0.0))
+        return np.sqrt(np.maximum(((vs @ self.metric) * vs).sum(1), 0.0))
 
     def solve_metric(self, b) -> np.ndarray:
         """Riesz map: return ``M^{-1} b``."""
@@ -741,95 +739,3 @@ class MovingSet:
         support_max = float(support.max(initial=0.0))
         compl = self.functional.eval(self.eta, u) - space.inner(w, u)
         return max(support_max, compl, cone_gap)
-
-
-@dataclass(frozen=True)
-class ShiftedSet:
-    """Translate of a constraint cone: ``{shift + x : x in cone}``."""
-
-    cone: ConstraintCone
-    shift: np.ndarray
-
-    def violation(self, x) -> float:
-        return self.cone.violation(_vec(x, self.cone.space.dim) - self.shift)
-
-    def project(self, x) -> np.ndarray:
-        return self.shift + self.cone.project(_vec(x, self.cone.space.dim) - self.shift)
-
-    def negated(self) -> "ShiftedSet":
-        return ShiftedSet(self.cone.negated(), -self.shift)
-
-    def translated(self, v) -> "ShiftedSet":
-        return ShiftedSet(self.cone, self.shift - _vec(v, self.cone.space.dim))
-
-    def normal_residual(self, point, xi, sampler_budget: int = 512, seed: int = 0) -> float:
-        """Violation of ``xi in N_set(point)`` by sampled support testing."""
-        space = self.cone.space
-        point = _vec(point, space.dim)
-        xi = _vec(xi, space.dim)
-        gap = space.distance(point, self.project(point))
-        dirs = sample_unit_directions(self.cone, sampler_budget, seed)
-        best = gap
-        for radius in (0.5, 1.0, 4.0, 32.0):
-            ys = self.shift[None, :] + radius * dirs
-            vals = (ys - point[None, :]) @ (space.metric @ xi)
-            best = max(best, float(vals.max(initial=0.0)))
-        return best
-
-    def normal_samples(self, point, count: int, seed: int, atol: float = 1e-9) -> np.ndarray:
-        """Closed-form normal vectors at ``point`` (active-constraint combinations)."""
-        space = self.cone.space
-        x = _vec(point, space.dim) - self.shift
-        gens = []
-        for i in self.cone.indices:
-            if self.cone.kind == "nonpositive" and abs(x[i]) <= atol:
-                gens.append(np.eye(space.dim)[i])
-            elif self.cone.kind == "nonnegative" and abs(x[i]) <= atol:
-                gens.append(-np.eye(space.dim)[i])
-            elif self.cone.kind == "zero":
-                gens.append(np.eye(space.dim)[i])
-                gens.append(-np.eye(space.dim)[i])
-        rows = [np.zeros(space.dim)]
-        if gens:
-            gens = np.vstack(gens)
-            rng = np.random.default_rng(seed)
-            coeff = rng.uniform(0.0, 2.0, size=(count, gens.shape[0]))
-            rows.append(coeff @ gens)
-            rows.append(gens)
-        return np.vstack([r[None, :] if r.ndim == 1 else r for r in rows])
-
-
-def normal_cone_identities(cset: ShiftedSet, u, v, sampler_budget: int = 512,
-                           seed: int = 0, tol: float = 1e-10) -> tuple[bool, bool]:
-    """Sampled check of the translation and reflection identities for normal cones.
-
-    Returns a pair of booleans: the first for
-    ``N_C(u + v) == N_{C - v}(u)``, the second for ``N_C(-u) == -N_{-C}(u)``.
-    Raises if the base points do not lie in the respective sets.
-    """
-    space = cset.cone.space
-    u = _vec(u, space.dim)
-    v = _vec(v, space.dim)
-    if cset.violation(u + v) > 1e-9:
-        raise ValueError("u + v must lie in the set")
-    shifted = cset.translated(v)
-    ok_shift = True
-    for xi in cset.normal_samples(u + v, 16, seed):
-        if shifted.normal_residual(u, xi, sampler_budget, seed + 1) > tol * max(1.0, space.norm(xi)):
-            ok_shift = False
-    for xi in shifted.normal_samples(u, 16, seed + 2):
-        if cset.normal_residual(u + v, xi, sampler_budget, seed + 3) > tol * max(1.0, space.norm(xi)):
-            ok_shift = False
-
-    ok_neg = True
-    if cset.violation(-u) <= 1e-9:
-        neg = cset.negated()
-        for xi in cset.normal_samples(-u, 16, seed + 4):
-            if neg.normal_residual(u, -xi, sampler_budget, seed + 5) > tol * max(1.0, space.norm(xi)):
-                ok_neg = False
-        for xi in neg.normal_samples(u, 16, seed + 6):
-            if cset.normal_residual(-u, -xi, sampler_budget, seed + 7) > tol * max(1.0, space.norm(xi)):
-                ok_neg = False
-    else:
-        raise ValueError("-u must lie in the set for the reflection identity")
-    return ok_shift, ok_neg

@@ -25,6 +25,7 @@ from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory
 __all__ = [
     "IneligibleOperatorError",
     "HistoryOperator",
+    "ExponentialProfile",
     "VolterraKernel",
     "apply_volterra",
     "volterra_operator",
@@ -53,32 +54,130 @@ def trapezoid_weights(k: int, dt: float) -> np.ndarray:
     return w
 
 
+def _zeros(dim: int) -> np.ndarray:
+    """A read-only zero vector, safe to hand out as the output of many steps."""
+    zero = np.zeros(dim)
+    zero.flags.writeable = False
+    return zero
+
+
 @dataclass(frozen=True)
 class HistoryOperator:
     """Causal trajectory-to-trajectory map with declared constants ``(l, L)``.
 
-    ``fn`` consumes and produces :class:`Trajectory` objects on the same
-    grid.  ``fn_node``, when provided, evaluates a single output node from
-    the input trajectory (an O(k) shortcut the time-marching solver uses).
+    Every operator follows one causal evaluation protocol:
+    ``init_state(space, grid)`` returns the state before node 0 for inputs
+    in ``space`` on ``grid``, and ``step(state, k, u_k)`` consumes the input
+    at node ``k`` and returns ``(state', out_k)``.  States are values: a
+    state is never changed by stepping from it, so the time-marching solver
+    can try several guesses for ``u_k`` against the same committed state.
+    ``step`` may keep a reference to ``u_k``, which the caller must not
+    change afterwards, and ``out_k`` may be shared with the state or with
+    other steps, so the built-in memories hand it out read-only.
+    ``commit(state, k, u_k)`` returns just the next state, for callers that
+    do not need ``out_k``.
+
+    Memories built with :meth:`causal` supply the initial state ``start``
+    and the step ``advance``; whole-trajectory evaluation (``fn``,
+    ``__call__``) and :meth:`at_node` are loops over that step, so each
+    memory has one implementation.  A memory built for a ``grid`` refuses
+    inputs on any other grid, since its step bakes in that grid's spacing
+    and kernel samples.  An operator given only ``fn`` (a map of
+    whole trajectories on the same grid) is stepped by a generic adapter
+    that evaluates ``fn`` on the prefix ``u_0..u_k`` padded with zeros,
+    O(n) work per step.
     """
 
-    fn: Callable[[Trajectory], Trajectory]
+    fn: Callable[[Trajectory], Trajectory] | None
     l: float
     L: float
     tag: str = "history"
-    fn_node: Callable[[Trajectory, int], np.ndarray] | None = None
+    start: object = field(default=None, repr=False, compare=False)
+    advance: Callable[[object, int, np.ndarray], tuple] | None = field(
+        default=None, repr=False, compare=False)
+    out_space: HilbertSpace | None = field(default=None, repr=False, compare=False)
+    grid: TimeGrid | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.l < 0 or self.L < 0:
             raise ValueError("constants must be nonnegative")
+        if self.advance is not None:
+            object.__setattr__(self, "fn", self._sweep)
+        elif self.fn is None:
+            raise ValueError("provide fn or a causal step")
+
+    @classmethod
+    def causal(cls, start, advance: Callable, l: float, L: float, tag: str = "history",
+               out_space: HilbertSpace | None = None,
+               grid: TimeGrid | None = None) -> "HistoryOperator":
+        """Operator defined by its step; ``out_space=None`` keeps the input space,
+        ``grid=None`` accepts every grid."""
+        return cls(fn=None, l=l, L=L, tag=tag, start=start, advance=advance,
+                   out_space=out_space, grid=grid)
+
+    def init_state(self, space: HilbertSpace, grid: TimeGrid):
+        if self.advance is None:
+            return space, grid, np.zeros((0, space.dim))
+        if self.grid is not None and grid != self.grid:
+            raise DimensionMismatchError(f"{self.tag} memory was built for {self.grid}, "
+                                         f"got an input on {grid}")
+        return self.start
+
+    def step(self, state, k: int, u_k: np.ndarray) -> tuple[object, np.ndarray]:
+        if self.advance is not None:
+            return self.advance(state, k, u_k)
+        space, grid, prefix = state
+        padded = np.zeros((grid.steps + 1, space.dim))
+        padded[:k] = prefix
+        padded[k] = u_k
+        out = self.fn(Trajectory(space, grid, padded)).samples[k].copy()
+        return (space, grid, padded[:k + 1]), out
+
+    def commit(self, state, k: int, u_k: np.ndarray):
+        """The state of :meth:`step` without its output; the adapter skips ``fn``."""
+        if self.advance is not None:
+            return self.advance(state, k, u_k)[0]
+        space, grid, prefix = state
+        return space, grid, np.vstack([prefix, u_k])
 
     def __call__(self, traj: Trajectory) -> Trajectory:
         return self.fn(traj)
 
     def at_node(self, traj: Trajectory, k: int) -> np.ndarray:
-        if self.fn_node is not None:
-            return self.fn_node(traj, k)
-        return self.fn(traj).samples[k].copy()
+        if self.advance is None:
+            return self.fn(traj).samples[k].copy()
+        state = self.init_state(traj.space, traj.grid)
+        for j in range(k + 1):
+            state, out = self.advance(state, j, traj.samples[j])
+        return np.array(out, dtype=float)
+
+    def _sweep(self, traj: Trajectory) -> Trajectory:
+        """Whole-trajectory evaluation of a causal step: one pass over the nodes."""
+        advance, samples = self.advance, traj.samples
+        state, first = advance(self.init_state(traj.space, traj.grid), 0, samples[0])
+        out = np.empty((samples.shape[0], np.size(first)))
+        out[0] = first
+        for k in range(1, samples.shape[0]):
+            state, out[k] = advance(state, k, samples[k])
+        out_space = self.out_space
+        if out_space is None:
+            out_space = traj.space if out.shape[1] == traj.space.dim else HilbertSpace(out.shape[1])
+        return Trajectory(out_space, traj.grid, out)
+
+
+@dataclass(frozen=True)
+class ExponentialProfile:
+    """Kernel profile ``beta(t) = amplitude * exp(-rate * t)``; rate 0 is constant.
+
+    Convolution memories recognise this profile and update recursively at
+    O(1) work per node instead of re-summing the history.
+    """
+
+    amplitude: float
+    rate: float = 0.0
+
+    def __call__(self, t):
+        return self.amplitude * np.exp(-self.rate * t)
 
 
 @dataclass(frozen=True)
@@ -86,8 +185,10 @@ class VolterraKernel:
     """Matrix kernel ``t -> B(t)`` for convolution memories.
 
     ``scalar_profile`` plus ``matrix`` describes the common separable form
-    ``B(t) = beta(t) * C`` which evaluates much faster.  ``symmetric=True``
-    asserts symmetric kernel blocks and is audited on the grid nodes.
+    ``B(t) = beta(t) * C`` which evaluates much faster; with an
+    :class:`ExponentialProfile` (see :meth:`exponential`) the memory costs
+    O(1) per node.  ``symmetric=True`` asserts symmetric kernel blocks and is
+    audited on the grid nodes.
     """
 
     matrix_fn: Callable[[float], np.ndarray] | None = None
@@ -101,43 +202,137 @@ class VolterraKernel:
         if self.scalar_profile is not None and self.matrix is None:
             raise ValueError("scalar_profile needs a matrix factor")
 
+    @classmethod
+    def exponential(cls, amplitude: float, rate: float, matrix,
+                    symmetric: bool = False) -> "VolterraKernel":
+        """``B(t) = amplitude * exp(-rate * t) * matrix``."""
+        return cls(scalar_profile=ExponentialProfile(float(amplitude), float(rate)),
+                   matrix=np.asarray(matrix, dtype=float), symmetric=symmetric)
+
     def at(self, t: float) -> np.ndarray:
         if self.scalar_profile is not None:
             return float(self.scalar_profile(t)) * self.matrix
         return np.asarray(self.matrix_fn(t), dtype=float)
 
+    def profile_on_grid(self, grid: TimeGrid) -> np.ndarray:
+        """``beta`` at the grid nodes, one profile call per node."""
+        return np.array([float(self.scalar_profile(t)) for t in grid.nodes])
+
     def on_grid(self, grid: TimeGrid) -> np.ndarray:
         mats = np.stack([self.at(t) for t in grid.nodes])
-        if self.symmetric:
-            dev = np.abs(mats - np.transpose(mats, (0, 2, 1))).max()
-            if dev > 1e-10 * max(np.abs(mats).max(), 1e-30):
-                raise ValueError("kernel declared symmetric but grid samples are not")
+        self._audit_symmetry(mats)
         return mats
+
+    def _audit_symmetry(self, mats: np.ndarray) -> None:
+        if not self.symmetric:
+            return
+        dev = np.abs(mats - np.swapaxes(mats, -1, -2)).max()
+        if dev > 1e-10 * max(np.abs(mats).max(), 1e-30):
+            raise ValueError("kernel declared symmetric but grid samples are not")
+
+
+class _Rows:
+    """Append-only buffer of the inputs of one evaluation, shared by its states.
+
+    Rows below ``filled`` are claimed: written once and never changed, so
+    the states sharing the buffer stay values.  Row ``filled`` is scratch
+    for the input being tried at the current node.  A state whose prefix a
+    sibling state has already extended differently gets a fresh copy.
+    """
+
+    def __init__(self, capacity: int, dim: int):
+        self.data = np.empty((capacity, dim))
+        self.filled = 0
+
+    def trial(self, k: int, last: np.ndarray, u: np.ndarray) -> "_Rows":
+        """Rows ``0..k-2`` held here, then ``last`` claimed as row ``k - 1``
+        and ``u`` written to scratch row ``k``."""
+        rows = self
+        if self.filled == k - 1:
+            self.data[k - 1] = last
+            self.filled = k
+        elif self.filled > k or not np.array_equal(self.data[k - 1], last):
+            rows = _Rows(*self.data.shape)
+            rows.data[:k - 1] = self.data[:k - 1]
+            rows.data[k - 1] = last
+            rows.filled = k
+        rows.data[k] = u
+        return rows
+
+
+def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
+    """``(start, advance, kernel norms)`` of the trapezoid convolution on ``grid``.
+
+    The kernel norms are ``beta`` on the grid for separable kernels and the
+    matrices ``B(t_k)`` otherwise; they bound the memory constant.
+
+    General kernels sum the prefix, O(k) per node.  Their state after node
+    ``k`` is ``(rows, u_k)``: the inputs before node ``k`` in a shared
+    :class:`_Rows` buffer, and ``u_k``, claimed only when the next node steps
+    from the state, so trial steps copy nothing.  The two half weights of the
+    trapezoid rule are folded into the data: row 0 holds ``u_0 / 2`` and the
+    kernel sample at lag 0 is halved, so ``out_k`` is one weighted sum over
+    rows ``0..k``.
+    """
+    dt, capacity = grid.dt, grid.steps + 1
+
+    def stepper(weighted: np.ndarray, total: Callable, out_dim: int):
+        zero = _zeros(out_dim)
+        weighted[0] *= 0.5
+
+        def advance(state, k, u_k):
+            if k == 0:
+                return (_Rows(capacity, u_k.size), 0.5 * u_k), zero
+            rows, last = state
+            rows = rows.trial(k, last, u_k)
+            return (rows, u_k), total(weighted[k::-1], rows.data[:k + 1])
+
+        return advance
+
+    if kernel.scalar_profile is None:
+        mats = kernel.on_grid(grid)
+        advance = stepper(dt * mats, lambda w, U: np.einsum("jab,jb->a", w, U), mats.shape[1])
+        return None, advance, mats
+
+    C = np.asarray(kernel.matrix, dtype=float)
+    beta = kernel.profile_on_grid(grid)
+    kernel._audit_symmetry(np.abs(beta).max() * C)
+    profile = kernel.scalar_profile
+    if isinstance(profile, ExponentialProfile):
+        # I_k = e^{-r dt} I_{k-1} + dt/2 (e^{-r dt} u_{k-1} + u_k) is the composite
+        # trapezoid sum of int_0^{t_k} e^{-r (t_k - s)} u(s) ds; the state keeps
+        # out_{k-1} = c C I_{k-1} and g_{k-1} = c C dt/2 u_{k-1}, so that
+        # out_k = e^{-r dt} (out_{k-1} + g_{k-1}) + g_k at O(1) per node
+        G = (0.5 * dt * profile.amplitude) * C
+        decay = float(np.exp(-profile.rate * dt))
+        zero = _zeros(C.shape[0])
+
+        def advance(state, k, u_k):
+            g = G @ u_k
+            if k == 0:
+                return (zero, g), zero
+            out, g_prev = state
+            out = decay * (out + g_prev) + g
+            out.flags.writeable = False
+            return (out, g), out
+
+        return None, advance, beta
+
+    advance = stepper(dt * beta, lambda w, U: C @ (w @ U), C.shape[0])
+    return None, advance, beta
 
 
 def apply_volterra(kernel: VolterraKernel, traj: Trajectory,
                    out_space: HilbertSpace | None = None) -> Trajectory:
     """Trapezoid discretization of ``(S u)(t) = int_0^t B(t - s) u(s) ds``."""
-    grid = traj.grid
-    dt = grid.dt
-    n = grid.steps
-    if kernel.scalar_profile is not None:
-        beta = np.array([float(kernel.scalar_profile(t)) for t in grid.nodes])
-        C = np.asarray(kernel.matrix, dtype=float)
-        out = np.zeros((n + 1, C.shape[0]))
-        U = traj.samples
-        for k in range(1, n + 1):
-            w = trapezoid_weights(k, dt) * beta[k::-1]
-            out[k] = C @ (w @ U[: k + 1])
-    else:
-        mats = kernel.on_grid(grid)
-        out = np.zeros((n + 1, mats.shape[1]))
-        U = traj.samples
-        for k in range(1, n + 1):
-            w = trapezoid_weights(k, dt)
-            out[k] = np.einsum("j,jab,jb->a", w, mats[k::-1], U[: k + 1])
-    space = out_space or (traj.space if out.shape[1] == traj.space.dim else HilbertSpace(out.shape[1]))
-    return Trajectory(space, grid, out)
+    start, advance, _ = _volterra_steps(kernel, traj.grid)
+    return HistoryOperator.causal(start, advance, l=0.0, L=0.0, out_space=out_space)(traj)
+
+
+def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace) -> float:
+    """Operator norm of ``B`` between the metric norms (a singular-value bound)."""
+    A = np.linalg.cholesky(target.metric).T @ B @ np.linalg.inv(np.linalg.cholesky(input_space.metric).T)
+    return float(np.linalg.norm(A, 2))
 
 
 def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: HilbertSpace,
@@ -147,47 +342,29 @@ def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: Hilbe
 
     When ``L`` is omitted it is bounded by ``max_t ||B(t)||`` in the input
     space norm times the output norm distortion, measured on the grid nodes
-    (exact for separable kernels with constant factor).
+    (exact for separable kernels with constant factor).  Exponential
+    profiles step in O(1) per node; other kernels sum the prefix, O(k).
     """
+    start, advance, norms = _volterra_steps(kernel, grid)
     if L is None:
-        mats = kernel.on_grid(grid)
         target = out_space or input_space
-        worst = 0.0
-        for B in mats:
-            # operator norm between the metric norms via a singular-value bound
-            A = np.linalg.cholesky(target.metric).T @ B @ np.linalg.inv(np.linalg.cholesky(input_space.metric).T)
-            worst = max(worst, float(np.linalg.norm(A, 2)))
-        L = worst
-
-    def fn(traj: Trajectory) -> Trajectory:
-        return apply_volterra(kernel, traj, out_space)
-
-    def fn_node(traj: Trajectory, k: int) -> np.ndarray:
-        if k == 0:
-            dim = (out_space or traj.space).dim
-            return np.zeros(dim)
-        dt = traj.grid.dt
-        w = trapezoid_weights(k, dt)
         if kernel.scalar_profile is not None:
-            beta = np.array([float(kernel.scalar_profile(traj.grid.nodes[k] - traj.grid.nodes[j])) for j in range(k + 1)])
-            return np.asarray(kernel.matrix, dtype=float) @ ((w * beta) @ traj.samples[: k + 1])
-        mats = np.stack([kernel.at(traj.grid.nodes[k] - traj.grid.nodes[j]) for j in range(k + 1)])
-        return np.einsum("j,jab,jb->a", w, mats, traj.samples[: k + 1])
-
-    return HistoryOperator(fn=fn, l=0.0, L=float(L), tag=tag, fn_node=fn_node)
+            L = float(np.abs(norms).max()) * _metric_norm(
+                np.asarray(kernel.matrix, dtype=float), input_space, target)
+        else:
+            L = max(_metric_norm(B, input_space, target) for B in norms)
+    return HistoryOperator.causal(start, advance, l=0.0, L=float(L), tag=tag,
+                                  out_space=out_space, grid=grid)
 
 
 def identity_operator(l: float = 1.0, tag: str = "identity") -> HistoryOperator:
-    return HistoryOperator(fn=lambda traj: traj, l=l, L=0.0, tag=tag,
-                           fn_node=lambda traj, k: traj.samples[k].copy())
+    return HistoryOperator.causal(None, lambda state, k, u_k: (None, u_k), l=l, L=0.0, tag=tag)
 
 
 def zero_operator(out_space: HilbertSpace, tag: str = "zero") -> HistoryOperator:
-    def fn(traj: Trajectory) -> Trajectory:
-        return Trajectory.zeros(out_space, traj.grid)
-
-    return HistoryOperator(fn=fn, l=0.0, L=0.0, tag=tag,
-                           fn_node=lambda traj, k: np.zeros(out_space.dim))
+    zero = _zeros(out_space.dim)
+    return HistoryOperator.causal(None, lambda state, k, u_k: (None, zero), l=0.0, L=0.0,
+                                  tag=tag, out_space=out_space)
 
 
 def exp_growth_memory(traj: Trajectory) -> Trajectory:
@@ -196,20 +373,23 @@ def exp_growth_memory(traj: Trajectory) -> Trajectory:
     The canonical operator whose instantaneous coefficient exceeds 1, so it
     falls outside the fixed-point-eligible class on horizons of length >= 1.
     """
-    grid = traj.grid
-    nodes = grid.nodes
-    out = np.exp(nodes)[:, None] * traj.samples
-    weighted = nodes[:, None] * traj.samples
-    for k in range(1, grid.steps + 1):
-        w = trapezoid_weights(k, grid.dt)
-        out[k] += w @ weighted[: k + 1]
-    return Trajectory(traj.space, grid, out)
+    return exp_growth_memory_operator(traj.grid)(traj)
 
 
 def exp_growth_memory_operator(grid: TimeGrid, tag: str = "exp_growth") -> HistoryOperator:
     """Constants on ``[0, T]``: instantaneous ``e^T``, memory weight ``T``."""
+    nodes, growth, dt = grid.nodes, np.exp(grid.nodes), grid.dt
+
+    def advance(state, k, u_k):
+        acc, prev = state
+        weighted = nodes[k] * u_k
+        if k:
+            acc = acc + dt * (prev + weighted) / 2.0
+        return (acc, weighted), growth[k] * u_k + acc
+
     T = grid.horizon
-    return HistoryOperator(fn=exp_growth_memory, l=float(np.exp(T)), L=float(T), tag=tag)
+    return HistoryOperator.causal((0.0, None), advance, l=float(np.exp(T)), L=float(T), tag=tag,
+                                  grid=grid)
 
 
 def _norm_history(space_in: HilbertSpace, traj_a: Trajectory, traj_b: Trajectory):

@@ -22,7 +22,7 @@ divergence is recorded rather than raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class InclusionSpec:
                 raise DimensionMismatchError(f"{label} memory output has dimension "
                                              f"{out.samples.shape[1]}, expected {dim}")
 
-    @property
+    @cached_property
     def theta_space(self) -> HilbertSpace:
         return product_space(self.y_space, self.x_space)
 
@@ -303,7 +303,8 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
         sweeps = 0
         for sweeps in range(1, max_sweeps + 1):
             start = u.samples if u is not None else None
-            theta_new, u, iters = apply_coupling_map(spec, theta, tol=evi_tol, start=start)
+            theta_new, u, sweep_iters = apply_coupling_map(spec, theta, tol=evi_tol, start=start)
+            iters += sweep_iters
             change = theta.sup_distance(theta_new)
             changes.append(change)
             theta = theta_new
@@ -322,17 +323,21 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
         theta_samples = np.zeros((n + 1, spec.theta_space.dim))
         iters = np.zeros(n + 1, dtype=int)
         inner_counts = np.zeros(n + 1, dtype=int)
+        # memory states committed through node k - 1; each pass steps them to
+        # node k with the current guess, O(1) work for the built-in memories
+        param, load = spec.parameter_memory, spec.load_memory
+        param_state = param.init_state(spec.x_space, spec.grid)
+        load_state = load.init_state(spec.x_space, spec.grid)
         for k in range(n + 1):
             if k > 0:
                 u_samples[k] = u_samples[k - 1]
-            guess = u_samples[k]
+            guess = u_samples[k].copy()
             node_ok = False
             change = np.inf
             prev_change = None
             for inner in range(1, max_inner + 1):
-                u_traj = Trajectory(spec.x_space, spec.grid, u_samples)
-                eta_k = spec.parameter_memory.at_node(u_traj, k)
-                xi_k = spec.load_memory.at_node(u_traj, k)
+                _, eta_k = param.step(param_state, k, guess)
+                _, xi_k = load.step(load_state, k, guess)
                 theta_k = np.concatenate([eta_k, xi_k])
                 problem = _node_problem(spec, eta_k, xi_k, spec.f.node(k))
                 try:
@@ -360,6 +365,8 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     raise NonConvergenceError(
                         f"inner iteration stalled at node {k}; last change {change:.3e}",
                         last_iterate=u_samples[k], displacement=change)
+            param_state = param.commit(param_state, k, u_samples[k])
+            load_state = load.commit(load_state, k, u_samples[k])
         u = Trajectory(spec.x_space, spec.grid, u_samples)
         theta = Trajectory(spec.theta_space, spec.grid, theta_samples)
         diagnostics["inner_iterations"] = inner_counts

@@ -43,16 +43,12 @@ __all__ = [
 ]
 
 
-def _antiderivative_samples(samples: np.ndarray, dt: float, u0: np.ndarray) -> np.ndarray:
-    out = cumulative_trapezoid(samples, dx=dt, axis=0, initial=0.0) + u0
-    out[0] = u0
-    return out
-
-
 def integrate_velocity(v: Trajectory, u0) -> Trajectory:
     """Trapezoid antiderivative of ``v`` started at ``u0``; exact at node 0."""
     u0 = _vec(u0, v.space.dim)
-    return Trajectory(v.space, v.grid, _antiderivative_samples(v.samples, v.grid.dt, u0))
+    out = cumulative_trapezoid(v.samples, dx=v.grid.dt, axis=0, initial=0.0) + u0
+    out[0] = u0
+    return Trajectory(v.space, v.grid, out)
 
 
 @dataclass(frozen=True)
@@ -98,20 +94,21 @@ def antiderivative_memory(grid: TimeGrid, space: HilbertSpace, u0,
 
     Purely integral, so the instantaneous constant is 0 and the integral
     constant is 1 (the trapezoid sum is dominated by the integral of the
-    pointwise norm).
+    pointwise norm).  A running trapezoid sum: O(1) per node, and the same
+    sum :func:`integrate_velocity` computes.
     """
     u0 = _vec(u0, space.dim)
+    dt = grid.dt
 
-    def fn(traj: Trajectory) -> Trajectory:
-        return Trajectory(space, traj.grid,
-                          _antiderivative_samples(traj.samples, traj.grid.dt, u0))
-
-    def fn_node(traj: Trajectory, k: int) -> np.ndarray:
+    def advance(state, k, v_k):
         if k == 0:
-            return u0.copy()
-        return u0 + np.trapezoid(traj.samples[:k + 1], dx=traj.grid.dt, axis=0)
+            return (0.0, v_k), u0.copy()
+        acc, prev = state
+        acc = acc + dt * (prev + v_k) / 2.0
+        return (acc, v_k), acc + u0
 
-    return HistoryOperator(fn=fn, l=0.0, L=1.0, tag=tag, fn_node=fn_node)
+    return HistoryOperator.causal(None, advance, l=0.0, L=1.0, tag=tag, out_space=space,
+                                  grid=grid)
 
 
 def compose_with_antiderivative(s_op: HistoryOperator, grid: TimeGrid,
@@ -125,14 +122,16 @@ def compose_with_antiderivative(s_op: HistoryOperator, grid: TimeGrid,
     """
     disp = antiderivative_memory(grid, space, u0)
 
-    def fn(traj: Trajectory) -> Trajectory:
-        return s_op(disp(traj))
+    def advance(state, k, v_k):
+        disp_state, s_state = state
+        disp_state, disp_k = disp.step(disp_state, k, v_k)
+        s_state, out = s_op.step(s_state, k, disp_k)
+        return (disp_state, s_state), out
 
-    def fn_node(traj: Trajectory, k: int) -> np.ndarray:
-        return s_op.at_node(disp(traj), k)
-
-    return HistoryOperator(fn=fn, l=0.0, L=s_op.l + grid.horizon * s_op.L,
-                           tag=tag or f"{s_op.tag}_of_displacement", fn_node=fn_node)
+    start = (disp.init_state(space, grid), s_op.init_state(space, grid))
+    return HistoryOperator.causal(start, advance, l=0.0, L=s_op.l + grid.horizon * s_op.L,
+                                  tag=tag or f"{s_op.tag}_of_displacement",
+                                  out_space=s_op.out_space, grid=grid)
 
 
 def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
@@ -142,24 +141,19 @@ def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
     constant of ``S`` and gains ``L_B`` on the integral constant.
     """
     core = spec.core
-    s_op, b_op, u0 = core.load_memory, spec.b_op, spec.u0
-    space, dt = core.x_space, core.grid.dt
+    s_op, b_op = core.load_memory, spec.b_op
+    space, grid = core.x_space, core.grid
+    disp = antiderivative_memory(grid, space, spec.u0)
 
-    def fn(traj: Trajectory) -> Trajectory:
-        disp = _antiderivative_samples(traj.samples, dt, u0)
-        s_out = s_op(traj)
-        rows = np.array([b_op(row) for row in disp]) + s_out.samples
-        return Trajectory(space, traj.grid, rows)
+    def advance(state, k, v_k):
+        disp_state, s_state = state
+        disp_state, disp_k = disp.step(disp_state, k, v_k)
+        s_state, s_k = s_op.step(s_state, k, v_k)
+        return (disp_state, s_state), b_op(disp_k) + s_k
 
-    def fn_node(traj: Trajectory, k: int) -> np.ndarray:
-        if k == 0:
-            disp_k = u0
-        else:
-            disp_k = u0 + np.trapezoid(traj.samples[:k + 1], dx=dt, axis=0)
-        return b_op(disp_k) + s_op.at_node(traj, k)
-
-    lifted = HistoryOperator(fn=fn, l=s_op.l, L=b_op.L + s_op.L,
-                             tag=f"{s_op.tag}+coupled", fn_node=fn_node)
+    start = (disp.init_state(space, grid), s_op.init_state(space, grid))
+    lifted = HistoryOperator.causal(start, advance, l=s_op.l, L=b_op.L + s_op.L,
+                                    tag=f"{s_op.tag}+coupled", out_space=space, grid=grid)
     return replace(core, load_memory=lifted)
 
 

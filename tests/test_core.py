@@ -59,6 +59,16 @@ def test_inner_many_matches_loop():
     assert np.allclose(got, want)
 
 
+def test_norms_many_matches_loop():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((5, 5))
+    X = HilbertSpace(5, metric=A @ A.T + 5 * np.eye(5))
+    vs = rng.standard_normal((40, 5))
+    want = [X.norm(v) for v in vs]
+    np.testing.assert_allclose(X.norms_many(vs), want, rtol=1e-13)
+    assert X.norms_many(np.zeros((3, 5))).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_product_space_blocks():
     Y = HilbertSpace(1, metric=np.array([[2.0]]))
     X = HilbertSpace(2, metric=np.diag([1.0, 3.0]))

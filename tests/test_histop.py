@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from sweepvi import (
+    ContactLaw,
+    DimensionMismatchError,
+    ExponentialProfile,
     HilbertSpace,
     HistoryOperator,
     IneligibleOperatorError,
@@ -19,6 +22,7 @@ from sweepvi import (
     volterra_operator,
     zero_operator,
 )
+from sweepvi.contact import penetration_memory, slip_memory
 
 
 def scalar_kernel(beta=0.5):
@@ -253,3 +257,259 @@ class TestPicardFixedPoint:
         space = HilbertSpace(1)
         with pytest.raises(IneligibleOperatorError):
             picard_fixed_point(identity_operator(), space, grid)
+
+
+def stepped(op, traj):
+    """Outputs of the causal protocol, one ``step`` per node from ``init_state``."""
+    state = op.init_state(traj.space, traj.grid)
+    rows = []
+    for k in range(traj.grid.steps + 1):
+        state, out = op.step(state, k, traj.samples[k])
+        rows.append(np.array(out, dtype=float))
+    return np.array(rows)
+
+
+def convolution_reference(kernel, traj):
+    """``sum_j w_j B(t_k - t_j) u_j`` with explicit trapezoid weights, node by node."""
+    nodes, dt = traj.grid.nodes, traj.grid.dt
+    rows = []
+    for k in range(traj.grid.steps + 1):
+        w = trapezoid_weights(k, dt)
+        rows.append(sum(w[j] * kernel.at(nodes[k] - nodes[j]) @ traj.samples[j]
+                        for j in range(k + 1)))
+    return np.array(rows)
+
+
+def random_traj(space, grid, seed):
+    rng = np.random.default_rng(seed)
+    return Trajectory(space, grid, rng.standard_normal((grid.steps + 1, space.dim)))
+
+
+class TestCausalStepProtocol:
+    """Each memory's step loop, whole-trajectory call and at_node agree with a reference."""
+
+    @staticmethod
+    def assert_all_paths(op, traj, want, atol=1e-13):
+        np.testing.assert_allclose(stepped(op, traj), want, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(op(traj).samples, want, rtol=0.0, atol=atol)
+        for k in (0, 1, traj.grid.steps // 2, traj.grid.steps):
+            np.testing.assert_allclose(op.at_node(traj, k), want[k], rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize("kernel", [
+        VolterraKernel.exponential(0.7, 1.5, [[0.3, 0.1], [0.1, 0.2]], symmetric=True),
+        VolterraKernel.exponential(-0.4, 0.0, [[1.0, 0.5], [0.0, 2.0]]),
+        VolterraKernel(scalar_profile=lambda t: np.cos(3.0 * t), matrix=np.array([[0.5, -0.2], [0.1, 0.4]])),
+        VolterraKernel(matrix_fn=lambda t: np.array([[np.exp(-t), t], [0.0, 1.0 + t * t]])),
+    ], ids=["exponential", "constant", "general-scalar", "matrix"])
+    def test_volterra_memories_match_trapezoid_reference(self, kernel):
+        grid = TimeGrid(1.3, 24)
+        space = HilbertSpace(2)
+        traj = random_traj(space, grid, seed=11)
+        op = volterra_operator(kernel, grid, space)
+        self.assert_all_paths(op, traj, convolution_reference(kernel, traj))
+
+    def test_volterra_into_a_smaller_output_space(self):
+        grid = TimeGrid(1.0, 16)
+        space, out = HilbertSpace(3), HilbertSpace(2)
+        kernel = VolterraKernel.exponential(0.5, 2.0, np.eye(2, 3))
+        traj = random_traj(space, grid, seed=3)
+        op = volterra_operator(kernel, grid, space, out_space=out)
+        assert op(traj).space is out
+        self.assert_all_paths(op, traj, convolution_reference(kernel, traj))
+
+    @pytest.mark.parametrize("factory, magnitude", [
+        (penetration_memory, lambda x: np.maximum(x, 0.0)),
+        (slip_memory, np.abs),
+    ], ids=["penetration", "slip"])
+    def test_threshold_memories_match_trapezoid_reference(self, factory, magnitude):
+        grid = TimeGrid(0.8, 20)
+        space = HilbertSpace(3)
+        law = ContactLaw.saturating(2.0, 1.5, kind="compliance")
+        traj = random_traj(space, grid, seed=5)
+        series = magnitude(traj.samples[:, 1])
+        acc = [trapezoid_weights(k, grid.dt) @ series[:k + 1] for k in range(grid.steps + 1)]
+        want = law.F(np.array(acc))[:, None]
+        op = factory(law, 1, grid)
+        assert op.out_space.dim == 1
+        self.assert_all_paths(op, traj, want)
+
+    def test_stock_operators_match_their_definitions(self):
+        grid = TimeGrid(1.0, 16)
+        space = HilbertSpace(2)
+        traj = random_traj(space, grid, seed=7)
+        self.assert_all_paths(identity_operator(), traj, traj.samples)
+        self.assert_all_paths(zero_operator(HilbertSpace(3)), traj, np.zeros((17, 3)))
+        nodes = grid.nodes
+        want = np.array([np.exp(nodes[k]) * traj.samples[k]
+                         + trapezoid_weights(k, grid.dt) @ (nodes[:k + 1, None] * traj.samples[:k + 1])
+                         for k in range(grid.steps + 1)])
+        self.assert_all_paths(exp_growth_memory_operator(grid), traj, want)
+
+    def test_steps_leave_the_committed_state_unchanged(self):
+        # the marching solver steps the same state with several guesses
+        grid = TimeGrid(1.0, 8)
+        space = HilbertSpace(2)
+        op = volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space)
+        traj = random_traj(space, grid, seed=2)
+        state = op.init_state(space, grid)
+        for k in range(4):
+            state, _ = op.step(state, k, traj.samples[k])
+        first = op.step(state, 4, np.array([5.0, -1.0]))[1].copy()
+        op.step(state, 4, np.array([-3.0, 2.0]))
+        np.testing.assert_array_equal(op.step(state, 4, np.array([5.0, -1.0]))[1], first)
+
+    @pytest.mark.parametrize("kernel", [
+        VolterraKernel(scalar_profile=lambda t: np.cos(3.0 * t), matrix=np.eye(2)),
+        VolterraKernel(matrix_fn=lambda t: np.array([[np.exp(-t), t], [0.0, 1.0 + t * t]])),
+    ], ids=["general-scalar", "matrix"])
+    def test_sibling_states_of_a_summing_kernel_stay_independent(self, kernel):
+        grid = TimeGrid(1.0, 10)
+        space = HilbertSpace(2)
+        op = volterra_operator(kernel, grid, space)
+        a = random_traj(space, grid, seed=12)
+        tail = np.random.default_rng(13).standard_normal((grid.steps - 3, 2))
+        b = Trajectory(space, grid, np.vstack([a.samples[:4], tail]))
+        want_a = convolution_reference(kernel, a)[-1]
+        want_b = convolution_reference(kernel, b)[-1]
+        states = [op.init_state(space, grid)]          # states[k]: before node k
+        for k in range(grid.steps + 1):
+            states.append(op.step(states[-1], k, a.samples[k])[0])
+
+        def finish(state, traj, first):
+            for k in range(first, grid.steps + 1):
+                state, out = op.step(state, k, traj.samples[k])
+            return out
+
+        # b leaves a's path at node 4 after a has run to the end, and a's
+        # later states still see a's inputs
+        np.testing.assert_allclose(finish(states[4], b, 4), want_b, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(finish(states[7], a, 7), want_a, rtol=0.0, atol=1e-13)
+        # two guesses at node 4 from a fresh chain, both carried on node by node
+        state = op.init_state(space, grid)
+        for k in range(4):
+            state, _ = op.step(state, k, a.samples[k])
+        branches = [op.step(state, 4, traj.samples[4])[0] for traj in (a, b)]
+        outs = [None, None]
+        for k in range(5, grid.steps + 1):
+            for i, traj in ((1, b), (0, a)):
+                branches[i], outs[i] = op.step(branches[i], k, traj.samples[k])
+        np.testing.assert_allclose(outs, [want_a, want_b], rtol=0.0, atol=1e-13)
+
+    def test_shared_outputs_are_read_only(self):
+        grid = TimeGrid(1.0, 8)
+        space = HilbertSpace(2)
+        traj = random_traj(space, grid, seed=6)
+        law = ContactLaw.saturating(2.0, 1.5, kind="compliance")
+        ops = [volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
+               penetration_memory(law, 0, grid), slip_memory(law, 1, grid)]
+        for op in ops:
+            state = op.init_state(space, grid)
+            for k in range(grid.steps + 1):
+                state, out = op.step(state, k, traj.samples[k])
+                assert not out.flags.writeable
+
+    def test_operators_hash_and_compare_by_their_definition(self):
+        grid = TimeGrid(1.0, 8)
+        space = HilbertSpace(2)
+        ops = [volterra_operator(VolterraKernel(scalar_profile=np.cos, matrix=np.eye(2)),
+                                 grid, space),
+               volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
+               penetration_memory(ContactLaw.saturating(2.0, 1.5, kind="compliance"), 0, grid),
+               identity_operator(), zero_operator(space)]
+        assert len({hash(op) for op in ops}) == len(ops)
+        assert all(op == op for op in ops)
+        assert ops[0] != ops[1]
+
+    def test_fn_only_operator_is_stepped_on_the_zero_padded_prefix(self):
+        grid = TimeGrid(1.0, 6)
+        space = HilbertSpace(1)
+        seen = []
+
+        def total_so_far(traj):
+            seen.append(traj.samples.copy())
+            return Trajectory(traj.space, traj.grid, np.cumsum(traj.samples, axis=0))
+
+        op = HistoryOperator(fn=total_so_far, l=1.0, L=0.0, tag="running_total")
+        traj = random_traj(space, grid, seed=4)
+        np.testing.assert_allclose(stepped(op, traj), np.cumsum(traj.samples, axis=0),
+                                   atol=1e-14)
+        assert len(seen) == grid.steps + 1
+        assert not seen[2][3:].any()           # nodes after k are zero while stepping k
+
+    def test_memory_refuses_inputs_on_another_grid(self):
+        grid, finer = TimeGrid(1.0, 8), TimeGrid(1.0, 16)
+        space = HilbertSpace(1)
+        kernel = VolterraKernel.exponential(1.0, 0.0, np.eye(1))
+        traj = Trajectory(space, finer, np.ones((17, 1)))
+        ops = [volterra_operator(kernel, grid, space), exp_growth_memory_operator(grid),
+               penetration_memory(ContactLaw.saturating(2.0, 1.5, kind="compliance"), 0, grid)]
+        for op in ops:
+            with pytest.raises(DimensionMismatchError):
+                op(traj)
+            with pytest.raises(DimensionMismatchError):
+                op.at_node(traj, 3)
+            with pytest.raises(DimensionMismatchError):
+                op.init_state(space, finer)
+        # grid-free operators and the one-shot convolution take any grid
+        np.testing.assert_array_equal(identity_operator()(traj).samples, traj.samples)
+        assert apply_volterra(kernel, traj).samples[-1, 0] == pytest.approx(1.0)
+
+    def test_operator_needs_fn_or_step(self):
+        with pytest.raises(ValueError):
+            HistoryOperator(fn=None, l=0.0, L=0.0)
+
+
+class TestExponentialRecursion:
+    def test_recursion_matches_direct_convolution_at_2048_steps(self):
+        grid = TimeGrid(2.0, 2048)
+        space = HilbertSpace(1)
+        amp, rate = 0.8, 3.0
+        op = volterra_operator(VolterraKernel.exponential(amp, rate, np.eye(1)), grid, space)
+        rng = np.random.default_rng(9)
+        u = np.sin(5.0 * grid.nodes) + 0.1 * rng.standard_normal(grid.steps + 1)
+        got = op(Trajectory(space, grid, u[:, None])).samples[:, 0]
+        direct = np.zeros(grid.steps + 1)
+        decay = amp * np.exp(-rate * grid.nodes)
+        for k in range(1, grid.steps + 1):
+            direct[k] = (trapezoid_weights(k, grid.dt) * decay[k::-1]) @ u[:k + 1]
+        assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_exponential_profile_evaluates_like_its_formula(self):
+        profile = ExponentialProfile(0.3, 2.0)
+        assert profile(0.5) == 0.3 * np.exp(-1.0)
+        assert ExponentialProfile(0.3)(7.0) == 0.3
+
+
+class TestProfileEvaluations:
+    def test_general_scalar_kernel_reads_its_profile_once_per_grid_node(self):
+        calls = []
+
+        def profile(t):
+            calls.append(t)
+            return np.exp(-t) * (1.0 + t)
+
+        grid = TimeGrid(1.0, 32)
+        space = HilbertSpace(2)
+        op = volterra_operator(VolterraKernel(scalar_profile=profile, matrix=np.eye(2),
+                                              symmetric=True), grid, space)
+        traj = random_traj(space, grid, seed=1)
+        op(traj)
+        state = op.init_state(space, grid)
+        for k in range(grid.steps + 1):
+            for _ in range(3):                 # inner passes at one node
+                op.step(state, k, traj.samples[k])
+            state, _ = op.step(state, k, traj.samples[k])
+        op.at_node(traj, grid.steps)
+        assert len(calls) == grid.steps + 1
+
+    def test_separable_memory_constant_is_peak_profile_times_matrix_norm(self):
+        # a profile whose peak is away from t = 0, in a weighted metric
+        grid = TimeGrid(2.0, 40)
+        space = HilbertSpace(2, metric=np.diag([4.0, 1.0]))
+        mat = np.array([[0.2, 0.3], [0.3, 0.1]])
+        op = volterra_operator(VolterraKernel(scalar_profile=lambda t: t * np.exp(-t),
+                                              matrix=mat), grid, space)
+        chol = np.linalg.cholesky(space.metric).T
+        per_node = max(np.linalg.norm(chol @ (t * np.exp(-t) * mat) @ np.linalg.inv(chol), 2)
+                       for t in grid.nodes)
+        assert op.L == pytest.approx(per_node, rel=1e-12)

@@ -246,6 +246,49 @@ class TestSolveInclusion:
         b = solve_inclusion(spec, tol=1e-12, mode="global_picard")
         assert np.max(np.abs(a.u.samples - b.u.samples)) <= 5e-12
 
+    def test_global_picard_counts_the_evi_iterations_of_every_sweep(self, monkeypatch):
+        import sweepvi.inclusion as inclusion
+
+        made = []
+        real = inclusion.solve_evi
+
+        def counting(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            made.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(inclusion, "solve_evi", counting)
+        spec = decay_spec(16)
+        sol = solve_inclusion(spec, tol=1e-10, mode="global_picard")
+        assert sol.diagnostics["sweeps"] >= 2
+        assert len(made) == sol.diagnostics["sweeps"] * (spec.grid.steps + 1)
+        assert int(sol.per_step_iterations.sum()) == sum(made)
+
+    def test_marching_calls_a_fn_only_memory_once_per_inner_pass(self):
+        from dataclasses import replace
+
+        from sweepvi import HistoryOperator
+
+        calls = []
+        stepped_spec = decay_spec(12)
+        memory = stepped_spec.load_memory
+
+        def counted(traj):
+            calls.append(1)
+            return memory(traj)
+
+        spec = replace(stepped_spec, load_memory=HistoryOperator(
+            fn=counted, l=memory.l, L=memory.L, tag="counted"))
+        calls.clear()
+        sol = solve_inclusion(spec, tol=1e-12, mode="time_marching")
+        assert len(calls) == int(sol.diagnostics["inner_iterations"].sum())
+        want = solve_inclusion(stepped_spec, tol=1e-12, mode="time_marching")
+        assert np.max(np.abs(sol.u.samples - want.u.samples)) <= 1e-13
+
+    def test_theta_space_is_built_once(self):
+        spec = decay_spec(4)
+        assert spec.theta_space is spec.theta_space
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             solve_inclusion(decay_spec(4), mode="sideways")

@@ -6,6 +6,7 @@ from sweepvi import (
     ConstraintCone,
     DimensionMismatchError,
     HilbertSpace,
+    HistoryOperator,
     HomogeneousFunctional,
     LipschitzOperator,
     MonotoneOperator,
@@ -13,6 +14,7 @@ from sweepvi import (
     SweepingSpec,
     TimeGrid,
     Trajectory,
+    VolterraKernel,
     antiderivative_memory,
     build_inclusion_variant,
     build_sweeping_variant,
@@ -24,6 +26,8 @@ from sweepvi import (
     lift_to_velocity,
     solve_sweeping,
     solve_sweeping_direct,
+    trapezoid_weights,
+    volterra_operator,
 )
 
 X = HilbertSpace(1)
@@ -244,3 +248,87 @@ class TestVariantsAndAudits:
             SweepingSpec(core=spec.core,
                          b_op=LipschitzOperator(apply=lambda u: 2.0 * u, L=0.5, tag="liar"),
                          u0=[0.0])
+
+
+def stepped(op, traj):
+    """Outputs of the causal protocol, one ``step`` per node from ``init_state``."""
+    state = op.init_state(traj.space, traj.grid)
+    rows = []
+    for k in range(traj.grid.steps + 1):
+        state, out = op.step(state, k, traj.samples[k])
+        rows.append(np.array(out, dtype=float))
+    return np.array(rows)
+
+
+def displacement_reference(v, u0):
+    """``u0 + sum_j w_j v_j`` with explicit trapezoid weights, node by node."""
+    return np.array([u0 + trapezoid_weights(k, v.grid.dt) @ v.samples[:k + 1]
+                     for k in range(v.grid.steps + 1)])
+
+
+class TestCausalStepProtocol:
+    W = HilbertSpace(2)
+
+    def velocity(self, steps=20, seed=6):
+        grid = TimeGrid(1.2, steps)
+        rng = np.random.default_rng(seed)
+        return Trajectory(self.W, grid, rng.standard_normal((steps + 1, 2)))
+
+    @staticmethod
+    def assert_all_paths(op, traj, want):
+        np.testing.assert_allclose(stepped(op, traj), want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(op(traj).samples, want, rtol=0.0, atol=1e-13)
+        for k in (0, 1, traj.grid.steps):
+            np.testing.assert_allclose(op.at_node(traj, k), want[k], rtol=0.0, atol=1e-13)
+
+    def test_antiderivative_memory_matches_trapezoid_reference(self):
+        v = self.velocity()
+        u0 = np.array([0.4, -1.1])
+        want = displacement_reference(v, u0)
+        self.assert_all_paths(antiderivative_memory(v.grid, self.W, u0), v, want)
+        np.testing.assert_array_equal(want[0], u0)
+
+    def test_compose_with_antiderivative_matches_reference(self):
+        v = self.velocity()
+        u0 = np.array([0.4, -1.1])
+        kernel = VolterraKernel.exponential(0.6, 2.0, [[1.0, 0.2], [0.2, 0.5]])
+        s_op = volterra_operator(kernel, v.grid, self.W)
+        disp = Trajectory(self.W, v.grid, displacement_reference(v, u0))
+        want = s_op(disp).samples
+        comp = compose_with_antiderivative(s_op, v.grid, self.W, u0)
+        self.assert_all_paths(comp, v, want)
+
+    def test_lift_to_velocity_matches_reference(self):
+        spec = ode_spec(20, b=0.5)
+        grid = spec.core.grid
+        rng = np.random.default_rng(8)
+        v = Trajectory(X, grid, rng.standard_normal((21, 1)))
+        want = 0.5 * displacement_reference(v, spec.u0)      # S = 0 in ode_spec
+        self.assert_all_paths(lift_to_velocity(spec).load_memory, v, want)
+
+    def test_marching_with_fn_only_memories_agrees_with_global_picard(self):
+        # the same memories, stripped of their steps, go through the generic adapter
+        grid = TimeGrid(1.0, 12)
+        kernel = VolterraKernel.exponential(0.5, 1.0, np.eye(1), symmetric=True)
+        stepped_load = volterra_operator(kernel, grid, X)
+        fn_only = HistoryOperator(fn=stepped_load.fn, l=0.0, L=stepped_load.L, tag="fn_only")
+        core = build_inclusion_variant(
+            "parameter_free", cone=ConstraintCone.nonnegative(X, [0]),
+            operator=MonotoneOperator.from_matrix(X, [[2.0]]),
+            functional=HomogeneousFunctional.zero(X),
+            f=Trajectory(X, grid, (1.0 - 1.5 * grid.nodes)[:, None]), grid=grid,
+            load_memory=fn_only)
+        spec = SweepingSpec(core=core, b_op=LipschitzOperator(apply=lambda u: 0.5 * u, L=0.5),
+                            u0=[0.1])
+        assert fn_only.advance is None
+        marching = solve_sweeping(spec, tol=1e-12, mode="time_marching")
+        picard = solve_sweeping(spec, tol=1e-12, mode="global_picard")
+        assert marching.converged and picard.converged
+        assert np.max(np.abs(marching.v.samples - picard.v.samples)) < 1e-10
+        assert np.max(np.abs(marching.u.samples - picard.u.samples)) < 1e-10
+        with_steps = solve_sweeping(
+            SweepingSpec(core=build_inclusion_variant(
+                "parameter_free", cone=core.cone, operator=core.operator,
+                functional=core.functional, f=core.f, grid=grid, load_memory=stepped_load),
+                b_op=spec.b_op, u0=[0.1]), tol=1e-12)
+        assert np.max(np.abs(marching.v.samples - with_steps.v.samples)) < 1e-12
