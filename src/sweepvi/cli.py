@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,8 +42,16 @@ from .core import (
     HomogeneousFunctional,
     TimeGrid,
     Trajectory,
+    UnsupportedConfigurationError,
 )
-from .evi import AuditError, MonotoneOperator, NonConvergenceError, audit_operator, vi_residual
+from .evi import (
+    AuditError,
+    MonotoneOperator,
+    NonConvergenceError,
+    NonFiniteError,
+    audit_operator,
+    vi_residual,
+)
 from .histop import (
     ExponentialProfile,
     VolterraKernel,
@@ -95,20 +104,6 @@ class RunConfig:
     abstract: dict | None = None
 
 
-def _floats(text: str) -> np.ndarray:
-    try:
-        return np.array([float(p) for p in text.replace(",", " ").split()])
-    except ValueError as exc:
-        raise ConfigError(f"expected numbers, got {text!r}") from exc
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected integers, got {text!r}") from exc
-
-
 def _require(parser: configparser.ConfigParser, section: str) -> configparser.SectionProxy:
     if not parser.has_section(section):
         raise ConfigError(f"missing [{section}] section")
@@ -122,22 +117,58 @@ def _get(sec, key: str, default: str | None = None) -> str:
     return val
 
 
+def _numbers(sec, key: str, text: str, kind=float) -> list:
+    """Finite numbers of type ``kind`` in ``text``, separated by spaces or commas."""
+    try:
+        vals = [kind(p) for p in text.replace(",", " ").split()]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"[{sec.name}] {key}: expected {noun}, got {text!r}") from None
+    if kind is float and not np.isfinite(vals).all():
+        raise ConfigError(f"[{sec.name}] {key}: numbers must be finite, got {text!r}")
+    return vals
+
+
+def _floats(sec, key: str, default: str | None = None) -> np.ndarray:
+    return np.array(_numbers(sec, key, _get(sec, key, default)), dtype=float)
+
+
+def _ints(sec, key: str, default: str | None = None) -> list[int]:
+    return _numbers(sec, key, _get(sec, key, default), int)
+
+
+def _one(sec, key: str, default: str | None = None, kind=float):
+    vals = _numbers(sec, key, _get(sec, key, default), kind)
+    if len(vals) != 1:
+        raise ConfigError(f"[{sec.name}] {key}: expected one value, got {len(vals)}")
+    return vals[0]
+
+
+@contextmanager
+def _section(name: str):
+    """Turn a model constructor's ``ValueError`` into a config error for ``[name]``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
+
+
 def _law_from(sec) -> ContactLaw:
     name = _get(sec, "law")
     law_kind = sec.get("law_kind", None)
-    if name == "rigid":
-        return ContactLaw.rigid()
-    if name == "zero":
-        return ContactLaw.zero(kind=law_kind or "compliance")
-    if name == "linear":
-        return ContactLaw.linear(float(_get(sec, "slope")), kind=law_kind or "compliance")
-    if name == "saturating":
-        return ContactLaw.saturating(float(_get(sec, "fmax")), float(_get(sec, "rate")),
-                                     kind=law_kind or "friction")
-    if name == "table":
-        return ContactLaw.from_table(_floats(_get(sec, "slips")),
-                                     _floats(_get(sec, "thresholds")),
-                                     kind=law_kind or "compliance")
+    with _section(sec.name):
+        if name == "rigid":
+            return ContactLaw.rigid()
+        if name == "zero":
+            return ContactLaw.zero(kind=law_kind or "compliance")
+        if name == "linear":
+            return ContactLaw.linear(_one(sec, "slope"), kind=law_kind or "compliance")
+        if name == "saturating":
+            return ContactLaw.saturating(_one(sec, "fmax"), _one(sec, "rate"),
+                                         kind=law_kind or "friction")
+        if name == "table":
+            return ContactLaw.from_table(_floats(sec, "slips"), _floats(sec, "thresholds"),
+                                         kind=law_kind or "compliance")
     raise ConfigError(f"[contact] unknown law {name!r}")
 
 
@@ -150,45 +181,60 @@ def _schedule(base: np.ndarray, ramp: np.ndarray):
     return lambda t: base_v + t * ramp_v
 
 
-def _loads_from(sec) -> Loads:
-    body = _floats(sec.get("body", "0"))
-    body_ramp = _floats(sec.get("body_ramp", "0"))
-    traction = _floats(sec.get("traction", "0"))
-    traction_ramp = _floats(sec.get("traction_ramp", "0"))
-    return Loads(body=_schedule(body, body_ramp),
-                 traction=_schedule(traction, traction_ramp))
+def _loads_from(sec, components: int, n_nodes: int) -> Loads:
+    sizes = {"body": (1, n_nodes) if components == 1 else (1, 2),
+             "traction": (1, components)}
+    vals = {}
+    for key in ("body", "body_ramp", "traction", "traction_ramp"):
+        vals[key] = _floats(sec, key, "0")
+        allowed = sizes[key.split("_")[0]]
+        if vals[key].size not in allowed:
+            raise ConfigError(f"[{sec.name}] {key}: needs "
+                              f"{' or '.join(map(str, allowed))} values, got {vals[key].size}")
+    return Loads(body=_schedule(vals["body"], vals["body_ramp"]),
+                 traction=_schedule(vals["traction"], vals["traction_ramp"]))
 
 
-def _material_from(sec) -> Material:
-    a = _floats(_get(sec, "a"))
-    amp = float(sec.get("beta", "0"))
-    rate = float(sec.get("beta_rate", "0"))
-    return Material(a=float(a[0]) if a.size == 1 else a,
-                    mu=float(sec.get("mu", "0")),
-                    b=float(sec.get("b", "0")),
-                    beta=ExponentialProfile(amp, rate) if amp != 0.0 else None)
+def _material_from(sec, elements: int) -> Material:
+    a = _floats(sec, "a")
+    if a.size not in (1, elements):
+        raise ConfigError(f"[{sec.name}] a: needs 1 value or one per element "
+                          f"({elements}), got {a.size}")
+    if (a <= 0).any():
+        raise ConfigError(f"[{sec.name}] a: values must be positive, got {_get(sec, 'a')!r}")
+    b = _one(sec, "b", "0")
+    if b < 0:
+        raise ConfigError(f"[{sec.name}] b: must be nonnegative, got {b!r}")
+    amp, rate = _one(sec, "beta", "0"), _one(sec, "beta_rate", "0")
+    with _section(sec.name):
+        return Material(a=float(a[0]) if a.size == 1 else a, mu=_one(sec, "mu", "0"), b=b,
+                        beta=ExponentialProfile(amp, rate) if amp != 0.0 else None)
 
 
 def _abstract_from(sec) -> dict:
+    try:
+        eta_free = sec.getboolean("eta_free", fallback=False)
+    except ValueError as exc:
+        raise ConfigError(f"[{sec.name}] eta_free: {exc}") from None
     out = {
         "variant": _get(sec, "variant"),
-        "dimension": int(_get(sec, "dimension")),
-        "y_dimension": int(sec.get("y_dimension", sec.get("dimension"))),
-        "metric": _floats(sec.get("metric", "1")),
-        "operator": _floats(_get(sec, "operator")),
+        "dimension": _one(sec, "dimension", kind=int),
+        "y_dimension": _one(sec, "y_dimension", sec.get("dimension"), kind=int),
+        "metric": _floats(sec, "metric", "1"),
+        "operator": _floats(sec, "operator"),
         "cone": sec.get("cone", "whole"),
-        "cone_indices": _ints(sec["cone_indices"]) if "cone_indices" in sec else None,
+        "cone_indices": _ints(sec, "cone_indices") if "cone_indices" in sec else None,
         "functional": sec.get("functional", "zero"),
-        "weights": _floats(sec.get("weights", "1")),
-        "indices": _ints(sec.get("indices", "0")),
-        "blocks": [_ints(b) for b in sec.get("blocks", "0").split(";")],
-        "eta_free": sec.getboolean("eta_free", fallback=False),
-        "parameter_kernel": float(sec.get("parameter_kernel", "0")),
-        "parameter_rate": float(sec.get("parameter_rate", "0")),
-        "load_kernel": float(sec.get("load_kernel", "0")),
-        "load_rate": float(sec.get("load_rate", "0")),
-        "f": _floats(sec.get("f", "0")),
-        "f_ramp": _floats(sec.get("f_ramp", "0")),
+        "weights": _floats(sec, "weights", "1"),
+        "indices": _ints(sec, "indices", "0"),
+        "blocks": [_numbers(sec, "blocks", b, int) for b in sec.get("blocks", "0").split(";")],
+        "eta_free": eta_free,
+        "parameter_kernel": _one(sec, "parameter_kernel", "0"),
+        "parameter_rate": _one(sec, "parameter_rate", "0"),
+        "load_kernel": _one(sec, "load_kernel", "0"),
+        "load_rate": _one(sec, "load_rate", "0"),
+        "f": _floats(sec, "f", "0"),
+        "f_ramp": _floats(sec, "f_ramp", "0"),
     }
     if out["variant"] not in ("memory_pair", "state_parameter", "parameter_free"):
         raise ConfigError(f"[abstract] unknown variant {out['variant']!r}")
@@ -210,31 +256,42 @@ def load_config(path: str | Path) -> RunConfig:
     prob = _require(parser, "problem")
     kind = _get(prob, "kind")
     tsec = _require(parser, "time")
-    horizon = float(_get(tsec, "horizon"))
-    steps = int(_get(tsec, "steps"))
-    if steps < 1 or not np.isfinite(horizon) or horizon <= 0:
+    horizon = _one(tsec, "horizon")
+    steps = _one(tsec, "steps", kind=int)
+    if steps < 1 or horizon <= 0:
         raise ConfigError("[time] needs horizon > 0 and steps >= 1")
     grid = TimeGrid(horizon, steps)
 
-    sol = parser["solver"] if parser.has_section("solver") else {}
-    get = sol.get if hasattr(sol, "get") else dict(sol).get
-    tol = float(get("tol", "1e-10"))
-    max_iter = int(get("max_iter", "500"))
-    mode = get("mode", "time_marching")
-    seed = int(get("seed", "0"))
-    force = str(get("force", "false")).strip().lower() in ("1", "true", "yes", "on")
+    if not parser.has_section("solver"):
+        parser.add_section("solver")
+    sol = parser["solver"]
+    tol = _one(sol, "tol", "1e-10")
+    max_iter = _one(sol, "max_iter", "500", kind=int)
+    mode = sol.get("mode", "time_marching")
+    seed = _one(sol, "seed", "0", kind=int)
+    force = sol.get("force", "false").strip().lower() in ("1", "true", "yes", "on")
     if mode not in ("time_marching", "global_picard"):
         raise ConfigError(f"[solver] unknown mode {mode!r}")
-    if not (np.isfinite(tol) and tol > 0):
+    if not tol > 0:
         raise ConfigError("[solver] tol must be a positive finite number")
 
     if kind in _CONTACT_KINDS:
         msec = _require(parser, "mesh")
-        mesh = Mesh1D.uniform(float(_get(msec, "length")), int(_get(msec, "elements")))
-        material = _material_from(_require(parser, "material"))
+        length, elements = _one(msec, "length"), _one(msec, "elements", kind=int)
+        if length <= 0:
+            raise ConfigError(f"[mesh] length: must be positive, got {length!r}")
+        if elements < 1:
+            raise ConfigError(f"[mesh] elements: must be at least 1, got {elements}")
+        with _section("mesh"):
+            mesh = Mesh1D.uniform(length, elements)
+        components = 2 if kind == "shear_friction" else 1
+        material = _material_from(_require(parser, "material"), elements)
         law = _law_from(_require(parser, "contact"))
-        loads = _loads_from(_require(parser, "loads"))
-        u0 = _floats(prob["u0"]) if "u0" in prob else None
+        loads = _loads_from(_require(parser, "loads"), components, elements + 1)
+        u0 = _floats(prob, "u0") if "u0" in prob else None
+        if u0 is not None and u0.size != components * elements:
+            raise ConfigError(f"[problem] u0: needs {components * elements} values, "
+                              f"got {u0.size}")
         return RunConfig(kind=kind, grid=grid, tol=tol, max_iter=max_iter, mode=mode,
                          seed=seed, force=force, mesh=mesh, material=material,
                          law=law, loads=loads, u0=u0)
@@ -318,10 +375,14 @@ def _build_abstract(cfg: RunConfig) -> InclusionSpec:
 def _build(cfg: RunConfig):
     """Returns (ContactProblem | None, InclusionSpec | SweepingSpec)."""
     if cfg.kind in _CONTACT_KINDS:
-        problem = build_problem(cfg.kind, cfg.mesh, cfg.material, cfg.law,
-                                cfg.loads, cfg.grid, u0=cfg.u0)
+        try:
+            problem = build_problem(cfg.kind, cfg.mesh, cfg.material, cfg.law,
+                                    cfg.loads, cfg.grid, u0=cfg.u0)
+        except UnsupportedConfigurationError as exc:
+            raise ConfigError(f"[problem] kind {cfg.kind!r}: {exc}") from exc
         return problem, problem.spec
-    return None, _build_abstract(cfg)
+    with _section("abstract"):
+        return None, _build_abstract(cfg)
 
 
 def _core_spec(spec) -> InclusionSpec:
@@ -389,6 +450,10 @@ def _csv_rows(cfg: RunConfig, problem, u, v, sol):
     return header, rows
 
 
+def _failure(exc: NonConvergenceError) -> str:
+    return "non-finite" if isinstance(exc, NonFiniteError) else "non-convergence"
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -413,6 +478,8 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, error: str | None = No
               f"  verdict: {'pass' if rep.passed else 'fail'}"]
     lines += ["operator:", f"  tag: {core.operator.tag}",
               f"  m: {_g(core.operator.m)}", f"  L: {_g(core.operator.L)}"]
+    metric = core.iteration_metric
+    lines += [f"evi_metric: {metric.name}", f"evi_rate: {_g(metric.q)}"]
     if error is not None:
         lines += ["converged: false", f"error: {error}"]
         return "\n".join(lines) + "\n"
@@ -446,7 +513,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, out) -> int:
     except NonConvergenceError as exc:
         text = _diagnostics_text(cfg, problem, spec, None, error=str(exc))
         (out_dir / "diagnostics.txt").write_text(text, encoding="utf-8")
-        print(f"non-convergence: {exc}", file=out)
+        print(f"{_failure(exc)}: {exc}", file=out)
         return 3
     header, rows = _csv_rows(cfg, problem, u, v, sol)
     _write_csv(out_dir / "solution.csv", header, rows)
@@ -695,7 +762,7 @@ def main(argv=None) -> int:
         print(f"gate failure: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
+        print(f"{_failure(exc)}: {exc}", file=sys.stderr)
         return 3
 
 

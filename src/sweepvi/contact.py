@@ -34,7 +34,7 @@ from .core import (
     Trajectory,
     UnsupportedConfigurationError,
 )
-from .evi import LipschitzOperator, MonotoneOperator
+from .evi import EnergyMetric, LipschitzOperator, MonotoneOperator
 from .histop import HistoryOperator, VolterraKernel, volterra_operator, zero_operator
 from .inclusion import InclusionSolution, InclusionSpec, solve_inclusion
 from .sweeping import SweepingSpec, SweepingSolution, solve_sweeping
@@ -328,6 +328,11 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
 
     tanh is odd with slope in (0, 1], so the nonlinearity only adds
     monotonicity: m = min(a), L = max(a) + mu, both exact in the energy norm.
+
+    The energy metric of the linear part, ``Ka = G^T diag(a h) G``, is
+    declared as well.  The operator's Jacobian lies between ``Ka`` and
+    ``Ka + mu G^T diag(h) G <= (1 + mu / min(a)) Ka``, so in the Ka-norm
+    m_P = 1 and L_P = 1 + mu / min(a), free of the contrast max(a) / min(a).
     """
     space = space or assemble_space(mesh, components)
     a = material.a_field(mesh)
@@ -336,14 +341,15 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
     Ka = G.T @ np.diag(np.tile(a, components) * h) @ G
     mu = float(material.mu)
 
-    def apply(u: np.ndarray, Ka=Ka, G=G, h=h, mu=mu, space=space) -> np.ndarray:
-        force = Ka @ u
+    def force(u: np.ndarray, Ka=Ka, G=G, h=h, mu=mu) -> np.ndarray:
+        out = Ka @ u
         if mu:
-            force = force + mu * (G.T @ (h * np.tanh(G @ u)))
-        return space.solve_metric(force)
+            out = out + mu * (G.T @ (h * np.tanh(G @ u)))
+        return out
 
-    return MonotoneOperator(apply=apply, m=float(a.min()), L=float(a.max()) + mu,
-                            tag="viscosity")
+    energy = EnergyMetric(Ka, force, m=1.0, L=1.0 + mu / float(a.min()))
+    return MonotoneOperator(apply=lambda u: space.solve_metric(force(u)), m=float(a.min()),
+                            L=float(a.max()) + mu, tag="viscosity", energy=energy)
 
 
 def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | None = None,

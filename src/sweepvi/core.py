@@ -283,6 +283,10 @@ class ConstraintCone:
         flip = {"whole": "whole", "nonpositive": "nonnegative", "nonnegative": "nonpositive", "zero": "zero"}
         return ConstraintCone(self.space, flip[self.kind], self.indices)
 
+    def in_space(self, space: HilbertSpace) -> "ConstraintCone":
+        """The same cone, with projections taken in the metric of ``space``."""
+        return ConstraintCone(space, self.kind, self.indices)
+
     def violation(self, x) -> float:
         """Largest coordinate-wise constraint violation (0 inside the cone)."""
         x = _vec(x, self.space.dim)
@@ -481,6 +485,15 @@ class HomogeneousFunctional:
     def separable(cls, y_space, p, p_lipschitz, base) -> "HomogeneousFunctional":
         return cls("separable", base.x_space, y_space, p=p, p_lipschitz=p_lipschitz, base=base)
 
+    def in_space(self, x_space: HilbertSpace) -> "HomogeneousFunctional":
+        """The same integrand on ``x_space``: equal values, prox and alpha in its metric."""
+        if self.kind == "separable":
+            return HomogeneousFunctional.separable(self.y_space, self.p, self.p_lipschitz,
+                                                   self.base.in_space(x_space))
+        return HomogeneousFunctional(self.kind, x_space, self.y_space, weights=self.weights,
+                                     indices=self.indices, blocks=self.blocks,
+                                     eta_free=self.eta_free)
+
     # -- structure ----------------------------------------------------------
 
     def _param_count(self) -> int:
@@ -570,48 +583,39 @@ class HomogeneousFunctional:
 
     # -- proximal map -------------------------------------------------------
 
-    def prox(self, eta, cone: ConstraintCone, rho: float, w) -> np.ndarray:
-        """argmin over ``v`` in the cone of ``0.5 ||v - w||_X^2 + rho j(eta, v)``.
+    def prox_layout(self, cone: ConstraintCone) -> tuple[list, list, list]:
+        """How the closed-form prox treats each unit (index or block) of ``j``.
 
-        Exactness requires that the coordinates the functional touches are
-        mutually uncoupled in the inverse metric and uncoupled from the
-        cone-constrained coordinates (always true for diagonal metrics and
-        for the block metrics produced by the contact assembly); otherwise an
-        :class:`UnsupportedConfigurationError` is raised.
+        Returns ``(free, mixed, zeroed)``: units away from the cone's
+        constraints as ``(unit, coords)``, single coordinates carrying both a
+        constraint and a term as ``(unit, index)``, and blocks the zero cone
+        annihilates as ``coords``.  The closed form is exact when the
+        coordinates the functional touches are mutually uncoupled in the
+        inverse metric and uncoupled from the constrained coordinates (always
+        true for diagonal metrics and for the block metrics produced by the
+        contact assembly); otherwise an :class:`UnsupportedConfigurationError`
+        is raised.  The layout depends only on the metric, the cone and the
+        functional's structure, never on ``eta`` or ``rho``.
         """
-        w = _vec(w, self.x_space.dim)
-        if cone.space is not self.x_space and cone.space.dim != self.x_space.dim:
-            raise DimensionMismatchError("cone lives in a different space")
-        if rho < 0:
-            raise ValueError("rho must be nonnegative")
         if self.kind == "zero":
-            return cone.project(w)
+            return [], [], []
         if self.kind == "separable":
-            scale = float(self.p(_vec(eta, self.y_space.dim)))
-            if scale < 0:
-                raise UnsupportedConfigurationError("separable scale p(eta) is negative; prox undefined")
-            return self.base.prox(None, cone, rho * scale, w)
-
-        e = self._effective_eta(eta)
-        space = self.x_space
-        M = space.metric
-        G = space.inv_metric
+            return self.base.prox_layout(cone)
+        M = self.x_space.metric
+        G = self.x_space.inv_metric
         if self.kind == "positive_part":
-            units = [(np.array([i]), float(t)) for i, t in zip(self.indices, rho * self.weights * e)]
+            units = [np.array([i]) for i in self.indices]
         else:
-            units = [(b, float(t)) for b, t in zip(self.blocks, rho * self.weights * e)]
-        for _, tau in units:
-            if tau < 0:
-                raise UnsupportedConfigurationError("negative effective weight; prox undefined")
+            units = list(self.blocks)
 
         constrained = set(cone.indices.tolist())
         mixed_units, free_units, zeroed_units = [], [], []
-        for coords, tau in units:
+        for unit, coords in enumerate(units):
             inter = [c for c in coords if c in constrained]
             if not inter:
-                free_units.append((coords, tau))
+                free_units.append((unit, coords))
             elif len(coords) == 1:
-                mixed_units.append((int(coords[0]), tau))
+                mixed_units.append((unit, int(coords[0])))
             elif cone.kind == "zero" and len(inter) == len(coords):
                 zeroed_units.append(coords)
             else:
@@ -622,9 +626,9 @@ class HomogeneousFunctional:
         def coupled(i: int, j: int, A: np.ndarray) -> bool:
             return abs(A[i, j]) > _COUPLING_RTOL * np.sqrt(abs(A[i, i] * A[j, j]))
 
-        unit_coords = [c for coords, _ in free_units for c in coords]
-        outside = sorted((constrained - {i for i, _ in mixed_units}))
-        for i, _ in mixed_units:
+        unit_coords = [c for _, coords in free_units for c in coords]
+        outside = sorted((constrained - {i for _, i in mixed_units}))
+        for _, i in mixed_units:
             row = np.abs(M[i]).copy()
             row[i] = 0.0
             if row.max(initial=0.0) > _COUPLING_RTOL * abs(M[i, i]):
@@ -632,7 +636,7 @@ class HomogeneousFunctional:
                     f"coordinate {i} carries both a constraint and a functional term "
                     "but is coupled through the metric"
                 )
-        for coords, _ in free_units:
+        for _, coords in free_units:
             d = G[coords[0], coords[0]]
             for c in coords:
                 if abs(G[c, c] - d) > _COUPLING_RTOL * abs(d):
@@ -651,11 +655,40 @@ class HomogeneousFunctional:
                         raise UnsupportedConfigurationError(
                             "inverse-metric coupling inside a functional unit"
                         )
+        return free_units, mixed_units, zeroed_units
+
+    def prox(self, eta, cone: ConstraintCone, rho: float, w, layout=None) -> np.ndarray:
+        """argmin over ``v`` in the cone of ``0.5 ||v - w||_X^2 + rho j(eta, v)``.
+
+        Exact under the structural conditions of :meth:`prox_layout`, which
+        raises :class:`UnsupportedConfigurationError` where they fail.
+        ``layout`` is ``prox_layout(cone)`` for callers that apply the same
+        prox many times; it is computed when not given.
+        """
+        w = _vec(w, self.x_space.dim)
+        if cone.space is not self.x_space and cone.space.dim != self.x_space.dim:
+            raise DimensionMismatchError("cone lives in a different space")
+        if rho < 0:
+            raise ValueError("rho must be nonnegative")
+        if self.kind == "zero":
+            return cone.project(w)
+        if self.kind == "separable":
+            scale = float(self.p(_vec(eta, self.y_space.dim)))
+            if scale < 0:
+                raise UnsupportedConfigurationError("separable scale p(eta) is negative; prox undefined")
+            return self.base.prox(None, cone, rho * scale, w, layout)
+
+        taus = [float(t) for t in rho * self.weights * self._effective_eta(eta)]
+        if any(tau < 0 for tau in taus):
+            raise UnsupportedConfigurationError("negative effective weight; prox undefined")
+        free_units, mixed_units, zeroed_units = layout or self.prox_layout(cone)
+        G = self.x_space.inv_metric
 
         v = cone.project(w)
         # subgradient step through the inverse metric for unconstrained units
-        s = np.zeros(space.dim)
-        for coords, tau in free_units:
+        s = np.zeros(self.x_space.dim)
+        for unit, coords in free_units:
+            tau = taus[unit]
             if tau == 0.0:
                 continue
             d = G[coords[0], coords[0]]
@@ -678,7 +711,8 @@ class HomogeneousFunctional:
         if s.any():
             v = v - G @ s
         # combined one-dimensional formulas where constraint and term share a coordinate
-        for i, tau in mixed_units:
+        for unit, i in mixed_units:
+            tau = taus[unit]
             d = G[i, i]
             if cone.kind == "zero":
                 v[i] = 0.0

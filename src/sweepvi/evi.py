@@ -8,11 +8,21 @@ for a strongly monotone Lipschitz operator ``A``.  The solver iterates the
 constrained proximal map of ``rho * j`` applied to ``u - rho (A u - f)``,
 which contracts with factor ``sqrt(1 - m^2 / L^2)`` at the step size
 ``rho = m / L^2``.
+
+The solution does not depend on the inner product the inequality is written
+in.  An operator that declares an :class:`EnergyMetric` ``P`` (the energy form
+of its linear part) with constants ``(m_P, L_P)`` in the ``P``-norm can be
+iterated there instead, with step ``P^{-1} M (A u - f)`` and the prox and
+projection taken in ``P``; :func:`iteration_metric` picks whichever metric
+contracts faster (see Glowinski, Lions & Tremolieres, *Numerical Analysis of
+Variational Inequalities*, 1981, on preconditioned projection methods).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,17 +34,22 @@ from .core import (
     HilbertSpace,
     HomogeneousFunctional,
     MovingSet,
+    UnsupportedConfigurationError,
     sample_unit_directions,
 )
 
 __all__ = [
     "AuditError",
     "NonConvergenceError",
+    "NonFiniteError",
+    "EnergyMetric",
     "MonotoneOperator",
     "LipschitzOperator",
     "OperatorAudit",
     "EviProblem",
     "EviSolution",
+    "IterationMetric",
+    "iteration_metric",
     "audit_operator",
     "solve_evi",
     "vi_residual",
@@ -55,18 +70,49 @@ class NonConvergenceError(RuntimeError):
         self.displacement = displacement
 
 
+class NonFiniteError(NonConvergenceError):
+    """An iterate, or the step fed to the prox, is no longer finite."""
+
+
+@dataclass(frozen=True, eq=False)
+class EnergyMetric:
+    """An SPD metric ``P`` on X in which an operator has exact constants.
+
+    ``force(u)`` is the operator as a covector, ``M A u`` for the space
+    metric ``M``, so one solve with ``P`` gives ``P^{-1} M A u`` without the
+    space's Riesz map.  ``m`` and ``L`` are the strong monotonicity and
+    Lipschitz constants of ``u -> P^{-1} force(u)`` in the ``P``-norm.
+    """
+
+    matrix: np.ndarray
+    force: Callable[[np.ndarray], np.ndarray]
+    m: float
+    L: float
+
+    def __post_init__(self):
+        if not (self.m > 0.0 and np.isfinite(self.m) and self.L >= self.m):
+            raise ValueError("energy-metric constants need 0 < m <= L")
+
+    @cached_property
+    def space(self) -> HilbertSpace:
+        return HilbertSpace(self.matrix.shape[0], self.matrix)
+
+
 @dataclass(frozen=True)
 class MonotoneOperator:
     """Operator on X with declared strong monotonicity ``m`` and Lipschitz ``L``.
 
     The constants are declarations; :func:`audit_operator` spot-checks them on
-    sampled pairs.  ``m > 0`` and ``L >= m`` are required.
+    sampled pairs.  ``m > 0`` and ``L >= m`` are required.  ``energy``, when
+    given, is a second metric with exact constants that :func:`solve_evi`
+    may iterate in.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     m: float
     L: float
     tag: str = "operator"
+    energy: EnergyMetric | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.m > 0.0 and np.isfinite(self.m)):
@@ -159,8 +205,88 @@ def audit_lipschitz(op: LipschitzOperator, space: HilbertSpace, trials: int = 20
 
 
 @dataclass(frozen=True)
+class IterationMetric:
+    """The inner product :func:`solve_evi` iterates in, with its step there.
+
+    ``name`` is ``"space"`` (the space metric M, step ``u - rho (A u - f)``)
+    or ``"energy"`` (the operator's energy metric P, step
+    ``u - rho P^{-1} (force(u) - M f)``).  ``space``, ``cone`` and
+    ``functional`` are the problem's, bound to that metric, and ``layout`` is
+    the functional's :meth:`~sweepvi.core.HomogeneousFunctional.prox_layout`
+    for that cone (``None`` where the closed form does not hold); ``q`` is
+    the contraction factor in its norm.  ``scale`` is ``c = sqrt(lambda_max(M, P))``,
+    so ``||x||_M <= c ||x||_P`` turns a distance bound back into the space
+    norm (1 in the space metric).
+    """
+
+    name: str
+    space: HilbertSpace
+    cone: ConstraintCone
+    functional: HomogeneousFunctional
+    layout: tuple | None
+    rho: float
+    q: float
+    scale: float = 1.0
+    force: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _rate(rho: float, m: float, L: float) -> float:
+    """Contraction factor of the projected step ``rho`` for constants ``(m, L)``."""
+    q = float(np.sqrt(max(1.0 - 2.0 * rho * m + (rho * L) ** 2, 0.0)))
+    return min(q, 1.0 - 1e-16)
+
+
+def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: MonotoneOperator,
+                     functional: HomogeneousFunctional,
+                     rho: float | None = None) -> IterationMetric:
+    """Pick the metric the contraction runs in for this cone, operator and ``j``.
+
+    The operator's energy metric is used only when no ``rho`` is given, its
+    contraction factor ``sqrt(1 - m_P^2 / L_P^2)`` is below the space
+    metric's ``sqrt(1 - m^2 / L^2)`` by more than rounding, and the
+    closed-form prox accepts it (:meth:`HomogeneousFunctional.prox_layout`).
+    Otherwise the space metric runs with ``rho`` (default ``m / L^2``).  The
+    cone and functional copies and the prox layouts are built here, once per
+    call; a prox with no closed form in the space metric gets no layout and
+    raises :class:`~sweepvi.core.UnsupportedConfigurationError` when applied,
+    so residual checks and oracles on such problems still run.
+    """
+    energy = operator.energy if rho is None else None
+    if rho is None:
+        rho = operator.m / (operator.L * operator.L)
+    elif rho <= 0.0:
+        raise ValueError("rho must be positive")
+    try:
+        layout = functional.prox_layout(cone)
+    except UnsupportedConfigurationError:
+        layout = None
+    plan = IterationMetric("space", space, cone, functional, layout, rho,
+                           _rate(rho, operator.m, operator.L))
+    # the factors are monotone in m / L; the margin keeps a uniform material,
+    # whose two ratios agree up to rounding, on the space metric
+    if energy is None or not energy.m / energy.L > (1.0 + 1e-12) * operator.m / operator.L:
+        return plan
+    P = energy.space
+    cone_p, functional_p = cone.in_space(P), functional.in_space(P)
+    try:
+        layout_p = functional_p.prox_layout(cone_p)
+    except UnsupportedConfigurationError:
+        return plan
+    rho_p = energy.m / (energy.L * energy.L)
+    scale = float(np.sqrt(eigh(space.metric, P.metric, eigvals_only=True).max()))
+    return IterationMetric("energy", P, cone_p, functional_p, layout_p, rho_p,
+                           _rate(rho_p, energy.m, energy.L), scale, energy.force)
+
+
+@dataclass(frozen=True)
 class EviProblem:
-    """One elliptic variational inequality (space, cone, operator, j, data)."""
+    """One elliptic variational inequality (space, cone, operator, j, data).
+
+    ``metric`` is the :class:`IterationMetric` prepared for this space, cone,
+    operator and functional, so families of problems that share them (the
+    nodes of an inclusion) decide it once; when absent, :func:`solve_evi`
+    decides it per call.
+    """
 
     space: HilbertSpace
     cone: ConstraintCone
@@ -168,6 +294,7 @@ class EviProblem:
     functional: HomogeneousFunctional
     eta: np.ndarray | None
     f: np.ndarray
+    metric: IterationMetric | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -196,15 +323,23 @@ def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
               force: bool = False, audit_trials: int = 64, seed: int = 0) -> EviSolution:
     """Solve the variational inequality by the contraction iteration.
 
+    The iteration runs in the metric :func:`iteration_metric` picks (the
+    problem's prepared ``metric`` when it has one): the operator's energy
+    metric when that contracts faster and the prox accepts it, else the
+    space metric.
+
     Parameters
     ----------
     tol : float
-        Bound on the distance between the returned iterate and the exact
-        solution, enforced through the a-posteriori contraction estimate
-        ``||u+ - u*|| <= q / (1 - q) * ||u+ - u||``.
+        Bound on the space-norm distance between the returned iterate and the
+        exact solution, enforced through the a-posteriori contraction estimate
+        ``||u+ - u*||_X <= c q / (1 - q) * ||u+ - u||`` in the iteration
+        metric (``c = 1`` in the space metric).  ``residual`` reports that
+        bound.
     rho : float, optional
-        Step size; defaults to ``m / L^2`` which minimizes the contraction
-        factor ``q = sqrt(1 - m^2 / L^2)``.
+        Step size in the space metric; defaults to ``m / L^2`` which minimizes
+        the contraction factor ``q = sqrt(1 - m^2 / L^2)``.  An explicit
+        ``rho`` always iterates in the space metric.
     force : bool
         Run even if the sampled audit of the declared constants fails.
     audit_trials : int
@@ -220,14 +355,19 @@ def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
                 f"(observed m={audit.m_observed:.6g}, L={audit.L_observed:.6g}); "
                 "pass force=True to run anyway"
             )
-    if rho is None:
-        rho = op.m / (op.L * op.L)
-    elif rho <= 0.0:
-        raise ValueError("rho must be positive")
-    q = float(np.sqrt(max(1.0 - 2.0 * rho * op.m + (rho * op.L) ** 2, 0.0)))
-    q = min(q, 1.0 - 1e-16)
+    if rho is None and problem.metric is not None:
+        plan = problem.metric
+    else:
+        plan = iteration_metric(space, problem.cone, op, problem.functional, rho)
+    rho, q, scale = plan.rho, plan.q, plan.scale
     # displacement threshold equivalent to a distance-to-solution of tol
-    threshold = tol * (1.0 - q) / q if q > 0.0 else np.inf
+    threshold = tol * (1.0 - q) / (q * scale) if q > 0.0 else np.inf
+    if plan.force is None:
+        def gradient(u, f=problem.f):
+            return op(u) - f
+    else:
+        def gradient(u, force=plan.force, Mf=space.metric @ problem.f, P=plan.space):
+            return P.solve_metric(force(u) - Mf)
 
     u = space.zeros() if start is None else np.array(start, dtype=float)
     if u.shape != (space.dim,):
@@ -235,15 +375,22 @@ def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
     prev_disp = None
     contraction = 0.0
     for it in range(1, max_iter + 1):
-        w = u - rho * (op(u) - problem.f)
-        u_next = problem.functional.prox(problem.eta, problem.cone, rho, w)
-        disp = space.distance(u_next, u)
+        w = u - rho * gradient(u)
+        if not np.isfinite(w).all():
+            raise NonFiniteError(f"non-finite step at iteration {it}",
+                                 last_iterate=u, displacement=prev_disp)
+        u_next = plan.functional.prox(problem.eta, plan.cone, rho, w, plan.layout)
+        disp = plan.space.distance(u_next, u)
+        # u is finite here, so a non-finite u_next gives a non-finite disp
+        if not math.isfinite(disp):
+            raise NonFiniteError(f"non-finite iterate at iteration {it}",
+                                 last_iterate=u_next, displacement=disp)
         u = u_next
         if prev_disp is not None and prev_disp > 1e-300:
             contraction = max(contraction, disp / prev_disp)
         prev_disp = disp
         if disp <= threshold:
-            bound = disp * q / (1.0 - q) if q > 0.0 else 0.0
+            bound = scale * disp * q / (1.0 - q) if q > 0.0 else 0.0
             return EviSolution(u=u, iterations=it, residual=float(bound),
                                contraction_estimate=float(contraction))
     raise NonConvergenceError(

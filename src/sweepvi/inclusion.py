@@ -40,9 +40,11 @@ from .evi import (
     AuditError,
     EviProblem,
     EviSolution,
+    IterationMetric,
     MonotoneOperator,
     NonConvergenceError,
     audit_operator,
+    iteration_metric,
     solve_evi,
     vi_residual,
 )
@@ -138,6 +140,11 @@ class InclusionSpec:
     def theta_space(self) -> HilbertSpace:
         return product_space(self.y_space, self.x_space)
 
+    @cached_property
+    def iteration_metric(self) -> IterationMetric:
+        """The metric every node's EVI iterates in, decided once per spec."""
+        return iteration_metric(self.x_space, self.cone, self.operator, self.functional)
+
     def split_theta(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ny = self.y_space.dim
         return samples[:, :ny], samples[:, ny:]
@@ -171,7 +178,8 @@ def check_smallness(spec: InclusionSpec) -> SmallnessReport:
 def _node_problem(spec: InclusionSpec, eta_k: np.ndarray, xi_k: np.ndarray,
                   f_k: np.ndarray) -> EviProblem:
     return EviProblem(space=spec.x_space, cone=spec.cone, operator=spec.operator,
-                      functional=spec.functional, eta=eta_k, f=f_k - xi_k)
+                      functional=spec.functional, eta=eta_k, f=f_k - xi_k,
+                      metric=spec.iteration_metric)
 
 
 def _solve_nodes(spec: InclusionSpec, theta: Trajectory, tol: float,
@@ -189,9 +197,9 @@ def _solve_nodes(spec: InclusionSpec, theta: Trajectory, tol: float,
         try:
             sol = solve_evi(problem, tol=tol, start=guess, audit_trials=0)
         except NonConvergenceError as exc:
-            raise NonConvergenceError(f"EVI stalled at node {k}: {exc}",
-                                      last_iterate=exc.last_iterate,
-                                      displacement=exc.displacement) from exc
+            raise type(exc)(f"EVI stalled at node {k}: {exc}",
+                            last_iterate=exc.last_iterate,
+                            displacement=exc.displacement) from exc
         out[k] = sol.u
         iters[k] = sol.iterations
         if start is None:
@@ -343,9 +351,9 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                 try:
                     sol = solve_evi(problem, tol=evi_tol, start=guess, audit_trials=0)
                 except NonConvergenceError as exc:
-                    raise NonConvergenceError(f"EVI stalled at node {k}: {exc}",
-                                              last_iterate=exc.last_iterate,
-                                              displacement=exc.displacement) from exc
+                    raise type(exc)(f"EVI stalled at node {k}: {exc}",
+                                    last_iterate=exc.last_iterate,
+                                    displacement=exc.displacement) from exc
                 iters[k] += sol.iterations
                 change = spec.theta_space.distance(theta_samples[k], theta_k)
                 theta_samples[k] = theta_k

@@ -65,6 +65,27 @@ class TestLoadConfig:
         bad.write_text(ZERO_LOAD.replace("horizon = 1.0", "horizon = -1.0"))
         assert run_cli("check", "--config", bad) == 4
 
+    @pytest.mark.parametrize("old, new, names", [
+        ("a = 1.0", "a = -1", ("[material]", "a:")),
+        ("a = 1.0", "a = 1 2 3", ("[material]", "a:", "4")),
+        ("steps = 8", "steps = two", ("[time]", "steps:")),
+        ("elements = 4", "elements = 0", ("[mesh]", "elements")),
+        ("body = 0.0", "body = nan", ("[loads]", "body:", "finite")),
+        ("body = 0.0", "body = 1 2", ("[loads]", "body:", "5")),
+        ("law = rigid", "law = linear\nslope = 1", ("[problem]", "rigid law")),
+    ])
+    def test_malformed_value_exits_4_naming_section_and_key(self, tmp_path, capsys,
+                                                            old, new, names):
+        bad = tmp_path / "bad.ini"
+        assert old in ZERO_LOAD
+        bad.write_text(ZERO_LOAD.replace(old, new))
+        for command in ("check", "run"):
+            assert run_cli(command, "--config", bad, "--out", tmp_path / "out") == 4
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            for name in names:
+                assert name in err
+
 
 class TestCheck:
     def test_admissible_config_passes(self, capsys):
@@ -132,6 +153,39 @@ class TestRun:
         assert "forced: true" in diag
         assert "verdict: fail" in diag
         assert (out / "solution.csv").exists()
+
+    @pytest.mark.parametrize("config", ["rod_rigid.ini", "rod_compliance.ini",
+                                        "shear_friction.ini", "abstract_volterra.ini"])
+    def test_uniform_runs_report_the_space_metric(self, tmp_path, config):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIGS / config, "--out", out) == 0
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        assert "evi_metric: space" in lines
+        assert "evi_rate: 0" in lines
+
+    def test_contrast_run_reports_the_energy_metric(self, tmp_path):
+        cfg = tmp_path / "contrast.ini"
+        cfg.write_text((CONFIGS / "rod_compliance.ini").read_text()
+                       .replace("a = 1.0", "a = 1 3 6 10\nmu = 0.5"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        assert "evi_metric: energy" in lines
+        rate = float(next(x for x in lines if x.startswith("evi_rate:")).split(":")[1])
+        assert rate == pytest.approx(np.sqrt(1.0 - 1.0 / 1.5 ** 2), rel=1e-12)
+
+    def test_non_finite_iterates_exit_3_and_say_so(self, tmp_path, capsys, monkeypatch):
+        import sweepvi.cli as cli
+        from sweepvi.evi import NonFiniteError
+
+        def blow_up(*args, **kwargs):
+            raise NonFiniteError("EVI stalled at node 3: non-finite iterate at iteration 2")
+
+        monkeypatch.setattr(cli, "solve_inclusion", blow_up)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIGS / "rod_rigid.ini", "--out", out) == 3
+        assert capsys.readouterr().out.startswith("non-finite: ")
+        assert "non-finite iterate" in (out / "diagnostics.txt").read_text()
 
     def test_tol_flag_overrides_the_config(self, tmp_path):
         out = tmp_path / "out"

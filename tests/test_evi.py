@@ -10,6 +10,7 @@ from sweepvi.evi import (
     LipschitzOperator,
     MonotoneOperator,
     NonConvergenceError,
+    NonFiniteError,
     audit_lipschitz,
     audit_operator,
     check_vi_normal_cone_agreement,
@@ -146,6 +147,29 @@ def test_non_convergence_raises_with_partial_state():
         solve_evi(prob, tol=1e-14, max_iter=3, start=np.array([50.0, 50.0]))
     assert info.value.last_iterate is not None
     assert info.value.displacement > 0
+
+
+def test_nan_in_the_load_raises_non_finite_at_iteration_one():
+    prob = scalar_problem(f=np.nan)
+    with pytest.raises(NonFiniteError, match="non-finite step at iteration 1$") as info:
+        solve_evi(prob, tol=1e-12, max_iter=5000)
+    assert isinstance(info.value, NonConvergenceError)
+    assert np.array_equal(info.value.last_iterate, [0.0])
+
+
+def test_non_finite_error_keeps_its_type_through_the_inclusion():
+    from sweepvi.core import TimeGrid, Trajectory
+    from sweepvi.inclusion import build_inclusion_variant, solve_inclusion
+
+    X = HilbertSpace(1)
+    grid = TimeGrid(1.0, 4)
+    f = Trajectory(X, grid, np.where(np.arange(5) == 2, np.nan, 1.0)[:, None])
+    spec = build_inclusion_variant("parameter_free", cone=ConstraintCone.whole_space(X),
+                                   operator=MonotoneOperator(lambda x: 2.0 * x, 2.0, 2.0),
+                                   functional=HomogeneousFunctional.zero(X), f=f, grid=grid)
+    for mode in ("time_marching", "global_picard"):
+        with pytest.raises(NonFiniteError, match="node 2: non-finite step at iteration 1"):
+            solve_inclusion(spec, mode=mode, audit_trials=0)
 
 
 def test_lying_constants_trip_the_solver_audit():
