@@ -50,7 +50,6 @@ from .evi import (
     NonConvergenceError,
     NonFiniteError,
     audit_operator,
-    vi_residual,
 )
 from .histop import (
     ExponentialProfile,
@@ -62,8 +61,7 @@ from .histop import (
 from .inclusion import (
     InclusionSpec,
     SmallnessError,
-    _membership_residuals,
-    _node_problem,
+    _node_checks,
     check_smallness,
     solve_inclusion,
 )
@@ -491,6 +489,8 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, error: str | None = No
     membership = sol.diagnostics.get("membership", {})
     if membership:
         lines.append(f"membership_worst: {_g(max(membership.values()))}")
+    lines += [f"{key}: {sol.diagnostics[key]}"
+              for key in ("residual_directions", "membership_nodes", "membership_directions")]
     if problem is not None:
         stress = recover_stress(problem, sol.u, sol.v if hasattr(sol, "v") else None)
         contact_sol = sol if isinstance(sol, ContactSolution) else ContactSolution(
@@ -616,21 +616,16 @@ def _verify_fields(cfg, problem, core, u_samples, v_samples, out):
     failures = []
     driver = v_samples if v_samples is not None else u_samples
     traj = Trajectory(core.x_space, cfg.grid, driver)
-    eta = core.parameter_memory(traj).samples
-    xi = core.load_memory(traj).samples
-    theta = Trajectory(core.theta_space, cfg.grid, np.hstack([eta, xi]))
+    theta = np.hstack([core.parameter_memory(traj).samples, core.load_memory(traj).samples])
 
-    worst_vi = -np.inf
-    for k in range(cfg.grid.steps + 1):
-        node = _node_problem(core, eta[k], xi[k], core.f.node(k))
-        worst_vi = max(worst_vi, vi_residual(driver[k], node,
-                                             sampler_budget=2048, seed=cfg.seed + k))
+    nodes = np.arange(cfg.grid.steps + 1)
+    residuals, membership, _ = _node_checks(core, driver, theta, nodes, cfg.seed,
+                                            residual_budget=2048)
+    worst_vi = float(residuals.max())
     print(f"worst recomputed VI residual: {_g(worst_vi)}", file=out)
     if worst_vi > 1e-6:
         failures.append(f"VI residual {worst_vi:.3e} > 1e-06")
 
-    nodes = np.arange(cfg.grid.steps + 1)
-    membership = _membership_residuals(core, traj, theta, nodes, cfg.seed)
     worst_mem = max(membership.values())
     print(f"worst inclusion membership residual: {_g(worst_mem)}", file=out)
     if worst_mem > 1e-5:

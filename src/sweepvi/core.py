@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
+from scipy.linalg.lapack import dpotrs
 from scipy.optimize import nnls
 
 __all__ = [
@@ -33,10 +34,13 @@ __all__ = [
     "ConstraintCone",
     "HomogeneousFunctional",
     "MovingSet",
+    "membership_residuals",
     "sample_unit_directions",
 ]
 
 _COUPLING_RTOL = 1e-10
+# doubles in one (directions x nodes) block of the batched verification kernels
+_BLOCK_DOUBLES = 2 ** 14
 
 
 class DimensionMismatchError(ValueError):
@@ -125,8 +129,20 @@ class HilbertSpace:
         return np.sqrt(np.maximum(((vs @ self.metric) * vs).sum(1), 0.0))
 
     def solve_metric(self, b) -> np.ndarray:
-        """Riesz map: return ``M^{-1} b``."""
-        return cho_solve(self._chol, np.asarray(b, dtype=float))
+        """Riesz map: return ``M^{-1} b`` for a vector or for the columns of a matrix.
+
+        LAPACK's ``dpotrs`` on the stored Cholesky factor, the routine
+        ``scipy.linalg.cho_solve`` ends in, without its wrappers.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != self.dim:
+            raise DimensionMismatchError(f"expected {self.dim} rows, got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite")
+        x, info = dpotrs(self._chol[0], b, lower=1)
+        if info != 0:
+            raise ValueError(f"dpotrs rejected argument {-info}")
+        return x
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -289,15 +305,17 @@ class ConstraintCone:
 
     def violation(self, x) -> float:
         """Largest coordinate-wise constraint violation (0 inside the cone)."""
-        x = _vec(x, self.space.dim)
-        if self.kind == "whole":
-            return 0.0
-        vals = x[self.indices]
-        if self.kind == "nonpositive":
-            return float(max(vals.max(initial=0.0), 0.0))
+        return float(self.violations(_vec(x, self.space.dim)[None, :])[0])
+
+    def violations(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`violation` of each row of ``xs``."""
+        xs = np.asarray(xs, dtype=float)
+        vals = xs[:, self.indices]
         if self.kind == "nonnegative":
-            return float(max(-vals.min(initial=0.0), 0.0))
-        return float(np.abs(vals).max(initial=0.0))
+            vals = -vals
+        elif self.kind == "zero":
+            vals = np.abs(vals)
+        return np.maximum(vals.max(axis=1, initial=0.0), 0.0)
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         return self.violation(x) <= tol
@@ -543,43 +561,63 @@ class HomogeneousFunctional:
             raise UnsupportedConfigurationError("v_lipschitz of a separable functional depends on eta")
         return self._extraction_constant(self.weights**2)
 
-    def _effective_eta(self, eta) -> np.ndarray:
+    def _param_rows(self, etas) -> np.ndarray:
+        etas = np.asarray(etas, dtype=float)
+        if etas.ndim != 2 or etas.shape[1] != self.y_space.dim:
+            raise DimensionMismatchError(
+                f"expected parameter rows of length {self.y_space.dim}, got shape {etas.shape}")
+        return etas
+
+    def _effective_etas(self, etas) -> np.ndarray:
+        """Parameter rows as the unit weights see them (ones when ``j`` ignores them)."""
         if self.eta_free:
-            return np.ones(self._param_count())
-        eta = _vec(eta, self.y_space.dim)
-        if np.any(eta < 0):
-            warnings.warn("negative parameter entries break convexity of j", AssumptionWarning, stacklevel=3)
-        return eta
+            return np.ones((1 if etas is None else len(etas), self._param_count()))
+        etas = self._param_rows(etas)
+        if np.any(etas < 0):
+            warnings.warn("negative parameter entries break convexity of j", AssumptionWarning, stacklevel=4)
+        return etas
+
+    def _effective_eta(self, eta) -> np.ndarray:
+        return self._effective_etas(None if self.eta_free else _vec(eta, self.y_space.dim)[None, :])[0]
 
     # -- evaluation ---------------------------------------------------------
+    #
+    # j(eta, v) = unit_values(v) @ unit_weights(eta): one value per unit (the
+    # positive part of an indexed coordinate, or the Euclidean norm of a
+    # block) times one coefficient per unit (weight times parameter).
 
-    def eval(self, eta, v) -> float:
-        v = _vec(v, self.x_space.dim)
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "separable":
-            return float(self.p(_vec(eta, self.y_space.dim))) * self.base.eval(None, v)
-        e = self._effective_eta(eta)
-        if self.kind == "positive_part":
-            return float(np.sum(self.weights * e * np.maximum(v[self.indices], 0.0)))
-        total = 0.0
-        for w, s, block in zip(self.weights, e, self.blocks):
-            total += w * s * float(np.linalg.norm(v[block]))
-        return float(total)
-
-    def eval_many(self, eta, vs: np.ndarray) -> np.ndarray:
+    def unit_values(self, vs: np.ndarray) -> np.ndarray:
+        """``Phi(v)`` for each row ``v`` of ``vs``: shape ``(rows, units)``."""
         vs = np.asarray(vs, dtype=float)
         if self.kind == "zero":
-            return np.zeros(vs.shape[0])
+            return np.zeros((vs.shape[0], 0))
         if self.kind == "separable":
-            return float(self.p(_vec(eta, self.y_space.dim))) * self.base.eval_many(None, vs)
-        e = self._effective_eta(eta)
+            return self.base.unit_values(vs)
         if self.kind == "positive_part":
-            return np.maximum(vs[:, self.indices], 0.0) @ (self.weights * e)
-        out = np.zeros(vs.shape[0])
-        for w, s, block in zip(self.weights, e, self.blocks):
-            out += w * s * np.linalg.norm(vs[:, block], axis=1)
-        return out
+            return np.maximum(vs[:, self.indices], 0.0)
+        return np.column_stack([np.linalg.norm(vs[:, block], axis=1) for block in self.blocks])
+
+    def unit_weights(self, etas) -> np.ndarray:
+        """``c(eta)`` for each parameter row of ``etas``: shape ``(rows, units)``.
+
+        The unit weights times the parameter, times 1 when ``j`` ignores its
+        parameter and times ``p(eta)`` for the separable kind.  ``None`` is
+        one row for a functional that ignores its parameter.  Negative
+        parameter entries raise :class:`AssumptionWarning`.
+        """
+        if self.kind == "zero":
+            return np.zeros((1 if etas is None else len(etas), 0))
+        if self.kind == "separable":
+            scale = np.array([float(self.p(eta)) for eta in self._param_rows(etas)])
+            return scale[:, None] * self.base.unit_weights(None)
+        return self._effective_etas(etas) * self.weights
+
+    def eval(self, eta, v) -> float:
+        return float(self.eval_many(eta, _vec(v, self.x_space.dim)[None, :])[0])
+
+    def eval_many(self, eta, vs: np.ndarray) -> np.ndarray:
+        eta = None if self.eta_free else _vec(eta, self.y_space.dim)[None, :]
+        return self.unit_values(vs) @ self.unit_weights(eta)[0]
 
     # -- proximal map -------------------------------------------------------
 
@@ -750,26 +788,65 @@ class MovingSet:
                             extra_dirs: np.ndarray | None = None) -> float:
         """Violation of ``xi in N_{C(eta,t)}(z)``; accept iff <= tolerance.
 
-        The test works through the equivalent variational statement for
-        ``u = -xi``: feasibility of ``u`` in the cone, the support
-        inequalities ``(shift - z, v) <= j(eta, v)`` over sampled cone
-        directions, and the complementarity identity at ``u`` itself.
+        The one-node case of :func:`membership_residuals`, on
+        ``sampler_budget`` cone directions drawn from ``seed`` plus
+        ``extra_dirs``.
         """
         space = self.cone.space
-        z = _vec(z, space.dim)
-        xi = _vec(xi, space.dim)
-        u = -xi
-        w = self.shift - z
-        cone_gap = self.cone.distance(u)
         dirs = sample_unit_directions(self.cone, sampler_budget, seed)
-        rows = [dirs]
-        un = space.norm(u)
-        if un > 1e-12:
-            rows.append((u / un)[None, :])
         if extra_dirs is not None and len(extra_dirs):
-            rows.append(np.asarray(extra_dirs, dtype=float))
-        vs = np.vstack(rows)
-        support = space.inner_many(w, vs) - self.functional.eval_many(self.eta, vs)
-        support_max = float(support.max(initial=0.0))
-        compl = self.functional.eval(self.eta, u) - space.inner(w, u)
-        return max(support_max, compl, cone_gap)
+            dirs = np.vstack([dirs, np.asarray(extra_dirs, dtype=float)])
+        eta = None if self.eta is None else self.eta[None, :]
+        w = self.shift - _vec(z, space.dim)
+        u = -_vec(xi, space.dim)
+        return float(membership_residuals(self.functional, self.cone, eta, w[None, :],
+                                          u[None, :], dirs)[0])
+
+
+def _lowest_pairings(space: HilbertSpace, functional: HomogeneousFunctional, dirs: np.ndarray,
+                     xs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``min over rows d of dirs of (d, x_k) + j_k(d)`` for every row ``x_k`` of ``xs``.
+
+    ``j_k(d) = unit_values(d) @ weights[k]``.  This is the matrix product
+    ``D M X^T + Phi(D) C^T`` reduced over its rows, taken over chunks of nodes
+    so that one block holds about ``_BLOCK_DOUBLES`` values whatever the node
+    count.  ``+inf`` where ``dirs`` is empty.
+    """
+    out = np.full(len(xs), np.inf)
+    if len(dirs) == 0:
+        return out
+    phi = functional.unit_values(dirs)
+    chunk = max(1, _BLOCK_DOUBLES // len(dirs))
+    for lo in range(0, len(xs), chunk):
+        hi = lo + chunk
+        block = dirs @ (space.metric @ xs[lo:hi].T)
+        block += phi @ weights[lo:hi].T
+        out[lo:hi] = block.min(axis=0)
+    return out
+
+
+def membership_residuals(functional: HomogeneousFunctional, cone: ConstraintCone, etas,
+                         ws: np.ndarray, us: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Violation of ``-u_k in N_{C(eta_k, t_k)}(z_k)`` at every node ``k``.
+
+    ``ws[k] = shift_k - z_k`` and ``etas[k]`` is the node's parameter
+    (``None`` for a functional that ignores it).  The test works through the
+    equivalent variational statement for ``u_k``: its distance to the cone,
+    the support inequalities ``(w_k, v) <= j(eta_k, v)`` over the directions
+    ``dirs`` (shared by all nodes) and ``u_k / ||u_k||``, and the
+    complementarity ``j(eta_k, u_k) - (w_k, u_k)``; the residual is the
+    largest violation, 0 when all hold.
+    """
+    space = cone.space
+    ws = np.asarray(ws, dtype=float)
+    us = np.asarray(us, dtype=float)
+    weights = functional.unit_weights(etas)
+    weights = np.broadcast_to(weights, (len(us), weights.shape[1]))
+    support = -_lowest_pairings(space, functional, dirs, -ws, weights)
+    ju = (functional.unit_values(us) * weights).sum(1)
+    compl = ju - ((us @ space.metric) * ws).sum(1)
+    # the direction u_k / ||u_k||, by homogeneity of j, where u_k is not zero
+    un = space.norms_many(us)
+    along_u = np.divide(-compl, un, out=np.zeros_like(un), where=un > 1e-12)
+    cone_gap = space.norms_many(us - cone.project_many(us))
+    return np.maximum.reduce([np.maximum(support, 0.0), along_u, compl, cone_gap])

@@ -35,6 +35,7 @@ from .core import (
     HomogeneousFunctional,
     MovingSet,
     UnsupportedConfigurationError,
+    _lowest_pairings,
     sample_unit_directions,
 )
 
@@ -53,6 +54,7 @@ __all__ = [
     "audit_operator",
     "solve_evi",
     "vi_residual",
+    "vi_residuals",
     "check_vi_normal_cone_agreement",
 ]
 
@@ -171,37 +173,40 @@ class OperatorAudit:
         return self.m_observed >= self.m_declared - slack and self.L_observed <= self.L_declared + slack
 
 
+def _sample_pairs(space: HilbertSpace, trials: int, seed: int, radius: float):
+    """``trials`` pairs of points, drawn as one block in the per-pair order."""
+    pts = radius * np.random.default_rng(seed).standard_normal((trials, 2, space.dim))
+    return pts[:, 0], pts[:, 1]
+
+
+def _differences(op, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """``op(u) - op(v)`` for each pair of rows, one operator application per point."""
+    return np.array([op(u) - op(v) for u, v in zip(us, vs)]).reshape(us.shape)
+
+
 def audit_operator(op: MonotoneOperator, space: HilbertSpace, trials: int = 1000,
                    seed: int = 0, radius: float = 10.0) -> OperatorAudit:
     """Check the declared ``(m, L)`` on ``trials`` random pairs of points."""
-    rng = np.random.default_rng(seed)
-    m_obs, l_obs = np.inf, 0.0
-    for _ in range(trials):
-        u = radius * rng.standard_normal(space.dim)
-        v = radius * rng.standard_normal(space.dim)
-        d = u - v
-        nd2 = space.inner(d, d)
-        if nd2 < 1e-20:
-            continue
-        ad = op(u) - op(v)
-        m_obs = min(m_obs, space.inner(ad, d) / nd2)
-        l_obs = max(l_obs, np.sqrt(max(space.inner(ad, ad), 0.0) / nd2))
+    us, vs = _sample_pairs(space, trials, seed, radius)
+    d = us - vs
+    nd2 = ((d @ space.metric) * d).sum(1)
+    keep = nd2 >= 1e-20
+    d, nd2 = d[keep], nd2[keep]
+    ad = _differences(op, us[keep], vs[keep])
+    ad_m = ad @ space.metric
+    m_obs = ((ad_m * d).sum(1) / nd2).min(initial=np.inf)
+    l_obs = np.sqrt(np.maximum((ad_m * ad).sum(1), 0.0) / nd2).max(initial=0.0)
     return OperatorAudit(op.m, op.L, float(m_obs), float(l_obs), trials)
 
 
 def audit_lipschitz(op: LipschitzOperator, space: HilbertSpace, trials: int = 200,
                     seed: int = 0, radius: float = 10.0) -> float:
     """Largest sampled difference quotient; should not exceed the declared L."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        u = radius * rng.standard_normal(space.dim)
-        v = radius * rng.standard_normal(space.dim)
-        nd = space.distance(u, v)
-        if nd < 1e-10:
-            continue
-        worst = max(worst, space.distance(op(u), op(v)) / nd)
-    return worst
+    us, vs = _sample_pairs(space, trials, seed, radius)
+    nd = space.norms_many(us - vs)
+    keep = nd >= 1e-10
+    quotients = space.norms_many(_differences(op, us[keep], vs[keep])) / nd[keep]
+    return float(quotients.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -399,34 +404,59 @@ def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
     )
 
 
+def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: HomogeneousFunctional,
+                 us: np.ndarray, gs: np.ndarray, etas, dirs: np.ndarray,
+                 extra_points: np.ndarray | None = None,
+                 feasibility_tol: float = 1e-9) -> np.ndarray:
+    """Largest sampled violation of the variational inequality at every node.
+
+    Node ``k`` has the point ``u_k``, the gradient ``g_k = A u_k - f_k`` and
+    the parameter ``etas[k]`` (``None`` for a functional that ignores it).
+    Its residual is ``-min`` over candidates ``v`` in the cone of
+    ``(g_k, v - u_k) + j(eta_k, v) - j(eta_k, u_k)``.  The candidates are the
+    directions ``dirs`` (shared by all nodes), the same directions at the
+    radius ``2 (||u_k|| + 1)`` past which far-from-origin violations show
+    (cones are closed under positive scaling), the origin, ``u_k`` itself and
+    ``extra_points``, so the value is nonnegative and a solution stays at
+    solver-tolerance size.  An infeasible ``u_k`` gets ``+inf``.
+
+    Since ``j`` is positively homogeneous, the direction rows are the matrix
+    product ``D M G^T + Phi(D) C^T`` and the far rows that block times the
+    radius; see :meth:`~sweepvi.core.HomogeneousFunctional.unit_values`.
+    """
+    us = np.asarray(us, dtype=float)
+    gs = np.asarray(gs, dtype=float)
+    weights = functional.unit_weights(etas)
+    weights = np.broadcast_to(weights, (len(us), weights.shape[1]))
+    # the value at the origin: -(g_k, u_k) - j(eta_k, u_k)
+    base = -(((us @ space.metric) * gs).sum(1) + (functional.unit_values(us) * weights).sum(1))
+    far = 2.0 * (space.norms_many(us) + 1.0)
+    low = _lowest_pairings(space, functional, dirs, gs, weights)
+    # u_k itself scores exactly 0
+    vals = np.minimum(np.minimum(low, far * low) + base, np.minimum(base, 0.0))
+    if extra_points is not None and len(extra_points):
+        extra = np.asarray(extra_points, dtype=float)
+        vals = np.minimum(vals, _lowest_pairings(space, functional, extra, gs, weights) + base)
+    out = -vals
+    out[cone.violations(us) > feasibility_tol] = np.inf
+    return out
+
+
 def vi_residual(u: np.ndarray, problem: EviProblem, sampler_budget: int = 4096,
                 seed: int = 0, extra_points: np.ndarray | None = None,
                 feasibility_tol: float = 1e-9) -> float:
     """Largest sampled violation of the variational inequality at ``u``.
 
-    Returns ``-min`` over sampled ``v`` in the cone of
-    ``(A u, v - u) + j(eta, v) - j(eta, u) - (f, v - u)``; the sample always
-    contains the origin and ``u`` itself, so the value is nonnegative and a
-    valid solution stays at solver-tolerance size.  Infeasible ``u`` returns
-    ``+inf``.
+    The one-node case of :func:`vi_residuals`, on ``sampler_budget`` cone
+    directions drawn from ``seed``; nonnegative, and ``+inf`` for an
+    infeasible ``u``.
     """
-    space = problem.space
     u = np.asarray(u, dtype=float)
-    if problem.cone.violation(u) > feasibility_tol:
-        return np.inf
-    dirs = sample_unit_directions(problem.cone, sampler_budget, seed)
-    # violations of far-from-origin candidates only show up past ||u||, so
-    # test each direction at unit scale and beyond that radius (cones are
-    # closed under positive scaling)
-    far = 2.0 * (space.norm(u) + 1.0)
-    rows = [dirs, far * dirs, np.zeros((1, space.dim)), u[None, :]]
-    if extra_points is not None and len(extra_points):
-        rows.append(np.asarray(extra_points, dtype=float))
-    vs = np.vstack(rows)
     g = problem.operator(u) - problem.f
-    ju = problem.functional.eval(problem.eta, u)
-    vals = (vs - u[None, :]) @ (space.metric @ g) + problem.functional.eval_many(problem.eta, vs) - ju
-    return float(-vals.min())
+    dirs = sample_unit_directions(problem.cone, sampler_budget, seed)
+    eta = None if problem.eta is None else np.asarray(problem.eta, dtype=float)[None, :]
+    return float(vi_residuals(problem.space, problem.cone, problem.functional, u[None, :],
+                              g[None, :], eta, dirs, extra_points, feasibility_tol)[0])
 
 
 def check_vi_normal_cone_agreement(u: np.ndarray, z: np.ndarray, problem: EviProblem,
@@ -436,23 +466,18 @@ def check_vi_normal_cone_agreement(u: np.ndarray, z: np.ndarray, problem: EviPro
 
     Test one: the parametrized inequality
     ``j(eta, v) - j(eta, u) >= (f - z, v - u)`` over sampled ``v`` in the
-    cone.  Test two: membership of ``-u`` in the normal cone of the moving
-    set ``f - C(eta)`` at ``z``.  Returns True when both accept (residuals
-    <= ``accept_tol``) or both clearly reject (> ``reject_tol``).
+    cone (:func:`vi_residuals` with ``g = z - f``, directions from ``seed``).
+    Test two: membership of ``-u`` in the normal cone of the moving set
+    ``f - C(eta)`` at ``z`` (directions from ``seed + 1``).  Returns True
+    when both accept (residuals <= ``accept_tol``) or both clearly reject
+    (> ``reject_tol``).
     """
-    space = problem.space
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
-    w = problem.f - z
-    if problem.cone.violation(u) > 1e-9:
-        vi_res = np.inf
-    else:
-        rows = [sample_unit_directions(problem.cone, sampler_budget, seed),
-                np.zeros((1, space.dim)), u[None, :]]
-        vs = np.vstack(rows)
-        ju = problem.functional.eval(problem.eta, u)
-        vals = (problem.functional.eval_many(problem.eta, vs) - ju) - (vs - u[None, :]) @ (space.metric @ w)
-        vi_res = float(-vals.min())
+    eta = None if problem.eta is None else np.asarray(problem.eta, dtype=float)[None, :]
+    dirs = sample_unit_directions(problem.cone, sampler_budget, seed)
+    vi_res = vi_residuals(problem.space, problem.cone, problem.functional, u[None, :],
+                          (z - problem.f)[None, :], eta, dirs)[0]
     mset = MovingSet(problem.functional, problem.cone, problem.eta, problem.f)
     member_res = mset.membership_residual(z, -u, sampler_budget, seed + 1)
     both_accept = vi_res <= accept_tol and member_res <= accept_tol

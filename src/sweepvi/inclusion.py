@@ -31,10 +31,11 @@ from .core import (
     DimensionMismatchError,
     HilbertSpace,
     HomogeneousFunctional,
-    MovingSet,
     TimeGrid,
     Trajectory,
+    membership_residuals,
     product_space,
+    sample_unit_directions,
 )
 from .evi import (
     AuditError,
@@ -46,7 +47,7 @@ from .evi import (
     audit_operator,
     iteration_metric,
     solve_evi,
-    vi_residual,
+    vi_residuals,
 )
 from .histop import HistoryOperator, IneligibleOperatorError, identity_operator, zero_operator
 
@@ -62,6 +63,9 @@ __all__ = [
     "solve_inclusion",
     "build_inclusion_variant",
 ]
+
+
+_MEMBERSHIP_BUDGET = 2048
 
 
 class SmallnessError(RuntimeError):
@@ -253,16 +257,38 @@ def apply_coupling_map(spec: InclusionSpec, theta: Trajectory, tol: float = 1e-1
     return Trajectory(spec.theta_space, spec.grid, stacked), u, iters
 
 
-def _membership_residuals(spec: InclusionSpec, u: Trajectory, theta: Trajectory,
-                          nodes: np.ndarray, seed: int) -> dict[int, float]:
-    eta, xi = spec.split_theta(theta.samples)
-    out = {}
-    for k in nodes:
-        k = int(k)
-        moving = MovingSet(spec.functional, spec.cone, eta[k], spec.f.node(k))
-        z = spec.operator(u.node(k)) + xi[k]
-        out[k] = moving.membership_residual(z, -u.node(k), seed=seed + k)
-    return out
+def _node_gradients(spec: InclusionSpec, u_samples: np.ndarray,
+                    theta_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's parameter ``eta_k`` and gradient ``A u_k - (f_k - xi_k)``."""
+    eta, xi = spec.split_theta(theta_samples)
+    au = np.array([spec.operator(u_k) for u_k in u_samples])
+    return eta, au - (spec.f.samples - xi)
+
+
+def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, theta_samples: np.ndarray,
+                 nodes: np.ndarray, seed: int,
+                 residual_budget: int) -> tuple[np.ndarray, dict[int, float], dict]:
+    """Both solution tests, each on one direction sample shared by the nodes.
+
+    Returns the VI residual at every node (``residual_budget`` directions
+    drawn from ``seed``), the inclusion membership residual at ``nodes``
+    (``_MEMBERSHIP_BUDGET`` directions from ``seed + 1``), and the sample
+    sizes: the directions actually tested after the cone projection drops
+    the null ones.
+    """
+    eta, grads = _node_gradients(spec, u_samples, theta_samples)
+    dirs = sample_unit_directions(spec.cone, residual_budget, seed)
+    residuals = vi_residuals(spec.x_space, spec.cone, spec.functional, u_samples, grads,
+                             eta, dirs)
+    sizes = {"residual_directions": len(dirs), "membership_nodes": len(nodes)}
+    del dirs                    # never hold both samples: they set the peak memory
+    dirs = sample_unit_directions(spec.cone, _MEMBERSHIP_BUDGET, seed + 1)
+    sizes["membership_directions"] = len(dirs)
+    # at node k the moving set is f_k - C(eta_k) and z_k = A u_k + xi_k, so
+    # f_k - z_k is minus the VI gradient
+    member = membership_residuals(spec.functional, spec.cone, eta[nodes], -grads[nodes],
+                                  u_samples[nodes], dirs)
+    return residuals, dict(zip(nodes.tolist(), member.tolist())), sizes
 
 
 def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
@@ -279,6 +305,13 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
 
     With ``force`` the admissibility gate and non-convergence become data:
     the run continues and the returned diagnostics record what happened.
+
+    The result is then checked at the nodes: the VI residual at every node
+    on ``residual_budget`` cone directions drawn from ``seed``, and the
+    inclusion membership at ``membership_nodes`` nodes spread over the grid
+    on 2048 directions drawn from ``seed + 1``; each check draws its sample
+    once and tests all its nodes together.  The diagnostics record the
+    sample sizes.
     """
     if mode not in ("global_picard", "time_marching"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -385,17 +418,12 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
             f"last change {diagnostics.get('sweep_changes', [np.inf])[-1]:.3e}",
             displacement=diagnostics.get("sweep_changes", [np.inf])[-1])
 
-    eta, xi = spec.split_theta(theta.samples)
-    residuals = np.empty(spec.grid.steps + 1)
-    for k in range(spec.grid.steps + 1):
-        problem = _node_problem(spec, eta[k], xi[k], spec.f.node(k))
-        residuals[k] = vi_residual(u.node(k), problem, sampler_budget=residual_budget,
-                                   seed=seed + k)
-
     count = min(membership_nodes, spec.grid.steps + 1)
     nodes = np.unique(np.linspace(0, spec.grid.steps, count).round().astype(int))
-    membership = _membership_residuals(spec, u, theta, nodes, seed)
+    residuals, membership, sizes = _node_checks(spec, u.samples, theta.samples, nodes, seed,
+                                                residual_budget)
     diagnostics["membership"] = membership
+    diagnostics.update(sizes)
     if converged:
         limit = membership_tol if membership_tol is not None else max(1e-6, 100.0 * tol)
         worst = max(membership.values())

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory, _vec
-from .evi import AuditError, LipschitzOperator, NonConvergenceError, audit_lipschitz, solve_evi, vi_residual
+from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory, _vec, sample_unit_directions
+from .evi import AuditError, LipschitzOperator, NonConvergenceError, audit_lipschitz, solve_evi, vi_residuals
 from .histop import HistoryOperator
 from .inclusion import (
     InclusionSolution,
     InclusionSpec,
     SmallnessError,
+    _node_gradients,
     _node_problem,
     check_smallness,
 )
@@ -213,12 +214,9 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10,
                                       last_iterate=v[k])
     v_traj = Trajectory(X, grid, v)
     theta_traj = Trajectory(core.theta_space, grid, theta)
-    eta, xi = core.split_theta(theta)
-    residuals = np.empty(n + 1)
-    for k in range(n + 1):
-        problem = _node_problem(core, eta[k], xi[k], core.f.node(k))
-        residuals[k] = vi_residual(v[k], problem, sampler_budget=residual_budget,
-                                   seed=seed + k)
+    eta, grads = _node_gradients(core, v, theta)
+    residuals = vi_residuals(X, core.cone, core.functional, v, grads, eta,
+                             sample_unit_directions(core.cone, residual_budget, seed))
     return SweepingSolution(u=integrate_velocity(v_traj, spec.u0), v=v_traj,
                             theta=theta_traj, per_step_iterations=iters,
                             per_step_residuals=residuals, smallness=report,
