@@ -28,7 +28,6 @@ import numpy as np
 from .contact import (
     ContactLaw,
     ContactProblem,
-    ContactSolution,
     Loads,
     Material,
     Mesh1D,
@@ -59,14 +58,14 @@ from .histop import (
     zero_operator,
 )
 from .inclusion import (
+    InclusionSolution,
     InclusionSpec,
     SmallnessError,
     _node_checks,
     check_smallness,
-    solve_inclusion,
 )
 from .oracle import GridSearchConfig, brute_inclusion
-from .sweeping import SweepingSpec, integrate_velocity, lift_to_velocity, solve_sweeping
+from .sweeping import integrate_velocity, solve_spec
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -383,15 +382,11 @@ def _build(cfg: RunConfig):
         return None, _build_abstract(cfg)
 
 
-def _core_spec(spec) -> InclusionSpec:
-    return lift_to_velocity(spec) if isinstance(spec, SweepingSpec) else spec
-
-
 # ---------------------------------------------------------------- check
 
 def cmd_check(cfg: RunConfig, out) -> int:
     problem, spec = _build(cfg)
-    core = _core_spec(spec)
+    core = spec.inclusion
     audit = audit_operator(core.operator, core.x_space, trials=400, seed=cfg.seed)
     print(f"problem: {cfg.kind}", file=out)
     print(f"operator [{core.operator.tag}]: declared m={_g(audit.m_declared)} "
@@ -412,27 +407,20 @@ def cmd_check(cfg: RunConfig, out) -> int:
 
 # ---------------------------------------------------------------- run
 
-def _solve(cfg: RunConfig, spec, mode=None, tol=None, force=None):
-    mode = mode or cfg.mode
-    tol = tol if tol is not None else cfg.tol
-    force = cfg.force if force is None else force
-    kwargs = dict(tol=tol, mode=mode, force=force, seed=cfg.seed,
-                  max_inner=cfg.max_iter, max_sweeps=cfg.max_iter)
-    if isinstance(spec, SweepingSpec):
-        sol = solve_sweeping(spec, **kwargs)
-        return sol.u, sol.v, sol.theta, sol
-    sol = solve_inclusion(spec, **kwargs)
-    return sol.u, None, sol.theta, sol
+def _solve(cfg: RunConfig, spec, force=None) -> InclusionSolution:
+    return solve_spec(spec, tol=cfg.tol, mode=cfg.mode, seed=cfg.seed,
+                      force=cfg.force if force is None else force,
+                      max_inner=cfg.max_iter, max_sweeps=cfg.max_iter)
 
 
-def _csv_rows(cfg: RunConfig, problem, u, v, sol):
+def _csv_rows(cfg: RunConfig, sol: InclusionSolution, stress):
+    u, v = sol.u, sol.v
     header = ["t"] + [f"u{i}" for i in range(u.space.dim)]
     cols = [cfg.grid.nodes] + [u.samples[:, i] for i in range(u.space.dim)]
     if v is not None:
         header += [f"v{i}" for i in range(v.space.dim)]
         cols += [v.samples[:, i] for i in range(v.space.dim)]
-    if problem is not None:
-        stress = recover_stress(problem, u, v)
+    if stress is not None:
         header.append("sigma_nu")
         cols.append(stress.sigma_nu)
         if stress.sigma_tau is not None:
@@ -459,8 +447,9 @@ def _write_csv(path: Path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _diagnostics_text(cfg: RunConfig, problem, spec, sol, error: str | None = None) -> str:
-    core = _core_spec(spec)
+def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
+                      error: str | None = None) -> str:
+    core = spec.inclusion
     lines = [f"problem: {cfg.kind}"]
     if cfg.abstract:
         lines.append(f"variant: {cfg.abstract['variant']}")
@@ -492,13 +481,7 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, error: str | None = No
     lines += [f"{key}: {sol.diagnostics[key]}"
               for key in ("residual_directions", "membership_nodes", "membership_directions")]
     if problem is not None:
-        stress = recover_stress(problem, sol.u, sol.v if hasattr(sol, "v") else None)
-        contact_sol = sol if isinstance(sol, ContactSolution) else ContactSolution(
-            u=sol.u, v=getattr(sol, "v", None), theta=sol.theta,
-            per_step_iterations=sol.per_step_iterations,
-            per_step_residuals=sol.per_step_residuals,
-            converged=sol.converged, diagnostics=sol.diagnostics)
-        report = contact_diagnostics(problem, contact_sol, stress)
+        report = contact_diagnostics(problem, sol.u, sol.v, stress)
         lines.append("contact:")
         for key in sorted(report.worst):
             lines.append(f"  {key}: {_g(report.worst[key])}")
@@ -509,16 +492,17 @@ def cmd_run(cfg: RunConfig, out_dir: Path, out) -> int:
     problem, spec = _build(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        u, v, theta, sol = _solve(cfg, spec)
+        sol = _solve(cfg, spec)
     except NonConvergenceError as exc:
         text = _diagnostics_text(cfg, problem, spec, None, error=str(exc))
         (out_dir / "diagnostics.txt").write_text(text, encoding="utf-8")
         print(f"{_failure(exc)}: {exc}", file=out)
         return 3
-    header, rows = _csv_rows(cfg, problem, u, v, sol)
+    stress = recover_stress(problem, sol.u, sol.v) if problem is not None else None
+    header, rows = _csv_rows(cfg, sol, stress)
     _write_csv(out_dir / "solution.csv", header, rows)
     (out_dir / "diagnostics.txt").write_text(
-        _diagnostics_text(cfg, problem, spec, sol), encoding="utf-8")
+        _diagnostics_text(cfg, problem, spec, sol, stress), encoding="utf-8")
     print(f"wrote {out_dir / 'solution.csv'} ({len(rows)} rows) "
           f"and {out_dir / 'diagnostics.txt'}", file=out)
     if not sol.converged:
@@ -540,8 +524,8 @@ def _refined(cfg: RunConfig, steps=None, elements=None) -> RunConfig:
 
 def _solution_u(cfg: RunConfig):
     _, spec = _build(cfg)
-    u, v, _, _ = _solve(cfg, spec)
-    return u if v is None else v       # compare the primary unknown field
+    sol = _solve(cfg, spec)
+    return sol.u if sol.v is None else sol.v       # compare the primary unknown field
 
 
 def _order_table(label, sizes, diffs, out, lines):
@@ -611,7 +595,7 @@ def _columns(header, data, prefix):
     return data[:, idx] if idx else None
 
 
-def _verify_fields(cfg, problem, core, u_samples, v_samples, out):
+def _verify_fields(cfg, core, u_samples, v_samples, out):
     """Recompute residuals from file data; return the list of failures."""
     failures = []
     driver = v_samples if v_samples is not None else u_samples
@@ -631,10 +615,10 @@ def _verify_fields(cfg, problem, core, u_samples, v_samples, out):
     if worst_mem > 1e-5:
         failures.append(f"membership residual {worst_mem:.3e} > 1e-05")
 
-    for k in nodes:
-        if not core.cone.contains(driver[k], tol=1e-9):
-            failures.append(f"constraint violated at node {k}")
-            break
+    # written as "not within" so that a NaN row counts as a violation
+    outside = np.flatnonzero(~(core.cone.violations(driver) <= 1e-9))
+    if outside.size:
+        failures.append(f"constraint violated at node {outside[0]}")
     return failures, traj
 
 
@@ -645,17 +629,17 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, out) -> int:
         raise ConfigError("solution file does not match the configured time grid")
     u_samples = _columns(header, data, "u")
     v_samples = _columns(header, data, "v")
-    if u_samples is None or u_samples.shape[1] != (spec.core.x_space.dim
-                                                   if isinstance(spec, SweepingSpec)
-                                                   else spec.x_space.dim):
+    core = spec.inclusion
+    # only a sweeping spec, solved through its velocity lift, writes v0..
+    v_dim = core.x_space.dim if core is not spec else 0
+    if (u_samples is None or u_samples.shape[1] != core.x_space.dim
+            or (0 if v_samples is None else v_samples.shape[1]) != v_dim):
         raise ConfigError("solution file does not match the configured problem size")
 
-    core = _core_spec(spec)
-    failures, traj = _verify_fields(cfg, problem, core, u_samples, v_samples, out)
+    failures, traj = _verify_fields(cfg, core, u_samples, v_samples, out)
 
-    if isinstance(spec, SweepingSpec):
-        v_traj = Trajectory(core.x_space, cfg.grid, v_samples)
-        u_rec = integrate_velocity(v_traj, spec.u0)
+    if v_samples is not None:
+        u_rec = integrate_velocity(traj, spec.u0)
         drift = float(np.abs(u_rec.samples - u_samples).max())
         print(f"displacement vs integrated velocity: {_g(drift)}", file=out)
         if drift > 1e-9:
@@ -672,11 +656,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, out) -> int:
                 print(f"{col} recomputed vs stored: {_g(gap)}", file=out)
                 if gap > 1e-9:
                     failures.append(f"{col} mismatch {gap:.3e} > 1e-09")
-        sol = ContactSolution(u=u_traj, v=v_traj, theta=traj, per_step_iterations=
-                              data[:, header.index("iterations")].astype(int),
-                              per_step_residuals=data[:, header.index("residual")],
-                              converged=True, diagnostics={})
-        report = contact_diagnostics(problem, sol, stress)
+        report = contact_diagnostics(problem, u_traj, v_traj, stress)
         worst = max(report.worst.values())
         print(f"contact law checks, worst residual: {_g(worst)}", file=out)
         if not report.ok(tol=1e-8):

@@ -36,8 +36,8 @@ from .core import (
 )
 from .evi import EnergyMetric, LipschitzOperator, MonotoneOperator
 from .histop import HistoryOperator, VolterraKernel, volterra_operator, zero_operator
-from .inclusion import InclusionSolution, InclusionSpec, solve_inclusion
-from .sweeping import SweepingSpec, SweepingSolution, solve_sweeping
+from .inclusion import InclusionSolution, InclusionSpec
+from .sweeping import SweepingSpec, solve_spec
 
 __all__ = [
     "Mesh1D",
@@ -45,7 +45,6 @@ __all__ = [
     "ContactLaw",
     "Loads",
     "ContactProblem",
-    "ContactSolution",
     "StressRecord",
     "ContactReport",
     "assemble_space",
@@ -456,7 +455,7 @@ class ContactProblem:
     """Assembled problem plus everything stress recovery needs."""
 
     kind: str
-    spec: object                       # InclusionSpec or SweepingSpec
+    spec: InclusionSpec | SweepingSpec
     mesh: Mesh1D
     material: Material
     law: ContactLaw
@@ -466,19 +465,6 @@ class ContactProblem:
     contact_dofs: dict
     load_covectors: np.ndarray = field(repr=False)
     relaxation: HistoryOperator = field(repr=False)
-
-
-@dataclass(frozen=True)
-class ContactSolution:
-    """Uniform result wrapper for both problem families."""
-
-    u: Trajectory
-    v: Trajectory | None
-    theta: Trajectory
-    per_step_iterations: np.ndarray
-    per_step_residuals: np.ndarray
-    converged: bool
-    diagnostics: dict = field(repr=False)
 
 
 def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
@@ -565,18 +551,9 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
 
 
 def solve_contact(problem: ContactProblem, tol: float = 1e-10,
-                  mode: str = "time_marching", **kwargs) -> ContactSolution:
-    if isinstance(problem.spec, SweepingSpec):
-        sol = solve_sweeping(problem.spec, tol=tol, mode=mode, **kwargs)
-        return ContactSolution(u=sol.u, v=sol.v, theta=sol.theta,
-                               per_step_iterations=sol.per_step_iterations,
-                               per_step_residuals=sol.per_step_residuals,
-                               converged=sol.converged, diagnostics=sol.diagnostics)
-    sol = solve_inclusion(problem.spec, tol=tol, mode=mode, **kwargs)
-    return ContactSolution(u=sol.u, v=None, theta=sol.theta,
-                           per_step_iterations=sol.per_step_iterations,
-                           per_step_residuals=sol.per_step_residuals,
-                           converged=sol.converged, diagnostics=sol.diagnostics)
+                  mode: str = "time_marching", **kwargs) -> InclusionSolution:
+    """Solve the assembled problem; ``v`` holds the shear layer's velocity."""
+    return solve_spec(problem.spec, tol=tol, mode=mode, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -595,7 +572,11 @@ class StressRecord:
 
 def recover_stress(problem: ContactProblem, u: Trajectory,
                    v: Trajectory | None = None) -> StressRecord:
-    """Constitutive stress per element plus contact reactions per time node."""
+    """Constitutive stress per element plus contact reactions per time node.
+
+    ``v`` is the velocity of the sweeping (shear) problem and ``None`` for
+    the rod problems; with it the elastic coupling ``b`` enters the stress.
+    """
     mesh, material, grid = problem.mesh, problem.material, problem.grid
     comps, n = problem.components, mesh.n_free
     G1 = _strain_matrix(mesh)
@@ -618,13 +599,10 @@ def recover_stress(problem: ContactProblem, u: Trajectory,
 
     # reactions: residual of the unconstrained discrete equilibrium
     space = problem.space
-    total = np.empty_like(rate.samples)
-    for k in range(n_nodes):
-        total[k] = problem.spec.core.operator(rate.node(k)) if isinstance(
-            problem.spec, SweepingSpec) else problem.spec.operator(rate.node(k))
-    if isinstance(problem.spec, SweepingSpec):
-        for k in range(n_nodes):
-            total[k] = total[k] + problem.spec.b_op(u.node(k))
+    operator = problem.spec.inclusion.operator
+    total = np.array([operator(r) for r in rate.samples])
+    if v is not None:
+        total += np.array([problem.spec.b_op(u_k) for u_k in u.samples])
     total = total + memory.samples
     residual = (space.metric @ total.T).T - problem.load_covectors
     sigma_nu = residual[:, problem.contact_dofs["nu"]]
@@ -644,28 +622,33 @@ class ContactReport:
         return all(v <= tol for v in self.worst.values())
 
 
-def contact_diagnostics(problem: ContactProblem, solution: ContactSolution,
+def contact_diagnostics(problem: ContactProblem, u: Trajectory, v: Trajectory | None,
                         stress: StressRecord) -> ContactReport:
-    """Check the contact law pointwise in time on the solved fields."""
+    """Check the contact law pointwise in time on the solved fields.
+
+    ``u`` is the displacement, ``v`` the velocity (read by the friction
+    law, ``None`` for the rod problems) and ``stress`` their
+    :func:`recover_stress` record.
+    """
     from scipy.integrate import cumulative_trapezoid
 
     dt = problem.grid.dt
     series: dict = {}
     worst: dict = {}
     if problem.kind == "rigid_obstacle":
-        u_nu = solution.u.samples[:, problem.contact_dofs["nu"]]
+        u_nu = u.samples[:, problem.contact_dofs["nu"]]
         series["penetration"] = np.maximum(u_nu, 0.0)
         series["pressure_sign"] = np.maximum(stress.sigma_nu, 0.0)
         series["complementarity"] = np.abs(stress.sigma_nu * u_nu)
     elif problem.kind == "normal_compliance":
-        u_nu = solution.u.samples[:, problem.contact_dofs["nu"]]
+        u_nu = u.samples[:, problem.contact_dofs["nu"]]
         acc = cumulative_trapezoid(np.maximum(u_nu, 0.0), dx=dt, initial=0.0)
         bound = np.asarray(problem.law.F(acc), dtype=float)
         series["pressure_sign"] = np.maximum(stress.sigma_nu, 0.0)
         series["bound_excess"] = np.maximum(-stress.sigma_nu - bound, 0.0)
         series["threshold"] = bound
     else:
-        v_tau = solution.v.samples[:, problem.contact_dofs["tau"]]
+        v_tau = v.samples[:, problem.contact_dofs["tau"]]
         acc = cumulative_trapezoid(np.abs(v_tau), dx=dt, initial=0.0)
         bound = np.asarray(problem.law.F(acc), dtype=float)
         dissipation = -stress.sigma_tau * v_tau

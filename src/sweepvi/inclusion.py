@@ -144,6 +144,15 @@ class InclusionSpec:
     def theta_space(self) -> HilbertSpace:
         return product_space(self.y_space, self.x_space)
 
+    @property
+    def inclusion(self) -> InclusionSpec:
+        """The inclusion this spec is solved as: the spec itself.
+
+        A :class:`~sweepvi.sweeping.SweepingSpec` answers with its velocity
+        lift, so callers read the same attribute for both families.
+        """
+        return self
+
     @cached_property
     def iteration_metric(self) -> IterationMetric:
         """The metric every node's EVI iterates in, decided once per spec."""
@@ -156,7 +165,12 @@ class InclusionSpec:
 
 @dataclass(frozen=True)
 class InclusionSolution:
-    """Solution trajectory with per-node convergence evidence."""
+    """Solution trajectory with per-node convergence evidence.
+
+    For a sweeping process ``u`` is the displacement and ``v`` the velocity,
+    the unknown of the inclusion that was solved (``theta``, the iteration
+    counts and the residuals belong to it); otherwise ``v`` is ``None``.
+    """
 
     u: Trajectory
     theta: Trajectory
@@ -165,6 +179,7 @@ class InclusionSolution:
     smallness: SmallnessReport
     converged: bool
     diagnostics: dict = field(repr=False)
+    v: Trajectory | None = None
 
 
 def check_smallness(spec: InclusionSpec) -> SmallnessReport:
@@ -186,6 +201,18 @@ def _node_problem(spec: InclusionSpec, eta_k: np.ndarray, xi_k: np.ndarray,
                       metric=spec.iteration_metric)
 
 
+def _solve_node(spec: InclusionSpec, k: int, eta_k: np.ndarray, xi_k: np.ndarray,
+                tol: float, start: np.ndarray | None) -> EviSolution:
+    """The frozen-parameter EVI at node ``k``; a stall names the node."""
+    problem = _node_problem(spec, eta_k, xi_k, spec.f.node(k))
+    try:
+        return solve_evi(problem, tol=tol, start=start, audit_trials=0)
+    except NonConvergenceError as exc:
+        raise type(exc)(f"EVI stalled at node {k}: {exc}",
+                        last_iterate=exc.last_iterate,
+                        displacement=exc.displacement) from exc
+
+
 def _solve_nodes(spec: InclusionSpec, theta: Trajectory, tol: float,
                  start: np.ndarray | None = None) -> tuple[Trajectory, np.ndarray]:
     """Solve the frozen-parameter EVI at every node, warm-starting along t."""
@@ -195,15 +222,9 @@ def _solve_nodes(spec: InclusionSpec, theta: Trajectory, tol: float,
     iters = np.zeros(n + 1, dtype=int)
     guess = None
     for k in range(n + 1):
-        problem = _node_problem(spec, eta[k], xi[k], spec.f.node(k))
         if start is not None:
             guess = start[k]
-        try:
-            sol = solve_evi(problem, tol=tol, start=guess, audit_trials=0)
-        except NonConvergenceError as exc:
-            raise type(exc)(f"EVI stalled at node {k}: {exc}",
-                            last_iterate=exc.last_iterate,
-                            displacement=exc.displacement) from exc
+        sol = _solve_node(spec, k, eta[k], xi[k], tol, guess)
         out[k] = sol.u
         iters[k] = sol.iterations
         if start is None:
@@ -380,13 +401,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                 _, eta_k = param.step(param_state, k, guess)
                 _, xi_k = load.step(load_state, k, guess)
                 theta_k = np.concatenate([eta_k, xi_k])
-                problem = _node_problem(spec, eta_k, xi_k, spec.f.node(k))
-                try:
-                    sol = solve_evi(problem, tol=evi_tol, start=guess, audit_trials=0)
-                except NonConvergenceError as exc:
-                    raise type(exc)(f"EVI stalled at node {k}: {exc}",
-                                    last_iterate=exc.last_iterate,
-                                    displacement=exc.displacement) from exc
+                sol = _solve_node(spec, k, eta_k, xi_k, evi_tol, guess)
                 iters[k] += sol.iterations
                 change = spec.theta_space.distance(theta_samples[k], theta_k)
                 theta_samples[k] = theta_k

@@ -9,12 +9,15 @@ the velocity with the composite load memory ``v -> B(int v + u0) + S v``,
 whose constants are ``(l_S, L_B + L_S)``.  Everything downstream (smallness
 gate, Picard modes, residuals) is inherited from the inclusion solver; the
 displacement is recovered with the same trapezoid rule the lift uses, so the
-two stay numerically consistent.
+two stay numerically consistent.  The result is the inclusion's own
+:class:`~sweepvi.inclusion.InclusionSolution`, with the displacement in
+``u`` and the velocity in ``v``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -29,17 +32,18 @@ from .inclusion import (
     _node_gradients,
     _node_problem,
     check_smallness,
+    solve_inclusion,
 )
 
 __all__ = [
     "SweepingSpec",
-    "SweepingSolution",
     "integrate_velocity",
     "antiderivative_memory",
     "compose_with_antiderivative",
     "lift_to_velocity",
     "solve_sweeping",
     "solve_sweeping_direct",
+    "solve_spec",
     "build_sweeping_variant",
 ]
 
@@ -58,6 +62,8 @@ class SweepingSpec:
 
     ``core`` is stated in the velocity variable: its memories consume
     velocity trajectories.  ``b_op`` acts on the reconstructed displacement.
+    ``inclusion`` is the velocity inclusion :func:`lift_to_velocity` builds,
+    once per spec.
     """
 
     core: InclusionSpec
@@ -74,19 +80,9 @@ class SweepingSpec:
                     f"displacement coupling exceeded its declared Lipschitz constant: "
                     f"observed {worst:.6g} > declared {self.b_op.L:.6g}")
 
-
-@dataclass(frozen=True)
-class SweepingSolution:
-    """Displacement, velocity and the inclusion-level convergence evidence."""
-
-    u: Trajectory
-    v: Trajectory
-    theta: Trajectory
-    per_step_iterations: np.ndarray
-    per_step_residuals: np.ndarray
-    smallness: object
-    converged: bool
-    diagnostics: dict = field(repr=False)
+    @cached_property
+    def inclusion(self) -> InclusionSpec:
+        return lift_to_velocity(self)
 
 
 def antiderivative_memory(grid: TimeGrid, space: HilbertSpace, u0,
@@ -159,23 +155,27 @@ def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
 
 
 def solve_sweeping(spec: SweepingSpec, tol: float = 1e-10,
-                   mode: str = "time_marching", **kwargs) -> SweepingSolution:
+                   mode: str = "time_marching", **kwargs) -> InclusionSolution:
     """Solve the lifted velocity inclusion, then integrate the velocity."""
-    from .inclusion import solve_inclusion
+    sol = solve_inclusion(spec.inclusion, tol=tol, mode=mode, **kwargs)
+    return replace(sol, u=integrate_velocity(sol.u, spec.u0), v=sol.u)
 
-    lifted = lift_to_velocity(spec)
-    sol = solve_inclusion(lifted, tol=tol, mode=mode, **kwargs)
-    u = integrate_velocity(sol.u, spec.u0)
-    return SweepingSolution(u=u, v=sol.u, theta=sol.theta,
-                            per_step_iterations=sol.per_step_iterations,
-                            per_step_residuals=sol.per_step_residuals,
-                            smallness=sol.smallness, converged=sol.converged,
-                            diagnostics=sol.diagnostics)
+
+def solve_spec(spec: InclusionSpec | SweepingSpec, tol: float = 1e-10,
+               mode: str = "time_marching", **kwargs) -> InclusionSolution:
+    """Solve either problem family; the one place that tells them apart.
+
+    A sweeping process goes through :func:`solve_sweeping`, which integrates
+    the velocity; an inclusion is solved as it is.
+    """
+    if isinstance(spec, SweepingSpec):
+        return solve_sweeping(spec, tol=tol, mode=mode, **kwargs)
+    return solve_inclusion(spec, tol=tol, mode=mode, **kwargs)
 
 
 def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10,
                           max_inner: int = 500, seed: int = 0,
-                          residual_budget: int = 1024) -> SweepingSolution:
+                          residual_budget: int = 1024) -> InclusionSolution:
     """March the original sweeping statement without building the lift.
 
     Independent code path used as a cross-check on :func:`solve_sweeping`:
@@ -184,7 +184,7 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10,
     that displacement in the load.
     """
     core = spec.core
-    report = check_smallness(lift_to_velocity(spec))
+    report = check_smallness(spec.inclusion)
     if not report.passed:
         raise SmallnessError(f"admissibility gate failed: {report.describe()}")
     grid, X = core.grid, core.x_space
@@ -217,12 +217,12 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10,
     eta, grads = _node_gradients(core, v, theta)
     residuals = vi_residuals(X, core.cone, core.functional, v, grads, eta,
                              sample_unit_directions(core.cone, residual_budget, seed))
-    return SweepingSolution(u=integrate_velocity(v_traj, spec.u0), v=v_traj,
-                            theta=theta_traj, per_step_iterations=iters,
-                            per_step_residuals=residuals, smallness=report,
-                            converged=True,
-                            diagnostics={"mode": "direct_marching",
-                                         "smallness": report.describe()})
+    return InclusionSolution(u=integrate_velocity(v_traj, spec.u0), v=v_traj,
+                             theta=theta_traj, per_step_iterations=iters,
+                             per_step_residuals=residuals, smallness=report,
+                             converged=True,
+                             diagnostics={"mode": "direct_marching",
+                                          "smallness": report.describe()})
 
 
 def build_sweeping_variant(variant: str, *, core: InclusionSpec,

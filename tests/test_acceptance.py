@@ -397,7 +397,7 @@ def test_criterion_09_compliance_memory():
     c0 = prob.spec.functional.alpha
     assert abs(c0 - trace_constant(prob.space, prob.contact_dofs["nu"])) <= 1e-12
     sol = solve_contact(prob, tol=1e-11)
-    report = contact_diagnostics(prob, sol, recover_stress(prob, sol.u))
+    report = contact_diagnostics(prob, sol.u, sol.v, recover_stress(prob, sol.u))
     assert report.worst["pressure_sign"] <= 1e-8, "reaction must push, not pull"
     assert report.worst["bound_excess"] <= 1e-8, "reaction exceeds the threshold"
 
@@ -427,7 +427,7 @@ def test_criterion_10_friction_shear():
                              Loads(body=[0.0, sign * 1.2]), grid)
         sol = solve_contact(prob, tol=1e-11)
         stress = recover_stress(prob, sol.u, sol.v)
-        report = contact_diagnostics(prob, sol, stress)
+        report = contact_diagnostics(prob, sol.u, sol.v, stress)
         assert report.worst["bound_excess"] <= 1e-8
         assert report.worst["dissipation_negativity"] <= 1e-10
         # the load saturates the threshold, so late time slides steadily

@@ -181,7 +181,7 @@ class TestRun:
         def blow_up(*args, **kwargs):
             raise NonFiniteError("EVI stalled at node 3: non-finite iterate at iteration 2")
 
-        monkeypatch.setattr(cli, "solve_inclusion", blow_up)
+        monkeypatch.setattr(cli, "solve_spec", blow_up)
         out = tmp_path / "out"
         assert run_cli("run", "--config", CONFIGS / "rod_rigid.ini", "--out", out) == 3
         assert capsys.readouterr().out.startswith("non-finite: ")
@@ -194,6 +194,42 @@ class TestRun:
         tol_line = next(line for line in (out / "diagnostics.txt").read_text().splitlines()
                         if line.startswith("tol:"))
         assert float(tol_line.split(":")[1]) == 1e-6
+
+    @pytest.mark.parametrize("config", ["rod_rigid", "rod_compliance", "shear_friction"])
+    def test_a_run_recovers_the_stress_once(self, tmp_path, monkeypatch, config):
+        import sweepvi.cli as cli
+
+        calls = []
+        recover = cli.recover_stress
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return recover(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "recover_stress", counting)
+        assert run_cli("run", "--config", CONFIGS / f"{config}.ini", "--out", tmp_path) == 0
+        assert len(calls) == 1
+
+    def test_a_shear_run_lifts_once_and_decides_the_metric_once(self, tmp_path, monkeypatch):
+        import sweepvi.inclusion as inclusion
+        import sweepvi.sweeping as sweeping
+
+        counts = {"lift_to_velocity": 0, "iteration_metric": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(sweeping, "lift_to_velocity")
+        counting(inclusion, "iteration_metric")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIGS / "shear_friction.ini", "--out", out) == 0
+        assert counts == {"lift_to_velocity": 1, "iteration_metric": 1}
 
 
 class TestConvergence:
@@ -246,6 +282,26 @@ class TestVerify:
         csv.write_text("\n".join(lines) + "\n")
         assert run_cli("verify", "--config", CONFIGS / "rod_rigid.ini",
                        "--out", out) == 2
+
+    @pytest.mark.parametrize("config", ["rod_rigid", "shear_friction"])
+    def test_velocity_columns_must_match_the_problem(self, tmp_path, capsys, config):
+        # the rod file gains velocity columns, the shear file loses them
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIGS / f"{config}.ini", "--out", out) == 0
+        header, *rows = [line.split(",") for line in
+                         (out / "solution.csv").read_text().splitlines()]
+        u_cols = [i for i, h in enumerate(header) if h.startswith("u")]
+        v_cols = [i for i, h in enumerate(header) if h.startswith("v")]
+        if v_cols:
+            keep = [i for i in range(len(header)) if i not in v_cols]
+            lines = [[r[i] for i in keep] for r in [header, *rows]]
+        else:
+            at = u_cols[-1] + 1
+            lines = [header[:at] + [f"v{i}" for i in range(len(u_cols))] + header[at:]]
+            lines += [r[:at] + ["0"] * len(u_cols) + r[at:] for r in rows]
+        (out / "solution.csv").write_text("\n".join(",".join(r) for r in lines) + "\n")
+        assert run_cli("verify", "--config", CONFIGS / f"{config}.ini", "--out", out) == 4
+        assert "does not match the configured problem" in capsys.readouterr().err
 
     def test_missing_output_is_exit_4(self, tmp_path):
         assert run_cli("verify", "--config", CONFIGS / "rod_rigid.ini",

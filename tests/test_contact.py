@@ -140,7 +140,7 @@ class TestRigidObstacle:
 
     def test_pushing_complementarity(self):
         prob, sol, stress = self.solve(+1.0)
-        report = contact_diagnostics(prob, sol, stress)
+        report = contact_diagnostics(prob, sol.u, sol.v, stress)
         assert report.worst["penetration"] == 0.0
         assert report.worst["pressure_sign"] == 0.0
         assert report.worst["complementarity"] == 0.0
@@ -151,7 +151,7 @@ class TestRigidObstacle:
         x = self.mesh.nodes[1:]
         assert np.abs(sol.u.samples - (-x)[None, :]).max() < 1e-12
         assert np.abs(stress.sigma_nu).max() < 1e-12
-        assert contact_diagnostics(prob, sol, stress).ok()
+        assert contact_diagnostics(prob, sol.u, sol.v, stress).ok()
 
     def test_linear_field_has_unit_stress(self):
         prob, _, _ = self.solve(-1.0)
@@ -189,7 +189,7 @@ class TestNormalCompliance:
                              ContactLaw.linear(0.5), Loads(traction=1.0), self.grid)
         sol = solve_contact(prob, tol=1e-11)
         stress = recover_stress(prob, sol.u)
-        report = contact_diagnostics(prob, sol, stress)
+        report = contact_diagnostics(prob, sol.u, sol.v, stress)
         assert sol.converged
         assert report.worst["bound_excess"] == 0.0
         assert report.worst["pressure_sign"] < 1e-12
@@ -236,7 +236,7 @@ class TestShearFriction:
     @pytest.mark.parametrize("sign", [+1.0, -1.0])
     def test_friction_law_diagnostics(self, sign):
         prob, sol, stress = self.solve(sign)
-        report = contact_diagnostics(prob, sol, stress)
+        report = contact_diagnostics(prob, sol.u, sol.v, stress)
         assert report.ok(1e-8)
         assert report.worst["dissipation_negativity"] < 1e-12
         assert report.worst["bound_excess"] < 1e-12

@@ -28,7 +28,7 @@ from sweepvi import (
     vi_residual,
     vi_residuals,
 )
-from sweepvi.cli import _build, _core_spec, _solve, load_config, main
+from sweepvi.cli import _build, _solve, load_config, main
 from sweepvi.core import _BLOCK_DOUBLES, sample_unit_directions
 from sweepvi.evi import audit_lipschitz
 from sweepvi.inclusion import _node_gradients, _node_problem
@@ -140,10 +140,10 @@ def test_kernels_match_the_per_node_formulas(kind, cone_kind, indices):
 def test_kernels_match_the_per_node_formulas_on_shipped_configs(name):
     cfg = load_config(CONFIGS / f"{name}.ini")
     _, spec = _build(cfg)
-    u, v, theta, _ = _solve(cfg, spec, force=True)
-    spec = _core_spec(spec)
+    sol = _solve(cfg, spec, force=True)
+    spec, theta = spec.inclusion, sol.theta
     X, cone, functional = spec.x_space, spec.cone, spec.functional
-    driver = (u if v is None else v).samples
+    driver = (sol.u if sol.v is None else sol.v).samples
     # push every node off the solution, inside the cone, so the residuals are O(1)
     rng = np.random.default_rng(2)
     us = cone.project_many(driver + 0.3 * rng.standard_normal(driver.shape))
