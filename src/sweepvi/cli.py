@@ -100,6 +100,18 @@ class RunConfig:
     u0: np.ndarray | None = None
     abstract: dict | None = None
 
+    def __post_init__(self):
+        # dataclasses.replace runs this again, so command-line overrides are
+        # checked like the file's values
+        if self.mode not in ("time_marching", "global_picard"):
+            raise ConfigError(f"[solver] mode: unknown mode {self.mode!r}")
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise ConfigError(f"[solver] tol: must be a positive finite number, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ConfigError(f"[solver] max_iter: must be at least 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ConfigError(f"[solver] seed: must be nonnegative, got {self.seed}")
+
 
 def _require(parser: configparser.ConfigParser, section: str) -> configparser.SectionProxy:
     if not parser.has_section(section):
@@ -132,6 +144,13 @@ def _floats(sec, key: str, default: str | None = None) -> np.ndarray:
 
 def _ints(sec, key: str, default: str | None = None) -> list[int]:
     return _numbers(sec, key, _get(sec, key, default), int)
+
+
+def _boolean(sec, key: str) -> bool:
+    try:
+        return sec.getboolean(key, fallback=False)
+    except ValueError as exc:
+        raise ConfigError(f"[{sec.name}] {key}: {exc}") from None
 
 
 def _one(sec, key: str, default: str | None = None, kind=float):
@@ -209,10 +228,6 @@ def _material_from(sec, elements: int) -> Material:
 
 
 def _abstract_from(sec) -> dict:
-    try:
-        eta_free = sec.getboolean("eta_free", fallback=False)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] eta_free: {exc}") from None
     out = {
         "variant": _get(sec, "variant"),
         "dimension": _one(sec, "dimension", kind=int),
@@ -225,7 +240,7 @@ def _abstract_from(sec) -> dict:
         "weights": _floats(sec, "weights", "1"),
         "indices": _ints(sec, "indices", "0"),
         "blocks": [_numbers(sec, "blocks", b, int) for b in sec.get("blocks", "0").split(";")],
-        "eta_free": eta_free,
+        "eta_free": _boolean(sec, "eta_free"),
         "parameter_kernel": _one(sec, "parameter_kernel", "0"),
         "parameter_rate": _one(sec, "parameter_rate", "0"),
         "load_kernel": _one(sec, "load_kernel", "0"),
@@ -266,11 +281,7 @@ def load_config(path: str | Path) -> RunConfig:
     max_iter = _one(sol, "max_iter", "500", kind=int)
     mode = sol.get("mode", "time_marching")
     seed = _one(sol, "seed", "0", kind=int)
-    force = sol.get("force", "false").strip().lower() in ("1", "true", "yes", "on")
-    if mode not in ("time_marching", "global_picard"):
-        raise ConfigError(f"[solver] unknown mode {mode!r}")
-    if not tol > 0:
-        raise ConfigError("[solver] tol must be a positive finite number")
+    force = _boolean(sol, "force")
 
     if kind in _CONTACT_KINDS:
         msec = _require(parser, "mesh")

@@ -35,7 +35,8 @@ from .core import (
     UnsupportedConfigurationError,
 )
 from .evi import EnergyMetric, LipschitzOperator, MonotoneOperator
-from .histop import HistoryOperator, VolterraKernel, volterra_operator, zero_operator
+from .histop import (HistoryOperator, VolterraKernel, running_trapezoid, volterra_operator,
+                     zero_operator)
 from .inclusion import InclusionSolution, InclusionSpec
 from .sweeping import SweepingSpec, solve_spec
 
@@ -65,7 +66,7 @@ __all__ = [
 class Mesh1D:
     """Nodes on ``[0, length]``; node 0 clamped, last node is the contact node."""
 
-    def __init__(self, nodes, fixed_first: bool = True):
+    def __init__(self, nodes):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least two nodes")
@@ -73,7 +74,6 @@ class Mesh1D:
             raise ValueError("node coordinates must be strictly increasing")
         self.nodes = nodes
         self.nodes.flags.writeable = False
-        self.fixed_first = bool(fixed_first)
 
     @classmethod
     def uniform(cls, length: float, elements: int) -> "Mesh1D":
@@ -309,9 +309,6 @@ def _block_diag(block: np.ndarray, count: int) -> np.ndarray:
 
 def assemble_space(mesh: Mesh1D, components: int = 1) -> HilbertSpace:
     """Energy inner product ``int u' v'`` on the free nodes, per component."""
-    if not mesh.fixed_first:
-        raise UnsupportedConfigurationError(
-            "mesh has no clamped node; the energy form is only semi-definite")
     K = _stiffness(mesh, np.ones(mesh.n_elements))
     return HilbertSpace(mesh.n_free * components, _block_diag(K, components))
 
@@ -384,7 +381,7 @@ def _threshold_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
     The state is the accumulated integral, the last integrand value and the
     last (read-only) output, so each node costs O(1), and F is evaluated
     only where the integral grows; the sum is the same as
-    ``cumulative_trapezoid``.
+    :func:`~sweepvi.histop.running_trapezoid`.
     """
     dt, F = grid.dt, law.F
 
@@ -630,8 +627,6 @@ def contact_diagnostics(problem: ContactProblem, u: Trajectory, v: Trajectory | 
     law, ``None`` for the rod problems) and ``stress`` their
     :func:`recover_stress` record.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     dt = problem.grid.dt
     series: dict = {}
     worst: dict = {}
@@ -642,14 +637,14 @@ def contact_diagnostics(problem: ContactProblem, u: Trajectory, v: Trajectory | 
         series["complementarity"] = np.abs(stress.sigma_nu * u_nu)
     elif problem.kind == "normal_compliance":
         u_nu = u.samples[:, problem.contact_dofs["nu"]]
-        acc = cumulative_trapezoid(np.maximum(u_nu, 0.0), dx=dt, initial=0.0)
+        acc = running_trapezoid(np.maximum(u_nu, 0.0), dt)
         bound = np.asarray(problem.law.F(acc), dtype=float)
         series["pressure_sign"] = np.maximum(stress.sigma_nu, 0.0)
         series["bound_excess"] = np.maximum(-stress.sigma_nu - bound, 0.0)
         series["threshold"] = bound
     else:
         v_tau = v.samples[:, problem.contact_dofs["tau"]]
-        acc = cumulative_trapezoid(np.abs(v_tau), dx=dt, initial=0.0)
+        acc = running_trapezoid(np.abs(v_tau), dt)
         bound = np.asarray(problem.law.F(acc), dtype=float)
         dissipation = -stress.sigma_tau * v_tau
         series["bound_excess"] = np.maximum(np.abs(stress.sigma_tau) - bound, 0.0)

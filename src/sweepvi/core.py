@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
 from scipy.linalg.lapack import dpotrs
-from scipy.optimize import nnls
 
 __all__ = [
     "DimensionMismatchError",
@@ -352,6 +351,8 @@ class ConstraintCone:
             mu = max(x[idx[0]] / self._gram[0, 0], 0.0)
             y = x - self._inv_cols[:, 0] * mu
         else:
+            from scipy.optimize import nnls     # deferred: keeps scipy.optimize off the import path
+
             L = self._gram_chol
             b = solve_triangular(L, x[idx], lower=True)
             mu, _ = nnls(L.T, b)
@@ -520,16 +521,6 @@ class HomogeneousFunctional:
         if self.kind == "block_norm":
             return len(self.blocks)
         return self.y_space.dim
-
-    def affected_indices(self) -> np.ndarray:
-        """Coordinates of X on which the functional actually depends."""
-        if self.kind == "positive_part":
-            return self.indices.copy()
-        if self.kind == "block_norm":
-            return np.concatenate(self.blocks)
-        if self.kind == "separable":
-            return self.base.affected_indices()
-        return np.array([], dtype=int)
 
     def _extraction_constant(self, d_weights: np.ndarray) -> float:
         # sup of sqrt(sum_u d_u * |v restricted to unit u|^2) over ||v||_X = 1,

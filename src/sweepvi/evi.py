@@ -59,6 +59,12 @@ __all__ = [
 ]
 
 
+_AUDIT_RADIUS = 10.0        # standard deviation of the sampled audit points
+_FEASIBILITY_TOL = 1e-9     # cone violation past which a VI residual is +inf
+_ACCEPT_TOL = 1e-7          # both solution tests accept at or below this residual
+_REJECT_TOL = 1e-3          # both solution tests reject above this residual
+
+
 class AuditError(RuntimeError):
     """Declared operator constants failed the sampled audit."""
 
@@ -173,9 +179,9 @@ class OperatorAudit:
         return self.m_observed >= self.m_declared - slack and self.L_observed <= self.L_declared + slack
 
 
-def _sample_pairs(space: HilbertSpace, trials: int, seed: int, radius: float):
+def _sample_pairs(space: HilbertSpace, trials: int, seed: int):
     """``trials`` pairs of points, drawn as one block in the per-pair order."""
-    pts = radius * np.random.default_rng(seed).standard_normal((trials, 2, space.dim))
+    pts = _AUDIT_RADIUS * np.random.default_rng(seed).standard_normal((trials, 2, space.dim))
     return pts[:, 0], pts[:, 1]
 
 
@@ -185,9 +191,9 @@ def _differences(op, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def audit_operator(op: MonotoneOperator, space: HilbertSpace, trials: int = 1000,
-                   seed: int = 0, radius: float = 10.0) -> OperatorAudit:
+                   seed: int = 0) -> OperatorAudit:
     """Check the declared ``(m, L)`` on ``trials`` random pairs of points."""
-    us, vs = _sample_pairs(space, trials, seed, radius)
+    us, vs = _sample_pairs(space, trials, seed)
     d = us - vs
     nd2 = ((d @ space.metric) * d).sum(1)
     keep = nd2 >= 1e-20
@@ -200,9 +206,9 @@ def audit_operator(op: MonotoneOperator, space: HilbertSpace, trials: int = 1000
 
 
 def audit_lipschitz(op: LipschitzOperator, space: HilbertSpace, trials: int = 200,
-                    seed: int = 0, radius: float = 10.0) -> float:
+                    seed: int = 0) -> float:
     """Largest sampled difference quotient; should not exceed the declared L."""
-    us, vs = _sample_pairs(space, trials, seed, radius)
+    us, vs = _sample_pairs(space, trials, seed)
     nd = space.norms_many(us - vs)
     keep = nd >= 1e-10
     quotients = space.norms_many(_differences(op, us[keep], vs[keep])) / nd[keep]
@@ -406,8 +412,7 @@ def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
 
 def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: HomogeneousFunctional,
                  us: np.ndarray, gs: np.ndarray, etas, dirs: np.ndarray,
-                 extra_points: np.ndarray | None = None,
-                 feasibility_tol: float = 1e-9) -> np.ndarray:
+                 extra_points: np.ndarray | None = None) -> np.ndarray:
     """Largest sampled violation of the variational inequality at every node.
 
     Node ``k`` has the point ``u_k``, the gradient ``g_k = A u_k - f_k`` and
@@ -438,13 +443,12 @@ def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: Homogene
         extra = np.asarray(extra_points, dtype=float)
         vals = np.minimum(vals, _lowest_pairings(space, functional, extra, gs, weights) + base)
     out = -vals
-    out[cone.violations(us) > feasibility_tol] = np.inf
+    out[cone.violations(us) > _FEASIBILITY_TOL] = np.inf
     return out
 
 
 def vi_residual(u: np.ndarray, problem: EviProblem, sampler_budget: int = 4096,
-                seed: int = 0, extra_points: np.ndarray | None = None,
-                feasibility_tol: float = 1e-9) -> float:
+                seed: int = 0, extra_points: np.ndarray | None = None) -> float:
     """Largest sampled violation of the variational inequality at ``u``.
 
     The one-node case of :func:`vi_residuals`, on ``sampler_budget`` cone
@@ -456,12 +460,11 @@ def vi_residual(u: np.ndarray, problem: EviProblem, sampler_budget: int = 4096,
     dirs = sample_unit_directions(problem.cone, sampler_budget, seed)
     eta = None if problem.eta is None else np.asarray(problem.eta, dtype=float)[None, :]
     return float(vi_residuals(problem.space, problem.cone, problem.functional, u[None, :],
-                              g[None, :], eta, dirs, extra_points, feasibility_tol)[0])
+                              g[None, :], eta, dirs, extra_points)[0])
 
 
 def check_vi_normal_cone_agreement(u: np.ndarray, z: np.ndarray, problem: EviProblem,
-                                   sampler_budget: int = 4096, seed: int = 0,
-                                   accept_tol: float = 1e-7, reject_tol: float = 1e-3) -> bool:
+                                   sampler_budget: int = 4096, seed: int = 0) -> bool:
     """Agreement of the two equivalent solution tests at the pair ``(u, z)``.
 
     Test one: the parametrized inequality
@@ -469,8 +472,7 @@ def check_vi_normal_cone_agreement(u: np.ndarray, z: np.ndarray, problem: EviPro
     cone (:func:`vi_residuals` with ``g = z - f``, directions from ``seed``).
     Test two: membership of ``-u`` in the normal cone of the moving set
     ``f - C(eta)`` at ``z`` (directions from ``seed + 1``).  Returns True
-    when both accept (residuals <= ``accept_tol``) or both clearly reject
-    (> ``reject_tol``).
+    when both accept (residuals <= 1e-7) or both clearly reject (> 1e-3).
     """
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -480,6 +482,6 @@ def check_vi_normal_cone_agreement(u: np.ndarray, z: np.ndarray, problem: EviPro
                           (z - problem.f)[None, :], eta, dirs)[0]
     mset = MovingSet(problem.functional, problem.cone, problem.eta, problem.f)
     member_res = mset.membership_residual(z, -u, sampler_budget, seed + 1)
-    both_accept = vi_res <= accept_tol and member_res <= accept_tol
-    both_reject = vi_res > reject_tol and member_res > reject_tol
+    both_accept = vi_res <= _ACCEPT_TOL and member_res <= _ACCEPT_TOL
+    both_reject = vi_res > _REJECT_TOL and member_res > _REJECT_TOL
     return both_accept or both_reject

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory
 
@@ -34,7 +33,7 @@ __all__ = [
     "exp_growth_memory",
     "exp_growth_memory_operator",
     "trapezoid_weights",
-    "estimate_constants",
+    "running_trapezoid",
     "check_causality",
     "check_declared_bound",
     "picard_fixed_point",
@@ -52,6 +51,18 @@ def trapezoid_weights(k: int, dt: float) -> np.ndarray:
     w = np.full(k + 1, dt)
     w[0] = w[-1] = 0.5 * dt
     return w
+
+
+def running_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
+    """Composite trapezoid sums ``int_0^{t_k} y`` for every node ``k``, along axis 0.
+
+    The sum of ``scipy.integrate.cumulative_trapezoid(y, dx=dt, axis=0,
+    initial=0)``, in its order of operations, so the two agree bit for bit.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
 
 
 def _zeros(dim: int) -> np.ndarray:
@@ -394,91 +405,8 @@ def exp_growth_memory_operator(grid: TimeGrid, tag: str = "exp_growth") -> Histo
 
 def _norm_history(space_in: HilbertSpace, traj_a: Trajectory, traj_b: Trajectory):
     """Pointwise norms of the difference and its running trapezoid integral."""
-    diff = traj_a.samples - traj_b.samples
-    p = space_in.norms_many(diff)
-    dt = traj_a.grid.dt
-    q = np.zeros_like(p)
-    if len(p) > 1:
-        mids = 0.5 * dt * (p[1:] + p[:-1])
-        q[1:] = np.cumsum(mids)
-    return p, q
-
-
-def estimate_constants(op: HistoryOperator, space: HilbertSpace, grid: TimeGrid,
-                       trials: int = 64, seed: int = 0) -> tuple[float, float]:
-    """Fit ``(l, L)`` from sampled trajectory pairs so the bound covers all of them.
-
-    A nonnegative least-squares fit of the observed output gaps against the
-    instantaneous and integrated input gaps, then scaled up minimally until
-    the bound holds on every observation.  Node-supported spike pairs are
-    included so the instantaneous coefficient is identified separately from
-    the memory weight.  Estimates are advisory, not certificates.
-    """
-    rng = np.random.default_rng(seed)
-    rows_p, rows_q, rows_d = [], [], []
-
-    def record(a: Trajectory, b: Trajectory):
-        out_a, out_b = op(a), op(b)
-        p, q = _norm_history(space, a, b)
-        d = out_a.space.norms_many(out_a.samples - out_b.samples)
-        keep = (p + q) > 1e-12
-        rows_p.append(p[keep])
-        rows_q.append(q[keep])
-        rows_d.append(d[keep])
-
-    n = grid.steps
-    for _ in range(trials):
-        a = Trajectory(space, grid, rng.standard_normal((n + 1, space.dim)))
-        b = Trajectory(space, grid, rng.standard_normal((n + 1, space.dim)))
-        record(a, b)
-    # spikes: pairs differing at a single node isolate the instantaneous part;
-    # large amplitude makes these the dominant rows of the least-squares fit
-    base = Trajectory(space, grid, rng.standard_normal((n + 1, space.dim)))
-    for k in range(0, n + 1):
-        bumped = base.samples.copy()
-        bumped[k] += 32.0 * rng.standard_normal(space.dim)
-        record(base, Trajectory(space, grid, bumped))
-
-    p = np.concatenate(rows_p)
-    q = np.concatenate(rows_q)
-    d = np.concatenate(rows_d)
-    A = np.stack([p, q], axis=1)
-    coef, _ = nnls(A, d)
-    pred = A @ coef
-    mask = d > 1e-12
-    if np.any(mask & (pred <= 1e-15)):
-        # degenerate fit; fall back to per-term ratios
-        with np.errstate(divide="ignore", invalid="ignore"):
-            l_fit = float(np.nanmax(np.where(p > 1e-12, d / np.maximum(p, 1e-300), 0.0)))
-        return l_fit, float(coef[1])
-    def cover(x):
-        pr = A @ x
-        s = max(float(np.max(d[mask] / np.maximum(pr[mask], 1e-300), initial=1.0)), 1.0)
-        return x * s
-
-    x0 = cover(coef)
-    if np.allclose(x0, coef):
-        return float(x0[0]), float(x0[1])
-    # polish: least squares subject to covering every observation; SLSQP can
-    # stall just short of feasible, so re-cover its point and keep the better fit
-    candidates = [x0]
-    try:
-        from scipy.optimize import minimize
-
-        res = minimize(
-            lambda x: 0.5 * float(np.sum((A @ x - d) ** 2)),
-            x0,
-            jac=lambda x: A.T @ (A @ x - d),
-            method="SLSQP",
-            bounds=[(0.0, None), (0.0, None)],
-            constraints=[{"type": "ineq", "fun": lambda x: A @ x - d, "jac": lambda x: A}],
-            options={"maxiter": 200, "ftol": 1e-14},
-        )
-        candidates.append(cover(np.maximum(res.x, 0.0)))
-    except Exception:
-        pass
-    best = min(candidates, key=lambda x: float(np.sum((A @ x - d) ** 2)))
-    return float(best[0]), float(best[1])
+    p = space_in.norms_many(traj_a.samples - traj_b.samples)
+    return p, running_trapezoid(p, traj_a.grid.dt)
 
 
 def check_causality(op: HistoryOperator, space: HilbertSpace, grid: TimeGrid,

@@ -65,7 +65,9 @@ __all__ = [
 ]
 
 
+_RESIDUAL_BUDGET = 1024     # VI-residual directions drawn by a solve
 _MEMBERSHIP_BUDGET = 2048
+_MEMBERSHIP_NODES = 8       # nodes, spread over the grid, whose membership a solve tests
 
 
 class SmallnessError(RuntimeError):
@@ -185,8 +187,9 @@ class InclusionSolution:
 def check_smallness(spec: InclusionSpec) -> SmallnessReport:
     """Evaluate the contraction gate from the declared constants.
 
-    Declared constants win over sampled estimates; estimation is advisory
-    and lives in ``histop.estimate_constants``.
+    The gate reads only the constants the spec declares: the functional's
+    ``alpha``, the instantaneous constants ``l`` of the two memories and the
+    operator's ``m``.  Nothing here is estimated from samples.
     """
     return SmallnessReport(alpha=spec.functional.alpha,
                            l_parameter=spec.parameter_memory.l,
@@ -315,9 +318,7 @@ def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, theta_samples: np.n
 def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     mode: str = "time_marching", force: bool = False,
                     max_sweeps: int = 500, max_inner: int = 500,
-                    audit_trials: int = 256, membership_nodes: int = 8,
-                    membership_tol: float | None = None,
-                    residual_budget: int = 1024, seed: int = 0) -> InclusionSolution:
+                    audit_trials: int = 256, seed: int = 0) -> InclusionSolution:
     """Drive the coupling map to its fixed point and return the trajectory.
 
     global_picard iterates theta over whole trajectories; time_marching
@@ -328,11 +329,11 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     the run continues and the returned diagnostics record what happened.
 
     The result is then checked at the nodes: the VI residual at every node
-    on ``residual_budget`` cone directions drawn from ``seed``, and the
-    inclusion membership at ``membership_nodes`` nodes spread over the grid
-    on 2048 directions drawn from ``seed + 1``; each check draws its sample
-    once and tests all its nodes together.  The diagnostics record the
-    sample sizes.
+    on 1024 cone directions drawn from ``seed``, and the inclusion
+    membership at 8 nodes spread over the grid on 2048 directions drawn from
+    ``seed + 1``; each check draws its sample once and tests all its nodes
+    together.  A converged solution must pass membership within
+    ``max(1e-6, 100 tol)``.  The diagnostics record the sample sizes.
     """
     if mode not in ("global_picard", "time_marching"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -433,14 +434,14 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
             f"last change {diagnostics.get('sweep_changes', [np.inf])[-1]:.3e}",
             displacement=diagnostics.get("sweep_changes", [np.inf])[-1])
 
-    count = min(membership_nodes, spec.grid.steps + 1)
+    count = min(_MEMBERSHIP_NODES, spec.grid.steps + 1)
     nodes = np.unique(np.linspace(0, spec.grid.steps, count).round().astype(int))
     residuals, membership, sizes = _node_checks(spec, u.samples, theta.samples, nodes, seed,
-                                                residual_budget)
+                                                _RESIDUAL_BUDGET)
     diagnostics["membership"] = membership
     diagnostics.update(sizes)
     if converged:
-        limit = membership_tol if membership_tol is not None else max(1e-6, 100.0 * tol)
+        limit = max(1e-6, 100.0 * tol)
         worst = max(membership.values())
         if worst > limit:
             raise AuditError(f"solution failed the inclusion membership check: "

@@ -20,15 +20,15 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory, _vec, sample_unit_directions
 from .evi import AuditError, LipschitzOperator, NonConvergenceError, audit_lipschitz, solve_evi, vi_residuals
-from .histop import HistoryOperator
+from .histop import HistoryOperator, running_trapezoid
 from .inclusion import (
     InclusionSolution,
     InclusionSpec,
     SmallnessError,
+    _RESIDUAL_BUDGET,
     _node_gradients,
     _node_problem,
     check_smallness,
@@ -51,7 +51,7 @@ __all__ = [
 def integrate_velocity(v: Trajectory, u0) -> Trajectory:
     """Trapezoid antiderivative of ``v`` started at ``u0``; exact at node 0."""
     u0 = _vec(u0, v.space.dim)
-    out = cumulative_trapezoid(v.samples, dx=v.grid.dt, axis=0, initial=0.0) + u0
+    out = running_trapezoid(v.samples, v.grid.dt) + u0
     out[0] = u0
     return Trajectory(v.space, v.grid, out)
 
@@ -174,8 +174,7 @@ def solve_spec(spec: InclusionSpec | SweepingSpec, tol: float = 1e-10,
 
 
 def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10,
-                          max_inner: int = 500, seed: int = 0,
-                          residual_budget: int = 1024) -> InclusionSolution:
+                          max_inner: int = 500, seed: int = 0) -> InclusionSolution:
     """March the original sweeping statement without building the lift.
 
     Independent code path used as a cross-check on :func:`solve_sweeping`:
@@ -216,7 +215,7 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10,
     theta_traj = Trajectory(core.theta_space, grid, theta)
     eta, grads = _node_gradients(core, v, theta)
     residuals = vi_residuals(X, core.cone, core.functional, v, grads, eta,
-                             sample_unit_directions(core.cone, residual_budget, seed))
+                             sample_unit_directions(core.cone, _RESIDUAL_BUDGET, seed))
     return InclusionSolution(u=integrate_velocity(v_traj, spec.u0), v=v_traj,
                              theta=theta_traj, per_step_iterations=iters,
                              per_step_residuals=residuals, smallness=report,

@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from sweepvi.cli import load_config, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ZERO_LOAD = """\
 [problem]
@@ -73,6 +77,11 @@ class TestLoadConfig:
         ("body = 0.0", "body = nan", ("[loads]", "body:", "finite")),
         ("body = 0.0", "body = 1 2", ("[loads]", "body:", "5")),
         ("law = rigid", "law = linear\nslope = 1", ("[problem]", "rigid law")),
+        ("seed = 0", "seed = -1", ("[solver]", "seed:")),
+        ("seed = 0", "seed = 0\nmax_iter = 0", ("[solver]", "max_iter:")),
+        ("mode = time_marching", "mode = global_picard\nmax_iter = 0",
+         ("[solver]", "max_iter:")),
+        ("seed = 0", "seed = 0\nforce = maybe", ("[solver]", "force:")),
     ])
     def test_malformed_value_exits_4_naming_section_and_key(self, tmp_path, capsys,
                                                             old, new, names):
@@ -85,6 +94,34 @@ class TestLoadConfig:
             assert err.startswith("config error: ")
             for name in names:
                 assert name in err
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
+                                             ("--tol", "inf"), ("--seed", "-3")])
+    def test_bad_flag_override_exits_4_naming_the_key(self, tmp_path, capsys, flag, value):
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(ZERO_LOAD)
+        for command in ("check", "run"):
+            assert run_cli(command, "--config", cfg, "--out", tmp_path / "out",
+                           f"{flag}={value}") == 4
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert f"[solver] {flag[2:]}:" in err
+
+    def test_force_reads_the_boolean_spellings(self, tmp_path):
+        cfg = tmp_path / "zero.ini"
+        for value, want in (("yes", True), ("On", True), ("1", True), ("off", False),
+                            ("0", False), ("false", False)):
+            cfg.write_text(ZERO_LOAD + f"force = {value}\n")
+            assert load_config(cfg).force is want
+
+    def test_importing_the_cli_loads_no_optimize_or_integrate(self):
+        code = ("import sys, sweepvi.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCheck:

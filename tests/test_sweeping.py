@@ -83,6 +83,15 @@ class TestIntegrateVelocity:
             errs.append(np.max(np.abs(u.samples[:, 0] - grid.nodes**3 / 3.0)))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.2)
 
+    def test_equals_the_antiderivative_memory_bit_for_bit(self):
+        space = HilbertSpace(3)
+        grid = TimeGrid(1.3, 41)
+        rng = np.random.default_rng(8)
+        v = Trajectory(space, grid, rng.standard_normal((42, 3)) * [1e-6, 1.0, 1e6])
+        u0 = rng.standard_normal(3)
+        want = antiderivative_memory(grid, space, u0)(v).samples
+        np.testing.assert_array_equal(integrate_velocity(v, u0).samples, want)
+
 
 class TestMemoryLifts:
     def test_antiderivative_memory_constants_and_values(self):
