@@ -109,6 +109,10 @@ class RunConfig:
             raise ConfigError(f"[solver] tol: must be a positive finite number, got {self.tol!r}")
         if self.max_iter < 1:
             raise ConfigError(f"[solver] max_iter: must be at least 1, got {self.max_iter}")
+        # a marching node trusts its inner change from the second pass on
+        if self.mode == "time_marching" and self.max_iter < 2:
+            raise ConfigError(f"[solver] max_iter: must be at least 2 in time_marching, "
+                              f"got {self.max_iter}")
         if self.seed < 0:
             raise ConfigError(f"[solver] seed: must be nonnegative, got {self.seed}")
 

@@ -338,14 +338,16 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
     mu = float(material.mu)
 
     def force(u: np.ndarray, Ka=Ka, G=G, h=h, mu=mu) -> np.ndarray:
+        """``M A u`` for a vector or for each column of a matrix."""
         out = Ka @ u
         if mu:
-            out = out + mu * (G.T @ (h * np.tanh(G @ u)))
+            out = out + mu * (G.T @ ((h if u.ndim == 1 else h[:, None]) * np.tanh(G @ u)))
         return out
 
     energy = EnergyMetric(Ka, force, m=1.0, L=1.0 + mu / float(a.min()))
     return MonotoneOperator(apply=lambda u: space.solve_metric(force(u)), m=float(a.min()),
-                            L=float(a.max()) + mu, tag="viscosity", energy=energy)
+                            L=float(a.max()) + mu, tag="viscosity", energy=energy,
+                            apply_rows=lambda us: space.solve_metric(force(us.T)).T)
 
 
 def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | None = None,
@@ -360,7 +362,8 @@ def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | Non
         L = float(eigh(Kb, space.metric, eigvals_only=True).max())
     else:
         L = 0.0
-    return LipschitzOperator(apply=lambda u: space.solve_metric(Kb @ u), L=L, tag="elastic")
+    return LipschitzOperator(apply=lambda u: space.solve_metric(Kb @ u), L=L, tag="elastic",
+                             apply_rows=lambda us: space.solve_metric(Kb @ us.T).T)
 
 
 def assemble_relaxation(material: Material, dim: int) -> VolterraKernel:

@@ -564,12 +564,9 @@ class HomogeneousFunctional:
         if self.eta_free:
             return np.ones((1 if etas is None else len(etas), self._param_count()))
         etas = self._param_rows(etas)
-        if np.any(etas < 0):
+        if np.count_nonzero(etas < 0):
             warnings.warn("negative parameter entries break convexity of j", AssumptionWarning, stacklevel=4)
         return etas
-
-    def _effective_eta(self, eta) -> np.ndarray:
-        return self._effective_etas(None if self.eta_free else _vec(eta, self.y_space.dim)[None, :])[0]
 
     # -- evaluation ---------------------------------------------------------
     #
@@ -686,75 +683,99 @@ class HomogeneousFunctional:
                         )
         return free_units, mixed_units, zeroed_units
 
-    def prox(self, eta, cone: ConstraintCone, rho: float, w, layout=None) -> np.ndarray:
-        """argmin over ``v`` in the cone of ``0.5 ||v - w||_X^2 + rho j(eta, v)``.
+    def prox_thresholds(self, etas, rho: float) -> np.ndarray:
+        """The prox thresholds ``rho c(eta)`` for each parameter row: shape ``(rows, units)``.
 
-        Exact under the structural conditions of :meth:`prox_layout`, which
-        raises :class:`UnsupportedConfigurationError` where they fail.
-        ``layout`` is ``prox_layout(cone)`` for callers that apply the same
-        prox many times; it is computed when not given.
+        ``rho`` times the unit weights times the parameter (times 1 when ``j``
+        ignores it, and ``(rho p(eta))`` times the base weights for the
+        separable kind); ``None`` is one row for a functional that ignores its
+        parameter.  Callers that apply one prox many times compute these once.
         """
-        w = _vec(w, self.x_space.dim)
-        if cone.space is not self.x_space and cone.space.dim != self.x_space.dim:
-            raise DimensionMismatchError("cone lives in a different space")
         if rho < 0:
             raise ValueError("rho must be nonnegative")
         if self.kind == "zero":
-            return cone.project(w)
+            return np.zeros((1 if etas is None else len(etas), 0))
         if self.kind == "separable":
-            scale = float(self.p(_vec(eta, self.y_space.dim)))
-            if scale < 0:
+            scales = np.array([float(self.p(eta)) for eta in self._param_rows(etas)])
+            if np.count_nonzero(scales < 0):
                 raise UnsupportedConfigurationError("separable scale p(eta) is negative; prox undefined")
-            return self.base.prox(None, cone, rho * scale, w, layout)
-
-        taus = [float(t) for t in rho * self.weights * self._effective_eta(eta)]
-        if any(tau < 0 for tau in taus):
+            return (rho * scales)[:, None] * self.base.weights
+        taus = rho * self.weights * self._effective_etas(etas)
+        if np.count_nonzero(taus < 0):
             raise UnsupportedConfigurationError("negative effective weight; prox undefined")
+        return taus
+
+    def prox(self, eta, cone: ConstraintCone, rho: float, w, layout=None) -> np.ndarray:
+        """argmin over ``v`` in the cone of ``0.5 ||v - w||_X^2 + rho j(eta, v)``.
+
+        The one-row case of :meth:`prox_many`.  Exact under the structural
+        conditions of :meth:`prox_layout`, which raises
+        :class:`UnsupportedConfigurationError` where they fail.  ``layout`` is
+        ``prox_layout(cone)`` for callers that apply the same prox many times;
+        it is computed when not given.
+        """
+        w = _vec(w, self.x_space.dim)
+        etas = None if self.eta_free else _vec(eta, self.y_space.dim)[None, :]
+        return self.prox_many(self.prox_thresholds(etas, rho), cone, w[None, :], layout)[0]
+
+    def prox_many(self, taus: np.ndarray, cone: ConstraintCone, ws: np.ndarray,
+                  layout=None) -> np.ndarray:
+        """:meth:`prox` of each row of ``ws`` with the thresholds ``taus`` of its row.
+
+        ``taus`` comes from :meth:`prox_thresholds` (one row for all rows of
+        ``ws``, or one per row).  Each row gets the arithmetic of the one-row
+        prox: the cone projection, a subgradient step through the inverse
+        metric on the units away from the constraints, then the
+        one-dimensional formulas where a constraint and a term share a
+        coordinate.
+        """
+        ws = np.asarray(ws, dtype=float)
+        if cone.space is not self.x_space and cone.space.dim != self.x_space.dim:
+            raise DimensionMismatchError("cone lives in a different space")
+        if self.kind == "zero":
+            return cone.project_many(ws)
+        if self.kind == "separable":
+            return self.base.prox_many(taus, cone, ws, layout)
         free_units, mixed_units, zeroed_units = layout or self.prox_layout(cone)
         G = self.x_space.inv_metric
 
-        v = cone.project(w)
+        vs = cone.project_many(ws)
         # subgradient step through the inverse metric for unconstrained units
-        s = np.zeros(self.x_space.dim)
+        s = np.zeros(ws.shape)
         for unit, coords in free_units:
-            tau = taus[unit]
-            if tau == 0.0:
-                continue
+            tau = taus[:, unit]
             d = G[coords[0], coords[0]]
             if self.kind == "positive_part":
-                i = int(coords[0])
-                if w[i] - d * tau > 0.0:
-                    g = tau
-                elif w[i] < 0.0:
-                    g = 0.0
-                else:
-                    g = w[i] / d
-                s[i] = g
+                # tau past the kink, else w / d clamped at 0 from below
+                wi = ws[:, coords[0]]
+                s[:, coords[0]] = np.where(wi > d * tau, tau, np.maximum(wi, 0.0) / d)
             else:
                 # norm blocks shrink symmetrically, including singletons
-                nb = float(np.linalg.norm(w[coords]))
-                if nb > d * tau:
-                    s[coords] = tau * w[coords] / nb
-                else:
-                    s[coords] = w[coords] / d
-        if s.any():
-            v = v - G @ s
+                wb = ws[:, coords]
+                nb = np.linalg.norm(wb, axis=1)
+                big = nb > d * tau
+                s[:, coords] = np.where(big[:, None],
+                                        tau[:, None] * wb / np.where(big, nb, 1.0)[:, None],
+                                        wb / d)
+        if np.count_nonzero(s):
+            # a row without a step subtracts an exact zero
+            vs = vs - (G @ s.T).T
         # combined one-dimensional formulas where constraint and term share a coordinate
         for unit, i in mixed_units:
-            tau = taus[unit]
+            tau = taus[:, unit]
             d = G[i, i]
             if cone.kind == "zero":
-                v[i] = 0.0
+                vs[:, i] = 0.0
             elif cone.kind == "nonnegative":
-                v[i] = max(w[i] - d * tau, 0.0)
+                vs[:, i] = np.maximum(ws[:, i] - d * tau, 0.0)
             elif self.kind == "block_norm":
                 # |v| is active on the feasible side, so it pushes upward
-                v[i] = min(w[i] + d * tau, 0.0)
+                vs[:, i] = np.minimum(ws[:, i] + d * tau, 0.0)
             else:  # nonpositive: the positive part vanishes on the feasible side
-                v[i] = min(w[i], 0.0)
+                vs[:, i] = np.minimum(ws[:, i], 0.0)
         for coords in zeroed_units:
-            v[coords] = 0.0
-        return v
+            vs[:, coords] = 0.0
+        return vs
 
     def __repr__(self) -> str:
         return f"HomogeneousFunctional({self.kind}, alpha={self.alpha:.6g})"

@@ -20,10 +20,9 @@ Variational Inequalities*, 1981, on preconditioned projection methods).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
@@ -49,10 +48,12 @@ __all__ = [
     "OperatorAudit",
     "EviProblem",
     "EviSolution",
+    "EviSolutions",
     "IterationMetric",
     "iteration_metric",
     "audit_operator",
     "solve_evi",
+    "solve_evi_many",
     "vi_residual",
     "vi_residuals",
     "check_vi_normal_cone_agreement",
@@ -63,6 +64,7 @@ _AUDIT_RADIUS = 10.0        # standard deviation of the sampled audit points
 _FEASIBILITY_TOL = 1e-9     # cone violation past which a VI residual is +inf
 _ACCEPT_TOL = 1e-7          # both solution tests accept at or below this residual
 _REJECT_TOL = 1e-3          # both solution tests reject above this residual
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class AuditError(RuntimeError):
@@ -70,12 +72,19 @@ class AuditError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Iteration budget exhausted before the stopping rule fired."""
+    """Iteration budget exhausted before the stopping rule fired.
 
-    def __init__(self, message, last_iterate=None, displacement=None):
-        super().__init__(message)
+    ``row`` is the row of a :func:`solve_evi_many` block that failed (named in
+    the message when the block has more than one row), ``reason`` the
+    message without that name.
+    """
+
+    def __init__(self, reason, last_iterate=None, displacement=None, row=None):
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.reason = reason
         self.last_iterate = last_iterate
         self.displacement = displacement
+        self.row = row
 
 
 class NonFiniteError(NonConvergenceError):
@@ -87,9 +96,10 @@ class EnergyMetric:
     """An SPD metric ``P`` on X in which an operator has exact constants.
 
     ``force(u)`` is the operator as a covector, ``M A u`` for the space
-    metric ``M``, so one solve with ``P`` gives ``P^{-1} M A u`` without the
-    space's Riesz map.  ``m`` and ``L`` are the strong monotonicity and
-    Lipschitz constants of ``u -> P^{-1} force(u)`` in the ``P``-norm.
+    metric ``M``, of a vector or of each column of a matrix, so one solve
+    with ``P`` gives ``P^{-1} M A u`` without the space's Riesz map.  ``m``
+    and ``L`` are the strong monotonicity and Lipschitz constants of
+    ``u -> P^{-1} force(u)`` in the ``P``-norm.
     """
 
     matrix: np.ndarray
@@ -113,7 +123,8 @@ class MonotoneOperator:
     The constants are declarations; :func:`audit_operator` spot-checks them on
     sampled pairs.  ``m > 0`` and ``L >= m`` are required.  ``energy``, when
     given, is a second metric with exact constants that :func:`solve_evi`
-    may iterate in.
+    may iterate in.  ``apply_rows``, when given, applies the operator to every
+    row of a matrix at once (see :meth:`apply_many`).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -121,6 +132,8 @@ class MonotoneOperator:
     L: float
     tag: str = "operator"
     energy: EnergyMetric | None = field(default=None, compare=False, repr=False)
+    apply_rows: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False,
+                                                                  repr=False)
 
     def __post_init__(self):
         if not (self.m > 0.0 and np.isfinite(self.m)):
@@ -130,6 +143,9 @@ class MonotoneOperator:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u)
+
+    def apply_many(self, us: np.ndarray) -> np.ndarray:
+        return _apply_many(self, us)
 
     @classmethod
     def from_matrix(cls, space: HilbertSpace, matrix, tag: str = "linear") -> "MonotoneOperator":
@@ -148,19 +164,40 @@ class MonotoneOperator:
         m, L = float(vals.min()), float(vals.max())
         if m <= 0:
             raise ValueError("matrix is not positive definite in the space metric")
-        return cls(apply=lambda u, H=H: H @ u, m=m, L=L, tag=tag)
+        return cls(apply=lambda u, H=H: H @ u, m=m, L=L, tag=tag,
+                   apply_rows=lambda us, H=H: (H @ us.T).T)
 
 
 @dataclass(frozen=True)
 class LipschitzOperator:
-    """Operator with a declared Lipschitz constant and no monotonicity claim."""
+    """Operator with a declared Lipschitz constant and no monotonicity claim.
+
+    ``apply_rows`` is as for :class:`MonotoneOperator`.
+    """
 
     apply: Callable[[np.ndarray], np.ndarray]
     L: float
     tag: str = "lipschitz"
+    apply_rows: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False,
+                                                                  repr=False)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u)
+
+    def apply_many(self, us: np.ndarray) -> np.ndarray:
+        return _apply_many(self, us)
+
+
+def _apply_many(op, us: np.ndarray) -> np.ndarray:
+    """``op`` applied to each row of ``us``.
+
+    One block call when the operator has ``apply_rows``, else one ``apply``
+    per row.
+    """
+    us = np.asarray(us, dtype=float)
+    if op.apply_rows is not None:
+        return op.apply_rows(us)
+    return np.array([op.apply(u) for u in us]).reshape(us.shape)
 
 
 @dataclass(frozen=True)
@@ -186,8 +223,8 @@ def _sample_pairs(space: HilbertSpace, trials: int, seed: int):
 
 
 def _differences(op, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """``op(u) - op(v)`` for each pair of rows, one operator application per point."""
-    return np.array([op(u) - op(v) for u, v in zip(us, vs)]).reshape(us.shape)
+    """``op(u) - op(v)`` for each pair of rows, one block application per side."""
+    return op.apply_many(us) - op.apply_many(vs)
 
 
 def audit_operator(op: MonotoneOperator, space: HilbertSpace, trials: int = 1000,
@@ -329,15 +366,30 @@ class EviSolution:
     contraction_estimate: float
 
 
+class EviSolutions(NamedTuple):
+    """The rows of a :func:`solve_evi_many` block: iterates, counts and bounds.
+
+    Row ``k`` holds what :class:`EviSolution` holds for the one-row solve of
+    its data: ``u[k]``, ``iterations[k]``, ``residuals[k]`` and
+    ``contraction_estimates[k]``.  A named tuple, because one-row solves make
+    one per call.
+    """
+
+    u: np.ndarray
+    iterations: np.ndarray
+    residuals: np.ndarray
+    contraction_estimates: np.ndarray
+
+
 def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
               rho: float | None = None, start: np.ndarray | None = None,
               force: bool = False, audit_trials: int = 64, seed: int = 0) -> EviSolution:
     """Solve the variational inequality by the contraction iteration.
 
-    The iteration runs in the metric :func:`iteration_metric` picks (the
-    problem's prepared ``metric`` when it has one): the operator's energy
-    metric when that contracts faster and the prox accepts it, else the
-    space metric.
+    The one-row call of :func:`solve_evi_many`.  The iteration runs in the
+    metric :func:`iteration_metric` picks (the problem's prepared ``metric``
+    when it has one): the operator's energy metric when that contracts faster
+    and the prox accepts it, else the space metric.
 
     Parameters
     ----------
@@ -370,44 +422,134 @@ def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
         plan = problem.metric
     else:
         plan = iteration_metric(space, problem.cone, op, problem.functional, rho)
-    rho, q, scale = plan.rho, plan.q, plan.scale
-    # displacement threshold equivalent to a distance-to-solution of tol
-    threshold = tol * (1.0 - q) / (q * scale) if q > 0.0 else np.inf
-    if plan.force is None:
-        def gradient(u, f=problem.f):
-            return op(u) - f
-    else:
-        def gradient(u, force=plan.force, Mf=space.metric @ problem.f, P=plan.space):
-            return P.solve_metric(force(u) - Mf)
+    eta = None if problem.eta is None else np.asarray(problem.eta, dtype=float)[None, :]
+    start = None if start is None else np.asarray(start, dtype=float)[None]
+    sols = solve_evi_many(space, problem.cone, op, problem.functional, eta,
+                          problem.f[None, :], tol=tol, max_iter=max_iter, starts=start,
+                          metric=plan)
+    return EviSolution(u=sols.u[0], iterations=int(sols.iterations[0]),
+                       residual=float(sols.residuals[0]),
+                       contraction_estimate=float(sols.contraction_estimates[0]))
 
-    u = space.zeros() if start is None else np.array(start, dtype=float)
-    if u.shape != (space.dim,):
+
+def _row_norms(space: HilbertSpace, ds: np.ndarray) -> np.ndarray:
+    """Metric norm of each row of ``ds``.
+
+    One matrix product, then one dot product per row: the arithmetic of
+    :meth:`HilbertSpace.norm`, so a one-row block keeps its bits.
+    """
+    return np.sqrt(np.maximum(np.vecdot(ds, (space.metric @ ds.T).T), 0.0))
+
+
+def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: MonotoneOperator,
+                   functional: HomogeneousFunctional, etas, fs: np.ndarray,
+                   tol: float = 1e-10, max_iter: int = 5000, starts: np.ndarray | None = None,
+                   metric: IterationMetric | None = None) -> EviSolutions:
+    """Solve one variational inequality per row, all rows in one iteration.
+
+    Row ``k`` is the problem of :func:`solve_evi` with parameter ``etas[k]``
+    (``None`` for a functional that ignores it), load ``fs[k]`` and start
+    ``starts[k]`` (zero by default).  The rows share the space, cone,
+    operator, functional and the iteration ``metric`` (by default the one
+    :func:`iteration_metric` picks), so each iteration is one block operator
+    application and one block prox.  A row stops on the same threshold as a
+    one-row solve and is then left alone, so it gets the iterate, count and
+    bound its one-row solve gives, up to the rounding of block products.
+
+    A non-finite step or iterate raises :class:`NonFiniteError` and a row
+    still moving after ``max_iter`` iterations :class:`NonConvergenceError`;
+    either names the first row concerned (``row`` on the error) when the
+    block has more than one.
+    """
+    plan = metric or iteration_metric(space, cone, operator, functional)
+    rho, q, scale = plan.rho, plan.q, plan.scale
+    # displacement threshold equivalent to a distance-to-solution of tol; it
+    # is finite, so a row whose displacement is not finite never stops
+    threshold = min(tol * (1.0 - q) / (q * scale), _FLOAT_MAX) if q > 0.0 else _FLOAT_MAX
+    fs = np.asarray(fs, dtype=float)
+    rows = len(fs)
+    if fs.shape != (rows, space.dim):
+        raise DimensionMismatchError("loads have the wrong dimension")
+    us = np.zeros((rows, space.dim)) if starts is None else np.asarray(starts, dtype=float)
+    if us.shape != fs.shape:
         raise DimensionMismatchError("start vector has the wrong dimension")
-    prev_disp = None
-    contraction = 0.0
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if plan.force is None:
+        def gradient(us, fs):
+            return operator.apply_many(us) - fs
+        data = fs
+    else:
+        def gradient(us, mfs, force=plan.force, P=plan.space):
+            return P.solve_metric(force(us.T) - mfs.T).T
+        data = (space.metric @ fs.T).T
+    # one row of thresholds, or one per row
+    taus = plan.functional.prox_thresholds(etas, rho)
+    contraction = disp = None
+    # rows leave the block as they stop: index maps the block's rows to the
+    # caller's (None while no row has left), and stopped collects
+    # (rows, u, iteration, bound, contraction)
+    index = None
+    stopped = []
+
+    def fail(cls, reason, bad, last_iterate, displacement):
+        r = int(np.flatnonzero(bad)[0])
+        row = r if index is None else int(index[r])
+        return cls(reason, last_iterate=last_iterate[r],
+                   displacement=None if displacement is None else displacement[r],
+                   row=row if rows > 1 else None)
+
     for it in range(1, max_iter + 1):
-        w = u - rho * gradient(u)
-        if not np.isfinite(w).all():
-            raise NonFiniteError(f"non-finite step at iteration {it}",
-                                 last_iterate=u, displacement=prev_disp)
-        u_next = plan.functional.prox(problem.eta, plan.cone, rho, w, plan.layout)
-        disp = plan.space.distance(u_next, u)
-        # u is finite here, so a non-finite u_next gives a non-finite disp
-        if not math.isfinite(disp):
-            raise NonFiniteError(f"non-finite iterate at iteration {it}",
-                                 last_iterate=u_next, displacement=disp)
-        u = u_next
-        if prev_disp is not None and prev_disp > 1e-300:
-            contraction = max(contraction, disp / prev_disp)
-        prev_disp = disp
-        if disp <= threshold:
-            bound = scale * disp * q / (1.0 - q) if q > 0.0 else 0.0
-            return EviSolution(u=u, iterations=it, residual=float(bound),
-                               contraction_estimate=float(contraction))
-    raise NonConvergenceError(
-        f"no convergence in {max_iter} iterations (last displacement {prev_disp:.3e})",
-        last_iterate=u, displacement=prev_disp,
-    )
+        w = us - rho * gradient(us, data)
+        finite = np.isfinite(w)
+        if np.count_nonzero(finite) < finite.size:
+            raise fail(NonFiniteError, f"non-finite step at iteration {it}",
+                       ~finite.all(axis=1), us, disp)
+        u_next = plan.functional.prox_many(taus, plan.cone, w, plan.layout)
+        prev, disp = disp, _row_norms(plan.space, u_next - us)
+        done = disp <= threshold
+        count = np.count_nonzero(done)
+        # us is finite here, so a non-finite u_next gives a non-finite disp
+        if count < len(done) and not np.isfinite(disp).all():
+            raise fail(NonFiniteError, f"non-finite iterate at iteration {it}",
+                       ~np.isfinite(disp), u_next, disp)
+        us = u_next
+        if prev is None:
+            contraction = np.zeros(len(disp))
+        else:
+            seen = prev > 1e-300
+            contraction = np.where(seen, np.maximum(contraction, disp / np.where(seen, prev, 1.0)),
+                                   contraction)
+        if not count:
+            continue
+        bound = scale * disp * q / (1.0 - q) if q > 0.0 else np.zeros(len(disp))
+        if count == len(done):
+            stopped.append((index, us, it, bound, contraction))
+            break
+        if index is None:
+            index = np.arange(rows)
+        stopped.append((index[done], us[done], it, bound[done], contraction[done]))
+        keep = ~done
+        us, data, index, contraction, disp = (us[keep], data[keep], index[keep],
+                                              contraction[keep], disp[keep])
+        if len(taus) > 1:
+            taus = taus[keep]
+    else:
+        raise fail(NonConvergenceError,
+                   f"no convergence in {max_iter} iterations (last displacement {disp[0]:.3e})",
+                   np.ones(len(us), dtype=bool), us, disp)
+    if len(stopped) == 1:           # every row stopped at the same iteration
+        iterations = np.empty(rows, dtype=int)
+        iterations.fill(it)
+        return EviSolutions(us, iterations, bound, contraction)
+    out = EviSolutions(np.empty((rows, space.dim)), np.empty(rows, dtype=int), np.empty(rows),
+                       np.empty(rows))
+    for rows_k, u_k, it_k, bound_k, contraction_k in stopped:
+        out.u[rows_k] = u_k
+        out.iterations[rows_k] = it_k
+        out.residuals[rows_k] = bound_k
+        out.contraction_estimates[rows_k] = contraction_k
+    return out
 
 
 def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: HomogeneousFunctional,

@@ -47,6 +47,7 @@ from .evi import (
     audit_operator,
     iteration_metric,
     solve_evi,
+    solve_evi_many,
     vi_residuals,
 )
 from .histop import HistoryOperator, IneligibleOperatorError, identity_operator, zero_operator
@@ -204,6 +205,12 @@ def _node_problem(spec: InclusionSpec, eta_k: np.ndarray, xi_k: np.ndarray,
                       metric=spec.iteration_metric)
 
 
+def _stalled_at(exc: NonConvergenceError, k: int) -> NonConvergenceError:
+    """The same error, naming node ``k``."""
+    return type(exc)(f"EVI stalled at node {k}: {exc.reason}",
+                     last_iterate=exc.last_iterate, displacement=exc.displacement)
+
+
 def _solve_node(spec: InclusionSpec, k: int, eta_k: np.ndarray, xi_k: np.ndarray,
                 tol: float, start: np.ndarray | None) -> EviSolution:
     """The frozen-parameter EVI at node ``k``; a stall names the node."""
@@ -211,28 +218,34 @@ def _solve_node(spec: InclusionSpec, k: int, eta_k: np.ndarray, xi_k: np.ndarray
     try:
         return solve_evi(problem, tol=tol, start=start, audit_trials=0)
     except NonConvergenceError as exc:
-        raise type(exc)(f"EVI stalled at node {k}: {exc}",
-                        last_iterate=exc.last_iterate,
-                        displacement=exc.displacement) from exc
+        raise _stalled_at(exc, k) from exc
 
 
 def _solve_nodes(spec: InclusionSpec, theta: Trajectory, tol: float,
                  start: np.ndarray | None = None) -> tuple[Trajectory, np.ndarray]:
-    """Solve the frozen-parameter EVI at every node, warm-starting along t."""
+    """Solve the frozen-parameter EVI at every node, the nodes as one block.
+
+    The nodes are independent once theta is frozen, so row ``k`` of one
+    :func:`~sweepvi.evi.solve_evi_many` call is node ``k``.  ``start`` holds
+    one start per node (the previous sweep's solution).  Without it node 0
+    is solved on its own from zero and the other nodes start from its
+    solution, the one guess that exists before any sweep.
+    """
     eta, xi = spec.split_theta(theta.samples)
-    n = spec.grid.steps
-    out = np.empty((n + 1, spec.x_space.dim))
-    iters = np.zeros(n + 1, dtype=int)
-    guess = None
-    for k in range(n + 1):
-        if start is not None:
-            guess = start[k]
-        sol = _solve_node(spec, k, eta[k], xi[k], tol, guess)
-        out[k] = sol.u
-        iters[k] = sol.iterations
-        if start is None:
-            guess = sol.u
-    return Trajectory(spec.x_space, spec.grid, out), iters
+    fs = spec.f.samples - xi
+    first, us, iters = 0, [], []
+    if start is None:
+        sol = _solve_node(spec, 0, eta[0], xi[0], tol, None)
+        first, us, iters = 1, [sol.u[None]], [[sol.iterations]]
+        start = np.broadcast_to(sol.u, fs.shape)
+    try:
+        sols = solve_evi_many(spec.x_space, spec.cone, spec.operator, spec.functional,
+                              eta[first:], fs[first:], tol=tol, starts=start[first:],
+                              metric=spec.iteration_metric)
+    except NonConvergenceError as exc:
+        raise _stalled_at(exc, first + (exc.row or 0)) from exc
+    return (Trajectory(spec.x_space, spec.grid, np.vstack(us + [sols.u])),
+            np.concatenate(iters + [sols.iterations]))
 
 
 def solve_intermediate(theta: Trajectory, spec: InclusionSpec, tol: float = 1e-10,
@@ -337,6 +350,9 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     """
     if mode not in ("global_picard", "time_marching"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "time_marching" and max_inner < 2:
+        raise ValueError("time_marching needs max_inner >= 2: a node trusts its inner "
+                         "change from the second pass on")
     report = check_smallness(spec)
     if not report.passed and not force:
         raise SmallnessError(f"admissibility gate failed: {report.describe()}; "

@@ -81,6 +81,7 @@ class TestLoadConfig:
         ("seed = 0", "seed = 0\nmax_iter = 0", ("[solver]", "max_iter:")),
         ("mode = time_marching", "mode = global_picard\nmax_iter = 0",
          ("[solver]", "max_iter:")),
+        ("seed = 0", "seed = 0\nmax_iter = 1", ("[solver]", "max_iter:", "time_marching")),
         ("seed = 0", "seed = 0\nforce = maybe", ("[solver]", "force:")),
     ])
     def test_malformed_value_exits_4_naming_section_and_key(self, tmp_path, capsys,
@@ -106,6 +107,19 @@ class TestLoadConfig:
             err = capsys.readouterr().err
             assert err.startswith("config error: ")
             assert f"[solver] {flag[2:]}:" in err
+
+    def test_mode_flag_override_rechecks_max_iter(self, tmp_path, capsys):
+        # one pass per node is valid for global_picard but not for time_marching
+        cfg = tmp_path / "picard.ini"
+        cfg.write_text(ZERO_LOAD.replace("mode = time_marching",
+                                         "mode = global_picard\nmax_iter = 1"))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "ok") == 0
+        for command in ("check", "run"):
+            assert run_cli(command, "--config", cfg, "--out", tmp_path / "out",
+                           "--mode=time_marching") == 4
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert "[solver] max_iter:" in err
 
     def test_force_reads_the_boolean_spellings(self, tmp_path):
         cfg = tmp_path / "zero.ini"

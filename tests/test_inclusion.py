@@ -249,20 +249,32 @@ class TestSolveInclusion:
     def test_global_picard_counts_the_evi_iterations_of_every_sweep(self, monkeypatch):
         import sweepvi.inclusion as inclusion
 
-        made = []
-        real = inclusion.solve_evi
+        blocks, singles = [], []
+        real_many, real_one = inclusion.solve_evi_many, inclusion.solve_evi
 
-        def counting(*args, **kwargs):
-            sol = real(*args, **kwargs)
-            made.append(sol.iterations)
+        def counting_many(*args, **kwargs):
+            sols = real_many(*args, **kwargs)
+            blocks.append(sols.iterations)
+            return sols
+
+        def counting_one(*args, **kwargs):
+            sol = real_one(*args, **kwargs)
+            singles.append(sol.iterations)
             return sol
 
-        monkeypatch.setattr(inclusion, "solve_evi", counting)
+        monkeypatch.setattr(inclusion, "solve_evi_many", counting_many)
+        monkeypatch.setattr(inclusion, "solve_evi", counting_one)
         spec = decay_spec(16)
         sol = solve_inclusion(spec, tol=1e-10, mode="global_picard")
+        n = spec.grid.steps
         assert sol.diagnostics["sweeps"] >= 2
-        assert len(made) == sol.diagnostics["sweeps"] * (spec.grid.steps + 1)
-        assert int(sol.per_step_iterations.sum()) == sum(made)
+        # one block per sweep, one row per node; the first sweep solves node 0
+        # on its own and starts the other n rows from its solution
+        assert len(blocks) == sol.diagnostics["sweeps"]
+        assert len(singles) == 1
+        assert [len(iters) for iters in blocks] == [n] + [n + 1] * (len(blocks) - 1)
+        assert int(sol.per_step_iterations.sum()) == (
+            sum(int(iters.sum()) for iters in blocks) + sum(singles))
 
     def test_marching_calls_a_fn_only_memory_once_per_inner_pass(self):
         from dataclasses import replace

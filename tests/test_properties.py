@@ -210,3 +210,48 @@ def test_evi_solutions_pass_the_vi_residual(functional_kind, cone_kind, data):
     problem = EviProblem(X, cone, MonotoneOperator.from_matrix(X, H), functional, eta, f)
     sol = solve_evi(problem, tol=1e-10, audit_trials=0)
     assert vi_residual(sol.u, problem, sampler_budget=512) <= 1e-7 * scale(f)
+
+
+def prox_rows(data, functional, eta, w, count=4):
+    """``count`` rows of points and of parameters, the drawn ones first."""
+    X = functional.x_space
+    ws = np.array([w] + [data.draw(vectors(X.dim)) for _ in range(count - 1)])
+    if eta is None:
+        return ws, None
+    etas = [eta] + [np.abs(data.draw(vectors(len(eta), 3.0))) for _ in range(count - 1)]
+    return ws, np.array(etas)
+
+
+def assert_prox_many_matches_prox(functional, cone, etas, rho, ws, layout):
+    taus = functional.prox_thresholds(etas, rho)
+    rows = [None] * len(ws) if etas is None else etas
+    want = np.array([functional.prox(eta, cone, rho, w, layout) for eta, w in zip(rows, ws)])
+    got = functional.prox_many(taus, cone, ws, layout)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale(ws, want))
+    one = functional.prox_many(functional.prox_thresholds(None if etas is None else etas[:1], rho),
+                               cone, ws[:1], layout)
+    assert np.array_equal(one[0], want[0])
+
+
+@functional_kinds
+@cone_kinds
+@SETTINGS
+@given(data=st.data())
+def test_prox_many_matches_prox_row_by_row(functional_kind, cone_kind, data):
+    functional, cone, eta, rho, layout, w, _ = data.draw(prox_cases(cone_kind, functional_kind))
+    ws, etas = prox_rows(data, functional, eta, w)
+    assert_prox_many_matches_prox(functional, cone, etas, rho, ws, layout)
+
+
+@pytest.mark.parametrize("functional_kind", ("positive_part", "block_norm"))
+@cone_kinds
+@SETTINGS
+@given(data=st.data())
+def test_separable_prox_many_matches_prox_row_by_row(functional_kind, cone_kind, data):
+    drawn, cone, _, rho, layout, w, _ = data.draw(prox_cases(cone_kind, functional_kind))
+    base = HomogeneousFunctional(drawn.kind, drawn.x_space, drawn.y_space, weights=drawn.weights,
+                                 indices=drawn.indices, blocks=drawn.blocks, eta_free=True)
+    functional = HomogeneousFunctional.separable(HilbertSpace(1), lambda e: 0.5 + e[0] ** 2,
+                                                 1.0, base)
+    ws, etas = prox_rows(data, functional, np.abs(data.draw(vectors(1, 3.0))), w)
+    assert_prox_many_matches_prox(functional, cone, etas, rho, ws, layout)
