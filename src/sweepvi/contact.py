@@ -403,8 +403,8 @@ def _threshold_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
             out = threshold(acc)
         return (acc, value, out), out
 
-    return HistoryOperator.causal((0.0, 0.0, threshold(0.0)), advance, l=0.0, L=law.L_F,
-                                  tag=tag, out_space=y_space or HilbertSpace(1), grid=grid)
+    return HistoryOperator((0.0, 0.0, threshold(0.0)), advance, l=0.0, L=law.L_F,
+                           tag=tag, out_space=y_space or HilbertSpace(1), grid=grid)
 
 
 def penetration_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,

@@ -326,42 +326,10 @@ class ConstraintCone:
 
     def project(self, x) -> np.ndarray:
         """Metric-nearest point of the cone; idempotent and firmly nonexpansive."""
-        x = _vec(x, self.space.dim)
-        if self.kind == "whole":
-            return x.copy()
-        idx = self.indices
-        if self.space.is_diagonal:
-            y = x.copy()
-            if self.kind == "nonpositive":
-                y[idx] = np.minimum(y[idx], 0.0)
-            elif self.kind == "nonnegative":
-                y[idx] = np.maximum(y[idx], 0.0)
-            else:
-                y[idx] = 0.0
-            return y
-        if self.kind == "nonnegative":
-            return -self.negated().project(-x)
-        if self.kind == "zero":
-            mu = cho_solve((self._gram_chol, True), x[idx])
-            y = x - self._inv_cols @ mu
-            y[idx] = 0.0
-            return y
-        # nonpositive under a coupled metric: dual nonnegative least squares
-        if idx.size == 1:
-            mu = max(x[idx[0]] / self._gram[0, 0], 0.0)
-            y = x - self._inv_cols[:, 0] * mu
-        else:
-            from scipy.optimize import nnls     # deferred: keeps scipy.optimize off the import path
-
-            L = self._gram_chol
-            b = solve_triangular(L, x[idx], lower=True)
-            mu, _ = nnls(L.T, b)
-            y = x - self._inv_cols @ mu
-        y[idx] = np.minimum(y[idx], 0.0)
-        return y
+        return self.project_many(_vec(x, self.space.dim)[None, :])[0]
 
     def project_many(self, xs: np.ndarray) -> np.ndarray:
-        """Row-wise projection; vectorized whenever a clamp formula applies."""
+        """:meth:`project` of each row of ``xs``; vectorized whenever a clamp formula applies."""
         xs = np.asarray(xs, dtype=float)
         if self.kind == "whole":
             return xs.copy()
@@ -375,37 +343,45 @@ class ConstraintCone:
             else:
                 ys[:, idx] = 0.0
             return ys
-        if self.kind in ("nonpositive", "nonnegative") and idx.size == 1:
-            sign = 1.0 if self.kind == "nonpositive" else -1.0
-            zs = sign * xs
-            mu = np.maximum(zs[:, idx[0]] / self._gram[0, 0], 0.0)
-            ys = zs - np.outer(mu, self._inv_cols[:, 0])
-            ys[:, idx[0]] = np.minimum(ys[:, idx[0]], 0.0)
-            return sign * ys
         if self.kind == "zero":
             mu = cho_solve((self._gram_chol, True), xs[:, idx].T).T
             ys = xs - mu @ self._inv_cols.T
             ys[:, idx] = 0.0
             return ys
-        return np.vstack([self.project(row) for row in xs])
+        # inequalities under a coupled metric: the nonpositive cone by its dual
+        # nonnegative least squares, the nonnegative one as -P(-x)
+        sign = 1.0 if self.kind == "nonpositive" else -1.0
+        zs = sign * xs
+        if idx.size == 1:
+            mu = np.maximum(zs[:, idx[0]] / self._gram[0, 0], 0.0)
+            ys = zs - np.outer(mu, self._inv_cols[:, 0])
+        else:
+            from scipy.optimize import nnls     # deferred: keeps scipy.optimize off the import path
+
+            L = self._gram_chol
+            ys = zs.copy()
+            for y in ys:
+                y -= self._inv_cols @ nnls(L.T, solve_triangular(L, y[idx], lower=True))[0]
+        ys[:, idx] = np.minimum(ys[:, idx], 0.0)
+        return sign * ys
 
     def __repr__(self) -> str:
         return f"ConstraintCone({self.kind}, indices={list(self.indices)})"
 
 
-def sample_unit_directions(cone: ConstraintCone, count: int, seed: int, include_axes: bool = True) -> np.ndarray:
+def sample_unit_directions(cone: ConstraintCone, count: int, seed: int) -> np.ndarray:
     """Deterministic unit-norm directions inside the cone.
 
-    Random sphere points are projected onto the cone and renormalized in the
-    metric; the signed coordinate axes (those with a nonzero projection) are
-    always appended so low-dimensional corners are never missed.
+    ``count`` random sphere points are projected onto the cone and
+    renormalized in the metric, and the signed coordinate axes are projected
+    after them, so low-dimensional corners are never missed.  Points whose
+    projection is (numerically) zero are dropped.
     """
     space = cone.space
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((max(count, 0), space.dim))
-    if include_axes:
-        eye = np.eye(space.dim)
-        raw = np.vstack([raw, eye, -eye]) if raw.size else np.vstack([eye, -eye])
+    eye = np.eye(space.dim)
+    raw = np.vstack([raw, eye, -eye])
     pts = cone.project_many(raw)
     norms = space.norms_many(pts)
     keep = norms > 1e-12

@@ -76,94 +76,47 @@ def _zeros(dim: int) -> np.ndarray:
 class HistoryOperator:
     """Causal trajectory-to-trajectory map with declared constants ``(l, L)``.
 
-    Every operator follows one causal evaluation protocol:
-    ``init_state(space, grid)`` returns the state before node 0 for inputs
-    in ``space`` on ``grid``, and ``step(state, k, u_k)`` consumes the input
-    at node ``k`` and returns ``(state', out_k)``.  States are values: a
-    state is never changed by stepping from it, so the time-marching solver
-    can try several guesses for ``u_k`` against the same committed state.
-    ``step`` may keep a reference to ``u_k``, which the caller must not
-    change afterwards, and ``out_k`` may be shared with the state or with
-    other steps, so the built-in memories hand it out read-only.
-    ``commit(state, k, u_k)`` returns just the next state, for callers that
-    do not need ``out_k``.
+    Every operator is its causal step: ``start`` is the state before node 0
+    and ``advance(state, k, u_k)`` consumes the input at node ``k`` and
+    returns ``(state', out_k)``.  ``init_state(space, grid)`` hands out
+    ``start`` for inputs in ``space`` on ``grid`` and ``step`` is
+    ``advance``.  States are values: a state is never changed by stepping
+    from it, so the time-marching solver can try several guesses for
+    ``u_k`` against the same committed state.  ``step`` may keep a
+    reference to ``u_k``, which the caller must not change afterwards, and
+    ``out_k`` may be shared with the state or with other steps, so the
+    built-in memories hand it out read-only.
 
-    Memories built with :meth:`causal` supply the initial state ``start``
-    and the step ``advance``; whole-trajectory evaluation (``fn``,
-    ``__call__``) and :meth:`at_node` are loops over that step, so each
-    memory has one implementation.  A memory built for a ``grid`` refuses
-    inputs on any other grid, since its step bakes in that grid's spacing
-    and kernel samples.  An operator given only ``fn`` (a map of
-    whole trajectories on the same grid) is stepped by a generic adapter
-    that evaluates ``fn`` on the prefix ``u_0..u_k`` padded with zeros,
-    O(n) work per step.
+    Whole-trajectory evaluation (``__call__``) and :meth:`at_node` are loops
+    over the step, so each memory has one implementation.  ``out_space=None``
+    keeps the input space.  A memory built for a ``grid`` refuses inputs on
+    any other grid, since its step bakes in that grid's spacing and kernel
+    samples; ``grid=None`` accepts every grid.
     """
 
-    fn: Callable[[Trajectory], Trajectory] | None
+    start: object = field(repr=False, compare=False)
+    advance: Callable[[object, int, np.ndarray], tuple] = field(repr=False)
     l: float
     L: float
     tag: str = "history"
-    start: object = field(default=None, repr=False, compare=False)
-    advance: Callable[[object, int, np.ndarray], tuple] | None = field(
-        default=None, repr=False, compare=False)
     out_space: HilbertSpace | None = field(default=None, repr=False, compare=False)
     grid: TimeGrid | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.l < 0 or self.L < 0:
             raise ValueError("constants must be nonnegative")
-        if self.advance is not None:
-            object.__setattr__(self, "fn", self._sweep)
-        elif self.fn is None:
-            raise ValueError("provide fn or a causal step")
-
-    @classmethod
-    def causal(cls, start, advance: Callable, l: float, L: float, tag: str = "history",
-               out_space: HilbertSpace | None = None,
-               grid: TimeGrid | None = None) -> "HistoryOperator":
-        """Operator defined by its step; ``out_space=None`` keeps the input space,
-        ``grid=None`` accepts every grid."""
-        return cls(fn=None, l=l, L=L, tag=tag, start=start, advance=advance,
-                   out_space=out_space, grid=grid)
 
     def init_state(self, space: HilbertSpace, grid: TimeGrid):
-        if self.advance is None:
-            return space, grid, np.zeros((0, space.dim))
         if self.grid is not None and grid != self.grid:
             raise DimensionMismatchError(f"{self.tag} memory was built for {self.grid}, "
                                          f"got an input on {grid}")
         return self.start
 
     def step(self, state, k: int, u_k: np.ndarray) -> tuple[object, np.ndarray]:
-        if self.advance is not None:
-            return self.advance(state, k, u_k)
-        space, grid, prefix = state
-        padded = np.zeros((grid.steps + 1, space.dim))
-        padded[:k] = prefix
-        padded[k] = u_k
-        out = self.fn(Trajectory(space, grid, padded)).samples[k].copy()
-        return (space, grid, padded[:k + 1]), out
-
-    def commit(self, state, k: int, u_k: np.ndarray):
-        """The state of :meth:`step` without its output; the adapter skips ``fn``."""
-        if self.advance is not None:
-            return self.advance(state, k, u_k)[0]
-        space, grid, prefix = state
-        return space, grid, np.vstack([prefix, u_k])
+        return self.advance(state, k, u_k)
 
     def __call__(self, traj: Trajectory) -> Trajectory:
-        return self.fn(traj)
-
-    def at_node(self, traj: Trajectory, k: int) -> np.ndarray:
-        if self.advance is None:
-            return self.fn(traj).samples[k].copy()
-        state = self.init_state(traj.space, traj.grid)
-        for j in range(k + 1):
-            state, out = self.advance(state, j, traj.samples[j])
-        return np.array(out, dtype=float)
-
-    def _sweep(self, traj: Trajectory) -> Trajectory:
-        """Whole-trajectory evaluation of a causal step: one pass over the nodes."""
+        """Whole-trajectory evaluation: one pass of the step over the nodes."""
         advance, samples = self.advance, traj.samples
         state, first = advance(self.init_state(traj.space, traj.grid), 0, samples[0])
         out = np.empty((samples.shape[0], np.size(first)))
@@ -174,6 +127,12 @@ class HistoryOperator:
         if out_space is None:
             out_space = traj.space if out.shape[1] == traj.space.dim else HilbertSpace(out.shape[1])
         return Trajectory(out_space, traj.grid, out)
+
+    def at_node(self, traj: Trajectory, k: int) -> np.ndarray:
+        state = self.init_state(traj.space, traj.grid)
+        for j in range(k + 1):
+            state, out = self.advance(state, j, traj.samples[j])
+        return np.array(out, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -337,7 +296,7 @@ def apply_volterra(kernel: VolterraKernel, traj: Trajectory,
                    out_space: HilbertSpace | None = None) -> Trajectory:
     """Trapezoid discretization of ``(S u)(t) = int_0^t B(t - s) u(s) ds``."""
     start, advance, _ = _volterra_steps(kernel, traj.grid)
-    return HistoryOperator.causal(start, advance, l=0.0, L=0.0, out_space=out_space)(traj)
+    return HistoryOperator(start, advance, l=0.0, L=0.0, out_space=out_space)(traj)
 
 
 def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace) -> float:
@@ -364,18 +323,18 @@ def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: Hilbe
                 np.asarray(kernel.matrix, dtype=float), input_space, target)
         else:
             L = max(_metric_norm(B, input_space, target) for B in norms)
-    return HistoryOperator.causal(start, advance, l=0.0, L=float(L), tag=tag,
-                                  out_space=out_space, grid=grid)
+    return HistoryOperator(start, advance, l=0.0, L=float(L), tag=tag,
+                           out_space=out_space, grid=grid)
 
 
 def identity_operator(l: float = 1.0, tag: str = "identity") -> HistoryOperator:
-    return HistoryOperator.causal(None, lambda state, k, u_k: (None, u_k), l=l, L=0.0, tag=tag)
+    return HistoryOperator(None, lambda state, k, u_k: (None, u_k), l=l, L=0.0, tag=tag)
 
 
 def zero_operator(out_space: HilbertSpace, tag: str = "zero") -> HistoryOperator:
     zero = _zeros(out_space.dim)
-    return HistoryOperator.causal(None, lambda state, k, u_k: (None, zero), l=0.0, L=0.0,
-                                  tag=tag, out_space=out_space)
+    return HistoryOperator(None, lambda state, k, u_k: (None, zero), l=0.0, L=0.0,
+                           tag=tag, out_space=out_space)
 
 
 def exp_growth_memory(traj: Trajectory) -> Trajectory:
@@ -399,8 +358,8 @@ def exp_growth_memory_operator(grid: TimeGrid, tag: str = "exp_growth") -> Histo
         return (acc, weighted), growth[k] * u_k + acc
 
     T = grid.horizon
-    return HistoryOperator.causal((0.0, None), advance, l=float(np.exp(T)), L=float(T), tag=tag,
-                                  grid=grid)
+    return HistoryOperator((0.0, None), advance, l=float(np.exp(T)), L=float(T), tag=tag,
+                           grid=grid)
 
 
 def _norm_history(space_in: HilbertSpace, traj_a: Trajectory, traj_b: Trajectory):
@@ -409,9 +368,13 @@ def _norm_history(space_in: HilbertSpace, traj_a: Trajectory, traj_b: Trajectory
     return p, running_trapezoid(p, traj_a.grid.dt)
 
 
-def check_causality(op: HistoryOperator, space: HilbertSpace, grid: TimeGrid,
-                    trials: int = 8, seed: int = 0) -> float:
-    """Largest change in past outputs caused by tail perturbations (0 if causal)."""
+def check_causality(op: Callable[[Trajectory], Trajectory], space: HilbertSpace,
+                    grid: TimeGrid, trials: int = 8, seed: int = 0) -> float:
+    """Largest change in past outputs caused by tail perturbations (0 if causal).
+
+    ``op`` is any map of whole trajectories, so maps that are not built from
+    a causal step can be audited too.
+    """
     rng = np.random.default_rng(seed)
     n = grid.steps
     worst = 0.0

@@ -438,8 +438,8 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     raise NonConvergenceError(
                         f"inner iteration stalled at node {k}; last change {change:.3e}",
                         last_iterate=u_samples[k], displacement=change)
-            param_state = param.commit(param_state, k, u_samples[k])
-            load_state = load.commit(load_state, k, u_samples[k])
+            param_state = param.step(param_state, k, u_samples[k])[0]
+            load_state = load.step(load_state, k, u_samples[k])[0]
         u = Trajectory(spec.x_space, spec.grid, u_samples)
         theta = Trajectory(spec.theta_space, spec.grid, theta_samples)
         diagnostics["inner_iterations"] = inner_counts

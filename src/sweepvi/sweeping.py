@@ -104,8 +104,8 @@ def antiderivative_memory(grid: TimeGrid, space: HilbertSpace, u0,
         acc = acc + dt * (prev + v_k) / 2.0
         return (acc, v_k), acc + u0
 
-    return HistoryOperator.causal(None, advance, l=0.0, L=1.0, tag=tag, out_space=space,
-                                  grid=grid)
+    return HistoryOperator(None, advance, l=0.0, L=1.0, tag=tag, out_space=space,
+                           grid=grid)
 
 
 def compose_with_antiderivative(s_op: HistoryOperator, grid: TimeGrid,
@@ -126,9 +126,9 @@ def compose_with_antiderivative(s_op: HistoryOperator, grid: TimeGrid,
         return (disp_state, s_state), out
 
     start = (disp.init_state(space, grid), s_op.init_state(space, grid))
-    return HistoryOperator.causal(start, advance, l=0.0, L=s_op.l + grid.horizon * s_op.L,
-                                  tag=tag or f"{s_op.tag}_of_displacement",
-                                  out_space=s_op.out_space, grid=grid)
+    return HistoryOperator(start, advance, l=0.0, L=s_op.l + grid.horizon * s_op.L,
+                           tag=tag or f"{s_op.tag}_of_displacement",
+                           out_space=s_op.out_space, grid=grid)
 
 
 def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
@@ -149,8 +149,8 @@ def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
         return (disp_state, s_state), b_op(disp_k) + s_k
 
     start = (disp.init_state(space, grid), s_op.init_state(space, grid))
-    lifted = HistoryOperator.causal(start, advance, l=s_op.l, L=b_op.L + s_op.L,
-                                    tag=f"{s_op.tag}+coupled", out_space=space, grid=grid)
+    lifted = HistoryOperator(start, advance, l=s_op.l, L=b_op.L + s_op.L,
+                             tag=f"{s_op.tag}+coupled", out_space=space, grid=grid)
     return replace(core, load_memory=lifted)
 
 

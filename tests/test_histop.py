@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,7 @@ class TestStockOperators:
 
     def test_negative_declared_constants_rejected(self):
         with pytest.raises(ValueError):
-            HistoryOperator(fn=lambda traj: traj, l=-0.1, L=0.0)
+            HistoryOperator(None, lambda state, k, u_k: (state, u_k), l=-0.1, L=0.0)
 
 
 class TestAudits:
@@ -176,8 +178,7 @@ class TestAudits:
         def rev(traj):
             return Trajectory(traj.space, traj.grid, traj.samples[::-1].copy())
 
-        op = HistoryOperator(fn=rev, l=1.0, L=0.0, tag="time_reversal")
-        assert check_causality(op, space, grid, seed=1) > 0.5
+        assert check_causality(rev, space, grid, seed=1) > 0.5
 
     def test_honest_declaration_passes_bound_check(self):
         grid = TimeGrid(1.0, 16)
@@ -189,7 +190,7 @@ class TestAudits:
         grid = TimeGrid(1.0, 16)
         space = HilbertSpace(1)
         honest = volterra_operator(scalar_kernel(0.5), grid, space)
-        liar = HistoryOperator(fn=honest.fn, l=0.0, L=0.0, tag="liar")
+        liar = replace(honest, l=0.0, L=0.0)
         assert check_declared_bound(liar, space, grid, seed=1) > 0.1
 
 
@@ -200,10 +201,12 @@ class TestPicardFixedPoint:
         space = HilbertSpace(1)
         integ = volterra_operator(scalar_kernel(0.5), grid, space)
 
-        def fn(traj):
-            return Trajectory(traj.space, traj.grid, 1.0 - integ(traj).samples)
+        def advance(state, k, u_k):
+            state, out = integ.step(state, k, u_k)
+            return state, 1.0 - out
 
-        return HistoryOperator(fn=fn, l=0.0, L=0.5, tag="affine_decay"), space
+        return HistoryOperator(integ.init_state(space, grid), advance, l=0.0, L=0.5,
+                               tag="affine_decay"), space
 
     def test_converges_to_integral_equation_solution(self):
         grid = TimeGrid(1.0, 64)
@@ -406,22 +409,6 @@ class TestCausalStepProtocol:
         assert all(op == op for op in ops)
         assert ops[0] != ops[1]
 
-    def test_fn_only_operator_is_stepped_on_the_zero_padded_prefix(self):
-        grid = TimeGrid(1.0, 6)
-        space = HilbertSpace(1)
-        seen = []
-
-        def total_so_far(traj):
-            seen.append(traj.samples.copy())
-            return Trajectory(traj.space, traj.grid, np.cumsum(traj.samples, axis=0))
-
-        op = HistoryOperator(fn=total_so_far, l=1.0, L=0.0, tag="running_total")
-        traj = random_traj(space, grid, seed=4)
-        np.testing.assert_allclose(stepped(op, traj), np.cumsum(traj.samples, axis=0),
-                                   atol=1e-14)
-        assert len(seen) == grid.steps + 1
-        assert not seen[2][3:].any()           # nodes after k are zero while stepping k
-
     def test_memory_refuses_inputs_on_another_grid(self):
         grid, finer = TimeGrid(1.0, 8), TimeGrid(1.0, 16)
         space = HilbertSpace(1)
@@ -439,11 +426,6 @@ class TestCausalStepProtocol:
         # grid-free operators and the one-shot convolution take any grid
         np.testing.assert_array_equal(identity_operator()(traj).samples, traj.samples)
         assert apply_volterra(kernel, traj).samples[-1, 0] == pytest.approx(1.0)
-
-    def test_operator_needs_fn_or_step(self):
-        with pytest.raises(ValueError):
-            HistoryOperator(fn=None, l=0.0, L=0.0)
-
 
 class TestExponentialRecursion:
     def test_recursion_matches_direct_convolution_at_2048_steps(self):

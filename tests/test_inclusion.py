@@ -276,26 +276,24 @@ class TestSolveInclusion:
         assert int(sol.per_step_iterations.sum()) == (
             sum(int(iters.sum()) for iters in blocks) + sum(singles))
 
-    def test_marching_calls_a_fn_only_memory_once_per_inner_pass(self):
+    def test_marching_steps_a_memory_once_per_pass_and_per_commit(self):
         from dataclasses import replace
-
-        from sweepvi import HistoryOperator
 
         calls = []
         stepped_spec = decay_spec(12)
         memory = stepped_spec.load_memory
 
-        def counted(traj):
-            calls.append(1)
-            return memory(traj)
+        def counted(state, k, u_k):
+            calls.append(k)
+            return memory.step(state, k, u_k)
 
-        spec = replace(stepped_spec, load_memory=HistoryOperator(
-            fn=counted, l=memory.l, L=memory.L, tag="counted"))
-        calls.clear()
+        spec = replace(stepped_spec, load_memory=replace(memory, advance=counted))
+        calls.clear()                          # the spec probes its memories once when built
         sol = solve_inclusion(spec, tol=1e-12, mode="time_marching")
-        assert len(calls) == int(sol.diagnostics["inner_iterations"].sum())
+        passes = int(sol.diagnostics["inner_iterations"].sum())
+        assert len(calls) == passes + spec.grid.steps + 1
         want = solve_inclusion(stepped_spec, tol=1e-12, mode="time_marching")
-        assert np.max(np.abs(sol.u.samples - want.u.samples)) <= 1e-13
+        np.testing.assert_array_equal(sol.u.samples, want.u.samples)
 
     def test_theta_space_is_built_once(self):
         spec = decay_spec(4)

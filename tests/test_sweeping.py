@@ -6,7 +6,6 @@ from sweepvi import (
     ConstraintCone,
     DimensionMismatchError,
     HilbertSpace,
-    HistoryOperator,
     HomogeneousFunctional,
     LipschitzOperator,
     MonotoneOperator,
@@ -315,29 +314,19 @@ class TestCausalStepProtocol:
         want = 0.5 * displacement_reference(v, spec.u0)      # S = 0 in ode_spec
         self.assert_all_paths(lift_to_velocity(spec).load_memory, v, want)
 
-    def test_marching_with_fn_only_memories_agrees_with_global_picard(self):
-        # the same memories, stripped of their steps, go through the generic adapter
+    def test_marching_and_global_picard_agree_on_a_lifted_spec(self):
         grid = TimeGrid(1.0, 12)
         kernel = VolterraKernel.exponential(0.5, 1.0, np.eye(1), symmetric=True)
-        stepped_load = volterra_operator(kernel, grid, X)
-        fn_only = HistoryOperator(fn=stepped_load.fn, l=0.0, L=stepped_load.L, tag="fn_only")
         core = build_inclusion_variant(
             "parameter_free", cone=ConstraintCone.nonnegative(X, [0]),
             operator=MonotoneOperator.from_matrix(X, [[2.0]]),
             functional=HomogeneousFunctional.zero(X),
             f=Trajectory(X, grid, (1.0 - 1.5 * grid.nodes)[:, None]), grid=grid,
-            load_memory=fn_only)
+            load_memory=volterra_operator(kernel, grid, X))
         spec = SweepingSpec(core=core, b_op=LipschitzOperator(apply=lambda u: 0.5 * u, L=0.5),
                             u0=[0.1])
-        assert fn_only.advance is None
         marching = solve_sweeping(spec, tol=1e-12, mode="time_marching")
         picard = solve_sweeping(spec, tol=1e-12, mode="global_picard")
         assert marching.converged and picard.converged
         assert np.max(np.abs(marching.v.samples - picard.v.samples)) < 1e-10
         assert np.max(np.abs(marching.u.samples - picard.u.samples)) < 1e-10
-        with_steps = solve_sweeping(
-            SweepingSpec(core=build_inclusion_variant(
-                "parameter_free", cone=core.cone, operator=core.operator,
-                functional=core.functional, f=core.f, grid=grid, load_memory=stepped_load),
-                b_op=spec.b_op, u0=[0.1]), tol=1e-12)
-        assert np.max(np.abs(marching.v.samples - with_steps.v.samples)) < 1e-12

@@ -247,9 +247,9 @@ def sample_calls(monkeypatch):
     calls = []
     original = core_module.sample_unit_directions
 
-    def counting(cone, count, seed, include_axes=True):
+    def counting(cone, count, seed):
         calls.append((count, seed))
-        return original(cone, count, seed, include_axes)
+        return original(cone, count, seed)
 
     for module in (core_module, evi_module, inclusion_module):
         monkeypatch.setattr(module, "sample_unit_directions", counting)
