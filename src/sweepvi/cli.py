@@ -107,12 +107,9 @@ class RunConfig:
             raise ConfigError(f"[solver] mode: unknown mode {self.mode!r}")
         if not (self.tol > 0 and np.isfinite(self.tol)):
             raise ConfigError(f"[solver] tol: must be a positive finite number, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ConfigError(f"[solver] max_iter: must be at least 1, got {self.max_iter}")
-        # a marching node trusts its inner change from the second pass on
-        if self.mode == "time_marching" and self.max_iter < 2:
-            raise ConfigError(f"[solver] max_iter: must be at least 2 in time_marching, "
-                              f"got {self.max_iter}")
+        # a coupling window trusts its theta change from the second pass on
+        if self.max_iter < 2:
+            raise ConfigError(f"[solver] max_iter: must be at least 2, got {self.max_iter}")
         if self.seed < 0:
             raise ConfigError(f"[solver] seed: must be nonnegative, got {self.seed}")
 
@@ -424,8 +421,7 @@ def cmd_check(cfg: RunConfig, out) -> int:
 
 def _solve(cfg: RunConfig, spec, force=None) -> InclusionSolution:
     return solve_spec(spec, tol=cfg.tol, mode=cfg.mode, seed=cfg.seed,
-                      force=cfg.force if force is None else force,
-                      max_inner=cfg.max_iter, max_sweeps=cfg.max_iter)
+                      force=cfg.force if force is None else force, max_passes=cfg.max_iter)
 
 
 def _csv_rows(cfg: RunConfig, sol: InclusionSolution, stress):

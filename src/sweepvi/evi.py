@@ -65,6 +65,7 @@ _FEASIBILITY_TOL = 1e-9     # cone violation past which a VI residual is +inf
 _ACCEPT_TOL = 1e-7          # both solution tests accept at or below this residual
 _REJECT_TOL = 1e-3          # both solution tests reject above this residual
 _FLOAT_MAX = float(np.finfo(float).max)
+_AUDIT_SEED = 0             # seed of the entry audit of solve_evi
 
 
 class AuditError(RuntimeError):
@@ -383,7 +384,7 @@ class EviSolutions(NamedTuple):
 
 def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
               rho: float | None = None, start: np.ndarray | None = None,
-              force: bool = False, audit_trials: int = 64, seed: int = 0) -> EviSolution:
+              force: bool = False, audit_trials: int = 64) -> EviSolution:
     """Solve the variational inequality by the contraction iteration.
 
     The one-row call of :func:`solve_evi_many`.  The iteration runs in the
@@ -411,7 +412,7 @@ def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
     """
     op, space = problem.operator, problem.space
     if audit_trials > 0:
-        audit = audit_operator(op, space, trials=audit_trials, seed=seed)
+        audit = audit_operator(op, space, trials=audit_trials, seed=_AUDIT_SEED)
         if not audit.ok and not force:
             raise AuditError(
                 f"declared (m={op.m:.6g}, L={op.L:.6g}) failed the sampled audit "
@@ -584,7 +585,7 @@ def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: Homogene
     if extra_points is not None and len(extra_points):
         extra = np.asarray(extra_points, dtype=float)
         vals = np.minimum(vals, _lowest_pairings(space, functional, extra, gs, weights) + base)
-    out = -vals
+    out = 0.0 - vals            # not -vals: an exact 0 stays +0, not -0
     out[cone.violations(us) > _FEASIBILITY_TOL] = np.inf
     return out
 

@@ -115,24 +115,32 @@ class HistoryOperator:
     def step(self, state, k: int, u_k: np.ndarray) -> tuple[object, np.ndarray]:
         return self.advance(state, k, u_k)
 
+    def run(self, state, first: int, inputs: np.ndarray) -> tuple[object, np.ndarray]:
+        """Step from ``state`` over ``inputs``, the inputs at nodes ``first, first + 1, ...``.
+
+        Returns the state after the last node and the outputs, one row per
+        node.  The one loop over the step: whole-trajectory calls,
+        :meth:`at_node` and the coupling solver's passes all run it.
+        """
+        advance = self.advance
+        state, out0 = advance(state, first, inputs[0])
+        out = np.empty((len(inputs), np.size(out0)))
+        out[0] = out0
+        for j in range(1, len(inputs)):
+            state, out[j] = advance(state, first + j, inputs[j])
+        return state, out
+
     def __call__(self, traj: Trajectory) -> Trajectory:
-        """Whole-trajectory evaluation: one pass of the step over the nodes."""
-        advance, samples = self.advance, traj.samples
-        state, first = advance(self.init_state(traj.space, traj.grid), 0, samples[0])
-        out = np.empty((samples.shape[0], np.size(first)))
-        out[0] = first
-        for k in range(1, samples.shape[0]):
-            state, out[k] = advance(state, k, samples[k])
+        """Whole-trajectory evaluation: one run of the step over the nodes."""
+        _, out = self.run(self.init_state(traj.space, traj.grid), 0, traj.samples)
         out_space = self.out_space
         if out_space is None:
             out_space = traj.space if out.shape[1] == traj.space.dim else HilbertSpace(out.shape[1])
         return Trajectory(out_space, traj.grid, out)
 
     def at_node(self, traj: Trajectory, k: int) -> np.ndarray:
-        state = self.init_state(traj.space, traj.grid)
-        for j in range(k + 1):
-            state, out = self.advance(state, j, traj.samples[j])
-        return np.array(out, dtype=float)
+        _, out = self.run(self.init_state(traj.space, traj.grid), 0, traj.samples[:k + 1])
+        return out[-1]
 
 
 @dataclass(frozen=True)

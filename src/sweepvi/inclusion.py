@@ -40,7 +40,6 @@ from .core import (
 from .evi import (
     AuditError,
     EviProblem,
-    EviSolution,
     IterationMetric,
     MonotoneOperator,
     NonConvergenceError,
@@ -69,6 +68,7 @@ __all__ = [
 _RESIDUAL_BUDGET = 1024     # VI-residual directions drawn by a solve
 _MEMBERSHIP_BUDGET = 2048
 _MEMBERSHIP_NODES = 8       # nodes, spread over the grid, whose membership a solve tests
+_AUDIT_SEED = 0             # seed of the operator audit of solve_intermediate
 
 
 class SmallnessError(RuntimeError):
@@ -134,14 +134,14 @@ class InclusionSpec:
             raise DimensionMismatchError("load must be X-valued")
         if self.f.grid.steps != self.grid.steps or self.f.grid.horizon != self.grid.horizon:
             raise DimensionMismatchError("load trajectory lives on a different grid")
-        # probe both memories once so dimension bugs surface at build time
-        zeros = Trajectory.zeros(self.x_space, self.grid)
+        # step both memories once at node 0 so dimension bugs surface at build time
+        zero = np.zeros(self.x_space.dim)
         for op, dim, label in ((self.parameter_memory, self.y_space.dim, "parameter"),
                                (self.load_memory, self.x_space.dim, "load")):
-            out = op(zeros)
-            if out.samples.shape[1] != dim:
+            _, out = op.step(op.init_state(self.x_space, self.grid), 0, zero)
+            if np.size(out) != dim:
                 raise DimensionMismatchError(f"{label} memory output has dimension "
-                                             f"{out.samples.shape[1]}, expected {dim}")
+                                             f"{np.size(out)}, expected {dim}")
 
     @cached_property
     def theta_space(self) -> HilbertSpace:
@@ -205,51 +205,41 @@ def _node_problem(spec: InclusionSpec, eta_k: np.ndarray, xi_k: np.ndarray,
                       metric=spec.iteration_metric)
 
 
-def _stalled_at(exc: NonConvergenceError, k: int) -> NonConvergenceError:
-    """The same error, naming node ``k``."""
-    return type(exc)(f"EVI stalled at node {k}: {exc.reason}",
-                     last_iterate=exc.last_iterate, displacement=exc.displacement)
+def _solve_nodes(spec: InclusionSpec, first: int, eta: np.ndarray, xi: np.ndarray,
+                 tol: float, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the frozen-parameter EVI at nodes ``first, first + 1, ...`` as one block.
 
-
-def _solve_node(spec: InclusionSpec, k: int, eta_k: np.ndarray, xi_k: np.ndarray,
-                tol: float, start: np.ndarray | None) -> EviSolution:
-    """The frozen-parameter EVI at node ``k``; a stall names the node."""
-    problem = _node_problem(spec, eta_k, xi_k, spec.f.node(k))
-    try:
-        return solve_evi(problem, tol=tol, start=start, audit_trials=0)
-    except NonConvergenceError as exc:
-        raise _stalled_at(exc, k) from exc
-
-
-def _solve_nodes(spec: InclusionSpec, theta: Trajectory, tol: float,
-                 start: np.ndarray | None = None) -> tuple[Trajectory, np.ndarray]:
-    """Solve the frozen-parameter EVI at every node, the nodes as one block.
-
-    The nodes are independent once theta is frozen, so row ``k`` of one
-    :func:`~sweepvi.evi.solve_evi_many` call is node ``k``.  ``start`` holds
-    one start per node (the previous sweep's solution).  Without it node 0
-    is solved on its own from zero and the other nodes start from its
-    solution, the one guess that exists before any sweep.
+    Row ``j`` of ``eta``, ``xi`` and ``start`` belongs to node ``first + j``.
+    The nodes are independent once theta is frozen, so they are the rows of
+    one :func:`~sweepvi.evi.solve_evi_many` call.  Without ``start`` node
+    ``first`` is solved on its own from zero and the other nodes start from
+    its solution, the one guess that exists before any pass.  Returns the
+    solutions and the iteration counts, one row per node; a stall names its
+    node.
     """
-    eta, xi = spec.split_theta(theta.samples)
-    fs = spec.f.samples - xi
-    first, us, iters = 0, [], []
-    if start is None:
-        sol = _solve_node(spec, 0, eta[0], xi[0], tol, None)
-        first, us, iters = 1, [sol.u[None]], [[sol.iterations]]
-        start = np.broadcast_to(sol.u, fs.shape)
+    fs = spec.f.samples[first:first + len(xi)] - xi
+    head = 0
     try:
+        if start is None:
+            problem = _node_problem(spec, eta[0], xi[0], spec.f.node(first))
+            sol = solve_evi(problem, tol=tol, audit_trials=0)
+            if len(fs) == 1:
+                return sol.u[None], np.array([sol.iterations])
+            head, start = 1, np.broadcast_to(sol.u, fs.shape)
         sols = solve_evi_many(spec.x_space, spec.cone, spec.operator, spec.functional,
-                              eta[first:], fs[first:], tol=tol, starts=start[first:],
+                              eta[head:], fs[head:], tol=tol, starts=start[head:],
                               metric=spec.iteration_metric)
     except NonConvergenceError as exc:
-        raise _stalled_at(exc, first + (exc.row or 0)) from exc
-    return (Trajectory(spec.x_space, spec.grid, np.vstack(us + [sols.u])),
-            np.concatenate(iters + [sols.iterations]))
+        raise type(exc)(f"EVI stalled at node {first + head + (exc.row or 0)}: {exc.reason}",
+                        last_iterate=exc.last_iterate, displacement=exc.displacement) from exc
+    if head:
+        return (np.vstack([sol.u, sols.u]),
+                np.concatenate([[sol.iterations], sols.iterations]))
+    return sols.u, sols.iterations
 
 
 def solve_intermediate(theta: Trajectory, spec: InclusionSpec, tol: float = 1e-10,
-                       audit_trials: int = 256, seed: int = 0) -> Trajectory:
+                       audit_trials: int = 256) -> Trajectory:
     """Solve the decoupled problem: at each node the EVI with frozen theta.
 
     theta carries (eta, xi) stacked in the product space Y x X.  The result
@@ -258,11 +248,13 @@ def solve_intermediate(theta: Trajectory, spec: InclusionSpec, tol: float = 1e-1
     if theta.samples.shape[1] != spec.theta_space.dim:
         raise DimensionMismatchError("theta must take values in Y x X")
     if audit_trials:
-        audit = audit_operator(spec.operator, spec.x_space, trials=audit_trials, seed=seed)
+        audit = audit_operator(spec.operator, spec.x_space, trials=audit_trials,
+                               seed=_AUDIT_SEED)
         if not audit.ok:
             raise AuditError(f"operator constants failed the sampled audit: {audit}")
-    traj, _ = _solve_nodes(spec, theta, tol)
-    return traj
+    eta, xi = spec.split_theta(theta.samples)
+    us, _ = _solve_nodes(spec, 0, eta, xi, tol)
+    return Trajectory(spec.x_space, spec.grid, us)
 
 
 def stability_gap_violation(spec: InclusionSpec, theta1: Trajectory, theta2: Trajectory,
@@ -287,7 +279,9 @@ def stability_gap_violation(spec: InclusionSpec, theta1: Trajectory, theta2: Tra
 def apply_coupling_map(spec: InclusionSpec, theta: Trajectory, tol: float = 1e-10,
                        start: np.ndarray | None = None) -> tuple[Trajectory, Trajectory, np.ndarray]:
     """One sweep of theta -> (R u_theta, S u_theta); returns (theta+, u, iters)."""
-    u, iters = _solve_nodes(spec, theta, tol, start=start)
+    eta, xi = spec.split_theta(theta.samples)
+    us, iters = _solve_nodes(spec, 0, eta, xi, tol, start)
+    u = Trajectory(spec.x_space, spec.grid, us)
     eta_new = spec.parameter_memory(u)
     xi_new = spec.load_memory(u)
     stacked = np.hstack([eta_new.samples, xi_new.samples])
@@ -330,13 +324,24 @@ def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, theta_samples: np.n
 
 def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     mode: str = "time_marching", force: bool = False,
-                    max_sweeps: int = 500, max_inner: int = 500,
-                    audit_trials: int = 256, seed: int = 0) -> InclusionSolution:
+                    max_passes: int = 500, audit_trials: int = 256,
+                    seed: int = 0) -> InclusionSolution:
     """Drive the coupling map to its fixed point and return the trajectory.
 
-    global_picard iterates theta over whole trajectories; time_marching
-    freezes history node by node and runs the same iteration on the single
-    trailing component.  Causal memories make the two fixed points coincide.
+    Both modes run Picard passes of the coupling map over windows of nodes.
+    global_picard has one window, the whole grid; time_marching has one
+    window per node, started from the memory states committed through the
+    node before it.  Causal memories make the two fixed points coincide.
+
+    A pass steps both memories over the window with the current guess,
+    which gives theta, then solves the window's node EVIs with that theta
+    as one block started from the guess; the solution is the next guess.
+    The guess starts at zero in the window at node 0 and at the previous
+    node's solution elsewhere.  From its second pass on a window stops when
+    the largest theta change over its nodes certifies a fixed-point distance
+    of at most ``tol`` (a tenth of that for a one-node window), so the
+    returned u solves the node EVIs for the returned theta.  Each window
+    gets at most ``max_passes`` passes (at least 2).
 
     With ``force`` the admissibility gate and non-convergence become data:
     the run continues and the returned diagnostics record what happened.
@@ -350,9 +355,9 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     """
     if mode not in ("global_picard", "time_marching"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "time_marching" and max_inner < 2:
-        raise ValueError("time_marching needs max_inner >= 2: a node trusts its inner "
-                         "change from the second pass on")
+    if max_passes < 2:
+        raise ValueError("max_passes must be at least 2: a window trusts its theta change "
+                         "from the second pass on")
     report = check_smallness(spec)
     if not report.passed and not force:
         raise SmallnessError(f"admissibility gate failed: {report.describe()}; "
@@ -362,7 +367,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
         if not audit.ok:
             raise AuditError(f"operator constants failed the sampled audit: {audit}")
 
-    # stop when the sweep displacement certifies a fixed-point distance <= tol,
+    # stop when the pass displacement certifies a fixed-point distance <= tol,
     # but never on a displacement larger than tol itself
     def threshold(ratio: float) -> float:
         r = min(max(ratio, 1e-3), 0.95)
@@ -372,83 +377,59 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     gate_ratio = report.ratio if report.passed else 0.5
     diagnostics: dict = {"mode": mode, "forced": bool(force and not report.passed),
                          "smallness": report.describe()}
-    converged = True
-
+    n = spec.grid.steps
     if mode == "global_picard":
-        theta = Trajectory.zeros(spec.theta_space, spec.grid)
-        u = None
-        changes: list[float] = []
-        iters = np.zeros(spec.grid.steps + 1, dtype=int)
-        sweeps = 0
-        for sweeps in range(1, max_sweeps + 1):
-            start = u.samples if u is not None else None
-            theta_new, u, sweep_iters = apply_coupling_map(spec, theta, tol=evi_tol, start=start)
-            iters += sweep_iters
-            change = theta.sup_distance(theta_new)
-            changes.append(change)
-            theta = theta_new
-            ratio = changes[-1] / changes[-2] if len(changes) > 1 and changes[-2] > 0 else gate_ratio
-            if change <= threshold(ratio):
+        windows, factor = [(0, n)], 1.0
+    else:
+        windows, factor = [(k, k) for k in range(n + 1)], 0.1
+    u = np.zeros((n + 1, spec.x_space.dim))
+    theta = np.zeros((n + 1, spec.theta_space.dim))
+    iters = np.zeros(n + 1, dtype=int)
+    passes = np.zeros(n + 1, dtype=int)
+    param, load = spec.parameter_memory, spec.load_memory
+    # states committed through the node before the window; each pass steps
+    # them over the window, O(1) work per node for the built-in memories
+    param_state = param.init_state(spec.x_space, spec.grid)
+    load_state = load.init_state(spec.x_space, spec.grid)
+    converged = True
+    for first, last in windows:
+        window = slice(first, last + 1)
+        if first:
+            u[window] = u[first - 1]
+        guess, changes = u[window], []
+        for p in range(1, max_passes + 1):
+            eta = param.run(param_state, first, guess)[1]
+            xi = load.run(load_state, first, guess)[1]
+            theta_w = np.concatenate((eta, xi), axis=1)
+            start = None if first == 0 and p == 1 else guess
+            guess, pass_iters = _solve_nodes(spec, first, eta, xi, evi_tol, start)
+            iters[window] += pass_iters
+            changes.append(float(spec.theta_space.norms_many(theta_w - theta[window]).max()))
+            theta[window] = theta_w
+            ratio = changes[-1] / changes[-2] if p > 1 and changes[-2] > 0 else gate_ratio
+            # the first pass compares against the zero initial theta, which
+            # can match by accident; only trust the change from pass two on
+            if p >= 2 and changes[-1] <= factor * threshold(ratio):
                 break
         else:
             converged = False
-        if not changes or changes[-1] == 0.0:
-            converged = True
-        diagnostics["sweeps"] = sweeps
+            if not force:
+                raise NonConvergenceError(
+                    f"coupling map did not settle on nodes {first}..{last} within "
+                    f"{max_passes} passes; last change {changes[-1]:.3e}",
+                    last_iterate=guess, displacement=changes[-1])
+        u[window] = guess
+        passes[window] = p
+        if last < n:
+            param_state = param.run(param_state, first, u[window])[0]
+            load_state = load.run(load_state, first, u[window])[0]
+    if mode == "global_picard":             # the one window's record
+        diagnostics["sweeps"] = p
         diagnostics["sweep_changes"] = changes
     else:
-        n = spec.grid.steps
-        u_samples = np.zeros((n + 1, spec.x_space.dim))
-        theta_samples = np.zeros((n + 1, spec.theta_space.dim))
-        iters = np.zeros(n + 1, dtype=int)
-        inner_counts = np.zeros(n + 1, dtype=int)
-        # memory states committed through node k - 1; each pass steps them to
-        # node k with the current guess, O(1) work for the built-in memories
-        param, load = spec.parameter_memory, spec.load_memory
-        param_state = param.init_state(spec.x_space, spec.grid)
-        load_state = load.init_state(spec.x_space, spec.grid)
-        for k in range(n + 1):
-            if k > 0:
-                u_samples[k] = u_samples[k - 1]
-            guess = u_samples[k].copy()
-            node_ok = False
-            change = np.inf
-            prev_change = None
-            for inner in range(1, max_inner + 1):
-                _, eta_k = param.step(param_state, k, guess)
-                _, xi_k = load.step(load_state, k, guess)
-                theta_k = np.concatenate([eta_k, xi_k])
-                sol = _solve_node(spec, k, eta_k, xi_k, evi_tol, guess)
-                iters[k] += sol.iterations
-                change = spec.theta_space.distance(theta_samples[k], theta_k)
-                theta_samples[k] = theta_k
-                u_samples[k] = sol.u
-                guess = sol.u
-                ratio = change / prev_change if prev_change and prev_change > 0 else gate_ratio
-                prev_change = change
-                inner_counts[k] = inner
-                # the first pass compares against the stale initial theta, which
-                # can match by accident; only trust the change from pass two on
-                if inner >= 2 and change <= 0.1 * threshold(ratio):
-                    node_ok = True
-                    break
-            if not node_ok:
-                converged = False
-                if not force:
-                    raise NonConvergenceError(
-                        f"inner iteration stalled at node {k}; last change {change:.3e}",
-                        last_iterate=u_samples[k], displacement=change)
-            param_state = param.step(param_state, k, u_samples[k])[0]
-            load_state = load.step(load_state, k, u_samples[k])[0]
-        u = Trajectory(spec.x_space, spec.grid, u_samples)
-        theta = Trajectory(spec.theta_space, spec.grid, theta_samples)
-        diagnostics["inner_iterations"] = inner_counts
-
-    if not converged and not force:
-        raise NonConvergenceError(
-            f"coupling map did not settle within {max_sweeps} sweeps; "
-            f"last change {diagnostics.get('sweep_changes', [np.inf])[-1]:.3e}",
-            displacement=diagnostics.get("sweep_changes", [np.inf])[-1])
+        diagnostics["inner_iterations"] = passes
+    u = Trajectory(spec.x_space, spec.grid, u)
+    theta = Trajectory(spec.theta_space, spec.grid, theta)
 
     count = min(_MEMBERSHIP_NODES, spec.grid.steps + 1)
     nodes = np.unique(np.linspace(0, spec.grid.steps, count).round().astype(int))

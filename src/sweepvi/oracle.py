@@ -28,6 +28,7 @@ __all__ = [
 
 _MAX_POINTS = 10**7
 _MAX_DIM = 3
+_INCLUSION_PASSES = 60      # grid-search passes per node of brute_inclusion
 
 
 class OracleInconclusiveError(RuntimeError):
@@ -108,8 +109,7 @@ def brute_vi(problem: EviProblem, cfg: GridSearchConfig = GridSearchConfig()) ->
     return fine[np.argmin(scores)]
 
 
-def brute_inclusion(spec: InclusionSpec, cfg: GridSearchConfig = GridSearchConfig(),
-                    max_inner: int = 60) -> Trajectory:
+def brute_inclusion(spec: InclusionSpec, cfg: GridSearchConfig = GridSearchConfig()) -> Trajectory:
     """Node-by-node nested grid search for small coupled problems.
 
     At each node the memory values are recomputed from the partially built
@@ -127,7 +127,7 @@ def brute_inclusion(spec: InclusionSpec, cfg: GridSearchConfig = GridSearchConfi
         if k > 0:
             samples[k] = samples[k - 1]
         prev = None
-        for _ in range(max_inner):
+        for _ in range(_INCLUSION_PASSES):
             traj = Trajectory(spec.x_space, spec.grid, samples)
             eta_k = spec.parameter_memory.at_node(traj, k)
             xi_k = spec.load_memory.at_node(traj, k)

@@ -47,6 +47,9 @@ __all__ = [
     "build_sweeping_variant",
 ]
 
+_DIRECT_PASSES = 500        # inner passes per node of the direct marching
+_DIRECT_SEED = 0            # seed of its VI-residual directions
+
 
 def integrate_velocity(v: Trajectory, u0) -> Trajectory:
     """Trapezoid antiderivative of ``v`` started at ``u0``; exact at node 0."""
@@ -173,8 +176,7 @@ def solve_spec(spec: InclusionSpec | SweepingSpec, tol: float = 1e-10,
     return solve_inclusion(spec, tol=tol, mode=mode, **kwargs)
 
 
-def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10,
-                          max_inner: int = 500, seed: int = 0) -> InclusionSolution:
+def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10) -> InclusionSolution:
     """March the original sweeping statement without building the lift.
 
     Independent code path used as a cross-check on :func:`solve_sweeping`:
@@ -195,7 +197,7 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10,
         if k > 0:
             v[k] = v[k - 1]
         prev = None
-        for inner in range(1, max_inner + 1):
+        for inner in range(1, _DIRECT_PASSES + 1):
             v_traj = Trajectory(X, grid, v)
             disp_k = spec.u0 if k == 0 else spec.u0 + np.trapezoid(v[:k + 1], dx=dt, axis=0)
             eta_k = core.parameter_memory.at_node(v_traj, k)
@@ -215,7 +217,7 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10,
     theta_traj = Trajectory(core.theta_space, grid, theta)
     eta, grads = _node_gradients(core, v, theta)
     residuals = vi_residuals(X, core.cone, core.functional, v, grads, eta,
-                             sample_unit_directions(core.cone, _RESIDUAL_BUDGET, seed))
+                             sample_unit_directions(core.cone, _RESIDUAL_BUDGET, _DIRECT_SEED))
     return InclusionSolution(u=integrate_velocity(v_traj, spec.u0), v=v_traj,
                              theta=theta_traj, per_step_iterations=iters,
                              per_step_residuals=residuals, smallness=report,

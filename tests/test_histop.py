@@ -334,6 +334,22 @@ class TestCausalStepProtocol:
                          for k in range(grid.steps + 1)])
         self.assert_all_paths(exp_growth_memory_operator(grid), traj, want)
 
+    @pytest.mark.parametrize("kernel", [
+        VolterraKernel.exponential(0.7, 1.5, [[0.3, 0.1], [0.1, 0.2]]),
+        VolterraKernel(scalar_profile=lambda t: np.cos(3.0 * t), matrix=np.array([[0.5, -0.2], [0.1, 0.4]])),
+    ], ids=["exponential", "general-scalar"])
+    def test_run_is_the_step_loop_bit_for_bit(self, kernel):
+        grid = TimeGrid(1.0, 16)
+        space = HilbertSpace(2)
+        traj = random_traj(space, grid, seed=13)
+        op = volterra_operator(kernel, grid, space)
+        _, out = op.run(op.init_state(space, grid), 0, traj.samples)
+        np.testing.assert_array_equal(out, stepped(op, traj))
+        np.testing.assert_array_equal(out, op(traj).samples)
+        # a run from a state committed through node 5 continues the trajectory
+        state, _ = op.run(op.init_state(space, grid), 0, traj.samples[:6])
+        np.testing.assert_array_equal(op.run(state, 6, traj.samples[6:])[1], out[6:])
+
     def test_steps_leave_the_committed_state_unchanged(self):
         # the marching solver steps the same state with several guesses
         grid = TimeGrid(1.0, 8)

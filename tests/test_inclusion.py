@@ -291,9 +291,26 @@ class TestSolveInclusion:
         calls.clear()                          # the spec probes its memories once when built
         sol = solve_inclusion(spec, tol=1e-12, mode="time_marching")
         passes = int(sol.diagnostics["inner_iterations"].sum())
-        assert len(calls) == passes + spec.grid.steps + 1
+        # one step per pass, one commit per node but the last
+        assert len(calls) == passes + spec.grid.steps
         want = solve_inclusion(stepped_spec, tol=1e-12, mode="time_marching")
         np.testing.assert_array_equal(sol.u.samples, want.u.samples)
+
+    def test_building_a_spec_steps_each_memory_once(self):
+        from dataclasses import replace
+
+        spec = decay_spec(12)
+        calls = {"parameter": 0, "load": 0}
+
+        def counted(memory, label):
+            def advance(state, k, u_k):
+                calls[label] += 1
+                return memory.step(state, k, u_k)
+            return replace(memory, advance=advance)
+
+        replace(spec, parameter_memory=counted(spec.parameter_memory, "parameter"),
+                load_memory=counted(spec.load_memory, "load"))
+        assert calls == {"parameter": 1, "load": 1}
 
     def test_theta_space_is_built_once(self):
         spec = decay_spec(4)
@@ -344,7 +361,7 @@ class TestGateAndForce:
             solve_inclusion(self.cycling_spec(), tol=1e-10)
 
     def test_forced_run_records_the_failure_instead_of_hiding_it(self):
-        sol = solve_inclusion(self.cycling_spec(), tol=1e-10, force=True, max_inner=40)
+        sol = solve_inclusion(self.cycling_spec(), tol=1e-10, force=True, max_passes=40)
         assert not sol.converged
         assert sol.diagnostics["forced"]
         assert sol.diagnostics["inner_iterations"][0] == 40
