@@ -486,6 +486,7 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
     res = np.asarray(sol.per_step_residuals, dtype=float)
     lines.append(f"max_residual: {_g(res.max())}")
     lines.append(f"total_iterations: {int(np.asarray(sol.per_step_iterations).sum())}")
+    lines.append(f"coupling_passes: {sol.diagnostics['coupling_passes']}")
     membership = sol.diagnostics.get("membership", {})
     if membership:
         lines.append(f"membership_worst: {_g(max(membership.values()))}")

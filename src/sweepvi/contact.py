@@ -600,9 +600,9 @@ def recover_stress(problem: ContactProblem, u: Trajectory,
     # reactions: residual of the unconstrained discrete equilibrium
     space = problem.space
     operator = problem.spec.inclusion.operator
-    total = np.array([operator(r) for r in rate.samples])
+    total = operator.apply_many(rate.samples)
     if v is not None:
-        total += np.array([problem.spec.b_op(u_k) for u_k in u.samples])
+        total += problem.spec.b_op.apply_many(u.samples)
     total = total + memory.samples
     residual = (space.metric @ total.T).T - problem.load_covectors
     sigma_nu = residual[:, problem.contact_dofs["nu"]]

@@ -292,7 +292,7 @@ def _node_gradients(spec: InclusionSpec, u_samples: np.ndarray,
                     theta_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each node's parameter ``eta_k`` and gradient ``A u_k - (f_k - xi_k)``."""
     eta, xi = spec.split_theta(theta_samples)
-    au = np.array([spec.operator(u_k) for u_k in u_samples])
+    au = spec.operator.apply_many(u_samples)
     return eta, au - (spec.f.samples - xi)
 
 
@@ -336,8 +336,10 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     A pass steps both memories over the window with the current guess,
     which gives theta, then solves the window's node EVIs with that theta
     as one block started from the guess; the solution is the next guess.
-    The guess starts at zero in the window at node 0 and at the previous
-    node's solution elsewhere.  From its second pass on a window stops when
+    The guess starts at zero in the window at node 0, at ``u_0`` in the
+    window at node 1, and at the linear predictor ``2 u_{k-1} - u_{k-2}`` in
+    a window at node ``k >= 2``, which is O(dt^2) from ``u_k`` where
+    ``u_{k-1}`` is O(dt).  From its second pass on a window stops when
     the largest theta change over its nodes certifies a fixed-point distance
     of at most ``tol`` (a tenth of that for a one-node window), so the
     returned u solves the node EVIs for the returned theta.  Each window
@@ -391,11 +393,11 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     # them over the window, O(1) work per node for the built-in memories
     param_state = param.init_state(spec.x_space, spec.grid)
     load_state = load.init_state(spec.x_space, spec.grid)
-    converged = True
+    converged, coupling_passes = True, 0
     for first, last in windows:
         window = slice(first, last + 1)
         if first:
-            u[window] = u[first - 1]
+            u[window] = u[0] if first == 1 else 2.0 * u[first - 1] - u[first - 2]
         guess, changes = u[window], []
         for p in range(1, max_passes + 1):
             eta = param.run(param_state, first, guess)[1]
@@ -420,6 +422,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     last_iterate=guess, displacement=changes[-1])
         u[window] = guess
         passes[window] = p
+        coupling_passes += p
         if last < n:
             param_state = param.run(param_state, first, u[window])[0]
             load_state = load.run(load_state, first, u[window])[0]
@@ -428,6 +431,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
         diagnostics["sweep_changes"] = changes
     else:
         diagnostics["inner_iterations"] = passes
+    diagnostics["coupling_passes"] = coupling_passes
     u = Trajectory(spec.x_space, spec.grid, u)
     theta = Trajectory(spec.theta_space, spec.grid, theta)
 

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,28 @@ class TestRun:
         line = next(line for line in (out / "diagnostics.txt").read_text().splitlines()
                     if line.startswith("max_residual:"))
         assert float(line.split(":")[1]) <= 1e-13
+
+    def test_predicted_windows_take_three_passes_per_node(self, tmp_path):
+        import sweepvi.cli as cli
+
+        cfg = tmp_path / "long.ini"
+        cfg.write_text((CONFIGS / "rod_compliance.ini").read_text()
+                       .replace("steps = 32", "steps = 512"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        assert "coupling_passes: 1539" in (out / "diagnostics.txt").read_text().splitlines()
+        run = load_config(cfg)
+        spec = cli._build(run)[1]
+        marching = cli._solve(run, spec)
+        # node 0 starts from its own solve, node 1 from u_0, node k >= 2
+        # from the linear predictor 2 u_{k-1} - u_{k-2}
+        passes = marching.diagnostics["inner_iterations"]
+        assert passes[:2].tolist() == [2, 4]
+        assert (passes[2:] == 3).all()
+        assert marching.diagnostics["coupling_passes"] == 1539
+        picard = cli._solve(replace(run, mode="global_picard"), spec)
+        assert picard.diagnostics["coupling_passes"] == picard.diagnostics["sweeps"]
+        assert marching.u.sup_distance(picard.u) <= 1e-10
 
     def test_residuals_are_never_negative_zero(self):
         import sweepvi.cli as cli

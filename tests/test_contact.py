@@ -18,6 +18,7 @@ from sweepvi import (
     trace_constant,
 )
 from sweepvi.contact import assemble_A, assemble_elastic, assemble_loads
+from sweepvi.inclusion import _node_gradients
 
 
 class TestMeshAndAssembly:
@@ -266,3 +267,50 @@ class TestShearFriction:
             build_problem("shear_friction", self.mesh, self.material,
                           ContactLaw.linear(0.5, kind="compliance"),
                           Loads(body=[0.0, 1.2]), self.grid)
+
+
+BLOCK_CASES = {
+    "rigid_obstacle": (Material(a=[1.0, 3.0, 2.0, 5.0], mu=0.5), ContactLaw.rigid(),
+                       Loads(traction=1.0)),
+    "normal_compliance": (Material(a=1.0, mu=0.5, beta=lambda t: 0.3 * np.exp(-2.0 * t)),
+                          ContactLaw.linear(0.5), Loads(traction=1.0)),
+    "shear_friction": (Material(a=0.5, mu=0.5, b=[1.0, 2.0, 0.5, 4.0]),
+                       ContactLaw.saturating(0.3, 60.0, kind="friction"),
+                       Loads(body=[0.0, 1.2])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
+def test_block_operator_applications_match_a_per_node_loop(kind):
+    material, law, loads = BLOCK_CASES[kind]
+    grid = TimeGrid(1.0, 6)
+    prob = build_problem(kind, Mesh1D.uniform(1.0, 4), material, law, loads, grid)
+    spec = prob.spec.inclusion
+    rng = np.random.default_rng(7)
+    u = Trajectory(prob.space, grid, rng.standard_normal((7, prob.space.dim)))
+    v = Trajectory(prob.space, grid, rng.standard_normal((7, prob.space.dim)))
+    v = v if kind == "shear_friction" else None
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+    # recover_stress: the reactions with one operator application per node
+    rate = v if v is not None else u
+    total = np.array([spec.operator(r) for r in rate.samples])
+    if v is not None:
+        total += np.array([prob.spec.b_op(u_k) for u_k in u.samples])
+    total += prob.relaxation(rate).samples
+    reactions = (prob.space.metric @ total.T).T - prob.load_covectors
+    stress = recover_stress(prob, u, v)
+    close(stress.sigma_nu, reactions[:, prob.contact_dofs["nu"]])
+    if v is not None:
+        close(stress.sigma_tau, reactions[:, prob.contact_dofs["tau"]])
+
+    # _node_gradients: A u_k - (f_k - xi_k), node by node
+    thetas = rng.standard_normal((7, spec.theta_space.dim))
+    eta, grads = _node_gradients(spec, rate.samples, thetas)
+    want_eta, xi = spec.split_theta(thetas)
+    want = np.array([spec.operator(u_k) - (spec.f.node(k) - xi[k])
+                     for k, u_k in enumerate(rate.samples)])
+    np.testing.assert_array_equal(eta, want_eta)
+    close(grads, want)
