@@ -540,10 +540,15 @@ def _solution_u(cfg: RunConfig):
     return sol.u if sol.v is None else sol.v       # compare the primary unknown field
 
 
-def _order_table(label, sizes, diffs, out, lines):
+def _order_table(label, sizes, diffs, floor, out, lines):
+    """Print the sup-differences and their orders; ``--`` where either is at most ``floor``.
+
+    A difference at the solver's resolution is round-off, and an order taken
+    from it says nothing about the discretization.
+    """
     block = [label, f"  {'level':>8}  {'sup-diff':>24}  {'order':>6}"]
     for i, (n, d) in enumerate(zip(sizes[1:], diffs)):
-        order = "--" if i == 0 or diffs[i - 1] == 0 or d == 0 else \
+        order = "--" if i == 0 or min(diffs[i - 1], d) <= floor else \
             f"{np.log2(diffs[i - 1] / d):.2f}"
         block.append(f"  {n:>8}  {_g(d):>24}  {order:>6}")
     lines.extend(block)
@@ -562,8 +567,9 @@ def cmd_convergence(cfg: RunConfig, refinements: int, out_dir: Path | None, out)
     for coarse, fine in zip(sols, sols[1:]):
         gap = coarse.space.norms_many(coarse.samples - fine.samples[::2]).max()
         diffs.append(float(gap))
+    floor = 10.0 * cfg.tol          # the bound the CI mode-gap step uses
     _order_table("temporal refinement (dt halving):",
-                 [s.grid.steps for s in sols], diffs, out, lines)
+                 [s.grid.steps for s in sols], diffs, floor, out, lines)
 
     if cfg.kind in _CONTACT_KINDS:
         base_el = cfg.mesh.n_elements
@@ -579,7 +585,7 @@ def cmd_convergence(cfg: RunConfig, refinements: int, out_dir: Path | None, out)
             diffs_h.append(float(np.abs(cs - fs).max()))
         _order_table("spatial refinement (h halving):",
                      [base_el * 2 ** k for k in range(refinements + 1)],
-                     diffs_h, out, lines)
+                     diffs_h, floor, out, lines)
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

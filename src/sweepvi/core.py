@@ -143,9 +143,6 @@ class HilbertSpace:
             raise ValueError(f"dpotrs rejected argument {-info}")
         return x
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
     def __repr__(self) -> str:
         tag = "diag" if self.is_diagonal else "full"
         return f"HilbertSpace(dim={self.dim}, metric={tag})"
@@ -407,6 +404,11 @@ class HomogeneousFunctional:
         ``j(eta, v) = p(eta) q(v)`` for a scalar Lipschitz map ``p`` and a
         parameter-free base functional ``q``.
 
+    Every kind is a sum over ``units``, built once: single coordinates
+    (positive parts) or blocks (Euclidean norms), none for ``zero``, and the
+    base's units and weights for ``separable``, whose only difference is the
+    coefficient ``p(eta) w`` of a unit in place of ``eta w``.
+
     Each instance declares ``alpha``: the best constant with
     ``j(e1,v2)-j(e1,v1)+j(e2,v1)-j(e2,v2) <= alpha ||e1-e2||_Y ||v1-v2||_X``,
     computed exactly from the metrics (a generalized eigenvalue problem).
@@ -420,12 +422,15 @@ class HomogeneousFunctional:
         self.x_space = x_space
         self.y_space = y_space
         self.eta_free = bool(eta_free) or kind == "zero"
-        self.weights = None
+        self.weights = np.zeros(0)
         self.indices = None
         self.blocks = None
         self.p = p
         self.p_lipschitz = p_lipschitz
         self.base = base
+        self.units = ()
+        # units are Euclidean norms of blocks, else positive parts of coordinates
+        self._norms = kind == "block_norm"
         if kind == "positive_part":
             self.indices = np.array([int(i) for i in indices], dtype=int)
             self.weights = np.array([float(w) for w in weights], dtype=float)
@@ -435,8 +440,7 @@ class HomogeneousFunctional:
                 raise DimensionMismatchError("functional indices out of range")
             if len(set(self.indices.tolist())) != self.indices.size:
                 raise ValueError("functional indices must be distinct")
-            if np.any(self.weights < 0):
-                raise ValueError("weights must be nonnegative")
+            self.units = tuple(self.indices[:, None])
         elif kind == "block_norm":
             self.blocks = tuple(np.array([int(i) for i in b], dtype=int) for b in blocks)
             self.weights = np.array([float(w) for w in weights], dtype=float)
@@ -447,16 +451,20 @@ class HomogeneousFunctional:
                 raise DimensionMismatchError("block indices out of range")
             if len(set(flat.tolist())) != flat.size:
                 raise ValueError("blocks must be disjoint")
-            if np.any(self.weights < 0):
-                raise ValueError("weights must be nonnegative")
+            self.units = self.blocks
         elif kind == "separable":
             if base is None or p is None or p_lipschitz is None:
                 raise ValueError("separable kind needs p, p_lipschitz and base")
             if not base.eta_free:
                 raise UnsupportedConfigurationError("separable base must ignore its parameter")
             self.eta_free = False
+            self.units, self.weights, self._norms = base.units, base.weights, base._norms
+        if np.any(self.weights < 0):
+            raise ValueError("weights must be nonnegative")
+        # the first coordinate of each unit: a positive part's coordinate
+        self._coords = np.array([u[0] for u in self.units], dtype=int)
         if not self.eta_free and kind != "separable":
-            if y_space.dim != self._param_count():
+            if y_space.dim != len(self.units):
                 raise DimensionMismatchError("parameter space dimension must match the number of weights")
             if not y_space.is_diagonal:
                 raise UnsupportedConfigurationError("parameter-space metric must be diagonal for this kind")
@@ -480,52 +488,28 @@ class HomogeneousFunctional:
     def separable(cls, y_space, p, p_lipschitz, base) -> "HomogeneousFunctional":
         return cls("separable", base.x_space, y_space, p=p, p_lipschitz=p_lipschitz, base=base)
 
-    def in_space(self, x_space: HilbertSpace) -> "HomogeneousFunctional":
-        """The same integrand on ``x_space``: equal values, prox and alpha in its metric."""
-        if self.kind == "separable":
-            return HomogeneousFunctional.separable(self.y_space, self.p, self.p_lipschitz,
-                                                   self.base.in_space(x_space))
-        return HomogeneousFunctional(self.kind, x_space, self.y_space, weights=self.weights,
-                                     indices=self.indices, blocks=self.blocks,
-                                     eta_free=self.eta_free)
-
     # -- structure ----------------------------------------------------------
-
-    def _param_count(self) -> int:
-        if self.kind == "positive_part":
-            return self.indices.size
-        if self.kind == "block_norm":
-            return len(self.blocks)
-        return self.y_space.dim
 
     def _extraction_constant(self, d_weights: np.ndarray) -> float:
         # sup of sqrt(sum_u d_u * |v restricted to unit u|^2) over ||v||_X = 1,
         # an exact generalized eigenvalue computation.
         Q = np.zeros((self.x_space.dim, self.x_space.dim))
-        if self.kind == "positive_part":
-            units = [np.array([i]) for i in self.indices]
-        else:
-            units = list(self.blocks)
-        for d, u in zip(d_weights, units):
+        for d, u in zip(d_weights, self.units):
             for i in u:
                 Q[i, i] += d
         vals = eigh(Q, self.x_space.metric, eigvals_only=True)
         return float(np.sqrt(max(vals.max(), 0.0)))
 
     def _compute_alpha(self) -> float:
-        if self.kind == "zero" or self.eta_free:
+        if self.eta_free:
             return 0.0
         if self.kind == "separable":
-            return float(self.p_lipschitz) * self.base.v_lipschitz()
+            return float(self.p_lipschitz) * self.v_lipschitz()
         my = np.diag(self.y_space.metric)
         return self._extraction_constant(self.weights**2 / my)
 
     def v_lipschitz(self) -> float:
-        """Lipschitz constant of ``v -> j(eta, v)`` at unit parameter values."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "separable":
-            raise UnsupportedConfigurationError("v_lipschitz of a separable functional depends on eta")
+        """Lipschitz constant of ``v -> j(eta, v)`` at unit parameter values (``p(eta) = 1``)."""
         return self._extraction_constant(self.weights**2)
 
     def _param_rows(self, etas) -> np.ndarray:
@@ -538,11 +522,15 @@ class HomogeneousFunctional:
     def _effective_etas(self, etas) -> np.ndarray:
         """Parameter rows as the unit weights see them (ones when ``j`` ignores them)."""
         if self.eta_free:
-            return np.ones((1 if etas is None else len(etas), self._param_count()))
+            return np.ones((1 if etas is None else len(etas), len(self.units)))
         etas = self._param_rows(etas)
         if np.count_nonzero(etas < 0):
             warnings.warn("negative parameter entries break convexity of j", AssumptionWarning, stacklevel=4)
         return etas
+
+    def _scales(self, etas) -> np.ndarray:
+        """``p(eta)`` for each parameter row of a separable functional."""
+        return np.array([float(self.p(eta)) for eta in self._param_rows(etas)])
 
     # -- evaluation ---------------------------------------------------------
     #
@@ -553,13 +541,9 @@ class HomogeneousFunctional:
     def unit_values(self, vs: np.ndarray) -> np.ndarray:
         """``Phi(v)`` for each row ``v`` of ``vs``: shape ``(rows, units)``."""
         vs = np.asarray(vs, dtype=float)
-        if self.kind == "zero":
-            return np.zeros((vs.shape[0], 0))
-        if self.kind == "separable":
-            return self.base.unit_values(vs)
-        if self.kind == "positive_part":
-            return np.maximum(vs[:, self.indices], 0.0)
-        return np.column_stack([np.linalg.norm(vs[:, block], axis=1) for block in self.blocks])
+        if self._norms:
+            return np.column_stack([np.linalg.norm(vs[:, unit], axis=1) for unit in self.units])
+        return np.maximum(vs[:, self._coords], 0.0)
 
     def unit_weights(self, etas) -> np.ndarray:
         """``c(eta)`` for each parameter row of ``etas``: shape ``(rows, units)``.
@@ -569,11 +553,8 @@ class HomogeneousFunctional:
         one row for a functional that ignores its parameter.  Negative
         parameter entries raise :class:`AssumptionWarning`.
         """
-        if self.kind == "zero":
-            return np.zeros((1 if etas is None else len(etas), 0))
         if self.kind == "separable":
-            scale = np.array([float(self.p(eta)) for eta in self._param_rows(etas)])
-            return scale[:, None] * self.base.unit_weights(None)
+            return self._scales(etas)[:, None] * self.weights
         return self._effective_etas(etas) * self.weights
 
     def eval(self, eta, v) -> float:
@@ -586,7 +567,7 @@ class HomogeneousFunctional:
     # -- proximal map -------------------------------------------------------
 
     def prox_layout(self, cone: ConstraintCone) -> tuple[list, list, list]:
-        """How the closed-form prox treats each unit (index or block) of ``j``.
+        """How the closed-form prox, in the metric of ``cone.space``, treats each unit of ``j``.
 
         Returns ``(free, mixed, zeroed)``: units away from the cone's
         constraints as ``(unit, coords)``, single coordinates carrying both a
@@ -599,20 +580,11 @@ class HomogeneousFunctional:
         is raised.  The layout depends only on the metric, the cone and the
         functional's structure, never on ``eta`` or ``rho``.
         """
-        if self.kind == "zero":
-            return [], [], []
-        if self.kind == "separable":
-            return self.base.prox_layout(cone)
-        M = self.x_space.metric
-        G = self.x_space.inv_metric
-        if self.kind == "positive_part":
-            units = [np.array([i]) for i in self.indices]
-        else:
-            units = list(self.blocks)
-
+        M = cone.space.metric
+        G = cone.space.inv_metric
         constrained = set(cone.indices.tolist())
-        mixed_units, free_units, zeroed_units = [], [], []
-        for unit, coords in enumerate(units):
+        free_units, mixed_units, zeroed_units = [], [], []
+        for unit, coords in enumerate(self.units):
             inter = [c for c in coords if c in constrained]
             if not inter:
                 free_units.append((unit, coords))
@@ -625,11 +597,6 @@ class HomogeneousFunctional:
                     "functional block partially overlaps the cone constraints"
                 )
 
-        def coupled(i: int, j: int, A: np.ndarray) -> bool:
-            return abs(A[i, j]) > _COUPLING_RTOL * np.sqrt(abs(A[i, i] * A[j, j]))
-
-        unit_coords = [c for _, coords in free_units for c in coords]
-        outside = sorted((constrained - {i for _, i in mixed_units}))
         for _, i in mixed_units:
             row = np.abs(M[i]).copy()
             row[i] = 0.0
@@ -640,51 +607,47 @@ class HomogeneousFunctional:
                 )
         for _, coords in free_units:
             d = G[coords[0], coords[0]]
-            for c in coords:
-                if abs(G[c, c] - d) > _COUPLING_RTOL * abs(d):
-                    raise UnsupportedConfigurationError("inverse metric not scalar on a norm block")
-            others = [j for j in unit_coords if j not in set(coords.tolist())] + outside
-            for c in coords:
-                for j in others:
-                    if coupled(c, j, G):
-                        raise UnsupportedConfigurationError(
-                            f"inverse-metric coupling between coordinates {c} and {j} "
-                            "prevents a closed-form prox"
-                        )
-            for c in coords:
-                for j in coords:
-                    if c != j and coupled(c, j, G):
-                        raise UnsupportedConfigurationError(
-                            "inverse-metric coupling inside a functional unit"
-                        )
+            if np.any(np.abs(G[coords, coords] - d) > _COUPLING_RTOL * abs(d)):
+                raise UnsupportedConfigurationError("inverse metric not scalar on a norm block")
+        # the free coordinates against each other and the constraints outside them
+        rows = np.array([c for _, coords in free_units for c in coords], dtype=int)
+        cols = np.concatenate([rows, sorted(constrained - {i for _, i in mixed_units})]).astype(int)
+        diag = np.abs(np.diag(G))
+        scale = np.sqrt(np.outer(diag[rows], diag[cols]))
+        coupled = np.abs(G[np.ix_(rows, cols)]) > _COUPLING_RTOL * scale
+        coupled[:, :rows.size] &= ~np.eye(rows.size, dtype=bool)
+        if coupled.any():
+            r, c = np.argwhere(coupled)[0]
+            raise UnsupportedConfigurationError(
+                f"inverse-metric coupling between coordinates {rows[r]} and {cols[c]} "
+                "prevents a closed-form prox"
+            )
         return free_units, mixed_units, zeroed_units
 
     def prox_thresholds(self, etas, rho: float) -> np.ndarray:
         """The prox thresholds ``rho c(eta)`` for each parameter row: shape ``(rows, units)``.
 
         ``rho`` times the unit weights times the parameter (times 1 when ``j``
-        ignores it, and ``(rho p(eta))`` times the base weights for the
-        separable kind); ``None`` is one row for a functional that ignores its
+        ignores it, and ``(rho p(eta))`` times the weights for the separable
+        kind); ``None`` is one row for a functional that ignores its
         parameter.  Callers that apply one prox many times compute these once.
         """
         if rho < 0:
             raise ValueError("rho must be nonnegative")
-        if self.kind == "zero":
-            return np.zeros((1 if etas is None else len(etas), 0))
         if self.kind == "separable":
-            scales = np.array([float(self.p(eta)) for eta in self._param_rows(etas)])
+            scales = self._scales(etas)
             if np.count_nonzero(scales < 0):
                 raise UnsupportedConfigurationError("separable scale p(eta) is negative; prox undefined")
-            return (rho * scales)[:, None] * self.base.weights
+            return (rho * scales)[:, None] * self.weights
         taus = rho * self.weights * self._effective_etas(etas)
         if np.count_nonzero(taus < 0):
             raise UnsupportedConfigurationError("negative effective weight; prox undefined")
         return taus
 
     def prox(self, eta, cone: ConstraintCone, rho: float, w, layout=None) -> np.ndarray:
-        """argmin over ``v`` in the cone of ``0.5 ||v - w||_X^2 + rho j(eta, v)``.
+        """argmin over ``v`` in the cone of ``0.5 ||v - w||^2 + rho j(eta, v)``.
 
-        The one-row case of :meth:`prox_many`.  Exact under the structural
+        The norm is the cone's, ``cone.space``.  The one-row case of :meth:`prox_many`.  Exact under the structural
         conditions of :meth:`prox_layout`, which raises
         :class:`UnsupportedConfigurationError` where they fail.  ``layout`` is
         ``prox_layout(cone)`` for callers that apply the same prox many times;
@@ -701,19 +664,15 @@ class HomogeneousFunctional:
         ``taus`` comes from :meth:`prox_thresholds` (one row for all rows of
         ``ws``, or one per row).  Each row gets the arithmetic of the one-row
         prox: the cone projection, a subgradient step through the inverse
-        metric on the units away from the constraints, then the
-        one-dimensional formulas where a constraint and a term share a
+        metric of ``cone.space`` on the units away from the constraints, then
+        the one-dimensional formulas where a constraint and a term share a
         coordinate.
         """
         ws = np.asarray(ws, dtype=float)
-        if cone.space is not self.x_space and cone.space.dim != self.x_space.dim:
+        if cone.space.dim != self.x_space.dim:
             raise DimensionMismatchError("cone lives in a different space")
-        if self.kind == "zero":
-            return cone.project_many(ws)
-        if self.kind == "separable":
-            return self.base.prox_many(taus, cone, ws, layout)
         free_units, mixed_units, zeroed_units = layout or self.prox_layout(cone)
-        G = self.x_space.inv_metric
+        G = cone.space.inv_metric
 
         vs = cone.project_many(ws)
         # subgradient step through the inverse metric for unconstrained units
@@ -721,11 +680,7 @@ class HomogeneousFunctional:
         for unit, coords in free_units:
             tau = taus[:, unit]
             d = G[coords[0], coords[0]]
-            if self.kind == "positive_part":
-                # tau past the kink, else w / d clamped at 0 from below
-                wi = ws[:, coords[0]]
-                s[:, coords[0]] = np.where(wi > d * tau, tau, np.maximum(wi, 0.0) / d)
-            else:
+            if self._norms:
                 # norm blocks shrink symmetrically, including singletons
                 wb = ws[:, coords]
                 nb = np.linalg.norm(wb, axis=1)
@@ -733,6 +688,10 @@ class HomogeneousFunctional:
                 s[:, coords] = np.where(big[:, None],
                                         tau[:, None] * wb / np.where(big, nb, 1.0)[:, None],
                                         wb / d)
+            else:
+                # tau past the kink, else w / d clamped at 0 from below
+                wi = ws[:, coords[0]]
+                s[:, coords[0]] = np.where(wi > d * tau, tau, np.maximum(wi, 0.0) / d)
         if np.count_nonzero(s):
             # a row without a step subtracts an exact zero
             vs = vs - (G @ s.T).T
@@ -744,7 +703,7 @@ class HomogeneousFunctional:
                 vs[:, i] = 0.0
             elif cone.kind == "nonnegative":
                 vs[:, i] = np.maximum(ws[:, i] - d * tau, 0.0)
-            elif self.kind == "block_norm":
+            elif self._norms:
                 # |v| is active on the feasible side, so it pushes upward
                 vs[:, i] = np.minimum(ws[:, i] + d * tau, 0.0)
             else:  # nonpositive: the positive part vanishes on the feasible side

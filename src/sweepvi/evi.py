@@ -259,10 +259,11 @@ class IterationMetric:
 
     ``name`` is ``"space"`` (the space metric M, step ``u - rho (A u - f)``)
     or ``"energy"`` (the operator's energy metric P, step
-    ``u - rho P^{-1} (force(u) - M f)``).  ``space``, ``cone`` and
-    ``functional`` are the problem's, bound to that metric, and ``layout`` is
-    the functional's :meth:`~sweepvi.core.HomogeneousFunctional.prox_layout`
-    for that cone (``None`` where the closed form does not hold); ``q`` is
+    ``u - rho P^{-1} (force(u) - M f)``).  ``space`` is that metric and
+    ``cone`` the problem's cone bound to it, so the prox, which reads its
+    metric from the cone, runs in it too; ``layout`` is the functional's
+    :meth:`~sweepvi.core.HomogeneousFunctional.prox_layout` for that cone
+    (``None`` where the closed form does not hold); ``q`` is
     the contraction factor in its norm.  ``scale`` is ``c = sqrt(lambda_max(M, P))``,
     so ``||x||_M <= c ||x||_P`` turns a distance bound back into the space
     norm (1 in the space metric).
@@ -271,7 +272,6 @@ class IterationMetric:
     name: str
     space: HilbertSpace
     cone: ConstraintCone
-    functional: HomogeneousFunctional
     layout: tuple | None
     rho: float
     q: float
@@ -295,10 +295,10 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
     metric's ``sqrt(1 - m^2 / L^2)`` by more than rounding, and the
     closed-form prox accepts it (:meth:`HomogeneousFunctional.prox_layout`).
     Otherwise the space metric runs with ``rho`` (default ``m / L^2``).  The
-    cone and functional copies and the prox layouts are built here, once per
-    call; a prox with no closed form in the space metric gets no layout and
-    raises :class:`~sweepvi.core.UnsupportedConfigurationError` when applied,
-    so residual checks and oracles on such problems still run.
+    cone's copy in P and the prox layouts are built here, once per call; a
+    prox with no closed form in the space metric gets no layout and raises
+    :class:`~sweepvi.core.UnsupportedConfigurationError` when applied, so
+    residual checks and oracles on such problems still run.
     """
     energy = operator.energy if rho is None else None
     if rho is None:
@@ -309,21 +309,21 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
         layout = functional.prox_layout(cone)
     except UnsupportedConfigurationError:
         layout = None
-    plan = IterationMetric("space", space, cone, functional, layout, rho,
+    plan = IterationMetric("space", space, cone, layout, rho,
                            _rate(rho, operator.m, operator.L))
     # the factors are monotone in m / L; the margin keeps a uniform material,
     # whose two ratios agree up to rounding, on the space metric
     if energy is None or not energy.m / energy.L > (1.0 + 1e-12) * operator.m / operator.L:
         return plan
     P = energy.space
-    cone_p, functional_p = cone.in_space(P), functional.in_space(P)
+    cone_p = cone.in_space(P)
     try:
-        layout_p = functional_p.prox_layout(cone_p)
+        layout_p = functional.prox_layout(cone_p)
     except UnsupportedConfigurationError:
         return plan
     rho_p = energy.m / (energy.L * energy.L)
     scale = float(np.sqrt(eigh(space.metric, P.metric, eigvals_only=True).max()))
-    return IterationMetric("energy", P, cone_p, functional_p, layout_p, rho_p,
+    return IterationMetric("energy", P, cone_p, layout_p, rho_p,
                            _rate(rho_p, energy.m, energy.L), scale, energy.force)
 
 
@@ -485,7 +485,7 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
             return P.solve_metric(force(us.T) - mfs.T).T
         data = (space.metric @ fs.T).T
     # one row of thresholds, or one per row
-    taus = plan.functional.prox_thresholds(etas, rho)
+    taus = functional.prox_thresholds(etas, rho)
     contraction = disp = None
     # rows leave the block as they stop: index maps the block's rows to the
     # caller's (None while no row has left), and stopped collects
@@ -506,7 +506,7 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
         if np.count_nonzero(finite) < finite.size:
             raise fail(NonFiniteError, f"non-finite step at iteration {it}",
                        ~finite.all(axis=1), us, disp)
-        u_next = plan.functional.prox_many(taus, plan.cone, w, plan.layout)
+        u_next = functional.prox_many(taus, plan.cone, w, plan.layout)
         prev, disp = disp, _row_norms(plan.space, u_next - us)
         done = disp <= threshold
         count = np.count_nonzero(done)

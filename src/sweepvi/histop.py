@@ -78,14 +78,13 @@ class HistoryOperator:
 
     Every operator is its causal step: ``start`` is the state before node 0
     and ``advance(state, k, u_k)`` consumes the input at node ``k`` and
-    returns ``(state', out_k)``.  ``init_state(space, grid)`` hands out
-    ``start`` for inputs in ``space`` on ``grid`` and ``step`` is
-    ``advance``.  States are values: a state is never changed by stepping
-    from it, so the time-marching solver can try several guesses for
-    ``u_k`` against the same committed state.  ``step`` may keep a
-    reference to ``u_k``, which the caller must not change afterwards, and
-    ``out_k`` may be shared with the state or with other steps, so the
-    built-in memories hand it out read-only.
+    returns ``(state', out_k)``.  ``init_state(grid)`` hands out ``start``
+    for inputs on ``grid`` and ``step`` is ``advance``.  States are values:
+    a state is never changed by stepping from it, so the time-marching
+    solver can try several guesses for ``u_k`` against the same committed
+    state.  ``step`` may keep a reference to ``u_k``, which the caller must
+    not change afterwards, and ``out_k`` may be shared with the state or
+    with other steps, so the built-in memories hand it out read-only.
 
     Whole-trajectory evaluation (``__call__``) and :meth:`at_node` are loops
     over the step, so each memory has one implementation.  ``out_space=None``
@@ -106,7 +105,7 @@ class HistoryOperator:
         if self.l < 0 or self.L < 0:
             raise ValueError("constants must be nonnegative")
 
-    def init_state(self, space: HilbertSpace, grid: TimeGrid):
+    def init_state(self, grid: TimeGrid):
         if self.grid is not None and grid != self.grid:
             raise DimensionMismatchError(f"{self.tag} memory was built for {self.grid}, "
                                          f"got an input on {grid}")
@@ -132,14 +131,14 @@ class HistoryOperator:
 
     def __call__(self, traj: Trajectory) -> Trajectory:
         """Whole-trajectory evaluation: one run of the step over the nodes."""
-        _, out = self.run(self.init_state(traj.space, traj.grid), 0, traj.samples)
+        _, out = self.run(self.init_state(traj.grid), 0, traj.samples)
         out_space = self.out_space
         if out_space is None:
             out_space = traj.space if out.shape[1] == traj.space.dim else HilbertSpace(out.shape[1])
         return Trajectory(out_space, traj.grid, out)
 
     def at_node(self, traj: Trajectory, k: int) -> np.ndarray:
-        _, out = self.run(self.init_state(traj.space, traj.grid), 0, traj.samples[:k + 1])
+        _, out = self.run(self.init_state(traj.grid), 0, traj.samples[:k + 1])
         return out[-1]
 
 

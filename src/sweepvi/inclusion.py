@@ -138,7 +138,7 @@ class InclusionSpec:
         zero = np.zeros(self.x_space.dim)
         for op, dim, label in ((self.parameter_memory, self.y_space.dim, "parameter"),
                                (self.load_memory, self.x_space.dim, "load")):
-            _, out = op.step(op.init_state(self.x_space, self.grid), 0, zero)
+            _, out = op.step(op.init_state(self.grid), 0, zero)
             if np.size(out) != dim:
                 raise DimensionMismatchError(f"{label} memory output has dimension "
                                              f"{np.size(out)}, expected {dim}")
@@ -391,8 +391,8 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     param, load = spec.parameter_memory, spec.load_memory
     # states committed through the node before the window; each pass steps
     # them over the window, O(1) work per node for the built-in memories
-    param_state = param.init_state(spec.x_space, spec.grid)
-    load_state = load.init_state(spec.x_space, spec.grid)
+    param_state = param.init_state(spec.grid)
+    load_state = load.init_state(spec.grid)
     converged, coupling_passes = True, 0
     for first, last in windows:
         window = slice(first, last + 1)

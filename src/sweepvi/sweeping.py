@@ -128,7 +128,7 @@ def compose_with_antiderivative(s_op: HistoryOperator, grid: TimeGrid,
         s_state, out = s_op.step(s_state, k, disp_k)
         return (disp_state, s_state), out
 
-    start = (disp.init_state(space, grid), s_op.init_state(space, grid))
+    start = (disp.init_state(grid), s_op.init_state(grid))
     return HistoryOperator(start, advance, l=0.0, L=s_op.l + grid.horizon * s_op.L,
                            tag=tag or f"{s_op.tag}_of_displacement",
                            out_space=s_op.out_space, grid=grid)
@@ -151,7 +151,7 @@ def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
         s_state, s_k = s_op.step(s_state, k, v_k)
         return (disp_state, s_state), b_op(disp_k) + s_k
 
-    start = (disp.init_state(space, grid), s_op.init_state(space, grid))
+    start = (disp.init_state(grid), s_op.init_state(grid))
     lifted = HistoryOperator(start, advance, l=s_op.l, L=b_op.L + s_op.L,
                              tag=f"{s_op.tag}+coupled", out_space=space, grid=grid)
     return replace(core, load_memory=lifted)

