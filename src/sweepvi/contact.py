@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import (
     AssumptionWarning,
@@ -261,21 +260,6 @@ class Loads:
         return arr
 
 
-def _stiffness(mesh: Mesh1D, coeff: np.ndarray) -> np.ndarray:
-    """Free-node Gram matrix of ``int coeff u' v'``."""
-    n, h = mesh.n_free, mesh.h
-    K = np.zeros((n, n))
-    for e in range(mesh.n_elements):
-        w = coeff[e] / h[e]
-        left, right = e - 1, e          # free-dof indices of the element ends
-        K[right, right] += w
-        if left >= 0:
-            K[left, left] += w
-            K[left, right] -= w
-            K[right, left] -= w
-    return K
-
-
 def _mass(mesh: Mesh1D) -> np.ndarray:
     """Full P1 mass matrix over all mesh nodes (fixed node included)."""
     m = mesh.nodes.size
@@ -288,29 +272,22 @@ def _mass(mesh: Mesh1D) -> np.ndarray:
 
 def _strain_matrix(mesh: Mesh1D) -> np.ndarray:
     """Element strains from free-node values (clamped end contributes zero)."""
-    n_el, n = mesh.n_elements, mesh.n_free
-    G = np.zeros((n_el, n))
-    for e in range(n_el):
-        G[e, e] = 1.0 / mesh.h[e]
-        if e - 1 >= 0:
-            G[e, e - 1] = -1.0 / mesh.h[e]
-    return G
+    inv_h = 1.0 / mesh.h
+    return np.diag(inv_h) - np.diag(inv_h[1:], -1)
 
 
-def _block_diag(block: np.ndarray, count: int) -> np.ndarray:
-    if count == 1:
-        return block
-    out = np.zeros((block.shape[0] * count, block.shape[1] * count))
-    for c in range(count):
-        sl = slice(c * block.shape[0], (c + 1) * block.shape[0])
-        out[sl, c * block.shape[1]:(c + 1) * block.shape[1]] = block
-    return out
+def _strain_form(mesh: Mesh1D, coeff: np.ndarray, components: int):
+    """``(G, h, G^T diag(coeff h) G)``: the strains ``G`` and element lengths ``h``
+    of every component, and the free-node Gram matrix of ``int coeff u' v'``."""
+    G = np.kron(np.eye(components), _strain_matrix(mesh))
+    h = np.tile(mesh.h, components)
+    return G, h, (G.T * (np.tile(coeff, components) * h)) @ G
 
 
 def assemble_space(mesh: Mesh1D, components: int = 1) -> HilbertSpace:
     """Energy inner product ``int u' v'`` on the free nodes, per component."""
-    K = _stiffness(mesh, np.ones(mesh.n_elements))
-    return HilbertSpace(mesh.n_free * components, _block_diag(K, components))
+    _, _, K = _strain_form(mesh, np.ones(mesh.n_elements), components)
+    return HilbertSpace(mesh.n_free * components, K)
 
 
 def trace_constant(space: HilbertSpace, dof: int) -> float:
@@ -332,9 +309,7 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
     """
     space = space or assemble_space(mesh, components)
     a = material.a_field(mesh)
-    G = _block_diag(_strain_matrix(mesh), components)
-    h = np.tile(mesh.h, components)
-    Ka = G.T @ np.diag(np.tile(a, components) * h) @ G
+    G, h, Ka = _strain_form(mesh, a, components)
     mu = float(material.mu)
 
     def force(u: np.ndarray, Ka=Ka, G=G, h=h, mu=mu) -> np.ndarray:
@@ -355,13 +330,8 @@ def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | Non
     """Linear elastic coupling ``b * strain`` with its exact energy norm."""
     space = space or assemble_space(mesh, components)
     b = material.b_field(mesh)
-    G = _block_diag(_strain_matrix(mesh), components)
-    h = np.tile(mesh.h, components)
-    Kb = G.T @ np.diag(np.tile(b, components) * h) @ G
-    if b.max() > 0:
-        L = float(eigh(Kb, space.metric, eigvals_only=True).max())
-    else:
-        L = 0.0
+    _, _, Kb = _strain_form(mesh, b, components)
+    L = float(space.eigvalsh(Kb)[-1]) if b.max() > 0 else 0.0
     return LipschitzOperator(apply=lambda u: space.solve_metric(Kb @ u), L=L, tag="elastic",
                              apply_rows=lambda us: space.solve_metric(Kb @ us.T).T)
 
@@ -446,7 +416,11 @@ def assemble_loads(mesh: Mesh1D, loads: Loads, grid: TimeGrid,
             row[c * n:(c + 1) * n] = b_full[1:]
             row[(c + 1) * n - 1] += traction[c]
         covectors[k] = row
-    riesz = np.linalg.solve(space.metric, covectors.T).T
+    bad = np.flatnonzero(~np.isfinite(covectors).all(axis=1))
+    if bad.size:
+        raise ValueError(f"load (body force or traction) is not finite at node {bad[0]} "
+                         f"(t = {grid.nodes[bad[0]]:g})")
+    riesz = space.solve_metric(covectors.T).T
     return Trajectory(space, grid, riesz), covectors
 
 

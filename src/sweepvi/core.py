@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
-from scipy.linalg.lapack import dpotrs
 
 __all__ = [
     "DimensionMismatchError",
@@ -68,6 +66,12 @@ def _vec(x, dim: int) -> np.ndarray:
 class HilbertSpace:
     """Real inner-product space of fixed dimension with an SPD metric.
 
+    The metric ``M`` is factored once, ``M = F F^T`` (Cholesky), and only the
+    inverse factor ``F^{-1}`` is kept.  ``inv_metric = F^{-T} F^{-1}`` and the
+    pencil eigenvalues :meth:`eigvalsh` are read from it, and the Riesz map
+    :meth:`solve_metric` applies ``inv_metric``, so no other module factors,
+    inverts or solves with a metric.
+
     Parameters
     ----------
     dim : int
@@ -93,18 +97,17 @@ class HilbertSpace:
             raise ValueError("metric must be symmetric")
         metric = 0.5 * (metric + metric.T)
         try:
-            self._chol = cho_factor(metric, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own type
-            raise ValueError("metric must be positive definite") from exc
-        except Exception as exc:
+            self._inv_factor = np.linalg.inv(np.linalg.cholesky(metric))
+        except np.linalg.LinAlgError as exc:
             raise ValueError("metric must be positive definite") from exc
         self.metric = metric
-        self.inv_metric = cho_solve(self._chol, np.eye(self.dim))
+        self.inv_metric = self._inv_factor.T @ self._inv_factor
         self.inv_metric = 0.5 * (self.inv_metric + self.inv_metric.T)
         off = metric - np.diag(np.diag(metric))
         self.is_diagonal = bool(np.abs(off).max() <= 1e-14 * scale) if self.dim > 1 else True
         self.metric.flags.writeable = False
         self.inv_metric.flags.writeable = False
+        self._inv_factor.flags.writeable = False
 
     def inner(self, u, v) -> float:
         u = _vec(u, self.dim)
@@ -128,20 +131,21 @@ class HilbertSpace:
         return np.sqrt(np.maximum(((vs @ self.metric) * vs).sum(1), 0.0))
 
     def solve_metric(self, b) -> np.ndarray:
-        """Riesz map: return ``M^{-1} b`` for a vector or for the columns of a matrix.
-
-        LAPACK's ``dpotrs`` on the stored Cholesky factor, the routine
-        ``scipy.linalg.cho_solve`` ends in, without its wrappers.
-        """
+        """Riesz map: return ``M^{-1} b`` for a vector or for the columns of a matrix."""
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != self.dim:
             raise DimensionMismatchError(f"expected {self.dim} rows, got shape {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("right-hand side must be finite")
-        x, info = dpotrs(self._chol[0], b, lower=1)
-        if info != 0:
-            raise ValueError(f"dpotrs rejected argument {-info}")
-        return x
+        return self.inv_metric @ b
+
+    def eigvalsh(self, A) -> np.ndarray:
+        """Ascending eigenvalues of the symmetric pencil ``(A, M)``: ``A x = lambda M x``.
+
+        Computed as the eigenvalues of ``F^{-1} A F^{-T}``; their extremes are
+        the sup and inf of ``(x^T A x) / ||x||^2`` over X.
+        """
+        return np.linalg.eigvalsh(self._inv_factor @ A @ self._inv_factor.T)
 
     def __repr__(self) -> str:
         tag = "diag" if self.is_diagonal else "full"
@@ -264,15 +268,13 @@ class ConstraintCone:
         self.kind = kind
         self.indices = idx
         self.indices.flags.writeable = False
+        self._gram_chol = self._gram_inv_factor = self._inv_cols = None
         if kind != "whole" and not space.is_diagonal:
-            G = space.inv_metric[np.ix_(idx, idx)]
-            self._gram = G
-            self._gram_chol = np.linalg.cholesky(G)
+            # the Gram matrix of the constraints in the inverse metric, by its
+            # Cholesky factor and that factor's inverse
             self._inv_cols = space.inv_metric[:, idx]
-        else:
-            self._gram = None
-            self._gram_chol = None
-            self._inv_cols = None
+            self._gram_chol = np.linalg.cholesky(self._inv_cols[idx])
+            self._gram_inv_factor = np.linalg.inv(self._gram_chol)
 
     @classmethod
     def whole_space(cls, space: HilbertSpace) -> "ConstraintCone":
@@ -341,7 +343,8 @@ class ConstraintCone:
                 ys[:, idx] = 0.0
             return ys
         if self.kind == "zero":
-            mu = cho_solve((self._gram_chol, True), xs[:, idx].T).T
+            R = self._gram_inv_factor
+            mu = (R.T @ (R @ xs[:, idx].T)).T
             ys = xs - mu @ self._inv_cols.T
             ys[:, idx] = 0.0
             return ys
@@ -350,15 +353,14 @@ class ConstraintCone:
         sign = 1.0 if self.kind == "nonpositive" else -1.0
         zs = sign * xs
         if idx.size == 1:
-            mu = np.maximum(zs[:, idx[0]] / self._gram[0, 0], 0.0)
+            mu = np.maximum(zs[:, idx[0]] / self._inv_cols[idx[0], 0], 0.0)
             ys = zs - np.outer(mu, self._inv_cols[:, 0])
         else:
-            from scipy.optimize import nnls     # deferred: keeps scipy.optimize off the import path
+            from scipy.optimize import nnls     # deferred: the one use of scipy
 
-            L = self._gram_chol
             ys = zs.copy()
             for y in ys:
-                y -= self._inv_cols @ nnls(L.T, solve_triangular(L, y[idx], lower=True))[0]
+                y -= self._inv_cols @ nnls(self._gram_chol.T, self._gram_inv_factor @ y[idx])[0]
         ys[:, idx] = np.minimum(ys[:, idx], 0.0)
         return sign * ys
 
@@ -497,8 +499,7 @@ class HomogeneousFunctional:
         for d, u in zip(d_weights, self.units):
             for i in u:
                 Q[i, i] += d
-        vals = eigh(Q, self.x_space.metric, eigvals_only=True)
-        return float(np.sqrt(max(vals.max(), 0.0)))
+        return float(np.sqrt(max(self.x_space.eigvalsh(Q)[-1], 0.0)))
 
     def _compute_alpha(self) -> float:
         if self.eta_free:

@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import (
     ConstraintCone,
@@ -161,8 +160,8 @@ class MonotoneOperator:
         MH = space.metric @ H
         if np.abs(MH - MH.T).max() > 1e-10 * max(np.abs(MH).max(), 1e-30):
             raise ValueError("matrix is not self-adjoint in the space metric")
-        vals = eigh(0.5 * (MH + MH.T), space.metric, eigvals_only=True)
-        m, L = float(vals.min()), float(vals.max())
+        vals = space.eigvalsh(0.5 * (MH + MH.T))
+        m, L = float(vals[0]), float(vals[-1])
         if m <= 0:
             raise ValueError("matrix is not positive definite in the space metric")
         return cls(apply=lambda u, H=H: H @ u, m=m, L=L, tag=tag,
@@ -322,7 +321,7 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
     except UnsupportedConfigurationError:
         return plan
     rho_p = energy.m / (energy.L * energy.L)
-    scale = float(np.sqrt(eigh(space.metric, P.metric, eigvals_only=True).max()))
+    scale = float(np.sqrt(P.eigvalsh(space.metric)[-1]))
     return IterationMetric("energy", P, cone_p, layout_p, rho_p,
                            _rate(rho_p, energy.m, energy.L), scale, energy.force)
 

@@ -307,9 +307,8 @@ def apply_volterra(kernel: VolterraKernel, traj: Trajectory,
 
 
 def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace) -> float:
-    """Operator norm of ``B`` between the metric norms (a singular-value bound)."""
-    A = np.linalg.cholesky(target.metric).T @ B @ np.linalg.inv(np.linalg.cholesky(input_space.metric).T)
-    return float(np.linalg.norm(A, 2))
+    """Operator norm of ``B`` between the metric norms: ``sqrt(lambda_max(B^T M_out B, M_in))``."""
+    return float(np.sqrt(max(input_space.eigvalsh(B.T @ target.metric @ B)[-1], 0.0)))
 
 
 def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: HilbertSpace,

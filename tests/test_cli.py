@@ -130,13 +130,25 @@ class TestLoadConfig:
             assert load_config(cfg).force is want
 
     def test_importing_the_cli_loads_no_optimize_or_integrate(self):
-        code = ("import sys, sweepvi.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert _scipy_modules_after("import sweepvi.cli") == "[]"
+
+    @pytest.mark.parametrize("name", ["rod_compliance", "shear_friction"])
+    def test_a_run_loads_no_scipy(self, name, tmp_path):
+        # a fresh process, so a deferred import on the run path shows too
+        run = (f"import sweepvi.cli; assert sweepvi.cli.main(['run', '--config', "
+               f"{str(CONFIGS / f'{name}.ini')!r}, '--out', {str(tmp_path)!r}]) == 0")
+        assert _scipy_modules_after(run) == "[]"
+
+
+def _scipy_modules_after(statement: str) -> str:
+    """The scipy modules a fresh interpreter has loaded after ``statement``, as printed."""
+    code = (f"import sys\n{statement}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout.strip().splitlines()[-1]
 
 
 class TestCheck:

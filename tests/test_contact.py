@@ -33,6 +33,27 @@ class TestMeshAndAssembly:
         space = assemble_space(Mesh1D.uniform(1.0, 2))
         np.testing.assert_array_equal(space.metric, [[4.0, -2.0], [-2.0, 2.0]])
 
+    def test_pencil_eigenvalues_on_a_coupled_stiffness_metric(self):
+        from scipy.linalg import eigh
+        mesh = Mesh1D(np.cumsum(np.r_[0.0, np.random.default_rng(2).uniform(0.02, 0.2, 16)]))
+        material = Material(a=np.linspace(1.0, 10.0, 16), mu=0.5, b=np.linspace(0.0, 3.0, 16))
+        space = assemble_space(mesh, components=2)
+        Ka = assemble_A(mesh, material, space, components=2).energy.matrix
+        for A in (Ka, space.metric):
+            want = eigh(A, space.metric, eigvals_only=True)
+            got = space.eigvalsh(A)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # G is invertible, so the pencil (Kb, K) has the eigenvalues b: L = max b
+        assert assemble_elastic(mesh, material, space, components=2).L == pytest.approx(3.0, rel=1e-12)
+
+    def test_a_non_finite_load_is_rejected_at_assembly(self):
+        mesh, grid = Mesh1D.uniform(1.0, 4), TimeGrid(1.0, 4)
+        for loads, node in ((Loads(body=lambda t: float("nan")), 0),
+                            (Loads(traction=lambda t: np.inf if t > 0.5 else 0.0), 3)):
+            with pytest.raises(ValueError, match=f"load .*not finite at node {node} "):
+                build_problem("rigid_obstacle", mesh, Material(a=1.0), ContactLaw.rigid(),
+                              loads, grid)
+
     def test_trace_constant_of_unit_rod_endpoint(self):
         # sup |v(1)| / ||v'|| = sqrt(length) for a rod clamped at 0
         mesh = Mesh1D.uniform(1.0, 8)

@@ -49,6 +49,18 @@ def test_solve_metric_inverts_the_gram_matrix():
     assert np.allclose(M @ X.solve_metric(rhs), rhs)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_pencil_eigenvalues_match_scipy_eigh(dim):
+    from scipy.linalg import eigh
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        a, b = rng.standard_normal((2, dim, dim))
+        M, A = b @ b.T + 0.5 * np.eye(dim), a + a.T
+        want = eigh(A, M, eigvals_only=True)
+        got = HilbertSpace(dim, metric=M).eigvalsh(A)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_inner_many_matches_loop():
     X = HilbertSpace(3, metric=np.diag([1.0, 2.0, 3.0]))
     rng = np.random.default_rng(0)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 import sweepvi.core as core_module
 import sweepvi.evi as evi_module
@@ -320,12 +320,38 @@ def test_pair_block_draw_is_the_per_pair_stream():
         np.testing.assert_array_equal(v, rng.standard_normal(3))
 
 
-def test_solve_metric_is_bit_identical_to_cho_solve_and_rejects_non_finite():
+def test_solve_metric_matches_cho_solve_and_rejects_non_finite():
     X = _coupled_space(6, seed=1)
     rng = np.random.default_rng(0)
+    factor = cho_factor(X.metric)
     for b in (rng.standard_normal(6), rng.standard_normal((6, 3))):
-        np.testing.assert_array_equal(X.solve_metric(b), cho_solve(X._chol, b))
+        want = cho_solve(factor, b)
+        assert np.abs(X.solve_metric(b) - want).max() <= 1e-12 * np.abs(want).max()
     with pytest.raises(ValueError):
         X.solve_metric(np.array([1.0, np.nan, 0.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         X.solve_metric(np.ones(5))
+
+
+# The metric-derived constants of each shipped config as scipy.linalg.eigh and
+# SVD-based norms gave them: m and L of A, alpha of j, L of the two memories
+# (the Volterra L for a load memory, c0 L_F for a threshold memory), L of the
+# elastic coupling Kb where there is one, and the iteration-metric scale.
+SHIPPED_CONSTANTS = {
+    "abstract_volterra": (2.0, 2.0, 0.0, 0.5, 0.0, None, 1.0),
+    "gate_fail": (2.0, 2.0, 1.2, 0.0, 0.0, None, 1.0),
+    "rod_compliance": (1.0, 1.0, 1.0000000000000002, 0.3, 0.5000000000000001, None, 1.0),
+    "rod_rigid": (1.0, 1.0, 0.0, 0.0, 0.0, None, 1.0),
+    "shear_friction": (0.5, 0.5, 1.0000000000000002, 0.0, 18.000000000000004, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_metric_constants_of_the_shipped_configs(name):
+    _, spec = _build(load_config(CONFIGS / f"{name}.ini"))
+    core = getattr(spec, "core", spec)
+    b_op = getattr(spec, "b_op", None)
+    got = (core.operator.m, core.operator.L, core.functional.alpha, core.load_memory.L,
+           core.parameter_memory.L, None if b_op is None else b_op.L,
+           spec.inclusion.iteration_metric.scale)
+    assert got == pytest.approx(SHIPPED_CONSTANTS[name], rel=1e-12, abs=0.0)
