@@ -258,7 +258,8 @@ class ConstraintCone:
             raise ValueError(f"unknown cone kind {kind!r}")
         idx = np.array(sorted(set(int(i) for i in indices)), dtype=int)
         if kind == "whole":
-            idx = np.array([], dtype=int)
+            if idx.size:
+                raise ValueError(f"cone kind 'whole' takes no indices, got {idx.tolist()}")
         else:
             if idx.size == 0:
                 raise ValueError(f"cone kind {kind!r} needs at least one index")

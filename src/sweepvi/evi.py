@@ -64,7 +64,8 @@ _FEASIBILITY_TOL = 1e-9     # cone violation past which a VI residual is +inf
 _ACCEPT_TOL = 1e-7          # both solution tests accept at or below this residual
 _REJECT_TOL = 1e-3          # both solution tests reject above this residual
 _FLOAT_MAX = float(np.finfo(float).max)
-_AUDIT_SEED = 0             # seed of the entry audit of solve_evi
+_AUDIT_TRIALS = 256         # pairs of the audit every iteration plan runs
+_AUDIT_SEED = 0             # and their seed
 
 
 class AuditError(RuntimeError):
@@ -120,11 +121,12 @@ class EnergyMetric:
 class MonotoneOperator:
     """Operator on X with declared strong monotonicity ``m`` and Lipschitz ``L``.
 
-    The constants are declarations; :func:`audit_operator` spot-checks them on
-    sampled pairs.  ``m > 0`` and ``L >= m`` are required.  ``energy``, when
-    given, is a second metric with exact constants that :func:`solve_evi`
-    may iterate in.  ``apply_rows``, when given, applies the operator to every
-    row of a matrix at once (see :meth:`apply_many`).
+    The constants are declarations; :func:`iteration_metric` spot-checks them
+    on sampled pairs (:func:`audit_operator`) before any solve trusts them.
+    ``m > 0`` and ``L >= m`` are required.  ``energy``, when given, is a
+    second metric with exact constants that :func:`solve_evi` may iterate in.
+    ``apply_rows``, when given, applies the operator to every row of a matrix
+    at once (see :meth:`apply_many`).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -265,7 +267,8 @@ class IterationMetric:
     (``None`` where the closed form does not hold); ``q`` is
     the contraction factor in its norm.  ``scale`` is ``c = sqrt(lambda_max(M, P))``,
     so ``||x||_M <= c ||x||_P`` turns a distance bound back into the space
-    norm (1 in the space metric).
+    norm (1 in the space metric).  ``audit`` is the sampled check of the
+    operator's declared ``(m, L)`` in the space metric that the plan passed.
     """
 
     name: str
@@ -274,6 +277,7 @@ class IterationMetric:
     layout: tuple | None
     rho: float
     q: float
+    audit: OperatorAudit
     scale: float = 1.0
     force: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -285,31 +289,39 @@ def _rate(rho: float, m: float, L: float) -> float:
 
 
 def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: MonotoneOperator,
-                     functional: HomogeneousFunctional,
-                     rho: float | None = None) -> IterationMetric:
-    """Pick the metric the contraction runs in for this cone, operator and ``j``.
+                     functional: HomogeneousFunctional) -> IterationMetric:
+    """Audit the operator, then pick the metric the contraction runs in.
 
-    The operator's energy metric is used only when no ``rho`` is given, its
-    contraction factor ``sqrt(1 - m_P^2 / L_P^2)`` is below the space
-    metric's ``sqrt(1 - m^2 / L^2)`` by more than rounding, and the
-    closed-form prox accepts it (:meth:`HomogeneousFunctional.prox_layout`).
-    Otherwise the space metric runs with ``rho`` (default ``m / L^2``).  The
-    cone's copy in P and the prox layouts are built here, once per call; a
-    prox with no closed form in the space metric gets no layout and raises
+    Every solve gets its plan here, so this is where the operator's declared
+    ``(m, L)``, on which the step and the stopping bound rest, are checked:
+    on ``_AUDIT_TRIALS`` pairs drawn from ``_AUDIT_SEED`` in the space metric
+    (:func:`audit_operator`).  A failed audit raises :class:`AuditError`; a
+    passed one is kept on the plan.
+
+    The operator's energy metric is used only when its contraction factor
+    ``sqrt(1 - m_P^2 / L_P^2)`` is below the space metric's
+    ``sqrt(1 - m^2 / L^2)`` by more than rounding and the closed-form prox
+    accepts it (:meth:`HomogeneousFunctional.prox_layout`).  Otherwise the
+    space metric runs with ``rho = m / L^2``.  The cone's copy in P and the
+    prox layouts are built here, once per call; a prox with no closed form
+    in the space metric gets no layout and raises
     :class:`~sweepvi.core.UnsupportedConfigurationError` when applied, so
     residual checks and oracles on such problems still run.
     """
-    energy = operator.energy if rho is None else None
-    if rho is None:
-        rho = operator.m / (operator.L * operator.L)
-    elif rho <= 0.0:
-        raise ValueError("rho must be positive")
+    audit = audit_operator(operator, space, trials=_AUDIT_TRIALS, seed=_AUDIT_SEED)
+    if not audit.ok:
+        raise AuditError(
+            f"declared (m={operator.m:.6g}, L={operator.L:.6g}) of {operator.tag} failed "
+            f"the sampled audit (observed m={audit.m_observed:.6g}, "
+            f"L={audit.L_observed:.6g} over {audit.trials} pairs)")
+    rho = operator.m / (operator.L * operator.L)
     try:
         layout = functional.prox_layout(cone)
     except UnsupportedConfigurationError:
         layout = None
     plan = IterationMetric("space", space, cone, layout, rho,
-                           _rate(rho, operator.m, operator.L))
+                           _rate(rho, operator.m, operator.L), audit)
+    energy = operator.energy
     # the factors are monotone in m / L; the margin keeps a uniform material,
     # whose two ratios agree up to rounding, on the space metric
     if energy is None or not energy.m / energy.L > (1.0 + 1e-12) * operator.m / operator.L:
@@ -323,7 +335,7 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
     rho_p = energy.m / (energy.L * energy.L)
     scale = float(np.sqrt(P.eigvalsh(space.metric)[-1]))
     return IterationMetric("energy", P, cone_p, layout_p, rho_p,
-                           _rate(rho_p, energy.m, energy.L), scale, energy.force)
+                           _rate(rho_p, energy.m, energy.L), audit, scale, energy.force)
 
 
 @dataclass(frozen=True)
@@ -332,8 +344,8 @@ class EviProblem:
 
     ``metric`` is the :class:`IterationMetric` prepared for this space, cone,
     operator and functional, so families of problems that share them (the
-    nodes of an inclusion) decide it once; when absent, :func:`solve_evi`
-    decides it per call.
+    nodes of an inclusion) audit and decide it once; when absent,
+    :func:`solve_evi` does both per call.
     """
 
     space: HilbertSpace
@@ -382,14 +394,14 @@ class EviSolutions(NamedTuple):
 
 
 def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
-              rho: float | None = None, start: np.ndarray | None = None,
-              force: bool = False, audit_trials: int = 64) -> EviSolution:
+              start: np.ndarray | None = None) -> EviSolution:
     """Solve the variational inequality by the contraction iteration.
 
     The one-row call of :func:`solve_evi_many`.  The iteration runs in the
-    metric :func:`iteration_metric` picks (the problem's prepared ``metric``
-    when it has one): the operator's energy metric when that contracts faster
-    and the prox accepts it, else the space metric.
+    problem's prepared ``metric``, or else in the one :func:`iteration_metric`
+    audits and picks: the operator's energy metric when that contracts faster
+    and the prox accepts it, else the space metric with step ``m / L^2``,
+    which minimizes the contraction factor ``q = sqrt(1 - m^2 / L^2)``.
 
     Parameters
     ----------
@@ -399,29 +411,9 @@ def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
         ``||u+ - u*||_X <= c q / (1 - q) * ||u+ - u||`` in the iteration
         metric (``c = 1`` in the space metric).  ``residual`` reports that
         bound.
-    rho : float, optional
-        Step size in the space metric; defaults to ``m / L^2`` which minimizes
-        the contraction factor ``q = sqrt(1 - m^2 / L^2)``.  An explicit
-        ``rho`` always iterates in the space metric.
-    force : bool
-        Run even if the sampled audit of the declared constants fails.
-    audit_trials : int
-        Pairs used for the entry audit; 0 skips it (callers that audit once
-        for a family of solves pass 0).
     """
     op, space = problem.operator, problem.space
-    if audit_trials > 0:
-        audit = audit_operator(op, space, trials=audit_trials, seed=_AUDIT_SEED)
-        if not audit.ok and not force:
-            raise AuditError(
-                f"declared (m={op.m:.6g}, L={op.L:.6g}) failed the sampled audit "
-                f"(observed m={audit.m_observed:.6g}, L={audit.L_observed:.6g}); "
-                "pass force=True to run anyway"
-            )
-    if rho is None and problem.metric is not None:
-        plan = problem.metric
-    else:
-        plan = iteration_metric(space, problem.cone, op, problem.functional, rho)
+    plan = problem.metric or iteration_metric(space, problem.cone, op, problem.functional)
     eta = None if problem.eta is None else np.asarray(problem.eta, dtype=float)[None, :]
     start = None if start is None else np.asarray(start, dtype=float)[None]
     sols = solve_evi_many(space, problem.cone, op, problem.functional, eta,
@@ -451,8 +443,8 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
     (``None`` for a functional that ignores it), load ``fs[k]`` and start
     ``starts[k]`` (zero by default).  The rows share the space, cone,
     operator, functional and the iteration ``metric`` (by default the one
-    :func:`iteration_metric` picks), so each iteration is one block operator
-    application and one block prox.  A row stops on the same threshold as a
+    :func:`iteration_metric` audits and picks), so each iteration is one
+    block operator application and one block prox.  A row stops on the same threshold as a
     one-row solve and is then left alone, so it gets the iterate, count and
     bound its one-row solve gives, up to the rounding of block products.
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory
+from .core import DimensionMismatchError, HilbertSpace, TimeGrid, TimeRangeError, Trajectory
 
 __all__ = [
     "IneligibleOperatorError",
@@ -138,6 +138,9 @@ class HistoryOperator:
         return Trajectory(out_space, traj.grid, out)
 
     def at_node(self, traj: Trajectory, k: int) -> np.ndarray:
+        """The output at node ``k`` of ``traj``'s grid, ``0 <= k <= steps``."""
+        if not 0 <= k <= traj.grid.steps:
+            raise TimeRangeError(f"node {k} outside 0..{traj.grid.steps}")
         _, out = self.run(self.init_state(traj.grid), 0, traj.samples[:k + 1])
         return out[-1]
 
@@ -333,8 +336,8 @@ def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: Hilbe
                            out_space=out_space, grid=grid)
 
 
-def identity_operator(l: float = 1.0, tag: str = "identity") -> HistoryOperator:
-    return HistoryOperator(None, lambda state, k, u_k: (None, u_k), l=l, L=0.0, tag=tag)
+def identity_operator(tag: str = "identity") -> HistoryOperator:
+    return HistoryOperator(None, lambda state, k, u_k: (None, u_k), l=1.0, L=0.0, tag=tag)
 
 
 def zero_operator(out_space: HilbertSpace, tag: str = "zero") -> HistoryOperator:

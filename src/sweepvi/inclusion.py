@@ -43,7 +43,6 @@ from .evi import (
     IterationMetric,
     MonotoneOperator,
     NonConvergenceError,
-    audit_operator,
     iteration_metric,
     solve_evi,
     solve_evi_many,
@@ -68,7 +67,6 @@ __all__ = [
 _RESIDUAL_BUDGET = 1024     # VI-residual directions drawn by a solve
 _MEMBERSHIP_BUDGET = 2048
 _MEMBERSHIP_NODES = 8       # nodes, spread over the grid, whose membership a solve tests
-_AUDIT_SEED = 0             # seed of the operator audit of solve_intermediate
 
 
 class SmallnessError(RuntimeError):
@@ -158,7 +156,7 @@ class InclusionSpec:
 
     @cached_property
     def iteration_metric(self) -> IterationMetric:
-        """The metric every node's EVI iterates in, decided once per spec."""
+        """The metric every node's EVI iterates in, audited and decided once per spec."""
         return iteration_metric(self.x_space, self.cone, self.operator, self.functional)
 
     def split_theta(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +220,7 @@ def _solve_nodes(spec: InclusionSpec, first: int, eta: np.ndarray, xi: np.ndarra
     try:
         if start is None:
             problem = _node_problem(spec, eta[0], xi[0], spec.f.node(first))
-            sol = solve_evi(problem, tol=tol, audit_trials=0)
+            sol = solve_evi(problem, tol=tol)
             if len(fs) == 1:
                 return sol.u[None], np.array([sol.iterations])
             head, start = 1, np.broadcast_to(sol.u, fs.shape)
@@ -238,8 +236,8 @@ def _solve_nodes(spec: InclusionSpec, first: int, eta: np.ndarray, xi: np.ndarra
     return sols.u, sols.iterations
 
 
-def solve_intermediate(theta: Trajectory, spec: InclusionSpec, tol: float = 1e-10,
-                       audit_trials: int = 256) -> Trajectory:
+def solve_intermediate(theta: Trajectory, spec: InclusionSpec,
+                       tol: float = 1e-10) -> Trajectory:
     """Solve the decoupled problem: at each node the EVI with frozen theta.
 
     theta carries (eta, xi) stacked in the product space Y x X.  The result
@@ -247,11 +245,6 @@ def solve_intermediate(theta: Trajectory, spec: InclusionSpec, tol: float = 1e-1
     """
     if theta.samples.shape[1] != spec.theta_space.dim:
         raise DimensionMismatchError("theta must take values in Y x X")
-    if audit_trials:
-        audit = audit_operator(spec.operator, spec.x_space, trials=audit_trials,
-                               seed=_AUDIT_SEED)
-        if not audit.ok:
-            raise AuditError(f"operator constants failed the sampled audit: {audit}")
     eta, xi = spec.split_theta(theta.samples)
     us, _ = _solve_nodes(spec, 0, eta, xi, tol)
     return Trajectory(spec.x_space, spec.grid, us)
@@ -266,8 +259,8 @@ def stability_gap_violation(spec: InclusionSpec, theta1: Trajectory, theta2: Tra
     node; the return value is the max over nodes of lhs - rhs, which should
     not exceed a couple of solver tolerances.
     """
-    u1 = solve_intermediate(theta1, spec, tol=tol, audit_trials=0)
-    u2 = solve_intermediate(theta2, spec, tol=tol, audit_trials=0)
+    u1 = solve_intermediate(theta1, spec, tol=tol)
+    u2 = solve_intermediate(theta2, spec, tol=tol)
     eta1, xi1 = spec.split_theta(theta1.samples)
     eta2, xi2 = spec.split_theta(theta2.samples)
     lhs = spec.x_space.norms_many(u1.samples - u2.samples)
@@ -324,8 +317,7 @@ def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, theta_samples: np.n
 
 def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     mode: str = "time_marching", force: bool = False,
-                    max_passes: int = 500, audit_trials: int = 256,
-                    seed: int = 0) -> InclusionSolution:
+                    max_passes: int = 500, seed: int = 0) -> InclusionSolution:
     """Drive the coupling map to its fixed point and return the trajectory.
 
     Both modes run Picard passes of the coupling map over windows of nodes.
@@ -347,6 +339,9 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
 
     With ``force`` the admissibility gate and non-convergence become data:
     the run continues and the returned diagnostics record what happened.
+    The operator's declared constants are audited once per spec, when its
+    iteration plan is made (:attr:`InclusionSpec.iteration_metric`); a failed
+    audit raises :class:`~sweepvi.evi.AuditError`, with or without ``force``.
 
     The result is then checked at the nodes: the VI residual at every node
     on 1024 cone directions drawn from ``seed``, and the inclusion
@@ -364,10 +359,6 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     if not report.passed and not force:
         raise SmallnessError(f"admissibility gate failed: {report.describe()}; "
                              "pass force=True to record the attempt anyway")
-    if audit_trials:
-        audit = audit_operator(spec.operator, spec.x_space, trials=audit_trials, seed=seed)
-        if not audit.ok:
-            raise AuditError(f"operator constants failed the sampled audit: {audit}")
 
     # stop when the pass displacement certifies a fixed-point distance <= tol,
     # but never on a displacement larger than tol itself

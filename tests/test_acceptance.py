@@ -151,9 +151,8 @@ def _evi_batch():
         records = []
         for i in range(200):
             problem, start2 = _random_evi_instance(i)
-            sol1 = solve_evi(problem, tol=1e-11, max_iter=200000, audit_trials=0)
-            sol2 = solve_evi(problem, tol=1e-11, max_iter=200000, audit_trials=0,
-                             start=start2)
+            sol1 = solve_evi(problem, tol=1e-11, max_iter=200000)
+            sol2 = solve_evi(problem, tol=1e-11, max_iter=200000, start=start2)
             res = vi_residual(sol1.u, problem, sampler_budget=10000, seed=i)
             records.append((i, problem, sol1, sol2, res))
         _BATCH["elapsed"] = time.perf_counter() - t0

@@ -157,7 +157,7 @@ def test_block_rows_match_their_one_row_solves():
     assert len(set(block.iterations.tolist())) > 1      # rows stop at different iterations
     for k in range(n):
         one = solve_evi(_node_problem(spec, etas[k], xis[k], spec.f.node(k)), tol=tol,
-                        start=starts[k], audit_trials=0)
+                        start=starts[k])
         assert block.iterations[k] == one.iterations
         assert spec.x_space.distance(block.u[k], one.u) <= tol
         assert block.residuals[k] <= tol
@@ -206,7 +206,7 @@ def test_a_nan_load_names_its_node_in_global_picard():
                                    functional=HomogeneousFunctional.zero(X), f=f, grid=grid)
     with pytest.raises(NonFiniteError,
                        match="^EVI stalled at node 4: non-finite step at iteration 1$"):
-        solve_inclusion(spec, mode="global_picard", audit_trials=0)
+        solve_inclusion(spec, mode="global_picard")
 
 
 def test_the_first_stalled_row_is_named():

@@ -168,6 +168,29 @@ class TestCheck:
     def test_all_shipped_configs_are_admissible(self, name):
         assert run_cli("check", "--config", CONFIGS / name) == 0
 
+    @pytest.mark.parametrize("cone", ["whole", "nonnegative"])
+    def test_an_out_of_range_cone_index_is_a_config_error(self, tmp_path, capsys, cone):
+        bad = tmp_path / "bad.ini"
+        text = (CONFIGS / "abstract_volterra.ini").read_text()
+        bad.write_text(text.replace("f = 1.0", f"f = 1.0\ncone = {cone}\ncone_indices = 7"))
+        assert run_cli("check", "--config", bad) == 4
+        assert capsys.readouterr().err.startswith("config error: [abstract] ")
+
+    def test_check_prints_the_audit_of_the_iteration_plan(self, capsys, monkeypatch):
+        import sweepvi.evi as evi
+
+        calls = []
+        audit = evi.audit_operator
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(evi, "audit_operator", counting)
+        assert run_cli("check", "--config", CONFIGS / "rod_compliance.ini", "--seed", "5") == 0
+        assert calls == [{"trials": 256, "seed": 0}]
+        assert "over 256 pairs [pass]" in capsys.readouterr().out
+
 
 class TestRun:
     def test_writes_solution_and_diagnostics(self, tmp_path):

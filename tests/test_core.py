@@ -163,6 +163,13 @@ def test_cone_kinds_roundtrip():
     assert np.allclose(neg.project([1.0, -1.0]), [0.0, -1.0])
 
 
+def test_whole_cone_rejects_indices():
+    X = HilbertSpace(2)
+    with pytest.raises(ValueError, match="'whole' takes no indices"):
+        ConstraintCone(X, "whole", [1])
+    assert ConstraintCone(X, "whole", ()).indices.size == 0
+
+
 def test_cone_distance_uses_the_metric():
     X = HilbertSpace(2, metric=np.diag([9.0, 1.0]))
     cone = ConstraintCone.nonpositive(X, [0])

@@ -54,9 +54,9 @@ def test_energy_metric_agrees_with_the_space_metric(kind):
     spec, problem = node_problem(kind, CONTRAST_10, 0.5)
     assert spec.iteration_metric.name == "energy"
     tol = 1e-10
-    energy = solve_evi(problem, tol=tol, audit_trials=0)
-    op = spec.operator
-    space = solve_evi(problem, tol=tol, audit_trials=0, rho=op.m / op.L ** 2)
+    energy = solve_evi(problem, tol=tol)
+    bare = replace(problem, operator=replace(spec.operator, energy=None), metric=None)
+    space = solve_evi(bare, tol=tol)
     assert spec.x_space.distance(energy.u, space.u) <= tol
     assert energy.iterations < space.iterations / 10
 
@@ -82,9 +82,9 @@ def test_residual_bounds_the_true_distance():
     # bound only holds once the P-norm displacement is scaled back to X
     spec, problem = node_problem("normal_compliance", [0.1, 0.3, 0.6, 1.0], 0.5)
     assert spec.iteration_metric.scale == pytest.approx(np.sqrt(10.0))
-    reference = solve_evi(problem, tol=1e-14, audit_trials=0).u
+    reference = solve_evi(problem, tol=1e-14).u
     for tol in (1e-4, 1e-6, 1e-8):
-        sol = solve_evi(problem, tol=tol, audit_trials=0)
+        sol = solve_evi(problem, tol=tol)
         assert 0.0 < sol.residual <= tol
         assert spec.x_space.distance(sol.u, reference) <= sol.residual + 1e-14
 
@@ -148,7 +148,7 @@ def test_a_prox_that_refuses_the_energy_metric_keeps_the_space_metric():
     assert plan.name == "space"
     assert plan.space is X and plan.cone is cone
     sol = solve_evi(EviProblem(X, cone, op, functional, np.array([1.0]),
-                               np.array([1.0, 2.0])), tol=1e-12, audit_trials=0)
+                               np.array([1.0, 2.0])), tol=1e-12)
     assert np.all(np.isfinite(sol.u))
 
 
@@ -165,11 +165,5 @@ def test_a_space_metric_without_closed_form_prox_still_gets_a_plan():
     problem = EviProblem(X, cone, op, functional, np.array([1.0]), np.array([1.0, 1.0]),
                          metric=plan)
     with pytest.raises(UnsupportedConfigurationError):
-        solve_evi(problem, audit_trials=0)
+        solve_evi(problem)
 
-
-def test_explicit_rho_keeps_the_space_metric():
-    spec, problem = node_problem("rigid_obstacle", CONTRAST_10, 0.0)
-    plan = iteration_metric(spec.x_space, spec.cone, spec.operator, spec.functional, rho=0.01)
-    assert plan.name == "space"
-    assert plan.rho == 0.01

@@ -169,7 +169,7 @@ def test_non_finite_error_keeps_its_type_through_the_inclusion():
                                    functional=HomogeneousFunctional.zero(X), f=f, grid=grid)
     for mode in ("time_marching", "global_picard"):
         with pytest.raises(NonFiniteError, match="node 2: non-finite step at iteration 1"):
-            solve_inclusion(spec, mode=mode, audit_trials=0)
+            solve_inclusion(spec, mode=mode)
 
 
 def test_lying_constants_trip_the_solver_audit():
@@ -178,13 +178,7 @@ def test_lying_constants_trip_the_solver_audit():
     prob = EviProblem(X, ConstraintCone.whole_space(X), op,
                       HomogeneousFunctional.zero(X), np.zeros(0), np.array([1.0]))
     with pytest.raises(AuditError):
-        solve_evi(prob, tol=1e-10, audit_trials=200)
-    # force skips the audit and trusts the declaration; with m = L the solver
-    # takes its one-step-exact shortcut, so the answer is whatever that step
-    # yields -- garbage constants give garbage, but no crash
-    sol = solve_evi(prob, tol=1e-10, audit_trials=200, force=True)
-    assert np.isfinite(sol.u).all()
-    assert vi_residual(sol.u, prob) > 1e-3  # and the residual exposes it
+        solve_evi(prob, tol=1e-10)
 
 
 def test_normal_cone_agreement_on_both_verdicts():
@@ -194,12 +188,6 @@ def test_normal_cone_agreement_on_both_verdicts():
     assert check_vi_normal_cone_agreement(u, z, prob, seed=3)
     u_bad = u + 0.1
     assert check_vi_normal_cone_agreement(u_bad, prob.operator(u_bad), prob, seed=3)
-
-
-def test_rho_override_still_converges():
-    prob = scalar_problem(a=2.0, f=3.0)
-    sol = solve_evi(prob, tol=1e-12, rho=0.2)
-    assert sol.u[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_problem_shape_validation():

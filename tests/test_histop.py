@@ -11,6 +11,7 @@ from sweepvi import (
     HistoryOperator,
     IneligibleOperatorError,
     TimeGrid,
+    TimeRangeError,
     Trajectory,
     VolterraKernel,
     apply_volterra,
@@ -94,6 +95,15 @@ class TestVolterraOperator:
         full = op(traj)
         for k in range(grid.steps + 1):
             np.testing.assert_allclose(op.at_node(traj, k), full.samples[k], atol=1e-13)
+
+    def test_at_node_refuses_nodes_off_the_grid(self):
+        grid = TimeGrid(1.0, 4)
+        op = volterra_operator(scalar_kernel(0.5), grid, HilbertSpace(1))
+        traj = Trajectory(HilbertSpace(1), grid, np.arange(5.0)[:, None])
+        for k in (grid.steps + 1, -1, -2):
+            with pytest.raises(TimeRangeError, match=f"node {k} outside 0..4"):
+                op.at_node(traj, k)
+        np.testing.assert_array_equal(op.at_node(traj, grid.steps), op(traj).samples[-1])
 
     def test_declares_zero_instantaneous_constant(self):
         grid = TimeGrid(1.0, 8)

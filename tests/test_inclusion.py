@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
+import sweepvi.evi as evi
 from sweepvi import (
+    AuditError,
     ConstraintCone,
+    ContactLaw,
     DimensionMismatchError,
+    EviProblem,
     HilbertSpace,
     HomogeneousFunctional,
     InclusionSpec,
     IneligibleOperatorError,
+    Loads,
+    Material,
+    Mesh1D,
     MonotoneOperator,
     NonConvergenceError,
     SmallnessError,
@@ -16,8 +23,12 @@ from sweepvi import (
     VolterraKernel,
     apply_coupling_map,
     build_inclusion_variant,
+    build_problem,
     check_smallness,
     identity_operator,
+    iteration_metric,
+    solve_evi,
+    solve_evi_many,
     solve_inclusion,
     solve_intermediate,
     stability_gap_violation,
@@ -366,3 +377,54 @@ class TestGateAndForce:
         assert sol.diagnostics["forced"]
         assert sol.diagnostics["inner_iterations"][0] == 40
         assert not sol.smallness.passed
+
+
+class TestOperatorAudit:
+    """Every solve path audits the declared (m, L) where its iteration plan is made."""
+
+    @staticmethod
+    def lying_spec():
+        # 0.1 x declared as m = L = 2: the step and stopping bound would rest on it
+        liar = MonotoneOperator(lambda x: 0.1 * x, 2.0, 2.0, tag="liar")
+        grid = TimeGrid(1.0, 4)
+        return build_inclusion_variant("parameter_free", cone=FREE, operator=liar,
+                                       functional=HomogeneousFunctional.zero(X),
+                                       f=Trajectory(X, grid, np.ones((5, 1))), grid=grid)
+
+    @pytest.mark.parametrize("path", ["iteration_metric", "solve_evi", "solve_evi_many",
+                                      "solve_intermediate", "apply_coupling_map",
+                                      "time_marching", "global_picard"])
+    def test_lying_constants_raise_on_every_solve_path(self, path):
+        spec = self.lying_spec()
+        op, functional = spec.operator, spec.functional
+        theta = Trajectory(spec.theta_space, spec.grid, np.zeros((5, spec.theta_space.dim)))
+        calls = {
+            "iteration_metric": lambda: iteration_metric(X, FREE, op, functional),
+            "solve_evi": lambda: solve_evi(EviProblem(X, FREE, op, functional, None,
+                                                      np.ones(1))),
+            "solve_evi_many": lambda: solve_evi_many(X, FREE, op, functional, None,
+                                                     np.ones((3, 1))),
+            "solve_intermediate": lambda: solve_intermediate(theta, spec),
+            "apply_coupling_map": lambda: apply_coupling_map(spec, theta),
+            "time_marching": lambda: solve_inclusion(spec, mode="time_marching"),
+            "global_picard": lambda: solve_inclusion(spec, mode="global_picard"),
+        }
+        with pytest.raises(AuditError, match="liar failed the sampled audit"):
+            calls[path]()
+
+    def test_a_spec_is_audited_once_across_solves(self, monkeypatch):
+        spec = build_problem("normal_compliance", Mesh1D.uniform(1.0, 4), Material(a=1.0),
+                             ContactLaw.linear(0.5), Loads(body=2.0), TimeGrid(1.0, 8)).spec
+        calls = []
+        audit = evi.audit_operator
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(evi, "audit_operator", counting)
+        solve_inclusion(spec, seed=3)
+        assert calls == [{"trials": 256, "seed": 0}]
+        assert spec.iteration_metric.audit.ok and spec.iteration_metric.audit.trials == 256
+        solve_inclusion(spec, mode="global_picard")
+        assert len(calls) == 1

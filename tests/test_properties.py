@@ -222,7 +222,7 @@ def test_evi_solutions_pass_the_vi_residual(functional_kind, cone_kind, data):
     K = X.solve_metric(C @ C.T)
     H = np.eye(X.dim) + K / max(np.linalg.eigvals(K).real.max(), 1.0)
     problem = EviProblem(X, cone, MonotoneOperator.from_matrix(X, H), functional, eta, f)
-    sol = solve_evi(problem, tol=1e-10, audit_trials=0)
+    sol = solve_evi(problem, tol=1e-10)
     assert vi_residual(sol.u, problem, sampler_budget=512) <= 1e-7 * scale(f)
 
 

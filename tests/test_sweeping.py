@@ -193,7 +193,7 @@ class TestSolveSweeping:
 
     def test_initial_displacement_is_bitwise_exact(self):
         spec = ode_spec(16)
-        spec = SweepingSpec(core=spec.core, b_op=spec.b_op, u0=[0.2], audit_trials=0)
+        spec = SweepingSpec(core=spec.core, b_op=spec.b_op, u0=[0.2])
         sol = solve_sweeping(spec, tol=1e-11)
         assert sol.u.samples[0, 0] == 0.2
 
