@@ -1,17 +1,21 @@
 """Configuration-driven command line.
 
-Subcommands:
+Subcommands, each reading --config:
   check        parse the config, audit assumptions, print the smallness gate
-  run          solve and write solution.csv + diagnostics.txt into --out
-  convergence  empirical refinement study in dt (and h for contact kinds)
-  verify       recompute residuals and oracle gaps from the written files
+  run          solve and write solution.csv + diagnostics.txt into --out;
+               --tol, --mode, --seed and --force override the config
+  convergence  refinement study in dt (and h for contact kinds), with the
+               flags of run and --refinements
+  verify       recompute residuals and oracle gaps from the files in --out,
+               sampled from --seed
 
-Exit codes: 0 ok, 2 gate or verification failure, 3 non-convergence,
-4 config or usage error.
+Exit codes: 0 ok (also for --help), 2 gate or verification failure,
+3 non-convergence, 4 config or usage error.
 
 The config is a sectioned key-value file (configparser dialect); see the
-repository's configs/ directory for commented examples.  Float output uses
-17 significant digits so reruns are byte-identical and round-trip exactly.
+repository's configs/ directory for commented examples.  A section or key
+that nothing reads is a config error.  Float output uses 17 significant
+digits so reruns are byte-identical and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .contact import (
+    _AUDIT_RADIUS,
+    _AUDIT_SAMPLES,
     ContactLaw,
-    ContactProblem,
     Loads,
     Material,
     Mesh1D,
@@ -69,6 +74,11 @@ from .sweeping import integrate_velocity, solve_spec
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
 _CONTACT_KINDS = ("normal_compliance", "rigid_obstacle", "shear_friction")
+_CONTACT_SECTIONS = ("problem", "time", "solver", "mesh", "material", "contact", "loads")
+_ABSTRACT_SECTIONS = ("problem", "time", "solver", "abstract")
+# the keys each contact law reads besides ``law``
+_LAW_KEYS = {"rigid": (), "zero": (), "linear": ("slope",), "saturating": ("fmax", "rate"),
+             "table": ("slips", "thresholds")}
 _ORACLE_DIM_CAP = 2
 _ORACLE_STEP_CAP = 16
 
@@ -119,6 +129,13 @@ def _require(parser: configparser.ConfigParser, section: str) -> configparser.Se
     return parser[section]
 
 
+def _known(sec, keys) -> None:
+    """Reject a key of ``sec`` outside ``keys``, the keys its reader reads."""
+    for key in sec:
+        if key not in keys:
+            raise ConfigError(f"[{sec.name}] unknown key {key!r}")
+
+
 def _get(sec, key: str, default: str | None = None) -> str:
     val = sec.get(key, default)
     if val is None:
@@ -146,13 +163,6 @@ def _ints(sec, key: str, default: str | None = None) -> list[int]:
     return _numbers(sec, key, _get(sec, key, default), int)
 
 
-def _boolean(sec, key: str) -> bool:
-    try:
-        return sec.getboolean(key, fallback=False)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] {key}: {exc}") from None
-
-
 def _one(sec, key: str, default: str | None = None, kind=float):
     vals = _numbers(sec, key, _get(sec, key, default), kind)
     if len(vals) != 1:
@@ -171,21 +181,19 @@ def _section(name: str):
 
 def _law_from(sec) -> ContactLaw:
     name = _get(sec, "law")
-    law_kind = sec.get("law_kind", None)
+    if name not in _LAW_KEYS:
+        raise ConfigError(f"[contact] unknown law {name!r}")
+    _known(sec, ("law",) + _LAW_KEYS[name])
     with _section(sec.name):
         if name == "rigid":
             return ContactLaw.rigid()
         if name == "zero":
-            return ContactLaw.zero(kind=law_kind or "compliance")
+            return ContactLaw.zero()
         if name == "linear":
-            return ContactLaw.linear(_one(sec, "slope"), kind=law_kind or "compliance")
+            return ContactLaw.linear(_one(sec, "slope"))
         if name == "saturating":
-            return ContactLaw.saturating(_one(sec, "fmax"), _one(sec, "rate"),
-                                         kind=law_kind or "friction")
-        if name == "table":
-            return ContactLaw.from_table(_floats(sec, "slips"), _floats(sec, "thresholds"),
-                                         kind=law_kind or "compliance")
-    raise ConfigError(f"[contact] unknown law {name!r}")
+            return ContactLaw.saturating(_one(sec, "fmax"), _one(sec, "rate"))
+        return ContactLaw.from_table(_floats(sec, "slips"), _floats(sec, "thresholds"))
 
 
 def _schedule(base: np.ndarray, ramp: np.ndarray):
@@ -200,8 +208,10 @@ def _schedule(base: np.ndarray, ramp: np.ndarray):
 def _loads_from(sec, components: int, n_nodes: int) -> Loads:
     sizes = {"body": (1, n_nodes) if components == 1 else (1, 2),
              "traction": (1, components)}
+    keys = ("body", "body_ramp", "traction", "traction_ramp")
+    _known(sec, keys)
     vals = {}
-    for key in ("body", "body_ramp", "traction", "traction_ramp"):
+    for key in keys:
         vals[key] = _floats(sec, key, "0")
         allowed = sizes[key.split("_")[0]]
         if vals[key].size not in allowed:
@@ -212,6 +222,7 @@ def _loads_from(sec, components: int, n_nodes: int) -> Loads:
 
 
 def _material_from(sec, elements: int) -> Material:
+    _known(sec, ("a", "mu", "b", "beta", "beta_rate"))
     a = _floats(sec, "a")
     if a.size not in (1, elements):
         raise ConfigError(f"[{sec.name}] a: needs 1 value or one per element "
@@ -228,10 +239,12 @@ def _material_from(sec, elements: int) -> Material:
 
 
 def _abstract_from(sec) -> dict:
+    _known(sec, ("variant", "dimension", "metric", "operator", "cone", "cone_indices",
+                 "functional", "weights", "indices", "blocks", "parameter_kernel",
+                 "parameter_rate", "load_kernel", "load_rate", "f", "f_ramp"))
     out = {
         "variant": _get(sec, "variant"),
         "dimension": _one(sec, "dimension", kind=int),
-        "y_dimension": _one(sec, "y_dimension", sec.get("dimension"), kind=int),
         "metric": _floats(sec, "metric", "1"),
         "operator": _floats(sec, "operator"),
         "cone": sec.get("cone", "whole"),
@@ -240,7 +253,6 @@ def _abstract_from(sec) -> dict:
         "weights": _floats(sec, "weights", "1"),
         "indices": _ints(sec, "indices", "0"),
         "blocks": [_numbers(sec, "blocks", b, int) for b in sec.get("blocks", "0").split(";")],
-        "eta_free": _boolean(sec, "eta_free"),
         "parameter_kernel": _one(sec, "parameter_kernel", "0"),
         "parameter_rate": _one(sec, "parameter_rate", "0"),
         "load_kernel": _one(sec, "load_kernel", "0"),
@@ -267,7 +279,18 @@ def load_config(path: str | Path) -> RunConfig:
 
     prob = _require(parser, "problem")
     kind = _get(prob, "kind")
+    if kind in _CONTACT_KINDS:
+        sections, problem_keys = _CONTACT_SECTIONS, ("kind", "u0")
+    elif kind == "abstract":
+        sections, problem_keys = _ABSTRACT_SECTIONS, ("kind",)
+    else:
+        raise ConfigError(f"[problem] unknown kind {kind!r}")
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigError(f"[{name}] unknown section")
+    _known(prob, problem_keys)
     tsec = _require(parser, "time")
+    _known(tsec, ("horizon", "steps"))
     horizon = _one(tsec, "horizon")
     steps = _one(tsec, "steps", kind=int)
     if steps < 1 or horizon <= 0:
@@ -277,14 +300,19 @@ def load_config(path: str | Path) -> RunConfig:
     if not parser.has_section("solver"):
         parser.add_section("solver")
     sol = parser["solver"]
+    _known(sol, ("tol", "max_iter", "mode", "seed", "force"))
     tol = _one(sol, "tol", "1e-10")
     max_iter = _one(sol, "max_iter", "500", kind=int)
     mode = sol.get("mode", "time_marching")
     seed = _one(sol, "seed", "0", kind=int)
-    force = _boolean(sol, "force")
+    try:
+        force = sol.getboolean("force", fallback=False)
+    except ValueError as exc:
+        raise ConfigError(f"[solver] force: {exc}") from None
 
     if kind in _CONTACT_KINDS:
         msec = _require(parser, "mesh")
+        _known(msec, ("length", "elements"))
         length, elements = _one(msec, "length"), _one(msec, "elements", kind=int)
         if length <= 0:
             raise ConfigError(f"[mesh] length: must be positive, got {length!r}")
@@ -303,24 +331,26 @@ def load_config(path: str | Path) -> RunConfig:
         return RunConfig(kind=kind, grid=grid, tol=tol, max_iter=max_iter, mode=mode,
                          seed=seed, force=force, mesh=mesh, material=material,
                          law=law, loads=loads, u0=u0)
-    if kind == "abstract":
-        return RunConfig(kind=kind, grid=grid, tol=tol, max_iter=max_iter, mode=mode,
-                         seed=seed, force=force, abstract=_abstract_from(_require(parser, "abstract")))
-    raise ConfigError(f"[problem] unknown kind {kind!r}")
+    return RunConfig(kind=kind, grid=grid, tol=tol, max_iter=max_iter, mode=mode,
+                     seed=seed, force=force, abstract=_abstract_from(_require(parser, "abstract")))
 
 
 def _build_abstract(cfg: RunConfig) -> InclusionSpec:
     """Wire an InclusionSpec directly so --force can bypass the gate."""
     ab = cfg.abstract
-    dim, y_dim = ab["dimension"], ab["y_dimension"]
+    dim = ab["dimension"]
     metric = ab["metric"]
     metric = np.diag(np.full(dim, metric[0]) if metric.size == 1 else metric)
     if metric.shape != (dim, dim):
         raise ConfigError("[abstract] metric must list one value per dimension")
     x_space = HilbertSpace(dim, metric=metric)
-    if ab["variant"] == "state_parameter":
-        y_dim = dim
-    y_space = HilbertSpace(y_dim)
+    fk = ab["functional"]
+    eta_free = ab["variant"] == "parameter_free"
+    # Y carries one parameter per unit of j when j reads it from a parameter
+    # memory of its own; the state feedback and a parameter kernel map into X
+    units = {"positive_part": len(ab["indices"]), "block_norm": len(ab["blocks"])}.get(fk)
+    own_memory = ab["variant"] == "memory_pair" and ab["parameter_kernel"] == 0.0
+    y_space = HilbertSpace(units if units and own_memory else dim)
 
     op_entries = ab["operator"]
     if op_entries.size != dim * dim:
@@ -336,8 +366,6 @@ def _build_abstract(cfg: RunConfig) -> InclusionSpec:
         idx = () if ab["cone"] == "whole" else range(dim)
     cone = ConstraintCone(x_space, ab["cone"], idx)
 
-    fk = ab["functional"]
-    eta_free = ab["eta_free"] or ab["variant"] == "parameter_free"
     if fk == "zero":
         functional = HomogeneousFunctional.zero(x_space, y_space)
     elif fk == "positive_part":
@@ -350,15 +378,12 @@ def _build_abstract(cfg: RunConfig) -> InclusionSpec:
         raise ConfigError(f"[abstract] unknown functional {fk!r}")
 
     def _volterra(amp, rate, out_space):
-        kernel = VolterraKernel.exponential(amp, rate, np.eye(out_space.dim, dim),
-                                            symmetric=out_space.dim == dim)
+        kernel = VolterraKernel.exponential(amp, rate, np.eye(dim))
         return volterra_operator(kernel, cfg.grid, x_space, out_space=out_space)
 
     if ab["variant"] == "state_parameter":
         parameter = identity_operator(tag="state_feedback")
     elif ab["parameter_kernel"] != 0.0:
-        if y_dim != dim:
-            raise ConfigError("[abstract] parameter_kernel needs y_dimension == dimension")
         parameter = _volterra(ab["parameter_kernel"], ab["parameter_rate"], y_space)
     else:
         parameter = zero_operator(y_space, tag="zero_parameter")
@@ -400,9 +425,9 @@ def cmd_check(cfg: RunConfig, out) -> int:
     print(f"operator [{core.operator.tag}]: declared m={_g(audit.m_declared)} "
           f"L={_g(audit.L_declared)}; sampled m={_g(audit.m_observed)} "
           f"L={_g(audit.L_observed)} over {audit.trials} pairs [pass]", file=out)
-    if problem is not None and problem.law.kind != "rigid":
-        print(f"contact law [{problem.law.kind}]: F(0)=0, nondecreasing bound, "
-              f"Lipschitz constant {_g(problem.law.L_F)} [pass]", file=out)
+    if problem is not None and problem.law.F is not None:
+        print(f"contact law: F(0)=0, F>=0, sampled slope <= L_F={_g(problem.law.L_F)} "
+              f"at {_AUDIT_SAMPLES} points on [0, {_g(_AUDIT_RADIUS)}] [pass]", file=out)
     report = check_smallness(core)
     print(f"memories: l_parameter={_g(report.l_parameter)} l_load={_g(report.l_load)} "
           f"alpha={_g(report.alpha)}", file=out)
@@ -696,22 +721,30 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, out) -> int:
 
 # ---------------------------------------------------------------- entry
 
+# the flags of run and convergence besides --config, as argparse reads them
+_SOLVE_FLAGS = {
+    "out": dict(default="out", help="output directory (default: out)"),
+    "tol": dict(type=float, help="override solver tolerance"),
+    "mode": dict(choices=("time_marching", "global_picard"), help="override solver mode"),
+    "seed": dict(type=int, help="override sampling seed"),
+    "force": dict(action="store_true", help="run even when the smallness gate fails"),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sweepvi",
                                 description="variational-inequality and sweeping-process solver")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in (("check", "audit assumptions and the smallness gate"),
-                      ("run", "solve and write solution.csv + diagnostics.txt"),
-                      ("convergence", "empirical dt/h refinement study"),
-                      ("verify", "recompute residuals and oracle gaps from written files")):
+    for name, doc, flags in (("check", "audit assumptions and the smallness gate", ()),
+                             ("run", "solve and write solution.csv + diagnostics.txt",
+                              _SOLVE_FLAGS),
+                             ("convergence", "empirical dt/h refinement study", _SOLVE_FLAGS),
+                             ("verify", "recompute residuals and oracle gaps from written files",
+                              ("out", "seed"))):
         q = sub.add_parser(name, help=doc)
         q.add_argument("--config", required=True, help="path to the INI-style config")
-        q.add_argument("--out", default="out", help="output directory (default: out)")
-        q.add_argument("--tol", type=float, default=None, help="override solver tolerance")
-        q.add_argument("--mode", choices=("time_marching", "global_picard"), default=None)
-        q.add_argument("--seed", type=int, default=None, help="override sampling seed")
-        q.add_argument("--force", action="store_true",
-                       help="run even when the smallness gate fails")
+        for flag in flags:
+            q.add_argument(f"--{flag}", **_SOLVE_FLAGS[flag])
         if name == "convergence":
             q.add_argument("--refinements", type=int, default=3,
                            help="number of halvings (>= 2)")
@@ -719,33 +752,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = vars(_parser().parse_args(argv))
+    except SystemExit as exc:       # argparse exits 2 on a usage error, 0 after --help
+        return 4 if exc.code == 2 else exc.code
     out = sys.stdout
     try:
-        cfg = load_config(args.config)
-        if args.tol is not None:
-            cfg = replace(cfg, tol=args.tol)
-        if args.mode is not None:
-            cfg = replace(cfg, mode=args.mode)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.force:
-            cfg = replace(cfg, force=True)
-        out_dir = Path(args.out)
-        if args.command == "check":
+        # a flag the subcommand does not take is absent from args
+        overrides = {key: args[key] for key in ("tol", "mode", "seed")
+                     if args.get(key) is not None}
+        if args.get("force"):
+            overrides["force"] = True
+        cfg = replace(load_config(args["config"]), **overrides)
+        out_dir = Path(args.get("out", "out"))
+        if args["command"] == "check":
             return cmd_check(cfg, out)
-        if args.command == "run":
+        if args["command"] == "run":
             return cmd_run(cfg, out_dir, out)
-        if args.command == "convergence":
-            return cmd_convergence(cfg, args.refinements, out_dir, out)
+        if args["command"] == "convergence":
+            return cmd_convergence(cfg, args["refinements"], out_dir, out)
         return cmd_verify(cfg, out_dir, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
-    except SmallnessError as exc:
-        print(f"gate failure: {exc}", file=sys.stderr)
-        return 2
-    except AuditError as exc:
+    except (SmallnessError, AuditError) as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

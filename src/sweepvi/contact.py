@@ -17,14 +17,12 @@ contact traction is the discrete equilibrium residual at the contact dof.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .core import (
-    AssumptionWarning,
     ConstraintCone,
     DimensionMismatchError,
     HilbertSpace,
@@ -144,34 +142,37 @@ class Material:
         return _per_element(self.b, mesh.n_elements, "b", positive=False)
 
 
+# the threshold map is audited at this many points on [0, radius]
+_AUDIT_SAMPLES = 400
+_AUDIT_RADIUS = 50.0
+
+
 @dataclass(frozen=True)
 class ContactLaw:
-    """Contact response at the right end.
+    """Contact response at the right end: rigid, or a threshold map.
 
-    kind "rigid": unilateral constraint, no threshold map.
-    kind "compliance": normal stress bounded by F(accumulated penetration).
-    kind "friction": tangential stress bounded by F(accumulated slip).
+    ``F = None`` is the rigid law, a unilateral constraint with no threshold
+    (``rigid_obstacle``).  Otherwise the contact stress is bounded by the
+    threshold map ``F`` with Lipschitz constant ``L_F``, and
+    :func:`build_problem` assigns its role: ``F`` of the accumulated
+    penetration bounds the normal pressure (``normal_compliance``), ``F`` of
+    the accumulated slip the tangential stress (``shear_friction``).  A
+    threshold map is audited when the law is made: ``F(0) = 0``, ``F >= 0``
+    and a sampled slope at most ``L_F`` on ``[0, 50]``.
     """
 
-    kind: str
     F: Callable[[np.ndarray], np.ndarray] | None = None
     L_F: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("rigid", "compliance", "friction"):
-            raise ValueError(f"unknown contact law kind {self.kind!r}")
-        if self.kind == "rigid":
-            if self.F is not None:
-                raise ValueError("a rigid law takes no threshold map")
-            return
         if self.F is None:
-            raise ValueError(f"{self.kind} law needs a threshold map")
+            return
         if self.L_F < 0:
             raise ValueError("L_F must be nonnegative")
         self._audit()
 
-    def _audit(self, samples: int = 400, radius: float = 50.0):
-        r = np.linspace(0.0, radius, samples)
+    def _audit(self):
+        r = np.linspace(0.0, _AUDIT_RADIUS, _AUDIT_SAMPLES)
         vals = np.asarray(self.F(r), dtype=float)
         if abs(float(np.asarray(self.F(np.array([0.0])))[0])) > 1e-12:
             raise ValueError("threshold map must vanish at zero slip")
@@ -185,28 +186,28 @@ class ContactLaw:
 
     @classmethod
     def rigid(cls) -> "ContactLaw":
-        return cls("rigid")
+        return cls()
 
     @classmethod
-    def zero(cls, kind: str = "compliance") -> "ContactLaw":
-        return cls(kind, F=lambda r: np.zeros_like(np.asarray(r, dtype=float)), L_F=0.0)
+    def zero(cls) -> "ContactLaw":
+        return cls(F=lambda r: np.zeros_like(np.asarray(r, dtype=float)), L_F=0.0)
 
     @classmethod
-    def linear(cls, slope: float, kind: str = "compliance") -> "ContactLaw":
+    def linear(cls, slope: float) -> "ContactLaw":
         if slope < 0:
             raise ValueError("slope must be nonnegative")
-        return cls(kind, F=lambda r, s=float(slope): s * np.asarray(r, dtype=float), L_F=float(slope))
+        return cls(F=lambda r, s=float(slope): s * np.asarray(r, dtype=float), L_F=float(slope))
 
     @classmethod
-    def saturating(cls, fmax: float, rate: float, kind: str = "friction") -> "ContactLaw":
+    def saturating(cls, fmax: float, rate: float) -> "ContactLaw":
         if fmax < 0 or rate < 0:
             raise ValueError("fmax and rate must be nonnegative")
         fmax, rate = float(fmax), float(rate)
-        return cls(kind, F=lambda r: fmax * (1.0 - np.exp(-rate * np.asarray(r, dtype=float))),
+        return cls(F=lambda r: fmax * (1.0 - np.exp(-rate * np.asarray(r, dtype=float))),
                    L_F=fmax * rate)
 
     @classmethod
-    def from_table(cls, slips, thresholds, kind: str = "compliance") -> "ContactLaw":
+    def from_table(cls, slips, thresholds) -> "ContactLaw":
         slips = np.asarray(slips, dtype=float)
         thresholds = np.asarray(thresholds, dtype=float)
         if slips.shape != thresholds.shape or slips.ndim != 1 or slips.size < 2:
@@ -216,8 +217,7 @@ class ContactLaw:
         if np.any(np.diff(slips) <= 0):
             raise ValueError("slip abscissae must increase")
         L = float(np.abs(np.diff(thresholds) / np.diff(slips)).max())
-        return cls(kind, F=lambda r: np.interp(np.asarray(r, dtype=float), slips, thresholds),
-                   L_F=L)
+        return cls(F=lambda r: np.interp(np.asarray(r, dtype=float), slips, thresholds), L_F=L)
 
 
 @dataclass(frozen=True)
@@ -343,12 +343,11 @@ def assemble_relaxation(material: Material, dim: int) -> VolterraKernel:
     the nodal kernel is beta(t) * Id on the Riesz representatives.
     """
     beta = material.beta or (lambda t: 0.0)
-    return VolterraKernel(scalar_profile=beta, matrix=np.eye(dim), symmetric=True)
+    return VolterraKernel(scalar_profile=beta, matrix=np.eye(dim))
 
 
 def _threshold_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
-                      y_space: HilbertSpace | None, magnitude: Callable[[float], float],
-                      tag: str) -> HistoryOperator:
+                      magnitude: Callable[[float], float], tag: str) -> HistoryOperator:
     """``F(int magnitude(u at the contact dof) ds)`` as a running trapezoid sum.
 
     The state is the accumulated integral, the last integrand value and the
@@ -374,25 +373,23 @@ def _threshold_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
         return (acc, value, out), out
 
     return HistoryOperator((0.0, 0.0, threshold(0.0)), advance, l=0.0, L=law.L_F,
-                           tag=tag, out_space=y_space or HilbertSpace(1), grid=grid)
+                           tag=tag, out_space=HilbertSpace(1), grid=grid)
 
 
-def penetration_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
-                       y_space: HilbertSpace | None = None) -> HistoryOperator:
+def penetration_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid) -> HistoryOperator:
     """Threshold trajectory F(int (u at the contact node)^+ ds).
 
     History-dependent: l = 0.  The integral constant routes through the
     trace bound, L = c0 * L_F, supplied by the caller via the declared L on
     the returned operator when assembling the problem.
     """
-    return _threshold_memory(law, contact_dof, grid, y_space, lambda x: max(x, 0.0),
+    return _threshold_memory(law, contact_dof, grid, lambda x: max(x, 0.0),
                              "penetration_threshold")
 
 
-def slip_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
-                y_space: HilbertSpace | None = None) -> HistoryOperator:
+def slip_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid) -> HistoryOperator:
     """Threshold trajectory F(int |tangential velocity at the contact node| ds)."""
-    return _threshold_memory(law, contact_dof, grid, y_space, abs, "slip_threshold")
+    return _threshold_memory(law, contact_dof, grid, abs, "slip_threshold")
 
 
 def assemble_loads(mesh: Mesh1D, loads: Loads, grid: TimeGrid,
@@ -450,6 +447,9 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
     rigid_obstacle: rod, nonpositive contact displacement, no threshold.
     shear_friction: shear layer in the velocity, bilateral normal component,
     slip-memory friction threshold on the tangential velocity.
+
+    ``law`` is the rigid law for rigid_obstacle and a threshold map for the
+    other two, which take its role from ``kind``.
     """
     if kind in ("normal_compliance", "rigid_obstacle"):
         components = 1
@@ -457,6 +457,9 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
         components = 2
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
+    if (law.F is None) != (kind == "rigid_obstacle"):
+        want = "the rigid law" if kind == "rigid_obstacle" else "a threshold law"
+        raise UnsupportedConfigurationError(f"{kind} needs {want}")
     space = assemble_space(mesh, components)
     n = mesh.n_free
     A = assemble_A(mesh, material, space, components)
@@ -467,48 +470,33 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
         relaxation = volterra_operator(assemble_relaxation(material, space.dim), grid,
                                        space, tag="relaxation")
 
+    y_space = HilbertSpace(1)       # the one threshold parameter
+
+    def inclusion(cone, functional, memory) -> InclusionSpec:
+        return InclusionSpec(x_space=space, y_space=y_space, cone=cone, operator=A,
+                             functional=functional, parameter_memory=memory,
+                             load_memory=relaxation, f=f, grid=grid)
+
     if kind == "normal_compliance":
-        if law.kind != "compliance":
-            raise UnsupportedConfigurationError(
-                f"normal_compliance needs a compliance law, got {law.kind!r}")
         contact = n - 1
         c0 = trace_constant(space, contact)
-        y_space = HilbertSpace(1)
         functional = HomogeneousFunctional.positive_part(space, y_space,
                                                          weights=[1.0], indices=[contact])
-        memory = replace(penetration_memory(law, contact, grid, y_space), L=c0 * law.L_F)
-        spec = InclusionSpec(x_space=space, y_space=y_space,
-                             cone=ConstraintCone.whole_space(space), operator=A,
-                             functional=functional, parameter_memory=memory,
-                             load_memory=relaxation, f=f, grid=grid)
+        memory = replace(penetration_memory(law, contact, grid), L=c0 * law.L_F)
+        spec = inclusion(ConstraintCone.whole_space(space), functional, memory)
         dofs = {"nu": contact}
     elif kind == "rigid_obstacle":
-        if law.kind != "rigid":
-            raise UnsupportedConfigurationError(
-                f"rigid_obstacle needs a rigid law, got {law.kind!r}")
         contact = n - 1
-        y_space = HilbertSpace(1)
-        functional = HomogeneousFunctional.zero(space, y_space)
-        spec = InclusionSpec(x_space=space, y_space=y_space,
-                             cone=ConstraintCone.nonpositive(space, [contact]),
-                             operator=A, functional=functional,
-                             parameter_memory=zero_operator(y_space),
-                             load_memory=relaxation, f=f, grid=grid)
+        spec = inclusion(ConstraintCone.nonpositive(space, [contact]),
+                         HomogeneousFunctional.zero(space, y_space), zero_operator(y_space))
         dofs = {"nu": contact}
     else:
-        if law.kind not in ("friction",):
-            raise UnsupportedConfigurationError(
-                f"shear_friction needs a friction law, got {law.kind!r}")
         nu_dof, tau_dof = n - 1, 2 * n - 1
         c0 = trace_constant(space, tau_dof)
-        y_space = HilbertSpace(1)
         functional = HomogeneousFunctional.block_norm(space, y_space, weights=[1.0],
                                                       blocks=[[tau_dof]])
-        memory = replace(slip_memory(law, tau_dof, grid, y_space), L=c0 * law.L_F)
-        core = InclusionSpec(x_space=space, y_space=y_space,
-                             cone=ConstraintCone.zero(space, [nu_dof]), operator=A,
-                             functional=functional, parameter_memory=memory,
-                             load_memory=relaxation, f=f, grid=grid)
+        memory = replace(slip_memory(law, tau_dof, grid), L=c0 * law.L_F)
+        core = inclusion(ConstraintCone.zero(space, [nu_dof]), functional, memory)
         b_op = assemble_elastic(mesh, material, space, components)
         if u0 is None:
             u0 = np.zeros(space.dim)
@@ -524,10 +512,10 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
                           relaxation=relaxation)
 
 
-def solve_contact(problem: ContactProblem, tol: float = 1e-10,
-                  mode: str = "time_marching", **kwargs) -> InclusionSolution:
-    """Solve the assembled problem; ``v`` holds the shear layer's velocity."""
-    return solve_spec(problem.spec, tol=tol, mode=mode, **kwargs)
+def solve_contact(problem: ContactProblem, **kwargs) -> InclusionSolution:
+    """Solve the assembled problem with :func:`~sweepvi.sweeping.solve_spec`'s
+    options; ``v`` holds the shear layer's velocity."""
+    return solve_spec(problem.spec, **kwargs)
 
 
 @dataclass(frozen=True)

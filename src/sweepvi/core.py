@@ -447,6 +447,8 @@ class HomogeneousFunctional:
         elif kind == "block_norm":
             self.blocks = tuple(np.array([int(i) for i in b], dtype=int) for b in blocks)
             self.weights = np.array([float(w) for w in weights], dtype=float)
+            if any(b.size == 0 for b in self.blocks):
+                raise ValueError("blocks must not be empty")
             if len(self.blocks) != self.weights.size or not self.blocks:
                 raise DimensionMismatchError("need one weight per block")
             flat = np.concatenate(self.blocks)

@@ -30,7 +30,6 @@ __all__ = [
     "volterra_operator",
     "identity_operator",
     "zero_operator",
-    "exp_growth_memory",
     "exp_growth_memory_operator",
     "trapezoid_weights",
     "running_trapezoid",
@@ -167,14 +166,12 @@ class VolterraKernel:
     ``scalar_profile`` plus ``matrix`` describes the common separable form
     ``B(t) = beta(t) * C`` which evaluates much faster; with an
     :class:`ExponentialProfile` (see :meth:`exponential`) the memory costs
-    O(1) per node.  ``symmetric=True`` asserts symmetric kernel blocks and is
-    audited on the grid nodes.
+    O(1) per node.  The blocks ``B(t)`` need not be symmetric.
     """
 
     matrix_fn: Callable[[float], np.ndarray] | None = None
     scalar_profile: Callable[[float], float] | None = None
     matrix: np.ndarray | None = None
-    symmetric: bool = False
 
     def __post_init__(self):
         if (self.matrix_fn is None) == (self.scalar_profile is None):
@@ -183,11 +180,10 @@ class VolterraKernel:
             raise ValueError("scalar_profile needs a matrix factor")
 
     @classmethod
-    def exponential(cls, amplitude: float, rate: float, matrix,
-                    symmetric: bool = False) -> "VolterraKernel":
+    def exponential(cls, amplitude: float, rate: float, matrix) -> "VolterraKernel":
         """``B(t) = amplitude * exp(-rate * t) * matrix``."""
         return cls(scalar_profile=ExponentialProfile(float(amplitude), float(rate)),
-                   matrix=np.asarray(matrix, dtype=float), symmetric=symmetric)
+                   matrix=np.asarray(matrix, dtype=float))
 
     def at(self, t: float) -> np.ndarray:
         if self.scalar_profile is not None:
@@ -199,16 +195,7 @@ class VolterraKernel:
         return np.array([float(self.scalar_profile(t)) for t in grid.nodes])
 
     def on_grid(self, grid: TimeGrid) -> np.ndarray:
-        mats = np.stack([self.at(t) for t in grid.nodes])
-        self._audit_symmetry(mats)
-        return mats
-
-    def _audit_symmetry(self, mats: np.ndarray) -> None:
-        if not self.symmetric:
-            return
-        dev = np.abs(mats - np.swapaxes(mats, -1, -2)).max()
-        if dev > 1e-10 * max(np.abs(mats).max(), 1e-30):
-            raise ValueError("kernel declared symmetric but grid samples are not")
+        return np.stack([self.at(t) for t in grid.nodes])
 
 
 class _Rows:
@@ -241,7 +228,7 @@ class _Rows:
 
 
 def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
-    """``(start, advance, kernel norms)`` of the trapezoid convolution on ``grid``.
+    """``(advance, kernel norms)`` of the trapezoid convolution on ``grid``, from state ``None``.
 
     The kernel norms are ``beta`` on the grid for separable kernels and the
     matrices ``B(t_k)`` otherwise; they bound the memory constant.
@@ -272,11 +259,10 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     if kernel.scalar_profile is None:
         mats = kernel.on_grid(grid)
         advance = stepper(dt * mats, lambda w, U: np.einsum("jab,jb->a", w, U), mats.shape[1])
-        return None, advance, mats
+        return advance, mats
 
     C = np.asarray(kernel.matrix, dtype=float)
     beta = kernel.profile_on_grid(grid)
-    kernel._audit_symmetry(np.abs(beta).max() * C)
     profile = kernel.scalar_profile
     if isinstance(profile, ExponentialProfile):
         # I_k = e^{-r dt} I_{k-1} + dt/2 (e^{-r dt} u_{k-1} + u_k) is the composite
@@ -296,17 +282,16 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
             out.flags.writeable = False
             return (out, g), out
 
-        return None, advance, beta
+        return advance, beta
 
     advance = stepper(dt * beta, lambda w, U: C @ (w @ U), C.shape[0])
-    return None, advance, beta
+    return advance, beta
 
 
-def apply_volterra(kernel: VolterraKernel, traj: Trajectory,
-                   out_space: HilbertSpace | None = None) -> Trajectory:
+def apply_volterra(kernel: VolterraKernel, traj: Trajectory) -> Trajectory:
     """Trapezoid discretization of ``(S u)(t) = int_0^t B(t - s) u(s) ds``."""
-    start, advance, _ = _volterra_steps(kernel, traj.grid)
-    return HistoryOperator(start, advance, l=0.0, L=0.0, out_space=out_space)(traj)
+    advance, _ = _volterra_steps(kernel, traj.grid)
+    return HistoryOperator(None, advance, l=0.0, L=0.0)(traj)
 
 
 def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace) -> float:
@@ -315,24 +300,23 @@ def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace)
 
 
 def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: HilbertSpace,
-                      out_space: HilbertSpace | None = None, L: float | None = None,
+                      out_space: HilbertSpace | None = None,
                       tag: str = "volterra") -> HistoryOperator:
     """Wrap a kernel as a :class:`HistoryOperator` with ``l = 0``.
 
-    When ``L`` is omitted it is bounded by ``max_t ||B(t)||`` in the input
-    space norm times the output norm distortion, measured on the grid nodes
-    (exact for separable kernels with constant factor).  Exponential
-    profiles step in O(1) per node; other kernels sum the prefix, O(k).
+    ``L`` is bounded by ``max_t ||B(t)||`` in the input space norm times the
+    output norm distortion, measured on the grid nodes (exact for separable
+    kernels with constant factor).  Exponential profiles step in O(1) per
+    node; other kernels sum the prefix, O(k).
     """
-    start, advance, norms = _volterra_steps(kernel, grid)
-    if L is None:
-        target = out_space or input_space
-        if kernel.scalar_profile is not None:
-            L = float(np.abs(norms).max()) * _metric_norm(
-                np.asarray(kernel.matrix, dtype=float), input_space, target)
-        else:
-            L = max(_metric_norm(B, input_space, target) for B in norms)
-    return HistoryOperator(start, advance, l=0.0, L=float(L), tag=tag,
+    advance, norms = _volterra_steps(kernel, grid)
+    target = out_space or input_space
+    if kernel.scalar_profile is not None:
+        L = float(np.abs(norms).max()) * _metric_norm(
+            np.asarray(kernel.matrix, dtype=float), input_space, target)
+    else:
+        L = max(_metric_norm(B, input_space, target) for B in norms)
+    return HistoryOperator(None, advance, l=0.0, L=float(L), tag=tag,
                            out_space=out_space, grid=grid)
 
 
@@ -346,17 +330,13 @@ def zero_operator(out_space: HilbertSpace, tag: str = "zero") -> HistoryOperator
                            tag=tag, out_space=out_space)
 
 
-def exp_growth_memory(traj: Trajectory) -> Trajectory:
-    """Apply ``(S u)(t) = e^t u(t) + int_0^t s u(s) ds`` (trapezoid rule).
+def exp_growth_memory_operator(grid: TimeGrid) -> HistoryOperator:
+    """``(S u)(t) = e^t u(t) + int_0^t s u(s) ds`` (trapezoid rule) on ``grid``.
 
     The canonical operator whose instantaneous coefficient exceeds 1, so it
     falls outside the fixed-point-eligible class on horizons of length >= 1.
+    Constants on ``[0, T]``: instantaneous ``e^T``, memory weight ``T``.
     """
-    return exp_growth_memory_operator(traj.grid)(traj)
-
-
-def exp_growth_memory_operator(grid: TimeGrid, tag: str = "exp_growth") -> HistoryOperator:
-    """Constants on ``[0, T]``: instantaneous ``e^T``, memory weight ``T``."""
     nodes, growth, dt = grid.nodes, np.exp(grid.nodes), grid.dt
 
     def advance(state, k, u_k):
@@ -367,8 +347,8 @@ def exp_growth_memory_operator(grid: TimeGrid, tag: str = "exp_growth") -> Histo
         return (acc, weighted), growth[k] * u_k + acc
 
     T = grid.horizon
-    return HistoryOperator((0.0, None), advance, l=float(np.exp(T)), L=float(T), tag=tag,
-                           grid=grid)
+    return HistoryOperator((0.0, None), advance, l=float(np.exp(T)), L=float(T),
+                           tag="exp_growth", grid=grid)
 
 
 def _norm_history(space_in: HilbertSpace, traj_a: Trajectory, traj_b: Trajectory):
@@ -416,12 +396,11 @@ def check_declared_bound(op: HistoryOperator, space: HilbertSpace, grid: TimeGri
 
 
 def picard_fixed_point(op: HistoryOperator, space: HilbertSpace, grid: TimeGrid,
-                       tol: float = 1e-10, max_sweeps: int = 10000,
-                       start: Trajectory | None = None) -> Trajectory:
+                       tol: float = 1e-10, max_sweeps: int = 10000) -> Trajectory:
     """Unique fixed point of an operator with ``l < 1`` by repeated application.
 
     The sweep map contracts in an exponentially weighted sup norm whenever
-    ``l < 1``, so plain iteration converges for any start; the stopping rule
+    ``l < 1``, so plain iteration from zero converges; the stopping rule
     converts the sup-node displacement into a distance bound using the
     measured sweep ratio.
     """
@@ -429,7 +408,7 @@ def picard_fixed_point(op: HistoryOperator, space: HilbertSpace, grid: TimeGrid,
         raise IneligibleOperatorError(
             f"fixed point needs an instantaneous coefficient below 1, declared l={op.l}"
         )
-    traj = start if start is not None else Trajectory.zeros(space, grid)
+    traj = Trajectory.zeros(space, grid)
     prev_disp = None
     ratio = 0.5
     for _ in range(max_sweeps):

@@ -224,8 +224,7 @@ def test_criterion_03_inclusion_equivalence():
 def _decay_spec(steps):
     """2 u(t) + 0.5 int_0^t u = 1, hence u(t) = e^{-t/4} / 2."""
     grid = TimeGrid(1.0, steps)
-    kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1),
-                          symmetric=True)
+    kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1))
     return build_inclusion_variant(
         "parameter_free", cone=FREE1,
         operator=MonotoneOperator.from_matrix(X1, [[2.0]]),
@@ -255,10 +254,8 @@ def _block_norm_feedback(steps=8):
 
 def _memory_pair_spec(steps=12):
     grid = TimeGrid(1.0, steps)
-    pkern = VolterraKernel(scalar_profile=lambda t: 0.3, matrix=np.eye(1),
-                           symmetric=True)
-    lkern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1),
-                           symmetric=True)
+    pkern = VolterraKernel(scalar_profile=lambda t: 0.3, matrix=np.eye(1))
+    lkern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1))
     return build_inclusion_variant(
         "memory_pair", cone=FREE1,
         operator=MonotoneOperator.from_matrix(X1, [[2.0]]),
@@ -402,7 +399,7 @@ def test_criterion_09_compliance_memory():
 
     # zero threshold: the contact term drops out entirely
     free_rod = build_problem("normal_compliance", mesh, mat,
-                             ContactLaw.zero("compliance"), Loads(traction=1.0),
+                             ContactLaw.zero(), Loads(traction=1.0),
                              grid)
     constrained = solve_contact(free_rod, tol=1e-11)
     unconstrained = solve_inclusion(build_inclusion_variant(
@@ -419,7 +416,7 @@ def test_criterion_10_friction_shear():
     mesh = Mesh1D.uniform(1.0, 8)
     grid = TimeGrid(1.0, 16)
     mat = Material(a=0.5)
-    law = ContactLaw.saturating(0.3, 60.0, kind="friction")
+    law = ContactLaw.saturating(0.3, 60.0)
 
     for sign in (+1.0, -1.0):
         prob = build_problem("shear_friction", mesh, mat, law,
@@ -433,7 +430,7 @@ def test_criterion_10_friction_shear():
         assert abs(abs(stress.sigma_tau[-1]) - 0.3) <= 1e-6
 
     frictionless = build_problem("shear_friction", mesh, mat,
-                                 ContactLaw.zero("friction"),
+                                 ContactLaw.zero(),
                                  Loads(body=[0.0, 1.2]), grid)
     sol = solve_contact(frictionless, tol=1e-11)
     stress = recover_stress(frictionless, sol.u, sol.v)

@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -90,8 +91,8 @@ class TestLoadConfig:
         bad = tmp_path / "bad.ini"
         assert old in ZERO_LOAD
         bad.write_text(ZERO_LOAD.replace(old, new))
-        for command in ("check", "run"):
-            assert run_cli(command, "--config", bad, "--out", tmp_path / "out") == 4
+        for command in (("check",), ("run", "--out", tmp_path / "out")):
+            assert run_cli(*command, "--config", bad) == 4
             err = capsys.readouterr().err
             assert err.startswith("config error: ")
             for name in names:
@@ -102,7 +103,7 @@ class TestLoadConfig:
     def test_bad_flag_override_exits_4_naming_the_key(self, tmp_path, capsys, flag, value):
         cfg = tmp_path / "zero.ini"
         cfg.write_text(ZERO_LOAD)
-        for command in ("check", "run"):
+        for command in ("run", "convergence"):
             assert run_cli(command, "--config", cfg, "--out", tmp_path / "out",
                            f"{flag}={value}") == 4
             err = capsys.readouterr().err
@@ -114,7 +115,7 @@ class TestLoadConfig:
         cfg = tmp_path / "picard.ini"
         cfg.write_text(ZERO_LOAD.replace("mode = time_marching",
                                          "mode = global_picard\nmax_iter = 1"))
-        for command in ("check", "run"):
+        for command in ("run", "convergence"):
             for mode in ("time_marching", "global_picard"):
                 assert run_cli(command, "--config", cfg, "--out", tmp_path / "out",
                                f"--mode={mode}") == 4
@@ -138,6 +139,153 @@ class TestLoadConfig:
         run = (f"import sweepvi.cli; assert sweepvi.cli.main(['run', '--config', "
                f"{str(CONFIGS / f'{name}.ini')!r}, '--out', {str(tmp_path)!r}]) == 0")
         assert _scipy_modules_after(run) == "[]"
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("config, old, new, message", [
+        ("rod_compliance", "beta_rate = 2.0", "beta_rte = 2.0", "[material] unknown key 'beta_rte'"),
+        ("rod_rigid", "seed = 0", "sede = 0", "[solver] unknown key 'sede'"),
+        ("abstract_volterra", "load_kernel = 0.5", "load_kernal = 0.5",
+         "[abstract] unknown key 'load_kernal'"),
+        ("rod_rigid", "law = rigid", "law = rigid\nslope = 1", "[contact] unknown key 'slope'"),
+        ("abstract_volterra", "[time]", "[mesh]\nlength = 1\n\n[time]", "[mesh] unknown section"),
+        ("rod_rigid", "[time]", "[abstract]\nvariant = memory_pair\n\n[time]",
+         "[abstract] unknown section"),
+        # keys an earlier format read, which a config must no longer carry
+        ("rod_compliance", "law = linear", "law = linear\nlaw_kind = compliance",
+         "[contact] unknown key 'law_kind'"),
+        ("abstract_volterra", "dimension = 1", "dimension = 1\ny_dimension = 1",
+         "[abstract] unknown key 'y_dimension'"),
+        ("abstract_volterra", "dimension = 1", "dimension = 1\neta_free = true",
+         "[abstract] unknown key 'eta_free'"),
+    ])
+    def test_a_key_or_section_nothing_reads_exits_4_naming_it(self, tmp_path, capsys,
+                                                              config, old, new, message):
+        text = (CONFIGS / f"{config}.ini").read_text()
+        assert old in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new, 1))
+        for command in (("check",), ("run", "--out", tmp_path / "out")):
+            assert run_cli(*command, "--config", bad) == 4
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("law = linear\nslope = 0.5", "law = saturating\nfmax = 0.3\nrate = 2.0"),
+        ("law = linear\nslope = 0.5", "law = table\nslips = 0 1\nthresholds = 0 0.5"),
+        ("law = linear\nslope = 0.5", "law = zero"),
+    ])
+    def test_compliance_takes_any_threshold_law(self, tmp_path, old, new):
+        text = (CONFIGS / "rod_compliance.ini").read_text()
+        assert old in text
+        cfg = tmp_path / "law.ini"
+        cfg.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        assert run_cli("verify", "--config", cfg, "--out", out) == 0
+
+    def test_friction_takes_a_linear_law(self, tmp_path):
+        text = (CONFIGS / "shear_friction.ini").read_text()
+        cfg = tmp_path / "law.ini"
+        cfg.write_text(text.replace("law = saturating\nfmax = 0.3\nrate = 60.0",
+                                    "law = linear\nslope = 0.5"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        assert run_cli("verify", "--config", cfg, "--out", out) == 0
+
+    def test_the_parameter_space_has_one_dimension_per_block(self, tmp_path):
+        # one norm block on two coordinates, read from a memory of its own
+        cfg = tmp_path / "block.ini"
+        cfg.write_text(BLOCK_NORM)
+        assert load_config(cfg).abstract["blocks"] == [[0, 1]]
+        spec = _build_spec(cfg)
+        assert (spec.x_space.dim, spec.y_space.dim) == (2, 1)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        assert run_cli("verify", "--config", cfg, "--out", out) == 0
+
+    def test_the_parameter_space_is_x_when_j_reads_no_parameter(self, tmp_path):
+        cfg = tmp_path / "block.ini"
+        cfg.write_text(BLOCK_NORM.replace("variant = memory_pair", "variant = parameter_free"))
+        assert _build_spec(cfg).y_space.dim == 2
+
+    def test_a_parameter_kernel_maps_into_x(self, tmp_path, capsys):
+        # the kernel's Y = X has two dimensions, and j one unit to read them
+        cfg = tmp_path / "block.ini"
+        cfg.write_text(BLOCK_NORM.replace("f = 1.0", "f = 1.0\nparameter_kernel = 0.5"))
+        assert run_cli("check", "--config", cfg) == 4
+        assert "[abstract] parameter space dimension" in capsys.readouterr().err
+        cfg.write_text(BLOCK_NORM.replace("f = 1.0", "f = 1.0\nparameter_kernel = 0.5")
+                       .replace("blocks = 0 1", "blocks = 0; 1").replace("weights = 1", "weights = 1 1"))
+        assert _build_spec(cfg).y_space.dim == 2
+
+    @pytest.mark.parametrize("blocks", ["0;", "0;1;", ";0 1"])
+    def test_an_empty_block_exits_4(self, tmp_path, capsys, blocks):
+        cfg = tmp_path / "block.ini"
+        cfg.write_text(BLOCK_NORM.replace("blocks = 0 1", f"blocks = {blocks}")
+                       .replace("weights = 1", "weights = 1 1"))
+        assert run_cli("check", "--config", cfg) == 4
+        assert capsys.readouterr().err == "config error: [abstract] blocks must not be empty\n"
+
+
+BLOCK_NORM = """\
+[problem]
+kind = abstract
+
+[abstract]
+variant = memory_pair
+dimension = 2
+operator = 2 0 0 2
+functional = block_norm
+weights = 1
+blocks = 0 1
+f = 1.0
+
+[time]
+horizon = 1.0
+steps = 4
+"""
+
+
+def _build_spec(path):
+    import sweepvi.cli as cli
+
+    return cli._build(load_config(path))[1]
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, names", [
+        (("run",), "--config"),
+        (("run", "--config", CONFIGS / "rod_rigid.ini", "--mode", "bogus"), "bogus"),
+        (("solve", "--config", CONFIGS / "rod_rigid.ini"), "solve"),
+        (("check", "--config", CONFIGS / "rod_rigid.ini", "--seed", "5"), "--seed 5"),
+        (("check", "--config", CONFIGS / "rod_rigid.ini", "--out", "x"), "--out x"),
+        (("verify", "--config", CONFIGS / "rod_rigid.ini", "--mode", "global_picard"),
+         "--mode global_picard"),
+        (("verify", "--config", CONFIGS / "rod_rigid.ini", "--tol", "1e-6"), "--tol"),
+        (("verify", "--config", CONFIGS / "rod_rigid.ini", "--force"), "--force"),
+        ((), "command"),
+    ])
+    def test_a_usage_error_exits_4_naming_the_argument(self, capsys, argv, names):
+        assert run_cli(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sweepvi")
+        assert names in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("check", "--help"), ("run", "-h")])
+    def test_help_exits_0(self, capsys, argv):
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.startswith("usage: sweepvi")
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, capsys):
+        for command, flags in (("check", []), ("verify", ["--out", "--seed"]),
+                               ("run", ["--out", "--tol", "--mode", "--seed", "--force"]),
+                               ("convergence", ["--out", "--tol", "--mode", "--seed",
+                                                "--force", "--refinements"])):
+            assert run_cli(command, "--help") == 0
+            text = capsys.readouterr().out
+            taken = sorted(set(re.findall(r"--[a-z]+", text)) - {"--help", "--config"})
+            assert taken == sorted(flags), command
 
 
 def _scipy_modules_after(statement: str) -> str:
@@ -187,9 +335,21 @@ class TestCheck:
             return audit(*args, **kwargs)
 
         monkeypatch.setattr(evi, "audit_operator", counting)
-        assert run_cli("check", "--config", CONFIGS / "rod_compliance.ini", "--seed", "5") == 0
+        assert run_cli("check", "--config", CONFIGS / "rod_compliance.ini") == 0
         assert calls == [{"trials": 256, "seed": 0}]
         assert "over 256 pairs [pass]" in capsys.readouterr().out
+
+
+    def test_check_prints_what_the_contact_law_audit_checks(self, tmp_path, capsys):
+        # a decreasing table passes the audit, so check must not claim monotonicity
+        cfg = tmp_path / "table.ini"
+        cfg.write_text((CONFIGS / "rod_compliance.ini").read_text().replace(
+            "law = linear\nslope = 0.5", "law = table\nslips = 0 1 2\nthresholds = 0 0.5 0.2"))
+        assert run_cli("check", "--config", cfg) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines()
+                    if x.startswith("contact law"))
+        assert line == ("contact law: F(0)=0, F>=0, sampled slope <= L_F=0.5 "
+                        "at 400 points on [0, 50] [pass]")
 
 
 class TestRun:

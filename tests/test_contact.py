@@ -108,21 +108,17 @@ class TestMeshAndAssembly:
 
 
 class TestContactLaw:
-    def test_rigid_takes_no_threshold(self):
-        with pytest.raises(ValueError):
-            ContactLaw("rigid", F=lambda r: r)
-
     def test_threshold_must_vanish_at_zero(self):
         with pytest.raises(ValueError):
-            ContactLaw("compliance", F=lambda r: r + 1.0, L_F=1.0)
+            ContactLaw(F=lambda r: r + 1.0, L_F=1.0)
 
     def test_threshold_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            ContactLaw("friction", F=lambda r: -np.asarray(r), L_F=1.0)
+            ContactLaw(F=lambda r: -np.asarray(r), L_F=1.0)
 
     def test_understated_lipschitz_constant_rejected(self):
         with pytest.raises(ValueError):
-            ContactLaw("compliance", F=lambda r: 2.0 * np.asarray(r), L_F=0.5)
+            ContactLaw(F=lambda r: 2.0 * np.asarray(r), L_F=0.5)
 
     def test_saturating_constants(self):
         law = ContactLaw.saturating(0.3, 60.0)
@@ -139,9 +135,9 @@ class TestContactLaw:
         with pytest.raises(ValueError):
             ContactLaw.from_table([0.5, 1.0], [0.0, 0.4])
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ContactLaw("adhesive")
+    def test_the_rigid_law_has_no_threshold_map(self):
+        assert ContactLaw.rigid() == ContactLaw()
+        assert ContactLaw.rigid().F is None
 
 
 class TestRigidObstacle:
@@ -221,7 +217,7 @@ class TestNormalCompliance:
 
     def test_zero_threshold_reproduces_the_free_rod(self):
         prob = build_problem("normal_compliance", self.mesh, Material(a=1.0),
-                             ContactLaw.zero("compliance"), Loads(traction=1.0),
+                             ContactLaw.zero(), Loads(traction=1.0),
                              self.grid)
         sol = solve_contact(prob, tol=1e-11)
         x = self.mesh.nodes[1:]
@@ -232,12 +228,23 @@ class TestNormalCompliance:
             build_problem("normal_compliance", self.mesh, Material(a=1.0),
                           ContactLaw.rigid(), Loads(), self.grid)
 
+    def test_a_saturating_law_bounds_the_pressure(self):
+        # the problem kind, not the law, makes a threshold map a pressure bound
+        prob = build_problem("normal_compliance", self.mesh, Material(a=1.0),
+                             ContactLaw.saturating(0.3, 2.0), Loads(traction=1.0), self.grid)
+        assert prob.spec.parameter_memory.L == pytest.approx(
+            trace_constant(prob.space, prob.contact_dofs["nu"]) * 0.6)
+        sol = solve_contact(prob, tol=1e-11)
+        stress = recover_stress(prob, sol.u)
+        assert sol.converged
+        assert contact_diagnostics(prob, sol.u, sol.v, stress).ok(1e-8)
+
 
 class TestShearFriction:
     mesh = Mesh1D.uniform(1.0, 8)
     grid = TimeGrid(1.0, 16)
     material = Material(a=0.5)
-    law = ContactLaw.saturating(0.3, 60.0, kind="friction")
+    law = ContactLaw.saturating(0.3, 60.0)
 
     def solve(self, sign):
         prob = build_problem("shear_friction", self.mesh, self.material, self.law,
@@ -270,7 +277,7 @@ class TestShearFriction:
 
     def test_frictionless_layer_has_no_tangential_reaction(self):
         prob = build_problem("shear_friction", self.mesh, self.material,
-                             ContactLaw.zero("friction"), Loads(body=[0.0, 1.2]),
+                             ContactLaw.zero(), Loads(body=[0.0, 1.2]),
                              self.grid)
         sol = solve_contact(prob, tol=1e-11)
         stress = recover_stress(prob, sol.u, sol.v)
@@ -284,10 +291,18 @@ class TestShearFriction:
                           Loads(body=[0.0, 1.2]), self.grid, u0=u0)
 
     def test_wrong_law_kind_rejected(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            build_problem("shear_friction", self.mesh, self.material,
-                          ContactLaw.linear(0.5, kind="compliance"),
+        with pytest.raises(UnsupportedConfigurationError, match="needs a threshold law"):
+            build_problem("shear_friction", self.mesh, self.material, ContactLaw.rigid(),
                           Loads(body=[0.0, 1.2]), self.grid)
+
+    def test_any_threshold_law_bounds_the_friction(self):
+        # the problem kind, not the law, makes a threshold map a friction bound
+        prob = build_problem("shear_friction", self.mesh, self.material,
+                             ContactLaw.linear(0.5), Loads(body=[0.0, 1.2]), self.grid)
+        sol = solve_contact(prob, tol=1e-11)
+        stress = recover_stress(prob, sol.u, sol.v)
+        assert sol.converged
+        assert contact_diagnostics(prob, sol.u, sol.v, stress).ok(1e-8)
 
 
 BLOCK_CASES = {
@@ -296,7 +311,7 @@ BLOCK_CASES = {
     "normal_compliance": (Material(a=1.0, mu=0.5, beta=lambda t: 0.3 * np.exp(-2.0 * t)),
                           ContactLaw.linear(0.5), Loads(traction=1.0)),
     "shear_friction": (Material(a=0.5, mu=0.5, b=[1.0, 2.0, 0.5, 4.0]),
-                       ContactLaw.saturating(0.3, 60.0, kind="friction"),
+                       ContactLaw.saturating(0.3, 60.0),
                        Loads(body=[0.0, 1.2])),
 }
 

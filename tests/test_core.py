@@ -324,6 +324,13 @@ def test_functional_index_validation():
         HomogeneousFunctional.positive_part(X, HilbertSpace(3), weights=[1.0], indices=[0])
 
 
+@pytest.mark.parametrize("blocks", [[[0], []], [[], [0, 1]]])
+def test_an_empty_block_is_rejected(blocks):
+    with pytest.raises(ValueError, match="blocks must not be empty"):
+        HomogeneousFunctional.block_norm(HilbertSpace(2), HilbertSpace(2), weights=[1.0, 1.0],
+                                         blocks=blocks)
+
+
 def test_moving_set_accepts_solution_and_rejects_perturbation():
     # 1-D by hand: A u = 2u, f = 3, j = |.|; the unique solution is u = 1
     X = HilbertSpace(1)

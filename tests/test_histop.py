@@ -29,7 +29,7 @@ from sweepvi.histop import running_trapezoid
 
 
 def scalar_kernel(beta=0.5):
-    return VolterraKernel(scalar_profile=lambda t: beta, matrix=np.eye(1), symmetric=True)
+    return VolterraKernel(scalar_profile=lambda t: beta, matrix=np.eye(1))
 
 
 class TestTrapezoidWeights:
@@ -87,7 +87,6 @@ class TestVolterraOperator:
         kern = VolterraKernel(
             scalar_profile=lambda t: np.exp(-2.0 * t),
             matrix=np.array([[0.3, 0.1], [0.1, 0.2]]),
-            symmetric=True,
         )
         op = volterra_operator(kern, grid, space)
         rng = np.random.default_rng(5)
@@ -120,7 +119,7 @@ class TestVolterraOperator:
         grid = TimeGrid(1.0, 16)
         space = HilbertSpace(3, metric=np.diag([2.0, 1.0, 0.5]))
         mat = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, 0.4]])
-        kern = VolterraKernel(scalar_profile=lambda t: np.exp(-t), matrix=mat, symmetric=True)
+        kern = VolterraKernel(scalar_profile=lambda t: np.exp(-t), matrix=mat)
         op = volterra_operator(kern, grid, space)
         assert op.L == pytest.approx(0.4220356669274266)
 
@@ -295,7 +294,7 @@ class TestCausalStepProtocol:
             np.testing.assert_allclose(op.at_node(traj, k), want[k], rtol=0.0, atol=atol)
 
     @pytest.mark.parametrize("kernel", [
-        VolterraKernel.exponential(0.7, 1.5, [[0.3, 0.1], [0.1, 0.2]], symmetric=True),
+        VolterraKernel.exponential(0.7, 1.5, [[0.3, 0.1], [0.1, 0.2]]),
         VolterraKernel.exponential(-0.4, 0.0, [[1.0, 0.5], [0.0, 2.0]]),
         VolterraKernel(scalar_profile=lambda t: np.cos(3.0 * t), matrix=np.array([[0.5, -0.2], [0.1, 0.4]])),
         VolterraKernel(matrix_fn=lambda t: np.array([[np.exp(-t), t], [0.0, 1.0 + t * t]])),
@@ -323,7 +322,7 @@ class TestCausalStepProtocol:
     def test_threshold_memories_match_trapezoid_reference(self, factory, magnitude):
         grid = TimeGrid(0.8, 20)
         space = HilbertSpace(3)
-        law = ContactLaw.saturating(2.0, 1.5, kind="compliance")
+        law = ContactLaw.saturating(2.0, 1.5)
         traj = random_traj(space, grid, seed=5)
         series = magnitude(traj.samples[:, 1])
         acc = [trapezoid_weights(k, grid.dt) @ series[:k + 1] for k in range(grid.steps + 1)]
@@ -414,7 +413,7 @@ class TestCausalStepProtocol:
         grid = TimeGrid(1.0, 8)
         space = HilbertSpace(2)
         traj = random_traj(space, grid, seed=6)
-        law = ContactLaw.saturating(2.0, 1.5, kind="compliance")
+        law = ContactLaw.saturating(2.0, 1.5)
         ops = [volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
                penetration_memory(law, 0, grid), slip_memory(law, 1, grid)]
         for op in ops:
@@ -429,7 +428,7 @@ class TestCausalStepProtocol:
         ops = [volterra_operator(VolterraKernel(scalar_profile=np.cos, matrix=np.eye(2)),
                                  grid, space),
                volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
-               penetration_memory(ContactLaw.saturating(2.0, 1.5, kind="compliance"), 0, grid),
+               penetration_memory(ContactLaw.saturating(2.0, 1.5), 0, grid),
                identity_operator(), zero_operator(space)]
         assert len({hash(op) for op in ops}) == len(ops)
         assert all(op == op for op in ops)
@@ -441,7 +440,7 @@ class TestCausalStepProtocol:
         kernel = VolterraKernel.exponential(1.0, 0.0, np.eye(1))
         traj = Trajectory(space, finer, np.ones((17, 1)))
         ops = [volterra_operator(kernel, grid, space), exp_growth_memory_operator(grid),
-               penetration_memory(ContactLaw.saturating(2.0, 1.5, kind="compliance"), 0, grid)]
+               penetration_memory(ContactLaw.saturating(2.0, 1.5), 0, grid)]
         for op in ops:
             with pytest.raises(DimensionMismatchError):
                 op(traj)
@@ -484,8 +483,8 @@ class TestProfileEvaluations:
 
         grid = TimeGrid(1.0, 32)
         space = HilbertSpace(2)
-        op = volterra_operator(VolterraKernel(scalar_profile=profile, matrix=np.eye(2),
-                                              symmetric=True), grid, space)
+        op = volterra_operator(VolterraKernel(scalar_profile=profile, matrix=np.eye(2)),
+                               grid, space)
         traj = random_traj(space, grid, seed=1)
         op(traj)
         state = op.init_state(grid)

@@ -44,7 +44,7 @@ FREE = ConstraintCone.whole_space(X)
 def decay_spec(steps, horizon=1.0):
     """2 u(t) + 0.5 int_0^t u = 1, hence u(t) = e^{-t/4} / 2."""
     grid = TimeGrid(horizon, steps)
-    kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1), symmetric=True)
+    kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1))
     return build_inclusion_variant(
         "parameter_free",
         cone=FREE,
@@ -93,7 +93,7 @@ class TestSpecValidation:
     def test_load_on_wrong_grid_rejected(self):
         grid = TimeGrid(1.0, 8)
         other = TimeGrid(1.0, 9)
-        kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1), symmetric=True)
+        kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1))
         with pytest.raises(DimensionMismatchError):
             InclusionSpec(
                 x_space=X, y_space=Y, cone=FREE,

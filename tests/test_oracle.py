@@ -115,8 +115,7 @@ class TestBruteInclusion:
     @staticmethod
     def decay_spec(steps):
         grid = TimeGrid(1.0, steps)
-        kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1),
-                              symmetric=True)
+        kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1))
         return build_inclusion_variant(
             "parameter_free", cone=ConstraintCone.whole_space(X1),
             operator=MonotoneOperator.from_matrix(X1, [[2.0]]),

@@ -316,7 +316,7 @@ class TestCausalStepProtocol:
 
     def test_marching_and_global_picard_agree_on_a_lifted_spec(self):
         grid = TimeGrid(1.0, 12)
-        kernel = VolterraKernel.exponential(0.5, 1.0, np.eye(1), symmetric=True)
+        kernel = VolterraKernel.exponential(0.5, 1.0, np.eye(1))
         core = build_inclusion_variant(
             "parameter_free", cone=ConstraintCone.nonnegative(X, [0]),
             operator=MonotoneOperator.from_matrix(X, [[2.0]]),
