@@ -268,7 +268,7 @@ def _abstract_from(sec) -> dict:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -506,6 +506,7 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
     lines.append(f"max_residual: {_g(res.max())}")
     lines.append(f"total_iterations: {int(np.asarray(sol.per_step_iterations).sum())}")
     lines.append(f"coupling_passes: {sol.diagnostics['coupling_passes']}")
+    lines.append(f"coupling_windows: {len(sol.diagnostics['windows'])}")
     membership = sol.diagnostics.get("membership", {})
     if membership:
         lines.append(f"membership_worst: {_g(max(membership.values()))}")

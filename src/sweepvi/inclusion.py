@@ -320,22 +320,30 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     max_passes: int = 500, seed: int = 0) -> InclusionSolution:
     """Drive the coupling map to its fixed point and return the trajectory.
 
-    Both modes run Picard passes of the coupling map over windows of nodes.
-    global_picard has one window, the whole grid; time_marching has one
-    window per node, started from the memory states committed through the
-    node before it.  Causal memories make the two fixed points coincide.
+    Both modes run Picard passes of the coupling map over windows of nodes,
+    each started from the memory states committed through the node before
+    it.  global_picard has one window, the whole grid.  time_marching solves
+    node 0 as a window of its own and then picks each window's width from
+    the passes of the one before: it starts at one node, doubles after a
+    window that settles within 4 passes and halves after one that needs more
+    than 6.  On a short window the Picard error falls like ``(L T_w)^p / p!``,
+    so a fine grid gets wide windows.  Causal memories make the fixed points
+    of all window layouts coincide.
 
     A pass steps both memories over the window with the current guess,
     which gives theta, then solves the window's node EVIs with that theta
     as one block started from the guess; the solution is the next guess.
-    The guess starts at zero in the window at node 0, at ``u_0`` in the
-    window at node 1, and at the linear predictor ``2 u_{k-1} - u_{k-2}`` in
-    a window at node ``k >= 2``, which is O(dt^2) from ``u_k`` where
-    ``u_{k-1}`` is O(dt).  From its second pass on a window stops when
-    the largest theta change over its nodes certifies a fixed-point distance
-    of at most ``tol`` (a tenth of that for a one-node window), so the
-    returned u solves the node EVIs for the returned theta.  Each window
-    gets at most ``max_passes`` passes (at least 2).
+    The guess starts at zero in the window at node 0, at ``u_0`` for every
+    node of the window at node 1, and at the linear predictor
+    ``(j + 2) u_{f-1} - (j + 1) u_{f-2}`` for node ``f + j`` of a window at
+    node ``f >= 2``, which is O(dt^2) from the solution where ``u_{f-1}``
+    is O(dt) (a one-node window starts from ``2 u_{f-1} - u_{f-2}``).  From
+    its second pass on a window stops when the largest theta change over
+    its nodes certifies a fixed-point distance of at most ``tol`` (a tenth
+    of that for a marching window), so the returned u solves the node EVIs
+    for the returned theta.  Each window gets at most ``max_passes`` passes
+    (at least 2).  The diagnostics list the windows as ``(first, last)``
+    node pairs.
 
     With ``force`` the admissibility gate and non-convergence become data:
     the run continues and the returned diagnostics record what happened.
@@ -371,10 +379,9 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     diagnostics: dict = {"mode": mode, "forced": bool(force and not report.passed),
                          "smallness": report.describe()}
     n = spec.grid.steps
-    if mode == "global_picard":
-        windows, factor = [(0, n)], 1.0
-    else:
-        windows, factor = [(k, k) for k in range(n + 1)], 0.1
+    # global Picard is one window, the whole grid; time marching starts with
+    # node 0 alone and then sizes each window from the passes of the last
+    width, factor = (n + 1, 1.0) if mode == "global_picard" else (1, 0.1)
     u = np.zeros((n + 1, spec.x_space.dim))
     theta = np.zeros((n + 1, spec.theta_space.dim))
     iters = np.zeros(n + 1, dtype=int)
@@ -384,11 +391,15 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     # them over the window, O(1) work per node for the built-in memories
     param_state = param.init_state(spec.grid)
     load_state = load.init_state(spec.grid)
-    converged, coupling_passes = True, 0
-    for first, last in windows:
+    converged, coupling_passes, windows, first = True, 0, [], 0
+    while first <= n:
+        last = min(first + width, n + 1) - 1
         window = slice(first, last + 1)
-        if first:
-            u[window] = u[0] if first == 1 else 2.0 * u[first - 1] - u[first - 2]
+        if first == 1:
+            u[window] = u[0]
+        elif first:
+            j = np.arange(last - first + 1, dtype=float)[:, None]
+            u[window] = (j + 2.0) * u[first - 1] - (j + 1.0) * u[first - 2]
         guess, changes = u[window], []
         for p in range(1, max_passes + 1):
             eta = param.run(param_state, first, guess)[1]
@@ -414,15 +425,24 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
         u[window] = guess
         passes[window] = p
         coupling_passes += p
+        windows.append((first, last))
         if last < n:
             param_state = param.run(param_state, first, u[window])[0]
             load_state = load.run(load_state, first, u[window])[0]
+        # node 0 starts from zero, so its passes say nothing of the coupling;
+        # after it, widen a window that settles fast and narrow a slow one
+        if first and p <= 4:
+            width *= 2
+        elif first and p > 6:
+            width = max(width // 2, 1)
+        first = last + 1
     if mode == "global_picard":             # the one window's record
         diagnostics["sweeps"] = p
         diagnostics["sweep_changes"] = changes
     else:
         diagnostics["inner_iterations"] = passes
     diagnostics["coupling_passes"] = coupling_passes
+    diagnostics["windows"] = windows
     u = Trajectory(spec.x_space, spec.grid, u)
     theta = Trajectory(spec.theta_space, spec.grid, theta)
 

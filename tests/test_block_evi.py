@@ -197,16 +197,51 @@ def test_a_nan_parameter_names_its_row_at_the_first_non_finite_iterate():
                        np.ones((3, 1)))
 
 
-def test_a_nan_load_names_its_node_in_global_picard():
+def scalar_spec(steps, bad=None):
+    """``2 u = 1`` at every node, with a NaN load at node ``bad``."""
     X = HilbertSpace(1)
-    grid = TimeGrid(1.0, 6)
-    f = Trajectory(X, grid, np.where(np.arange(7) == 4, np.nan, 1.0)[:, None])
-    spec = build_inclusion_variant("parameter_free", cone=ConstraintCone.whole_space(X),
+    grid = TimeGrid(1.0, steps)
+    f = Trajectory(X, grid, np.where(np.arange(steps + 1) == bad, np.nan, 1.0)[:, None])
+    return build_inclusion_variant("parameter_free", cone=ConstraintCone.whole_space(X),
                                    operator=MonotoneOperator(lambda x: 2.0 * x, 2.0, 2.0),
                                    functional=HomogeneousFunctional.zero(X), f=f, grid=grid)
+
+
+def test_a_nan_load_names_its_node_in_global_picard():
     with pytest.raises(NonFiniteError,
                        match="^EVI stalled at node 4: non-finite step at iteration 1$"):
-        solve_inclusion(spec, mode="global_picard")
+        solve_inclusion(scalar_spec(6, bad=4), mode="global_picard")
+
+
+def test_a_nan_load_names_its_node_inside_a_marching_window():
+    # windows are causal, so the clean run lays them out the same up to node 5
+    windows = solve_inclusion(scalar_spec(16)).diagnostics["windows"]
+    assert any(first < 5 < last for first, last in windows)
+    with pytest.raises(NonFiniteError,
+                       match="^EVI stalled at node 5: non-finite step at iteration 1$"):
+        solve_inclusion(scalar_spec(16, bad=5))
+
+
+def test_marching_solves_node_0_first_through_solve_evi(monkeypatch):
+    # the benchmark's set-up probe stops a run at its first solve_evi call
+    import sweepvi.inclusion as inclusion
+
+    calls = []
+
+    def recorded(name, solver):
+        def call(*args, **kwargs):
+            result = solver(*args, **kwargs)
+            calls.append((name, np.size(result.iterations)))
+            return result
+        return call
+
+    monkeypatch.setattr(inclusion, "solve_evi", recorded("solve_evi", solve_evi))
+    monkeypatch.setattr(inclusion, "solve_evi_many", recorded("solve_evi_many", solve_evi_many))
+    sol = solve_inclusion(scalar_spec(16))
+    assert calls[0] == ("solve_evi", 1)
+    assert [name for name, _ in calls].count("solve_evi") == 1
+    assert max(rows for _, rows in calls) > 1
+    assert sol.diagnostics["windows"][0] == (0, 0)
 
 
 def test_the_first_stalled_row_is_named():

@@ -219,6 +219,17 @@ class TestConfigKeys:
                        .replace("blocks = 0 1", "blocks = 0; 1").replace("weights = 1", "weights = 1 1"))
         assert _build_spec(cfg).y_space.dim == 2
 
+    def test_a_spaced_semicolon_separates_blocks(self, tmp_path):
+        # only "#" starts an inline comment, so " ; 1" is a second block
+        cfg = tmp_path / "block.ini"
+        cfg.write_text(BLOCK_NORM.replace("blocks = 0 1", "blocks = 0 ; 1")
+                       .replace("weights = 1", "weights = 1 1"))
+        assert load_config(cfg).abstract["blocks"] == [[0], [1]]
+        assert _build_spec(cfg).y_space.dim == 2
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        assert run_cli("verify", "--config", cfg, "--out", out) == 0
+
     @pytest.mark.parametrize("blocks", ["0;", "0;1;", ";0 1"])
     def test_an_empty_block_exits_4(self, tmp_path, capsys, blocks):
         cfg = tmp_path / "block.ini"
@@ -385,7 +396,7 @@ class TestRun:
                     if line.startswith("max_residual:"))
         assert float(line.split(":")[1]) <= 1e-13
 
-    def test_predicted_windows_take_three_passes_per_node(self, tmp_path):
+    def test_predicted_windows_tile_the_grid_at_512_steps(self, tmp_path):
         import sweepvi.cli as cli
 
         cfg = tmp_path / "long.ini"
@@ -393,19 +404,43 @@ class TestRun:
                        .replace("steps = 32", "steps = 512"))
         out = tmp_path / "out"
         assert run_cli("run", "--config", cfg, "--out", out) == 0
-        assert "coupling_passes: 1539" in (out / "diagnostics.txt").read_text().splitlines()
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        assert "coupling_passes: 176" in lines
         run = load_config(cfg)
         spec = cli._build(run)[1]
         marching = cli._solve(run, spec)
-        # node 0 starts from its own solve, node 1 from u_0, node k >= 2
-        # from the linear predictor 2 u_{k-1} - u_{k-2}
+        windows = marching.diagnostics["windows"]
+        assert f"coupling_windows: {len(windows)}" in lines
+        # node 0 alone, then windows that follow each other up to node 512
+        assert windows[0] == (0, 0)
+        assert [w[0] for w in windows[1:]] == [w[1] + 1 for w in windows[:-1]]
+        assert windows[-1][1] == 512
+        assert all(first <= last for first, last in windows)
         passes = marching.diagnostics["inner_iterations"]
-        assert passes[:2].tolist() == [2, 4]
-        assert (passes[2:] == 3).all()
-        assert marching.diagnostics["coupling_passes"] == 1539
+        assert sum(passes[first] for first, _ in windows) == 176
         picard = cli._solve(replace(run, mode="global_picard"), spec)
         assert picard.diagnostics["coupling_passes"] == picard.diagnostics["sweeps"]
+        assert picard.diagnostics["windows"] == [(0, 512)]
         assert marching.u.sup_distance(picard.u) <= 1e-10
+
+    @pytest.mark.parametrize("config", ["rod_compliance", "shear_friction",
+                                        "abstract_volterra", "rod_rigid"])
+    def test_marching_matches_global_picard_at_512_steps(self, config):
+        import sweepvi.cli as cli
+        from sweepvi.core import TimeGrid
+
+        run = load_config(CONFIGS / f"{config}.ini")
+        run = replace(run, grid=TimeGrid(run.grid.horizon, 512))
+        spec = cli._build(run)[1]
+        marching = cli._solve(run, spec)
+        picard = cli._solve(replace(run, mode="global_picard"), spec)
+        # windows grow: fewer than half as many passes as the 513 nodes
+        assert marching.diagnostics["coupling_passes"] < 513 // 2
+        assert len(marching.diagnostics["windows"]) < 513 // 4
+        gap = marching.u.sup_distance(picard.u)
+        if marching.v is not None:
+            gap = max(gap, marching.v.sup_distance(picard.v))
+        assert gap <= 10 * run.tol
 
     def test_residuals_are_never_negative_zero(self):
         import sweepvi.cli as cli
