@@ -32,8 +32,8 @@ from .core import (
     UnsupportedConfigurationError,
 )
 from .evi import EnergyMetric, LipschitzOperator, MonotoneOperator
-from .histop import (HistoryOperator, VolterraKernel, running_trapezoid, volterra_operator,
-                     zero_operator)
+from .histop import (HistoryOperator, VolterraKernel, continue_trapezoid, running_trapezoid,
+                     volterra_operator, zero_operator)
 from .inclusion import InclusionSolution, InclusionSpec
 from .sweeping import SweepingSpec, solve_spec
 
@@ -347,32 +347,27 @@ def assemble_relaxation(material: Material, dim: int) -> VolterraKernel:
 
 
 def _threshold_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
-                      magnitude: Callable[[float], float], tag: str) -> HistoryOperator:
+                      magnitude: Callable[[np.ndarray], np.ndarray], tag: str) -> HistoryOperator:
     """``F(int magnitude(u at the contact dof) ds)`` as a running trapezoid sum.
 
-    The state is the accumulated integral, the last integrand value and the
-    last (read-only) output, so each node costs O(1), and F is evaluated
-    only where the integral grows; the sum is the same as
+    The state is the accumulated integral and the last integrand value, so
+    each node costs O(1).  A block of nodes takes the magnitudes of its
+    contact column at once, continues the running sum with one seeded
+    ``np.cumsum`` (:func:`~sweepvi.histop.continue_trapezoid`) and evaluates
+    F once per block; the sum is the same as
     :func:`~sweepvi.histop.running_trapezoid`.
     """
     dt, F = grid.dt, law.F
 
-    def threshold(acc: float) -> np.ndarray:
-        # read-only: the start state and every node where the integral does
-        # not grow hand out this same array
-        out = np.array(F(np.array([acc])), dtype=float)
-        out.flags.writeable = False
-        return out
+    def advance(state, first, inputs):
+        acc, prev = state
+        values = magnitude(inputs[:, contact_dof])
+        accs = continue_trapezoid(acc, prev, first, values, dt)
+        out = np.asarray(F(accs), dtype=float).reshape(len(inputs), 1)
+        out.setflags(write=False)
+        return (accs[-1], values[-1]), out
 
-    def advance(state, k, u_k):
-        acc, prev, out = state
-        value = magnitude(float(u_k[contact_dof]))
-        if k and prev + value:
-            acc = acc + dt * (prev + value) / 2.0
-            out = threshold(acc)
-        return (acc, value, out), out
-
-    return HistoryOperator((0.0, 0.0, threshold(0.0)), advance, l=0.0, L=law.L_F,
+    return HistoryOperator((0.0, 0.0), advance, l=0.0, L=law.L_F,
                            tag=tag, out_space=HilbertSpace(1), grid=grid)
 
 
@@ -383,13 +378,13 @@ def penetration_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid) -> His
     trace bound, L = c0 * L_F, supplied by the caller via the declared L on
     the returned operator when assembling the problem.
     """
-    return _threshold_memory(law, contact_dof, grid, lambda x: max(x, 0.0),
+    return _threshold_memory(law, contact_dof, grid, lambda x: np.maximum(x, 0.0),
                              "penetration_threshold")
 
 
 def slip_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid) -> HistoryOperator:
     """Threshold trajectory F(int |tangential velocity at the contact node| ds)."""
-    return _threshold_memory(law, contact_dof, grid, abs, "slip_threshold")
+    return _threshold_memory(law, contact_dof, grid, np.abs, "slip_threshold")
 
 
 def assemble_loads(mesh: Mesh1D, loads: Loads, grid: TimeGrid,

@@ -33,6 +33,7 @@ __all__ = [
     "exp_growth_memory_operator",
     "trapezoid_weights",
     "running_trapezoid",
+    "continue_trapezoid",
     "check_causality",
     "check_declared_bound",
     "picard_fixed_point",
@@ -64,32 +65,54 @@ def running_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _zeros(dim: int) -> np.ndarray:
-    """A read-only zero vector, safe to hand out as the output of many steps."""
-    zero = np.zeros(dim)
-    zero.flags.writeable = False
-    return zero
+def continue_trapezoid(acc, prev, first: int, y: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid sums at nodes ``first, first + 1, ...``, continued from node ``first - 1``.
+
+    ``acc`` is the sum through node ``first - 1`` and ``prev`` the integrand
+    there (unused when ``first == 0``, where the sum is ``acc``); ``y`` holds
+    the integrand at the window's nodes, one row each.  One ``np.cumsum``
+    seeded with ``acc`` adds the terms ``dt * (prev + y_k) / 2.0`` in node
+    order (``np.add.accumulate``, the sum ``np.cumsum`` runs), so the sums
+    equal a node-by-node loop bit for bit.
+    """
+    sums = np.empty((len(y) + 1,) + y.shape[1:])
+    sums[0] = acc
+    sums[1] = dt * (prev + y[0]) / 2.0 if first else 0.0
+    if len(y) > 1:
+        sums[2:] = dt * (y[:-1] + y[1:]) / 2.0
+    return np.add.accumulate(sums, axis=0, out=sums)[1:]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, safe to hand out as outputs the caller must not change."""
+    a = a.view()
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class HistoryOperator:
     """Causal trajectory-to-trajectory map with declared constants ``(l, L)``.
 
-    Every operator is its causal step: ``start`` is the state before node 0
-    and ``advance(state, k, u_k)`` consumes the input at node ``k`` and
-    returns ``(state', out_k)``.  ``init_state(grid)`` hands out ``start``
-    for inputs on ``grid`` and ``step`` is ``advance``.  States are values:
-    a state is never changed by stepping from it, so the time-marching
-    solver can try several guesses for ``u_k`` against the same committed
-    state.  ``step`` may keep a reference to ``u_k``, which the caller must
-    not change afterwards, and ``out_k`` may be shared with the state or
-    with other steps, so the built-in memories hand it out read-only.
+    Every operator is its block step: ``start`` is the state before node 0
+    and ``advance(state, first, inputs)`` consumes the inputs at nodes
+    ``first, first + 1, ...``, one row each, and returns ``(state', outputs)``:
+    the state after the last node and one output row per node.  Stepping a
+    window in one call and stepping it node by node give the same outputs
+    bit for bit.  ``init_state(grid)`` hands out ``start`` for inputs on
+    ``grid``, :meth:`run` is the block step and :meth:`step` its one-row
+    case.  States are values: a state is never changed by stepping from it,
+    so the coupling solver can try several guesses for a window against the
+    same committed state.  A step may keep references to its inputs, which
+    the caller must not change afterwards, and outputs may be shared with
+    the state or with the inputs, so the built-in memories hand out
+    read-only outputs where they do.
 
-    Whole-trajectory evaluation (``__call__``) and :meth:`at_node` are loops
-    over the step, so each memory has one implementation.  ``out_space=None``
-    keeps the input space.  A memory built for a ``grid`` refuses inputs on
-    any other grid, since its step bakes in that grid's spacing and kernel
-    samples; ``grid=None`` accepts every grid.
+    Whole-trajectory evaluation (``__call__``) and :meth:`at_node` are runs
+    of the block step, so each memory has one implementation.
+    ``out_space=None`` keeps the input space.  A memory built for a ``grid``
+    refuses inputs on any other grid, since its step bakes in that grid's
+    spacing and kernel samples; ``grid=None`` accepts every grid.
     """
 
     start: object = field(repr=False, compare=False)
@@ -111,25 +134,21 @@ class HistoryOperator:
         return self.start
 
     def step(self, state, k: int, u_k: np.ndarray) -> tuple[object, np.ndarray]:
-        return self.advance(state, k, u_k)
+        """One node: the block step on the one row ``u_k``."""
+        state, out = self.advance(state, k, np.asarray(u_k, dtype=float)[None])
+        return state, out[0]
 
     def run(self, state, first: int, inputs: np.ndarray) -> tuple[object, np.ndarray]:
         """Step from ``state`` over ``inputs``, the inputs at nodes ``first, first + 1, ...``.
 
         Returns the state after the last node and the outputs, one row per
-        node.  The one loop over the step: whole-trajectory calls,
+        node: one call of the block step.  Whole-trajectory calls,
         :meth:`at_node` and the coupling solver's passes all run it.
         """
-        advance = self.advance
-        state, out0 = advance(state, first, inputs[0])
-        out = np.empty((len(inputs), np.size(out0)))
-        out[0] = out0
-        for j in range(1, len(inputs)):
-            state, out[j] = advance(state, first + j, inputs[j])
-        return state, out
+        return self.advance(state, first, inputs)
 
     def __call__(self, traj: Trajectory) -> Trajectory:
-        """Whole-trajectory evaluation: one run of the step over the nodes."""
+        """Whole-trajectory evaluation: one run of the block step over the nodes."""
         _, out = self.run(self.init_state(traj.grid), 0, traj.samples)
         out_space = self.out_space
         if out_space is None:
@@ -198,6 +217,13 @@ class VolterraKernel:
         return np.stack([self.at(t) for t in grid.nodes])
 
 
+# The exponential recurrence runs one component at a time in Python floats for
+# outputs up to this many components, and on whole rows, one numpy expression
+# per node, for wider ones: per node the first costs about 0.1 us per
+# component and the second about 3-4 us, so they cross near 12-16 components.
+_SCALAR_RECURRENCE_DIM = 12
+
+
 class _Rows:
     """Append-only buffer of the inputs of one evaluation, shared by its states.
 
@@ -230,29 +256,40 @@ class _Rows:
 def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     """``(advance, kernel norms)`` of the trapezoid convolution on ``grid``, from state ``None``.
 
-    The kernel norms are ``beta`` on the grid for separable kernels and the
-    matrices ``B(t_k)`` otherwise; they bound the memory constant.
+    ``advance`` is the block step of :class:`HistoryOperator`.  The kernel
+    norms are ``beta`` on the grid for separable kernels and the matrices
+    ``B(t_k)`` otherwise; they bound the memory constant.
 
-    General kernels sum the prefix, O(k) per node.  Their state after node
-    ``k`` is ``(rows, u_k)``: the inputs before node ``k`` in a shared
-    :class:`_Rows` buffer, and ``u_k``, claimed only when the next node steps
-    from the state, so trial steps copy nothing.  The two half weights of the
-    trapezoid rule are folded into the data: row 0 holds ``u_0 / 2`` and the
-    kernel sample at lag 0 is halved, so ``out_k`` is one weighted sum over
-    rows ``0..k``.
+    Exponential profiles run a recurrence, O(1) per node: one batched
+    product gives ``g_k = G u_k`` for every row of the block, and the
+    recurrence runs over the block into one output array, in Python floats
+    one component at a time for narrow outputs and on whole rows for wide
+    ones (``_SCALAR_RECURRENCE_DIM``).
+
+    General kernels sum the prefix, O(k) per node, node by node inside the
+    block.  Their state after node ``k`` is ``(rows, u_k)``: the inputs
+    before node ``k`` in a shared :class:`_Rows` buffer, and ``u_k``, claimed
+    only when the next node steps from the state, so trial steps copy
+    nothing.  The two half weights of the trapezoid rule are folded into the
+    data: row 0 holds ``u_0 / 2`` and the kernel sample at lag 0 is halved,
+    so ``out_k`` is one weighted sum over rows ``0..k``.
     """
     dt, capacity = grid.dt, grid.steps + 1
 
     def stepper(weighted: np.ndarray, total: Callable, out_dim: int):
-        zero = _zeros(out_dim)
         weighted[0] *= 0.5
 
-        def advance(state, k, u_k):
-            if k == 0:
-                return (_Rows(capacity, u_k.size), 0.5 * u_k), zero
-            rows, last = state
-            rows = rows.trial(k, last, u_k)
-            return (rows, u_k), total(weighted[k::-1], rows.data[:k + 1])
+        def advance(state, first, inputs):
+            out = np.empty((len(inputs), out_dim))
+            for j, u_k in enumerate(inputs):
+                k = first + j
+                if k == 0:
+                    state, out[j] = (_Rows(capacity, u_k.size), 0.5 * u_k), 0.0
+                    continue
+                rows, last = state
+                rows = rows.trial(k, last, u_k)
+                state, out[j] = (rows, u_k), total(weighted[k::-1], rows.data[:k + 1])
+            return state, out
 
         return advance
 
@@ -266,21 +303,42 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     profile = kernel.scalar_profile
     if isinstance(profile, ExponentialProfile):
         # I_k = e^{-r dt} I_{k-1} + dt/2 (e^{-r dt} u_{k-1} + u_k) is the composite
-        # trapezoid sum of int_0^{t_k} e^{-r (t_k - s)} u(s) ds; the state keeps
-        # out_{k-1} = c C I_{k-1} and g_{k-1} = c C dt/2 u_{k-1}, so that
-        # out_k = e^{-r dt} (out_{k-1} + g_{k-1}) + g_k at O(1) per node
+        # trapezoid sum of int_0^{t_k} e^{-r (t_k - s)} u(s) ds; with
+        # out_k = c C I_k and g_k = c C dt/2 u_k this is the recurrence
+        # out_k = e^{-r dt} (out_{k-1} + g_{k-1}) + g_k, O(1) per node, and the
+        # state after node k is (out_k, g_k)
         G = (0.5 * dt * profile.amplitude) * C
         decay = float(np.exp(-profile.rate * dt))
-        zero = _zeros(C.shape[0])
 
-        def advance(state, k, u_k):
-            g = G @ u_k
-            if k == 0:
-                return (zero, g), zero
-            out, g_prev = state
-            out = decay * (out + g_prev) + g
-            out.flags.writeable = False
-            return (out, g), out
+        def advance(state, first, inputs):
+            # a stack of matrix-vector products, one per row: the same BLAS
+            # call as G @ u_k on one node (inputs @ G.T would round differently)
+            gs = (G @ inputs[:, :, None])[:, :, 0]
+            out = np.empty(gs.shape)
+            j0 = 0
+            if first == 0:                  # out_0 = 0, and node 1 steps from (0, g_0)
+                out[0] = 0.0
+                state, j0 = (out[0], gs[0]), 1
+            out_prev, g_prev = state
+            if gs.shape[1] <= _SCALAR_RECURRENCE_DIM:
+                # in Python floats, one component at a time: the same rounded
+                # operations as on whole rows, without a numpy call per node
+                columns = []
+                for o, g_last, col in zip(out_prev.tolist(), g_prev.tolist(),
+                                          gs[j0:].T.tolist()):
+                    column = []
+                    for g in col:
+                        o = decay * (o + g_last) + g
+                        column.append(o)
+                        g_last = g
+                    columns.append(column)
+                out[j0:].T[...] = columns
+            else:
+                for j in range(j0, len(gs)):
+                    out_prev = out[j] = decay * (out_prev + g_prev) + gs[j]
+                    g_prev = gs[j]
+            out.setflags(write=False)
+            return (out[-1], gs[-1]), out
 
         return advance, beta
 
@@ -321,13 +379,19 @@ def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: Hilbe
 
 
 def identity_operator(tag: str = "identity") -> HistoryOperator:
-    return HistoryOperator(None, lambda state, k, u_k: (None, u_k), l=1.0, L=0.0, tag=tag)
+    return HistoryOperator(None, lambda state, first, inputs: (None, _read_only(inputs)),
+                           l=1.0, L=0.0, tag=tag)
 
 
 def zero_operator(out_space: HilbertSpace, tag: str = "zero") -> HistoryOperator:
-    zero = _zeros(out_space.dim)
-    return HistoryOperator(None, lambda state, k, u_k: (None, zero), l=0.0, L=0.0,
-                           tag=tag, out_space=out_space)
+    dim = out_space.dim
+
+    def advance(state, first, inputs):
+        out = np.zeros((len(inputs), dim))
+        out.setflags(write=False)
+        return None, out
+
+    return HistoryOperator(None, advance, l=0.0, L=0.0, tag=tag, out_space=out_space)
 
 
 def exp_growth_memory_operator(grid: TimeGrid) -> HistoryOperator:
@@ -339,12 +403,12 @@ def exp_growth_memory_operator(grid: TimeGrid) -> HistoryOperator:
     """
     nodes, growth, dt = grid.nodes, np.exp(grid.nodes), grid.dt
 
-    def advance(state, k, u_k):
+    def advance(state, first, inputs):
         acc, prev = state
-        weighted = nodes[k] * u_k
-        if k:
-            acc = acc + dt * (prev + weighted) / 2.0
-        return (acc, weighted), growth[k] * u_k + acc
+        window = slice(first, first + len(inputs))
+        weighted = nodes[window, None] * inputs
+        accs = continue_trapezoid(acc, prev, first, weighted, dt)
+        return (accs[-1], weighted[-1]), growth[window, None] * inputs + accs
 
     T = grid.horizon
     return HistoryOperator((0.0, None), advance, l=float(np.exp(T)), L=float(T),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory, _vec, sample_unit_directions
 from .evi import AuditError, LipschitzOperator, NonConvergenceError, audit_lipschitz, solve_evi, vi_residuals
-from .histop import HistoryOperator, running_trapezoid
+from .histop import HistoryOperator, continue_trapezoid, running_trapezoid
 from .inclusion import (
     InclusionSolution,
     InclusionSpec,
@@ -100,14 +100,15 @@ def antiderivative_memory(grid: TimeGrid, space: HilbertSpace, u0,
     u0 = _vec(u0, space.dim)
     dt = grid.dt
 
-    def advance(state, k, v_k):
-        if k == 0:
-            return (0.0, v_k), u0.copy()
+    def advance(state, first, inputs):
         acc, prev = state
-        acc = acc + dt * (prev + v_k) / 2.0
-        return (acc, v_k), acc + u0
+        accs = continue_trapezoid(acc, prev, first, inputs, dt)
+        out = accs + u0
+        if first == 0:
+            out[0] = u0
+        return (accs[-1], inputs[-1]), out
 
-    return HistoryOperator(None, advance, l=0.0, L=1.0, tag=tag, out_space=space,
+    return HistoryOperator((0.0, None), advance, l=0.0, L=1.0, tag=tag, out_space=space,
                            grid=grid)
 
 
@@ -122,10 +123,10 @@ def compose_with_antiderivative(s_op: HistoryOperator, grid: TimeGrid,
     """
     disp = antiderivative_memory(grid, space, u0)
 
-    def advance(state, k, v_k):
+    def advance(state, first, inputs):
         disp_state, s_state = state
-        disp_state, disp_k = disp.step(disp_state, k, v_k)
-        s_state, out = s_op.step(s_state, k, disp_k)
+        disp_state, disps = disp.run(disp_state, first, inputs)
+        s_state, out = s_op.run(s_state, first, disps)
         return (disp_state, s_state), out
 
     start = (disp.init_state(grid), s_op.init_state(grid))
@@ -145,11 +146,12 @@ def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
     space, grid = core.x_space, core.grid
     disp = antiderivative_memory(grid, space, spec.u0)
 
-    def advance(state, k, v_k):
+    def advance(state, first, inputs):
         disp_state, s_state = state
-        disp_state, disp_k = disp.step(disp_state, k, v_k)
-        s_state, s_k = s_op.step(s_state, k, v_k)
-        return (disp_state, s_state), b_op(disp_k) + s_k
+        disp_state, disps = disp.run(disp_state, first, inputs)
+        s_state, s_out = s_op.run(s_state, first, inputs)
+        # b_op row by row: its block form apply_rows is a different BLAS call
+        return (disp_state, s_state), np.array([b_op(d) for d in disps]) + s_out
 
     start = (disp.init_state(grid), s_op.init_state(grid))
     lifted = HistoryOperator(start, advance, l=s_op.l, L=b_op.L + s_op.L,

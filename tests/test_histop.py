@@ -4,21 +4,30 @@ import numpy as np
 import pytest
 
 from sweepvi import (
+    ConstraintCone,
     ContactLaw,
     DimensionMismatchError,
     ExponentialProfile,
     HilbertSpace,
     HistoryOperator,
+    HomogeneousFunctional,
     IneligibleOperatorError,
+    LipschitzOperator,
+    MonotoneOperator,
+    SweepingSpec,
     TimeGrid,
     TimeRangeError,
     Trajectory,
     VolterraKernel,
+    antiderivative_memory,
     apply_volterra,
+    build_inclusion_variant,
     check_causality,
     check_declared_bound,
+    compose_with_antiderivative,
     exp_growth_memory_operator,
     identity_operator,
+    lift_to_velocity,
     picard_fixed_point,
     trapezoid_weights,
     volterra_operator,
@@ -170,7 +179,7 @@ class TestStockOperators:
 
     def test_negative_declared_constants_rejected(self):
         with pytest.raises(ValueError):
-            HistoryOperator(None, lambda state, k, u_k: (state, u_k), l=-0.1, L=0.0)
+            HistoryOperator(None, lambda state, first, inputs: (state, inputs), l=-0.1, L=0.0)
 
 
 class TestAudits:
@@ -210,8 +219,8 @@ class TestPicardFixedPoint:
         space = HilbertSpace(1)
         integ = volterra_operator(scalar_kernel(0.5), grid, space)
 
-        def advance(state, k, u_k):
-            state, out = integ.step(state, k, u_k)
+        def advance(state, first, inputs):
+            state, out = integ.run(state, first, inputs)
             return state, 1.0 - out
 
         return HistoryOperator(integ.init_state(grid), advance, l=0.0, L=0.5,
@@ -283,6 +292,47 @@ def random_traj(space, grid, seed):
     return Trajectory(space, grid, rng.standard_normal((grid.steps + 1, space.dim)))
 
 
+SPACE2 = HilbertSpace(2)
+EXPONENTIAL = VolterraKernel.exponential(0.7, 1.5, [[0.3, 0.1], [0.1, 0.2]])
+# 24 output components: the exponential recurrence runs on whole rows
+WIDE = np.cos(np.arange(48.0)).reshape(24, 2)
+
+
+def lifted_load_memory(grid):
+    """The velocity lift's load memory ``v -> B(int v + u0) + S v`` on a 2-dim space."""
+    core = build_inclusion_variant(
+        "parameter_free", cone=ConstraintCone.nonnegative(SPACE2, [0]),
+        operator=MonotoneOperator.from_matrix(SPACE2, 2.0 * np.eye(2)),
+        functional=HomogeneousFunctional.zero(SPACE2), f=Trajectory.zeros(SPACE2, grid),
+        grid=grid, load_memory=volterra_operator(EXPONENTIAL, grid, SPACE2))
+    B = np.array([[0.5, 0.2], [0.1, 0.4]])
+    b_op = LipschitzOperator(apply=lambda u: B @ u, L=float(np.linalg.norm(B, 2)))
+    return lift_to_velocity(SweepingSpec(core=core, b_op=b_op, u0=[0.3, -0.2])).load_memory
+
+
+# every built-in memory, built on a grid for inputs in SPACE2
+MEMORIES = {
+    "exponential": lambda grid: volterra_operator(EXPONENTIAL, grid, SPACE2),
+    "exponential-wide": lambda grid: volterra_operator(
+        VolterraKernel.exponential(0.7, 1.5, WIDE), grid, SPACE2, out_space=HilbertSpace(24)),
+    "general-scalar": lambda grid: volterra_operator(
+        VolterraKernel(scalar_profile=lambda t: np.cos(3.0 * t),
+                       matrix=np.array([[0.5, -0.2], [0.1, 0.4]])), grid, SPACE2),
+    "matrix": lambda grid: volterra_operator(
+        VolterraKernel(matrix_fn=lambda t: np.array([[np.exp(-t), t], [0.0, 1.0 + t * t]])),
+        grid, SPACE2),
+    "penetration": lambda grid: penetration_memory(ContactLaw.saturating(2.0, 1.5), 1, grid),
+    "slip": lambda grid: slip_memory(ContactLaw.saturating(2.0, 1.5), 1, grid),
+    "antiderivative": lambda grid: antiderivative_memory(grid, SPACE2, [0.4, -1.1]),
+    "compose": lambda grid: compose_with_antiderivative(
+        volterra_operator(EXPONENTIAL, grid, SPACE2), grid, SPACE2, [0.4, -1.1]),
+    "lifted-load": lifted_load_memory,
+    "exp-growth": exp_growth_memory_operator,
+    "zero": lambda grid: zero_operator(HilbertSpace(3)),
+    "identity": lambda grid: identity_operator(),
+}
+
+
 class TestCausalStepProtocol:
     """Each memory's step loop, whole-trajectory call and at_node agree with a reference."""
 
@@ -331,6 +381,24 @@ class TestCausalStepProtocol:
         assert op.out_space.dim == 1
         self.assert_all_paths(op, traj, want)
 
+    @pytest.mark.parametrize("name, magnitude", [
+        ("penetration", lambda x: max(x, 0.0)),
+        ("slip", abs),
+    ])
+    def test_threshold_memories_are_the_node_loop_bit_for_bit(self, name, magnitude):
+        # the running sum and F node by node, F on one node at a time
+        grid = TimeGrid(0.8, 40)
+        law = ContactLaw.saturating(2.0, 1.5)
+        traj = random_traj(SPACE2, grid, seed=5)
+        acc, prev, want = 0.0, 0.0, []
+        for k, u_k in enumerate(traj.samples):
+            value = magnitude(float(u_k[1]))
+            if k:
+                acc = acc + grid.dt * (prev + value) / 2.0
+            prev = value
+            want.append(law.F(np.array([acc])))
+        np.testing.assert_array_equal(MEMORIES[name](grid)(traj).samples, np.array(want))
+
     def test_stock_operators_match_their_definitions(self):
         grid = TimeGrid(1.0, 16)
         space = HilbertSpace(2)
@@ -343,21 +411,22 @@ class TestCausalStepProtocol:
                          for k in range(grid.steps + 1)])
         self.assert_all_paths(exp_growth_memory_operator(grid), traj, want)
 
-    @pytest.mark.parametrize("kernel", [
-        VolterraKernel.exponential(0.7, 1.5, [[0.3, 0.1], [0.1, 0.2]]),
-        VolterraKernel(scalar_profile=lambda t: np.cos(3.0 * t), matrix=np.array([[0.5, -0.2], [0.1, 0.4]])),
-    ], ids=["exponential", "general-scalar"])
-    def test_run_is_the_step_loop_bit_for_bit(self, kernel):
-        grid = TimeGrid(1.0, 16)
-        space = HilbertSpace(2)
-        traj = random_traj(space, grid, seed=13)
-        op = volterra_operator(kernel, grid, space)
+    @pytest.mark.parametrize("name", list(MEMORIES))
+    def test_run_is_the_step_loop_bit_for_bit(self, name):
+        grid = TimeGrid(1.0, 40)
+        op = MEMORIES[name](grid)
+        traj = random_traj(SPACE2, grid, seed=13)
         _, out = op.run(op.init_state(grid), 0, traj.samples)
         np.testing.assert_array_equal(out, stepped(op, traj))
         np.testing.assert_array_equal(out, op(traj).samples)
-        # a run from a state committed through node 5 continues the trajectory
-        state, _ = op.run(op.init_state(grid), 0, traj.samples[:6])
-        np.testing.assert_array_equal(op.run(state, 6, traj.samples[6:])[1], out[6:])
+        # windows of 1, 2, 5 and 16 nodes and then the rest, each run from the
+        # state the window before it committed
+        state, first, outs = op.init_state(grid), 0, []
+        for width in (1, 2, 5, 16, grid.steps + 1 - 24):
+            state, window = op.run(state, first, traj.samples[first:first + width])
+            outs.append(window)
+            first += width
+        np.testing.assert_array_equal(np.concatenate(outs), out)
 
     def test_steps_leave_the_committed_state_unchanged(self):
         # the marching solver steps the same state with several guesses
@@ -371,6 +440,16 @@ class TestCausalStepProtocol:
         first = op.step(state, 4, np.array([5.0, -1.0]))[1].copy()
         op.step(state, 4, np.array([-3.0, 2.0]))
         np.testing.assert_array_equal(op.step(state, 4, np.array([5.0, -1.0]))[1], first)
+        # a window of nodes 4..8 run from the state committed through node 3,
+        # with one guess, another and the first again, for every memory
+        guess = traj.samples[4:]
+        other = -2.0 * guess[::-1]
+        for name, build in MEMORIES.items():
+            op = build(grid)
+            state = op.run(op.init_state(grid), 0, traj.samples[:4])[0]
+            first = np.array(op.run(state, 4, guess)[1])
+            op.run(state, 4, other)
+            np.testing.assert_array_equal(op.run(state, 4, guess)[1], first, err_msg=name)
 
     @pytest.mark.parametrize("kernel", [
         VolterraKernel(scalar_profile=lambda t: np.cos(3.0 * t), matrix=np.eye(2)),
@@ -415,12 +494,21 @@ class TestCausalStepProtocol:
         traj = random_traj(space, grid, seed=6)
         law = ContactLaw.saturating(2.0, 1.5)
         ops = [volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
-               penetration_memory(law, 0, grid), slip_memory(law, 1, grid)]
+               penetration_memory(law, 0, grid), slip_memory(law, 1, grid),
+               identity_operator(), zero_operator(space)]
         for op in ops:
             state = op.init_state(grid)
             for k in range(grid.steps + 1):
                 state, out = op.step(state, k, traj.samples[k])
                 assert not out.flags.writeable
+            # block outputs: a whole run, and a window from a committed state
+            state, out = op.run(op.init_state(grid), 0, traj.samples[:3])
+            assert not out.flags.writeable
+            assert not op.run(state, 3, traj.samples[3:])[1].flags.writeable
+        # the identity hands out a view of its inputs, which stay writable
+        samples = traj.samples.copy()
+        identity_operator().run(None, 0, samples)
+        assert samples.flags.writeable
 
     def test_operators_hash_and_compare_by_their_definition(self):
         grid = TimeGrid(1.0, 8)
@@ -466,6 +554,23 @@ class TestExponentialRecursion:
         for k in range(1, grid.steps + 1):
             direct[k] = (trapezoid_weights(k, grid.dt) * decay[k::-1]) @ u[:k + 1]
         assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("C", [[[0.3, 0.1], [0.1, 0.2]], WIDE], ids=["narrow", "wide"])
+    def test_recursion_is_the_node_loop_bit_for_bit(self, C):
+        # out_k = e^{-r dt} (out_{k-1} + g_{k-1}) + g_k with g_k = G @ u_k, node by node
+        grid = TimeGrid(1.3, 64)
+        amp, rate, C = 0.7, 1.5, np.asarray(C)
+        traj = random_traj(SPACE2, grid, seed=21)
+        G, decay = (0.5 * grid.dt * amp) * C, float(np.exp(-rate * grid.dt))
+        want = np.zeros((grid.steps + 1, len(C)))
+        g_prev = G @ traj.samples[0]
+        for k in range(1, grid.steps + 1):
+            g = G @ traj.samples[k]
+            want[k] = decay * (want[k - 1] + g_prev) + g
+            g_prev = g
+        op = volterra_operator(VolterraKernel.exponential(amp, rate, C), grid, SPACE2,
+                               out_space=HilbertSpace(len(C)))
+        np.testing.assert_array_equal(op(traj).samples, want)
 
     def test_exponential_profile_evaluates_like_its_formula(self):
         profile = ExponentialProfile(0.3, 2.0)

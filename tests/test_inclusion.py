@@ -294,9 +294,9 @@ class TestSolveInclusion:
         stepped_spec = decay_spec(12)
         memory = stepped_spec.load_memory
 
-        def counted(state, k, u_k):
-            calls.append(k)
-            return memory.step(state, k, u_k)
+        def counted(state, first, inputs):
+            calls.extend(range(first, first + len(inputs)))
+            return memory.run(state, first, inputs)
 
         spec = replace(stepped_spec, load_memory=replace(memory, advance=counted))
         calls.clear()                          # the spec probes its memories once when built
@@ -314,9 +314,9 @@ class TestSolveInclusion:
         calls = {"parameter": 0, "load": 0}
 
         def counted(memory, label):
-            def advance(state, k, u_k):
+            def advance(state, first, inputs):
                 calls[label] += 1
-                return memory.step(state, k, u_k)
+                return memory.run(state, first, inputs)
             return replace(memory, advance=advance)
 
         replace(spec, parameter_memory=counted(spec.parameter_memory, "parameter"),
