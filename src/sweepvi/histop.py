@@ -56,13 +56,12 @@ def trapezoid_weights(k: int, dt: float) -> np.ndarray:
 def running_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
     """Composite trapezoid sums ``int_0^{t_k} y`` for every node ``k``, along axis 0.
 
-    The sum of ``scipy.integrate.cumulative_trapezoid(y, dx=dt, axis=0,
-    initial=0)``, in its order of operations, so the two agree bit for bit.
+    :func:`continue_trapezoid` from an empty sum at node 0, so its
+    cumulative sum adds the terms ``dt * (y_{k-1} + y_k) / 2.0`` in node
+    order, the order of operations of ``scipy.integrate.cumulative_trapezoid(
+    y, dx=dt, axis=0, initial=0)``: the two agree bit for bit.
     """
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
-    return out
+    return continue_trapezoid(0.0, 0.0, 0, np.asarray(y, dtype=float), dt)
 
 
 def continue_trapezoid(acc, prev, first: int, y: np.ndarray, dt: float) -> np.ndarray:
@@ -81,13 +80,6 @@ def continue_trapezoid(acc, prev, first: int, y: np.ndarray, dt: float) -> np.nd
     if len(y) > 1:
         sums[2:] = dt * (y[:-1] + y[1:]) / 2.0
     return np.add.accumulate(sums, axis=0, out=sums)[1:]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only view of ``a``, safe to hand out as outputs the caller must not change."""
-    a = a.view()
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -217,13 +209,6 @@ class VolterraKernel:
         return np.stack([self.at(t) for t in grid.nodes])
 
 
-# The exponential recurrence runs one component at a time in Python floats for
-# outputs up to this many components, and on whole rows, one numpy expression
-# per node, for wider ones: per node the first costs about 0.1 us per
-# component and the second about 3-4 us, so they cross near 12-16 components.
-_SCALAR_RECURRENCE_DIM = 12
-
-
 class _Rows:
     """Append-only buffer of the inputs of one evaluation, shared by its states.
 
@@ -263,8 +248,7 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     Exponential profiles run a recurrence, O(1) per node: one batched
     product gives ``g_k = G u_k`` for every row of the block, and the
     recurrence runs over the block into one output array, in Python floats
-    one component at a time for narrow outputs and on whole rows for wide
-    ones (``_SCALAR_RECURRENCE_DIM``).
+    one component at a time.
 
     General kernels sum the prefix, O(k) per node, node by node inside the
     block.  Their state after node ``k`` is ``(rows, u_k)``: the inputs
@@ -320,23 +304,17 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
                 out[0] = 0.0
                 state, j0 = (out[0], gs[0]), 1
             out_prev, g_prev = state
-            if gs.shape[1] <= _SCALAR_RECURRENCE_DIM:
-                # in Python floats, one component at a time: the same rounded
-                # operations as on whole rows, without a numpy call per node
-                columns = []
-                for o, g_last, col in zip(out_prev.tolist(), g_prev.tolist(),
-                                          gs[j0:].T.tolist()):
-                    column = []
-                    for g in col:
-                        o = decay * (o + g_last) + g
-                        column.append(o)
-                        g_last = g
-                    columns.append(column)
-                out[j0:].T[...] = columns
-            else:
-                for j in range(j0, len(gs)):
-                    out_prev = out[j] = decay * (out_prev + g_prev) + gs[j]
-                    g_prev = gs[j]
+            # in Python floats, one component at a time: the same rounded
+            # operations as on whole rows, without a numpy call per node
+            columns = []
+            for o, g_last, col in zip(out_prev.tolist(), g_prev.tolist(), gs[j0:].T.tolist()):
+                column = []
+                for g in col:
+                    o = decay * (o + g_last) + g
+                    column.append(o)
+                    g_last = g
+                columns.append(column)
+            out[j0:].T[...] = columns
             out.setflags(write=False)
             return (out[-1], gs[-1]), out
 
@@ -379,8 +357,12 @@ def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: Hilbe
 
 
 def identity_operator(tag: str = "identity") -> HistoryOperator:
-    return HistoryOperator(None, lambda state, first, inputs: (None, _read_only(inputs)),
-                           l=1.0, L=0.0, tag=tag)
+    def advance(state, first, inputs):
+        out = inputs.view()
+        out.setflags(write=False)
+        return None, out
+
+    return HistoryOperator(None, advance, l=1.0, L=0.0, tag=tag)
 
 
 def zero_operator(out_space: HilbertSpace, tag: str = "zero") -> HistoryOperator:
