@@ -458,11 +458,10 @@ def _csv_rows(cfg: RunConfig, sol: InclusionSolution, stress):
             cols.append(stress.sigma_tau)
     header += ["residual", "iterations"]
     cols.append(np.asarray(sol.per_step_residuals, dtype=float))
-    iters = np.asarray(sol.per_step_iterations, dtype=int)
-    rows = []
-    for k in range(cfg.grid.steps + 1):
-        row = [_g(c[k]) for c in cols] + [str(int(iters[k]))]
-        rows.append(row)
+    iters = np.asarray(sol.per_step_iterations, dtype=int).tolist()
+    # one format per row: each float as _g prints it, the count as an int
+    fmt = ",".join(["%.17g"] * len(cols)) + ",%d\n"
+    rows = [fmt % (*row, it) for row, it in zip(np.column_stack(cols).tolist(), iters)]
     return header, rows
 
 
@@ -471,10 +470,9 @@ def _failure(exc: NonConvergenceError) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write the header and the formatted rows (newline included) in one call."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(rows))
 
 
 def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,

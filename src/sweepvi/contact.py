@@ -228,36 +228,55 @@ class Loads:
     for the shear layer give two components (normal, tangential) as shape
     (2,) or (2, n_nodes).  ``traction`` follows the same convention but is a
     single value per component, applied at the contact node.
+
+    :meth:`on_grid` evaluates both over a whole time grid: a constant load is
+    shape-checked and expanded once, a callable is called once per node.
     """
 
     body: object = 0.0
     traction: object = 0.0
 
-    def body_at(self, t: float, components: int, n_nodes: int) -> np.ndarray:
-        raw = self.body(t) if callable(self.body) else self.body
-        arr = np.asarray(raw, dtype=float)
-        if components == 1:
-            if arr.ndim == 0:
-                arr = np.full(n_nodes, float(arr))
-            if arr.shape != (n_nodes,):
-                raise DimensionMismatchError("body load must be scalar or per-node")
-            return arr[None, :]
-        if arr.ndim == 0:
-            arr = np.full((2, n_nodes), float(arr))
-        elif arr.shape == (2,):
-            arr = np.repeat(arr[:, None], n_nodes, axis=1)
-        if arr.shape != (2, n_nodes):
-            raise DimensionMismatchError("body load must be (2,) or (2, n_nodes)")
-        return arr
+    def on_grid(self, times: np.ndarray, components: int,
+                n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Densities ``(K, components, n_nodes)`` and tractions ``(K, components)``
+        at the ``K`` times ``times``.  Both are C-contiguous, so a stacked
+        ``M @ densities[..., None]`` makes the BLAS call of one node's ``M @ density``."""
+        return (_over_grid(self.body, times, lambda raw: _body_density(raw, components, n_nodes)),
+                _over_grid(self.traction, times, lambda raw: _traction_values(raw, components)))
 
-    def traction_at(self, t: float, components: int) -> np.ndarray:
-        raw = self.traction(t) if callable(self.traction) else self.traction
-        arr = np.atleast_1d(np.asarray(raw, dtype=float))
-        if arr.shape == (1,) and components == 2:
-            arr = np.repeat(arr, 2)
-        if arr.shape != (components,):
-            raise DimensionMismatchError("traction must have one value per component")
-        return arr
+
+def _over_grid(load, times: np.ndarray, shaped: Callable) -> np.ndarray:
+    """``shaped(load(t))`` stacked over ``times``, or ``shaped(load)`` repeated."""
+    if callable(load):
+        return np.array([shaped(load(t)) for t in times])
+    value = shaped(load)
+    return np.repeat(value[None], len(times), axis=0)
+
+
+def _body_density(raw, components: int, n_nodes: int) -> np.ndarray:
+    arr = np.asarray(raw, dtype=float)
+    if components == 1:
+        if arr.ndim == 0:
+            arr = np.full(n_nodes, float(arr))
+        if arr.shape != (n_nodes,):
+            raise DimensionMismatchError("body load must be scalar or per-node")
+        return arr[None, :]
+    if arr.ndim == 0:
+        arr = np.full((2, n_nodes), float(arr))
+    elif arr.shape == (2,):
+        arr = np.repeat(arr[:, None], n_nodes, axis=1)
+    if arr.shape != (2, n_nodes):
+        raise DimensionMismatchError("body load must be (2,) or (2, n_nodes)")
+    return arr
+
+
+def _traction_values(raw, components: int) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(raw, dtype=float))
+    if arr.shape == (1,) and components == 2:
+        arr = np.repeat(arr, 2)
+    if arr.shape != (components,):
+        raise DimensionMismatchError("traction must have one value per component")
+    return arr
 
 
 def _mass(mesh: Mesh1D) -> np.ndarray:
@@ -393,21 +412,18 @@ def assemble_loads(mesh: Mesh1D, loads: Loads, grid: TimeGrid,
     """Riesz representatives of the load functional plus the raw covectors.
 
     The covectors (consistent mass-weighted nodal forces, traction included)
-    are returned alongside because reactions are recovered from them.
+    are returned alongside because reactions are recovered from them.  The
+    loads are evaluated once over the grid (:meth:`Loads.on_grid`: a constant
+    once, a callable once per node) and every node's ``M density`` is one
+    matrix-vector product of one stacked ``matmul``; the clamped node is then
+    dropped and each component's traction added at its contact dof.
     """
     space = space or assemble_space(mesh, components)
-    M_full = _mass(mesh)
-    n = mesh.n_free
-    covectors = np.empty((grid.steps + 1, space.dim))
-    for k, t in enumerate(grid.nodes):
-        density = loads.body_at(t, components, mesh.nodes.size)
-        traction = loads.traction_at(t, components)
-        row = np.empty(space.dim)
-        for c in range(components):
-            b_full = M_full @ density[c]
-            row[c * n:(c + 1) * n] = b_full[1:]
-            row[(c + 1) * n - 1] += traction[c]
-        covectors[k] = row
+    densities, tractions = loads.on_grid(grid.nodes, components, mesh.nodes.size)
+    forces = (_mass(mesh) @ densities[..., None])[..., 1:, 0]
+    forces[..., -1] += tractions
+    # with one component the reshape is a strided view; the solve gets C-ordered rows
+    covectors = np.ascontiguousarray(forces.reshape(grid.steps + 1, space.dim))
     bad = np.flatnonzero(~np.isfinite(covectors).all(axis=1))
     if bad.size:
         raise ValueError(f"load (body force or traction) is not finite at node {bad[0]} "

@@ -551,6 +551,70 @@ class TestRun:
         assert run_cli("run", "--config", CONFIGS / "shear_friction.ini", "--out", out) == 0
         assert counts == {"lift_to_velocity": 1, "iteration_metric": 1}
 
+    def test_the_csv_writer_prints_every_value_as_17_significant_digits(self, tmp_path):
+        from types import SimpleNamespace
+
+        import sweepvi.cli as cli
+        from sweepvi import HilbertSpace, TimeGrid, Trajectory
+        from sweepvi.contact import StressRecord
+
+        grid = TimeGrid(1.0, 3)
+        u = np.array([[-0.0, 1.0], [np.inf, -np.inf], [np.nan, 5e-324], [1 / 3, -2.5e-310]])
+        v = np.array([[0.1], [-0.0], [1e300], [np.nan]])
+        sol = SimpleNamespace(u=Trajectory(HilbertSpace(2), grid, u),
+                              v=Trajectory(HilbertSpace(1), grid, v),
+                              per_step_residuals=[0.0, -0.0, np.nan, 4.9e-324],
+                              per_step_iterations=[0, 1, 2**62, 2**63 - 1])
+        stress = StressRecord(np.zeros((4, 1, 1)), sigma_nu=np.array([-0.0, np.inf, 1.5, 7.0]),
+                              sigma_tau=np.array([1e-320, 2.0, 2.2250738585072014e-308, 0.1 + 0.2]))
+        header, rows = cli._csv_rows(SimpleNamespace(grid=grid), sol, stress)
+        cli._write_csv(tmp_path / "solution.csv", header, rows)
+        cols = [grid.nodes, u[:, 0], u[:, 1], v[:, 0], stress.sigma_nu, stress.sigma_tau,
+                sol.per_step_residuals]
+        want = ["t,u0,u1,v0,sigma_nu,sigma_tau,residual,iterations"]
+        want += [",".join(["%.17g" % float(c[k]) for c in cols] + [str(sol.per_step_iterations[k])])
+                 for k in range(4)]
+        assert (tmp_path / "solution.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+        assert len(rows) == 4
+
+    def test_run_reports_the_number_of_rows_written(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIGS / "rod_rigid.ini", "--out", out) == 0
+        lines = (out / "solution.csv").read_text().splitlines()
+        assert len(lines) == 1 + 9
+        assert f"({len(lines) - 1} rows)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config, body_ramp, traction_ramp", [
+        ("rod_compliance", 1.5, 0.5),
+        ("shear_friction", [0.5, 0.8], 0.2),
+    ])
+    def test_ramped_loads_run_verify_and_are_affine_in_time(self, tmp_path, config, body_ramp,
+                                                             traction_ramp):
+        import sweepvi.cli as cli
+        from sweepvi import Loads, TimeGrid
+        from sweepvi.contact import assemble_loads
+
+        ramps = "".join(f"\n{key} = {', '.join(map(str, np.atleast_1d(value)))}"
+                        for key, value in (("body_ramp", body_ramp),
+                                           ("traction_ramp", traction_ramp)))
+        text = (CONFIGS / f"{config}.ini").read_text()
+        path = tmp_path / f"{config}_ramped.ini"
+        path.write_text(re.sub(r"^body = .*$", lambda m: m.group(0) + ramps, text, count=1,
+                               flags=re.M))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--out", out) == 0
+        assert run_cli("verify", "--config", path, "--out", out) == 0
+
+        cfg = load_config(path)
+        problem = cli._build(cfg)[0]
+        base = cli._build(load_config(CONFIGS / f"{config}.ini"))[0].load_covectors[0]
+        _, rate = assemble_loads(problem.mesh, Loads(body=body_ramp, traction=traction_ramp),
+                                 TimeGrid(1.0, 1), problem.space, problem.components)
+        assert np.all(rate[0] != 0.0)
+        want = base + cfg.grid.nodes[:, None] * rate[0]
+        cov = problem.load_covectors
+        assert np.abs(cov - want).max() <= 1e-14 * np.abs(cov).max()
+
 
 class TestConvergence:
     def test_needs_at_least_two_refinements(self, tmp_path):

@@ -17,7 +17,7 @@ from sweepvi import (
     solve_contact,
     trace_constant,
 )
-from sweepvi.contact import assemble_A, assemble_elastic, assemble_loads
+from sweepvi.contact import _mass, assemble_A, assemble_elastic, assemble_loads
 from sweepvi.inclusion import _node_gradients
 
 
@@ -105,6 +105,97 @@ class TestMeshAndAssembly:
             Material(a=1.0, b=-1.0).b_field(mesh)
         with pytest.raises(DimensionMismatchError):
             Material(a=[1.0, 2.0]).a_field(mesh)
+
+
+def _per_node_covectors(mesh, grid, loads, components):
+    """The load covectors node by node: ``M @ density`` per component with the
+    clamped node dropped, plus the traction at the component's contact dof."""
+    M, n, m = _mass(mesh), mesh.n_free, mesh.nodes.size
+    rows = []
+    for t in grid.nodes:
+        body = np.asarray(loads.body(t) if callable(loads.body) else loads.body, dtype=float)
+        traction = loads.traction(t) if callable(loads.traction) else loads.traction
+        traction = np.broadcast_to(np.asarray(traction, dtype=float), (components,))
+        if body.ndim == 0:
+            density = np.full((components, m), float(body))
+        elif body.shape == (2,):
+            density = np.repeat(body[:, None], m, axis=1)
+        else:
+            density = body.reshape(components, m)
+        row = np.empty(components * n)
+        for c in range(components):
+            row[c * n:(c + 1) * n] = (M @ density[c])[1:]
+            row[(c + 1) * n - 1] += traction[c]
+        rows.append(row)
+    return np.array(rows)
+
+
+_MESHES = {"uniform": Mesh1D.uniform(1.0, 4),
+           "non-uniform": Mesh1D(np.cumsum(np.r_[0.0, np.random.default_rng(5).uniform(0.05, 0.3, 7)]))}
+
+
+def _load_cases():
+    """(components, body, traction) for constant, per-node and ramped loads."""
+    rng = np.random.default_rng(11)
+    per_node = {name: rng.normal(size=mesh.nodes.size) for name, mesh in _MESHES.items()}
+    cases = []
+    for name in _MESHES:
+        m = _MESHES[name].nodes.size
+        pair = rng.normal(size=(2, m))
+        cases += [
+            (name, 1, 1.5, 0.0),
+            (name, 1, per_node[name], 0.7),
+            (name, 1, lambda t: 2.0 + 3.0 * t, lambda t: 0.25 - 0.5 * t),
+            (name, 1, lambda t, b=per_node[name]: b + t * b[::-1], 0.0),
+            (name, 2, 1.5, 0.7),
+            (name, 2, [0.3, -1.2], [0.2, -0.4]),
+            (name, 2, pair, 0.0),
+            (name, 2, lambda t: np.array([0.3, 1.2]) + t * np.array([0.5, -0.7]),
+             lambda t: np.array([0.1, 0.2]) + t * np.array([-0.3, 0.9])),
+            (name, 2, lambda t, p=pair: p * (1.0 + t), lambda t: 0.6 * t),
+        ]
+    return cases
+
+
+class TestLoadAssembly:
+    @pytest.mark.parametrize("mesh_name, components, body, traction", _load_cases())
+    def test_every_row_is_the_per_node_product(self, mesh_name, components, body, traction):
+        mesh, grid = _MESHES[mesh_name], TimeGrid(1.0, 6)
+        space = assemble_space(mesh, components)
+        loads = Loads(body=body, traction=traction)
+        f, cov = assemble_loads(mesh, loads, grid, space, components)
+        want = _per_node_covectors(mesh, grid, loads, components)
+        np.testing.assert_array_equal(cov, want)
+        np.testing.assert_array_equal(f.samples, space.solve_metric(want.T).T)
+        assert cov.flags.c_contiguous
+
+    def test_a_callable_load_is_called_once_per_node(self):
+        mesh, grid = Mesh1D.uniform(1.0, 4), TimeGrid(1.0, 8)
+        calls = {"body": [], "traction": []}
+
+        def body(t):
+            calls["body"].append(t)
+            return 1.0 + t
+
+        def traction(t):
+            calls["traction"].append(t)
+            return -t
+
+        assemble_loads(mesh, Loads(body=body, traction=traction), grid)
+        for times in calls.values():
+            np.testing.assert_array_equal(times, grid.nodes)
+
+    @pytest.mark.parametrize("components, loads, message", [
+        (1, Loads(body=[1.0, 2.0]), "scalar or per-node"),
+        (1, Loads(body=lambda t: [1.0, 2.0]), "scalar or per-node"),
+        (2, Loads(body=[1.0, 2.0, 3.0]), r"\(2,\) or \(2, n_nodes\)"),
+        (1, Loads(traction=[1.0, 2.0]), "one value per component"),
+        (2, Loads(traction=lambda t: [t, t, t]), "one value per component"),
+    ])
+    def test_a_load_of_the_wrong_shape_is_rejected(self, components, loads, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            assemble_loads(Mesh1D.uniform(1.0, 4), loads, TimeGrid(1.0, 2),
+                           components=components)
 
 
 class TestContactLaw:

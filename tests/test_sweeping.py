@@ -314,6 +314,21 @@ class TestCausalStepProtocol:
         want = 0.5 * displacement_reference(v, spec.u0)      # S = 0 in ode_spec
         self.assert_all_paths(lift_to_velocity(spec).load_memory, v, want)
 
+    def test_the_lift_of_an_elastic_coupling_is_the_step_loop_bit_for_bit(self):
+        # with b > 0 the block form of assemble_elastic (apply_rows) rounds
+        # differently from one b_op call per row; a block pass of the lifted
+        # memory must give the bits of stepping it node by node
+        from sweepvi import ContactLaw, Loads, Material, Mesh1D, build_problem
+
+        grid = TimeGrid(1.0, 12)
+        problem = build_problem("shear_friction", Mesh1D.uniform(1.0, 8), Material(a=0.5, b=0.3),
+                                ContactLaw.saturating(0.3, 60.0), Loads(body=[0.0, 1.2]), grid)
+        lifted = problem.spec.inclusion.load_memory
+        rng = np.random.default_rng(4)
+        v = Trajectory(problem.space, grid, rng.standard_normal((13, problem.space.dim)))
+        _, block = lifted.run(lifted.init_state(grid), 0, v.samples)
+        np.testing.assert_array_equal(block, stepped(lifted, v))
+
     def test_marching_and_global_picard_agree_on_a_lifted_spec(self):
         grid = TimeGrid(1.0, 12)
         kernel = VolterraKernel.exponential(0.5, 1.0, np.eye(1))
