@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 _COUPLING_RTOL = 1e-10
-# doubles in one (directions x nodes) block of the batched verification kernels
+# doubles in one (nodes x directions) block of the batched verification kernels
 _BLOCK_DOUBLES = 2 ** 14
 
 
@@ -759,20 +759,21 @@ def _lowest_pairings(space: HilbertSpace, functional: HomogeneousFunctional, dir
     """``min over rows d of dirs of (d, x_k) + j_k(d)`` for every row ``x_k`` of ``xs``.
 
     ``j_k(d) = unit_values(d) @ weights[k]``.  This is the matrix product
-    ``D M X^T + Phi(D) C^T`` reduced over its rows, taken over chunks of nodes
-    so that one block holds about ``_BLOCK_DOUBLES`` values whatever the node
-    count.  ``+inf`` where ``dirs`` is empty.
+    ``X M D^T + C Phi(D)^T``, one row per node, reduced along its rows; it is
+    taken over chunks of nodes so that one block holds about
+    ``_BLOCK_DOUBLES`` values whatever the node count.  ``+inf`` where
+    ``dirs`` is empty.
     """
     out = np.full(len(xs), np.inf)
     if len(dirs) == 0:
         return out
-    phi = functional.unit_values(dirs)
+    dirs_t, phi_t = dirs.T, functional.unit_values(dirs).T
     chunk = max(1, _BLOCK_DOUBLES // len(dirs))
     for lo in range(0, len(xs), chunk):
         hi = lo + chunk
-        block = dirs @ (space.metric @ xs[lo:hi].T)
-        block += phi @ weights[lo:hi].T
-        out[lo:hi] = block.min(axis=0)
+        block = (space.metric @ xs[lo:hi].T).T @ dirs_t
+        block += weights[lo:hi] @ phi_t
+        out[lo:hi] = block.min(axis=1)
     return out
 
 

@@ -560,7 +560,7 @@ def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: Homogene
     solver-tolerance size.  An infeasible ``u_k`` gets ``+inf``.
 
     Since ``j`` is positively homogeneous, the direction rows are the matrix
-    product ``D M G^T + Phi(D) C^T`` and the far rows that block times the
+    product ``G M D^T + C Phi(D)^T`` and the far rows that block times the
     radius; see :meth:`~sweepvi.core.HomogeneousFunctional.unit_values`.
     """
     us = np.asarray(us, dtype=float)
