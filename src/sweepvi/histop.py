@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 
+# rows of one chunk of the exponential memory's scan (see _volterra_steps):
+# long enough that a chunk is one BLAS product rather than a numpy call per
+# row, short enough that the 64 x 64 decay matrix stays small and a chunk
+# row, a sum of at most 64 terms, stays within 64 ulps of the largest output
+_SCAN_ROWS = 64
+
+
 class IneligibleOperatorError(ValueError):
     """The operator's declared constants rule out the requested algorithm."""
 
@@ -91,14 +98,16 @@ class HistoryOperator:
     ``first, first + 1, ...``, one row each, and returns ``(state', outputs)``:
     the state after the last node and one output row per node.  Stepping a
     window in one call and stepping it node by node give the same outputs
-    bit for bit.  ``init_state(grid)`` hands out ``start`` for inputs on
-    ``grid``, :meth:`run` is the block step and :meth:`step` its one-row
-    case.  States are values: a state is never changed by stepping from it,
-    so the coupling solver can try several guesses for a window against the
-    same committed state.  A step may keep references to its inputs, which
-    the caller must not change afterwards, and outputs may be shared with
-    the state or with the inputs, so the built-in memories hand out
-    read-only outputs where they do.
+    bit for bit, except for the exponential Volterra memory: its chunked
+    scan (see :func:`_volterra_steps`) makes the two agree within
+    ``_SCAN_ROWS`` ulps of the largest output.  ``init_state(grid)`` hands
+    out ``start`` for inputs on ``grid``, :meth:`run` is the block step and
+    :meth:`step` its one-row case.  States are values: a state is never
+    changed by stepping from it, so the coupling solver can try several
+    guesses for a window against the same committed state.  A step may keep
+    references to its inputs, which the caller must not change afterwards,
+    and outputs may be shared with the state or with the inputs, so the
+    built-in memories hand out read-only outputs where they do.
 
     Whole-trajectory evaluation (``__call__``) and :meth:`at_node` are runs
     of the block step, so each memory has one implementation.
@@ -160,7 +169,9 @@ class ExponentialProfile:
     """Kernel profile ``beta(t) = amplitude * exp(-rate * t)``; rate 0 is constant.
 
     Convolution memories recognise this profile and update recursively at
-    O(1) work per node instead of re-summing the history.
+    O(1) work per node instead of re-summing the history: a scan of the
+    recurrence over chunks of ``_SCAN_ROWS`` nodes, one product with a
+    matrix of decay powers each (see :func:`_volterra_steps`).
     """
 
     amplitude: float
@@ -246,9 +257,14 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     ``B(t_k)`` otherwise; they bound the memory constant.
 
     Exponential profiles run a recurrence, O(1) per node: one batched
-    product gives ``g_k = G u_k`` for every row of the block, and the
-    recurrence runs over the block into one output array, in Python floats
-    one component at a time.
+    product gives ``g_k = G u_k`` for every row of the block, and
+    ``out_k = decay out_{k-1} + h_k`` with ``h_k = g_k + decay g_{k-1}`` runs
+    as a scan over chunks of at most ``_SCAN_ROWS`` rows.  A chunk of ``n``
+    rows is ``P[:n, :n] @ h + decay^{1..n} carry``, where
+    ``P[i, j] = decay^{i-j}`` is the lower-triangular Toeplitz matrix built
+    once per grid and ``carry`` is the last output before the chunk.  The
+    block's outputs and a node-by-node loop agree within ``_SCAN_ROWS`` ulps
+    of the largest output, not bit for bit.
 
     General kernels sum the prefix, O(k) per node, node by node inside the
     block.  Their state after node ``k`` is ``(rows, u_k)``: the inputs
@@ -289,10 +305,17 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         # I_k = e^{-r dt} I_{k-1} + dt/2 (e^{-r dt} u_{k-1} + u_k) is the composite
         # trapezoid sum of int_0^{t_k} e^{-r (t_k - s)} u(s) ds; with
         # out_k = c C I_k and g_k = c C dt/2 u_k this is the recurrence
-        # out_k = e^{-r dt} (out_{k-1} + g_{k-1}) + g_k, O(1) per node, and the
-        # state after node k is (out_k, g_k)
+        # out_k = e^{-r dt} out_{k-1} + h_k, h_k = g_k + e^{-r dt} g_{k-1}, and
+        # the state after node k is (out_k, g_k)
         G = (0.5 * dt * profile.amplitude) * C
         decay = float(np.exp(-profile.rate * dt))
+        # over a chunk of n rows out = P h + decay^{1..n} out_before, with the
+        # lower-triangular Toeplitz matrix P[i, j] = decay^{i-j}: one product
+        # per chunk, and each output carries at most one chunk's rounding on
+        # top of its carry
+        powers = decay ** np.arange(_SCAN_ROWS + 1)
+        lags = np.arange(_SCAN_ROWS)
+        P = np.tril(powers[np.abs(lags[:, None] - lags)])
 
         def advance(state, first, inputs):
             # a stack of matrix-vector products, one per row: the same BLAS
@@ -303,18 +326,15 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
             if first == 0:                  # out_0 = 0, and node 1 steps from (0, g_0)
                 out[0] = 0.0
                 state, j0 = (out[0], gs[0]), 1
-            out_prev, g_prev = state
-            # in Python floats, one component at a time: the same rounded
-            # operations as on whole rows, without a numpy call per node
-            columns = []
-            for o, g_last, col in zip(out_prev.tolist(), g_prev.tolist(), gs[j0:].T.tolist()):
-                column = []
-                for g in col:
-                    o = decay * (o + g_last) + g
-                    column.append(o)
-                    g_last = g
-                columns.append(column)
-            out[j0:].T[...] = columns
+            carry, g_prev = state
+            hs = gs[j0:] + decay * np.concatenate((g_prev[None], gs[:-1]))[j0:]
+            for lo in range(0, len(hs), _SCAN_ROWS):
+                h = hs[lo:lo + _SCAN_ROWS]
+                n = len(h)
+                rows = out[j0 + lo:j0 + lo + n]
+                np.matmul(P[:n, :n], h, out=rows)
+                rows += powers[1:n + 1, None] * carry
+                carry = rows[-1]
             out.setflags(write=False)
             return (out[-1], gs[-1]), out
 
@@ -343,7 +363,8 @@ def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: Hilbe
     ``L`` is bounded by ``max_t ||B(t)||`` in the input space norm times the
     output norm distortion, measured on the grid nodes (exact for separable
     kernels with constant factor).  Exponential profiles step in O(1) per
-    node; other kernels sum the prefix, O(k).
+    node, as a chunked scan of their recurrence; other kernels sum the
+    prefix, O(k).
     """
     advance, norms = _volterra_steps(kernel, grid)
     target = out_space or input_space

@@ -294,8 +294,18 @@ def random_traj(space, grid, seed):
 
 SPACE2 = HilbertSpace(2)
 EXPONENTIAL = VolterraKernel.exponential(0.7, 1.5, [[0.3, 0.1], [0.1, 0.2]])
-# 24 output components: the exponential recurrence runs on whole rows
+# 24 output components: a wide relaxation memory
 WIDE = np.cos(np.arange(48.0)).reshape(24, 2)
+# memories that run the exponential memory's chunked scan (histop._SCAN_ROWS
+# rows a chunk): their evaluation paths agree within SCAN_ATOL, not bit for bit
+SCAN_MEMORIES = ("exponential", "exponential-wide", "compose", "lifted-load")
+SCAN_ROWS = 64
+
+
+def assert_scan_close(got, want):
+    """``got`` within ``SCAN_ROWS`` ulps of the largest entry of ``want``, entry by entry."""
+    atol = SCAN_ROWS * np.finfo(float).eps * np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 def lifted_load_memory(grid):
@@ -413,11 +423,13 @@ class TestCausalStepProtocol:
 
     @pytest.mark.parametrize("name", list(MEMORIES))
     def test_run_is_the_step_loop_bit_for_bit(self, name):
+        # bit for bit, except the exponential memory's scan: within SCAN_ATOL
+        agree = assert_scan_close if name in SCAN_MEMORIES else np.testing.assert_array_equal
         grid = TimeGrid(1.0, 40)
         op = MEMORIES[name](grid)
         traj = random_traj(SPACE2, grid, seed=13)
         _, out = op.run(op.init_state(grid), 0, traj.samples)
-        np.testing.assert_array_equal(out, stepped(op, traj))
+        agree(stepped(op, traj), out)
         np.testing.assert_array_equal(out, op(traj).samples)
         # windows of 1, 2, 5 and 16 nodes and then the rest, each run from the
         # state the window before it committed
@@ -426,7 +438,7 @@ class TestCausalStepProtocol:
             state, window = op.run(state, first, traj.samples[first:first + width])
             outs.append(window)
             first += width
-        np.testing.assert_array_equal(np.concatenate(outs), out)
+        agree(np.concatenate(outs), out)
 
     def test_steps_leave_the_committed_state_unchanged(self):
         # the marching solver steps the same state with several guesses
@@ -557,7 +569,8 @@ class TestExponentialRecursion:
 
     @pytest.mark.parametrize("C", [[[0.3, 0.1], [0.1, 0.2]], WIDE], ids=["narrow", "wide"])
     def test_recursion_is_the_node_loop_bit_for_bit(self, C):
-        # out_k = e^{-r dt} (out_{k-1} + g_{k-1}) + g_k with g_k = G @ u_k, node by node
+        # out_k = e^{-r dt} (out_{k-1} + g_{k-1}) + g_k with g_k = G @ u_k, node by
+        # node; the scan runs it a chunk at a time, so within SCAN_ATOL
         grid = TimeGrid(1.3, 64)
         amp, rate, C = 0.7, 1.5, np.asarray(C)
         traj = random_traj(SPACE2, grid, seed=21)
@@ -570,7 +583,46 @@ class TestExponentialRecursion:
             g_prev = g
         op = volterra_operator(VolterraKernel.exponential(amp, rate, C), grid, SPACE2,
                                out_space=HilbertSpace(len(C)))
-        np.testing.assert_array_equal(op(traj).samples, want)
+        assert_scan_close(op(traj).samples, want)
+
+    @pytest.mark.parametrize("rate, C", [
+        (1.5, [[0.3, 0.1], [0.1, 0.2]]),
+        (0.0, [[0.3, 0.1], [0.1, 0.2]]),
+        (-3.0, [[0.3, 0.1], [0.1, 0.2]]),
+        (4000.0, [[0.3, 0.1], [0.1, 0.2]]),
+        (1.5, np.cos(np.arange(1024.0)).reshape(512, 2)),
+    ], ids=["rate-1.5", "constant", "growing", "underflow", "wide-512"])
+    def test_scan_across_chunk_edges(self, rate, C):
+        # 300 steps cross four chunk edges; rate 4000 makes decay**64 underflow
+        grid = TimeGrid(1.3, 300)
+        amp, C = 0.7, np.asarray(C)
+        assert rate != 4000.0 or np.exp(-rate * grid.dt) ** SCAN_ROWS == 0.0
+        traj = random_traj(SPACE2, grid, seed=31)
+        op = volterra_operator(VolterraKernel.exponential(amp, rate, C), grid, SPACE2,
+                               out_space=HilbertSpace(len(C)))
+        out = op(traj).samples
+        # windows of 1, 63, 64 and 65 nodes and then the rest
+        state, first, outs = op.init_state(grid), 0, []
+        for width in (1, 63, 64, 65, grid.steps + 1 - 193):
+            state, window = op.run(state, first, traj.samples[first:first + width])
+            outs.append(window)
+            first += width
+        nodes = [0, 1, 63, 64, 65, 128, 129, 193, grid.steps]
+        at_node = np.array([op.at_node(traj, k) for k in nodes])
+        # the trapezoid convolution, every node's weights in one lower-triangular matrix
+        t = grid.nodes
+        weights = np.tril(amp * np.exp(-rate * np.clip(t[:, None] - t, 0.0, None)) * grid.dt)
+        weights[:, 0] *= 0.5
+        weights[np.diag_indices_from(weights)] *= 0.5
+        weights[0] = 0.0
+        direct = (weights @ traj.samples) @ C.T
+        for got, want in ((np.concatenate(outs), out), (stepped(op, traj), out),
+                          (at_node, out[nodes])):
+            assert_scan_close(got, want)
+        for got, want in ((out, direct), (np.concatenate(outs), direct),
+                          (stepped(op, traj), direct), (at_node, direct[nodes])):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(direct).max())
 
     def test_exponential_profile_evaluates_like_its_formula(self):
         profile = ExponentialProfile(0.3, 2.0)
