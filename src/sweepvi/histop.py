@@ -309,10 +309,8 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         # the state after node k is (out_k, g_k)
         G = (0.5 * dt * profile.amplitude) * C
         decay = float(np.exp(-profile.rate * dt))
-        # over a chunk of n rows out = P h + decay^{1..n} out_before, with the
-        # lower-triangular Toeplitz matrix P[i, j] = decay^{i-j}: one product
-        # per chunk, and each output carries at most one chunk's rounding on
-        # top of its carry
+        # P[i, j] = decay^{i-j}: a chunk is one product, and each output
+        # carries at most one chunk's rounding on top of its carry
         powers = decay ** np.arange(_SCAN_ROWS + 1)
         lags = np.arange(_SCAN_ROWS)
         P = np.tril(powers[np.abs(lags[:, None] - lags)])

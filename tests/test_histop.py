@@ -297,7 +297,8 @@ EXPONENTIAL = VolterraKernel.exponential(0.7, 1.5, [[0.3, 0.1], [0.1, 0.2]])
 # 24 output components: a wide relaxation memory
 WIDE = np.cos(np.arange(48.0)).reshape(24, 2)
 # memories that run the exponential memory's chunked scan (histop._SCAN_ROWS
-# rows a chunk): their evaluation paths agree within SCAN_ATOL, not bit for bit
+# rows a chunk): their evaluation paths agree within assert_scan_close, not
+# bit for bit
 SCAN_MEMORIES = ("exponential", "exponential-wide", "compose", "lifted-load")
 SCAN_ROWS = 64
 
@@ -423,7 +424,7 @@ class TestCausalStepProtocol:
 
     @pytest.mark.parametrize("name", list(MEMORIES))
     def test_run_is_the_step_loop_bit_for_bit(self, name):
-        # bit for bit, except the exponential memory's scan: within SCAN_ATOL
+        # bit for bit, except the exponential memory's scan (assert_scan_close)
         agree = assert_scan_close if name in SCAN_MEMORIES else np.testing.assert_array_equal
         grid = TimeGrid(1.0, 40)
         op = MEMORIES[name](grid)
@@ -570,7 +571,7 @@ class TestExponentialRecursion:
     @pytest.mark.parametrize("C", [[[0.3, 0.1], [0.1, 0.2]], WIDE], ids=["narrow", "wide"])
     def test_recursion_is_the_node_loop_bit_for_bit(self, C):
         # out_k = e^{-r dt} (out_{k-1} + g_{k-1}) + g_k with g_k = G @ u_k, node by
-        # node; the scan runs it a chunk at a time, so within SCAN_ATOL
+        # node; the scan runs it a chunk at a time, so within assert_scan_close
         grid = TimeGrid(1.3, 64)
         amp, rate, C = 0.7, 1.5, np.asarray(C)
         traj = random_traj(SPACE2, grid, seed=21)
@@ -609,6 +610,7 @@ class TestExponentialRecursion:
             first += width
         nodes = [0, 1, 63, 64, 65, 128, 129, 193, grid.steps]
         at_node = np.array([op.at_node(traj, k) for k in nodes])
+        windows, steps = np.concatenate(outs), stepped(op, traj)
         # the trapezoid convolution, every node's weights in one lower-triangular matrix
         t = grid.nodes
         weights = np.tril(amp * np.exp(-rate * np.clip(t[:, None] - t, 0.0, None)) * grid.dt)
@@ -616,13 +618,13 @@ class TestExponentialRecursion:
         weights[np.diag_indices_from(weights)] *= 0.5
         weights[0] = 0.0
         direct = (weights @ traj.samples) @ C.T
-        for got, want in ((np.concatenate(outs), out), (stepped(op, traj), out),
-                          (at_node, out[nodes])):
-            assert_scan_close(got, want)
-        for got, want in ((out, direct), (np.concatenate(outs), direct),
-                          (stepped(op, traj), direct), (at_node, direct[nodes])):
-            np.testing.assert_allclose(got, want, rtol=0,
-                                       atol=1e-12 * np.abs(direct).max())
+        assert_scan_close(windows, out)
+        assert_scan_close(steps, out)
+        assert_scan_close(at_node, out[nodes])
+        atol = 1e-12 * np.abs(direct).max()
+        for got, want in ((out, direct), (windows, direct), (steps, direct),
+                          (at_node, direct[nodes])):
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
     def test_exponential_profile_evaluates_like_its_formula(self):
         profile = ExponentialProfile(0.3, 2.0)
