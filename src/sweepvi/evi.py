@@ -31,7 +31,6 @@ from .core import (
     DimensionMismatchError,
     HilbertSpace,
     HomogeneousFunctional,
-    MovingSet,
     UnsupportedConfigurationError,
     _lowest_pairings,
     sample_unit_directions,
@@ -55,14 +54,11 @@ __all__ = [
     "solve_evi_many",
     "vi_residual",
     "vi_residuals",
-    "check_vi_normal_cone_agreement",
 ]
 
 
 _AUDIT_RADIUS = 10.0        # standard deviation of the sampled audit points
 _FEASIBILITY_TOL = 1e-9     # cone violation past which a VI residual is +inf
-_ACCEPT_TOL = 1e-7          # both solution tests accept at or below this residual
-_REJECT_TOL = 1e-3          # both solution tests reject above this residual
 _FLOAT_MAX = float(np.finfo(float).max)
 _AUDIT_TRIALS = 256         # pairs of the audit every iteration plan runs
 _AUDIT_SEED = 0             # and their seed
@@ -595,27 +591,3 @@ def vi_residual(u: np.ndarray, problem: EviProblem, sampler_budget: int = 4096,
     eta = None if problem.eta is None else np.asarray(problem.eta, dtype=float)[None, :]
     return float(vi_residuals(problem.space, problem.cone, problem.functional, u[None, :],
                               g[None, :], eta, dirs, extra_points)[0])
-
-
-def check_vi_normal_cone_agreement(u: np.ndarray, z: np.ndarray, problem: EviProblem,
-                                   sampler_budget: int = 4096, seed: int = 0) -> bool:
-    """Agreement of the two equivalent solution tests at the pair ``(u, z)``.
-
-    Test one: the parametrized inequality
-    ``j(eta, v) - j(eta, u) >= (f - z, v - u)`` over sampled ``v`` in the
-    cone (:func:`vi_residuals` with ``g = z - f``, directions from ``seed``).
-    Test two: membership of ``-u`` in the normal cone of the moving set
-    ``f - C(eta)`` at ``z`` (directions from ``seed + 1``).  Returns True
-    when both accept (residuals <= 1e-7) or both clearly reject (> 1e-3).
-    """
-    u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
-    eta = None if problem.eta is None else np.asarray(problem.eta, dtype=float)[None, :]
-    dirs = sample_unit_directions(problem.cone, sampler_budget, seed)
-    vi_res = vi_residuals(problem.space, problem.cone, problem.functional, u[None, :],
-                          (z - problem.f)[None, :], eta, dirs)[0]
-    mset = MovingSet(problem.functional, problem.cone, problem.eta, problem.f)
-    member_res = mset.membership_residual(z, -u, sampler_budget, seed + 1)
-    both_accept = vi_res <= _ACCEPT_TOL and member_res <= _ACCEPT_TOL
-    both_reject = vi_res > _REJECT_TOL and member_res > _REJECT_TOL
-    return both_accept or both_reject

@@ -26,7 +26,6 @@ __all__ = [
     "HistoryOperator",
     "ExponentialProfile",
     "VolterraKernel",
-    "apply_volterra",
     "volterra_operator",
     "identity_operator",
     "zero_operator",
@@ -102,12 +101,14 @@ class HistoryOperator:
     scan (see :func:`_volterra_steps`) makes the two agree within
     ``_SCAN_ROWS`` ulps of the largest output.  ``init_state(grid)`` hands
     out ``start`` for inputs on ``grid``, :meth:`run` is the block step and
-    :meth:`step` its one-row case.  States are values: a state is never
-    changed by stepping from it, so the coupling solver can try several
-    guesses for a window against the same committed state.  A step may keep
-    references to its inputs, which the caller must not change afterwards,
-    and outputs may be shared with the state or with the inputs, so the
-    built-in memories hand out read-only outputs where they do.
+    :meth:`step` its one-row case.  States are plain values that no step
+    writes to (numbers, tuples, and arrays the step built itself, such as
+    the read-only input prefix of a summing kernel), so the coupling solver
+    can try several guesses for a window against the same committed state.
+    A step may keep references to its inputs, which the caller must not
+    change afterwards, and outputs may be shared with the state or with the
+    inputs, so the built-in memories hand out read-only outputs where they
+    do.
 
     Whole-trajectory evaluation (``__call__``) and :meth:`at_node` are runs
     of the block step, so each memory has one implementation.
@@ -220,35 +221,6 @@ class VolterraKernel:
         return np.stack([self.at(t) for t in grid.nodes])
 
 
-class _Rows:
-    """Append-only buffer of the inputs of one evaluation, shared by its states.
-
-    Rows below ``filled`` are claimed: written once and never changed, so
-    the states sharing the buffer stay values.  Row ``filled`` is scratch
-    for the input being tried at the current node.  A state whose prefix a
-    sibling state has already extended differently gets a fresh copy.
-    """
-
-    def __init__(self, capacity: int, dim: int):
-        self.data = np.empty((capacity, dim))
-        self.filled = 0
-
-    def trial(self, k: int, last: np.ndarray, u: np.ndarray) -> "_Rows":
-        """Rows ``0..k-2`` held here, then ``last`` claimed as row ``k - 1``
-        and ``u`` written to scratch row ``k``."""
-        rows = self
-        if self.filled == k - 1:
-            self.data[k - 1] = last
-            self.filled = k
-        elif self.filled > k or not np.array_equal(self.data[k - 1], last):
-            rows = _Rows(*self.data.shape)
-            rows.data[:k - 1] = self.data[:k - 1]
-            rows.data[k - 1] = last
-            rows.filled = k
-        rows.data[k] = u
-        return rows
-
-
 def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     """``(advance, kernel norms)`` of the trapezoid convolution on ``grid``, from state ``None``.
 
@@ -267,29 +239,28 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     of the largest output, not bit for bit.
 
     General kernels sum the prefix, O(k) per node, node by node inside the
-    block.  Their state after node ``k`` is ``(rows, u_k)``: the inputs
-    before node ``k`` in a shared :class:`_Rows` buffer, and ``u_k``, claimed
-    only when the next node steps from the state, so trial steps copy
-    nothing.  The two half weights of the trapezoid rule are folded into the
-    data: row 0 holds ``u_0 / 2`` and the kernel sample at lag 0 is halved,
-    so ``out_k`` is one weighted sum over rows ``0..k``.
+    block.  Their state after node ``k`` is one read-only array, the inputs
+    at nodes ``0..k``; a step extends a copy of it, so a state never changes.
+    The two half weights of the trapezoid rule are folded into the data:
+    row 0 holds ``u_0 / 2`` and the kernel sample at lag 0 is halved, so
+    ``out_k`` is one weighted sum over rows ``0..k``.
     """
-    dt, capacity = grid.dt, grid.steps + 1
+    dt = grid.dt
 
     def stepper(weighted: np.ndarray, total: Callable, out_dim: int):
         weighted[0] *= 0.5
 
-        def advance(state, first, inputs):
+        def advance(prefix, first, inputs):
+            if first:
+                rows = np.concatenate((prefix, inputs))
+            else:
+                rows = np.array(inputs, dtype=float)
+                rows[0] *= 0.5
             out = np.empty((len(inputs), out_dim))
-            for j, u_k in enumerate(inputs):
-                k = first + j
-                if k == 0:
-                    state, out[j] = (_Rows(capacity, u_k.size), 0.5 * u_k), 0.0
-                    continue
-                rows, last = state
-                rows = rows.trial(k, last, u_k)
-                state, out[j] = (rows, u_k), total(weighted[k::-1], rows.data[:k + 1])
-            return state, out
+            for j, k in enumerate(range(first, len(rows))):
+                out[j] = total(weighted[k::-1], rows[:k + 1]) if k else 0.0
+            rows.setflags(write=False)
+            return rows, out
 
         return advance
 
@@ -340,12 +311,6 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
 
     advance = stepper(dt * beta, lambda w, U: C @ (w @ U), C.shape[0])
     return advance, beta
-
-
-def apply_volterra(kernel: VolterraKernel, traj: Trajectory) -> Trajectory:
-    """Trapezoid discretization of ``(S u)(t) = int_0^t B(t - s) u(s) ds``."""
-    advance, _ = _volterra_steps(kernel, traj.grid)
-    return HistoryOperator(None, advance, l=0.0, L=0.0)(traj)
 
 
 def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace) -> float:

@@ -8,8 +8,9 @@ Substituting ``u(t) = int_0^t v + u0`` turns this into a plain inclusion for
 the velocity with the composite load memory ``v -> B(int v + u0) + S v``,
 whose constants are ``(l_S, L_B + L_S)``.  Everything downstream (smallness
 gate, Picard modes, residuals) is inherited from the inclusion solver; the
-displacement is recovered with the same trapezoid rule the lift uses, so the
-two stay numerically consistent.  The result is the inclusion's own
+displacement is recovered by the lift's own memory: :func:`integrate_velocity`
+is the whole-trajectory call of :func:`antiderivative_memory`, so the two
+cannot drift apart.  The result is the inclusion's own
 :class:`~sweepvi.inclusion.InclusionSolution`, with the displacement in
 ``u`` and the velocity in ``v``.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory, _vec, sample_unit_directions
 from .evi import AuditError, LipschitzOperator, NonConvergenceError, audit_lipschitz, solve_evi, vi_residuals
-from .histop import HistoryOperator, continue_trapezoid, running_trapezoid
+from .histop import HistoryOperator, continue_trapezoid
 from .inclusion import (
     InclusionSolution,
     InclusionSpec,
@@ -52,11 +53,11 @@ _DIRECT_SEED = 0            # seed of its VI-residual directions
 
 
 def integrate_velocity(v: Trajectory, u0) -> Trajectory:
-    """Trapezoid antiderivative of ``v`` started at ``u0``; exact at node 0."""
-    u0 = _vec(u0, v.space.dim)
-    out = running_trapezoid(v.samples, v.grid.dt) + u0
-    out[0] = u0
-    return Trajectory(v.space, v.grid, out)
+    """Trapezoid antiderivative of ``v`` started at ``u0``; exact at node 0.
+
+    The whole-trajectory call of :func:`antiderivative_memory` on ``v``'s grid.
+    """
+    return antiderivative_memory(v.grid, v.space, u0)(v)
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,8 @@ def antiderivative_memory(grid: TimeGrid, space: HilbertSpace, u0,
 
     Purely integral, so the instantaneous constant is 0 and the integral
     constant is 1 (the trapezoid sum is dominated by the integral of the
-    pointwise norm).  A running trapezoid sum: O(1) per node, and the same
-    sum :func:`integrate_velocity` computes.
+    pointwise norm).  A running trapezoid sum, O(1) per node;
+    :func:`integrate_velocity` is its whole-trajectory call.
     """
     u0 = _vec(u0, space.dim)
     dt = grid.dt

@@ -4,6 +4,7 @@ import pytest
 from sweepvi import (
     ContactLaw,
     DimensionMismatchError,
+    ExponentialProfile,
     Loads,
     Material,
     Mesh1D,
@@ -305,6 +306,24 @@ class TestNormalCompliance:
         # the constraint is active here: the reaction sits on the threshold
         assert -stress.sigma_nu[-1] == pytest.approx(report.series["threshold"][-1],
                                                      abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["time_marching", "global_picard"])
+    def test_a_summing_relaxation_solves_like_the_exponential_scan(self, mode):
+        # one profile twice: an opaque callable sums the kernel over the input
+        # prefix, re-stepped from committed states window after window in time
+        # marching; the ExponentialProfile runs the chunked scan
+        sols = []
+        for beta in (lambda t: 0.3 * np.exp(-2.0 * t), ExponentialProfile(0.3, 2.0)):
+            prob = build_problem("normal_compliance", Mesh1D.uniform(1.0, 4),
+                                 Material(a=1.0, beta=beta), ContactLaw.linear(0.5),
+                                 Loads(body=2.0), TimeGrid(1.0, 512))
+            sols.append(solve_contact(prob, tol=1e-10, mode=mode))
+        counts = [(s.converged, s.diagnostics["coupling_passes"], len(s.diagnostics["windows"]),
+                   int(s.per_step_iterations.sum())) for s in sols]
+        assert counts[0] == counts[1] and counts[0][0]
+        if mode == "time_marching":     # windows stepped from committed states
+            assert counts[0][2] > 1
+        assert np.abs(sols[0].u.samples - sols[1].u.samples).max() <= 1e-13
 
     def test_zero_threshold_reproduces_the_free_rod(self):
         prob = build_problem("normal_compliance", self.mesh, Material(a=1.0),

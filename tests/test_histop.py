@@ -20,7 +20,6 @@ from sweepvi import (
     Trajectory,
     VolterraKernel,
     antiderivative_memory,
-    apply_volterra,
     build_inclusion_variant,
     check_causality,
     check_declared_bound,
@@ -131,14 +130,6 @@ class TestVolterraOperator:
         kern = VolterraKernel(scalar_profile=lambda t: np.exp(-t), matrix=mat)
         op = volterra_operator(kern, grid, space)
         assert op.L == pytest.approx(0.4220356669274266)
-
-    def test_apply_volterra_agrees_with_operator(self):
-        grid = TimeGrid(1.0, 10)
-        space = HilbertSpace(1)
-        traj = Trajectory(space, grid, np.cos(grid.nodes)[:, None])
-        direct = apply_volterra(scalar_kernel(0.7), traj)
-        via_op = volterra_operator(scalar_kernel(0.7), grid, space)(traj)
-        np.testing.assert_array_equal(direct.samples, via_op.samples)
 
 
 class TestStockOperators:
@@ -549,9 +540,8 @@ class TestCausalStepProtocol:
                 op.at_node(traj, 3)
             with pytest.raises(DimensionMismatchError):
                 op.init_state(finer)
-        # grid-free operators and the one-shot convolution take any grid
+        # grid-free operators take any grid
         np.testing.assert_array_equal(identity_operator()(traj).samples, traj.samples)
-        assert apply_volterra(kernel, traj).samples[-1, 0] == pytest.approx(1.0)
 
 class TestExponentialRecursion:
     def test_recursion_matches_direct_convolution_at_2048_steps(self):
