@@ -301,7 +301,9 @@ class TestNormalCompliance:
         stress = recover_stress(prob, sol.u)
         report = contact_diagnostics(prob, sol.u, sol.v, stress)
         assert sol.converged
-        assert report.worst["bound_excess"] == 0.0
+        # the solve certifies u within tol, so the reaction meets the
+        # threshold up to round-off, the same abs as the active constraint
+        assert report.worst["bound_excess"] <= 1e-12
         assert report.worst["pressure_sign"] < 1e-12
         # the constraint is active here: the reaction sits on the threshold
         assert -stress.sigma_nu[-1] == pytest.approx(report.series["threshold"][-1],
