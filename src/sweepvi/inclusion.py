@@ -67,6 +67,11 @@ __all__ = [
 _RESIDUAL_BUDGET = 1024     # VI-residual directions drawn by a solve
 _MEMBERSHIP_BUDGET = 2048
 _MEMBERSHIP_NODES = 8       # nodes, spread over the grid, whose membership a solve tests
+# time marching doubles the width after a window that settles within
+# _WIDEN_PASSES passes and halves it after one that needs more than
+# _NARROW_PASSES or does not settle
+_WIDEN_PASSES = 8
+_NARROW_PASSES = 12
 
 
 class SmallnessError(RuntimeError):
@@ -325,10 +330,10 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     it.  global_picard has one window, the whole grid.  time_marching solves
     node 0 as a window of its own and then picks each window's width from
     the passes of the one before: it starts at one node, doubles after a
-    window that settles within 4 passes and halves after one that needs more
-    than 6.  On a short window the Picard error falls like ``(L T_w)^p / p!``,
-    so a fine grid gets wide windows.  Causal memories make the fixed points
-    of all window layouts coincide.
+    window that settles within 8 passes and halves after one that needs more
+    than 12 or does not settle (a forced run).  On a short window the Picard
+    error falls like ``(L T_w)^p / p!``, so a fine grid gets wide windows.
+    Causal memories make the fixed points of all window layouts coincide.
 
     A pass steps both memories over the window with the current guess,
     which gives theta, then solves the window's node EVIs with that theta
@@ -413,7 +418,8 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
             ratio = changes[-1] / changes[-2] if p > 1 and changes[-2] > 0 else gate_ratio
             # the first pass compares against the zero initial theta, which
             # can match by accident; only trust the change from pass two on
-            if p >= 2 and changes[-1] <= factor * threshold(ratio):
+            settled = p >= 2 and changes[-1] <= factor * threshold(ratio)
+            if settled:
                 break
         else:
             converged = False
@@ -431,9 +437,9 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
             load_state = load.run(load_state, first, u[window])[0]
         # node 0 starts from zero, so its passes say nothing of the coupling;
         # after it, widen a window that settles fast and narrow a slow one
-        if first and p <= 4:
+        if first and settled and p <= _WIDEN_PASSES:
             width *= 2
-        elif first and p > 6:
+        elif first and (not settled or p > _NARROW_PASSES):
             width = max(width // 2, 1)
         first = last + 1
     if mode == "global_picard":             # the one window's record

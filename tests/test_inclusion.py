@@ -302,8 +302,8 @@ class TestSolveInclusion:
         calls.clear()                          # the spec probes its memories once when built
         sol = solve_inclusion(spec, tol=1e-12, mode="time_marching")
         passes = int(sol.diagnostics["inner_iterations"].sum())
-        # one step per pass, one commit per node but the last
-        assert len(calls) == passes + spec.grid.steps
+        # one step per node per pass, one commit per node outside the last window
+        assert len(calls) == passes + sol.diagnostics["windows"][-1][0]
         want = solve_inclusion(stepped_spec, tol=1e-12, mode="time_marching")
         np.testing.assert_array_equal(sol.u.samples, want.u.samples)
 
@@ -377,6 +377,27 @@ class TestGateAndForce:
         assert sol.diagnostics["forced"]
         assert sol.diagnostics["inner_iterations"][0] == 40
         assert not sol.smallness.passed
+
+    def test_a_window_that_does_not_settle_never_widens_the_next(self):
+        # xi = u with u = 1 - xi fails the gate (l_load = m = 1) and cycles,
+        # u 0 -> 1 -> 0 -> ..., so no window settles within its 3 passes
+        grid = TimeGrid(1.0, 8)
+        spec = InclusionSpec(
+            x_space=X, y_space=Y, cone=FREE,
+            operator=MonotoneOperator.from_matrix(X, [[1.0]]),
+            functional=HomogeneousFunctional.zero(X),
+            parameter_memory=zero_operator(Y),
+            load_memory=identity_operator(tag="load_feedback"),
+            f=Trajectory.constant(X, grid, [1.0]),
+            grid=grid,
+        )
+        sol = solve_inclusion(spec, tol=1e-10, force=True, max_passes=3)
+        assert not sol.converged
+        windows = sol.diagnostics["windows"]
+        assert all(sol.diagnostics["inner_iterations"] == 3)
+        widths = [last - first + 1 for first, last in windows]
+        assert all(w <= before for before, w in zip(widths, widths[1:]))
+        assert len(windows) == sol.u.grid.steps + 1
 
 
 class TestOperatorAudit:
