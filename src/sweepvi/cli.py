@@ -476,7 +476,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
-                      error: str | None = None) -> str:
+                      error: NonConvergenceError | None = None) -> str:
     core = spec.inclusion
     lines = [f"problem: {cfg.kind}"]
     if cfg.abstract:
@@ -497,6 +497,9 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
     lines += [f"evi_metric: {metric.name}", f"evi_rate: {_g(metric.q)}"]
     if error is not None:
         lines += ["converged: false", f"error: {error}"]
+        if error.coupling_passes is not None:
+            lines += [f"coupling_passes: {error.coupling_passes}",
+                      f"last_change: {_g(error.displacement)}"]
         return "\n".join(lines) + "\n"
     lines.append(f"converged: {str(sol.converged).lower()}")
     lines.append(f"nodes: {cfg.grid.steps + 1}")
@@ -524,7 +527,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, out) -> int:
     try:
         sol = _solve(cfg, spec)
     except NonConvergenceError as exc:
-        text = _diagnostics_text(cfg, problem, spec, None, error=str(exc))
+        text = _diagnostics_text(cfg, problem, spec, None, error=exc)
         (out_dir / "diagnostics.txt").write_text(text, encoding="utf-8")
         print(f"{_failure(exc)}: {exc}", file=out)
         return 3

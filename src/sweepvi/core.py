@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 _COUPLING_RTOL = 1e-10
-# doubles in one (nodes x directions) block of the batched verification kernels
+# doubles in one block of the batched verification kernels: (nodes x directions)
+# in the pairings, (directions x dim) in the direction sample
 _BLOCK_DOUBLES = 2 ** 14
 
 
@@ -330,40 +331,44 @@ class ConstraintCone:
 
     def project_many(self, xs: np.ndarray) -> np.ndarray:
         """:meth:`project` of each row of ``xs``; vectorized whenever a clamp formula applies."""
-        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(xs, dtype=float).copy()
+        self._project_rows(ys)
+        return ys
+
+    def _project_rows(self, ys: np.ndarray) -> None:
+        """Overwrite each row of the 2-D array ``ys`` with its projection."""
         if self.kind == "whole":
-            return xs.copy()
+            return
         idx = self.indices
         if self.space.is_diagonal:
-            ys = xs.copy()
             if self.kind == "nonpositive":
                 ys[:, idx] = np.minimum(ys[:, idx], 0.0)
             elif self.kind == "nonnegative":
                 ys[:, idx] = np.maximum(ys[:, idx], 0.0)
             else:
                 ys[:, idx] = 0.0
-            return ys
+            return
         if self.kind == "zero":
             R = self._gram_inv_factor
-            mu = (R.T @ (R @ xs[:, idx].T)).T
-            ys = xs - mu @ self._inv_cols.T
+            mu = (R.T @ (R @ ys[:, idx].T)).T
+            ys -= mu @ self._inv_cols.T
             ys[:, idx] = 0.0
-            return ys
+            return
         # inequalities under a coupled metric: the nonpositive cone by its dual
         # nonnegative least squares, the nonnegative one as -P(-x)
-        sign = 1.0 if self.kind == "nonpositive" else -1.0
-        zs = sign * xs
+        if self.kind == "nonnegative":
+            ys *= -1.0
         if idx.size == 1:
-            mu = np.maximum(zs[:, idx[0]] / self._inv_cols[idx[0], 0], 0.0)
-            ys = zs - np.outer(mu, self._inv_cols[:, 0])
+            mu = np.maximum(ys[:, idx[0]] / self._inv_cols[idx[0], 0], 0.0)
+            ys -= np.outer(mu, self._inv_cols[:, 0])
         else:
             from scipy.optimize import nnls     # deferred: the one use of scipy
 
-            ys = zs.copy()
             for y in ys:
                 y -= self._inv_cols @ nnls(self._gram_chol.T, self._gram_inv_factor @ y[idx])[0]
         ys[:, idx] = np.minimum(ys[:, idx], 0.0)
-        return sign * ys
+        if self.kind == "nonnegative":
+            ys *= -1.0
 
     def __repr__(self) -> str:
         return f"ConstraintCone({self.kind}, indices={list(self.indices)})"
@@ -376,16 +381,35 @@ def sample_unit_directions(cone: ConstraintCone, count: int, seed: int) -> np.nd
     renormalized in the metric, and the signed coordinate axes are projected
     after them, so low-dimensional corners are never missed.  Points whose
     projection is (numerically) zero are dropped.
+
+    The sample is built in place: the draws (``count`` rows of
+    ``default_rng(seed).standard_normal``, the same stream as one
+    ``(count, dim)`` draw) and the axes fill one buffer, which is projected
+    and measured in blocks of about ``_BLOCK_DOUBLES`` values (at least 128
+    rows) and then divided by its norms, so the call holds the sample and
+    one block; only a sample with null rows is copied once, to drop them.
     """
-    space = cone.space
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((max(count, 0), space.dim))
-    eye = np.eye(space.dim)
-    raw = np.vstack([raw, eye, -eye])
-    pts = cone.project_many(raw)
-    norms = space.norms_many(pts)
+    space, dim = cone.space, cone.space.dim
+    count = max(count, 0)
+    pts = np.empty((count + 2 * dim, dim))
+    np.random.default_rng(seed).standard_normal(out=pts[:count])
+    pts[count:count + dim] = 0.0
+    pts[count + dim:] = -0.0
+    np.fill_diagonal(pts[count:count + dim], 1.0)
+    np.fill_diagonal(pts[count + dim:], -1.0)
+    norms = np.empty(len(pts))
+    # at least 128 rows a block, since each block's product packs the whole
+    # dim x dim metric; near-equal blocks, so that none is a single row, which
+    # numpy multiplies through gemv, whose sums round unlike a gemm's rows
+    rows = max(128, _BLOCK_DOUBLES // dim)
+    blocks = -(-len(pts) // rows)
+    for block, out in zip(np.array_split(pts, blocks), np.array_split(norms, blocks)):
+        cone._project_rows(block)
+        out[:] = space.norms_many(block)
     keep = norms > 1e-12
-    pts = pts[keep] / norms[keep, None]
+    if not keep.all():
+        pts, norms = pts[keep], norms[keep]
+    pts /= norms[:, None]
     return pts
 
 

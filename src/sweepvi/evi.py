@@ -73,15 +73,19 @@ class NonConvergenceError(RuntimeError):
 
     ``row`` is the row of a :func:`solve_evi_many` block that failed (named in
     the message when the block has more than one row), ``reason`` the
-    message without that name.
+    message without that name.  When the coupling map did not settle,
+    ``coupling_passes`` counts the passes made in all and ``displacement`` is
+    the theta change of the last one.
     """
 
-    def __init__(self, reason, last_iterate=None, displacement=None, row=None):
+    def __init__(self, reason, last_iterate=None, displacement=None, row=None,
+                 coupling_passes=None):
         super().__init__(reason if row is None else f"row {row}: {reason}")
         self.reason = reason
         self.last_iterate = last_iterate
         self.displacement = displacement
         self.row = row
+        self.coupling_passes = coupling_passes
 
 
 class NonFiniteError(NonConvergenceError):

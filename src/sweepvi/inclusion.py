@@ -427,7 +427,8 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                 raise NonConvergenceError(
                     f"coupling map did not settle on nodes {first}..{last} within "
                     f"{max_passes} passes; last change {changes[-1]:.3e}",
-                    last_iterate=guess, displacement=changes[-1])
+                    last_iterate=guess, displacement=changes[-1],
+                    coupling_passes=coupling_passes + p)
         u[window] = guess
         passes[window] = p
         coupling_passes += p

@@ -461,6 +461,26 @@ class TestRun:
             assert run_cli("run", "--config", cfg, "--out", out, "--mode", mode) == 0
             assert run_cli("verify", "--config", cfg, "--out", out) == 0
 
+    def test_a_failed_coupling_run_records_its_passes_and_last_change(self, tmp_path):
+        # beta = 30 at 512 steps: global Picard does not settle in 500 sweeps
+        import sweepvi.cli as cli
+        from sweepvi import NonConvergenceError
+
+        text = (CONFIGS / "rod_compliance.ini").read_text()
+        cfg = tmp_path / "stronger.ini"
+        cfg.write_text(text.replace("steps = 32", "steps = 512").replace("beta = 0.3", "beta = 30"))
+        run = replace(load_config(cfg), mode="global_picard")
+        with pytest.raises(NonConvergenceError) as info:
+            cli._solve(run, cli._build(run)[1])
+        assert info.value.coupling_passes == 500
+        assert f"last change {info.value.displacement:.3e}" in str(info.value)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out, "--mode", "global_picard") == 3
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        assert "converged: false" in lines
+        assert "coupling_passes: 500" in lines
+        assert f"last_change: {cli._g(info.value.displacement)}" in lines
+
     def test_residuals_are_never_negative_zero(self):
         import sweepvi.cli as cli
 

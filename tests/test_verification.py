@@ -188,6 +188,68 @@ def test_chunk_boundaries_give_the_values_of_one_node_at_a_time():
         np.testing.assert_allclose(batch, single, rtol=1e-14, atol=1e-15)
 
 
+# ------------------------------------------------------- the direction sample
+
+def sample_ref(cone, count, seed):
+    """The sample as one whole-array pass: draw, axes, project, measure, drop, divide."""
+    space = cone.space
+    raw = np.random.default_rng(seed).standard_normal((max(count, 0), space.dim))
+    eye = np.eye(space.dim)
+    pts = cone.project_many(np.vstack([raw, eye, -eye]))
+    norms = space.norms_many(pts)
+    keep = norms > 1e-12
+    return pts[keep] / norms[keep, None]
+
+
+def _sample_cones(dim, metrics):
+    several = list(range(0, dim, max(1, dim // 4)))[:4]     # the nnls path when coupled
+    for metric in metrics:
+        X = (HilbertSpace(dim, np.diag(np.linspace(1.0, 3.0, dim))) if metric == "diagonal"
+             else _coupled_space(dim, seed=6))
+        yield ConstraintCone.whole_space(X)
+        for kind in ("zero", "nonnegative", "nonpositive"):
+            yield ConstraintCone(X, kind, [dim - 1])
+            yield ConstraintCone(X, kind, several)
+
+
+# dim 4 fits in one block; at dims 96 (170-row blocks) and 1024 (128-row
+# blocks) block boundaries fall among the signed axes at the end of the sample
+@pytest.mark.parametrize("dim,counts,metrics", ((4, (0, 1, 300), ("diagonal", "coupled")),
+                                                (96, (0, 149, 2048), ("diagonal", "coupled")),
+                                                (1024, (37,), ("coupled",))))
+def test_the_blocked_sample_is_the_whole_array_formula_bit_for_bit(dim, counts, metrics):
+    for cone in _sample_cones(dim, metrics):
+        for count in counts:
+            got, want = sample_unit_directions(cone, count, seed=3), sample_ref(cone, count, seed=3)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_the_sample_drops_null_rows():
+    # under a diagonal metric -e_0 projects onto the origin of {x_0 >= 0}
+    X = HilbertSpace(3, np.diag([1.0, 2.0, 3.0]))
+    cone = ConstraintCone.nonnegative(X, [0])
+    dirs = sample_unit_directions(cone, 50, seed=1)
+    assert len(dirs) == 50 + 2 * 3 - 1
+    np.testing.assert_array_equal(dirs, sample_ref(cone, 50, seed=1))
+    assert np.all(np.abs(X.norms_many(dirs) - 1.0) <= 1e-15)
+
+
+def test_the_sample_holds_itself_and_a_few_blocks():
+    import tracemalloc
+
+    cone = ConstraintCone.whole_space(_coupled_space(96, seed=2))
+    count, dim = 2048, 96
+    tracemalloc.start()
+    try:
+        sample_unit_directions(cone, count, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sample_bytes = (count + 2 * dim) * dim * 8
+    assert peak <= sample_bytes + 4 * _BLOCK_DOUBLES * 8
+
+
 # ------------------------------------------------ accept, reject, infeasible
 
 def friction_problem():
