@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 _COUPLING_RTOL = 1e-10
-# doubles in one block of the batched verification kernels: (nodes x directions)
+# doubles in one block of the batched verification kernels: (directions x
+# (dim + units)) of the lifted sample and (nodes x directions) of its product
 # in the pairings, (directions x dim) in the direction sample
 _BLOCK_DOUBLES = 2 ** 14
 
@@ -351,7 +352,15 @@ class ConstraintCone:
         if self.kind == "zero":
             R = self._gram_inv_factor
             mu = (R.T @ (R @ ys[:, idx].T)).T
-            ys -= mu @ self._inv_cols.T
+            if idx.size == 1:
+                # a rank-one update as a broadcast product, not a BLAS product
+                # of inner dimension 1; + 0.0 makes a -0 product the +0 that
+                # product gives, so every bit of ys is kept
+                step = mu * self._inv_cols[:, 0]
+                step += 0.0
+                ys -= step
+            else:
+                ys -= mu @ self._inv_cols.T
             ys[:, idx] = 0.0
             return
         # inequalities under a coupled metric: the nonpositive cone by its dual
@@ -782,22 +791,34 @@ def _lowest_pairings(space: HilbertSpace, functional: HomogeneousFunctional, dir
                      xs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``min over rows d of dirs of (d, x_k) + j_k(d)`` for every row ``x_k`` of ``xs``.
 
-    ``j_k(d) = unit_values(d) @ weights[k]``.  This is the matrix product
-    ``X M D^T + C Phi(D)^T``, one row per node, reduced along its rows; it is
-    taken over chunks of nodes so that one block holds about
-    ``_BLOCK_DOUBLES`` values whatever the node count.  ``+inf`` where
-    ``dirs`` is empty.
+    ``j_k(d) = unit_values(d) @ weights[k]``.  This is one lifted product,
+    ``[X M | C] @ [D | Phi(D)]^T``, one row per node, reduced along its rows.
+    The node side ``[X M | C]`` and ``Phi(D)`` are built once; the
+    directions are lifted a block of about ``_BLOCK_DOUBLES`` values at a
+    time, and each block's product is taken over chunks of nodes of about
+    ``_BLOCK_DOUBLES`` values, so the call holds those two and two blocks,
+    never a lifted copy of the whole sample.  ``+inf`` where ``dirs`` is
+    empty.
     """
     out = np.full(len(xs), np.inf)
     if len(dirs) == 0:
         return out
-    dirs_t, phi_t = dirs.T, functional.unit_values(dirs).T
-    chunk = max(1, _BLOCK_DOUBLES // len(dirs))
-    for lo in range(0, len(xs), chunk):
-        hi = lo + chunk
-        block = (space.metric @ xs[lo:hi].T).T @ dirs_t
-        block += weights[lo:hi] @ phi_t
-        out[lo:hi] = block.min(axis=1)
+    dim = space.dim
+    lhs = np.empty((len(xs), dim + weights.shape[1]))
+    np.matmul(xs, space.metric, out=lhs[:, :dim])
+    lhs[:, dim:] = weights
+    phi = functional.unit_values(dirs)
+    rows = max(1, _BLOCK_DOUBLES // lhs.shape[1])
+    lifted = np.empty((min(rows, len(dirs)), lhs.shape[1]))
+    chunk = max(1, _BLOCK_DOUBLES // len(lifted))
+    for lo in range(0, len(dirs), rows):
+        block = dirs[lo:lo + rows]
+        lift = lifted[:len(block)]
+        lift[:, :dim] = block
+        lift[:, dim:] = phi[lo:lo + rows]
+        for k in range(0, len(xs), chunk):
+            low = out[k:k + chunk]
+            np.minimum(low, (lhs[k:k + chunk] @ lift.T).min(axis=1), out=low)
     return out
 
 

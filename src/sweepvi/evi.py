@@ -559,9 +559,9 @@ def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: Homogene
     ``extra_points``, so the value is nonnegative and a solution stays at
     solver-tolerance size.  An infeasible ``u_k`` gets ``+inf``.
 
-    Since ``j`` is positively homogeneous, the direction rows are the matrix
-    product ``G M D^T + C Phi(D)^T`` and the far rows that block times the
-    radius; see :meth:`~sweepvi.core.HomogeneousFunctional.unit_values`.
+    Since ``j`` is positively homogeneous, the direction rows are the lifted
+    product ``[G M | C] [D | Phi(D)]^T`` and the far rows that block times
+    the radius; see :meth:`~sweepvi.core.HomogeneousFunctional.unit_values`.
     """
     us = np.asarray(us, dtype=float)
     gs = np.asarray(gs, dtype=float)

@@ -225,8 +225,9 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     """``(advance, kernel norms)`` of the trapezoid convolution on ``grid``, from state ``None``.
 
     ``advance`` is the block step of :class:`HistoryOperator`.  The kernel
-    norms are ``beta`` on the grid for separable kernels and the matrices
-    ``B(t_k)`` otherwise; they bound the memory constant.
+    norms are ``beta`` on the grid for separable kernels (at the grid's two
+    ends for an exponential profile, whose ``|beta|`` is monotone) and the
+    matrices ``B(t_k)`` otherwise; they bound the memory constant.
 
     Exponential profiles run a recurrence, O(1) per node: one batched
     product gives ``g_k = G u_k`` for every row of the block, and
@@ -236,7 +237,9 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     ``P[i, j] = decay^{i-j}`` is the lower-triangular Toeplitz matrix built
     once per grid and ``carry`` is the last output before the chunk.  The
     block's outputs and a node-by-node loop agree within ``_SCAN_ROWS`` ulps
-    of the largest output, not bit for bit.
+    of the largest output, not bit for bit.  When ``C = c I`` (an exact test
+    made once), ``g_k`` is the scalar product ``(dt/2 amplitude c) u_k``, bit
+    for bit the matrix-vector product for finite inputs.
 
     General kernels sum the prefix, O(k) per node, node by node inside the
     block.  Their state after node ``k`` is one read-only array, the inputs
@@ -270,7 +273,6 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         return advance, mats
 
     C = np.asarray(kernel.matrix, dtype=float)
-    beta = kernel.profile_on_grid(grid)
     profile = kernel.scalar_profile
     if isinstance(profile, ExponentialProfile):
         # I_k = e^{-r dt} I_{k-1} + dt/2 (e^{-r dt} u_{k-1} + u_k) is the composite
@@ -279,6 +281,9 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         # out_k = e^{-r dt} out_{k-1} + h_k, h_k = g_k + e^{-r dt} g_{k-1}, and
         # the state after node k is (out_k, g_k)
         G = (0.5 * dt * profile.amplitude) * C
+        # G = g I exactly: each row of G @ u_k is g u_k plus zero terms, and
+        # + 0.0 makes a -0 product the +0 of that sum
+        g = float(G[0, 0]) if _identity_scale(C) is not None else None
         decay = float(np.exp(-profile.rate * dt))
         # P[i, j] = decay^{i-j}: a chunk is one product, and each output
         # carries at most one chunk's rounding on top of its carry
@@ -287,9 +292,16 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         P = np.tril(powers[np.abs(lags[:, None] - lags)])
 
         def advance(state, first, inputs):
-            # a stack of matrix-vector products, one per row: the same BLAS
-            # call as G @ u_k on one node (inputs @ G.T would round differently)
-            gs = (G @ inputs[:, :, None])[:, :, 0]
+            if g is None:
+                # a stack of matrix-vector products, one per row: the same BLAS
+                # call as G @ u_k on one node (inputs @ G.T would round differently)
+                gs = (G @ inputs[:, :, None])[:, :, 0]
+            elif inputs.shape[1:] != (len(G),):
+                raise DimensionMismatchError(f"expected input rows of length {len(G)}, "
+                                             f"got shape {inputs.shape}")
+            else:
+                gs = g * inputs
+                gs += 0.0
             out = np.empty(gs.shape)
             j0 = 0
             if first == 0:                  # out_0 = 0, and node 1 steps from (0, g_0)
@@ -307,15 +319,34 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
             out.setflags(write=False)
             return (out[-1], gs[-1]), out
 
-        return advance, beta
+        # |beta| is monotone in t, so its largest value on the grid is at an end
+        return advance, np.array([float(profile(t)) for t in grid.nodes[[0, -1]]])
 
+    beta = kernel.profile_on_grid(grid)
     advance = stepper(dt * beta, lambda w, U: C @ (w @ U), C.shape[0])
     return advance, beta
 
 
+def _identity_scale(C: np.ndarray) -> float | None:
+    """``c`` when ``C`` is exactly ``c I``, else ``None``."""
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or not C.size:
+        return None
+    c = float(C[0, 0])
+    return c if np.array_equal(C, np.diag(np.full(len(C), c))) else None
+
+
 def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace) -> float:
-    """Operator norm of ``B`` between the metric norms: ``sqrt(lambda_max(B^T M_out B, M_in))``."""
-    return float(np.sqrt(max(input_space.eigvalsh(B.T @ target.metric @ B)[-1], 0.0)))
+    """Operator norm of ``B`` between the metric norms: ``sqrt(lambda_max(B^T M_out B, M_in))``.
+
+    For ``B = c I`` that is ``|c|`` into the input space itself and
+    ``|c| sqrt(lambda_max(M_out, M_in))`` otherwise.
+    """
+    c = _identity_scale(B)
+    if c is None:
+        return float(np.sqrt(max(input_space.eigvalsh(B.T @ target.metric @ B)[-1], 0.0)))
+    if target is input_space:
+        return abs(c)
+    return abs(c) * float(np.sqrt(max(input_space.eigvalsh(target.metric)[-1], 0.0)))
 
 
 def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: HilbertSpace,
@@ -325,9 +356,10 @@ def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: Hilbe
 
     ``L`` is bounded by ``max_t ||B(t)||`` in the input space norm times the
     output norm distortion, measured on the grid nodes (exact for separable
-    kernels with constant factor).  Exponential profiles step in O(1) per
-    node, as a chunked scan of their recurrence; other kernels sum the
-    prefix, O(k).
+    kernels with constant factor; an exponential profile is monotone, so
+    its grid maximum is read at the grid's two ends).  Exponential profiles
+    step in O(1) per node, as a chunked scan of their recurrence; other
+    kernels sum the prefix, O(k).
     """
     advance, norms = _volterra_steps(kernel, grid)
     target = out_space or input_space

@@ -32,6 +32,7 @@ from sweepvi import (
     volterra_operator,
     zero_operator,
 )
+from sweepvi import histop
 from sweepvi.contact import penetration_memory, slip_memory
 from sweepvi.histop import running_trapezoid
 
@@ -290,7 +291,8 @@ WIDE = np.cos(np.arange(48.0)).reshape(24, 2)
 # memories that run the exponential memory's chunked scan (histop._SCAN_ROWS
 # rows a chunk): their evaluation paths agree within assert_scan_close, not
 # bit for bit
-SCAN_MEMORIES = ("exponential", "exponential-wide", "compose", "lifted-load")
+SCAN_MEMORIES = ("exponential", "exponential-identity", "exponential-wide", "compose",
+                 "lifted-load")
 SCAN_ROWS = 64
 
 
@@ -315,6 +317,8 @@ def lifted_load_memory(grid):
 # every built-in memory, built on a grid for inputs in SPACE2
 MEMORIES = {
     "exponential": lambda grid: volterra_operator(EXPONENTIAL, grid, SPACE2),
+    "exponential-identity": lambda grid: volterra_operator(
+        VolterraKernel.exponential(0.7, 1.5, 0.4 * np.eye(2)), grid, SPACE2),
     "exponential-wide": lambda grid: volterra_operator(
         VolterraKernel.exponential(0.7, 1.5, WIDE), grid, SPACE2, out_space=HilbertSpace(24)),
     "general-scalar": lambda grid: volterra_operator(
@@ -655,3 +659,132 @@ class TestProfileEvaluations:
         per_node = max(np.linalg.norm(chol @ (t * np.exp(-t) * mat) @ np.linalg.inv(chol), 2)
                        for t in grid.nodes)
         assert op.L == pytest.approx(per_node, rel=1e-12)
+
+
+class TestIdentityKernelStep:
+    """A kernel matrix ``c I`` steps by one scalar product, bit for bit the matrix-vector stack."""
+
+    @staticmethod
+    def dense(monkeypatch, kernel, grid, space, out_space=None):
+        """The memory as a general matrix builds it: the gemv stack and the dense norm."""
+        with monkeypatch.context() as patch:
+            patch.setattr(histop, "_identity_scale", lambda C: None)
+            return volterra_operator(kernel, grid, space, out_space=out_space)
+
+    @staticmethod
+    def assert_bits(got, want):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("amp, rate", [(0.7, 1.5), (-0.4, 0.0), (0.3, -3.0)])
+    @pytest.mark.parametrize("c", [0.4, -2.5, 0.0])
+    def test_scalar_step_is_the_gemv_stack_bit_for_bit(self, monkeypatch, amp, rate, c):
+        grid = TimeGrid(1.3, 200)
+        space = HilbertSpace(3)
+        kernel = VolterraKernel.exponential(amp, rate, c * np.eye(3))
+        op, ref = volterra_operator(kernel, grid, space), self.dense(monkeypatch, kernel, grid, space)
+        rng = np.random.default_rng(17)
+        u = rng.standard_normal((grid.steps + 1, 3)) * np.exp(rng.uniform(-30.0, 30.0, (grid.steps + 1, 3)))
+        u[rng.random(u.shape) < 0.1] = 0.0
+        u[rng.random(u.shape) < 0.1] = -0.0
+        traj = Trajectory(space, grid, u)
+        self.assert_bits(op(traj).samples, ref(traj).samples)
+        # a window from node 40 over 100 nodes crosses a chunk edge of the scan
+        assert 100 > SCAN_ROWS
+        states = [m.run(m.init_state(grid), 0, u[:40])[0] for m in (op, ref)]
+        (got_state, got), (want_state, want) = (m.run(st, 40, u[40:140])
+                                                for m, st in zip((op, ref), states))
+        self.assert_bits(got, want)
+        for a, b in zip(got_state, want_state):
+            self.assert_bits(a, b)
+
+    def test_only_an_exact_multiple_of_the_identity_is_scalar(self):
+        assert histop._identity_scale(np.eye(3)) == 1.0
+        assert histop._identity_scale(-2.5 * np.eye(2)) == -2.5
+        assert histop._identity_scale(np.zeros((2, 2))) == 0.0
+        assert histop._identity_scale(np.diag([1.0, 1.0 + 2.0 ** -52])) is None
+        assert histop._identity_scale(np.array([[1.0, 1e-300], [0.0, 1.0]])) is None
+        assert histop._identity_scale(np.ones((1, 2))) is None
+        assert histop._identity_scale(np.eye(2)[None]) is None
+
+    def test_inputs_of_another_dimension_are_refused(self):
+        grid = TimeGrid(1.0, 8)
+        op = volterra_operator(VolterraKernel.exponential(0.5, 1.0, np.eye(3)), grid, HilbertSpace(3))
+        with pytest.raises(DimensionMismatchError):
+            op.run(op.init_state(grid), 0, np.ones((4, 2)))
+
+    @pytest.mark.parametrize("rate", [2.0, -3.0, 0.0])
+    @pytest.mark.parametrize("amp", [0.3, -0.7])
+    def test_declared_constant_into_the_input_space_is_abs_c_times_peak_profile(self, rate, amp):
+        # the profile's peak over the grid is at one of its ends, bit for bit
+        grid = TimeGrid(1.0, 1024)
+        space = HilbertSpace(2, metric=np.array([[2.0, 0.5], [0.5, 1.0]]))
+        kernel = VolterraKernel.exponential(amp, rate, -1.7 * np.eye(2))
+        peak = np.abs(kernel.profile_on_grid(grid)).max()
+        for op in (volterra_operator(kernel, grid, space),
+                   volterra_operator(kernel, grid, space, out_space=space)):
+            assert op.L == 1.7 * peak
+
+    def test_declared_constant_into_another_space(self, monkeypatch, tmp_path):
+        # the abstract config's parameter kernel maps X = diag(2, 0.5) into Y = R^2
+        from sweepvi.cli import _build, load_config
+
+        cfg = tmp_path / "kernels.ini"
+        cfg.write_text(ABSTRACT_KERNELS)
+        spec = _build(load_config(cfg))[1]
+        x_space, y_space = spec.x_space, spec.y_space
+        param, load = spec.parameter_memory, spec.load_memory
+        assert y_space is not x_space
+        grid = spec.grid
+        peak = max(0.5, 0.5 * float(np.exp(-1.5)))
+        assert param.L == pytest.approx(peak * np.sqrt(2.0), rel=1e-14)
+        dense = self.dense(monkeypatch, VolterraKernel.exponential(0.5, 1.5, np.eye(2)), grid,
+                           x_space, out_space=y_space)
+        assert param.L == pytest.approx(dense.L, rel=1e-14)
+        assert load.L == 0.25 * max(1.0, float(np.exp(0.5)))
+
+    def test_a_non_finite_input_ends_in_the_solvers_non_finite_error(self):
+        from sweepvi import NonFiniteError
+        from sweepvi.inclusion import _solve_nodes
+
+        grid = TimeGrid(1.0, 16)
+        X = HilbertSpace(2)
+        memory = volterra_operator(VolterraKernel.exponential(0.5, 1.0, np.eye(2)), grid, X)
+        spec = build_inclusion_variant(
+            "parameter_free", cone=ConstraintCone.nonnegative(X, [0]),
+            operator=MonotoneOperator.from_matrix(X, 2.0 * np.eye(2)),
+            functional=HomogeneousFunctional.zero(X), f=Trajectory.constant(X, grid, [1.0, 0.5]),
+            grid=grid, load_memory=memory)
+        for bad in (np.inf, -np.inf, np.nan):
+            u = np.ones((grid.steps + 1, 2))
+            u[5, 1] = bad
+            with np.errstate(invalid="ignore"):
+                xi = memory.run(memory.init_state(grid), 0, u)[1]
+            assert not np.isfinite(xi[6:]).all()
+            eta = np.zeros((grid.steps + 1, spec.y_space.dim))
+            with pytest.raises(NonFiniteError):
+                _solve_nodes(spec, 0, eta, xi, 1e-10)
+
+
+ABSTRACT_KERNELS = """\
+[problem]
+kind = abstract
+
+[abstract]
+variant = memory_pair
+dimension = 2
+metric = 2 0.5
+operator = 2 0 0 2
+functional = block_norm
+weights = 1 1
+blocks = 0; 1
+f = 1.0
+parameter_kernel = 0.5
+parameter_rate = 1.5
+load_kernel = 0.25
+load_rate = -0.5
+
+[time]
+horizon = 1.0
+steps = 16
+"""

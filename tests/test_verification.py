@@ -29,7 +29,7 @@ from sweepvi import (
     vi_residuals,
 )
 from sweepvi.cli import _build, _solve, load_config, main
-from sweepvi.core import _BLOCK_DOUBLES, sample_unit_directions
+from sweepvi.core import _BLOCK_DOUBLES, _lowest_pairings, sample_unit_directions
 from sweepvi.evi import audit_lipschitz
 from sweepvi.inclusion import _node_gradients, _node_problem
 
@@ -188,6 +188,62 @@ def test_chunk_boundaries_give_the_values_of_one_node_at_a_time():
         np.testing.assert_allclose(batch, single, rtol=1e-14, atol=1e-15)
 
 
+# ------------------------------------------------------------ the pairing kernel
+
+def pairings_ref(space, functional, dirs, xs, etas):
+    """``min_d (x_k, d) + j(eta_k, d)`` one direction at a time, ``j`` from its definition."""
+    out = np.full(len(xs), np.inf)
+    for d in dirs:
+        vals = xs @ (space.metric @ d) + [j_ref(functional, eta, d) for eta in etas]
+        out = np.minimum(out, vals)
+    return out
+
+
+@pytest.mark.parametrize("kind", ("zero", "positive_part", "block_norm", "separable"))
+def test_the_pairing_kernel_is_the_per_direction_loop(kind):
+    X = _coupled_space(5, seed=12)
+    functional = _functional(kind, X)
+    width = X.dim + len(functional.units)
+    # more directions than one lifted block, and node counts that fill no
+    # whole chunk of the product
+    dirs = sample_unit_directions(ConstraintCone.whole_space(X), 3500, seed=4)
+    rows = _BLOCK_DOUBLES // width
+    chunk = _BLOCK_DOUBLES // rows
+    assert len(dirs) > rows and chunk > 1
+    rng = np.random.default_rng(13)
+    for nodes in (1, chunk + 2, 3 * chunk - 1):
+        xs = 2.0 * rng.standard_normal((nodes, X.dim))
+        etas = rng.uniform(0.1, 2.0, (nodes, 2))
+        got = _lowest_pairings(X, functional, dirs, xs, functional.unit_weights(etas))
+        want = pairings_ref(X, functional, dirs, xs, etas)
+        gap = np.abs(got - want)
+        assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(want))), gap.max()
+        empty = _lowest_pairings(X, functional, dirs[:0], xs, functional.unit_weights(etas))
+        np.testing.assert_array_equal(empty, np.full(nodes, np.inf))
+
+
+def test_the_pairing_kernel_holds_its_node_side_and_a_few_blocks():
+    import tracemalloc
+
+    X = _coupled_space(96, seed=5)
+    functional = HomogeneousFunctional.block_norm(X, HilbertSpace(2), weights=[1.0, 0.5],
+                                                  blocks=[[0, 1], [95]])
+    dirs = sample_unit_directions(ConstraintCone.whole_space(X), 2048, seed=0)
+    assert dirs.shape == (2240, 96)
+    rng = np.random.default_rng(3)
+    nodes = 500
+    xs = rng.standard_normal((nodes, 96))
+    weights = functional.unit_weights(rng.uniform(0.0, 1.0, (nodes, 2)))
+    tracemalloc.start()
+    try:
+        _lowest_pairings(X, functional, dirs, xs, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of the whole lifted sample would be 2240 x 98 doubles
+    assert peak <= (nodes * (96 + 2) + 4 * _BLOCK_DOUBLES) * 8
+
+
 # ------------------------------------------------------- the direction sample
 
 def sample_ref(cone, count, seed):
@@ -223,6 +279,22 @@ def test_the_blocked_sample_is_the_whole_array_formula_bit_for_bit(dim, counts, 
             got, want = sample_unit_directions(cone, count, seed=3), sample_ref(cone, count, seed=3)
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_the_rank_one_zero_cone_projection_keeps_the_product_bits():
+    # the projection onto {x_i = 0} under a coupled metric, by the rank-one
+    # matrix product it replaces; the signed axes bring -0 entries
+    X = _coupled_space(96, seed=7)
+    cone = ConstraintCone.zero(X, [47])
+    eye = np.eye(96)
+    ys = np.vstack([np.random.default_rng(5).standard_normal((300, 96)), eye, -eye])
+    R = cone._gram_inv_factor
+    mu = (R.T @ (R @ ys[:, cone.indices].T)).T
+    want = ys - mu @ cone._inv_cols.T
+    want[:, cone.indices] = 0.0
+    got = cone.project_many(ys)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_the_sample_drops_null_rows():
