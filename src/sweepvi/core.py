@@ -352,15 +352,7 @@ class ConstraintCone:
         if self.kind == "zero":
             R = self._gram_inv_factor
             mu = (R.T @ (R @ ys[:, idx].T)).T
-            if idx.size == 1:
-                # a rank-one update as a broadcast product, not a BLAS product
-                # of inner dimension 1; + 0.0 makes a -0 product the +0 that
-                # product gives, so every bit of ys is kept
-                step = mu * self._inv_cols[:, 0]
-                step += 0.0
-                ys -= step
-            else:
-                ys -= mu @ self._inv_cols.T
+            ys -= mu @ self._inv_cols.T
             ys[:, idx] = 0.0
             return
         # inequalities under a coupled metric: the nonpositive cone by its dual

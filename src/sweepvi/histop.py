@@ -338,15 +338,12 @@ def _identity_scale(C: np.ndarray) -> float | None:
 def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace) -> float:
     """Operator norm of ``B`` between the metric norms: ``sqrt(lambda_max(B^T M_out B, M_in))``.
 
-    For ``B = c I`` that is ``|c|`` into the input space itself and
-    ``|c| sqrt(lambda_max(M_out, M_in))`` otherwise.
+    For ``B = c I`` into the input space itself that is ``|c|``.
     """
     c = _identity_scale(B)
-    if c is None:
-        return float(np.sqrt(max(input_space.eigvalsh(B.T @ target.metric @ B)[-1], 0.0)))
-    if target is input_space:
+    if c is not None and target is input_space:
         return abs(c)
-    return abs(c) * float(np.sqrt(max(input_space.eigvalsh(target.metric)[-1], 0.0)))
+    return float(np.sqrt(max(input_space.eigvalsh(B.T @ target.metric @ B)[-1], 0.0)))
 
 
 def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: HilbertSpace,

@@ -281,22 +281,6 @@ def test_the_blocked_sample_is_the_whole_array_formula_bit_for_bit(dim, counts, 
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_the_rank_one_zero_cone_projection_keeps_the_product_bits():
-    # the projection onto {x_i = 0} under a coupled metric, by the rank-one
-    # matrix product it replaces; the signed axes bring -0 entries
-    X = _coupled_space(96, seed=7)
-    cone = ConstraintCone.zero(X, [47])
-    eye = np.eye(96)
-    ys = np.vstack([np.random.default_rng(5).standard_normal((300, 96)), eye, -eye])
-    R = cone._gram_inv_factor
-    mu = (R.T @ (R @ ys[:, cone.indices].T)).T
-    want = ys - mu @ cone._inv_cols.T
-    want[:, cone.indices] = 0.0
-    got = cone.project_many(ys)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
 def test_the_sample_drops_null_rows():
     # under a diagonal metric -e_0 projects onto the origin of {x_0 >= 0}
     X = HilbertSpace(3, np.diag([1.0, 2.0, 3.0]))
