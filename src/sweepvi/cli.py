@@ -499,7 +499,8 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
         lines += ["converged: false", f"error: {error}"]
         if error.coupling_passes is not None:
             lines += [f"coupling_passes: {error.coupling_passes}",
-                      f"last_change: {_g(error.displacement)}"]
+                      f"last_change: {_g(error.displacement)}",
+                      "sweep_changes: " + " ".join(map(_g, error.changes))]
         return "\n".join(lines) + "\n"
     lines.append(f"converged: {str(sol.converged).lower()}")
     lines.append(f"nodes: {cfg.grid.steps + 1}")

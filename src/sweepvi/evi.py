@@ -74,18 +74,20 @@ class NonConvergenceError(RuntimeError):
     ``row`` is the row of a :func:`solve_evi_many` block that failed (named in
     the message when the block has more than one row), ``reason`` the
     message without that name.  When the coupling map did not settle,
-    ``coupling_passes`` counts the passes made in all and ``displacement`` is
-    the theta change of the last one.
+    ``coupling_passes`` counts the passes made in all, ``changes`` lists the
+    theta change of each pass of the window that did not settle and
+    ``displacement`` is the last of them.
     """
 
     def __init__(self, reason, last_iterate=None, displacement=None, row=None,
-                 coupling_passes=None):
+                 coupling_passes=None, changes=None):
         super().__init__(reason if row is None else f"row {row}: {reason}")
         self.reason = reason
         self.last_iterate = last_iterate
         self.displacement = displacement
         self.row = row
         self.coupling_passes = coupling_passes
+        self.changes = changes
 
 
 class NonFiniteError(NonConvergenceError):

@@ -237,7 +237,9 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     ``P[i, j] = decay^{i-j}`` is the lower-triangular Toeplitz matrix built
     once per grid and ``carry`` is the last output before the chunk.  The
     block's outputs and a node-by-node loop agree within ``_SCAN_ROWS`` ulps
-    of the largest output, not bit for bit.  When ``C = c I`` (an exact test
+    of the largest output, not bit for bit.  From the first non-finite
+    ``h_k`` on, the recurrence runs row by row, so a non-finite input never
+    reaches an earlier output.  When ``C = c I`` (an exact test
     made once), ``g_k`` is the scalar product ``(dt/2 amplitude c) u_k``, bit
     for bit the matrix-vector product for finite inputs.
 
@@ -309,12 +311,22 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
                 state, j0 = (out[0], gs[0]), 1
             carry, g_prev = state
             hs = gs[j0:] + decay * np.concatenate((g_prev[None], gs[:-1]))[j0:]
+            # the zeros above P's diagonal times a non-finite row would poison
+            # the rows before it: the products stop at the first such row
+            stop = len(hs)
+            if not np.isfinite(hs).all():
+                stop = int(np.isfinite(hs).all(axis=1).argmin())
             for lo in range(0, len(hs), _SCAN_ROWS):
                 h = hs[lo:lo + _SCAN_ROWS]
                 n = len(h)
+                m = min(max(stop - lo, 0), n)
                 rows = out[j0 + lo:j0 + lo + n]
+                if m < n:       # zeroed, as a shorter product would round differently
+                    h = np.concatenate((h[:m], np.zeros_like(h[m:])))
                 np.matmul(P[:n, :n], h, out=rows)
                 rows += powers[1:n + 1, None] * carry
+                for i in range(m, n):
+                    rows[i] = decay * (rows[i - 1] if i else carry) + hs[lo + i]
                 carry = rows[-1]
             out.setflags(write=False)
             return (out[-1], gs[-1]), out

@@ -67,9 +67,9 @@ __all__ = [
 _RESIDUAL_BUDGET = 1024     # VI-residual directions drawn by a solve
 _MEMBERSHIP_BUDGET = 2048
 _MEMBERSHIP_NODES = 8       # nodes, spread over the grid, whose membership a solve tests
-# time marching doubles the width after a window that settles within
-# _WIDEN_PASSES passes and halves it after one that needs more than
-# _NARROW_PASSES or does not settle
+# time marching multiplies the width by 2 ** max(1, (_WIDEN_PASSES + 2 - p) // 2)
+# after a window that settles within p <= _WIDEN_PASSES passes and halves it
+# after one that needs more than _NARROW_PASSES or does not settle
 _WIDEN_PASSES = 8
 _NARROW_PASSES = 12
 
@@ -320,6 +320,28 @@ def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, theta_samples: np.n
     return residuals, dict(zip(nodes.tolist(), member.tolist())), sizes
 
 
+def _predict(u: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Starting guess for nodes ``first..last`` from the committed nodes before ``first``.
+
+    Zero at node 0 and ``u_0`` at every node of a window at node 1.  At
+    node 2 the line through ``u_0, u_1``: ``(j + 2) u_1 - (j + 1) u_0`` for
+    node ``2 + j``.  From node 3 on the quadratic through ``u_{f-3}, u_{f-2},
+    u_{f-1}``: ``u_{f-1} + s d1 + s (s + 1) / 2 d2`` for node ``f + j``, with
+    ``s = j + 1``, ``d1 = u_{f-1} - u_{f-2}`` and ``d2 = d1 - (u_{f-2} -
+    u_{f-3})``.
+    """
+    if first == 0:
+        return np.zeros((last + 1, u.shape[1]))
+    if first == 1:
+        return np.broadcast_to(u[0], (last, u.shape[1]))
+    s = np.arange(1.0, last - first + 2)[:, None]
+    if first == 2:
+        return (s + 1.0) * u[1] - s * u[0]
+    d1 = u[first - 1] - u[first - 2]
+    d2 = d1 - (u[first - 2] - u[first - 3])
+    return u[first - 1] + s * d1 + (0.5 * s * (s + 1.0)) * d2
+
+
 def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     mode: str = "time_marching", force: bool = False,
                     max_passes: int = 500, seed: int = 0) -> InclusionSolution:
@@ -329,20 +351,23 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     each started from the memory states committed through the node before
     it.  global_picard has one window, the whole grid.  time_marching solves
     node 0 as a window of its own and then picks each window's width from
-    the passes of the one before: it starts at one node, doubles after a
-    window that settles within 8 passes and halves after one that needs more
-    than 12 or does not settle (a forced run).  On a short window the Picard
-    error falls like ``(L T_w)^p / p!``, so a fine grid gets wide windows.
-    Causal memories make the fixed points of all window layouts coincide.
+    the passes ``p`` of the one before: it starts at one node; after a window
+    that settles within 8 passes it multiplies the width by
+    ``2 ** max(1, (10 - p) // 2)`` (8 after 3 or 4 passes, 16 after 2, 4
+    after 5 or 6, 2 after 7 or 8), and it halves the width after a window
+    that needs more than 12 passes or does not settle (a forced run).  On a
+    short window the Picard error falls like ``(L T_w)^p / p!``, so a fine
+    grid gets wide windows.  Causal memories make the fixed points of all
+    window layouts coincide.
 
     A pass steps both memories over the window with the current guess,
     which gives theta, then solves the window's node EVIs with that theta
     as one block started from the guess; the solution is the next guess.
     The guess starts at zero in the window at node 0, at ``u_0`` for every
-    node of the window at node 1, and at the linear predictor
-    ``(j + 2) u_{f-1} - (j + 1) u_{f-2}`` for node ``f + j`` of a window at
-    node ``f >= 2``, which is O(dt^2) from the solution where ``u_{f-1}``
-    is O(dt) (a one-node window starts from ``2 u_{f-1} - u_{f-2}``).  From
+    node of the window at node 1, on the line through ``u_0, u_1`` in the
+    window at node 2, and on the quadratic through ``u_{f-3}, u_{f-2},
+    u_{f-1}`` in a window at node ``f >= 3`` (see :func:`_predict`), which
+    is O(dt^3) from the solution where u is smooth.  From
     its second pass on a window stops when the largest theta change over
     its nodes certifies a fixed-point distance of at most ``tol`` (a tenth
     of that for a marching window), so the returned u solves the node EVIs
@@ -400,11 +425,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     while first <= n:
         last = min(first + width, n + 1) - 1
         window = slice(first, last + 1)
-        if first == 1:
-            u[window] = u[0]
-        elif first:
-            j = np.arange(last - first + 1, dtype=float)[:, None]
-            u[window] = (j + 2.0) * u[first - 1] - (j + 1.0) * u[first - 2]
+        u[window] = _predict(u, first, last)
         guess, changes = u[window], []
         for p in range(1, max_passes + 1):
             eta = param.run(param_state, first, guess)[1]
@@ -428,7 +449,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     f"coupling map did not settle on nodes {first}..{last} within "
                     f"{max_passes} passes; last change {changes[-1]:.3e}",
                     last_iterate=guess, displacement=changes[-1],
-                    coupling_passes=coupling_passes + p)
+                    coupling_passes=coupling_passes + p, changes=changes)
         u[window] = guess
         passes[window] = p
         coupling_passes += p
@@ -437,9 +458,10 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
             param_state = param.run(param_state, first, u[window])[0]
             load_state = load.run(load_state, first, u[window])[0]
         # node 0 starts from zero, so its passes say nothing of the coupling;
-        # after it, widen a window that settles fast and narrow a slow one
+        # after it, widen a window that settles fast, the more the fewer
+        # passes it took, and narrow a slow one
         if first and settled and p <= _WIDEN_PASSES:
-            width *= 2
+            width *= 2 ** max(1, (_WIDEN_PASSES + 2 - p) // 2)
         elif first and (not settled or p > _NARROW_PASSES):
             width = max(width // 2, 1)
         first = last + 1

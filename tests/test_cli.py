@@ -481,6 +481,52 @@ class TestRun:
         assert "coupling_passes: 500" in lines
         assert f"last_change: {cli._g(info.value.displacement)}" in lines
 
+    def test_a_failed_coupling_run_records_the_change_of_every_pass(self, tmp_path):
+        # global Picard on the shipped rod needs more than 4 sweeps
+        import sweepvi.cli as cli
+        from sweepvi import NonConvergenceError
+
+        text = (CONFIGS / "rod_compliance.ini").read_text()
+        cfg = tmp_path / "short.ini"
+        cfg.write_text(text.replace("seed = 0", "seed = 0\nmax_iter = 4"))
+        run = replace(load_config(cfg), mode="global_picard")
+        assert run.max_iter == 4
+        with pytest.raises(NonConvergenceError) as info:
+            cli._solve(run, cli._build(run)[1])
+        changes = info.value.changes
+        assert len(changes) == 4 and changes[-1] == info.value.displacement
+        # pass 1 compares with the zero initial theta; the sweeps after it contract
+        assert changes[1] > changes[2] > changes[3] > 0.0
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out, "--mode", "global_picard") == 3
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        assert lines[-3:] == ["coupling_passes: 4",
+                              f"last_change: {cli._g(changes[-1])}",
+                              "sweep_changes: " + " ".join(cli._g(c) for c in changes)]
+        assert [float(c) for c in lines[-1].split()[1:]] == changes
+        # a converged run writes no such line
+        assert run_cli("run", "--config", CONFIGS / "rod_compliance.ini",
+                       "--out", tmp_path / "ok", "--mode", "global_picard") == 0
+        text = (tmp_path / "ok" / "diagnostics.txt").read_text()
+        assert "converged: true" in text and "sweep_changes" not in text
+
+    @pytest.mark.parametrize("beta, budget", [("0.3", 35), ("10", 160), ("30", 260)])
+    def test_marching_rods_at_512_steps_stay_within_their_pass_budgets(self, tmp_path,
+                                                                       beta, budget):
+        # the quadratic predictor and the pass-driven window growth take the
+        # shipped rod from 57 to 33 passes, beta = 10 from 202 to 150 and
+        # beta = 30 from 346 to 249
+        text = (CONFIGS / "rod_compliance.ini").read_text()
+        cfg = tmp_path / "rod.ini"
+        cfg.write_text(text.replace("steps = 32", "steps = 512")
+                       .replace("beta = 0.3", f"beta = {beta}"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        assert run_cli("verify", "--config", cfg, "--out", out) == 0
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        passes = int(next(ln for ln in lines if ln.startswith("coupling_passes:")).split()[1])
+        assert passes <= budget
+
     def test_residuals_are_never_negative_zero(self):
         import sweepvi.cli as cli
 

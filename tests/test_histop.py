@@ -620,6 +620,31 @@ class TestExponentialRecursion:
                           (at_node, direct[nodes])):
             np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("C", [np.eye(2), [[0.3, 0.1], [0.1, 0.2]]], ids=["scalar", "gemv"])
+    def test_a_non_finite_input_never_reaches_an_earlier_output(self, bad, C):
+        # a chunk product would multiply the zeros above its diagonal by the
+        # bad row; nodes before it must keep the bits of the finite run
+        grid = TimeGrid(1.0, 16)
+        op = volterra_operator(VolterraKernel.exponential(0.5, 1.0, C), grid, SPACE2)
+        finite = random_traj(SPACE2, grid, seed=41).samples
+        broken = finite.copy()
+        broken[5, 1] = bad
+
+        def layouts(u):
+            yield op(Trajectory(SPACE2, grid, u)).samples
+            for width in (1, 3, 16):
+                state, outs = op.init_state(grid), []
+                for first in range(0, grid.steps + 1, width):
+                    state, out = op.run(state, first, u[first:first + width])
+                    outs.append(out)
+                yield np.concatenate(outs)
+
+        with np.errstate(invalid="ignore"):
+            for got, want in zip(layouts(broken), layouts(finite)):
+                np.testing.assert_array_equal(got[:5], want[:5])
+                assert np.isfinite(got[:5]).all() and not np.isfinite(got[5:, 1]).any()
+
     def test_exponential_profile_evaluates_like_its_formula(self):
         profile = ExponentialProfile(0.3, 2.0)
         assert profile(0.5) == 0.3 * np.exp(-1.0)

@@ -35,6 +35,7 @@ from sweepvi import (
     volterra_operator,
     zero_operator,
 )
+from sweepvi.inclusion import _predict
 
 X = HilbertSpace(1)
 Y = HilbertSpace(1)
@@ -398,6 +399,57 @@ class TestGateAndForce:
         widths = [last - first + 1 for first, last in windows]
         assert all(w <= before for before, w in zip(widths, widths[1:]))
         assert len(windows) == sol.u.grid.steps + 1
+
+
+class TestMarchingPredictor:
+    """The starting guess of a marching window, from the nodes committed before it."""
+
+    @staticmethod
+    def quadratic(steps=16):
+        # u_k = a + b t_k + c t_k^2 with dyadic coefficients on a dyadic grid,
+        # so every sample is exact and only the predictor itself can round
+        t = TimeGrid(1.0, steps).nodes[:, None]
+        return (np.array([0.375, -1.5, 2.0]) + np.array([1.25, 0.5, -3.0]) * t
+                + np.array([-2.5, 0.75, 4.0]) * t ** 2)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 14])
+    def test_windows_from_node_3_start_on_the_quadratic(self, width):
+        u = self.quadratic()
+        for first in range(3, 17 - width + 1):
+            last = first + width - 1
+            got = _predict(u, first, last)
+            assert got.shape == (width, 3)
+            np.testing.assert_array_max_ulp(got, u[first:last + 1], maxulp=4)
+
+    def test_the_window_at_node_2_starts_on_the_line_through_u0_and_u1(self):
+        u = self.quadratic()
+        j = np.arange(5.0)[:, None]
+        np.testing.assert_array_equal(_predict(u, 2, 6), (j + 2.0) * u[1] - (j + 1.0) * u[0])
+        assert np.abs(_predict(u, 2, 6) - u[2:7]).max() > 1e-3
+
+    def test_the_window_at_node_1_starts_from_u0_and_node_0_from_zero(self):
+        u = self.quadratic()
+        np.testing.assert_array_equal(_predict(u, 1, 4), np.tile(u[0], (4, 1)))
+        np.testing.assert_array_equal(_predict(u, 0, 3), np.zeros((4, 3)))
+
+    def test_marching_starts_each_window_from_the_predictor(self, monkeypatch):
+        import sweepvi.inclusion as inclusion
+
+        guesses = []
+
+        def recorded(u, first, last):
+            guess = _predict(u, first, last)
+            guesses.append((first, last, guess.copy(), u[:first].copy()))
+            return guess
+
+        monkeypatch.setattr(inclusion, "_predict", recorded)
+        sol = solve_inclusion(decay_spec(64), tol=1e-12)
+        windows = sol.diagnostics["windows"]
+        assert [(first, last) for first, last, _, _ in guesses] == windows
+        assert any(first >= 3 for first, _ in windows)
+        for first, last, guess, before in guesses:
+            np.testing.assert_array_equal(before, sol.u.samples[:first])
+            np.testing.assert_array_equal(guess, _predict(sol.u.samples, first, last))
 
 
 class TestOperatorAudit:
