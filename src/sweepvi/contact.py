@@ -311,7 +311,7 @@ def assemble_space(mesh: Mesh1D, components: int = 1) -> HilbertSpace:
 
 def trace_constant(space: HilbertSpace, dof: int) -> float:
     """Exact norm of point evaluation at one dof: sup |v_dof| / ||v||."""
-    return float(np.sqrt(space.inv_metric[dof, dof]))
+    return float(np.sqrt(space.inverse_columns([dof])[dof, 0]))
 
 
 def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = None,
@@ -577,7 +577,7 @@ def recover_stress(problem: ContactProblem, u: Trajectory,
     if v is not None:
         total += problem.spec.b_op.apply_many(u.samples)
     total = total + memory.samples
-    residual = (space.metric @ total.T).T - problem.load_covectors
+    residual = space.apply_metric(total.T).T - problem.load_covectors
     sigma_nu = residual[:, problem.contact_dofs["nu"]]
     sigma_tau = residual[:, problem.contact_dofs["tau"]] if "tau" in problem.contact_dofs else None
     return StressRecord(element_stress=sigma, sigma_nu=sigma_nu, sigma_tau=sigma_tau)

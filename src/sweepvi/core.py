@@ -69,10 +69,13 @@ class HilbertSpace:
     """Real inner-product space of fixed dimension with an SPD metric.
 
     The metric ``M`` is factored once, ``M = F F^T`` (Cholesky), and only the
-    inverse factor ``F^{-1}`` is kept.  ``inv_metric = F^{-T} F^{-1}`` and the
-    pencil eigenvalues :meth:`eigvalsh` are read from it, and the Riesz map
-    :meth:`solve_metric` applies ``inv_metric``, so no other module factors,
-    inverts or solves with a metric.
+    inverse factor ``F^{-1}`` is kept.  The inverse metric ``F^{-T} F^{-1}``
+    and the pencil eigenvalues :meth:`eigvalsh` are read from it.  Other
+    modules reach ``M`` and ``M^{-1}`` only through the methods here: the
+    metric applied to columns (:meth:`apply_metric`) or to rows
+    (:meth:`apply_metric_rows`), the Riesz map :meth:`solve_metric`, columns
+    of the inverse (:meth:`inverse_columns`) and pencil eigenvalues
+    (:meth:`eigvalsh`, :meth:`metric_eigvalsh`).
 
     Parameters
     ----------
@@ -103,12 +106,12 @@ class HilbertSpace:
         except np.linalg.LinAlgError as exc:
             raise ValueError("metric must be positive definite") from exc
         self.metric = metric
-        self.inv_metric = self._inv_factor.T @ self._inv_factor
-        self.inv_metric = 0.5 * (self.inv_metric + self.inv_metric.T)
+        self._inv_metric = self._inv_factor.T @ self._inv_factor
+        self._inv_metric = 0.5 * (self._inv_metric + self._inv_metric.T)
         off = metric - np.diag(np.diag(metric))
         self.is_diagonal = bool(np.abs(off).max() <= 1e-14 * scale) if self.dim > 1 else True
         self.metric.flags.writeable = False
-        self.inv_metric.flags.writeable = False
+        self._inv_metric.flags.writeable = False
         self._inv_factor.flags.writeable = False
 
     def inner(self, u, v) -> float:
@@ -139,7 +142,25 @@ class HilbertSpace:
             raise DimensionMismatchError(f"expected {self.dim} rows, got shape {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("right-hand side must be finite")
-        return self.inv_metric @ b
+        return self._inv_metric @ b
+
+    def apply_metric(self, b) -> np.ndarray:
+        """``M b`` for a vector or the columns of a matrix; :meth:`solve_metric` inverts it."""
+        return self.metric @ b
+
+    def apply_metric_rows(self, xs) -> np.ndarray:
+        """``xs M``: the metric applied to each row of ``xs``.
+
+        Not ``apply_metric(xs.T).T``: the two products round differently.
+        """
+        return xs @ self.metric
+
+    def inverse_columns(self, idx) -> np.ndarray:
+        """Columns ``idx`` of ``M^{-1}``, shape ``(dim, len(idx))``, for indices in ``[0, dim)``."""
+        idx = np.asarray(idx, dtype=int)
+        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= self.dim)):
+            raise DimensionMismatchError(f"inverse-metric indices outside [0, {self.dim})")
+        return self._inv_metric[:, idx]
 
     def eigvalsh(self, A) -> np.ndarray:
         """Ascending eigenvalues of the symmetric pencil ``(A, M)``: ``A x = lambda M x``.
@@ -148,6 +169,10 @@ class HilbertSpace:
         the sup and inf of ``(x^T A x) / ||x||^2`` over X.
         """
         return np.linalg.eigvalsh(self._inv_factor @ A @ self._inv_factor.T)
+
+    def metric_eigvalsh(self, other: "HilbertSpace") -> np.ndarray:
+        """:meth:`eigvalsh` of ``other``'s metric: squared extreme ratios ``||x||_other / ||x||``."""
+        return self.eigvalsh(other.metric)
 
     def __repr__(self) -> str:
         tag = "diag" if self.is_diagonal else "full"
@@ -220,7 +245,7 @@ class Trajectory:
     def at(self, t: float) -> np.ndarray:
         """Piecewise-linear value at time ``t``; exact at grid nodes."""
         nodes = self.grid.nodes
-        if t < nodes[0] or t > nodes[-1]:
+        if not nodes[0] <= t <= nodes[-1]:
             raise TimeRangeError(f"t={t} outside [0, {self.grid.horizon}]")
         k = int(np.searchsorted(nodes, t, side="right")) - 1
         k = min(max(k, 0), self.grid.steps - 1)
@@ -271,13 +296,13 @@ class ConstraintCone:
         self.kind = kind
         self.indices = idx
         self.indices.flags.writeable = False
-        self._gram_chol = self._gram_inv_factor = self._inv_cols = None
+        self._gram_chol = self._gram_chol_inv = self._inv_cols = None
         if kind != "whole" and not space.is_diagonal:
             # the Gram matrix of the constraints in the inverse metric, by its
             # Cholesky factor and that factor's inverse
-            self._inv_cols = space.inv_metric[:, idx]
+            self._inv_cols = space.inverse_columns(idx)
             self._gram_chol = np.linalg.cholesky(self._inv_cols[idx])
-            self._gram_inv_factor = np.linalg.inv(self._gram_chol)
+            self._gram_chol_inv = np.linalg.inv(self._gram_chol)
 
     @classmethod
     def whole_space(cls, space: HilbertSpace) -> "ConstraintCone":
@@ -350,7 +375,7 @@ class ConstraintCone:
                 ys[:, idx] = 0.0
             return
         if self.kind == "zero":
-            R = self._gram_inv_factor
+            R = self._gram_chol_inv
             mu = (R.T @ (R @ ys[:, idx].T)).T
             ys -= mu @ self._inv_cols.T
             ys[:, idx] = 0.0
@@ -366,7 +391,7 @@ class ConstraintCone:
             from scipy.optimize import nnls     # deferred: the one use of scipy
 
             for y in ys:
-                y -= self._inv_cols @ nnls(self._gram_chol.T, self._gram_inv_factor @ y[idx])[0]
+                y -= self._inv_cols @ nnls(self._gram_chol.T, self._gram_chol_inv @ y[idx])[0]
         ys[:, idx] = np.minimum(ys[:, idx], 0.0)
         if self.kind == "nonnegative":
             ys *= -1.0
@@ -534,7 +559,8 @@ class HomogeneousFunctional:
             return 0.0
         if self.kind == "separable":
             return float(self.p_lipschitz) * self.v_lipschitz()
-        my = np.diag(self.y_space.metric)
+        # the metric's diagonal, as its products with the coordinate axes
+        my = np.diag(self.y_space.apply_metric(np.eye(self.y_space.dim)))
         return self._extraction_constant(self.weights**2 / my)
 
     def v_lipschitz(self) -> float:
@@ -599,9 +625,10 @@ class HomogeneousFunctional:
         """How the closed-form prox, in the metric of ``cone.space``, treats each unit of ``j``.
 
         Returns ``(free, mixed, zeroed)``: units away from the cone's
-        constraints as ``(unit, coords)``, single coordinates carrying both a
-        constraint and a term as ``(unit, index)``, and blocks the zero cone
-        annihilates as ``coords``.  The closed form is exact when the
+        constraints as ``(unit, coords, d)``, single coordinates carrying both
+        a constraint and a term as ``(unit, index, d)``, and blocks the zero
+        cone annihilates as ``coords``; ``d`` is the unit's diagonal entry of
+        the inverse metric.  The closed form is exact when the
         coordinates the functional touches are mutually uncoupled in the
         inverse metric and uncoupled from the constrained coordinates (always
         true for diagonal metrics and for the block metrics produced by the
@@ -609,8 +636,7 @@ class HomogeneousFunctional:
         is raised.  The layout depends only on the metric, the cone and the
         functional's structure, never on ``eta`` or ``rho``.
         """
-        M = cone.space.metric
-        G = cone.space.inv_metric
+        space = cone.space
         constrained = set(cone.indices.tolist())
         free_units, mixed_units, zeroed_units = [], [], []
         for unit, coords in enumerate(self.units):
@@ -626,24 +652,32 @@ class HomogeneousFunctional:
                     "functional block partially overlaps the cone constraints"
                 )
 
-        for _, i in mixed_units:
-            row = np.abs(M[i]).copy()
-            row[i] = 0.0
-            if row.max(initial=0.0) > _COUPLING_RTOL * abs(M[i, i]):
+        mixed = [i for _, i in mixed_units]
+        # the metric's columns at the mixed coordinates, as its products with those axes
+        axes = np.zeros((space.dim, len(mixed)))
+        axes[mixed, np.arange(len(mixed))] = 1.0
+        for col, i in zip(np.abs(space.apply_metric(axes)).T, mixed):
+            diag_i, col[i] = col[i], 0.0
+            if col.max(initial=0.0) > _COUPLING_RTOL * diag_i:
                 raise UnsupportedConfigurationError(
                     f"coordinate {i} carries both a constraint and a functional term "
                     "but is coupled through the metric"
                 )
-        for _, coords in free_units:
-            d = G[coords[0], coords[0]]
-            if np.any(np.abs(G[coords, coords] - d) > _COUPLING_RTOL * abs(d)):
-                raise UnsupportedConfigurationError("inverse metric not scalar on a norm block")
-        # the free coordinates against each other and the constraints outside them
+        # the free coordinates against each other and the constraints outside
+        # them, then the mixed ones, in one read of inverse-metric columns
         rows = np.array([c for _, coords in free_units for c in coords], dtype=int)
-        cols = np.concatenate([rows, sorted(constrained - {i for _, i in mixed_units})]).astype(int)
-        diag = np.abs(np.diag(G))
-        scale = np.sqrt(np.outer(diag[rows], diag[cols]))
-        coupled = np.abs(G[np.ix_(rows, cols)]) > _COUPLING_RTOL * scale
+        cols = np.concatenate([rows, sorted(constrained - set(mixed))]).astype(int)
+        touched = np.concatenate([cols, mixed]).astype(int)
+        G = space.inverse_columns(touched)
+        diag = G[touched, np.arange(touched.size)]
+        free, at = [], 0
+        for unit, coords in free_units:
+            block, at = diag[at:at + len(coords)], at + len(coords)
+            if np.any(np.abs(block - block[0]) > _COUPLING_RTOL * abs(block[0])):
+                raise UnsupportedConfigurationError("inverse metric not scalar on a norm block")
+            free.append((unit, coords, block[0]))
+        scale = np.sqrt(np.outer(np.abs(diag[:rows.size]), np.abs(diag[:cols.size])))
+        coupled = np.abs(G[rows, :cols.size]) > _COUPLING_RTOL * scale
         coupled[:, :rows.size] &= ~np.eye(rows.size, dtype=bool)
         if coupled.any():
             r, c = np.argwhere(coupled)[0]
@@ -651,7 +685,8 @@ class HomogeneousFunctional:
                 f"inverse-metric coupling between coordinates {rows[r]} and {cols[c]} "
                 "prevents a closed-form prox"
             )
-        return free_units, mixed_units, zeroed_units
+        mixed_units = [(unit, i, d) for (unit, i), d in zip(mixed_units, diag[cols.size:])]
+        return free, mixed_units, zeroed_units
 
     def prox_thresholds(self, etas, rho: float) -> np.ndarray:
         """The prox thresholds ``rho c(eta)`` for each parameter row: shape ``(rows, units)``.
@@ -701,14 +736,12 @@ class HomogeneousFunctional:
         if cone.space.dim != self.x_space.dim:
             raise DimensionMismatchError("cone lives in a different space")
         free_units, mixed_units, zeroed_units = layout or self.prox_layout(cone)
-        G = cone.space.inv_metric
 
         vs = cone.project_many(ws)
         # subgradient step through the inverse metric for unconstrained units
         s = np.zeros(ws.shape)
-        for unit, coords in free_units:
+        for unit, coords, d in free_units:
             tau = taus[:, unit]
-            d = G[coords[0], coords[0]]
             if self._norms:
                 # norm blocks shrink symmetrically, including singletons
                 wb = ws[:, coords]
@@ -723,11 +756,10 @@ class HomogeneousFunctional:
                 s[:, coords[0]] = np.where(wi > d * tau, tau, np.maximum(wi, 0.0) / d)
         if np.count_nonzero(s):
             # a row without a step subtracts an exact zero
-            vs = vs - (G @ s.T).T
+            vs = vs - cone.space.solve_metric(s.T).T
         # combined one-dimensional formulas where constraint and term share a coordinate
-        for unit, i in mixed_units:
+        for unit, i, d in mixed_units:
             tau = taus[:, unit]
-            d = G[i, i]
             if cone.kind == "zero":
                 vs[:, i] = 0.0
             elif cone.kind == "nonnegative":
@@ -797,7 +829,7 @@ def _lowest_pairings(space: HilbertSpace, functional: HomogeneousFunctional, dir
         return out
     dim = space.dim
     lhs = np.empty((len(xs), dim + weights.shape[1]))
-    np.matmul(xs, space.metric, out=lhs[:, :dim])
+    lhs[:, :dim] = space.apply_metric_rows(xs)
     lhs[:, dim:] = weights
     phi = functional.unit_values(dirs)
     rows = max(1, _BLOCK_DOUBLES // lhs.shape[1])
@@ -833,7 +865,7 @@ def membership_residuals(functional: HomogeneousFunctional, cone: ConstraintCone
     weights = np.broadcast_to(weights, (len(us), weights.shape[1]))
     support = -_lowest_pairings(space, functional, dirs, -ws, weights)
     ju = (functional.unit_values(us) * weights).sum(1)
-    compl = ju - ((us @ space.metric) * ws).sum(1)
+    compl = ju - (space.apply_metric_rows(us) * ws).sum(1)
     # the direction u_k / ||u_k||, by homogeneity of j, where u_k is not zero
     un = space.norms_many(us)
     along_u = np.divide(-compl, un, out=np.zeros_like(un), where=un > 1e-12)

@@ -161,7 +161,7 @@ class MonotoneOperator:
         H = np.asarray(matrix, dtype=float)
         if H.shape != (space.dim, space.dim):
             raise DimensionMismatchError("matrix shape does not match space")
-        MH = space.metric @ H
+        MH = space.apply_metric(H)
         if np.abs(MH - MH.T).max() > 1e-10 * max(np.abs(MH).max(), 1e-30):
             raise ValueError("matrix is not self-adjoint in the space metric")
         vals = space.eigvalsh(0.5 * (MH + MH.T))
@@ -236,11 +236,11 @@ def audit_operator(op: MonotoneOperator, space: HilbertSpace, trials: int = 1000
     """Check the declared ``(m, L)`` on ``trials`` random pairs of points."""
     us, vs = _sample_pairs(space, trials, seed)
     d = us - vs
-    nd2 = ((d @ space.metric) * d).sum(1)
+    nd2 = (space.apply_metric_rows(d) * d).sum(1)
     keep = nd2 >= 1e-20
     d, nd2 = d[keep], nd2[keep]
     ad = _differences(op, us[keep], vs[keep])
-    ad_m = ad @ space.metric
+    ad_m = space.apply_metric_rows(ad)
     m_obs = ((ad_m * d).sum(1) / nd2).min(initial=np.inf)
     l_obs = np.sqrt(np.maximum((ad_m * ad).sum(1), 0.0) / nd2).max(initial=0.0)
     return OperatorAudit(op.m, op.L, float(m_obs), float(l_obs), trials)
@@ -335,7 +335,7 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
     except UnsupportedConfigurationError:
         return plan
     rho_p = energy.m / (energy.L * energy.L)
-    scale = float(np.sqrt(P.eigvalsh(space.metric)[-1]))
+    scale = float(np.sqrt(P.metric_eigvalsh(space)[-1]))
     return IterationMetric("energy", P, cone_p, layout_p, rho_p,
                            _rate(rho_p, energy.m, energy.L), audit, scale, energy.force)
 
@@ -432,7 +432,7 @@ def _row_norms(space: HilbertSpace, ds: np.ndarray) -> np.ndarray:
     One matrix product, then one dot product per row: the arithmetic of
     :meth:`HilbertSpace.norm`, so a one-row block keeps its bits.
     """
-    return np.sqrt(np.maximum(np.vecdot(ds, (space.metric @ ds.T).T), 0.0))
+    return np.sqrt(np.maximum(np.vecdot(ds, space.apply_metric(ds.T).T), 0.0))
 
 
 def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: MonotoneOperator,
@@ -476,7 +476,7 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
     else:
         def gradient(us, mfs, force=plan.force, P=plan.space):
             return P.solve_metric(force(us.T) - mfs.T).T
-        data = (space.metric @ fs.T).T
+        data = space.apply_metric(fs.T).T
     # one row of thresholds, or one per row
     taus = functional.prox_thresholds(etas, rho)
     contraction = disp = None
@@ -570,7 +570,8 @@ def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: Homogene
     weights = functional.unit_weights(etas)
     weights = np.broadcast_to(weights, (len(us), weights.shape[1]))
     # the value at the origin: -(g_k, u_k) - j(eta_k, u_k)
-    base = -(((us @ space.metric) * gs).sum(1) + (functional.unit_values(us) * weights).sum(1))
+    base = -((space.apply_metric_rows(us) * gs).sum(1)
+             + (functional.unit_values(us) * weights).sum(1))
     far = 2.0 * (space.norms_many(us) + 1.0)
     low = _lowest_pairings(space, functional, dirs, gs, weights)
     # u_k itself scores exactly 0

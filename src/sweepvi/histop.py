@@ -355,7 +355,7 @@ def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace)
     c = _identity_scale(B)
     if c is not None and target is input_space:
         return abs(c)
-    return float(np.sqrt(max(input_space.eigvalsh(B.T @ target.metric @ B)[-1], 0.0)))
+    return float(np.sqrt(max(input_space.eigvalsh(target.apply_metric_rows(B.T) @ B)[-1], 0.0)))
 
 
 def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: HilbertSpace,

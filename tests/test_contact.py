@@ -61,6 +61,13 @@ class TestMeshAndAssembly:
         space = assemble_space(mesh)
         assert trace_constant(space, mesh.n_free - 1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dof", [-1, 4])
+    def test_trace_constant_rejects_a_dof_outside_the_space(self, dof):
+        # -1 would otherwise read the last dof's constant
+        space = assemble_space(Mesh1D.uniform(1.0, 4))
+        with pytest.raises(DimensionMismatchError):
+            trace_constant(space, dof)
+
     def test_body_load_covector_is_mass_weighted(self):
         mesh = Mesh1D.uniform(1.0, 2)
         space = assemble_space(mesh)

@@ -61,6 +61,65 @@ def test_pencil_eigenvalues_match_scipy_eigh(dim):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_inverse_metric_is_not_public():
+    assert not hasattr(HilbertSpace(2), "inv_metric")
+
+
+def _byte_spaces():
+    from sweepvi import Mesh1D, assemble_space
+    # the 48-dof stiffness metric, on which rows and columns products round apart
+    yield assemble_space(Mesh1D.uniform(1.0, 48))
+    yield HilbertSpace(48, metric=np.diag(np.random.default_rng(7).uniform(0.5, 2.0, 48)))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 16])
+def test_metric_methods_keep_the_bits_of_the_products_they_replace(rows):
+    for X in _byte_spaces():
+        M, dim = X.metric, X.dim
+        xs = np.random.default_rng(rows).standard_normal((rows, dim))
+        assert np.array_equal(X.apply_metric_rows(xs), xs @ M)
+        lifted = np.zeros((rows, dim + 3))
+        np.matmul(xs, M, out=lifted[:, :dim])
+        assert np.array_equal(X.apply_metric_rows(xs), lifted[:, :dim])
+        B = xs.T[:, :min(rows, 2)]      # a transposed view, as a kernel matrix B.T
+        assert np.array_equal(X.apply_metric_rows(B.T), B.T @ M)
+        assert np.array_equal(X.apply_metric(xs.T).T, (M @ xs.T).T)
+        assert np.array_equal(X.apply_metric(xs[0]), M @ xs[0])
+        F = np.linalg.inv(np.linalg.cholesky(M))
+        G = F.T @ F
+        G = 0.5 * (G + G.T)
+        idx = np.arange(rows) * 3 % dim
+        assert np.array_equal(X.inverse_columns(idx), G[:, idx])
+        Y = HilbertSpace(dim, metric=M[::-1, ::-1])
+        assert np.array_equal(X.metric_eigvalsh(Y), X.eigvalsh(Y.metric))
+
+
+def test_metric_applied_to_the_axes_is_the_metric():
+    for X in _byte_spaces():
+        assert np.array_equal(X.apply_metric(np.eye(X.dim)), X.metric)
+
+
+def test_inverse_columns_reject_indices_outside_the_space():
+    X = HilbertSpace(3, metric=np.diag([1.0, 2.0, 4.0]))
+    assert np.array_equal(X.inverse_columns([2, 0]), [[0.0, 1.0], [0.0, 0.0], [0.25, 0.0]])
+    assert X.inverse_columns([]).shape == (3, 0)
+    for idx in ([-1], [3], [[0]]):
+        with pytest.raises(DimensionMismatchError):
+            X.inverse_columns(idx)
+
+
+def test_prox_layout_carries_each_units_inverse_metric_diagonal():
+    M = np.diag([2.0, 4.0, 1.0, 0.5])
+    X = HilbertSpace(4, metric=M)
+    functional = HomogeneousFunctional.positive_part(X, HilbertSpace(2), weights=[1.0, 1.0],
+                                                     indices=[0, 2])
+    free, mixed, zeroed = functional.prox_layout(ConstraintCone.nonpositive(X, [2, 3]))
+    (unit, coords, d), = free
+    assert unit == 0 and list(coords) == [0] and d == X.inverse_columns([0])[0, 0]
+    assert d == pytest.approx(0.5)
+    assert mixed == [(1, 2, X.inverse_columns([2])[2, 0])] and zeroed == []
+
+
 def test_inner_many_matches_loop():
     X = HilbertSpace(3, metric=np.diag([1.0, 2.0, 3.0]))
     rng = np.random.default_rng(0)
@@ -119,6 +178,8 @@ def test_trajectory_node_and_at():
     assert traj.at(0.5)[0] == pytest.approx(0.25)
     with pytest.raises(TimeRangeError):
         traj.at(1.5)
+    with pytest.raises(TimeRangeError):
+        traj.at(np.nan)
 
 
 def test_trajectory_shape_checks():
