@@ -346,11 +346,16 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
 
 def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | None = None,
                      components: int = 1) -> LipschitzOperator:
-    """Linear elastic coupling ``b * strain`` with its exact energy norm."""
+    """Linear elastic coupling ``b * strain`` with its exact energy norm.
+
+    ``b = 0`` on every element gives :meth:`LipschitzOperator.zero`.
+    """
     space = space or assemble_space(mesh, components)
     b = material.b_field(mesh)
+    if not b.any():
+        return LipschitzOperator.zero(tag="elastic")
     _, _, Kb = _strain_form(mesh, b, components)
-    L = float(space.eigvalsh(Kb)[-1]) if b.max() > 0 else 0.0
+    L = float(space.eigvalsh(Kb)[-1])
     return LipschitzOperator(apply=lambda u: space.solve_metric(Kb @ u), L=L, tag="elastic",
                              apply_rows=lambda us: space.solve_metric(Kb @ us.T).T)
 

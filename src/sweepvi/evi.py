@@ -191,6 +191,20 @@ class LipschitzOperator:
     def apply_many(self, us: np.ndarray) -> np.ndarray:
         return _apply_many(self, us)
 
+    @classmethod
+    def zero(cls, tag: str = "zero") -> "LipschitzOperator":
+        """The operator that maps every vector to zero, with ``L = 0``."""
+        return cls(apply=np.zeros_like, L=0.0, tag=tag, apply_rows=np.zeros_like)
+
+    @property
+    def is_zero(self) -> bool:
+        """Whether this is :meth:`zero`'s operator: zero by construction.
+
+        A declared ``L`` of 0 does not say it; the audit bounds ``L`` only
+        to a relative 1e-7.
+        """
+        return self.apply is np.zeros_like
+
 
 def _apply_many(op, us: np.ndarray) -> np.ndarray:
     """``op`` applied to each row of ``us``.

@@ -140,21 +140,31 @@ def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
     """Fold ``B u`` into the load memory of the velocity inclusion.
 
     The composite ``v -> B(int v + u0) + S v`` keeps the instantaneous
-    constant of ``S`` and gains ``L_B`` on the integral constant.
+    constant of ``S`` and gains ``L_B`` on the integral constant.  When
+    ``B`` is :meth:`~sweepvi.evi.LipschitzOperator.zero` the composite is
+    ``S`` itself: no displacement is integrated and ``B`` is never applied.
     """
     core = spec.core
     s_op, b_op = core.load_memory, spec.b_op
     space, grid = core.x_space, core.grid
-    disp = antiderivative_memory(grid, space, spec.u0)
+    if b_op.is_zero:
+        def advance(state, first, inputs):
+            # + 0.0 is the sum below with B u = +0: a new array, -0.0 made +0.0
+            state, s_out = s_op.run(state, first, inputs)
+            return state, s_out + 0.0
 
-    def advance(state, first, inputs):
-        disp_state, s_state = state
-        disp_state, disps = disp.run(disp_state, first, inputs)
-        s_state, s_out = s_op.run(s_state, first, inputs)
-        # b_op row by row: its block form apply_rows is a different BLAS call
-        return (disp_state, s_state), np.array([b_op(d) for d in disps]) + s_out
+        start = s_op.init_state(grid)
+    else:
+        disp = antiderivative_memory(grid, space, spec.u0)
 
-    start = (disp.init_state(grid), s_op.init_state(grid))
+        def advance(state, first, inputs):
+            disp_state, s_state = state
+            disp_state, disps = disp.run(disp_state, first, inputs)
+            s_state, s_out = s_op.run(s_state, first, inputs)
+            # b_op row by row: its block form apply_rows is a different BLAS call
+            return (disp_state, s_state), np.array([b_op(d) for d in disps]) + s_out
+
+        start = (disp.init_state(grid), s_op.init_state(grid))
     lifted = HistoryOperator(start, advance, l=s_op.l, L=b_op.L + s_op.L,
                              tag=f"{s_op.tag}+coupled", out_space=space, grid=grid)
     return replace(core, load_memory=lifted)

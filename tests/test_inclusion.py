@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from sweepvi import (
     ContactLaw,
     DimensionMismatchError,
     EviProblem,
+    ExponentialProfile,
     HilbertSpace,
+    HistoryOperator,
     HomogeneousFunctional,
     InclusionSpec,
     IneligibleOperatorError,
+    LipschitzOperator,
     Loads,
     Material,
     Mesh1D,
@@ -27,6 +32,7 @@ from sweepvi import (
     check_smallness,
     identity_operator,
     iteration_metric,
+    lift_to_velocity,
     solve_evi,
     solve_evi_many,
     solve_inclusion,
@@ -501,3 +507,34 @@ class TestOperatorAudit:
         assert spec.iteration_metric.audit.ok and spec.iteration_metric.audit.trials == 256
         solve_inclusion(spec, mode="global_picard")
         assert len(calls) == 1
+
+
+class TestZeroCoupling:
+    @pytest.mark.parametrize("memory", ["relaxation", "signed_zeros"])
+    def test_a_zero_coupling_lift_matches_the_row_by_row_lift_bit_for_bit(self, memory):
+        # b = 0 on every element: the lift is the core's load memory; the
+        # row-by-row lift applies a zero stiffness through the Riesz map
+        grid = TimeGrid(1.0, 16)
+        prob = build_problem("shear_friction", Mesh1D.uniform(1.0, 6),
+                             Material(a=0.5, beta=ExponentialProfile(0.4, 2.0)),
+                             ContactLaw.saturating(0.3, 60.0), Loads(body=[0.0, 1.2]), grid)
+        spec, space = prob.spec, prob.space
+        assert spec.b_op.is_zero and spec.b_op.L == 0.0
+        if memory == "signed_zeros":    # a load memory whose outputs are all -0.0 or +0.0
+            spec = replace(spec, core=replace(spec.core, load_memory=HistoryOperator(
+                None, lambda state, first, inputs: (None, -0.0 * inputs), l=0.0, L=0.0,
+                out_space=space)))
+        zero = np.zeros((space.dim, space.dim))
+        rows = replace(spec, b_op=LipschitzOperator(
+            apply=lambda u: space.solve_metric(zero @ u), L=0.0))
+        assert not rows.b_op.is_zero
+        fast, slow = spec.inclusion.load_memory, lift_to_velocity(rows).load_memory
+        v = np.random.default_rng(3).standard_normal((grid.steps + 1, space.dim))
+        v[2] = 0.0
+        for windows in ([(0, 17)], [(0, 1), (1, 4), (4, 12), (12, 17)]):
+            states = fast.init_state(grid), slow.init_state(grid)
+            for first, stop in windows:
+                (fast_state, a), (slow_state, b) = (op.run(state, first, v[first:stop])
+                                                    for op, state in zip((fast, slow), states))
+                states = fast_state, slow_state
+                assert a.tobytes() == b.tobytes()
