@@ -508,6 +508,7 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
     lines.append(f"max_residual: {_g(res.max())}")
     lines.append(f"total_iterations: {int(np.asarray(sol.per_step_iterations).sum())}")
     lines.append(f"coupling_passes: {sol.diagnostics['coupling_passes']}")
+    lines.append(f"mixed_passes: {sol.diagnostics['mixed_passes']}")
     lines.append(f"coupling_windows: {len(sol.diagnostics['windows'])}")
     membership = sol.diagnostics.get("membership", {})
     if membership:

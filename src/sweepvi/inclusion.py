@@ -21,6 +21,7 @@ divergence is recorded rather than raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -72,6 +73,8 @@ _MEMBERSHIP_NODES = 8       # nodes, spread over the grid, whose membership a so
 # after one that needs more than _NARROW_PASSES or does not settle
 _WIDEN_PASSES = 8
 _NARROW_PASSES = 12
+_MIX_DEPTH = 8              # residual differences an Anderson-mixed pass fits
+_MIX_RCOND = 1e-10          # their fit is singular at a scaled Cholesky pivot this small
 
 
 class SmallnessError(RuntimeError):
@@ -342,6 +345,94 @@ def _predict(u: np.ndarray, first: int, last: int) -> np.ndarray:
     return u[first - 1] + s * d1 + (0.5 * s * (s + 1.0)) * d2
 
 
+def _fit(gram: list, rhs: list) -> list | None:
+    """``x`` with ``gram x = rhs`` for a small Gram matrix, or ``None`` when it is singular.
+
+    Cholesky factorization of the matrix scaled to a unit diagonal, in
+    Python floats: with at most ``_MIX_DEPTH`` rows that costs less than
+    the numpy calls it replaces.  Singular when a diagonal entry is not
+    positive or a scaled pivot is at most ``_MIX_RCOND`` or not finite.
+    """
+    k = len(rhs)
+    if not all(gram[i][i] > 0.0 for i in range(k)):
+        return None
+    scale = [1.0 / math.sqrt(gram[i][i]) for i in range(k)]
+    low = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        row = low[i]
+        for j in range(i + 1):
+            acc, col = gram[i][j] * scale[i] * scale[j], low[j]
+            for m in range(j):
+                acc -= row[m] * col[m]
+            if j < i:
+                row[j] = acc / col[j]
+            elif acc > _MIX_RCOND and math.isfinite(acc):
+                row[i] = math.sqrt(acc)
+            else:
+                return None
+    y = [0.0] * k
+    for i in range(k):                      # low y = scale rhs
+        acc = rhs[i] * scale[i]
+        for m in range(i):
+            acc -= low[i][m] * y[m]
+        y[i] = acc / low[i][i]
+    for i in reversed(range(k)):            # low^T z = y, x = scale z
+        acc = y[i]
+        for m in range(i + 1, k):
+            acc -= low[m][i] * y[m]
+        y[i] = acc / low[i][i]
+    return [y[i] * scale[i] for i in range(k)]
+
+
+class _Mixer:
+    """Type-II Anderson mixing of one window's theta (Walker & Ni, 2011).
+
+    Each :meth:`mix` records a pass's plain theta ``g = T(theta)`` and its
+    residual ``r = g - theta``.  From the second record on the mixer keeps
+    the differences with the record before, the last ``depth`` of them
+    (never more than the window has entries), in preallocated rows, with
+    their Gram matrix updated one row per record: O(depth) vector passes
+    per pass.
+    """
+
+    def __init__(self, depth: int, size: int, nonnegative: int):
+        depth = min(depth, size)
+        self.dg, self.dr = np.empty((depth, size)), np.empty((depth, size))
+        self.gram = [[0.0] * depth for _ in range(depth)]
+        self.depth, self.count, self.last = depth, 0, None
+        self.nonnegative = nonnegative
+
+    def mix(self, g: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+        """Record ``(g, r)`` and return ``g - dG gamma``, or ``None`` for the plain ``g``.
+
+        ``gamma`` fits ``r`` by the residual differences ``dR`` in least
+        squares (:func:`_fit`).  ``None`` when there is no difference yet,
+        when the fit is singular, or when the mixture has a non-finite entry
+        or a negative one among its first ``nonnegative`` columns; those
+        three also drop the differences.
+        """
+        flat_g, flat_r = g.ravel(), r.ravel()
+        if self.last is not None:
+            i, k = self.count % self.depth, min(self.count + 1, self.depth)
+            np.subtract(flat_g, self.last[0], out=self.dg[i])
+            np.subtract(flat_r, self.last[1], out=self.dr[i])
+            for j, value in enumerate((self.dr[:k] @ self.dr[i]).tolist()):
+                self.gram[i][j] = self.gram[j][i] = value
+            self.count += 1
+        self.last = flat_g, flat_r
+        k = min(self.count, self.depth)
+        if not k:
+            return None
+        gamma = _fit([row[:k] for row in self.gram[:k]], (self.dr[:k] @ flat_r).tolist())
+        if gamma is not None:
+            mixed = g - np.dot(gamma, self.dg[:k]).reshape(g.shape)
+            if np.isfinite(mixed).all() and not (
+                    self.nonnegative and mixed[:, :self.nonnegative].min() < 0):
+                return mixed
+        self.count = 0
+        return None
+
+
 def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     mode: str = "time_marching", force: bool = False,
                     max_passes: int = 500, seed: int = 0) -> InclusionSolution:
@@ -361,19 +452,32 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     window layouts coincide.
 
     A pass steps both memories over the window with the current guess,
-    which gives theta, then solves the window's node EVIs with that theta
-    as one block started from the guess; the solution is the next guess.
-    The guess starts at zero in the window at node 0, at ``u_0`` for every
-    node of the window at node 1, on the line through ``u_0, u_1`` in the
-    window at node 2, and on the quadratic through ``u_{f-3}, u_{f-2},
-    u_{f-1}`` in a window at node ``f >= 3`` (see :func:`_predict`), which
-    is O(dt^3) from the solution where u is smooth.  From
-    its second pass on a window stops when the largest theta change over
-    its nodes certifies a fixed-point distance of at most ``tol`` (a tenth
-    of that for a marching window), so the returned u solves the node EVIs
-    for the returned theta.  Each window gets at most ``max_passes`` passes
-    (at least 2).  The diagnostics list the windows as ``(first, last)``
-    node pairs.
+    which gives the plain theta ``T(theta)`` of the theta the guess solves,
+    then solves the window's node EVIs as one block started from the guess;
+    the solution is the next guess.  Passes 1 and 2 solve with the plain
+    theta.  From pass 3 on a pass that does not settle solves with a
+    type-II Anderson mixture instead (Walker & Ni, 2011): the plain theta
+    minus the combination of the last ``_MIX_DEPTH`` (8) differences of
+    plain thetas whose residual differences best fit, in least squares, the
+    pass's residual ``T(theta) - theta``.  The mixture falls back to the
+    plain theta, and the differences are dropped, when the least-squares
+    system is singular (a Cholesky pivot of its Gram matrix, scaled to a
+    unit diagonal, at most 1e-10) or the mixture has a non-finite entry or
+    a negative parameter where the functional reads its parameter.  The
+    diagnostics count the mixed passes (``mixed_passes``).  The guess
+    starts at zero in the window at node 0, at ``u_0`` for every node of
+    the window at node 1, on the line through ``u_0, u_1`` in the window at
+    node 2, and on the quadratic through ``u_{f-3}, u_{f-2}, u_{f-1}`` in a
+    window at node ``f >= 3`` (see :func:`_predict`), which is O(dt^3) from
+    the solution where u is smooth.  From its second pass on a window stops when the
+    largest residual over its nodes, ``change``, certifies a fixed-point
+    distance ``q / (1 - q) change`` of at most ``tol`` (a tenth of that for
+    a marching window), with ``q`` the largest ratio of successive changes
+    seen in the window (clipped to [1e-3, 0.95]), so a mixed pass never
+    loosens the estimate.  The settling pass solves with the plain theta,
+    so the returned u solves the node EVIs for the returned theta.  Each
+    window gets at most ``max_passes`` passes (at least 2).  The
+    diagnostics list the windows as ``(first, last)`` node pairs.
 
     With ``force`` the admissibility gate and non-convergence become data:
     the run continues and the returned diagnostics record what happened.
@@ -421,25 +525,39 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     # them over the window, O(1) work per node for the built-in memories
     param_state = param.init_state(spec.grid)
     load_state = load.init_state(spec.grid)
-    converged, coupling_passes, windows, first = True, 0, [], 0
+    converged, coupling_passes, mixed_passes, windows, first = True, 0, 0, [], 0
+    # a mixed parameter may not go negative where j reads it: its prox would be undefined
+    ny = spec.y_space.dim
+    nonnegative = 0 if spec.functional.eta_free else ny
     while first <= n:
         last = min(first + width, n + 1) - 1
         window = slice(first, last + 1)
         u[window] = _predict(u, first, last)
-        guess, changes = u[window], []
+        guess, changes, ratio = u[window], [], 0.0
+        mixer = _Mixer(_MIX_DEPTH, theta[window].size, nonnegative)
         for p in range(1, max_passes + 1):
             eta = param.run(param_state, first, guess)[1]
             xi = load.run(load_state, first, guess)[1]
-            theta_w = np.concatenate((eta, xi), axis=1)
-            start = None if first == 0 and p == 1 else guess
-            guess, pass_iters = _solve_nodes(spec, first, eta, xi, evi_tol, start)
-            iters[window] += pass_iters
-            changes.append(float(spec.theta_space.norms_many(theta_w - theta[window]).max()))
-            theta[window] = theta_w
-            ratio = changes[-1] / changes[-2] if p > 1 and changes[-2] > 0 else gate_ratio
+            theta_hat = np.concatenate((eta, xi), axis=1)
+            residual = theta_hat - theta[window]
+            changes.append(float(spec.theta_space.norms_many(residual).max()))
+            # the largest ratio seen in the window: a mixed pass may contract
+            # faster than the map does, so the last ratio could loosen the test
+            if p > 1:
+                ratio = max(ratio, changes[-1] / changes[-2] if changes[-2] > 0 else gate_ratio)
             # the first pass compares against the zero initial theta, which
             # can match by accident; only trust the change from pass two on
             settled = p >= 2 and changes[-1] <= factor * threshold(ratio)
+            theta_w = theta_hat
+            if p >= 2 and not settled:
+                mixed = mixer.mix(theta_hat, residual)
+                if mixed is not None:
+                    theta_w, eta, xi = mixed, mixed[:, :ny], mixed[:, ny:]
+                    mixed_passes += 1
+            start = None if first == 0 and p == 1 else guess
+            guess, pass_iters = _solve_nodes(spec, first, eta, xi, evi_tol, start)
+            iters[window] += pass_iters
+            theta[window] = theta_w
             if settled:
                 break
         else:
@@ -471,6 +589,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     else:
         diagnostics["inner_iterations"] = passes
     diagnostics["coupling_passes"] = coupling_passes
+    diagnostics["mixed_passes"] = mixed_passes
     diagnostics["windows"] = windows
     u = Trajectory(spec.x_space, spec.grid, u)
     theta = Trajectory(spec.theta_space, spec.grid, theta)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +42,7 @@ from sweepvi import (
     volterra_operator,
     zero_operator,
 )
-from sweepvi.inclusion import _predict
+from sweepvi.inclusion import _Mixer, _predict
 
 X = HilbertSpace(1)
 Y = HilbertSpace(1)
@@ -379,15 +380,26 @@ class TestGateAndForce:
             solve_inclusion(self.cycling_spec(), tol=1e-10)
 
     def test_forced_run_records_the_failure_instead_of_hiding_it(self):
-        sol = solve_inclusion(self.cycling_spec(), tol=1e-10, force=True, max_passes=40)
+        # two passes are plain, so the cycle cannot settle
+        sol = solve_inclusion(self.cycling_spec(), tol=1e-10, force=True, max_passes=2)
         assert not sol.converged
         assert sol.diagnostics["forced"]
-        assert sol.diagnostics["inner_iterations"][0] == 40
+        assert sol.diagnostics["inner_iterations"][0] == 2
+        assert sol.diagnostics["mixed_passes"] == 0
         assert not sol.smallness.passed
+
+    @pytest.mark.parametrize("mode", ["global_picard", "time_marching"])
+    def test_mixing_settles_the_cycle_that_plain_passes_do_not(self, mode):
+        # u = max(1 - 2 eta, 0) with eta = u: plain passes cycle between 0 and
+        # 1; the mixed passes find the fixed point u = 1/3
+        sol = solve_inclusion(self.cycling_spec(), tol=1e-10, mode=mode, force=True)
+        assert sol.converged and sol.diagnostics["mixed_passes"] > 0
+        assert np.abs(sol.u.samples - 1.0 / 3.0).max() <= 1e-10
+        assert sol.diagnostics["coupling_passes"] <= 12 * len(sol.diagnostics["windows"])
 
     def test_a_window_that_does_not_settle_never_widens_the_next(self):
         # xi = u with u = 1 - xi fails the gate (l_load = m = 1) and cycles,
-        # u 0 -> 1 -> 0 -> ..., so no window settles within its 3 passes
+        # u 0 -> 1 -> 0 -> ..., so no window settles within its 2 plain passes
         grid = TimeGrid(1.0, 8)
         spec = InclusionSpec(
             x_space=X, y_space=Y, cone=FREE,
@@ -398,10 +410,10 @@ class TestGateAndForce:
             f=Trajectory.constant(X, grid, [1.0]),
             grid=grid,
         )
-        sol = solve_inclusion(spec, tol=1e-10, force=True, max_passes=3)
+        sol = solve_inclusion(spec, tol=1e-10, force=True, max_passes=2)
         assert not sol.converged
         windows = sol.diagnostics["windows"]
-        assert all(sol.diagnostics["inner_iterations"] == 3)
+        assert all(sol.diagnostics["inner_iterations"] == 2)
         widths = [last - first + 1 for first, last in windows]
         assert all(w <= before for before, w in zip(widths, widths[1:]))
         assert len(windows) == sol.u.grid.steps + 1
@@ -538,3 +550,62 @@ class TestZeroCoupling:
                                                     for op, state in zip((fast, slow), states))
                 states = fast_state, slow_state
                 assert a.tobytes() == b.tobytes()
+
+
+class TestMixing:
+    @staticmethod
+    def falling_spec(steps=4):
+        # eta = max(0.8 - 0.9 u, 0) and u = max(1 - eta, 0): plain passes
+        # step eta -> max(0.9 eta - 0.1, 0), which reaches 0 after 7 passes;
+        # a mixture extrapolates the line to eta = -1
+        grid = TimeGrid(1.0, steps)
+        memory = HistoryOperator(
+            None, lambda state, first, inputs: (None, np.maximum(0.8 - 0.9 * inputs, 0.0)),
+            l=0.9, L=0.0, tag="falling", out_space=Y)
+        return InclusionSpec(
+            x_space=X, y_space=Y, cone=FREE,
+            operator=MonotoneOperator.from_matrix(X, [[1.0]]),
+            functional=HomogeneousFunctional.positive_part(X, Y, weights=[1.0], indices=[0]),
+            parameter_memory=memory, load_memory=zero_operator(X),
+            f=Trajectory.constant(X, grid, [1.0]), grid=grid)
+
+    @pytest.mark.parametrize("mode", ["global_picard", "time_marching"])
+    def test_a_negative_mixed_parameter_falls_back_to_the_plain_theta(self, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_inclusion(self.falling_spec(), tol=1e-10, mode=mode, force=True)
+        assert sol.converged and sol.diagnostics["mixed_passes"] == 0
+        assert np.array_equal(sol.u.samples, np.ones((5, 1)))
+        assert np.array_equal(sol.theta.samples, np.zeros((5, 2)))
+        if mode == "global_picard":     # the plain sequence, pass by pass
+            etas = [0.8]
+            while etas[-1] > 0.0:
+                etas.append(max(0.9 * etas[-1] - 0.1, 0.0))
+            plain = [etas[0]] + [a - b for a, b in zip(etas, etas[1:])] + [0.0]
+            assert np.allclose(sol.diagnostics["sweep_changes"], plain, rtol=1e-12, atol=0.0)
+
+    def test_a_singular_fit_falls_back_to_the_plain_theta(self):
+        # residual differences all along one line: the second difference
+        # makes the 2 x 2 Gram matrix singular
+        mixer = _Mixer(2, 3, 0)
+        a, b = np.array([[1.0, 2.0, 0.5]]), np.array([[0.5, -1.0, 2.0]])
+        assert mixer.mix(1.0 * a, 1.0 * b) is None            # no difference yet
+        mixed = mixer.mix(2.0 * a, 0.5 * b)
+        assert mixed is not None and np.allclose(mixed, 3.0 * a)   # the secant step
+        assert mixer.mix(3.0 * a, 0.25 * b) is None
+        assert mixer.count == 0
+
+    @pytest.mark.parametrize("mode", ["global_picard", "time_marching"])
+    def test_the_returned_theta_reproduces_the_returned_u(self, mode):
+        # the settling pass is plain: u solves the node EVIs for theta
+        mesh, grid = Mesh1D.uniform(1.0, 4), TimeGrid(1.0, 32)
+        prob = build_problem("normal_compliance", mesh,
+                             Material(a=1.0, beta=ExponentialProfile(10.0, 1.0)),
+                             ContactLaw.linear(0.5), Loads(body=2.0), grid)
+        tol = 1e-10
+        sol = solve_inclusion(prob.spec, tol=tol, mode=mode)
+        assert sol.diagnostics["mixed_passes"] > 0
+        # both are within the EVI tolerance, 0.05 tol, of the node solutions
+        again = solve_intermediate(sol.theta, prob.spec, tol=0.05 * tol)
+        assert again.sup_distance(sol.u) <= 0.1 * tol
+
