@@ -708,6 +708,19 @@ class HomogeneousFunctional:
             raise UnsupportedConfigurationError("negative effective weight; prox undefined")
         return taus
 
+    def admits(self, etas) -> bool:
+        """Whether the prox is defined, without a warning, at every parameter row of ``etas``.
+
+        The test of :meth:`prox_thresholds`: a scale ``p(eta) >= 0`` for
+        the separable kind and no negative entry for the kinds that weight
+        by the parameter itself; always true when ``j`` ignores its
+        parameter.  A non-finite value fails.
+        """
+        if self.eta_free:
+            return True
+        values = self._scales(etas) if self.kind == "separable" else self._param_rows(etas)
+        return bool((values >= 0.0).all())
+
     def prox(self, eta, cone: ConstraintCone, rho: float, w, layout=None) -> np.ndarray:
         """argmin over ``v`` in the cone of ``0.5 ||v - w||^2 + rho j(eta, v)``.
 

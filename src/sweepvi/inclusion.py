@@ -21,7 +21,6 @@ divergence is recorded rather than raised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -345,43 +344,21 @@ def _predict(u: np.ndarray, first: int, last: int) -> np.ndarray:
     return u[first - 1] + s * d1 + (0.5 * s * (s + 1.0)) * d2
 
 
-def _fit(gram: list, rhs: list) -> list | None:
+def _fit(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """``x`` with ``gram x = rhs`` for a small Gram matrix, or ``None`` when it is singular.
 
-    Cholesky factorization of the matrix scaled to a unit diagonal, in
-    Python floats: with at most ``_MIX_DEPTH`` rows that costs less than
-    the numpy calls it replaces.  Singular when a diagonal entry is not
-    positive or a scaled pivot is at most ``_MIX_RCOND`` or not finite.
+    Singular when it is not positive definite or a Cholesky pivot, relative
+    to its diagonal entry (the pivot of the matrix scaled to a unit
+    diagonal), is at most ``_MIX_RCOND``.
     """
-    k = len(rhs)
-    if not all(gram[i][i] > 0.0 for i in range(k)):
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         return None
-    scale = [1.0 / math.sqrt(gram[i][i]) for i in range(k)]
-    low = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        row = low[i]
-        for j in range(i + 1):
-            acc, col = gram[i][j] * scale[i] * scale[j], low[j]
-            for m in range(j):
-                acc -= row[m] * col[m]
-            if j < i:
-                row[j] = acc / col[j]
-            elif acc > _MIX_RCOND and math.isfinite(acc):
-                row[i] = math.sqrt(acc)
-            else:
-                return None
-    y = [0.0] * k
-    for i in range(k):                      # low y = scale rhs
-        acc = rhs[i] * scale[i]
-        for m in range(i):
-            acc -= low[i][m] * y[m]
-        y[i] = acc / low[i][i]
-    for i in reversed(range(k)):            # low^T z = y, x = scale z
-        acc = y[i]
-        for m in range(i + 1, k):
-            acc -= low[m][i] * y[m]
-        y[i] = acc / low[i][i]
-    return [y[i] * scale[i] for i in range(k)]
+    pivots, diagonal = low.diagonal().tolist(), gram.diagonal().tolist()
+    if not all(p * p > _MIX_RCOND * d for p, d in zip(pivots, diagonal)):
+        return None
+    return np.linalg.solve(gram, rhs)
 
 
 class _Mixer:
@@ -392,15 +369,15 @@ class _Mixer:
     the differences with the record before, the last ``depth`` of them
     (never more than the window has entries), in preallocated rows, with
     their Gram matrix updated one row per record: O(depth) vector passes
-    per pass.
+    per pass.  ``admits`` tells whether a mixture may be solved with.
     """
 
-    def __init__(self, depth: int, size: int, nonnegative: int):
+    def __init__(self, depth: int, size: int, admits):
         depth = min(depth, size)
         self.dg, self.dr = np.empty((depth, size)), np.empty((depth, size))
-        self.gram = [[0.0] * depth for _ in range(depth)]
+        self.gram = np.empty((depth, depth))
         self.depth, self.count, self.last = depth, 0, None
-        self.nonnegative = nonnegative
+        self.admits = admits
 
     def mix(self, g: np.ndarray, r: np.ndarray) -> np.ndarray | None:
         """Record ``(g, r)`` and return ``g - dG gamma``, or ``None`` for the plain ``g``.
@@ -408,26 +385,23 @@ class _Mixer:
         ``gamma`` fits ``r`` by the residual differences ``dR`` in least
         squares (:func:`_fit`).  ``None`` when there is no difference yet,
         when the fit is singular, or when the mixture has a non-finite entry
-        or a negative one among its first ``nonnegative`` columns; those
-        three also drop the differences.
+        or is not admitted; those three also drop the differences.
         """
         flat_g, flat_r = g.ravel(), r.ravel()
         if self.last is not None:
             i, k = self.count % self.depth, min(self.count + 1, self.depth)
             np.subtract(flat_g, self.last[0], out=self.dg[i])
             np.subtract(flat_r, self.last[1], out=self.dr[i])
-            for j, value in enumerate((self.dr[:k] @ self.dr[i]).tolist()):
-                self.gram[i][j] = self.gram[j][i] = value
+            self.gram[i, :k] = self.gram[:k, i] = self.dr[:k] @ self.dr[i]
             self.count += 1
         self.last = flat_g, flat_r
         k = min(self.count, self.depth)
         if not k:
             return None
-        gamma = _fit([row[:k] for row in self.gram[:k]], (self.dr[:k] @ flat_r).tolist())
+        gamma = _fit(self.gram[:k, :k], self.dr[:k] @ flat_r)
         if gamma is not None:
-            mixed = g - np.dot(gamma, self.dg[:k]).reshape(g.shape)
-            if np.isfinite(mixed).all() and not (
-                    self.nonnegative and mixed[:, :self.nonnegative].min() < 0):
+            mixed = g - (gamma @ self.dg[:k]).reshape(g.shape)
+            if np.isfinite(mixed).all() and self.admits(mixed):
                 return mixed
         self.count = 0
         return None
@@ -463,7 +437,8 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     plain theta, and the differences are dropped, when the least-squares
     system is singular (a Cholesky pivot of its Gram matrix, scaled to a
     unit diagonal, at most 1e-10) or the mixture has a non-finite entry or
-    a negative parameter where the functional reads its parameter.  The
+    a parameter the functional's prox is undefined at
+    (:meth:`~sweepvi.core.HomogeneousFunctional.admits`).  The
     diagnostics count the mixed passes (``mixed_passes``).  The guess
     starts at zero in the window at node 0, at ``u_0`` for every node of
     the window at node 1, on the line through ``u_0, u_1`` in the window at
@@ -526,15 +501,17 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     param_state = param.init_state(spec.grid)
     load_state = load.init_state(spec.grid)
     converged, coupling_passes, mixed_passes, windows, first = True, 0, 0, [], 0
-    # a mixed parameter may not go negative where j reads it: its prox would be undefined
     ny = spec.y_space.dim
-    nonnegative = 0 if spec.functional.eta_free else ny
+
+    def admitted(mixed: np.ndarray) -> bool:    # the prox must be defined at a mixed parameter
+        return spec.functional.admits(mixed[:, :ny])
+
     while first <= n:
         last = min(first + width, n + 1) - 1
         window = slice(first, last + 1)
         u[window] = _predict(u, first, last)
         guess, changes, ratio = u[window], [], 0.0
-        mixer = _Mixer(_MIX_DEPTH, theta[window].size, nonnegative)
+        mixer = _Mixer(_MIX_DEPTH, theta[window].size, admitted)
         for p in range(1, max_passes + 1):
             eta = param.run(param_state, first, guess)[1]
             xi = load.run(load_state, first, guess)[1]

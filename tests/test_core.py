@@ -323,6 +323,30 @@ def test_negative_parameter_warns():
         j.eval(np.array([-1.0]), [1.0])
 
 
+def test_admits_runs_the_test_of_the_prox_thresholds():
+    X, Y = HilbertSpace(1), HilbertSpace(1)
+    base = HomogeneousFunctional.positive_part(X, Y, weights=[1.0], indices=[0], eta_free=True)
+    direct = HomogeneousFunctional.positive_part(X, Y, weights=[1.0], indices=[0])
+    falling = HomogeneousFunctional.separable(Y, p=lambda e: 1.0 - e[0], p_lipschitz=1.0,
+                                              base=base)
+    rising = HomogeneousFunctional.separable(Y, p=lambda e: 0.5 + e[0] ** 2, p_lipschitz=1.0,
+                                             base=base)
+    for j, rows in ((direct, [[0.0], [2.0], [-0.5]]), (falling, [[0.0], [2.0], [-0.5]]),
+                    (rising, [[0.0], [2.0], [-0.5]]), (base, [[-0.5]])):
+        for eta in rows:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    j.prox_thresholds(np.array([eta]), 1.0)
+                    defined = True
+                except (UnsupportedConfigurationError, AssumptionWarning):
+                    defined = False
+            assert j.admits(np.array([eta])) == defined
+    assert not direct.admits(np.array([[0.5], [np.nan]]))
+    assert not falling.admits(np.array([[0.5], [np.nan]]))
+    assert direct.admits(np.array([[0.5], [0.0]]))
+
+
 def soft_threshold(w, tau):
     return np.sign(w) * max(abs(w) - tau, 0.0)
 

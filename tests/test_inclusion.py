@@ -379,14 +379,38 @@ class TestGateAndForce:
         with pytest.raises(SmallnessError):
             solve_inclusion(self.cycling_spec(), tol=1e-10)
 
+    @staticmethod
+    def drifting_spec(steps=8):
+        # eta = |u| and xi = 2 - u + sin(u) / 2 fail the gate, and the map has
+        # no fixed point at all, so neither plain nor mixed passes can settle
+        grid = TimeGrid(1.0, steps)
+        return InclusionSpec(
+            x_space=X, y_space=Y, cone=FREE,
+            operator=MonotoneOperator.from_matrix(X, [[1.0]]),
+            functional=HomogeneousFunctional.positive_part(X, Y, weights=[1.0], indices=[0]),
+            parameter_memory=HistoryOperator(
+                None, lambda state, first, inputs: (None, np.abs(inputs)),
+                l=1.0, L=0.0, tag="magnitude", out_space=Y),
+            load_memory=HistoryOperator(
+                None, lambda state, first, inputs: (None, 2.0 - inputs + 0.5 * np.sin(inputs)),
+                l=1.5, L=0.0, tag="drift", out_space=X),
+            f=Trajectory.constant(X, grid, [1.0]),
+            grid=grid,
+        )
+
     def test_forced_run_records_the_failure_instead_of_hiding_it(self):
-        # two passes are plain, so the cycle cannot settle
-        sol = solve_inclusion(self.cycling_spec(), tol=1e-10, force=True, max_passes=2)
+        spec = self.drifting_spec()
+        sol = solve_inclusion(spec, tol=1e-10, force=True, max_passes=40)
         assert not sol.converged
         assert sol.diagnostics["forced"]
-        assert sol.diagnostics["inner_iterations"][0] == 2
-        assert sol.diagnostics["mixed_passes"] == 0
+        assert all(sol.diagnostics["inner_iterations"] == 40)
+        # passes 3..40 of each window may mix; some mixtures fell back
+        windows = len(sol.diagnostics["windows"])
+        assert 0 < sol.diagnostics["mixed_passes"] < 38 * windows
         assert not sol.smallness.passed
+        # the last pass of a window may be mixed: u solves the EVIs for the returned theta
+        again = solve_intermediate(sol.theta, spec, tol=0.05e-10)
+        assert again.sup_distance(sol.u) <= 1e-11
 
     @pytest.mark.parametrize("mode", ["global_picard", "time_marching"])
     def test_mixing_settles_the_cycle_that_plain_passes_do_not(self, mode):
@@ -398,22 +422,10 @@ class TestGateAndForce:
         assert sol.diagnostics["coupling_passes"] <= 12 * len(sol.diagnostics["windows"])
 
     def test_a_window_that_does_not_settle_never_widens_the_next(self):
-        # xi = u with u = 1 - xi fails the gate (l_load = m = 1) and cycles,
-        # u 0 -> 1 -> 0 -> ..., so no window settles within its 2 plain passes
-        grid = TimeGrid(1.0, 8)
-        spec = InclusionSpec(
-            x_space=X, y_space=Y, cone=FREE,
-            operator=MonotoneOperator.from_matrix(X, [[1.0]]),
-            functional=HomogeneousFunctional.zero(X),
-            parameter_memory=zero_operator(Y),
-            load_memory=identity_operator(tag="load_feedback"),
-            f=Trajectory.constant(X, grid, [1.0]),
-            grid=grid,
-        )
-        sol = solve_inclusion(spec, tol=1e-10, force=True, max_passes=2)
+        sol = solve_inclusion(self.drifting_spec(), tol=1e-10, force=True, max_passes=3)
         assert not sol.converged
         windows = sol.diagnostics["windows"]
-        assert all(sol.diagnostics["inner_iterations"] == 2)
+        assert all(sol.diagnostics["inner_iterations"] == 3)
         widths = [last - first + 1 for first, last in windows]
         assert all(w <= before for before, w in zip(widths, widths[1:]))
         assert len(windows) == sol.u.grid.steps + 1
@@ -584,10 +596,44 @@ class TestMixing:
             plain = [etas[0]] + [a - b for a, b in zip(etas, etas[1:])] + [0.0]
             assert np.allclose(sol.diagnostics["sweep_changes"], plain, rtol=1e-12, atol=0.0)
 
+    @staticmethod
+    def climbing_spec(steps=4):
+        # j(eta, v) = (1 - eta) max(v, 0), so u = eta on [0, 1], and
+        # eta = min(0.2 + 0.9 u, 0.9): plain passes climb to 0.9, while a
+        # mixture extrapolates the line to eta = 2, where the scale is negative
+        grid = TimeGrid(1.0, steps)
+        memory = HistoryOperator(
+            None, lambda state, first, inputs: (None, np.minimum(0.2 + 0.9 * inputs, 0.9)),
+            l=0.9, L=0.0, tag="climbing", out_space=Y)
+        base = HomogeneousFunctional.positive_part(X, Y, weights=[1.0], indices=[0],
+                                                   eta_free=True)
+        return InclusionSpec(
+            x_space=X, y_space=Y, cone=FREE,
+            operator=MonotoneOperator.from_matrix(X, [[1.0]]),
+            functional=HomogeneousFunctional.separable(Y, lambda eta: 1.0 - eta[0], 1.0, base),
+            parameter_memory=memory, load_memory=zero_operator(X),
+            f=Trajectory.constant(X, grid, [1.0]), grid=grid)
+
+    @pytest.mark.parametrize("mode", ["global_picard", "time_marching"])
+    def test_a_mixture_with_a_negative_separable_scale_falls_back(self, mode):
+        # the mixed parameter stays positive, but the prox is undefined there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_inclusion(self.climbing_spec(), tol=1e-10, mode=mode, force=True)
+        assert sol.converged and sol.diagnostics["mixed_passes"] == 0
+        np.testing.assert_allclose(sol.u.samples, 0.9, rtol=1e-15)
+        np.testing.assert_array_equal(sol.theta.samples, np.tile([0.9, 0.0], (5, 1)))
+        if mode == "global_picard":     # the plain sequence, pass by pass
+            etas = [0.2]
+            while etas[-1] < 0.9:
+                etas.append(min(0.2 + 0.9 * etas[-1], 0.9))
+            plain = [etas[0]] + [b - a for a, b in zip(etas, etas[1:])] + [0.0]
+            assert np.allclose(sol.diagnostics["sweep_changes"], plain, rtol=1e-12, atol=1e-15)
+
     def test_a_singular_fit_falls_back_to_the_plain_theta(self):
         # residual differences all along one line: the second difference
         # makes the 2 x 2 Gram matrix singular
-        mixer = _Mixer(2, 3, 0)
+        mixer = _Mixer(2, 3, lambda mixed: True)
         a, b = np.array([[1.0, 2.0, 0.5]]), np.array([[0.5, -1.0, 2.0]])
         assert mixer.mix(1.0 * a, 1.0 * b) is None            # no difference yet
         mixed = mixer.mix(2.0 * a, 0.5 * b)
