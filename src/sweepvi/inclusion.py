@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -372,7 +373,7 @@ class _Mixer:
     per pass.  ``admits`` tells whether a mixture may be solved with.
     """
 
-    def __init__(self, depth: int, size: int, admits):
+    def __init__(self, depth: int, size: int, admits: Callable[[np.ndarray], bool]):
         depth = min(depth, size)
         self.dg, self.dr = np.empty((depth, size)), np.empty((depth, size))
         self.gram = np.empty((depth, depth))
