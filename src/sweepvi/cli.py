@@ -68,7 +68,7 @@ from .inclusion import (
     _node_checks,
     check_smallness,
 )
-from .oracle import GridSearchConfig, brute_inclusion
+from .oracle import _INCLUSION_MAX_DIM, _INCLUSION_MAX_STEPS, GridSearchConfig, brute_inclusion
 from .sweeping import integrate_velocity, solve_spec
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
@@ -79,8 +79,6 @@ _ABSTRACT_SECTIONS = ("problem", "time", "solver", "abstract")
 # the keys each contact law reads besides ``law``
 _LAW_KEYS = {"rigid": (), "zero": (), "linear": ("slope",), "saturating": ("fmax", "rate"),
              "table": ("slips", "thresholds")}
-_ORACLE_DIM_CAP = 2
-_ORACLE_STEP_CAP = 16
 
 
 class ConfigError(Exception):
@@ -703,10 +701,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, out) -> int:
         if not report.ok(tol=1e-8):
             failures.append(f"contact diagnostics {worst:.3e} > 1e-08")
     else:
-        if core.x_space.dim > _ORACLE_DIM_CAP or cfg.grid.steps > _ORACLE_STEP_CAP:
+        if core.x_space.dim > _INCLUSION_MAX_DIM or cfg.grid.steps > _INCLUSION_MAX_STEPS:
             raise ConfigError(
-                f"oracle comparison needs dimension <= {_ORACLE_DIM_CAP} and "
-                f"steps <= {_ORACLE_STEP_CAP}; shrink the instance to verify it")
+                f"oracle comparison needs dimension <= {_INCLUSION_MAX_DIM} and "
+                f"steps <= {_INCLUSION_MAX_STEPS}; shrink the instance to verify it")
         radius = 1.5 * max(1.0, float(np.abs(u_samples).max()))
         res = 241 if core.x_space.dim == 1 else 81
         ref = brute_inclusion(core, GridSearchConfig(radius=radius, resolution=res))
@@ -755,9 +753,12 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = vars(_parser().parse_args(argv))
+        args = vars(_PARSER.parse_args(argv))
     except SystemExit as exc:       # argparse exits 2 on a usage error, 0 after --help
         return 4 if exc.code == 2 else exc.code
     out = sys.stdout

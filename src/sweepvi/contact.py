@@ -30,6 +30,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     UnsupportedConfigurationError,
+    _vec,
 )
 from .evi import EnergyMetric, LipschitzOperator, MonotoneOperator
 from .histop import (HistoryOperator, VolterraKernel, continue_trapezoid, running_trapezoid,
@@ -289,16 +290,12 @@ def _mass(mesh: Mesh1D) -> np.ndarray:
     return M
 
 
-def _strain_matrix(mesh: Mesh1D) -> np.ndarray:
-    """Element strains from free-node values (clamped end contributes zero)."""
-    inv_h = 1.0 / mesh.h
-    return np.diag(inv_h) - np.diag(inv_h[1:], -1)
-
-
 def _strain_form(mesh: Mesh1D, coeff: np.ndarray, components: int):
-    """``(G, h, G^T diag(coeff h) G)``: the strains ``G`` and element lengths ``h``
-    of every component, and the free-node Gram matrix of ``int coeff u' v'``."""
-    G = np.kron(np.eye(components), _strain_matrix(mesh))
+    """``(G, h, G^T diag(coeff h) G)``: the strain matrix ``G`` of every component
+    (the clamped end contributes zero), the element lengths ``h`` and the
+    free-node Gram matrix of ``int coeff u' v'``."""
+    inv_h = 1.0 / mesh.h
+    G = np.kron(np.eye(components), np.diag(inv_h) - np.diag(inv_h[1:], -1))
     h = np.tile(mesh.h, components)
     return G, h, (G.T * (np.tile(coeff, components) * h)) @ G
 
@@ -346,16 +343,16 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
 
 def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | None = None,
                      components: int = 1) -> LipschitzOperator:
-    """Linear elastic coupling ``b * strain`` with its exact energy norm.
-
-    ``b = 0`` on every element gives :meth:`LipschitzOperator.zero`.
+    """Linear elastic coupling ``b * strain`` with its exact energy norm ``max(b)``:
+    the strain matrix is invertible, so ``b`` holds the eigenvalues of the pencil
+    ``(Kb, K)``.  ``b = 0`` on every element gives :meth:`LipschitzOperator.zero`.
     """
     space = space or assemble_space(mesh, components)
     b = material.b_field(mesh)
     if not b.any():
         return LipschitzOperator.zero(tag="elastic")
     _, _, Kb = _strain_form(mesh, b, components)
-    L = float(space.eigvalsh(Kb)[-1])
+    L = float(b.max())
     return LipschitzOperator(apply=lambda u: space.solve_metric(Kb @ u), L=L, tag="elastic",
                              apply_rows=lambda us: space.solve_metric(Kb @ us.T).T)
 
@@ -514,9 +511,7 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
         memory = replace(slip_memory(law, tau_dof, grid), L=c0 * law.L_F)
         core = inclusion(ConstraintCone.zero(space, [nu_dof]), functional, memory)
         b_op = assemble_elastic(mesh, material, space, components)
-        if u0 is None:
-            u0 = np.zeros(space.dim)
-        u0 = np.asarray(u0, dtype=float)
+        u0 = np.zeros(space.dim) if u0 is None else _vec(u0, space.dim)
         if abs(u0[nu_dof]) > 1e-14:
             raise UnsupportedConfigurationError(
                 "initial displacement must respect the bilateral contact constraint")
@@ -539,8 +534,8 @@ class StressRecord:
     """Element stresses and contact reactions over time.
 
     ``element_stress`` has shape (nodes, elements, components); reactions are
-    equilibrium residuals at the contact dofs, the variationally consistent
-    notion of boundary traction.
+    equilibrium residuals at the contact dofs (the last element's stress minus
+    the nodal load), the variationally consistent notion of boundary traction.
     """
 
     element_stress: np.ndarray
@@ -554,38 +549,32 @@ def recover_stress(problem: ContactProblem, u: Trajectory,
 
     ``v`` is the velocity of the sweeping (shear) problem and ``None`` for
     the rod problems; with it the elastic coupling ``b`` enters the stress.
+    Strains are nodal differences over element lengths, so this costs
+    O(nodes x dofs) and applies no solver operator or metric.
     """
-    mesh, material, grid = problem.mesh, problem.material, problem.grid
-    comps, n = problem.components, mesh.n_free
-    G1 = _strain_matrix(mesh)
-    a = material.a_field(mesh)
-    mu = float(material.mu)
+    mesh, material, n = problem.mesh, problem.material, problem.mesh.n_free
     rate = v if v is not None else u     # variable the viscous part acts on
-    n_nodes = grid.steps + 1
 
-    eps_rate = np.einsum("en,kcn->kce", G1,
-                         rate.samples.reshape(n_nodes, comps, n))
-    sigma = a * eps_rate + mu * np.tanh(eps_rate)
-    if v is not None:
-        b = material.b_field(mesh)
-        eps_u = np.einsum("en,kcn->kce", G1, u.samples.reshape(n_nodes, comps, n))
-        sigma = sigma + b * eps_u
-    memory = problem.relaxation(rate)
-    eps_mem = np.einsum("en,kcn->kce", G1, memory.samples.reshape(n_nodes, comps, n))
-    sigma = sigma + eps_mem
-    sigma = np.moveaxis(sigma, 1, 2)     # (time, element, component)
+    def strain(x: Trajectory) -> np.ndarray:
+        """(time, component, element) strains; the clamped node contributes zero."""
+        nodal = x.samples.reshape(len(x.samples), problem.components, n)
+        return np.diff(nodal, prepend=0.0, axis=-1) / mesh.h
 
-    # reactions: residual of the unconstrained discrete equilibrium
-    space = problem.space
-    operator = problem.spec.inclusion.operator
-    total = operator.apply_many(rate.samples)
+    eps_rate = strain(rate)
+    sigma = material.a_field(mesh) * eps_rate + material.mu * np.tanh(eps_rate)
     if v is not None:
-        total += problem.spec.b_op.apply_many(u.samples)
-    total = total + memory.samples
-    residual = space.apply_metric(total.T).T - problem.load_covectors
-    sigma_nu = residual[:, problem.contact_dofs["nu"]]
-    sigma_tau = residual[:, problem.contact_dofs["tau"]] if "tau" in problem.contact_dofs else None
-    return StressRecord(element_stress=sigma, sigma_nu=sigma_nu, sigma_tau=sigma_tau)
+        sigma += material.b_field(mesh) * strain(u)
+    sigma += strain(problem.relaxation(rate))
+
+    # M (A v + B u + S v) = G^T (h sigma); a contact dof is the last free node of
+    # its component, which enters only the last element's strain, as 1 / h_last
+    def reaction(dof: int) -> np.ndarray:
+        return sigma[:, dof // n, -1] - problem.load_covectors[:, dof]
+
+    tau = problem.contact_dofs.get("tau")
+    return StressRecord(element_stress=np.moveaxis(sigma, 1, 2),
+                        sigma_nu=reaction(problem.contact_dofs["nu"]),
+                        sigma_tau=None if tau is None else reaction(tau))
 
 
 @dataclass(frozen=True)

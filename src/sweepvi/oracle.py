@@ -29,6 +29,8 @@ __all__ = [
 _MAX_POINTS = 10**7
 _MAX_DIM = 3
 _INCLUSION_PASSES = 60      # grid-search passes per node of brute_inclusion
+_INCLUSION_MAX_DIM = 2      # brute_inclusion's caps on dimension and time steps
+_INCLUSION_MAX_STEPS = 16
 
 
 class OracleInconclusiveError(RuntimeError):
@@ -117,10 +119,10 @@ def brute_inclusion(spec: InclusionSpec, cfg: GridSearchConfig = GridSearchConfi
     grid-searched; the two are alternated to a joint fixed point.  Caps:
     dimension <= 2 and at most 16 time steps.
     """
-    if spec.x_space.dim > 2:
-        raise ValueError("brute_inclusion handles dimension <= 2")
-    if spec.grid.steps > 16:
-        raise ValueError("brute_inclusion handles at most 16 steps")
+    if spec.x_space.dim > _INCLUSION_MAX_DIM:
+        raise ValueError(f"brute_inclusion handles dimension <= {_INCLUSION_MAX_DIM}")
+    if spec.grid.steps > _INCLUSION_MAX_STEPS:
+        raise ValueError(f"brute_inclusion handles at most {_INCLUSION_MAX_STEPS} steps")
     n = spec.grid.steps
     samples = np.zeros((n + 1, spec.x_space.dim))
     for k in range(n + 1):

@@ -67,7 +67,7 @@ class SweepingSpec:
     ``core`` is stated in the velocity variable: its memories consume
     velocity trajectories.  ``b_op`` acts on the reconstructed displacement;
     its declared Lipschitz constant is audited on 200 sampled pairs when the
-    spec is built.
+    spec is built.  ``u0`` must be finite, one value per dof.
     ``inclusion`` is the velocity inclusion :func:`lift_to_velocity` builds,
     once per spec.
     """
@@ -77,7 +77,10 @@ class SweepingSpec:
     u0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u0", _vec(self.u0, self.core.x_space.dim))
+        u0 = _vec(self.u0, self.core.x_space.dim)
+        if not np.isfinite(u0).all():
+            raise ValueError("u0 must be finite")
+        object.__setattr__(self, "u0", u0)
         worst = audit_lipschitz(self.b_op, self.core.x_space)
         if worst > self.b_op.L + 1e-7 * max(1.0, self.b_op.L):
             raise AuditError(
@@ -209,7 +212,6 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10) -> InclusionSo
     for k in range(n + 1):
         if k > 0:
             v[k] = v[k - 1]
-        prev = None
         for inner in range(1, _DIRECT_PASSES + 1):
             v_traj = Trajectory(X, grid, v)
             disp_k = spec.u0 if k == 0 else spec.u0 + np.trapezoid(v[:k + 1], dx=dt, axis=0)

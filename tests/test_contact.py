@@ -5,6 +5,7 @@ from sweepvi import (
     ContactLaw,
     DimensionMismatchError,
     ExponentialProfile,
+    HilbertSpace,
     Loads,
     Material,
     Mesh1D,
@@ -19,6 +20,7 @@ from sweepvi import (
     trace_constant,
 )
 from sweepvi.contact import _mass, assemble_A, assemble_elastic, assemble_loads
+from sweepvi.evi import LipschitzOperator, MonotoneOperator, audit_lipschitz
 from sweepvi.inclusion import _node_gradients
 
 
@@ -409,6 +411,13 @@ class TestShearFriction:
             build_problem("shear_friction", self.mesh, self.material, self.law,
                           Loads(body=[0.0, 1.2]), self.grid, u0=u0)
 
+    @pytest.mark.parametrize("u0, error", [([0.0], DimensionMismatchError),
+                                           (np.full(16, np.nan), ValueError)])
+    def test_a_missized_or_non_finite_initial_displacement_is_rejected(self, u0, error):
+        with pytest.raises(error, match="length 16|u0 must be finite"):
+            build_problem("shear_friction", self.mesh, self.material, self.law,
+                          Loads(body=[0.0, 1.2]), self.grid, u0=u0)
+
     def test_wrong_law_kind_rejected(self):
         with pytest.raises(UnsupportedConfigurationError, match="needs a threshold law"):
             build_problem("shear_friction", self.mesh, self.material, ContactLaw.rigid(),
@@ -469,3 +478,90 @@ def test_block_operator_applications_match_a_per_node_loop(kind):
                      for k, u_k in enumerate(rate.samples)])
     np.testing.assert_array_equal(eta, want_eta)
     close(grads, want)
+
+
+def _random_contact_problem(kind, seed):
+    """A random non-uniform mesh of up to 64 elements with ``mu > 0``, an
+    exponential relaxation memory and, on the shear layer, ``b > 0``; plus
+    random displacement and velocity trajectories on it."""
+    rng = np.random.default_rng(seed)
+    n_el = int(rng.integers(2, 65))
+    mesh = Mesh1D(np.cumsum(np.r_[0.0, rng.uniform(0.02, 0.2, n_el)]))
+    material = Material(a=rng.uniform(0.5, 10.0, n_el), mu=float(rng.uniform(0.1, 4.0)),
+                        b=rng.uniform(0.1, 3.0, n_el) if kind == "shear_friction" else 0.0,
+                        beta=ExponentialProfile(float(rng.uniform(0.1, 1.0)),
+                                                float(rng.uniform(0.5, 3.0))))
+    law = ContactLaw.rigid() if kind == "rigid_obstacle" else ContactLaw.linear(0.5)
+    loads = (Loads(body=[0.3, 1.2], traction=[0.1, -0.4]) if kind == "shear_friction"
+             else Loads(body=0.7, traction=1.0))
+    grid = TimeGrid(1.0, 6)
+    prob = build_problem(kind, mesh, material, law, loads, grid)
+    u, v = (Trajectory(prob.space, grid, rng.standard_normal((7, prob.space.dim)))
+            for _ in range(2))
+    return prob, u, (v if kind == "shear_friction" else None)
+
+
+def _strain_matrix(mesh):
+    return np.diag(1.0 / mesh.h) - np.diag(1.0 / mesh.h[1:], -1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
+def test_reactions_are_the_last_element_stress_minus_the_nodal_load(kind, seed):
+    prob, u, v = _random_contact_problem(kind, seed)
+    stress = recover_stress(prob, u, v)
+
+    # the element stress in the dense strain-matrix form
+    comps, n, K = prob.components, prob.mesh.n_free, prob.grid.steps + 1
+    G1 = _strain_matrix(prob.mesh)
+    rate = v if v is not None else u
+
+    def strain(x):
+        return np.einsum("en,kcn->kce", G1, x.samples.reshape(K, comps, n))
+
+    material = prob.material
+    want = material.a_field(prob.mesh) * strain(rate) + material.mu * np.tanh(strain(rate))
+    if v is not None:
+        want = want + material.b_field(prob.mesh) * strain(u)
+    memory = prob.relaxation(rate)
+    want = np.moveaxis(want + strain(memory), 1, 2)
+    scale = np.abs(want).max()
+    assert np.abs(stress.element_stress - want).max() <= 1e-12 * scale
+
+    # the reactions as the equilibrium residual M (A rate + B u + S rate) - covectors
+    total = prob.spec.inclusion.operator.apply_many(rate.samples) + memory.samples
+    if v is not None:
+        total += prob.spec.b_op.apply_many(u.samples)
+    residual = (prob.space.metric @ total.T).T - prob.load_covectors
+    for name, got in (("nu", stress.sigma_nu), ("tau", stress.sigma_tau)):
+        if name in prob.contact_dofs:
+            gap = np.abs(got - residual[:, prob.contact_dofs[name]]).max()
+            assert gap <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
+def test_stress_recovery_applies_no_operator_or_metric(kind, monkeypatch):
+    prob, u, v = _random_contact_problem(kind, 0)
+    want = recover_stress(prob, u, v)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stress recovery applied a solver operator or the metric")
+
+    for owner, name in ((HilbertSpace, "apply_metric"), (HilbertSpace, "solve_metric"),
+                        (MonotoneOperator, "apply_many"), (LipschitzOperator, "apply_many")):
+        monkeypatch.setattr(owner, name, refuse)
+    got = recover_stress(prob, u, v)
+    for field in ("element_stress", "sigma_nu", "sigma_tau"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_elastic_norm_is_the_largest_element_coefficient(seed):
+    prob, _, _ = _random_contact_problem("shear_friction", seed)   # builds the audited spec
+    b = prob.material.b_field(prob.mesh)
+    b_op = prob.spec.b_op
+    assert b_op.L == b.max()
+    G = np.kron(np.eye(2), _strain_matrix(prob.mesh))
+    Kb = (G.T * np.tile(b * prob.mesh.h, 2)) @ G
+    assert prob.space.eigvalsh(Kb)[-1] == pytest.approx(b.max(), rel=1e-12)
+    assert audit_lipschitz(b_op, prob.space) <= b_op.L * (1.0 + 1e-7)
