@@ -277,8 +277,10 @@ def load_config(path: str | Path) -> RunConfig:
 
     prob = _require(parser, "problem")
     kind = _get(prob, "kind")
-    if kind in _CONTACT_KINDS:
+    if kind == "shear_friction":
         sections, problem_keys = _CONTACT_SECTIONS, ("kind", "u0")
+    elif kind in _CONTACT_KINDS:
+        sections, problem_keys = _CONTACT_SECTIONS, ("kind",)
     elif kind == "abstract":
         sections, problem_keys = _ABSTRACT_SECTIONS, ("kind",)
     else:

@@ -105,6 +105,8 @@ def _per_element(value, n_el: int, name: str, positive: bool) -> np.ndarray:
         arr = np.full(n_el, float(arr))
     if arr.shape != (n_el,):
         raise DimensionMismatchError(f"{name} must be scalar or one value per element")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     if positive and np.any(arr <= 0):
         raise ValueError(f"{name} must be positive")
     if not positive and np.any(arr < 0):
@@ -133,6 +135,8 @@ class Material:
     beta: Callable[[float], float] | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.mu):
+            raise ValueError("mu must be finite")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
 
@@ -241,7 +245,7 @@ class Loads:
                 n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Densities ``(K, components, n_nodes)`` and tractions ``(K, components)``
         at the ``K`` times ``times``.  Both are C-contiguous, so a stacked
-        ``M @ densities[..., None]`` makes the BLAS call of one node's ``M @ density``."""
+        ``densities @ M`` makes the BLAS call of one node's ``density @ M``."""
         return (_over_grid(self.body, times, lambda raw: _body_density(raw, components, n_nodes)),
                 _over_grid(self.traction, times, lambda raw: _traction_values(raw, components)))
 
@@ -328,17 +332,19 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
     G, h, Ka = _strain_form(mesh, a, components)
     mu = float(material.mu)
 
-    def force(u: np.ndarray, Ka=Ka, G=G, h=h, mu=mu) -> np.ndarray:
-        """``M A u`` for a vector or for each column of a matrix."""
-        out = Ka @ u
+    def force(us: np.ndarray, Ka=Ka, G=G, h=h, mu=mu) -> np.ndarray:
+        """``M A u`` for a vector ``u`` or for each row of ``us``."""
+        out = us @ Ka
         if mu:
-            out = out + mu * (G.T @ ((h if u.ndim == 1 else h[:, None]) * np.tanh(G @ u)))
+            out = out + mu * ((h * np.tanh(us @ G.T)) @ G)
         return out
 
+    def apply(us: np.ndarray) -> np.ndarray:
+        return space.solve_metric(force(us))
+
     energy = EnergyMetric(Ka, force, m=1.0, L=1.0 + mu / float(a.min()))
-    return MonotoneOperator(apply=lambda u: space.solve_metric(force(u)), m=float(a.min()),
-                            L=float(a.max()) + mu, tag="viscosity", energy=energy,
-                            apply_rows=lambda us: space.solve_metric(force(us.T)).T)
+    return MonotoneOperator(apply=apply, m=float(a.min()), L=float(a.max()) + mu,
+                            tag="viscosity", energy=energy, apply_rows=apply)
 
 
 def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | None = None,
@@ -352,9 +358,11 @@ def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | Non
     if not b.any():
         return LipschitzOperator.zero(tag="elastic")
     _, _, Kb = _strain_form(mesh, b, components)
-    L = float(b.max())
-    return LipschitzOperator(apply=lambda u: space.solve_metric(Kb @ u), L=L, tag="elastic",
-                             apply_rows=lambda us: space.solve_metric(Kb @ us.T).T)
+
+    def apply(us: np.ndarray) -> np.ndarray:
+        return space.solve_metric(us @ Kb)
+
+    return LipschitzOperator(apply=apply, L=float(b.max()), tag="elastic", apply_rows=apply)
 
 
 def assemble_relaxation(material: Material, dim: int) -> VolterraKernel:
@@ -416,13 +424,13 @@ def assemble_loads(mesh: Mesh1D, loads: Loads, grid: TimeGrid,
     The covectors (consistent mass-weighted nodal forces, traction included)
     are returned alongside because reactions are recovered from them.  The
     loads are evaluated once over the grid (:meth:`Loads.on_grid`: a constant
-    once, a callable once per node) and every node's ``M density`` is one
-    matrix-vector product of one stacked ``matmul``; the clamped node is then
+    once, a callable once per node) and every node's ``density M`` is one
+    product of one stacked ``matmul``; the clamped node is then
     dropped and each component's traction added at its contact dof.
     """
     space = space or assemble_space(mesh, components)
     densities, tractions = loads.on_grid(grid.nodes, components, mesh.nodes.size)
-    forces = (_mass(mesh) @ densities[..., None])[..., 1:, 0]
+    forces = (densities @ _mass(mesh))[..., 1:]
     forces[..., -1] += tractions
     # with one component the reshape is a strided view; the solve gets C-ordered rows
     covectors = np.ascontiguousarray(forces.reshape(grid.steps + 1, space.dim))
@@ -430,7 +438,7 @@ def assemble_loads(mesh: Mesh1D, loads: Loads, grid: TimeGrid,
     if bad.size:
         raise ValueError(f"load (body force or traction) is not finite at node {bad[0]} "
                          f"(t = {grid.nodes[bad[0]]:g})")
-    riesz = space.solve_metric(covectors.T).T
+    riesz = space.solve_metric(covectors)
     return Trajectory(space, grid, riesz), covectors
 
 
@@ -462,9 +470,13 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
     slip-memory friction threshold on the tangential velocity.
 
     ``law`` is the rigid law for rigid_obstacle and a threshold map for the
-    other two, which take its role from ``kind``.
+    other two, which take its role from ``kind``.  ``u0``, the initial
+    displacement, is the shear layer's alone; a rod kind refuses it.
     """
     if kind in ("normal_compliance", "rigid_obstacle"):
+        if u0 is not None:
+            raise UnsupportedConfigurationError(
+                f"{kind} takes no u0: only the shear layer has an initial displacement")
         components = 1
     elif kind == "shear_friction":
         components = 2

@@ -72,10 +72,11 @@ class HilbertSpace:
     inverse factor ``F^{-1}`` is kept.  The inverse metric ``F^{-T} F^{-1}``
     and the pencil eigenvalues :meth:`eigvalsh` are read from it.  Other
     modules reach ``M`` and ``M^{-1}`` only through the methods here: the
-    metric applied to columns (:meth:`apply_metric`) or to rows
-    (:meth:`apply_metric_rows`), the Riesz map :meth:`solve_metric`, columns
+    metric :meth:`apply_metric`, the Riesz map :meth:`solve_metric`, columns
     of the inverse (:meth:`inverse_columns`) and pencil eigenvalues
-    (:meth:`eigvalsh`, :meth:`metric_eigvalsh`).
+    (:meth:`eigvalsh`, :meth:`metric_eigvalsh`).  A block of vectors is a
+    stack of rows: the metric methods take a vector or a matrix whose rows
+    are vectors, and act on each row.
 
     Parameters
     ----------
@@ -126,33 +127,21 @@ class HilbertSpace:
     def distance(self, u, v) -> float:
         return self.norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
 
-    def inner_many(self, u, vs: np.ndarray) -> np.ndarray:
-        """Inner product of ``u`` with each row of ``vs``."""
-        u = _vec(u, self.dim)
-        return np.asarray(vs, dtype=float) @ (self.metric @ u)
-
     def norms_many(self, vs: np.ndarray) -> np.ndarray:
         vs = np.asarray(vs, dtype=float)
         return np.sqrt(np.maximum(((vs @ self.metric) * vs).sum(1), 0.0))
 
-    def solve_metric(self, b) -> np.ndarray:
-        """Riesz map: return ``M^{-1} b`` for a vector or for the columns of a matrix."""
-        b = np.asarray(b, dtype=float)
-        if b.ndim not in (1, 2) or b.shape[0] != self.dim:
-            raise DimensionMismatchError(f"expected {self.dim} rows, got shape {b.shape}")
-        if not np.isfinite(b).all():
+    def solve_metric(self, bs) -> np.ndarray:
+        """Riesz map: ``M^{-1} b`` for a vector ``b`` or for each row of ``bs``."""
+        bs = np.asarray(bs, dtype=float)
+        if bs.ndim not in (1, 2) or bs.shape[-1] != self.dim:
+            raise DimensionMismatchError(f"expected rows of length {self.dim}, got shape {bs.shape}")
+        if not np.isfinite(bs).all():
             raise ValueError("right-hand side must be finite")
-        return self._inv_metric @ b
+        return bs @ self._inv_metric
 
-    def apply_metric(self, b) -> np.ndarray:
-        """``M b`` for a vector or the columns of a matrix; :meth:`solve_metric` inverts it."""
-        return self.metric @ b
-
-    def apply_metric_rows(self, xs) -> np.ndarray:
-        """``xs M``: the metric applied to each row of ``xs``.
-
-        Not ``apply_metric(xs.T).T``: the two products round differently.
-        """
+    def apply_metric(self, xs) -> np.ndarray:
+        """``M x`` for a vector ``x`` or for each row of ``xs``; :meth:`solve_metric` inverts it."""
         return xs @ self.metric
 
     def inverse_columns(self, idx) -> np.ndarray:
@@ -653,12 +642,12 @@ class HomogeneousFunctional:
                 )
 
         mixed = [i for _, i in mixed_units]
-        # the metric's columns at the mixed coordinates, as its products with those axes
-        axes = np.zeros((space.dim, len(mixed)))
-        axes[mixed, np.arange(len(mixed))] = 1.0
-        for col, i in zip(np.abs(space.apply_metric(axes)).T, mixed):
-            diag_i, col[i] = col[i], 0.0
-            if col.max(initial=0.0) > _COUPLING_RTOL * diag_i:
+        # the metric's rows at the mixed coordinates, as its products with those axes
+        axes = np.zeros((len(mixed), space.dim))
+        axes[np.arange(len(mixed)), mixed] = 1.0
+        for row, i in zip(np.abs(space.apply_metric(axes)), mixed):
+            diag_i, row[i] = row[i], 0.0
+            if row.max(initial=0.0) > _COUPLING_RTOL * diag_i:
                 raise UnsupportedConfigurationError(
                     f"coordinate {i} carries both a constraint and a functional term "
                     "but is coupled through the metric"
@@ -769,7 +758,7 @@ class HomogeneousFunctional:
                 s[:, coords[0]] = np.where(wi > d * tau, tau, np.maximum(wi, 0.0) / d)
         if np.count_nonzero(s):
             # a row without a step subtracts an exact zero
-            vs = vs - cone.space.solve_metric(s.T).T
+            vs = vs - cone.space.solve_metric(s)
         # combined one-dimensional formulas where constraint and term share a coordinate
         for unit, i, d in mixed_units:
             tau = taus[:, unit]
@@ -842,7 +831,7 @@ def _lowest_pairings(space: HilbertSpace, functional: HomogeneousFunctional, dir
         return out
     dim = space.dim
     lhs = np.empty((len(xs), dim + weights.shape[1]))
-    lhs[:, :dim] = space.apply_metric_rows(xs)
+    lhs[:, :dim] = space.apply_metric(xs)
     lhs[:, dim:] = weights
     phi = functional.unit_values(dirs)
     rows = max(1, _BLOCK_DOUBLES // lhs.shape[1])
@@ -878,7 +867,7 @@ def membership_residuals(functional: HomogeneousFunctional, cone: ConstraintCone
     weights = np.broadcast_to(weights, (len(us), weights.shape[1]))
     support = -_lowest_pairings(space, functional, dirs, -ws, weights)
     ju = (functional.unit_values(us) * weights).sum(1)
-    compl = ju - (space.apply_metric_rows(us) * ws).sum(1)
+    compl = ju - (space.apply_metric(us) * ws).sum(1)
     # the direction u_k / ||u_k||, by homogeneity of j, where u_k is not zero
     un = space.norms_many(us)
     along_u = np.divide(-compl, un, out=np.zeros_like(un), where=un > 1e-12)

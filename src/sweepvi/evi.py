@@ -99,7 +99,7 @@ class EnergyMetric:
     """An SPD metric ``P`` on X in which an operator has exact constants.
 
     ``force(u)`` is the operator as a covector, ``M A u`` for the space
-    metric ``M``, of a vector or of each column of a matrix, so one solve
+    metric ``M``, of a vector or of each row of a matrix, so one solve
     with ``P`` gives ``P^{-1} M A u`` without the space's Riesz map.  ``m``
     and ``L`` are the strong monotonicity and Lipschitz constants of
     ``u -> P^{-1} force(u)`` in the ``P``-norm.
@@ -161,15 +161,18 @@ class MonotoneOperator:
         H = np.asarray(matrix, dtype=float)
         if H.shape != (space.dim, space.dim):
             raise DimensionMismatchError("matrix shape does not match space")
-        MH = space.apply_metric(H)
-        if np.abs(MH - MH.T).max() > 1e-10 * max(np.abs(MH).max(), 1e-30):
+        HtM = space.apply_metric(H.T)       # (M H)^T
+        if np.abs(HtM - HtM.T).max() > 1e-10 * max(np.abs(HtM).max(), 1e-30):
             raise ValueError("matrix is not self-adjoint in the space metric")
-        vals = space.eigvalsh(0.5 * (MH + MH.T))
+        vals = space.eigvalsh(0.5 * (HtM + HtM.T))
         m, L = float(vals[0]), float(vals[-1])
         if m <= 0:
             raise ValueError("matrix is not positive definite in the space metric")
-        return cls(apply=lambda u, H=H: H @ u, m=m, L=L, tag=tag,
-                   apply_rows=lambda us, H=H: (H @ us.T).T)
+
+        def apply(us, Ht=H.T):
+            return us @ Ht
+
+        return cls(apply=apply, m=m, L=L, tag=tag, apply_rows=apply)
 
 
 @dataclass(frozen=True)
@@ -250,11 +253,11 @@ def audit_operator(op: MonotoneOperator, space: HilbertSpace, trials: int = 1000
     """Check the declared ``(m, L)`` on ``trials`` random pairs of points."""
     us, vs = _sample_pairs(space, trials, seed)
     d = us - vs
-    nd2 = (space.apply_metric_rows(d) * d).sum(1)
+    nd2 = (space.apply_metric(d) * d).sum(1)
     keep = nd2 >= 1e-20
     d, nd2 = d[keep], nd2[keep]
     ad = _differences(op, us[keep], vs[keep])
-    ad_m = space.apply_metric_rows(ad)
+    ad_m = space.apply_metric(ad)
     m_obs = ((ad_m * d).sum(1) / nd2).min(initial=np.inf)
     l_obs = np.sqrt(np.maximum((ad_m * ad).sum(1), 0.0) / nd2).max(initial=0.0)
     return OperatorAudit(op.m, op.L, float(m_obs), float(l_obs), trials)
@@ -440,15 +443,6 @@ def solve_evi(problem: EviProblem, tol: float = 1e-10, max_iter: int = 5000,
                        contraction_estimate=float(sols.contraction_estimates[0]))
 
 
-def _row_norms(space: HilbertSpace, ds: np.ndarray) -> np.ndarray:
-    """Metric norm of each row of ``ds``.
-
-    One matrix product, then one dot product per row: the arithmetic of
-    :meth:`HilbertSpace.norm`, so a one-row block keeps its bits.
-    """
-    return np.sqrt(np.maximum(np.vecdot(ds, space.apply_metric(ds.T).T), 0.0))
-
-
 def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: MonotoneOperator,
                    functional: HomogeneousFunctional, etas, fs: np.ndarray,
                    tol: float = 1e-10, max_iter: int = 5000, starts: np.ndarray | None = None,
@@ -489,8 +483,8 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
         data = fs
     else:
         def gradient(us, mfs, force=plan.force, P=plan.space):
-            return P.solve_metric(force(us.T) - mfs.T).T
-        data = space.apply_metric(fs.T).T
+            return P.solve_metric(force(us) - mfs)
+        data = space.apply_metric(fs)
     # one row of thresholds, or one per row
     taus = functional.prox_thresholds(etas, rho)
     contraction = disp = None
@@ -514,7 +508,7 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
             raise fail(NonFiniteError, f"non-finite step at iteration {it}",
                        ~finite.all(axis=1), us, disp)
         u_next = functional.prox_many(taus, plan.cone, w, plan.layout)
-        prev, disp = disp, _row_norms(plan.space, u_next - us)
+        prev, disp = disp, plan.space.norms_many(u_next - us)
         done = disp <= threshold
         count = np.count_nonzero(done)
         # us is finite here, so a non-finite u_next gives a non-finite disp
@@ -584,7 +578,7 @@ def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: Homogene
     weights = functional.unit_weights(etas)
     weights = np.broadcast_to(weights, (len(us), weights.shape[1]))
     # the value at the origin: -(g_k, u_k) - j(eta_k, u_k)
-    base = -((space.apply_metric_rows(us) * gs).sum(1)
+    base = -((space.apply_metric(us) * gs).sum(1)
              + (functional.unit_values(us) * weights).sum(1))
     far = 2.0 * (space.norms_many(us) + 1.0)
     low = _lowest_pairings(space, functional, dirs, gs, weights)

@@ -295,9 +295,7 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
 
         def advance(state, first, inputs):
             if g is None:
-                # a stack of matrix-vector products, one per row: the same BLAS
-                # call as G @ u_k on one node (inputs @ G.T would round differently)
-                gs = (G @ inputs[:, :, None])[:, :, 0]
+                gs = inputs @ G.T
             elif inputs.shape[1:] != (len(G),):
                 raise DimensionMismatchError(f"expected input rows of length {len(G)}, "
                                              f"got shape {inputs.shape}")
@@ -355,7 +353,7 @@ def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace)
     c = _identity_scale(B)
     if c is not None and target is input_space:
         return abs(c)
-    return float(np.sqrt(max(input_space.eigvalsh(target.apply_metric_rows(B.T) @ B)[-1], 0.0)))
+    return float(np.sqrt(max(input_space.eigvalsh(target.apply_metric(B.T) @ B)[-1], 0.0)))
 
 
 def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: HilbertSpace,

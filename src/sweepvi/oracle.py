@@ -74,7 +74,7 @@ def _scores(problem: EviProblem, candidates: np.ndarray, tests: np.ndarray,
     """
     space, f = problem.space, problem.f
     g = np.array([f - problem.operator(y) for y in candidates])
-    w = space.apply_metric_rows(g)
+    w = space.apply_metric(g)
     j_cand = problem.functional.eval_many(problem.eta, candidates)
     out = np.empty(len(candidates))
     for lo in range(0, len(candidates), chunk):

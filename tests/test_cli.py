@@ -149,6 +149,11 @@ class TestConfigKeys:
         ("abstract_volterra", "load_kernel = 0.5", "load_kernal = 0.5",
          "[abstract] unknown key 'load_kernal'"),
         ("rod_rigid", "law = rigid", "law = rigid\nslope = 1", "[contact] unknown key 'slope'"),
+        # only the shear layer reads an initial displacement
+        ("rod_rigid", "kind = rigid_obstacle", "kind = rigid_obstacle\nu0 = 9 9 9 9",
+         "[problem] unknown key 'u0'"),
+        ("rod_compliance", "kind = normal_compliance", "kind = normal_compliance\nu0 = 0 0 0 0",
+         "[problem] unknown key 'u0'"),
         ("abstract_volterra", "[time]", "[mesh]\nlength = 1\n\n[time]", "[mesh] unknown section"),
         ("rod_rigid", "[time]", "[abstract]\nvariant = memory_pair\n\n[time]",
          "[abstract] unknown section"),

@@ -117,9 +117,21 @@ class TestMeshAndAssembly:
             Material(a=[1.0, 2.0]).a_field(mesh)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a", np.nan), ("a", np.inf), ("a", [1.0, np.nan, 1.0, 1.0]),
+    ("mu", np.nan), ("mu", np.inf),
+    ("b", np.nan), ("b", [0.0, np.inf, 0.0, 0.0]),
+])
+def test_a_non_finite_material_value_is_refused_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        build_problem("shear_friction", Mesh1D.uniform(1.0, 4),
+                      Material(**{"a": 1.0, field: value}), ContactLaw.linear(0.5),
+                      Loads(body=[0.0, 1.2]), TimeGrid(1.0, 2))
+
+
 def _per_node_covectors(mesh, grid, loads, components):
-    """The load covectors node by node: ``M @ density`` per component with the
-    clamped node dropped, plus the traction at the component's contact dof."""
+    """The load covectors node by node: ``density @ M``, each component's row
+    with the clamped node dropped, plus the traction at its contact dof."""
     M, n, m = _mass(mesh), mesh.n_free, mesh.nodes.size
     rows = []
     for t in grid.nodes:
@@ -132,9 +144,10 @@ def _per_node_covectors(mesh, grid, loads, components):
             density = np.repeat(body[:, None], m, axis=1)
         else:
             density = body.reshape(components, m)
+        forces = density @ M
         row = np.empty(components * n)
         for c in range(components):
-            row[c * n:(c + 1) * n] = (M @ density[c])[1:]
+            row[c * n:(c + 1) * n] = forces[c, 1:]
             row[(c + 1) * n - 1] += traction[c]
         rows.append(row)
     return np.array(rows)
@@ -176,7 +189,7 @@ class TestLoadAssembly:
         f, cov = assemble_loads(mesh, loads, grid, space, components)
         want = _per_node_covectors(mesh, grid, loads, components)
         np.testing.assert_array_equal(cov, want)
-        np.testing.assert_array_equal(f.samples, space.solve_metric(want.T).T)
+        np.testing.assert_array_equal(f.samples, space.solve_metric(want))
         assert cov.flags.c_contiguous
 
     def test_a_callable_load_is_called_once_per_node(self):
@@ -288,6 +301,13 @@ class TestRigidObstacle:
         with pytest.raises(ValueError):
             build_problem("thermal", self.mesh, Material(a=1.0),
                           ContactLaw.rigid(), Loads(), self.grid)
+
+    @pytest.mark.parametrize("kind, law", [("rigid_obstacle", ContactLaw.rigid()),
+                                           ("normal_compliance", ContactLaw.linear(0.5))])
+    def test_a_rod_refuses_an_initial_displacement(self, kind, law):
+        with pytest.raises(UnsupportedConfigurationError, match=f"^{kind} takes no u0"):
+            build_problem(kind, self.mesh, Material(a=1.0), law, Loads(), self.grid,
+                          u0=np.zeros(self.mesh.n_free))
 
 
 class TestNormalCompliance:

@@ -67,7 +67,7 @@ def test_inverse_metric_is_not_public():
 
 def _byte_spaces():
     from sweepvi import Mesh1D, assemble_space
-    # the 48-dof stiffness metric, on which rows and columns products round apart
+    # the 48-dof stiffness metric, on which products of rows and of columns round apart
     yield assemble_space(Mesh1D.uniform(1.0, 48))
     yield HilbertSpace(48, metric=np.diag(np.random.default_rng(7).uniform(0.5, 2.0, 48)))
 
@@ -77,21 +77,45 @@ def test_metric_methods_keep_the_bits_of_the_products_they_replace(rows):
     for X in _byte_spaces():
         M, dim = X.metric, X.dim
         xs = np.random.default_rng(rows).standard_normal((rows, dim))
-        assert np.array_equal(X.apply_metric_rows(xs), xs @ M)
+        assert np.array_equal(X.apply_metric(xs), xs @ M)
         lifted = np.zeros((rows, dim + 3))
         np.matmul(xs, M, out=lifted[:, :dim])
-        assert np.array_equal(X.apply_metric_rows(xs), lifted[:, :dim])
+        assert np.array_equal(X.apply_metric(xs), lifted[:, :dim])
         B = xs.T[:, :min(rows, 2)]      # a transposed view, as a kernel matrix B.T
-        assert np.array_equal(X.apply_metric_rows(B.T), B.T @ M)
-        assert np.array_equal(X.apply_metric(xs.T).T, (M @ xs.T).T)
-        assert np.array_equal(X.apply_metric(xs[0]), M @ xs[0])
+        assert np.array_equal(X.apply_metric(B.T), B.T @ M)
+        assert np.array_equal(X.apply_metric(xs[0]), xs[0] @ M)
         F = np.linalg.inv(np.linalg.cholesky(M))
         G = F.T @ F
         G = 0.5 * (G + G.T)
+        assert np.array_equal(X.solve_metric(xs), xs @ G)
         idx = np.arange(rows) * 3 % dim
         assert np.array_equal(X.inverse_columns(idx), G[:, idx])
         Y = HilbertSpace(dim, metric=M[::-1, ::-1])
         assert np.array_equal(X.metric_eigvalsh(Y), X.eigvalsh(Y.metric))
+
+
+def test_a_vector_is_a_one_row_block():
+    # the metric, the Riesz map, operators' apply_rows and energy forces act on
+    # each row, so a vector and the same vector as a one-row block share bits
+    from sweepvi import Material, Mesh1D, MonotoneOperator, assemble_space
+    from sweepvi.contact import assemble_A, assemble_elastic
+    rng = np.random.default_rng(3)
+    mesh = Mesh1D(np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, 24)))))
+    material = Material(a=rng.uniform(1.0, 10.0, 24), mu=2.0, b=rng.uniform(0.0, 3.0, 24))
+    X = assemble_space(mesh, 2)
+    A = assemble_A(mesh, material, X, 2)
+    C = rng.standard_normal((X.dim, X.dim))
+    H = np.eye(X.dim) + X.solve_metric(C @ C.T).T / X.dim     # M H symmetric
+    fns = (X.apply_metric, X.solve_metric, A.energy.force, A.apply_rows,
+           assemble_elastic(mesh, material, X, 2).apply_rows,
+           MonotoneOperator.from_matrix(X, H).apply_rows)
+    xs = rng.standard_normal((3, X.dim))
+    for fn in fns:
+        for x in xs:
+            assert np.array_equal(fn(x), fn(x[None])[0])
+    for Y in (X, *_byte_spaces()):
+        xs = rng.standard_normal((5, Y.dim))
+        assert np.abs(Y.solve_metric(Y.apply_metric(xs)) - xs).max() <= 1e-12 * np.abs(xs).max()
 
 
 def test_metric_applied_to_the_axes_is_the_metric():
@@ -118,16 +142,6 @@ def test_prox_layout_carries_each_units_inverse_metric_diagonal():
     assert unit == 0 and list(coords) == [0] and d == X.inverse_columns([0])[0, 0]
     assert d == pytest.approx(0.5)
     assert mixed == [(1, 2, X.inverse_columns([2])[2, 0])] and zeroed == []
-
-
-def test_inner_many_matches_loop():
-    X = HilbertSpace(3, metric=np.diag([1.0, 2.0, 3.0]))
-    rng = np.random.default_rng(0)
-    vs = rng.standard_normal((5, 3))
-    w = rng.standard_normal(3)
-    got = X.inner_many(w, vs)
-    want = np.array([X.inner(v, w) for v in vs])
-    assert np.allclose(got, want)
 
 
 def test_norms_many_matches_loop():

@@ -219,7 +219,7 @@ def test_evi_solutions_pass_the_vi_residual(functional_kind, cone_kind, data):
     # H = I + K with K self-adjoint in the metric and spectrum in [0, 1], so
     # m >= 1, L <= 2 and the contraction factor stays at most sqrt(3) / 2
     C = data.draw(vectors(X.dim * X.dim, 1.0)).reshape(X.dim, X.dim)
-    K = X.solve_metric(C @ C.T)
+    K = X.solve_metric(C @ C.T).T      # M^{-1} C C^T, the transpose of the rows C C^T M^{-1}
     H = np.eye(X.dim) + K / max(np.linalg.eigvals(K).real.max(), 1.0)
     problem = EviProblem(X, cone, MonotoneOperator.from_matrix(X, H), functional, eta, f)
     sol = solve_evi(problem, tol=1e-10)

@@ -442,8 +442,8 @@ def test_solve_metric_matches_cho_solve_and_rejects_non_finite():
     X = _coupled_space(6, seed=1)
     rng = np.random.default_rng(0)
     factor = cho_factor(X.metric)
-    for b in (rng.standard_normal(6), rng.standard_normal((6, 3))):
-        want = cho_solve(factor, b)
+    for b in (rng.standard_normal(6), rng.standard_normal((3, 6))):
+        want = cho_solve(factor, b.T).T
         assert np.abs(X.solve_metric(b) - want).max() <= 1e-12 * np.abs(want).max()
     with pytest.raises(ValueError):
         X.solve_metric(np.array([1.0, np.nan, 0.0, 0.0, 0.0, 0.0]))
