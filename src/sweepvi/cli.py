@@ -219,8 +219,8 @@ def _loads_from(sec, components: int, n_nodes: int) -> Loads:
                  traction=_schedule(vals["traction"], vals["traction_ramp"]))
 
 
-def _material_from(sec, elements: int) -> Material:
-    _known(sec, ("a", "mu", "b", "beta", "beta_rate"))
+def _material_from(sec, elements: int, kind: str) -> Material:
+    _known(sec, ("a", "mu", "beta", "beta_rate") + (("b",) if kind == "shear_friction" else ()))
     a = _floats(sec, "a")
     if a.size not in (1, elements):
         raise ConfigError(f"[{sec.name}] a: needs 1 value or one per element "
@@ -321,7 +321,7 @@ def load_config(path: str | Path) -> RunConfig:
         with _section("mesh"):
             mesh = Mesh1D.uniform(length, elements)
         components = 2 if kind == "shear_friction" else 1
-        material = _material_from(_require(parser, "material"), elements)
+        material = _material_from(_require(parser, "material"), elements, kind)
         law = _law_from(_require(parser, "contact"))
         loads = _loads_from(_require(parser, "loads"), components, elements + 1)
         u0 = _floats(prob, "u0") if "u0" in prob else None
@@ -510,6 +510,7 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
     lines.append(f"coupling_passes: {sol.diagnostics['coupling_passes']}")
     lines.append(f"mixed_passes: {sol.diagnostics['mixed_passes']}")
     lines.append(f"coupling_windows: {len(sol.diagnostics['windows'])}")
+    lines.append(f"clipped_windows: {sol.diagnostics['clipped_windows']}")
     membership = sol.diagnostics.get("membership", {})
     if membership:
         lines.append(f"membership_worst: {_g(max(membership.values()))}")
@@ -641,10 +642,9 @@ def _verify_fields(cfg, core, u_samples, v_samples, out):
     failures = []
     driver = v_samples if v_samples is not None else u_samples
     traj = Trajectory(core.x_space, cfg.grid, driver)
-    theta = np.hstack([core.parameter_memory(traj).samples, core.load_memory(traj).samples])
-
     nodes = np.arange(cfg.grid.steps + 1)
-    residuals, membership, _ = _node_checks(core, driver, theta, nodes, cfg.seed,
+    residuals, membership, _ = _node_checks(core, driver, core.parameter_memory(traj).samples,
+                                            core.load_memory(traj).samples, nodes, cfg.seed,
                                             residual_budget=2048)
     worst_vi = float(residuals.max())
     print(f"worst recomputed VI residual: {_g(worst_vi)}", file=out)

@@ -122,8 +122,8 @@ class Material:
     the monotone operator it induces has m = min(a), L = max(a) + mu.
     ``mu``: magnitude of the bounded-slope nonlinearity mu*tanh(strain),
     odd and increasing, so it never degrades monotonicity.
-    ``b``: elastic coefficient for the displacement coupling (zero for the
-    purely viscoelastic rod problems).
+    ``b``: elastic coefficient of the shear layer's displacement coupling; a
+    rod has none, and :func:`build_problem` refuses a nonzero ``b`` for it.
     ``beta``: scalar relaxation profile beta(t) for the fading-memory term;
     an :class:`~sweepvi.histop.ExponentialProfile` makes the memory O(1) per
     node, and ``None`` means no memory term.
@@ -470,13 +470,16 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
     slip-memory friction threshold on the tangential velocity.
 
     ``law`` is the rigid law for rigid_obstacle and a threshold map for the
-    other two, which take its role from ``kind``.  ``u0``, the initial
-    displacement, is the shear layer's alone; a rod kind refuses it.
+    other two, which take its role from ``kind``.  The initial displacement
+    ``u0`` and a nonzero ``b`` are the shear layer's alone; a rod kind refuses both.
     """
     if kind in ("normal_compliance", "rigid_obstacle"):
         if u0 is not None:
             raise UnsupportedConfigurationError(
                 f"{kind} takes no u0: only the shear layer has an initial displacement")
+        if material.b_field(mesh).any():
+            raise UnsupportedConfigurationError(
+                f"{kind} takes no b: only the shear layer has an elastic coupling")
         components = 1
     elif kind == "shear_friction":
         components = 2

@@ -25,7 +25,6 @@ __all__ = [
     "TimeRangeError",
     "AssumptionWarning",
     "HilbertSpace",
-    "product_space",
     "TimeGrid",
     "Trajectory",
     "ConstraintCone",
@@ -166,14 +165,6 @@ class HilbertSpace:
     def __repr__(self) -> str:
         tag = "diag" if self.is_diagonal else "full"
         return f"HilbertSpace(dim={self.dim}, metric={tag})"
-
-
-def product_space(a: HilbertSpace, b: HilbertSpace) -> HilbertSpace:
-    """Product of two spaces with the Euclidean combination of the norms."""
-    metric = np.zeros((a.dim + b.dim, a.dim + b.dim))
-    metric[: a.dim, : a.dim] = a.metric
-    metric[a.dim :, a.dim :] = b.metric
-    return HilbertSpace(a.dim + b.dim, metric)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .core import (
     TimeGrid,
     Trajectory,
     membership_residuals,
-    product_space,
     sample_unit_directions,
 )
 from .evi import (
@@ -75,6 +74,7 @@ _WIDEN_PASSES = 8
 _NARROW_PASSES = 12
 _MIX_DEPTH = 8              # residual differences an Anderson-mixed pass fits
 _MIX_RCOND = 1e-10          # their fit is singular at a scaled Cholesky pivot this small
+_MAX_RATIO = 0.95           # the stopping test's ratio of successive changes is clipped to this
 
 
 class SmallnessError(RuntimeError):
@@ -149,10 +149,6 @@ class InclusionSpec:
                 raise DimensionMismatchError(f"{label} memory output has dimension "
                                              f"{np.size(out)}, expected {dim}")
 
-    @cached_property
-    def theta_space(self) -> HilbertSpace:
-        return product_space(self.y_space, self.x_space)
-
     @property
     def inclusion(self) -> InclusionSpec:
         """The inclusion this spec is solved as: the spec itself.
@@ -167,22 +163,21 @@ class InclusionSpec:
         """The metric every node's EVI iterates in, audited and decided once per spec."""
         return iteration_metric(self.x_space, self.cone, self.operator, self.functional)
 
-    def split_theta(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ny = self.y_space.dim
-        return samples[:, :ny], samples[:, ny:]
-
 
 @dataclass(frozen=True)
 class InclusionSolution:
     """Solution trajectory with per-node convergence evidence.
 
-    For a sweeping process ``u`` is the displacement and ``v`` the velocity,
-    the unknown of the inclusion that was solved (``theta``, the iteration
-    counts and the residuals belong to it); otherwise ``v`` is ``None``.
+    ``eta`` (in Y) and ``xi`` (in X) are the pair theta that ``u`` solves
+    the node EVIs for.  For a sweeping process ``u`` is the displacement and
+    ``v`` the velocity, the unknown of the inclusion that was solved (theta,
+    the iteration counts and the residuals belong to it); otherwise ``v`` is
+    ``None``.
     """
 
     u: Trajectory
-    theta: Trajectory
+    eta: Trajectory
+    xi: Trajectory
     per_step_iterations: np.ndarray
     per_step_residuals: np.ndarray
     smallness: SmallnessReport
@@ -244,60 +239,65 @@ def _solve_nodes(spec: InclusionSpec, first: int, eta: np.ndarray, xi: np.ndarra
     return sols.u, sols.iterations
 
 
-def solve_intermediate(theta: Trajectory, spec: InclusionSpec,
+def _theta_changes(spec: InclusionSpec, d_eta: np.ndarray, d_xi: np.ndarray) -> np.ndarray:
+    """Product norm ``sqrt(||d_eta||_Y^2 + ||d_xi||_X^2)`` of each row of a theta change."""
+    return np.hypot(spec.y_space.norms_many(d_eta), spec.x_space.norms_many(d_xi))
+
+
+def _pair_samples(spec: InclusionSpec, theta: tuple) -> tuple[np.ndarray, np.ndarray]:
+    eta, xi = theta
+    if eta.space.dim != spec.y_space.dim or xi.space.dim != spec.x_space.dim:
+        raise DimensionMismatchError("theta must be a pair (eta, xi) with values in Y and X")
+    return eta.samples, xi.samples
+
+
+def solve_intermediate(theta: tuple[Trajectory, Trajectory], spec: InclusionSpec,
                        tol: float = 1e-10) -> Trajectory:
     """Solve the decoupled problem: at each node the EVI with frozen theta.
 
-    theta carries (eta, xi) stacked in the product space Y x X.  The result
-    at node k depends only on theta at node k and the load there.
+    theta is the pair ``(eta, xi)`` of Y- and X-valued trajectories.  The
+    result at node k depends only on theta at node k and the load there.
     """
-    if theta.samples.shape[1] != spec.theta_space.dim:
-        raise DimensionMismatchError("theta must take values in Y x X")
-    eta, xi = spec.split_theta(theta.samples)
+    eta, xi = _pair_samples(spec, theta)
     us, _ = _solve_nodes(spec, 0, eta, xi, tol)
     return Trajectory(spec.x_space, spec.grid, us)
 
 
-def stability_gap_violation(spec: InclusionSpec, theta1: Trajectory, theta2: Trajectory,
-                            tol: float = 1e-10) -> float:
+def stability_gap_violation(spec: InclusionSpec, theta1: tuple[Trajectory, Trajectory],
+                            theta2: tuple[Trajectory, Trajectory], tol: float = 1e-10) -> float:
     """Worst violation of the frozen-parameter stability bound.
 
-    For solutions u1, u2 of the decoupled problems the gap obeys
+    For pairs ``theta = (eta, xi)`` and solutions u1, u2 of the decoupled
+    problems the gap obeys
     ``||u1 - u2|| <= (alpha ||eta1 - eta2|| + ||xi1 - xi2||) / m`` node by
     node; the return value is the max over nodes of lhs - rhs, which should
     not exceed a couple of solver tolerances.
     """
     u1 = solve_intermediate(theta1, spec, tol=tol)
     u2 = solve_intermediate(theta2, spec, tol=tol)
-    eta1, xi1 = spec.split_theta(theta1.samples)
-    eta2, xi2 = spec.split_theta(theta2.samples)
+    (eta1, xi1), (eta2, xi2) = theta1, theta2
     lhs = spec.x_space.norms_many(u1.samples - u2.samples)
-    rhs = (spec.functional.alpha * spec.y_space.norms_many(eta1 - eta2)
-           + spec.x_space.norms_many(xi1 - xi2)) / spec.operator.m
+    rhs = (spec.functional.alpha * spec.y_space.norms_many(eta1.samples - eta2.samples)
+           + spec.x_space.norms_many(xi1.samples - xi2.samples)) / spec.operator.m
     return float(np.max(lhs - rhs))
 
 
-def apply_coupling_map(spec: InclusionSpec, theta: Trajectory, tol: float = 1e-10,
-                       start: np.ndarray | None = None) -> tuple[Trajectory, Trajectory, np.ndarray]:
-    """One sweep of theta -> (R u_theta, S u_theta); returns (theta+, u, iters)."""
-    eta, xi = spec.split_theta(theta.samples)
+def apply_coupling_map(spec: InclusionSpec, theta: tuple[Trajectory, Trajectory],
+                       tol: float = 1e-10, start: np.ndarray | None = None,
+                       ) -> tuple[Trajectory, Trajectory, Trajectory, np.ndarray]:
+    """One sweep of (eta, xi) -> (R u_theta, S u_theta); returns (eta+, xi+, u, iters)."""
+    eta, xi = _pair_samples(spec, theta)
     us, iters = _solve_nodes(spec, 0, eta, xi, tol, start)
     u = Trajectory(spec.x_space, spec.grid, us)
-    eta_new = spec.parameter_memory(u)
-    xi_new = spec.load_memory(u)
-    stacked = np.hstack([eta_new.samples, xi_new.samples])
-    return Trajectory(spec.theta_space, spec.grid, stacked), u, iters
+    return spec.parameter_memory(u), spec.load_memory(u), u, iters
 
 
-def _node_gradients(spec: InclusionSpec, u_samples: np.ndarray,
-                    theta_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's parameter ``eta_k`` and gradient ``A u_k - (f_k - xi_k)``."""
-    eta, xi = spec.split_theta(theta_samples)
-    au = spec.operator.apply_many(u_samples)
-    return eta, au - (spec.f.samples - xi)
+def _node_gradients(spec: InclusionSpec, u_samples: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Each node's gradient ``A u_k - (f_k - xi_k)``."""
+    return spec.operator.apply_many(u_samples) - (spec.f.samples - xi)
 
 
-def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, theta_samples: np.ndarray,
+def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, eta: np.ndarray, xi: np.ndarray,
                  nodes: np.ndarray, seed: int,
                  residual_budget: int) -> tuple[np.ndarray, dict[int, float], dict]:
     """Both solution tests, each on one direction sample shared by the nodes.
@@ -308,7 +308,7 @@ def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, theta_samples: np.n
     sizes: the directions actually tested after the cone projection drops
     the null ones.
     """
-    eta, grads = _node_gradients(spec, u_samples, theta_samples)
+    grads = _node_gradients(spec, u_samples, xi)
     dirs = sample_unit_directions(spec.cone, residual_budget, seed)
     residuals = vi_residuals(spec.x_space, spec.cone, spec.functional, u_samples, grads,
                              eta, dirs)
@@ -445,15 +445,17 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     the window at node 1, on the line through ``u_0, u_1`` in the window at
     node 2, and on the quadratic through ``u_{f-3}, u_{f-2}, u_{f-1}`` in a
     window at node ``f >= 3`` (see :func:`_predict`), which is O(dt^3) from
-    the solution where u is smooth.  From its second pass on a window stops when the
-    largest residual over its nodes, ``change``, certifies a fixed-point
-    distance ``q / (1 - q) change`` of at most ``tol`` (a tenth of that for
-    a marching window), with ``q`` the largest ratio of successive changes
-    seen in the window (clipped to [1e-3, 0.95]), so a mixed pass never
-    loosens the estimate.  The settling pass solves with the plain theta,
-    so the returned u solves the node EVIs for the returned theta.  Each
-    window gets at most ``max_passes`` passes (at least 2).  The
-    diagnostics list the windows as ``(first, last)`` node pairs.
+    the solution where u is smooth.  From its second pass on a window stops
+    when ``change``, the largest residual ``hypot(||d eta||_Y, ||d xi||_X)``
+    over its nodes, certifies a fixed-point distance ``q / (1 - q) change``
+    of at most ``tol`` (a tenth of that for a marching window), with ``q``
+    the largest ratio of successive changes seen in the window (clipped to
+    [1e-3, 0.95]: ``clipped_windows`` counts the settled windows whose
+    ratio exceeded 0.95), so a mixed pass never loosens the estimate.  The
+    settling pass solves with the plain theta, so the returned u solves the
+    node EVIs for the returned theta.  Each window gets at most
+    ``max_passes`` passes (at least 2).  The diagnostics list the windows
+    as ``(first, last)`` node pairs.
 
     With ``force`` the admissibility gate and non-convergence become data:
     the run continues and the returned diagnostics record what happened.
@@ -481,7 +483,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     # stop when the pass displacement certifies a fixed-point distance <= tol,
     # but never on a displacement larger than tol itself
     def threshold(ratio: float) -> float:
-        r = min(max(ratio, 1e-3), 0.95)
+        r = min(max(ratio, 1e-3), _MAX_RATIO)
         return min(tol, tol * (1.0 - r) / r)
 
     evi_tol = 0.05 * tol
@@ -492,8 +494,8 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     # global Picard is one window, the whole grid; time marching starts with
     # node 0 alone and then sizes each window from the passes of the last
     width, factor = (n + 1, 1.0) if mode == "global_picard" else (1, 0.1)
-    u = np.zeros((n + 1, spec.x_space.dim))
-    theta = np.zeros((n + 1, spec.theta_space.dim))
+    nx, ny = spec.x_space.dim, spec.y_space.dim
+    u, eta_all, xi_all = np.zeros((n + 1, nx)), np.zeros((n + 1, ny)), np.zeros((n + 1, nx))
     iters = np.zeros(n + 1, dtype=int)
     passes = np.zeros(n + 1, dtype=int)
     param, load = spec.parameter_memory, spec.load_memory
@@ -501,8 +503,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     # them over the window, O(1) work per node for the built-in memories
     param_state = param.init_state(spec.grid)
     load_state = load.init_state(spec.grid)
-    converged, coupling_passes, mixed_passes, windows, first = True, 0, 0, [], 0
-    ny = spec.y_space.dim
+    converged, coupling_passes, mixed_passes, clipped, windows, first = True, 0, 0, 0, [], 0
 
     def admitted(mixed: np.ndarray) -> bool:    # the prox must be defined at a mixed parameter
         return spec.functional.admits(mixed[:, :ny])
@@ -512,13 +513,12 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
         window = slice(first, last + 1)
         u[window] = _predict(u, first, last)
         guess, changes, ratio = u[window], [], 0.0
-        mixer = _Mixer(_MIX_DEPTH, theta[window].size, admitted)
+        mixer = _Mixer(_MIX_DEPTH, (last + 1 - first) * (ny + nx), admitted)
         for p in range(1, max_passes + 1):
             eta = param.run(param_state, first, guess)[1]
             xi = load.run(load_state, first, guess)[1]
-            theta_hat = np.concatenate((eta, xi), axis=1)
-            residual = theta_hat - theta[window]
-            changes.append(float(spec.theta_space.norms_many(residual).max()))
+            d_eta, d_xi = eta - eta_all[window], xi - xi_all[window]
+            changes.append(float(_theta_changes(spec, d_eta, d_xi).max()))
             # the largest ratio seen in the window: a mixed pass may contract
             # faster than the map does, so the last ratio could loosen the test
             if p > 1:
@@ -526,16 +526,16 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
             # the first pass compares against the zero initial theta, which
             # can match by accident; only trust the change from pass two on
             settled = p >= 2 and changes[-1] <= factor * threshold(ratio)
-            theta_w = theta_hat
             if p >= 2 and not settled:
-                mixed = mixer.mix(theta_hat, residual)
+                mixed = mixer.mix(np.concatenate((eta, xi), axis=1),
+                                  np.concatenate((d_eta, d_xi), axis=1))
                 if mixed is not None:
-                    theta_w, eta, xi = mixed, mixed[:, :ny], mixed[:, ny:]
+                    eta, xi = mixed[:, :ny], mixed[:, ny:]
                     mixed_passes += 1
             start = None if first == 0 and p == 1 else guess
             guess, pass_iters = _solve_nodes(spec, first, eta, xi, evi_tol, start)
             iters[window] += pass_iters
-            theta[window] = theta_w
+            eta_all[window], xi_all[window] = eta, xi
             if settled:
                 break
         else:
@@ -549,6 +549,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
         u[window] = guess
         passes[window] = p
         coupling_passes += p
+        clipped += settled and ratio > _MAX_RATIO
         windows.append((first, last))
         if last < n:
             param_state = param.run(param_state, first, u[window])[0]
@@ -569,12 +570,11 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     diagnostics["coupling_passes"] = coupling_passes
     diagnostics["mixed_passes"] = mixed_passes
     diagnostics["windows"] = windows
-    u = Trajectory(spec.x_space, spec.grid, u)
-    theta = Trajectory(spec.theta_space, spec.grid, theta)
+    diagnostics["clipped_windows"] = clipped
 
     count = min(_MEMBERSHIP_NODES, spec.grid.steps + 1)
     nodes = np.unique(np.linspace(0, spec.grid.steps, count).round().astype(int))
-    residuals, membership, sizes = _node_checks(spec, u.samples, theta.samples, nodes, seed,
+    residuals, membership, sizes = _node_checks(spec, u, eta_all, xi_all, nodes, seed,
                                                 _RESIDUAL_BUDGET)
     diagnostics["membership"] = membership
     diagnostics.update(sizes)
@@ -585,9 +585,11 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
             raise AuditError(f"solution failed the inclusion membership check: "
                              f"worst residual {worst:.3e} > {limit:.3e}")
 
-    return InclusionSolution(u=u, theta=theta, per_step_iterations=iters,
-                             per_step_residuals=residuals, smallness=report,
-                             converged=converged, diagnostics=diagnostics)
+    return InclusionSolution(u=Trajectory(spec.x_space, spec.grid, u),
+                             eta=Trajectory(spec.y_space, spec.grid, eta_all),
+                             xi=Trajectory(spec.x_space, spec.grid, xi_all),
+                             per_step_iterations=iters, per_step_residuals=residuals,
+                             smallness=report, converged=converged, diagnostics=diagnostics)
 
 
 def build_inclusion_variant(variant: str, *, cone: ConstraintCone,

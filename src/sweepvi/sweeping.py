@@ -32,6 +32,7 @@ from .inclusion import (
     _RESIDUAL_BUDGET,
     _node_gradients,
     _node_problem,
+    _theta_changes,
     check_smallness,
     solve_inclusion,
 )
@@ -206,8 +207,8 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10) -> InclusionSo
         raise SmallnessError(f"admissibility gate failed: {report.describe()}")
     grid, X = core.grid, core.x_space
     n, dt = grid.steps, grid.dt
-    v = np.zeros((n + 1, X.dim))
-    theta = np.zeros((n + 1, core.theta_space.dim))
+    v, xi = np.zeros((n + 1, X.dim)), np.zeros((n + 1, X.dim))
+    eta = np.zeros((n + 1, core.y_space.dim))
     iters = np.zeros(n + 1, dtype=int)
     for k in range(n + 1):
         if k > 0:
@@ -220,8 +221,8 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10) -> InclusionSo
             problem = _node_problem(core, eta_k, xi_k, core.f.node(k))
             sol = solve_evi(problem, tol=0.05 * tol, start=v[k])
             iters[k] += sol.iterations
-            change = core.theta_space.distance(theta[k], np.concatenate([eta_k, xi_k]))
-            theta[k] = np.concatenate([eta_k, xi_k])
+            change = _theta_changes(core, (eta_k - eta[k])[None], (xi_k - xi[k])[None])[0]
+            eta[k], xi[k] = eta_k, xi_k
             v[k] = sol.u
             if inner >= 2 and change <= 0.05 * tol:
                 break
@@ -229,12 +230,11 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10) -> InclusionSo
             raise NonConvergenceError(f"direct marching stalled at node {k}",
                                       last_iterate=v[k])
     v_traj = Trajectory(X, grid, v)
-    theta_traj = Trajectory(core.theta_space, grid, theta)
-    eta, grads = _node_gradients(core, v, theta)
-    residuals = vi_residuals(X, core.cone, core.functional, v, grads, eta,
+    residuals = vi_residuals(X, core.cone, core.functional, v, _node_gradients(core, v, xi), eta,
                              sample_unit_directions(core.cone, _RESIDUAL_BUDGET, _DIRECT_SEED))
     return InclusionSolution(u=integrate_velocity(v_traj, spec.u0), v=v_traj,
-                             theta=theta_traj, per_step_iterations=iters,
+                             eta=Trajectory(core.y_space, grid, eta),
+                             xi=Trajectory(X, grid, xi), per_step_iterations=iters,
                              per_step_residuals=residuals, smallness=report,
                              converged=True,
                              diagnostics={"mode": "direct_marching",

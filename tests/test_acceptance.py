@@ -286,8 +286,8 @@ def test_criterion_04_parameter_stability():
             for _ in range(2):
                 eta = np.abs(rng.standard_normal((n, 1)))
                 xi = rng.standard_normal((n, 1))
-                pair.append(Trajectory(spec.theta_space, spec.grid,
-                                       np.hstack([eta, xi])))
+                pair.append((Trajectory(spec.y_space, spec.grid, eta),
+                             Trajectory(spec.x_space, spec.grid, xi)))
             worst = max(worst, stability_gap_violation(spec, pair[0], pair[1],
                                                        tol=tol))
     assert worst <= limit, f"stability bound violated by {worst:.3e}"

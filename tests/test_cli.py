@@ -154,6 +154,9 @@ class TestConfigKeys:
          "[problem] unknown key 'u0'"),
         ("rod_compliance", "kind = normal_compliance", "kind = normal_compliance\nu0 = 0 0 0 0",
          "[problem] unknown key 'u0'"),
+        # only the shear layer reads an elastic coefficient
+        ("rod_rigid", "[material]", "[material]\nb = 5", "[material] unknown key 'b'"),
+        ("rod_compliance", "[material]", "[material]\nb = 0.3", "[material] unknown key 'b'"),
         ("abstract_volterra", "[time]", "[mesh]\nlength = 1\n\n[time]", "[mesh] unknown section"),
         ("rod_rigid", "[time]", "[abstract]\nvariant = memory_pair\n\n[time]",
          "[abstract] unknown section"),
@@ -418,6 +421,8 @@ class TestRun:
         assert f"coupling_windows: {len(windows)}" in lines
         at = lines.index(f"coupling_passes: {marching.diagnostics['coupling_passes']}")
         assert lines[at + 1] == f"mixed_passes: {marching.diagnostics['mixed_passes']}"
+        at = lines.index(f"coupling_windows: {len(windows)}")
+        assert lines[at + 1] == f"clipped_windows: {marching.diagnostics['clipped_windows']}"
         # node 0 alone, then windows sized by the rule that tile the grid
         assert_windows_follow_the_rule(marching.diagnostics, 512)
         picard = cli._solve(replace(run, mode="global_picard"), spec)

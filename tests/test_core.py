@@ -16,7 +16,6 @@ from sweepvi.core import (
     TimeRangeError,
     Trajectory,
     UnsupportedConfigurationError,
-    product_space,
     sample_unit_directions,
 )
 
@@ -152,15 +151,6 @@ def test_norms_many_matches_loop():
     want = [X.norm(v) for v in vs]
     np.testing.assert_allclose(X.norms_many(vs), want, rtol=1e-13)
     assert X.norms_many(np.zeros((3, 5))).tolist() == [0.0, 0.0, 0.0]
-
-
-def test_product_space_blocks():
-    Y = HilbertSpace(1, metric=np.array([[2.0]]))
-    X = HilbertSpace(2, metric=np.diag([1.0, 3.0]))
-    P = product_space(Y, X)
-    assert P.dim == 3
-    # product norm: ||theta||^2 = ||eta||_Y^2 + ||xi||_X^2
-    assert P.norm([1.0, 1.0, 1.0]) == pytest.approx(np.sqrt(2 + 1 + 3))
 
 
 def test_time_grid_nodes_and_dt():

@@ -42,7 +42,7 @@ from sweepvi import (
     volterra_operator,
     zero_operator,
 )
-from sweepvi.inclusion import _Mixer, _predict
+from sweepvi.inclusion import _Mixer, _predict, _theta_changes
 
 X = HilbertSpace(1)
 Y = HilbertSpace(1)
@@ -129,9 +129,10 @@ class TestSpecValidation:
 
     def test_intermediate_solve_checks_theta_width(self):
         spec = decay_spec(4)
-        narrow = Trajectory.zeros(X, spec.grid)
-        with pytest.raises(DimensionMismatchError):
-            solve_intermediate(narrow, spec)
+        wide, eta, xi = (Trajectory.zeros(S, spec.grid) for S in (HilbertSpace(2), Y, X))
+        for theta in ((wide, xi), (eta, wide)):
+            with pytest.raises(DimensionMismatchError):
+                solve_intermediate(theta, spec)
 
 
 class TestBuilderVariants:
@@ -219,11 +220,17 @@ class TestDecoupledLayer:
         sol = solve_inclusion(spec, tol=1e-12)
         np.testing.assert_allclose(sol.u.samples[:, 0], (1.0 + grid.nodes) / 2.0, atol=1e-11)
 
+    @staticmethod
+    def random_pair(spec, rng):
+        # one draw per pair: column 0 is eta, column 1 is xi
+        draw = np.abs(rng.normal(size=(9, 2)))
+        return (Trajectory(spec.y_space, spec.grid, draw[:, :1]),
+                Trajectory(spec.x_space, spec.grid, draw[:, 1:]))
+
     def test_stability_gap_never_violated(self):
         spec = feedback_spec()
         rng = np.random.default_rng(3)
-        th1 = Trajectory(spec.theta_space, spec.grid, np.abs(rng.normal(size=(9, 2))))
-        th2 = Trajectory(spec.theta_space, spec.grid, np.abs(rng.normal(size=(9, 2))))
+        th1, th2 = self.random_pair(spec, rng), self.random_pair(spec, rng)
         assert stability_gap_violation(spec, th1, th2, tol=1e-12) <= 1e-10
 
     def test_coupling_map_contracts_at_initial_node(self):
@@ -232,13 +239,15 @@ class TestDecoupledLayer:
         spec = feedback_spec()
         rep = check_smallness(spec)
         rng = np.random.default_rng(3)
-        th1 = Trajectory(spec.theta_space, spec.grid, np.abs(rng.normal(size=(9, 2))))
-        th2 = Trajectory(spec.theta_space, spec.grid, np.abs(rng.normal(size=(9, 2))))
-        p1, _, _ = apply_coupling_map(spec, th1, tol=1e-12)
-        p2, _, _ = apply_coupling_map(spec, th2, tol=1e-12)
-        d_in = spec.theta_space.distance(th1.samples[0], th2.samples[0])
-        d_out = spec.theta_space.distance(p1.samples[0], p2.samples[0])
-        assert d_out / d_in <= rep.ratio + 0.05
+        th1, th2 = self.random_pair(spec, rng), self.random_pair(spec, rng)
+        p1 = apply_coupling_map(spec, th1, tol=1e-12)[:2]
+        p2 = apply_coupling_map(spec, th2, tol=1e-12)[:2]
+
+        def distance(a, b):     # the product norm of Y x X at node 0
+            return np.hypot(spec.y_space.distance(a[0].samples[0], b[0].samples[0]),
+                            spec.x_space.distance(a[1].samples[0], b[1].samples[0]))
+
+        assert distance(p1, p2) / distance(th1, th2) <= rep.ratio + 0.05
 
 
 class TestSolveInclusion:
@@ -331,10 +340,6 @@ class TestSolveInclusion:
                 load_memory=counted(spec.load_memory, "load"))
         assert calls == {"parameter": 1, "load": 1}
 
-    def test_theta_space_is_built_once(self):
-        spec = decay_spec(4)
-        assert spec.theta_space is spec.theta_space
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             solve_inclusion(decay_spec(4), mode="sideways")
@@ -343,9 +348,8 @@ class TestSolveInclusion:
         # eta = u and 4u - 1 + 0.8 eta = 0 on u > 0 gives u = 1 / 4.8
         sol = solve_inclusion(feedback_spec(), tol=1e-11)
         np.testing.assert_allclose(sol.u.samples, 1.0 / 4.8, atol=1e-10)
-        eta, xi = feedback_spec().split_theta(sol.theta.samples)
-        np.testing.assert_allclose(eta, sol.u.samples, atol=1e-9)
-        assert not xi.any()
+        np.testing.assert_allclose(sol.eta.samples, sol.u.samples, atol=1e-9)
+        assert not sol.xi.samples.any()
 
     def test_membership_residuals_certify_the_inclusion(self):
         sol = solve_inclusion(feedback_spec(), tol=1e-11)
@@ -409,7 +413,7 @@ class TestGateAndForce:
         assert 0 < sol.diagnostics["mixed_passes"] < 38 * windows
         assert not sol.smallness.passed
         # the last pass of a window may be mixed: u solves the EVIs for the returned theta
-        again = solve_intermediate(sol.theta, spec, tol=0.05e-10)
+        again = solve_intermediate((sol.eta, sol.xi), spec, tol=0.05e-10)
         assert again.sup_distance(sol.u) <= 1e-11
 
     @pytest.mark.parametrize("mode", ["global_picard", "time_marching"])
@@ -500,7 +504,7 @@ class TestOperatorAudit:
     def test_lying_constants_raise_on_every_solve_path(self, path):
         spec = self.lying_spec()
         op, functional = spec.operator, spec.functional
-        theta = Trajectory(spec.theta_space, spec.grid, np.zeros((5, spec.theta_space.dim)))
+        theta = Trajectory.zeros(spec.y_space, spec.grid), Trajectory.zeros(X, spec.grid)
         calls = {
             "iteration_metric": lambda: iteration_metric(X, FREE, op, functional),
             "solve_evi": lambda: solve_evi(EviProblem(X, FREE, op, functional, None,
@@ -588,7 +592,8 @@ class TestMixing:
             sol = solve_inclusion(self.falling_spec(), tol=1e-10, mode=mode, force=True)
         assert sol.converged and sol.diagnostics["mixed_passes"] == 0
         assert np.array_equal(sol.u.samples, np.ones((5, 1)))
-        assert np.array_equal(sol.theta.samples, np.zeros((5, 2)))
+        assert np.array_equal(sol.eta.samples, np.zeros((5, 1)))
+        assert np.array_equal(sol.xi.samples, np.zeros((5, 1)))
         if mode == "global_picard":     # the plain sequence, pass by pass
             etas = [0.8]
             while etas[-1] > 0.0:
@@ -622,7 +627,8 @@ class TestMixing:
             sol = solve_inclusion(self.climbing_spec(), tol=1e-10, mode=mode, force=True)
         assert sol.converged and sol.diagnostics["mixed_passes"] == 0
         np.testing.assert_allclose(sol.u.samples, 0.9, rtol=1e-15)
-        np.testing.assert_array_equal(sol.theta.samples, np.tile([0.9, 0.0], (5, 1)))
+        np.testing.assert_array_equal(sol.eta.samples, np.full((5, 1), 0.9))
+        np.testing.assert_array_equal(sol.xi.samples, np.zeros((5, 1)))
         if mode == "global_picard":     # the plain sequence, pass by pass
             etas = [0.2]
             while etas[-1] < 0.9:
@@ -652,6 +658,72 @@ class TestMixing:
         sol = solve_inclusion(prob.spec, tol=tol, mode=mode)
         assert sol.diagnostics["mixed_passes"] > 0
         # both are within the EVI tolerance, 0.05 tol, of the node solutions
-        again = solve_intermediate(sol.theta, prob.spec, tol=0.05 * tol)
+        again = solve_intermediate((sol.eta, sol.xi), prob.spec, tol=0.05 * tol)
         assert again.sup_distance(sol.u) <= 0.1 * tol
 
+
+
+class TestThetaPair:
+    def test_the_change_norm_is_the_block_diagonal_product_norm(self):
+        rng = np.random.default_rng(5)
+        A, B = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
+        Yb = HilbertSpace(2, metric=A @ A.T + 2.0 * np.eye(2))
+        Xb = HilbertSpace(3, metric=B @ B.T + 3.0 * np.eye(3))
+        assert not Xb.is_diagonal
+        grid = TimeGrid(1.0, 4)
+        spec = InclusionSpec(x_space=Xb, y_space=Yb, cone=ConstraintCone.whole_space(Xb),
+                             operator=MonotoneOperator.from_matrix(Xb, np.eye(3)),
+                             functional=HomogeneousFunctional.zero(Xb, Yb),
+                             parameter_memory=zero_operator(Yb), load_memory=zero_operator(Xb),
+                             f=Trajectory.zeros(Xb, grid), grid=grid)
+        d_eta, d_xi = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
+        # the metric of Y x X: the two metrics as diagonal blocks
+        dense = np.zeros((5, 5))
+        dense[:2, :2], dense[2:, 2:] = Yb.metric, Xb.metric
+        d = np.hstack([d_eta, d_xi])
+        want = np.sqrt(((d @ dense) * d).sum(1))
+        np.testing.assert_allclose(_theta_changes(spec, d_eta, d_xi), want, rtol=1e-14)
+
+    def test_a_contact_solve_builds_no_space_of_the_stacked_theta(self, monkeypatch):
+        dims, init = [], HilbertSpace.__init__
+
+        def recording(self, dim, metric=None):
+            dims.append(int(dim))
+            init(self, dim, metric)
+
+        monkeypatch.setattr(HilbertSpace, "__init__", recording)
+        spec = build_problem("normal_compliance", Mesh1D.uniform(1.0, 6),
+                             Material(a=1.0, beta=ExponentialProfile(1.0, 1.0)),
+                             ContactLaw.linear(0.5), Loads(body=2.0), TimeGrid(1.0, 8)).spec
+        for mode in ("time_marching", "global_picard"):
+            assert solve_inclusion(spec, mode=mode).converged
+        nx, ny = spec.x_space.dim, spec.y_space.dim
+        assert nx in dims and ny in dims        # the recorder saw the spec's own spaces
+        assert ny + nx not in dims
+
+    @staticmethod
+    def largest_ratio(changes):
+        return max(b / a for a, b in zip(changes[1:], changes[2:]))
+
+    @pytest.mark.parametrize("case", ["cycle", "strong_memory"])
+    def test_a_window_settled_on_a_clipped_ratio_is_counted(self, case):
+        # the plain cycle's change doubles from sweep 3 to sweep 4 (0.5 -> 1);
+        # on a rod with a strong memory (beta = 10) Picard's change first grows.
+        # Either way the certificate of the one window used 0.95 for a larger ratio
+        if case == "cycle":
+            spec = TestGateAndForce.cycling_spec()
+        else:
+            spec = build_problem("normal_compliance", Mesh1D.uniform(1.0, 4),
+                                 Material(a=1.0, beta=ExponentialProfile(10.0, 1.0)),
+                                 ContactLaw.linear(0.5), Loads(body=2.0), TimeGrid(1.0, 32)).spec
+        sol = solve_inclusion(spec, tol=1e-10, mode="global_picard", force=case == "cycle")
+        assert sol.converged
+        assert self.largest_ratio(sol.diagnostics["sweep_changes"]) > 0.95
+        assert sol.diagnostics["clipped_windows"] == 1
+
+    @pytest.mark.parametrize("mode", ["global_picard", "time_marching"])
+    def test_a_contracting_run_clips_no_window(self, mode):
+        sol = solve_inclusion(decay_spec(16), tol=1e-10, mode=mode)
+        if mode == "global_picard":
+            assert self.largest_ratio(sol.diagnostics["sweep_changes"]) <= 0.95
+        assert sol.diagnostics["clipped_windows"] == 0

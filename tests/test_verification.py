@@ -141,17 +141,17 @@ def test_kernels_match_the_per_node_formulas_on_shipped_configs(name):
     cfg = load_config(CONFIGS / f"{name}.ini")
     _, spec = _build(cfg)
     sol = _solve(cfg, spec, force=True)
-    spec, theta = spec.inclusion, sol.theta
+    spec = spec.inclusion
     X, cone, functional = spec.x_space, spec.cone, spec.functional
     driver = (sol.u if sol.v is None else sol.v).samples
     # push every node off the solution, inside the cone, so the residuals are O(1)
     rng = np.random.default_rng(2)
     us = cone.project_many(driver + 0.3 * rng.standard_normal(driver.shape))
-    eta, xi = spec.split_theta(theta.samples)
-    eta_g, grads = _node_gradients(spec, us, theta.samples)
+    eta, xi = sol.eta.samples, sol.xi.samples
+    grads = _node_gradients(spec, us, xi)
     dirs = sample_unit_directions(cone, 128, seed=cfg.seed)
 
-    got = vi_residuals(X, cone, functional, us, grads, eta_g, dirs)
+    got = vi_residuals(X, cone, functional, us, grads, eta, dirs)
     want = []
     for k, u_k in enumerate(us):
         problem = _node_problem(spec, eta[k], xi[k], spec.f.node(k))
@@ -160,7 +160,7 @@ def test_kernels_match_the_per_node_formulas_on_shipped_configs(name):
     assert_close(got, want)
     assert np.max(want) > 1e-3
 
-    got = membership_residuals(functional, cone, eta_g, -grads, us, dirs)
+    got = membership_residuals(functional, cone, eta, -grads, us, dirs)
     want = [membership_ref(X, cone, functional, u_k,
                            spec.f.node(k) - (spec.operator(u_k) + xi[k]), eta[k], dirs)
             for k, u_k in enumerate(us)]
