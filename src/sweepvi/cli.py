@@ -524,9 +524,18 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
     return "\n".join(lines) + "\n"
 
 
+def _output_dir(out_dir: Path) -> None:
+    """Create ``--out`` before any solve; one that cannot be created is a usage error."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {str(out_dir)!r}: cannot create the output directory "
+                          f"({exc.strerror or exc})") from exc
+
+
 def cmd_run(cfg: RunConfig, out_dir: Path, out) -> int:
     problem, spec = _build(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _output_dir(out_dir)
     try:
         sol = _solve(cfg, spec)
     except NonConvergenceError as exc:
@@ -550,11 +559,25 @@ def cmd_run(cfg: RunConfig, out_dir: Path, out) -> int:
 # ---------------------------------------------------------------- convergence
 
 def _refined(cfg: RunConfig, steps=None, elements=None) -> RunConfig:
+    """``cfg`` on ``steps`` time steps, or on ``elements`` elements.
+
+    ``elements`` is a multiple of the config's count: each element splits
+    into equal children, and a per-element coefficient (``a``, ``b``) is
+    repeated over an element's children, the same piecewise-constant
+    material on the nested mesh.
+    """
     out = cfg
     if steps is not None:
         out = replace(out, grid=TimeGrid(cfg.grid.horizon, steps))
     if elements is not None:
-        out = replace(out, mesh=Mesh1D.uniform(cfg.mesh.length, elements))
+        children = elements // cfg.mesh.n_elements
+
+        def split(value):
+            return value if np.ndim(value) == 0 else np.repeat(value, children)
+
+        material = cfg.material
+        out = replace(out, mesh=Mesh1D.uniform(cfg.mesh.length, elements),
+                      material=replace(material, a=split(material.a), b=split(material.b)))
     return out
 
 
@@ -583,6 +606,8 @@ def _order_table(label, sizes, diffs, floor, out, lines):
 def cmd_convergence(cfg: RunConfig, refinements: int, out_dir: Path | None, out) -> int:
     if refinements < 2:
         raise ConfigError("convergence study needs --refinements >= 2")
+    if out_dir is not None:
+        _output_dir(out_dir)
     lines: list[str] = []
 
     sols = [_solution_u(_refined(cfg, steps=cfg.grid.steps * 2 ** k))
@@ -612,7 +637,6 @@ def cmd_convergence(cfg: RunConfig, refinements: int, out_dir: Path | None, out)
                      diffs_h, floor, out, lines)
 
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "convergence.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 

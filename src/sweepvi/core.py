@@ -127,8 +127,12 @@ class HilbertSpace:
         return self.norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
 
     def norms_many(self, vs: np.ndarray) -> np.ndarray:
+        """The norm of each row of ``vs``."""
         vs = np.asarray(vs, dtype=float)
-        return np.sqrt(np.maximum(((vs @ self.metric) * vs).sum(1), 0.0))
+        # ndarray.dot is the BLAS product of @, bit for bit, and np.add.reduce
+        # the sum of ndarray.sum, each without the call overhead that
+        # dominates on a few rows
+        return np.sqrt(np.maximum(np.add.reduce(vs.dot(self.metric) * vs, 1), 0.0))
 
     def solve_metric(self, bs) -> np.ndarray:
         """Riesz map: ``M^{-1} b`` for a vector ``b`` or for each row of ``bs``."""
@@ -137,11 +141,20 @@ class HilbertSpace:
             raise DimensionMismatchError(f"expected rows of length {self.dim}, got shape {bs.shape}")
         if not np.isfinite(bs).all():
             raise ValueError("right-hand side must be finite")
-        return bs @ self._inv_metric
+        return self._riesz(bs)
+
+    def _riesz(self, bs: np.ndarray) -> np.ndarray:
+        """:meth:`solve_metric` of a block of rows, without its shape and finiteness checks.
+
+        For the EVI step, which tests its step and iterates for finiteness
+        itself: a non-finite row here gives a non-finite result, which that
+        test reports.
+        """
+        return bs.dot(self._inv_metric)        # @, bit for bit (see norms_many)
 
     def apply_metric(self, xs) -> np.ndarray:
         """``M x`` for a vector ``x`` or for each row of ``xs``; :meth:`solve_metric` inverts it."""
-        return xs @ self.metric
+        return np.dot(xs, self.metric)         # @, bit for bit (see norms_many)
 
     def inverse_columns(self, idx) -> np.ndarray:
         """Columns ``idx`` of ``M^{-1}``, shape ``(dim, len(idx))``, for indices in ``[0, dim)``."""
@@ -554,14 +567,19 @@ class HomogeneousFunctional:
                 f"expected parameter rows of length {self.y_space.dim}, got shape {etas.shape}")
         return etas
 
-    def _effective_etas(self, etas) -> np.ndarray:
-        """Parameter rows as the unit weights see them (ones when ``j`` ignores them)."""
+    def _effective_etas(self, etas) -> tuple[np.ndarray, int]:
+        """Parameter rows as the unit weights see them (ones when ``j`` ignores them).
+
+        Returns them with the count of their negative entries, which raise
+        :class:`AssumptionWarning`.
+        """
         if self.eta_free:
-            return np.ones((1 if etas is None else len(etas), len(self.units)))
+            return np.ones((1 if etas is None else len(etas), len(self.units))), 0
         etas = self._param_rows(etas)
-        if np.count_nonzero(etas < 0):
+        negative = np.count_nonzero(etas < 0)
+        if negative:
             warnings.warn("negative parameter entries break convexity of j", AssumptionWarning, stacklevel=4)
-        return etas
+        return etas, negative
 
     def _scales(self, etas) -> np.ndarray:
         """``p(eta)`` for each parameter row of a separable functional."""
@@ -590,7 +608,7 @@ class HomogeneousFunctional:
         """
         if self.kind == "separable":
             return self._scales(etas)[:, None] * self.weights
-        return self._effective_etas(etas) * self.weights
+        return self._effective_etas(etas)[0] * self.weights
 
     def eval(self, eta, v) -> float:
         return float(self.eval_many(eta, _vec(v, self.x_space.dim)[None, :])[0])
@@ -683,8 +701,11 @@ class HomogeneousFunctional:
             if np.count_nonzero(scales < 0):
                 raise UnsupportedConfigurationError("separable scale p(eta) is negative; prox undefined")
             return (rho * scales)[:, None] * self.weights
-        taus = rho * self.weights * self._effective_etas(etas)
-        if np.count_nonzero(taus < 0):
+        etas, negative = self._effective_etas(etas)
+        taus = rho * self.weights * etas
+        # rho and the weights are nonnegative, so a threshold can be negative
+        # only where a parameter entry is
+        if negative and np.count_nonzero(taus < 0):
             raise UnsupportedConfigurationError("negative effective weight; prox undefined")
         return taus
 
@@ -699,7 +720,7 @@ class HomogeneousFunctional:
         if self.eta_free:
             return True
         values = self._scales(etas) if self.kind == "separable" else self._param_rows(etas)
-        return bool((values >= 0.0).all())
+        return np.count_nonzero(values >= 0.0) == values.size
 
     def prox(self, eta, cone: ConstraintCone, rho: float, w, layout=None) -> np.ndarray:
         """argmin over ``v`` in the cone of ``0.5 ||v - w||^2 + rho j(eta, v)``.
@@ -708,9 +729,12 @@ class HomogeneousFunctional:
         conditions of :meth:`prox_layout`, which raises
         :class:`UnsupportedConfigurationError` where they fail.  ``layout`` is
         ``prox_layout(cone)`` for callers that apply the same prox many times;
-        it is computed when not given.
+        it is computed when not given.  A non-finite ``w`` raises
+        :class:`ValueError`.
         """
         w = _vec(w, self.x_space.dim)
+        if not np.isfinite(w).all():
+            raise ValueError("w must be finite")
         etas = None if self.eta_free else _vec(eta, self.y_space.dim)[None, :]
         return self.prox_many(self.prox_thresholds(etas, rho), cone, w[None, :], layout)[0]
 
@@ -723,7 +747,8 @@ class HomogeneousFunctional:
         prox: the cone projection, a subgradient step through the inverse
         metric of ``cone.space`` on the units away from the constraints, then
         the one-dimensional formulas where a constraint and a term share a
-        coordinate.
+        coordinate.  The rows of ``ws`` must be finite, and nothing here
+        tests them: :meth:`prox` and the EVI step test them before the call.
         """
         ws = np.asarray(ws, dtype=float)
         if cone.space.dim != self.x_space.dim:
@@ -738,7 +763,8 @@ class HomogeneousFunctional:
             if self._norms:
                 # norm blocks shrink symmetrically, including singletons
                 wb = ws[:, coords]
-                nb = np.linalg.norm(wb, axis=1)
+                # np.linalg.norm(wb, axis=1), bit for bit, without its wrapper
+                nb = np.sqrt(np.add.reduce(wb * wb, 1))
                 big = nb > d * tau
                 s[:, coords] = np.where(big[:, None],
                                         tau[:, None] * wb / np.where(big, nb, 1.0)[:, None],
@@ -748,8 +774,9 @@ class HomogeneousFunctional:
                 wi = ws[:, coords[0]]
                 s[:, coords[0]] = np.where(wi > d * tau, tau, np.maximum(wi, 0.0) / d)
         if np.count_nonzero(s):
-            # a row without a step subtracts an exact zero
-            vs = vs - cone.space.solve_metric(s)
+            # a row without a step subtracts an exact zero; s is finite where
+            # ws is, and the EVI step tests its iterates for finiteness
+            vs -= cone.space._riesz(s)
         # combined one-dimensional formulas where constraint and term share a coordinate
         for unit, i, d in mixed_units:
             tau = taus[:, unit]

@@ -461,7 +461,12 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
     A non-finite step or iterate raises :class:`NonFiniteError` and a row
     still moving after ``max_iter`` iterations :class:`NonConvergenceError`;
     either names the first row concerned (``row`` on the error) when the
-    block has more than one.
+    block has more than one.  That test of each step is the one finiteness
+    check of the iteration: the Riesz maps inside the step and the prox do
+    not repeat it, so a load that overflows in the metric is reported as a
+    non-finite step.  ``etas`` has one row, shared by all rows, or one per
+    row (:class:`~sweepvi.core.DimensionMismatchError` otherwise), and a
+    block of no rows returns empty arrays at once.
     """
     plan = metric or iteration_metric(space, cone, operator, functional)
     rho, q, scale = plan.rho, plan.q, plan.scale
@@ -477,16 +482,18 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
         raise DimensionMismatchError("start vector has the wrong dimension")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if plan.force is None:
-        def gradient(us, fs):
-            return operator.apply_many(us) - fs
-        data = fs
-    else:
-        def gradient(us, mfs, force=plan.force, P=plan.space):
-            return P.solve_metric(force(us) - mfs)
-        data = space.apply_metric(fs)
     # one row of thresholds, or one per row
     taus = functional.prox_thresholds(etas, rho)
+    if len(taus) != 1 and len(taus) != rows:
+        raise DimensionMismatchError(f"expected 1 or {rows} parameter rows, got {len(taus)}")
+    if not rows:
+        return EviSolutions(us, np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
+    # the gradient is A u - f in the space metric and P^{-1} (force(u) - M f)
+    # in the energy metric, where data holds M f
+    force, riesz = plan.force, plan.space._riesz
+    data = fs if force is None else space.apply_metric(fs)
+    prox, prox_cone, layout = functional.prox_many, plan.cone, plan.layout
+    norms = plan.space.norms_many
     contraction = disp = None
     # rows leave the block as they stop: index maps the block's rows to the
     # caller's (None while no row has left), and stopped collects
@@ -502,13 +509,16 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
                    row=row if rows > 1 else None)
 
     for it in range(1, max_iter + 1):
-        w = us - rho * gradient(us, data)
+        if force is None:
+            w = us - rho * (operator.apply_many(us) - data)
+        else:
+            w = us - rho * riesz(force(us) - data)
         finite = np.isfinite(w)
         if np.count_nonzero(finite) < finite.size:
             raise fail(NonFiniteError, f"non-finite step at iteration {it}",
                        ~finite.all(axis=1), us, disp)
-        u_next = functional.prox_many(taus, plan.cone, w, plan.layout)
-        prev, disp = disp, plan.space.norms_many(u_next - us)
+        u_next = prox(taus, prox_cone, w, layout)
+        prev, disp = disp, norms(u_next - us)
         done = disp <= threshold
         count = np.count_nonzero(done)
         # us is finite here, so a non-finite u_next gives a non-finite disp

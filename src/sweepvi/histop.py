@@ -281,7 +281,7 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         # trapezoid sum of int_0^{t_k} e^{-r (t_k - s)} u(s) ds; with
         # out_k = c C I_k and g_k = c C dt/2 u_k this is the recurrence
         # out_k = e^{-r dt} out_{k-1} + h_k, h_k = g_k + e^{-r dt} g_{k-1}, and
-        # the state after node k is (out_k, g_k)
+        # the state after node k is (out_k, g_k), g_k as a one-row block
         G = (0.5 * dt * profile.amplitude) * C
         # G = g I exactly: each row of G @ u_k is g u_k plus zero terms, and
         # + 0.0 makes a -0 product the +0 of that sum
@@ -292,6 +292,7 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         powers = decay ** np.arange(_SCAN_ROWS + 1)
         lags = np.arange(_SCAN_ROWS)
         P = np.tril(powers[np.abs(lags[:, None] - lags)])
+        carried = powers[1:, None]          # decay^{1..n}: the carry's weight in a chunk row
 
         def advance(state, first, inputs):
             if g is None:
@@ -303,17 +304,18 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
                 gs = g * inputs
                 gs += 0.0
             out = np.empty(gs.shape)
-            j0 = 0
             if first == 0:                  # out_0 = 0, and node 1 steps from (0, g_0)
                 out[0] = 0.0
-                state, j0 = (out[0], gs[0]), 1
-            carry, g_prev = state
-            hs = gs[j0:] + decay * np.concatenate((g_prev[None], gs[:-1]))[j0:]
+                carry, j0, hs = out[0], 1, gs[1:] + decay * gs[:-1]
+            else:                           # g_prev is the row g_{first-1}, shape (1, dim)
+                carry, g_prev = state
+                j0, hs = 0, gs + decay * np.concatenate((g_prev, gs[:-1]))
             # the zeros above P's diagonal times a non-finite row would poison
             # the rows before it: the products stop at the first such row
             stop = len(hs)
-            if not np.isfinite(hs).all():
-                stop = int(np.isfinite(hs).all(axis=1).argmin())
+            finite = np.isfinite(hs)
+            if np.count_nonzero(finite) < finite.size:
+                stop = int(finite.all(axis=1).argmin())
             for lo in range(0, len(hs), _SCAN_ROWS):
                 h = hs[lo:lo + _SCAN_ROWS]
                 n = len(h)
@@ -321,13 +323,13 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
                 rows = out[j0 + lo:j0 + lo + n]
                 if m < n:       # zeroed, as a shorter product would round differently
                     h = np.concatenate((h[:m], np.zeros_like(h[m:])))
-                np.matmul(P[:n, :n], h, out=rows)
-                rows += powers[1:n + 1, None] * carry
+                np.dot(P[:n, :n], h, out=rows)     # np.matmul's product, bit for bit
+                rows += carried[:n] * carry
                 for i in range(m, n):
                     rows[i] = decay * (rows[i - 1] if i else carry) + hs[lo + i]
                 carry = rows[-1]
             out.setflags(write=False)
-            return (out[-1], gs[-1]), out
+            return (out[-1], gs[-1:]), out
 
         # |beta| is monotone in t, so its largest value on the grid is at an end
         return advance, np.array([float(profile(t)) for t in grid.nodes[[0, -1]]])

@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     ConstraintCone,
@@ -350,16 +351,19 @@ def _fit(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
     Singular when it is not positive definite or a Cholesky pivot, relative
     to its diagonal entry (the pivot of the matrix scaled to a unit
-    diagonal), is at most ``_MIX_RCOND``.
+    diagonal), is at most ``_MIX_RCOND``.  The factor and the solve are the
+    LAPACK gufuncs of ``np.linalg.cholesky`` and ``np.linalg.solve``, bit for
+    bit, called without those wrappers' argument handling, which costs more
+    than a factorisation of at most ``_MIX_DEPTH`` rows.  Floating-point
+    errors are ignored, as the wrappers ignore all but a failed
+    factorisation; that one comes back as NaN, whose pivots fail the test.
     """
-    try:
-        low = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
-    pivots, diagonal = low.diagonal().tolist(), gram.diagonal().tolist()
-    if not all(p * p > _MIX_RCOND * d for p, d in zip(pivots, diagonal)):
-        return None
-    return np.linalg.solve(gram, rhs)
+    with np.errstate(all="ignore"):
+        low = _umath_linalg.cholesky_lo(gram, signature="d->d")
+        pivots, diagonal = low.diagonal().tolist(), gram.diagonal().tolist()
+        if not all(p * p > _MIX_RCOND * d for p, d in zip(pivots, diagonal)):
+            return None
+        return _umath_linalg.solve1(gram, rhs, signature="dd->d")
 
 
 class _Mixer:
@@ -383,26 +387,30 @@ class _Mixer:
     def mix(self, g: np.ndarray, r: np.ndarray) -> np.ndarray | None:
         """Record ``(g, r)`` and return ``g - dG gamma``, or ``None`` for the plain ``g``.
 
-        ``gamma`` fits ``r`` by the residual differences ``dR`` in least
-        squares (:func:`_fit`).  ``None`` when there is no difference yet,
-        when the fit is singular, or when the mixture has a non-finite entry
-        or is not admitted; those three also drop the differences.
+        ``g`` and ``r`` are C-ordered blocks of ``size`` entries, which the
+        mixer keeps (the caller must not change them).  ``gamma`` fits ``r``
+        by the residual differences ``dR`` in least squares (:func:`_fit`).
+        ``None`` when there is no difference yet, when the fit is singular,
+        or when the mixture has a non-finite entry or is not admitted; those
+        three also drop the differences.
         """
         flat_g, flat_r = g.ravel(), r.ravel()
         if self.last is not None:
             i, k = self.count % self.depth, min(self.count + 1, self.depth)
             np.subtract(flat_g, self.last[0], out=self.dg[i])
             np.subtract(flat_r, self.last[1], out=self.dr[i])
-            self.gram[i, :k] = self.gram[:k, i] = self.dr[:k] @ self.dr[i]
+            # ndarray.dot: the BLAS products of @, bit for bit, at less fixed cost
+            self.gram[i, :k] = self.gram[:k, i] = self.dr[:k].dot(self.dr[i])
             self.count += 1
         self.last = flat_g, flat_r
         k = min(self.count, self.depth)
         if not k:
             return None
-        gamma = _fit(self.gram[:k, :k], self.dr[:k] @ flat_r)
+        gamma = _fit(self.gram[:k, :k], self.dr[:k].dot(flat_r))
         if gamma is not None:
-            mixed = g - (gamma @ self.dg[:k]).reshape(g.shape)
-            if np.isfinite(mixed).all() and self.admits(mixed):
+            mixed = g - gamma.dot(self.dg[:k]).reshape(g.shape)
+            finite = np.isfinite(mixed)
+            if np.count_nonzero(finite) == finite.size and self.admits(mixed):
                 return mixed
         self.count = 0
         return None
@@ -495,7 +503,9 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     # node 0 alone and then sizes each window from the passes of the last
     width, factor = (n + 1, 1.0) if mode == "global_picard" else (1, 0.1)
     nx, ny = spec.x_space.dim, spec.y_space.dim
-    u, eta_all, xi_all = np.zeros((n + 1, nx)), np.zeros((n + 1, ny)), np.zeros((n + 1, nx))
+    # theta = (eta, xi) at every node, one row [eta_k | xi_k] each: the block
+    # a pass's change is measured on and the mixer mixes
+    u, theta_all = np.zeros((n + 1, nx)), np.zeros((n + 1, ny + nx))
     iters = np.zeros(n + 1, dtype=int)
     passes = np.zeros(n + 1, dtype=int)
     param, load = spec.parameter_memory, spec.load_memory
@@ -511,14 +521,16 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     while first <= n:
         last = min(first + width, n + 1) - 1
         window = slice(first, last + 1)
+        rows = last + 1 - first
         u[window] = _predict(u, first, last)
         guess, changes, ratio = u[window], [], 0.0
-        mixer = _Mixer(_MIX_DEPTH, (last + 1 - first) * (ny + nx), admitted)
+        window_theta, window_iters = theta_all[window], iters[window]
+        mixer = _Mixer(_MIX_DEPTH, rows * (ny + nx), admitted)
         for p in range(1, max_passes + 1):
-            eta = param.run(param_state, first, guess)[1]
-            xi = load.run(load_state, first, guess)[1]
-            d_eta, d_xi = eta - eta_all[window], xi - xi_all[window]
-            changes.append(float(_theta_changes(spec, d_eta, d_xi).max()))
+            theta = np.concatenate((param.run(param_state, first, guess)[1],
+                                    load.run(load_state, first, guess)[1]), axis=1)
+            d = theta - window_theta
+            changes.append(float(np.maximum.reduce(_theta_changes(spec, d[:, :ny], d[:, ny:]))))
             # the largest ratio seen in the window: a mixed pass may contract
             # faster than the map does, so the last ratio could loosen the test
             if p > 1:
@@ -527,15 +539,15 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
             # can match by accident; only trust the change from pass two on
             settled = p >= 2 and changes[-1] <= factor * threshold(ratio)
             if p >= 2 and not settled:
-                mixed = mixer.mix(np.concatenate((eta, xi), axis=1),
-                                  np.concatenate((d_eta, d_xi), axis=1))
+                mixed = mixer.mix(theta, d)
                 if mixed is not None:
-                    eta, xi = mixed[:, :ny], mixed[:, ny:]
+                    theta = mixed
                     mixed_passes += 1
             start = None if first == 0 and p == 1 else guess
-            guess, pass_iters = _solve_nodes(spec, first, eta, xi, evi_tol, start)
-            iters[window] += pass_iters
-            eta_all[window], xi_all[window] = eta, xi
+            guess, pass_iters = _solve_nodes(spec, first, theta[:, :ny], theta[:, ny:], evi_tol,
+                                             start)
+            window_iters += pass_iters
+            window_theta[...] = theta
             if settled:
                 break
         else:
@@ -574,6 +586,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
 
     count = min(_MEMBERSHIP_NODES, spec.grid.steps + 1)
     nodes = np.unique(np.linspace(0, spec.grid.steps, count).round().astype(int))
+    eta_all, xi_all = theta_all[:, :ny], theta_all[:, ny:]
     residuals, membership, sizes = _node_checks(spec, u, eta_all, xi_all, nodes, seed,
                                                 _RESIDUAL_BUDGET)
     diagnostics["membership"] = membership

@@ -6,6 +6,7 @@ import pytest
 from sweepvi import (
     ConstraintCone,
     ContactLaw,
+    DimensionMismatchError,
     HilbertSpace,
     HomogeneousFunctional,
     LipschitzOperator,
@@ -88,6 +89,12 @@ def prox_layouts():
                                             eta_free=True)
     separable = HomogeneousFunctional.separable(HilbertSpace(1), lambda e: 0.5 + e[0] ** 2,
                                                 1.0, base)
+    # the shear layer's coupled metric: friction on the tangential contact
+    # dof, whose step runs through the inverse metric, and the normal
+    # contact dof held at zero
+    shear = assemble_space(MESH, 2)
+    friction = HomogeneousFunctional.block_norm(shear, HilbertSpace(1), weights=[1.0],
+                                                blocks=[[7]])
     return [
         ("free positive part", part, ConstraintCone.whole_space(X), 2),
         ("mixed nonnegative", part, ConstraintCone.nonnegative(X, [1, 2]), 2),
@@ -99,6 +106,7 @@ def prox_layouts():
         ("separable", separable, ConstraintCone.nonnegative(X, [2]), 1),
         ("zero functional", HomogeneousFunctional.zero(X), ConstraintCone.nonpositive(X, [0, 3]),
          1),
+        ("shear layer", friction, ConstraintCone.zero(shear, [3]), 1),
     ]
 
 
@@ -110,7 +118,9 @@ def test_prox_many_equals_prox_row_by_row(name, functional, cone, ydim):
         assert layout[1]
     if name.startswith("zeroed"):
         assert layout[2]
-    ws = rows(12, 4, seed=1)
+    if name == "shear layer":
+        assert not cone.space.is_diagonal and layout[0]
+    ws = rows(12, functional.x_space.dim, seed=1)
     etas = np.abs(rows(12, ydim, seed=2, scale=1.0))
     etas[3] = 0.0                       # a zero threshold skips the unit's step
     rho = 0.7
@@ -195,6 +205,40 @@ def test_a_nan_parameter_names_its_row_at_the_first_non_finite_iterate():
         solve_evi_many(X, ConstraintCone.nonnegative(X, [0]),
                        MonotoneOperator(lambda u: 2.0 * u, 2.0, 2.0), functional, etas,
                        np.ones((3, 1)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_an_overflowing_load_is_a_non_finite_step_in_the_energy_metric():
+    # a finite load whose covector M f overflows: the step, not the Riesz map
+    # inside it, reports it
+    spec = contrast_rod()
+    assert spec.iteration_metric.name == "energy"
+    fs = np.full((3, spec.x_space.dim), 1.7e308)
+    fs[0] = 1.0
+    with pytest.raises(NonFiniteError, match="^row 1: non-finite step at iteration 1$"):
+        solve_evi_many(spec.x_space, spec.cone, spec.operator, spec.functional,
+                       np.zeros((1, 1)), fs, metric=spec.iteration_metric)
+
+
+def test_a_block_of_no_rows_returns_empty_solutions():
+    sols = solve_evi_many(*scalar_block([]))
+    assert sols.u.shape == (0, 1)
+    for values in (sols.iterations, sols.residuals, sols.contraction_estimates):
+        assert values.shape == (0,)
+    assert sols.iterations.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_a_parameter_block_of_another_height_is_a_dimension_error(count):
+    X = HilbertSpace(1)
+    functional = HomogeneousFunctional.positive_part(X, HilbertSpace(1), weights=[1.0],
+                                                     indices=[0])
+    with pytest.raises(DimensionMismatchError,
+                       match=f"^expected 1 or 3 parameter rows, got {count}$"):
+        solve_evi_many(X, ConstraintCone.whole_space(X),
+                       MonotoneOperator(lambda u: 2.0 * u, 2.0, 2.0), functional,
+                       np.ones((count, 1)), np.ones((3, 1)))
 
 
 def scalar_spec(steps, bad=None):

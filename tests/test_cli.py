@@ -639,6 +639,23 @@ class TestRun:
         assert capsys.readouterr().out.startswith("non-finite: ")
         assert "non-finite iterate" in (out / "diagnostics.txt").read_text()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("a", ["1.0", "1 3 6 10"])
+    def test_an_overflowing_load_exits_3_in_either_metric(self, tmp_path, capsys, a):
+        # body = 1.7e308 is finite, so the config takes it; its covector
+        # overflows, in the energy metric (the contrast rod) as in the space one
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text((CONFIGS / "rod_compliance.ini").read_text()
+                       .replace("a = 1.0", f"a = {a}").replace("body = 2.0", "body = 1.7e308"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 3
+        printed = capsys.readouterr().out
+        assert printed.startswith("non-finite: EVI stalled at node 0: non-finite "), printed
+        assert "at iteration 1" in printed
+        metric = "energy" if a != "1.0" else "space"
+        assert f"evi_metric: {metric}" in (out / "diagnostics.txt").read_text().splitlines()
+
     def test_tol_flag_overrides_the_config(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("run", "--config", CONFIGS / "rod_rigid.ini", "--out", out,
@@ -777,6 +794,56 @@ class TestConvergence:
         assert len(rows) == 4, text                 # two levels in each of the two tables
         assert all(float(tokens[1]) <= 1e-9 for tokens in rows), text
         assert [tokens[-1] for tokens in rows] == ["--"] * 4, text
+
+    def test_a_per_element_coefficient_is_refined_with_its_elements(self, tmp_path, capsys):
+        # the CI contrast rod, on 8 steps: each element's a is repeated over
+        # its children, so the nested meshes carry the same material
+        cfg = tmp_path / "contrast.ini"
+        cfg.write_text((CONFIGS / "rod_compliance.ini").read_text()
+                       .replace("a = 1.0", "a = 1 3 6 10\nmu = 4")
+                       .replace("steps = 32", "steps = 8"))
+        out = tmp_path / "out"
+        assert run_cli("convergence", "--config", cfg, "--out", out, "--refinements", "2") == 0
+        text = (out / "convergence.txt").read_text()
+        assert text == capsys.readouterr().out
+        spatial = text.split("spatial refinement (h halving):\n", 1)[1].splitlines()
+        levels = [int(line.split()[0]) for line in spatial[1:]]
+        assert levels == [8, 16], text
+        # the material varies in space, so the h-differences converge
+        assert all(float(line.split()[1]) > 1e-9 for line in spatial[1:]), text
+
+    def test_refinement_repeats_a_per_element_coefficient_over_the_children(self):
+        from sweepvi.cli import _refined
+
+        cfg = load_config(CONFIGS / "shear_friction.ini")
+        cfg = replace(cfg, material=replace(cfg.material, a=np.array([1.0, 3.0, 6.0, 10.0]),
+                                            b=np.array([0.0, 0.5, 0.0, 2.0])))
+        fine = _refined(cfg, elements=16)
+        assert fine.mesh.n_elements == 16
+        np.testing.assert_array_equal(fine.material.a, np.repeat([1.0, 3.0, 6.0, 10.0], 4))
+        np.testing.assert_array_equal(fine.material.b, np.repeat([0.0, 0.5, 0.0, 2.0], 4))
+        # a uniform coefficient stays one value
+        plain = load_config(CONFIGS / "rod_compliance.ini")
+        assert _refined(plain, elements=8).material.a == plain.material.a
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", [("run",), ("convergence", "--refinements", "2")])
+    def test_an_out_that_names_a_file_exits_4_before_any_solve(self, tmp_path, capsys,
+                                                               monkeypatch, command):
+        import sweepvi.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(cli, "solve_spec", no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert run_cli(command[0], "--config", CONFIGS / "rod_rigid.ini", "--out", taken,
+                       *command[1:]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out ") and "taken" in err, err
+        assert taken.read_text() == "not a directory\n"
 
 
 class TestVerify:

@@ -42,7 +42,7 @@ from sweepvi import (
     volterra_operator,
     zero_operator,
 )
-from sweepvi.inclusion import _Mixer, _predict, _theta_changes
+from sweepvi.inclusion import _fit, _Mixer, _predict, _theta_changes
 
 X = HilbertSpace(1)
 Y = HilbertSpace(1)
@@ -646,6 +646,25 @@ class TestMixing:
         assert mixed is not None and np.allclose(mixed, 3.0 * a)   # the secant step
         assert mixer.mix(3.0 * a, 0.25 * b) is None
         assert mixer.count == 0
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_the_fit_is_np_linalg_solve_bit_for_bit(self, k):
+        # the mixer's Gram matrix is the leading block of a depth x depth buffer
+        rng = np.random.default_rng(k)
+        residuals = rng.standard_normal((k, 12))
+        buffer = np.empty((8, 8))
+        buffer[:k, :k] = residuals @ residuals.T
+        gram, rhs = buffer[:k, :k], rng.standard_normal(k)
+        np.testing.assert_array_equal(_fit(gram, rhs), np.linalg.solve(gram, rhs))
+
+    @pytest.mark.parametrize("gram", [[[1.0, 2.0], [2.0, 1.0]],             # indefinite
+                                      [[1.0, 1.0], [1.0, 1.0 + 1e-12]],     # pivot^2 1e-12
+                                      [[np.nan]]])
+    def test_the_fit_refuses_a_singular_gram_matrix_without_a_warning(self, gram):
+        gram = np.array(gram)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _fit(gram, np.ones(len(gram))) is None
 
     @pytest.mark.parametrize("mode", ["global_picard", "time_marching"])
     def test_the_returned_theta_reproduces_the_returned_u(self, mode):
