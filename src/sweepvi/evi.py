@@ -322,8 +322,8 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
     ``sqrt(1 - m^2 / L^2)`` by more than rounding and the closed-form prox
     accepts it (:meth:`HomogeneousFunctional.prox_layout`).  Otherwise the
     space metric runs with ``rho = m / L^2``.  The cone's copy in P and the
-    prox layouts are built here, once per call; a prox with no closed form
-    in the space metric gets no layout and raises
+    prox layout of the metric picked are built here, once per call; a prox
+    with no closed form in the space metric gets no layout and raises
     :class:`~sweepvi.core.UnsupportedConfigurationError` when applied, so
     residual checks and oracles on such problems still run.
     """
@@ -333,24 +333,27 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
             f"declared (m={operator.m:.6g}, L={operator.L:.6g}) of {operator.tag} failed "
             f"the sampled audit (observed m={audit.m_observed:.6g}, "
             f"L={audit.L_observed:.6g} over {audit.trials} pairs)")
-    rho = operator.m / (operator.L * operator.L)
-    try:
-        layout = functional.prox_layout(cone)
-    except UnsupportedConfigurationError:
-        layout = None
-    plan = IterationMetric("space", space, cone, layout, rho,
-                           _rate(rho, operator.m, operator.L), audit)
+
+    def space_plan() -> IterationMetric:
+        rho = operator.m / (operator.L * operator.L)
+        try:
+            layout = functional.prox_layout(cone)
+        except UnsupportedConfigurationError:
+            layout = None
+        return IterationMetric("space", space, cone, layout, rho,
+                               _rate(rho, operator.m, operator.L), audit)
+
     energy = operator.energy
     # the factors are monotone in m / L; the margin keeps a uniform material,
     # whose two ratios agree up to rounding, on the space metric
     if energy is None or not energy.m / energy.L > (1.0 + 1e-12) * operator.m / operator.L:
-        return plan
+        return space_plan()
     P = energy.space
     cone_p = cone.in_space(P)
     try:
         layout_p = functional.prox_layout(cone_p)
     except UnsupportedConfigurationError:
-        return plan
+        return space_plan()
     rho_p = energy.m / (energy.L * energy.L)
     scale = float(np.sqrt(P.metric_eigvalsh(space)[-1]))
     return IterationMetric("energy", P, cone_p, layout_p, rho_p,

@@ -167,3 +167,19 @@ def test_a_space_metric_without_closed_form_prox_still_gets_a_plan():
     with pytest.raises(UnsupportedConfigurationError):
         solve_evi(problem)
 
+
+
+@pytest.mark.parametrize("a, metric", [(CONTRAST_10, "energy"), (1.0, "space")])
+def test_the_plan_builds_the_prox_layout_of_its_own_metric_only(monkeypatch, a, metric):
+    spaces = []
+    layout = HomogeneousFunctional.prox_layout
+
+    def recording(self, cone):
+        spaces.append(cone.space)
+        return layout(self, cone)
+
+    monkeypatch.setattr(HomogeneousFunctional, "prox_layout", recording)
+    spec = contact_problem("normal_compliance", a, 0.5).spec
+    plan = iteration_metric(spec.x_space, spec.cone, spec.operator, spec.functional)
+    assert plan.name == metric
+    assert spaces == [plan.space]
