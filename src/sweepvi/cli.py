@@ -57,7 +57,6 @@ from .evi import (
 from .histop import (
     ExponentialProfile,
     VolterraKernel,
-    identity_operator,
     volterra_operator,
     zero_operator,
 )
@@ -66,6 +65,7 @@ from .inclusion import (
     InclusionSpec,
     SmallnessError,
     _node_checks,
+    build_inclusion_variant,
     check_smallness,
 )
 from .oracle import _INCLUSION_MAX_DIM, _INCLUSION_MAX_STEPS, GridSearchConfig, brute_inclusion
@@ -237,17 +237,27 @@ def _material_from(sec, elements: int, kind: str) -> Material:
 
 
 def _abstract_from(sec) -> dict:
-    _known(sec, ("variant", "dimension", "metric", "operator", "cone", "cone_indices",
-                 "functional", "weights", "indices", "blocks", "parameter_kernel",
-                 "parameter_rate", "load_kernel", "load_rate", "f", "f_ramp"))
+    """The ``[abstract]`` values; a key the variant and functional do not read is an error."""
+    variant, fk = _get(sec, "variant"), sec.get("functional", "zero")
+    if variant not in ("memory_pair", "state_parameter", "parameter_free"):
+        raise ConfigError(f"[abstract] unknown variant {variant!r}")
+    if fk not in ("zero", "positive_part", "block_norm"):
+        raise ConfigError(f"[abstract] unknown functional {fk!r}")
+    keys = ["variant", "dimension", "metric", "operator", "cone", "cone_indices", "functional",
+            "load_kernel", "load_rate", "f", "f_ramp"]
+    if fk != "zero":
+        keys += ["weights", "indices" if fk == "positive_part" else "blocks"]
+        if variant == "memory_pair":
+            keys += ["parameter_kernel", "parameter_rate"]
+    _known(sec, keys)
     out = {
-        "variant": _get(sec, "variant"),
+        "variant": variant,
         "dimension": _one(sec, "dimension", kind=int),
         "metric": _floats(sec, "metric", "1"),
         "operator": _floats(sec, "operator"),
         "cone": sec.get("cone", "whole"),
         "cone_indices": _ints(sec, "cone_indices") if "cone_indices" in sec else None,
-        "functional": sec.get("functional", "zero"),
+        "functional": fk,
         "weights": _floats(sec, "weights", "1"),
         "indices": _ints(sec, "indices", "0"),
         "blocks": [_numbers(sec, "blocks", b, int) for b in sec.get("blocks", "0").split(";")],
@@ -258,8 +268,6 @@ def _abstract_from(sec) -> dict:
         "f": _floats(sec, "f", "0"),
         "f_ramp": _floats(sec, "f_ramp", "0"),
     }
-    if out["variant"] not in ("memory_pair", "state_parameter", "parameter_free"):
-        raise ConfigError(f"[abstract] unknown variant {out['variant']!r}")
     if out["dimension"] < 1:
         raise ConfigError("[abstract] dimension must be >= 1")
     return out
@@ -336,7 +344,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _build_abstract(cfg: RunConfig) -> InclusionSpec:
-    """Wire an InclusionSpec directly so --force can bypass the gate."""
+    """``[abstract]`` as spaces, operator, cone, functional, kernels and load, coupled by
+    :func:`~sweepvi.inclusion.build_inclusion_variant`; a coupling it refuses is a config error."""
     ab = cfg.abstract
     dim = ab["dimension"]
     metric = ab["metric"]
@@ -371,24 +380,20 @@ def _build_abstract(cfg: RunConfig) -> InclusionSpec:
     elif fk == "positive_part":
         functional = HomogeneousFunctional.positive_part(
             x_space, y_space, weights=ab["weights"], indices=ab["indices"], eta_free=eta_free)
-    elif fk == "block_norm":
+    else:
         functional = HomogeneousFunctional.block_norm(
             x_space, y_space, weights=ab["weights"], blocks=ab["blocks"], eta_free=eta_free)
-    else:
-        raise ConfigError(f"[abstract] unknown functional {fk!r}")
 
     def _volterra(amp, rate, out_space):
         kernel = VolterraKernel.exponential(amp, rate, np.eye(dim))
         return volterra_operator(kernel, cfg.grid, x_space, out_space=out_space)
 
-    if ab["variant"] == "state_parameter":
-        parameter = identity_operator(tag="state_feedback")
-    elif ab["parameter_kernel"] != 0.0:
-        parameter = _volterra(ab["parameter_kernel"], ab["parameter_rate"], y_space)
-    else:
-        parameter = zero_operator(y_space, tag="zero_parameter")
+    parameter = None
+    if ab["variant"] == "memory_pair":
+        parameter = (_volterra(ab["parameter_kernel"], ab["parameter_rate"], y_space)
+                     if ab["parameter_kernel"] != 0.0 else zero_operator(y_space))
     load = (_volterra(ab["load_kernel"], ab["load_rate"], x_space)
-            if ab["load_kernel"] != 0.0 else zero_operator(x_space, tag="zero_load"))
+            if ab["load_kernel"] != 0.0 else zero_operator(x_space))
 
     base, ramp = ab["f"], ab["f_ramp"]
     base = np.full(dim, base[0]) if base.size == 1 else base
@@ -397,9 +402,9 @@ def _build_abstract(cfg: RunConfig) -> InclusionSpec:
         raise ConfigError("[abstract] f and f_ramp need one value per dimension")
     f = Trajectory.from_function(x_space, cfg.grid, lambda t: base + t * ramp)
 
-    return InclusionSpec(x_space=x_space, y_space=y_space, cone=cone, operator=operator,
-                         functional=functional, parameter_memory=parameter,
-                         load_memory=load, f=f, grid=cfg.grid)
+    return build_inclusion_variant(ab["variant"], cone=cone, operator=operator,
+                                   functional=functional, f=f, grid=cfg.grid,
+                                   parameter_memory=parameter, load_memory=load)
 
 
 def _build(cfg: RunConfig):

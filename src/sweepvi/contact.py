@@ -17,7 +17,7 @@ contact traction is the discrete equilibrium residual at the contact dof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,8 +35,8 @@ from .core import (
 from .evi import EnergyMetric, LipschitzOperator, MonotoneOperator
 from .histop import (HistoryOperator, VolterraKernel, continue_trapezoid, running_trapezoid,
                      volterra_operator, zero_operator)
-from .inclusion import InclusionSolution, InclusionSpec
-from .sweeping import SweepingSpec, solve_spec
+from .inclusion import InclusionSolution, InclusionSpec, build_inclusion_variant
+from .sweeping import SweepingSpec, build_sweeping_variant, solve_spec
 
 __all__ = [
     "Mesh1D",
@@ -376,16 +376,18 @@ def assemble_relaxation(material: Material, dim: int) -> VolterraKernel:
     return VolterraKernel(scalar_profile=beta, matrix=np.eye(dim))
 
 
-def _threshold_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
+def _threshold_memory(law: ContactLaw, space: HilbertSpace, contact_dof: int, grid: TimeGrid,
                       magnitude: Callable[[np.ndarray], np.ndarray], tag: str) -> HistoryOperator:
     """``F(int magnitude(u at the contact dof) ds)`` as a running trapezoid sum.
 
-    The state is the accumulated integral and the last integrand value, so
-    each node costs O(1).  A block of nodes takes the magnitudes of its
-    contact column at once, continues the running sum with one seeded
-    ``np.cumsum`` (:func:`~sweepvi.histop.continue_trapezoid`) and evaluates
-    F once per block; the sum is the same as
-    :func:`~sweepvi.histop.running_trapezoid`.
+    ``l = 0``; ``magnitude`` is 1-Lipschitz and reading the dof has norm
+    ``c0 = trace_constant(space, contact_dof)``, so ``L = c0 L_F``, attained
+    by the trace representer held constant in time.  The state is the
+    accumulated integral and the last integrand value, so each node costs
+    O(1).  A block of nodes takes the magnitudes of its contact column at
+    once, continues the running sum with one seeded ``np.cumsum``
+    (:func:`~sweepvi.histop.continue_trapezoid`) and evaluates F once per
+    block; the sum is the same as :func:`~sweepvi.histop.running_trapezoid`.
     """
     dt, F = grid.dt, law.F
 
@@ -397,24 +399,24 @@ def _threshold_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid,
         out.setflags(write=False)
         return (accs[-1], values[-1]), out
 
-    return HistoryOperator((0.0, 0.0), advance, l=0.0, L=law.L_F,
+    L = trace_constant(space, contact_dof) * law.L_F
+    return HistoryOperator((0.0, 0.0), advance, l=0.0, L=L,
                            tag=tag, out_space=HilbertSpace(1), grid=grid)
 
 
-def penetration_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid) -> HistoryOperator:
-    """Threshold trajectory F(int (u at the contact node)^+ ds).
-
-    History-dependent: l = 0.  The integral constant routes through the
-    trace bound, L = c0 * L_F, supplied by the caller via the declared L on
-    the returned operator when assembling the problem.
-    """
-    return _threshold_memory(law, contact_dof, grid, lambda x: np.maximum(x, 0.0),
+def penetration_memory(law: ContactLaw, space: HilbertSpace, contact_dof: int,
+                       grid: TimeGrid) -> HistoryOperator:
+    """Threshold trajectory F(int (u at the contact node)^+ ds), with
+    ``l = 0`` and ``L = trace_constant(space, contact_dof) * L_F``."""
+    return _threshold_memory(law, space, contact_dof, grid, lambda x: np.maximum(x, 0.0),
                              "penetration_threshold")
 
 
-def slip_memory(law: ContactLaw, contact_dof: int, grid: TimeGrid) -> HistoryOperator:
-    """Threshold trajectory F(int |tangential velocity at the contact node| ds)."""
-    return _threshold_memory(law, contact_dof, grid, np.abs, "slip_threshold")
+def slip_memory(law: ContactLaw, space: HilbertSpace, contact_dof: int,
+                grid: TimeGrid) -> HistoryOperator:
+    """Threshold trajectory F(int |tangential velocity at the contact node| ds),
+    with ``l = 0`` and ``L = trace_constant(space, contact_dof) * L_F``."""
+    return _threshold_memory(law, space, contact_dof, grid, np.abs, "slip_threshold")
 
 
 def assemble_loads(mesh: Mesh1D, loads: Loads, grid: TimeGrid,
@@ -462,7 +464,7 @@ class ContactProblem:
 
 def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
                   loads: Loads, grid: TimeGrid, u0=None) -> ContactProblem:
-    """Assemble one of the three contact problems.
+    """Assemble one of the three contact problems through the canonical coupling builders.
 
     normal_compliance: rod, unconstrained cone, penetration-memory threshold
     on the positive part of the contact displacement.
@@ -500,39 +502,36 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
                                        space, tag="relaxation")
 
     y_space = HilbertSpace(1)       # the one threshold parameter
-
-    def inclusion(cone, functional, memory) -> InclusionSpec:
-        return InclusionSpec(x_space=space, y_space=y_space, cone=cone, operator=A,
-                             functional=functional, parameter_memory=memory,
-                             load_memory=relaxation, f=f, grid=grid)
+    nu_dof = n - 1                  # the normal dof of the contact node
+    dofs = {"nu": nu_dof}
 
     if kind == "normal_compliance":
-        contact = n - 1
-        c0 = trace_constant(space, contact)
         functional = HomogeneousFunctional.positive_part(space, y_space,
-                                                         weights=[1.0], indices=[contact])
-        memory = replace(penetration_memory(law, contact, grid), L=c0 * law.L_F)
-        spec = inclusion(ConstraintCone.whole_space(space), functional, memory)
-        dofs = {"nu": contact}
+                                                         weights=[1.0], indices=[nu_dof])
+        spec = build_inclusion_variant(
+            "memory_pair", cone=ConstraintCone.whole_space(space), functional=functional,
+            parameter_memory=penetration_memory(law, space, nu_dof, grid),
+            load_memory=relaxation, operator=A, f=f, grid=grid)
     elif kind == "rigid_obstacle":
-        contact = n - 1
-        spec = inclusion(ConstraintCone.nonpositive(space, [contact]),
-                         HomogeneousFunctional.zero(space, y_space), zero_operator(y_space))
-        dofs = {"nu": contact}
+        spec = build_inclusion_variant(
+            "parameter_free", cone=ConstraintCone.nonpositive(space, [nu_dof]),
+            functional=HomogeneousFunctional.zero(space, y_space),
+            load_memory=relaxation, operator=A, f=f, grid=grid)
     else:
-        nu_dof, tau_dof = n - 1, 2 * n - 1
-        c0 = trace_constant(space, tau_dof)
+        tau_dof = 2 * n - 1
         functional = HomogeneousFunctional.block_norm(space, y_space, weights=[1.0],
                                                       blocks=[[tau_dof]])
-        memory = replace(slip_memory(law, tau_dof, grid), L=c0 * law.L_F)
-        core = inclusion(ConstraintCone.zero(space, [nu_dof]), functional, memory)
+        core = build_inclusion_variant(
+            "memory_pair", cone=ConstraintCone.zero(space, [nu_dof]), functional=functional,
+            parameter_memory=slip_memory(law, space, tau_dof, grid),
+            load_memory=relaxation, operator=A, f=f, grid=grid)
         b_op = assemble_elastic(mesh, material, space, components)
         u0 = np.zeros(space.dim) if u0 is None else _vec(u0, space.dim)
         if abs(u0[nu_dof]) > 1e-14:
             raise UnsupportedConfigurationError(
                 "initial displacement must respect the bilateral contact constraint")
-        spec = SweepingSpec(core=core, b_op=b_op, u0=u0)
-        dofs = {"nu": nu_dof, "tau": tau_dof}
+        spec = build_sweeping_variant("memory_pair", core=core, b_op=b_op, u0=u0)
+        dofs["tau"] = tau_dof
     return ContactProblem(kind=kind, spec=spec, mesh=mesh, material=material, law=law,
                           space=space, grid=grid, components=components,
                           contact_dofs=dofs, load_covectors=covectors,

@@ -307,6 +307,17 @@ def _rate(rho: float, m: float, L: float) -> float:
     return min(q, 1.0 - 1e-16)
 
 
+def _audited(operator: MonotoneOperator, space: HilbertSpace) -> OperatorAudit:
+    """:func:`audit_operator` on the plan's pairs; a failure raises :class:`AuditError`."""
+    audit = audit_operator(operator, space, trials=_AUDIT_TRIALS, seed=_AUDIT_SEED)
+    if not audit.ok:
+        raise AuditError(
+            f"declared (m={operator.m:.6g}, L={operator.L:.6g}) of {operator.tag} failed "
+            f"the sampled audit (observed m={audit.m_observed:.6g}, "
+            f"L={audit.L_observed:.6g} over {audit.trials} pairs)")
+    return audit
+
+
 def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: MonotoneOperator,
                      functional: HomogeneousFunctional) -> IterationMetric:
     """Audit the operator, then pick the metric the contraction runs in.
@@ -315,7 +326,10 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
     ``(m, L)``, on which the step and the stopping bound rest, are checked:
     on ``_AUDIT_TRIALS`` pairs drawn from ``_AUDIT_SEED`` in the space metric
     (:func:`audit_operator`).  A failed audit raises :class:`AuditError`; a
-    passed one is kept on the plan.
+    passed one is kept on the plan.  When the energy plan is picked, its
+    step and stopping bound rest on the energy metric's ``(m_P, L_P)``, so
+    ``u -> P^{-1} force(u)`` is audited too, on the same pairs in the
+    ``P``-norm.
 
     The operator's energy metric is used only when its contraction factor
     ``sqrt(1 - m_P^2 / L_P^2)`` is below the space metric's
@@ -327,12 +341,7 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
     :class:`~sweepvi.core.UnsupportedConfigurationError` when applied, so
     residual checks and oracles on such problems still run.
     """
-    audit = audit_operator(operator, space, trials=_AUDIT_TRIALS, seed=_AUDIT_SEED)
-    if not audit.ok:
-        raise AuditError(
-            f"declared (m={operator.m:.6g}, L={operator.L:.6g}) of {operator.tag} failed "
-            f"the sampled audit (observed m={audit.m_observed:.6g}, "
-            f"L={audit.L_observed:.6g} over {audit.trials} pairs)")
+    audit = _audited(operator, space)
 
     def space_plan() -> IterationMetric:
         rho = operator.m / (operator.L * operator.L)
@@ -354,6 +363,12 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
         layout_p = functional.prox_layout(cone_p)
     except UnsupportedConfigurationError:
         return space_plan()
+
+    def in_p(us: np.ndarray) -> np.ndarray:
+        return P.solve_metric(energy.force(us))
+
+    _audited(MonotoneOperator(apply=in_p, m=energy.m, L=energy.L, apply_rows=in_p,
+                              tag=f"{operator.tag} in its energy metric"), P)
     rho_p = energy.m / (energy.L * energy.L)
     scale = float(np.sqrt(P.metric_eigvalsh(space)[-1]))
     return IterationMetric("energy", P, cone_p, layout_p, rho_p,

@@ -623,6 +623,9 @@ def build_inclusion_variant(variant: str, *, cone: ConstraintCone,
     parameter_free
         The functional ignores its parameter; the parameter memory is
         dropped entirely.
+
+    Only the structure is checked here (a ``ValueError`` or subclass); the
+    gate is decided at solve time, by :func:`check_smallness`.
     """
     x_space = functional.x_space
     if variant == "memory_pair":
@@ -644,10 +647,6 @@ def build_inclusion_variant(variant: str, *, cone: ConstraintCone,
         load_memory = load_memory or zero_operator(x_space)
         if load_memory.l != 0.0:
             raise IneligibleOperatorError("state_parameter requires an l = 0 load memory")
-        if not functional.alpha + 1.0 < operator.m:
-            raise SmallnessError(
-                f"state_parameter gate failed: alpha + 1 = {functional.alpha + 1.0:.6g} "
-                f">= m = {operator.m:.6g}")
         y_space = functional.y_space
     elif variant == "parameter_free":
         if not functional.eta_free:

@@ -23,8 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory, _vec, sample_unit_directions
-from .evi import AuditError, LipschitzOperator, NonConvergenceError, audit_lipschitz, solve_evi, vi_residuals
-from .histop import HistoryOperator, continue_trapezoid
+from .evi import (_AUDIT_SEED, _AUDIT_TRIALS, AuditError, LipschitzOperator, NonConvergenceError,
+                  audit_lipschitz, solve_evi, vi_residuals)
+from .histop import HistoryOperator, IneligibleOperatorError, continue_trapezoid
 from .inclusion import (
     InclusionSolution,
     InclusionSpec,
@@ -67,8 +68,8 @@ class SweepingSpec:
 
     ``core`` is stated in the velocity variable: its memories consume
     velocity trajectories.  ``b_op`` acts on the reconstructed displacement;
-    its declared Lipschitz constant is audited on 200 sampled pairs when the
-    spec is built.  ``u0`` must be finite, one value per dof.
+    its declared Lipschitz constant is audited on the iteration plan's pairs
+    when the spec is built.  ``u0`` must be finite, one value per dof.
     ``inclusion`` is the velocity inclusion :func:`lift_to_velocity` builds,
     once per spec.
     """
@@ -82,7 +83,7 @@ class SweepingSpec:
         if not np.isfinite(u0).all():
             raise ValueError("u0 must be finite")
         object.__setattr__(self, "u0", u0)
-        worst = audit_lipschitz(self.b_op, self.core.x_space)
+        worst = audit_lipschitz(self.b_op, self.core.x_space, _AUDIT_TRIALS, _AUDIT_SEED)
         if worst > self.b_op.L + 1e-7 * max(1.0, self.b_op.L):
             raise AuditError(
                 f"displacement coupling exceeded its declared Lipschitz constant: "
@@ -247,7 +248,8 @@ def build_sweeping_variant(variant: str, *, core: InclusionSpec,
     """Assemble the canonical sweeping couplings.
 
     memory_pair
-        Both velocity memories strictly history-dependent; the gate passes
+        Both velocity memories strictly history-dependent, else
+        :class:`~sweepvi.histop.IneligibleOperatorError`; the gate passes
         for free after the lift.
     displacement_parameter
         The moving set's parameter is the reconstructed displacement itself
@@ -259,7 +261,7 @@ def build_sweeping_variant(variant: str, *, core: InclusionSpec,
     u0 = _vec(u0, core.x_space.dim)
     if variant == "memory_pair":
         if core.parameter_memory.l != 0.0 or core.load_memory.l != 0.0:
-            raise SmallnessError("memory_pair requires l = 0 velocity memories")
+            raise IneligibleOperatorError("memory_pair requires l = 0 velocity memories")
         out = core
     elif variant == "displacement_parameter":
         if core.y_space.dim != core.x_space.dim:

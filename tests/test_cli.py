@@ -167,6 +167,23 @@ class TestConfigKeys:
          "[abstract] unknown key 'y_dimension'"),
         ("abstract_volterra", "dimension = 1", "dimension = 1\neta_free = true",
          "[abstract] unknown key 'eta_free'"),
+        # a parameter kernel is read only under memory_pair, for a functional
+        # that reads its parameter
+        ("gate_fail", "indices = 0", "indices = 0\nparameter_kernel = 5.0",
+         "[abstract] unknown key 'parameter_kernel'"),
+        ("gate_fail", "indices = 0", "indices = 0\nparameter_rate = 1.0",
+         "[abstract] unknown key 'parameter_rate'"),
+        ("gate_fail", "variant = state_parameter", "variant = parameter_free\nparameter_kernel = 0.5",
+         "[abstract] unknown key 'parameter_kernel'"),
+        ("abstract_volterra", "load_kernel = 0.5", "load_kernel = 0.5\nparameter_kernel = 0.5",
+         "[abstract] unknown key 'parameter_kernel'"),
+        # weights belong to a functional other than zero, indices to
+        # positive_part, blocks to block_norm
+        ("abstract_volterra", "load_kernel = 0.5", "load_kernel = 0.5\nweights = 1",
+         "[abstract] unknown key 'weights'"),
+        ("gate_fail", "indices = 0", "indices = 0\nblocks = 0", "[abstract] unknown key 'blocks'"),
+        ("gate_fail", "functional = positive_part", "functional = block_norm",
+         "[abstract] unknown key 'indices'"),
     ])
     def test_a_key_or_section_nothing_reads_exits_4_naming_it(self, tmp_path, capsys,
                                                               config, old, new, message):
@@ -177,6 +194,20 @@ class TestConfigKeys:
         for command in (("check",), ("run", "--out", tmp_path / "out")):
             assert run_cli(*command, "--config", bad) == 4
             assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_coupling_the_builder_refuses_exits_4(self, tmp_path, capsys):
+        # state feedback into a functional that reads no parameter; the gate
+        # itself (1 < 3) would pass
+        text = (CONFIGS / "gate_fail.ini").read_text()
+        old = "operator = 2.0\nfunctional = positive_part\nweights = 1.2\nindices = 0"
+        assert old in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, "operator = 3.0\nfunctional = zero"))
+        for command in (("check",), ("run", "--out", tmp_path / "out")):
+            assert run_cli(*command, "--config", bad) == 4
+            assert capsys.readouterr().err == ("config error: [abstract] state_parameter "
+                                               "needs a parameter-dependent functional\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new", [

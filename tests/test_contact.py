@@ -19,8 +19,10 @@ from sweepvi import (
     solve_contact,
     trace_constant,
 )
-from sweepvi.contact import _mass, assemble_A, assemble_elastic, assemble_loads
+from sweepvi.contact import (_mass, assemble_A, assemble_elastic, assemble_loads,
+                             penetration_memory, slip_memory)
 from sweepvi.evi import LipschitzOperator, MonotoneOperator, audit_lipschitz
+from sweepvi.histop import running_trapezoid
 from sweepvi.inclusion import _node_gradients
 
 
@@ -318,6 +320,20 @@ class TestRigidObstacle:
         b[-1] = 0.5
         with pytest.raises(UnsupportedConfigurationError, match=f"^{kind} takes no b"):
             build_problem(kind, self.mesh, Material(a=1.0, b=b), law, Loads(), self.grid)
+
+
+@pytest.mark.parametrize("factory", [penetration_memory, slip_memory])
+def test_a_threshold_memory_declares_its_bound_in_the_energy_norm(factory):
+    # u(x) = x is the trace representer of the contact end of a length-4 rod:
+    # u(4) = 4 = c0 ||u|| with c0 = 2.  Held for t in [0, 1/2] it accumulates
+    # 4 t, twice the L_F ||u|| t that L = L_F would allow
+    mesh = Mesh1D.uniform(4.0, 4)
+    space, grid = assemble_space(mesh), TimeGrid(0.5, 4)
+    memory = factory(ContactLaw.linear(1.0), space, mesh.n_free - 1, grid)
+    ramp = Trajectory(space, grid, np.tile(mesh.nodes[1:], (grid.steps + 1, 1)))
+    integral = running_trapezoid(space.norms_many(ramp.samples), grid.dt)
+    assert memory.l == 0.0
+    assert (memory(ramp).samples[:, 0] - memory.L * integral).max() <= 1e-12
 
 
 class TestNormalCompliance:

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sweepvi.evi as evi
 from sweepvi import (
+    AuditError,
     ConstraintCone,
     ContactLaw,
     EnergyMetric,
@@ -183,3 +185,33 @@ def test_the_plan_builds_the_prox_layout_of_its_own_metric_only(monkeypatch, a, 
     plan = iteration_metric(spec.x_space, spec.cone, spec.operator, spec.functional)
     assert plan.name == metric
     assert spaces == [plan.space]
+
+
+@pytest.mark.parametrize("a, metric", [(CONTRAST_10, "energy"), (1.0, "space")])
+def test_the_plan_audits_the_constants_of_the_metric_it_iterates_in(monkeypatch, a, metric):
+    # the energy plan's step and stopping bound rest on (m_P, L_P), so it
+    # audits them too, on the space audit's pairs; the space plan does not
+    audits = []
+    audit = evi.audit_operator
+
+    def recording(op, space, **kwargs):
+        audits.append((space, kwargs))
+        return audit(op, space, **kwargs)
+
+    monkeypatch.setattr(evi, "audit_operator", recording)
+    spec = contact_problem("normal_compliance", a, 0.5).spec
+    plan = iteration_metric(spec.x_space, spec.cone, spec.operator, spec.functional)
+    assert plan.name == metric
+    pairs = {"trials": 256, "seed": 0}
+    assert audits == [(spec.x_space, pairs)] + [(plan.space, pairs)] * (metric == "energy")
+
+
+def test_an_overstated_energy_metric_fails_the_audit():
+    # three times the rod's force, declared m_P = L_P = 1: unaudited, the plan
+    # would take q = 0 and stop every row after one step
+    spec = contact_problem("normal_compliance", CONTRAST_10, 0.0).spec
+    energy = spec.operator.energy
+    liar = replace(spec.operator, energy=EnergyMetric(
+        energy.matrix, lambda us: 3.0 * energy.force(us), m=1.0, L=1.0))
+    with pytest.raises(AuditError, match="of viscosity in its energy metric failed"):
+        iteration_metric(spec.x_space, spec.cone, liar, spec.functional)

@@ -327,8 +327,8 @@ MEMORIES = {
     "matrix": lambda grid: volterra_operator(
         VolterraKernel(matrix_fn=lambda t: np.array([[np.exp(-t), t], [0.0, 1.0 + t * t]])),
         grid, SPACE2),
-    "penetration": lambda grid: penetration_memory(ContactLaw.saturating(2.0, 1.5), 1, grid),
-    "slip": lambda grid: slip_memory(ContactLaw.saturating(2.0, 1.5), 1, grid),
+    "penetration": lambda grid: penetration_memory(ContactLaw.saturating(2.0, 1.5), SPACE2, 1, grid),
+    "slip": lambda grid: slip_memory(ContactLaw.saturating(2.0, 1.5), SPACE2, 1, grid),
     "antiderivative": lambda grid: antiderivative_memory(grid, SPACE2, [0.4, -1.1]),
     "compose": lambda grid: compose_with_antiderivative(
         volterra_operator(EXPONENTIAL, grid, SPACE2), grid, SPACE2, [0.4, -1.1]),
@@ -383,7 +383,7 @@ class TestCausalStepProtocol:
         series = magnitude(traj.samples[:, 1])
         acc = [trapezoid_weights(k, grid.dt) @ series[:k + 1] for k in range(grid.steps + 1)]
         want = law.F(np.array(acc))[:, None]
-        op = factory(law, 1, grid)
+        op = factory(law, space, 1, grid)
         assert op.out_space.dim == 1
         self.assert_all_paths(op, traj, want)
 
@@ -502,7 +502,7 @@ class TestCausalStepProtocol:
         traj = random_traj(space, grid, seed=6)
         law = ContactLaw.saturating(2.0, 1.5)
         ops = [volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
-               penetration_memory(law, 0, grid), slip_memory(law, 1, grid),
+               penetration_memory(law, space, 0, grid), slip_memory(law, space, 1, grid),
                identity_operator(), zero_operator(space)]
         for op in ops:
             state = op.init_state(grid)
@@ -524,7 +524,7 @@ class TestCausalStepProtocol:
         ops = [volterra_operator(VolterraKernel(scalar_profile=np.cos, matrix=np.eye(2)),
                                  grid, space),
                volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
-               penetration_memory(ContactLaw.saturating(2.0, 1.5), 0, grid),
+               penetration_memory(ContactLaw.saturating(2.0, 1.5), space, 0, grid),
                identity_operator(), zero_operator(space)]
         assert len({hash(op) for op in ops}) == len(ops)
         assert all(op == op for op in ops)
@@ -536,7 +536,7 @@ class TestCausalStepProtocol:
         kernel = VolterraKernel.exponential(1.0, 0.0, np.eye(1))
         traj = Trajectory(space, finer, np.ones((17, 1)))
         ops = [volterra_operator(kernel, grid, space), exp_growth_memory_operator(grid),
-               penetration_memory(ContactLaw.saturating(2.0, 1.5), 0, grid)]
+               penetration_memory(ContactLaw.saturating(2.0, 1.5), space, 0, grid)]
         for op in ops:
             with pytest.raises(DimensionMismatchError):
                 op(traj)

@@ -175,10 +175,13 @@ class TestBuilderVariants:
                 grid=grid,
             )
 
-    def test_state_parameter_enforces_tight_gate_at_build_time(self):
-        # alpha + 1 = 3 >= m = 1
+    def test_state_parameter_builds_past_a_failed_gate_that_the_solve_enforces(self):
+        # alpha + 1 = 3 >= m = 1: the builder checks structure, the solve the gate
+        spec = feedback_spec(weight=2.0, stiffness=1.0)
+        assert not check_smallness(spec).passed
         with pytest.raises(SmallnessError):
-            feedback_spec(weight=2.0, stiffness=1.0)
+            solve_inclusion(spec, tol=1e-10)
+        assert solve_inclusion(spec, tol=1e-10, force=True).diagnostics["forced"]
 
     def test_parameter_free_rejects_parameter_dependent_functional(self):
         grid = TimeGrid(1.0, 4)
@@ -367,17 +370,7 @@ class TestGateAndForce:
     def cycling_spec(steps=8):
         # weight 2 with m = 1 fails the gate, and the state feedback
         # genuinely cycles: eta 0 -> u 1 -> eta 1 -> u 0 -> ...
-        grid = TimeGrid(1.0, steps)
-        jp = HomogeneousFunctional.positive_part(X, Y, weights=[2.0], indices=[0])
-        return InclusionSpec(
-            x_space=X, y_space=Y, cone=FREE,
-            operator=MonotoneOperator.from_matrix(X, [[1.0]]),
-            functional=jp,
-            parameter_memory=identity_operator(tag="state_feedback"),
-            load_memory=zero_operator(X),
-            f=Trajectory.constant(X, grid, [1.0]),
-            grid=grid,
-        )
+        return feedback_spec(weight=2.0, stiffness=1.0, steps=steps)
 
     def test_failed_gate_raises_without_force(self):
         with pytest.raises(SmallnessError):

@@ -7,6 +7,7 @@ from sweepvi import (
     DimensionMismatchError,
     HilbertSpace,
     HomogeneousFunctional,
+    IneligibleOperatorError,
     LipschitzOperator,
     MonotoneOperator,
     SmallnessError,
@@ -220,10 +221,23 @@ class TestVariantsAndAudits:
             "state_parameter", cone=FREE,
             operator=MonotoneOperator.from_matrix(X, [[3.0]]),
             functional=jp, f=Trajectory.constant(X, grid, [1.0]), grid=grid)
-        with pytest.raises(SmallnessError):
+        with pytest.raises(IneligibleOperatorError):
             build_sweeping_variant("memory_pair", core=core,
                                    b_op=LipschitzOperator(apply=lambda u: u, L=1.0),
                                    u0=[0.0])
+
+    def test_both_sweeping_solvers_enforce_the_gate_the_builders_leave_open(self):
+        # state feedback with alpha + 1 = 3 >= m = 1 builds; each solver refuses it
+        grid = TimeGrid(1.0, 8)
+        jp = HomogeneousFunctional.positive_part(X, Y, weights=[2.0], indices=[0])
+        core = build_inclusion_variant(
+            "state_parameter", cone=FREE,
+            operator=MonotoneOperator.from_matrix(X, [[1.0]]),
+            functional=jp, f=Trajectory.constant(X, grid, [1.0]), grid=grid)
+        spec = SweepingSpec(core=core, b_op=LipschitzOperator.zero(), u0=[0.0])
+        for solve in (solve_sweeping, solve_sweeping_direct):
+            with pytest.raises(SmallnessError):
+                solve(spec, tol=1e-10)
 
     def test_displacement_parameter_needs_matching_spaces(self):
         grid = TimeGrid(1.0, 8)
@@ -248,6 +262,20 @@ class TestVariantsAndAudits:
         spec = ode_spec(8)
         with pytest.raises(ValueError):
             build_sweeping_variant("spiral", core=spec.core, b_op=spec.b_op, u0=[0.0])
+
+    def test_the_coupling_is_audited_on_the_iteration_plans_pairs(self, monkeypatch):
+        import sweepvi.sweeping as sweeping
+
+        calls = []
+        audit = sweeping.audit_lipschitz
+
+        def recording(op, space, trials, seed):
+            calls.append((trials, seed))
+            return audit(op, space, trials, seed)
+
+        monkeypatch.setattr(sweeping, "audit_lipschitz", recording)
+        ode_spec(8)
+        assert calls == [(256, 0)]
 
     def test_understated_coupling_constant_caught_at_build(self):
         spec = ode_spec(8)
