@@ -444,8 +444,14 @@ def cmd_check(cfg: RunConfig, out) -> int:
 # ---------------------------------------------------------------- run
 
 def _solve(cfg: RunConfig, spec, force=None) -> InclusionSolution:
-    return solve_spec(spec, tol=cfg.tol, mode=cfg.mode, seed=cfg.seed,
-                      force=cfg.force if force is None else force, max_passes=cfg.max_iter)
+    """Solve ``spec`` as configured; a prox undefined at a parameter the run reaches (a
+    negative one, say) is a config error of the problem's section."""
+    try:
+        return solve_spec(spec, tol=cfg.tol, mode=cfg.mode, seed=cfg.seed,
+                          force=cfg.force if force is None else force, max_passes=cfg.max_iter)
+    except UnsupportedConfigurationError as exc:
+        section = "abstract" if cfg.kind == "abstract" else "problem"
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _csv_rows(cfg: RunConfig, sol: InclusionSolution, stress):

@@ -345,7 +345,7 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
 
     energy = EnergyMetric(Ka, force, m=1.0, L=1.0 + mu / float(a.min()))
     return MonotoneOperator(apply=apply, m=float(a.min()), L=float(a.max()) + mu,
-                            tag="viscosity", energy=energy, apply_rows=apply)
+                            tag="viscosity", energy=energy)
 
 
 def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | None = None,
@@ -363,7 +363,7 @@ def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | Non
     def apply(us: np.ndarray) -> np.ndarray:
         return space.solve_metric(us @ Kb)
 
-    return LipschitzOperator(apply=apply, L=float(b.max()), tag="elastic", apply_rows=apply)
+    return LipschitzOperator(apply=apply, L=float(b.max()), tag="elastic")
 
 
 def assemble_relaxation(material: Material, dim: int) -> VolterraKernel:

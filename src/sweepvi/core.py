@@ -253,9 +253,6 @@ class Trajectory:
             raise DimensionMismatchError("trajectories live on different grids or spaces")
         return float(self.space.norms_many(self.samples - other.samples).max())
 
-    def sup_norm(self) -> float:
-        return float(self.space.norms_many(self.samples).max())
-
     def __repr__(self) -> str:
         return f"Trajectory(dim={self.space.dim}, steps={self.grid.steps})"
 
@@ -312,11 +309,6 @@ class ConstraintCone:
     @classmethod
     def zero(cls, space: HilbertSpace, indices: Sequence[int]) -> "ConstraintCone":
         return cls(space, "zero", indices)
-
-    def negated(self) -> "ConstraintCone":
-        """The cone ``-K``."""
-        flip = {"whole": "whole", "nonpositive": "nonnegative", "nonnegative": "nonpositive", "zero": "zero"}
-        return ConstraintCone(self.space, flip[self.kind], self.indices)
 
     def in_space(self, space: HilbertSpace) -> "ConstraintCone":
         """The same cone, with projections taken in the metric of ``space``."""

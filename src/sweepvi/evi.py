@@ -123,12 +123,14 @@ class EnergyMetric:
 class MonotoneOperator:
     """Operator on X with declared strong monotonicity ``m`` and Lipschitz ``L``.
 
-    The constants are declarations; :func:`iteration_metric` spot-checks them
-    on sampled pairs (:func:`audit_operator`) before any solve trusts them.
-    ``m > 0`` and ``L >= m`` are required.  ``energy``, when given, is a
-    second metric with exact constants that :func:`solve_evi` may iterate in.
-    ``apply_rows``, when given, applies the operator to every row of a matrix
-    at once (see :meth:`apply_many`).
+    ``apply`` maps a vector to a vector and a block of rows to the block of
+    their images, row ``k`` to row ``k``, as
+    :meth:`~sweepvi.core.HilbertSpace.apply_metric` does; ``u @ H.T`` is the
+    linear map ``H`` in that form.  The constants are declarations;
+    :func:`iteration_metric` spot-checks them on sampled pairs
+    (:func:`audit_operator`) before any solve trusts them.  ``m > 0`` and
+    ``L >= m`` are required.  ``energy``, when given, is a second metric with
+    exact constants that :func:`solve_evi` may iterate in.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -136,8 +138,6 @@ class MonotoneOperator:
     L: float
     tag: str = "operator"
     energy: EnergyMetric | None = field(default=None, compare=False, repr=False)
-    apply_rows: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False,
-                                                                  repr=False)
 
     def __post_init__(self):
         if not (self.m > 0.0 and np.isfinite(self.m)):
@@ -147,9 +147,6 @@ class MonotoneOperator:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u)
-
-    def apply_many(self, us: np.ndarray) -> np.ndarray:
-        return _apply_many(self, us)
 
     @classmethod
     def from_matrix(cls, space: HilbertSpace, matrix, tag: str = "linear") -> "MonotoneOperator":
@@ -172,32 +169,28 @@ class MonotoneOperator:
         def apply(us, Ht=H.T):
             return us @ Ht
 
-        return cls(apply=apply, m=m, L=L, tag=tag, apply_rows=apply)
+        return cls(apply=apply, m=m, L=L, tag=tag)
 
 
 @dataclass(frozen=True)
 class LipschitzOperator:
     """Operator with a declared Lipschitz constant and no monotonicity claim.
 
-    ``apply_rows`` is as for :class:`MonotoneOperator`.
+    ``apply`` takes a vector or a block of rows, as for
+    :class:`MonotoneOperator`, and :func:`audit_operator` checks ``L``.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     L: float
     tag: str = "lipschitz"
-    apply_rows: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False,
-                                                                  repr=False)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u)
 
-    def apply_many(self, us: np.ndarray) -> np.ndarray:
-        return _apply_many(self, us)
-
     @classmethod
     def zero(cls, tag: str = "zero") -> "LipschitzOperator":
         """The operator that maps every vector to zero, with ``L = 0``."""
-        return cls(apply=np.zeros_like, L=0.0, tag=tag, apply_rows=np.zeros_like)
+        return cls(apply=np.zeros_like, L=0.0, tag=tag)
 
     @property
     def is_zero(self) -> bool:
@@ -209,23 +202,15 @@ class LipschitzOperator:
         return self.apply is np.zeros_like
 
 
-def _apply_many(op, us: np.ndarray) -> np.ndarray:
-    """``op`` applied to each row of ``us``.
-
-    One block call when the operator has ``apply_rows``, else one ``apply``
-    per row.
-    """
-    us = np.asarray(us, dtype=float)
-    if op.apply_rows is not None:
-        return op.apply_rows(us)
-    return np.array([op.apply(u) for u in us]).reshape(us.shape)
-
-
 @dataclass(frozen=True)
 class OperatorAudit:
-    """Sampled monotonicity and Lipschitz margins for declared constants."""
+    """Sampled monotonicity and Lipschitz margins for declared constants.
 
-    m_declared: float
+    ``m_declared`` is ``None`` for a :class:`LipschitzOperator`, which claims
+    no monotonicity; ``ok`` then tests ``L`` alone.
+    """
+
+    m_declared: float | None
     L_declared: float
     m_observed: float
     L_observed: float
@@ -233,44 +218,46 @@ class OperatorAudit:
 
     @property
     def ok(self) -> bool:
-        slack = 1e-7 * max(1.0, self.m_declared, self.L_declared)
-        return self.m_observed >= self.m_declared - slack and self.L_observed <= self.L_declared + slack
+        slack = 1e-7 * max(1.0, self.L_declared)
+        return ((self.m_declared is None or self.m_observed >= self.m_declared - slack)
+                and self.L_observed <= self.L_declared + slack)
 
 
-def _sample_pairs(space: HilbertSpace, trials: int, seed: int):
-    """``trials`` pairs of points, drawn as one block in the per-pair order."""
+def _block(op, us: np.ndarray) -> np.ndarray:
+    """``op.apply(us)``, refused by the operator's tag unless it maps the block row by row."""
+    try:
+        out = op.apply(us)
+    except ValueError as exc:
+        raise ValueError(f"{op.tag}: apply must take a block of rows ({exc})") from exc
+    if np.shape(out) != us.shape:
+        raise ValueError(f"{op.tag}: apply maps a block of shape {us.shape} to one of shape "
+                         f"{np.shape(out)}; it must take a block of rows")
+    return out
+
+
+def audit_operator(op: MonotoneOperator | LipschitzOperator, space: HilbertSpace,
+                   trials: int = _AUDIT_TRIALS, seed: int = _AUDIT_SEED) -> OperatorAudit:
+    """Check the declared constants on ``trials`` random pairs of points.
+
+    The pairs are drawn from ``seed`` with standard deviation 10, and each
+    side is one block call of ``apply``, which must return the block's shape
+    (``ValueError`` naming the operator's tag otherwise).  A
+    :class:`MonotoneOperator` has ``(m, L)`` checked, a
+    :class:`LipschitzOperator` ``L`` alone.  The defaults are the pairs every
+    iteration plan audits on.
+    """
     pts = _AUDIT_RADIUS * np.random.default_rng(seed).standard_normal((trials, 2, space.dim))
-    return pts[:, 0], pts[:, 1]
-
-
-def _differences(op, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """``op(u) - op(v)`` for each pair of rows, one block application per side."""
-    return op.apply_many(us) - op.apply_many(vs)
-
-
-def audit_operator(op: MonotoneOperator, space: HilbertSpace, trials: int = 1000,
-                   seed: int = 0) -> OperatorAudit:
-    """Check the declared ``(m, L)`` on ``trials`` random pairs of points."""
-    us, vs = _sample_pairs(space, trials, seed)
+    us, vs = pts[:, 0], pts[:, 1]
     d = us - vs
     nd2 = (space.apply_metric(d) * d).sum(1)
     keep = nd2 >= 1e-20
     d, nd2 = d[keep], nd2[keep]
-    ad = _differences(op, us[keep], vs[keep])
+    ad = _block(op, us[keep]) - _block(op, vs[keep])
     ad_m = space.apply_metric(ad)
     m_obs = ((ad_m * d).sum(1) / nd2).min(initial=np.inf)
     l_obs = np.sqrt(np.maximum((ad_m * ad).sum(1), 0.0) / nd2).max(initial=0.0)
-    return OperatorAudit(op.m, op.L, float(m_obs), float(l_obs), trials)
-
-
-def audit_lipschitz(op: LipschitzOperator, space: HilbertSpace, trials: int = 200,
-                    seed: int = 0) -> float:
-    """Largest sampled difference quotient; should not exceed the declared L."""
-    us, vs = _sample_pairs(space, trials, seed)
-    nd = space.norms_many(us - vs)
-    keep = nd >= 1e-10
-    quotients = space.norms_many(_differences(op, us[keep], vs[keep])) / nd[keep]
-    return float(quotients.max(initial=0.0))
+    m = op.m if isinstance(op, MonotoneOperator) else None
+    return OperatorAudit(m, op.L, float(m_obs), float(l_obs), trials)
 
 
 @dataclass(frozen=True)
@@ -307,14 +294,16 @@ def _rate(rho: float, m: float, L: float) -> float:
     return min(q, 1.0 - 1e-16)
 
 
-def _audited(operator: MonotoneOperator, space: HilbertSpace) -> OperatorAudit:
+def _audited(operator: MonotoneOperator | LipschitzOperator,
+             space: HilbertSpace) -> OperatorAudit:
     """:func:`audit_operator` on the plan's pairs; a failure raises :class:`AuditError`."""
     audit = audit_operator(operator, space, trials=_AUDIT_TRIALS, seed=_AUDIT_SEED)
     if not audit.ok:
+        m = "" if audit.m_declared is None else f"m={audit.m_declared:.6g}, "
+        m_obs = "" if audit.m_declared is None else f"m={audit.m_observed:.6g}, "
         raise AuditError(
-            f"declared (m={operator.m:.6g}, L={operator.L:.6g}) of {operator.tag} failed "
-            f"the sampled audit (observed m={audit.m_observed:.6g}, "
-            f"L={audit.L_observed:.6g} over {audit.trials} pairs)")
+            f"declared ({m}L={audit.L_declared:.6g}) of {operator.tag} failed the sampled "
+            f"audit (observed {m_obs}L={audit.L_observed:.6g} over {audit.trials} pairs)")
     return audit
 
 
@@ -367,7 +356,7 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
     def in_p(us: np.ndarray) -> np.ndarray:
         return P.solve_metric(energy.force(us))
 
-    _audited(MonotoneOperator(apply=in_p, m=energy.m, L=energy.L, apply_rows=in_p,
+    _audited(MonotoneOperator(apply=in_p, m=energy.m, L=energy.L,
                               tag=f"{operator.tag} in its energy metric"), P)
     rho_p = energy.m / (energy.L * energy.L)
     scale = float(np.sqrt(P.metric_eigvalsh(space)[-1]))
@@ -528,7 +517,7 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
 
     for it in range(1, max_iter + 1):
         if force is None:
-            w = us - rho * (operator.apply_many(us) - data)
+            w = us - rho * (operator.apply(us) - data)
         else:
             w = us - rho * riesz(force(us) - data)
         finite = np.isfinite(w)

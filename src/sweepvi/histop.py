@@ -44,6 +44,7 @@ __all__ = [
 # row, short enough that the 64 x 64 decay matrix stays small and a chunk
 # row, a sum of at most 64 terms, stays within 64 ulps of the largest output
 _SCAN_ROWS = 64
+_MAX_RATIO = 0.95           # the stopping test's ratio of successive changes is clipped to this
 
 
 class IneligibleOperatorError(ValueError):
@@ -466,14 +467,27 @@ def check_declared_bound(op: HistoryOperator, space: HilbertSpace, grid: TimeGri
     return worst
 
 
+def _stop_threshold(ratio: float, tol: float) -> float:
+    """Largest change of a Picard iteration that certifies a fixed-point distance ``<= tol``.
+
+    ``ratio`` is the largest ratio of successive changes seen, clipped to
+    ``[1e-3, _MAX_RATIO]`` as ``q``; a change ``c`` then certifies the
+    distance ``q / (1 - q) c``.  The threshold is never above ``tol`` itself.
+    """
+    r = min(max(ratio, 1e-3), _MAX_RATIO)
+    return min(tol, tol * (1.0 - r) / r)
+
+
 def picard_fixed_point(op: HistoryOperator, space: HilbertSpace, grid: TimeGrid,
                        tol: float = 1e-10, max_sweeps: int = 10000) -> Trajectory:
     """Unique fixed point of an operator with ``l < 1`` by repeated application.
 
     The sweep map contracts in an exponentially weighted sup norm whenever
-    ``l < 1``, so plain iteration from zero converges; the stopping rule
-    converts the sup-node displacement into a distance bound using the
-    measured sweep ratio.
+    ``l < 1``, so plain iteration from zero converges.  It stops on the rule
+    of :func:`~sweepvi.inclusion.solve_inclusion`'s windows: the sup-node
+    displacement, with the largest sweep ratio seen so far, must certify a
+    distance of at most ``tol``, and is never above ``tol`` itself.  The
+    largest ratio, not the last, so one small ratio cannot loosen the test.
     """
     if not op.l < 1.0:
         raise IneligibleOperatorError(
@@ -481,15 +495,15 @@ def picard_fixed_point(op: HistoryOperator, space: HilbertSpace, grid: TimeGrid,
         )
     traj = Trajectory.zeros(space, grid)
     prev_disp = None
-    ratio = 0.5
+    ratio = 0.0
     for _ in range(max_sweeps):
         nxt = op(traj)
         disp = nxt.sup_distance(traj)
         traj = nxt
         if prev_disp is not None and prev_disp > 1e-300:
-            ratio = min(max(disp / prev_disp, 1e-3), 0.95)
+            ratio = max(ratio, disp / prev_disp)
         prev_disp = disp
-        if disp <= tol * (1.0 - ratio) / ratio:
+        if disp <= _stop_threshold(ratio, tol):
             return traj
     raise IneligibleOperatorError(
         f"no fixed-point convergence in {max_sweeps} sweeps (last displacement {prev_disp:.3e})"

@@ -49,7 +49,8 @@ from .evi import (
     solve_evi_many,
     vi_residuals,
 )
-from .histop import HistoryOperator, IneligibleOperatorError, identity_operator, zero_operator
+from .histop import (_MAX_RATIO, HistoryOperator, IneligibleOperatorError, _stop_threshold,
+                     identity_operator, zero_operator)
 
 __all__ = [
     "SmallnessError",
@@ -75,7 +76,6 @@ _WIDEN_PASSES = 8
 _NARROW_PASSES = 12
 _MIX_DEPTH = 8              # residual differences an Anderson-mixed pass fits
 _MIX_RCOND = 1e-10          # their fit is singular at a scaled Cholesky pivot this small
-_MAX_RATIO = 0.95           # the stopping test's ratio of successive changes is clipped to this
 
 
 class SmallnessError(RuntimeError):
@@ -295,7 +295,7 @@ def apply_coupling_map(spec: InclusionSpec, theta: tuple[Trajectory, Trajectory]
 
 def _node_gradients(spec: InclusionSpec, u_samples: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Each node's gradient ``A u_k - (f_k - xi_k)``."""
-    return spec.operator.apply_many(u_samples) - (spec.f.samples - xi)
+    return spec.operator.apply(u_samples) - (spec.f.samples - xi)
 
 
 def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, eta: np.ndarray, xi: np.ndarray,
@@ -488,12 +488,6 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
         raise SmallnessError(f"admissibility gate failed: {report.describe()}; "
                              "pass force=True to record the attempt anyway")
 
-    # stop when the pass displacement certifies a fixed-point distance <= tol,
-    # but never on a displacement larger than tol itself
-    def threshold(ratio: float) -> float:
-        r = min(max(ratio, 1e-3), _MAX_RATIO)
-        return min(tol, tol * (1.0 - r) / r)
-
     evi_tol = 0.05 * tol
     gate_ratio = report.ratio if report.passed else 0.5
     diagnostics: dict = {"mode": mode, "forced": bool(force and not report.passed),
@@ -537,7 +531,7 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                 ratio = max(ratio, changes[-1] / changes[-2] if changes[-2] > 0 else gate_ratio)
             # the first pass compares against the zero initial theta, which
             # can match by accident; only trust the change from pass two on
-            settled = p >= 2 and changes[-1] <= factor * threshold(ratio)
+            settled = p >= 2 and changes[-1] <= factor * _stop_threshold(ratio, tol)
             if p >= 2 and not settled:
                 mixed = mixer.mix(theta, d)
                 if mixed is not None:
@@ -621,8 +615,9 @@ def build_inclusion_variant(variant: str, *, cone: ConstraintCone,
         memory = identity), which costs l = 1 and tightens the gate to
         ``alpha + 1 < m``.
     parameter_free
-        The functional ignores its parameter; the parameter memory is
-        dropped entirely.
+        The functional ignores its parameter, so it takes no parameter
+        memory (a ``ValueError`` if one is passed: its ``l`` would still
+        enter the gate); a zero memory stands in.
 
     Only the structure is checked here (a ``ValueError`` or subclass); the
     gate is decided at solve time, by :func:`check_smallness`.
@@ -651,8 +646,11 @@ def build_inclusion_variant(variant: str, *, cone: ConstraintCone,
     elif variant == "parameter_free":
         if not functional.eta_free:
             raise ValueError("parameter_free needs a functional that ignores its parameter")
+        if parameter_memory is not None:
+            raise ValueError("parameter_free takes no parameter memory: its functional "
+                             "ignores the parameter")
         y_space = functional.y_space
-        parameter_memory = parameter_memory or zero_operator(y_space, tag="unused_parameter")
+        parameter_memory = zero_operator(y_space, tag="unused_parameter")
         load_memory = load_memory or zero_operator(x_space)
     else:
         raise ValueError(f"unknown variant {variant!r}")

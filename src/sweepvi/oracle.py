@@ -31,6 +31,8 @@ _MAX_DIM = 3
 _INCLUSION_PASSES = 60      # grid-search passes per node of brute_inclusion
 _INCLUSION_MAX_DIM = 2      # brute_inclusion's caps on dimension and time steps
 _INCLUSION_MAX_STEPS = 16
+_RECENTRINGS = 8            # times brute_vi moves its refinement box onto an edge pick
+_CONTAINS_TOL = 1e-12       # cone violation a grid point may have, as ConstraintCone.contains
 
 
 class OracleInconclusiveError(RuntimeError):
@@ -72,9 +74,7 @@ def _scores(problem: EviProblem, candidates: np.ndarray, tests: np.ndarray,
     violation(y, v) = (f - Ay, v - y) + j(y) - j(v); a solution has
     max over v in K of violation <= 0.
     """
-    space, f = problem.space, problem.f
-    g = np.array([f - problem.operator(y) for y in candidates])
-    w = space.apply_metric(g)
+    w = problem.space.apply_metric(problem.f - problem.operator(candidates))
     j_cand = problem.functional.eval_many(problem.eta, candidates)
     out = np.empty(len(candidates))
     for lo in range(0, len(candidates), chunk):
@@ -86,12 +86,25 @@ def _scores(problem: EviProblem, candidates: np.ndarray, tests: np.ndarray,
 
 
 def _feasible(problem: EviProblem, points: np.ndarray) -> np.ndarray:
-    keep = np.array([problem.cone.contains(p) for p in points])
-    return points[keep]
+    return points[problem.cone.violations(points) <= _CONTAINS_TOL]
+
+
+def _on_edge(point: np.ndarray, center: np.ndarray, radius: np.ndarray, res: np.ndarray) -> bool:
+    """Whether a grid point lies on the boundary of its box."""
+    spacing = 2.0 * radius / (res - 1)
+    return bool(np.any(np.abs(np.abs(point - center) - radius) < 0.5 * spacing))
 
 
 def brute_vi(problem: EviProblem, cfg: GridSearchConfig = GridSearchConfig()) -> np.ndarray:
-    """Grid-search the EVI: minimize the worst sampled violation, refine once."""
+    """Grid-search the EVI: minimize the worst sampled violation, then refine.
+
+    The coarse pick must lie inside the box.  The refinement box has the
+    same resolution and a radius of 1.25 coarse spacings, centred on that
+    pick; its points are scored against the coarse points and its own.
+    While the refined pick lies on the edge of its box, the box is centred
+    on it again, at most 8 times.  A pick on the edge of either box raises
+    :class:`OracleInconclusiveError`.
+    """
     dim = problem.space.dim
     radius, res, center = cfg.axes(dim)
     coarse = _feasible(problem, _grid_points(center, radius, res))
@@ -99,16 +112,20 @@ def brute_vi(problem: EviProblem, cfg: GridSearchConfig = GridSearchConfig()) ->
         raise ValueError("no feasible grid point: box and cone do not intersect")
     j_coarse = problem.functional.eval_many(problem.eta, coarse)
     best = coarse[np.argmin(_scores(problem, coarse, coarse, j_coarse))]
-    spacing = 2.0 * radius / (res - 1)
-    on_edge = np.abs(np.abs(best - center) - radius) < 0.5 * spacing
-    if np.any(on_edge):
+    if _on_edge(best, center, radius, res):
         raise OracleInconclusiveError(
             f"best point {best} touches the search box; enlarge the radius")
-    fine = _feasible(problem, _grid_points(best, 1.25 * spacing, res))
-    tests = np.vstack([coarse, fine])
-    j_tests = problem.functional.eval_many(problem.eta, tests)
-    scores = _scores(problem, fine, tests, j_tests)
-    return fine[np.argmin(scores)]
+    fine_radius = 1.25 * (2.0 * radius / (res - 1))
+    for _ in range(_RECENTRINGS + 1):
+        center = best
+        fine = _feasible(problem, _grid_points(center, fine_radius, res))
+        tests = np.vstack([coarse, fine])
+        j_tests = problem.functional.eval_many(problem.eta, tests)
+        best = fine[np.argmin(_scores(problem, fine, tests, j_tests))]
+        if not _on_edge(best, center, fine_radius, res):
+            return best
+    raise OracleInconclusiveError(
+        f"refined point {best} still touches its box after {_RECENTRINGS} re-centrings")
 
 
 def brute_inclusion(spec: InclusionSpec, cfg: GridSearchConfig = GridSearchConfig()) -> Trajectory:

@@ -23,8 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory, _vec, sample_unit_directions
-from .evi import (_AUDIT_SEED, _AUDIT_TRIALS, AuditError, LipschitzOperator, NonConvergenceError,
-                  audit_lipschitz, solve_evi, vi_residuals)
+from .evi import LipschitzOperator, NonConvergenceError, _audited, solve_evi, vi_residuals
 from .histop import HistoryOperator, IneligibleOperatorError, continue_trapezoid
 from .inclusion import (
     InclusionSolution,
@@ -68,8 +67,9 @@ class SweepingSpec:
 
     ``core`` is stated in the velocity variable: its memories consume
     velocity trajectories.  ``b_op`` acts on the reconstructed displacement;
-    its declared Lipschitz constant is audited on the iteration plan's pairs
-    when the spec is built.  ``u0`` must be finite, one value per dof.
+    its declared Lipschitz constant is audited when the spec is built, by the
+    audit every iteration plan runs (a failure raises
+    :class:`~sweepvi.evi.AuditError`).  ``u0`` must be finite, one value per dof.
     ``inclusion`` is the velocity inclusion :func:`lift_to_velocity` builds,
     once per spec.
     """
@@ -83,11 +83,7 @@ class SweepingSpec:
         if not np.isfinite(u0).all():
             raise ValueError("u0 must be finite")
         object.__setattr__(self, "u0", u0)
-        worst = audit_lipschitz(self.b_op, self.core.x_space, _AUDIT_TRIALS, _AUDIT_SEED)
-        if worst > self.b_op.L + 1e-7 * max(1.0, self.b_op.L):
-            raise AuditError(
-                f"displacement coupling exceeded its declared Lipschitz constant: "
-                f"observed {worst:.6g} > declared {self.b_op.L:.6g}")
+        _audited(self.b_op, self.core.x_space)
 
     @cached_property
     def inclusion(self) -> InclusionSpec:
@@ -166,7 +162,7 @@ def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
             disp_state, s_state = state
             disp_state, disps = disp.run(disp_state, first, inputs)
             s_state, s_out = s_op.run(s_state, first, inputs)
-            # b_op row by row: its block form apply_rows is a different BLAS call
+            # b_op row by row: a block product is a different BLAS call
             return (disp_state, s_state), np.array([b_op(d) for d in disps]) + s_out
 
         start = (disp.init_state(grid), s_op.init_state(grid))

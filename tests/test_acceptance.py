@@ -78,7 +78,7 @@ def _random_evi_instance(i):
         c = rng.uniform(0.1, 0.3)
         scale = c / diag
         op = MonotoneOperator(
-            apply=lambda u, H=H, s=scale: H @ u + s * np.tanh(u),
+            apply=lambda u, H=H, s=scale: u @ H.T + s * np.tanh(u),
             m=linear.m, L=linear.L + c * float((1.0 / diag).max()),
             tag="perturbed")
     else:

@@ -56,26 +56,13 @@ def block_operators():
 
 
 @pytest.mark.parametrize("name, op", block_operators(), ids=[n for n, _ in block_operators()])
-def test_apply_many_equals_apply_row_by_row(name, op):
+def test_apply_on_a_block_equals_apply_row_by_row(name, op):
     dim = 8 if name in ("viscosity mu=0", "viscosity mu=0.5", "elastic") else 3
     us = rows(9, dim)
     want = np.array([op(u) for u in us])
-    assert_rows_close(op.apply_many(us), want)
+    assert_rows_close(op(us), want)
     # one row takes the vector product's path bit for bit
-    assert np.array_equal(op.apply_many(us[:1])[0], op(us[0]))
-
-
-def test_operators_without_a_block_form_loop_over_rows():
-    calls = []
-
-    def apply(u):
-        calls.append(1)
-        return 2.0 * u
-
-    op = MonotoneOperator(apply, 2.0, 2.0)
-    assert op.apply_rows is None
-    assert op.apply_many(rows(5, 2)).shape == (5, 2)
-    assert len(calls) == 5
+    assert np.array_equal(op(us[:1])[0], op(us[0]))
 
 
 def prox_layouts():

@@ -210,6 +210,19 @@ class TestConfigKeys:
                                                "needs a parameter-dependent functional\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore:negative parameter entries")
+    @pytest.mark.parametrize("command", ["run", "convergence"])
+    def test_a_parameter_that_turns_negative_exits_4_naming_abstract(self, tmp_path, capsys,
+                                                                     command):
+        # u_1 is free and pushed below 0, so the parameter kernel drives eta_1
+        # below 0, where the prox of the positive part is undefined
+        bad = tmp_path / "bad.ini"
+        bad.write_text(ABSTRACT_2D.replace("cone_indices = 0 1", "cone_indices = 0")
+                       .replace("f = 1 0.5", "f = 1 -0.5"))
+        assert run_cli(command, "--config", bad, "--out", tmp_path / "out") == 4
+        assert capsys.readouterr().err == ("config error: [abstract] negative effective "
+                                           "weight; prox undefined\n")
+
     @pytest.mark.parametrize("old, new", [
         ("law = linear\nslope = 0.5", "law = saturating\nfmax = 0.3\nrate = 2.0"),
         ("law = linear\nslope = 0.5", "law = table\nslips = 0 1\nthresholds = 0 0.5"),
@@ -295,6 +308,36 @@ f = 1.0
 [time]
 horizon = 1.0
 steps = 4
+"""
+
+# H = [[2, 1], [0.5, 3]] is self-adjoint in the metric diag(1, 2) but not
+# symmetric, so H u and u H^T differ
+ABSTRACT_2D = """\
+[problem]
+kind = abstract
+
+[abstract]
+variant = memory_pair
+dimension = 2
+metric = 1 2
+operator = 2 1 0.5 3
+cone = nonnegative
+cone_indices = 0 1
+functional = positive_part
+weights = 0.4 0.2
+indices = 0 1
+parameter_kernel = 0.3
+parameter_rate = 1.0
+load_kernel = 0.5
+f = 1 0.5
+f_ramp = 0.5 1
+
+[time]
+horizon = 1.0
+steps = 8
+
+[solver]
+tol = 1e-10
 """
 
 

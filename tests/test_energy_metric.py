@@ -135,8 +135,8 @@ def coupled_problem():
     """Contrast in X, but an energy metric that couples the prox's coordinates."""
     X = HilbertSpace(2)
     P = np.array([[2.0, 0.5], [0.5, 1.0]])
-    energy = EnergyMetric(P, lambda u: P @ u, m=1.0, L=1.0)
-    op = MonotoneOperator(lambda u: P @ u, m=float(np.linalg.eigvalsh(P).min()),
+    energy = EnergyMetric(P, lambda u: u @ P, m=1.0, L=1.0)
+    op = MonotoneOperator(lambda u: u @ P, m=float(np.linalg.eigvalsh(P).min()),
                           L=float(np.linalg.eigvalsh(P).max()), energy=energy)
     functional = HomogeneousFunctional.positive_part(X, HilbertSpace(1), weights=[1.0],
                                                      indices=[1])

@@ -11,8 +11,8 @@ from sweepvi.evi import (
     MonotoneOperator,
     NonConvergenceError,
     NonFiniteError,
-    audit_lipschitz,
     audit_operator,
+    iteration_metric,
     solve_evi,
     vi_residual,
 )
@@ -59,11 +59,39 @@ def test_audit_flags_an_inflated_monotonicity_claim():
     assert not audit_operator(liar, X, trials=300, seed=0).ok
 
 
-def test_audit_lipschitz_measures_the_worst_quotient():
+def test_the_audit_checks_l_alone_of_a_lipschitz_operator():
     X = HilbertSpace(2)
-    op = LipschitzOperator(lambda x: 3.0 * x, 3.0, tag="scale")
-    worst = audit_lipschitz(op, X, trials=100, seed=1)
-    assert worst == pytest.approx(3.0, rel=1e-9)
+    audit = audit_operator(LipschitzOperator(lambda x: -3.0 * x, 3.0, tag="scale"), X,
+                           trials=100, seed=1)
+    assert audit.m_declared is None and audit.m_observed < 0.0
+    assert audit.L_observed == pytest.approx(3.0, rel=1e-9)
+    assert audit.ok
+    assert not audit_operator(LipschitzOperator(lambda x: -3.0 * x, 2.9), X).ok
+
+
+def test_a_bare_audit_draws_the_pairs_every_plan_audits():
+    X = HilbertSpace(2, np.diag([1.0, 3.0]))
+    op = MonotoneOperator(lambda x: 2.0 * x + np.tanh(x), 2.0, 3.0)
+    bare = audit_operator(op, X)
+    assert bare.trials == 256
+    assert bare == iteration_metric(X, ConstraintCone.whole_space(X), op,
+                                    HomogeneousFunctional.zero(X)).audit
+
+
+@pytest.mark.parametrize("apply, error", [
+    (lambda u: np.array([[2.0, 1.0], [1.0, 2.0]]) @ u, "apply must take a block of rows"),
+    (lambda u: np.array([3.0 * u[1], 3.0 * u[0]]),
+     r"apply maps a block of shape \(256, 2\) to one of shape \(2, 2\)"),
+], ids=["vector-only matmul", "wrong block shape"])
+def test_an_operator_that_cannot_take_a_block_is_refused_by_its_tag(apply, error):
+    X = HilbertSpace(2)
+    op = MonotoneOperator(apply, 1.0, 3.0, tag="vector-only")
+    problem = EviProblem(X, ConstraintCone.whole_space(X), op, HomogeneousFunctional.zero(X),
+                         None, np.ones(2))
+    with pytest.raises(ValueError, match="vector-only: " + error):
+        solve_evi(problem)
+    with pytest.raises(ValueError, match="spring: " + error):
+        audit_operator(LipschitzOperator(apply, 3.0, tag="spring"), X)
 
 
 def test_soft_threshold_solution():

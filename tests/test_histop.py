@@ -243,6 +243,23 @@ class TestPicardFixedPoint:
         again = op(fix)
         assert np.max(np.abs(again.samples - fix.samples)) < 1e-12
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_one_small_sweep_ratio_does_not_loosen_the_stopping_test(self, tol):
+        # u -> A u + b: successive sweep ratios alternate near 0.64 and 1e-3,
+        # so a test on the last ratio alone accepts a displacement of 999 tol
+        grid = TimeGrid(1.0, 2)
+        space = HilbertSpace(2)
+        A, b = np.array([[0.0, 0.9], [0.0009, 0.0]]), np.array([1.0, 1.0])
+
+        def advance(state, first, inputs):
+            return None, inputs @ A.T + b
+
+        op = HistoryOperator(None, advance, l=0.9, L=0.0, tag="affine", out_space=space)
+        assert check_declared_bound(op, space, grid) <= 0.0
+        fix = picard_fixed_point(op, space, grid, tol=tol)
+        exact = np.linalg.solve(np.eye(2) - A, b)
+        assert np.abs(fix.samples - exact).max() <= tol
+
     def test_rejects_nonsmall_instantaneous_constant(self):
         grid = TimeGrid(1.0, 16)
         space = HilbertSpace(1)
@@ -310,7 +327,7 @@ def lifted_load_memory(grid):
         functional=HomogeneousFunctional.zero(SPACE2), f=Trajectory.zeros(SPACE2, grid),
         grid=grid, load_memory=volterra_operator(EXPONENTIAL, grid, SPACE2))
     B = np.array([[0.5, 0.2], [0.1, 0.4]])
-    b_op = LipschitzOperator(apply=lambda u: B @ u, L=float(np.linalg.norm(B, 2)))
+    b_op = LipschitzOperator(apply=lambda u: u @ B.T, L=float(np.linalg.norm(B, 2)))
     return lift_to_velocity(SweepingSpec(core=core, b_op=b_op, u0=[0.3, -0.2])).load_memory
 
 

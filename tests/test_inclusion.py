@@ -196,6 +196,21 @@ class TestBuilderVariants:
                 grid=grid,
             )
 
+    def test_parameter_free_refuses_a_parameter_memory(self):
+        # its functional reads no parameter, yet the memory's l = 1 would
+        # enter the gate: (0 + 1)(1 + 0) >= m = 0.9 on a problem with no coupling
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(ValueError, match="parameter_free takes no parameter memory"):
+            build_inclusion_variant(
+                "parameter_free",
+                cone=FREE,
+                operator=MonotoneOperator.from_matrix(X, [[0.9]]),
+                functional=HomogeneousFunctional.zero(X),
+                f=Trajectory.constant(X, grid, [1.0]),
+                grid=grid,
+                parameter_memory=identity_operator(),
+            )
+
     def test_unknown_variant_rejected(self):
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
@@ -547,7 +562,7 @@ class TestZeroCoupling:
                 out_space=space)))
         zero = np.zeros((space.dim, space.dim))
         rows = replace(spec, b_op=LipschitzOperator(
-            apply=lambda u: space.solve_metric(zero @ u), L=0.0))
+            apply=lambda u: space.solve_metric(u @ zero), L=0.0))
         assert not rows.b_op.is_zero
         fast, slow = spec.inclusion.load_memory, lift_to_velocity(rows).load_memory
         v = np.random.default_rng(3).standard_normal((grid.steps + 1, space.dim))

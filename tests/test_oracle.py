@@ -111,6 +111,35 @@ class TestBruteVi:
             brute_vi(problem, GridSearchConfig(radius=1.0, resolution=31, center=4.0))
 
 
+def coupled_2d_node():
+    """Node 8 of a 2-D memory-pair run, where the first refinement's pick is on its edge."""
+    X = HilbertSpace(2, np.diag([1.0, 2.0]))         # M H = [[2, 1], [1, 6]] is symmetric
+    return EviProblem(space=X, cone=ConstraintCone.nonnegative(X, [0, 1]),
+                      operator=MonotoneOperator.from_matrix(X, [[2.0, 1.0], [0.5, 3.0]]),
+                      functional=HomogeneousFunctional.positive_part(
+                          X, HilbertSpace(2), weights=[0.4, 0.2], indices=[0, 1]),
+                      eta=np.array([0.0829, 0.0509]), f=np.array([1.2808, 1.3784]))
+
+
+class TestRefinement:
+    CFG = GridSearchConfig(radius=1.5, resolution=81)
+    FINE_SPACING = 1.25 * (3.0 / 80) * 2.0 / 80
+
+    def test_an_edge_pick_is_refined_again_until_it_is_interior(self):
+        # refined once, the pick lies on its box's edge, 9.8e-3 from the solution
+        problem = coupled_2d_node()
+        exact = solve_evi(problem, tol=1e-12).u
+        pick = brute_vi(problem, self.CFG)
+        assert np.abs(pick - exact).max() <= 2.0 * self.FINE_SPACING
+
+    def test_the_refinement_moves_a_bounded_number_of_times(self, monkeypatch):
+        import sweepvi.oracle as oracle
+
+        monkeypatch.setattr(oracle, "_RECENTRINGS", 0)
+        with pytest.raises(OracleInconclusiveError, match="still touches its box"):
+            brute_vi(coupled_2d_node(), self.CFG)
+
+
 class TestBruteInclusion:
     @staticmethod
     def decay_spec(steps):

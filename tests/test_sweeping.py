@@ -264,22 +264,22 @@ class TestVariantsAndAudits:
             build_sweeping_variant("spiral", core=spec.core, b_op=spec.b_op, u0=[0.0])
 
     def test_the_coupling_is_audited_on_the_iteration_plans_pairs(self, monkeypatch):
-        import sweepvi.sweeping as sweeping
+        import sweepvi.evi as evi
 
         calls = []
-        audit = sweeping.audit_lipschitz
+        audit = evi.audit_operator
 
-        def recording(op, space, trials, seed):
-            calls.append((trials, seed))
-            return audit(op, space, trials, seed)
+        def recording(op, space, **kwargs):
+            calls.append((op.tag, kwargs))
+            return audit(op, space, **kwargs)
 
-        monkeypatch.setattr(sweeping, "audit_lipschitz", recording)
+        monkeypatch.setattr(evi, "audit_operator", recording)
         ode_spec(8)
-        assert calls == [(256, 0)]
+        assert calls == [("spring", {"trials": 256, "seed": 0})]
 
     def test_understated_coupling_constant_caught_at_build(self):
         spec = ode_spec(8)
-        with pytest.raises(AuditError):
+        with pytest.raises(AuditError, match=r"declared \(L=0.5\) of liar failed"):
             SweepingSpec(core=spec.core,
                          b_op=LipschitzOperator(apply=lambda u: 2.0 * u, L=0.5, tag="liar"),
                          u0=[0.0])
@@ -342,7 +342,7 @@ class TestCausalStepProtocol:
         self.assert_all_paths(lift_to_velocity(spec).load_memory, v, want)
 
     def test_the_lift_of_an_elastic_coupling_is_the_step_loop_bit_for_bit(self):
-        # with b > 0 the block form of assemble_elastic (apply_rows) rounds
+        # with b > 0 assemble_elastic applied to a block of rows rounds
         # differently from one b_op call per row; a block pass of the lifted
         # memory must give the bits of stepping it node by node
         from sweepvi import ContactLaw, Loads, Material, Mesh1D, build_problem
