@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -53,6 +55,7 @@ from .evi import (
     MonotoneOperator,
     NonConvergenceError,
     NonFiniteError,
+    OperatorAudit,
 )
 from .histop import (
     ExponentialProfile,
@@ -69,7 +72,7 @@ from .inclusion import (
     check_smallness,
 )
 from .oracle import _INCLUSION_MAX_DIM, _INCLUSION_MAX_STEPS, GridSearchConfig, brute_inclusion
-from .sweeping import integrate_velocity, solve_spec
+from .sweeping import SweepingSpec, integrate_velocity, solve_spec
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -422,14 +425,24 @@ def _build(cfg: RunConfig):
 
 # ---------------------------------------------------------------- check
 
+def _audit_line(label: str, tag: str, audit: OperatorAudit) -> str:
+    """A passed audit of declared constants; ``m`` only where the operator declares it."""
+    declared, sampled = f"L={_g(audit.L_declared)}", f"L={_g(audit.L_observed)}"
+    if audit.m_declared is not None:
+        declared = f"m={_g(audit.m_declared)} {declared}"
+        sampled = f"m={_g(audit.m_observed)} {sampled}"
+    return (f"{label} [{tag}]: declared {declared}; sampled {sampled} "
+            f"over {audit.trials} pairs [pass]")
+
+
 def cmd_check(cfg: RunConfig, out) -> int:
     problem, spec = _build(cfg)
     core = spec.inclusion
     audit = core.iteration_metric.audit     # a failed audit raises AuditError: exit 2
     print(f"problem: {cfg.kind}", file=out)
-    print(f"operator [{core.operator.tag}]: declared m={_g(audit.m_declared)} "
-          f"L={_g(audit.L_declared)}; sampled m={_g(audit.m_observed)} "
-          f"L={_g(audit.L_observed)} over {audit.trials} pairs [pass]", file=out)
+    print(_audit_line("operator", core.operator.tag, audit), file=out)
+    if isinstance(spec, SweepingSpec):      # B was audited when the spec was built
+        print(_audit_line("coupling", spec.b_op.tag, spec.b_audit), file=out)
     if problem is not None and problem.law.F is not None:
         print(f"contact law: F(0)=0, F>=0, sampled slope <= L_F={_g(problem.law.L_F)} "
               f"at {_AUDIT_SAMPLES} points on [0, {_g(_AUDIT_RADIUS)}] [pass]", file=out)
@@ -535,20 +548,33 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
     return "\n".join(lines) + "\n"
 
 
-def _output_dir(out_dir: Path) -> None:
-    """Create ``--out`` before any solve; one that cannot be created is a usage error."""
+@contextmanager
+def _output_dir(out_dir: Path):
+    """Create ``--out`` before any solve; one that cannot be created is a usage error.
+
+    A config error raised in the block removes the directory if this call
+    made it and nothing was written to it yet.
+    """
+    made = not out_dir.is_dir()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {str(out_dir)!r}: cannot create the output directory "
                           f"({exc.strerror or exc})") from exc
+    try:
+        yield
+    except ConfigError:
+        if made:
+            with suppress(OSError):         # not empty: the run wrote a file
+                os.rmdir(out_dir)
+        raise
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path, out) -> int:
     problem, spec = _build(cfg)
-    _output_dir(out_dir)
     try:
-        sol = _solve(cfg, spec)
+        with _output_dir(out_dir):
+            sol = _solve(cfg, spec)
     except NonConvergenceError as exc:
         text = _diagnostics_text(cfg, problem, spec, None, error=exc)
         (out_dir / "diagnostics.txt").write_text(text, encoding="utf-8")
@@ -617,8 +643,15 @@ def _order_table(label, sizes, diffs, floor, out, lines):
 def cmd_convergence(cfg: RunConfig, refinements: int, out_dir: Path | None, out) -> int:
     if refinements < 2:
         raise ConfigError("convergence study needs --refinements >= 2")
+    with _output_dir(out_dir) if out_dir is not None else nullcontext():
+        lines = _refinement_tables(cfg, refinements, out)
     if out_dir is not None:
-        _output_dir(out_dir)
+        (out_dir / "convergence.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return 0
+
+
+def _refinement_tables(cfg: RunConfig, refinements: int, out) -> list[str]:
+    """Solve on each refinement, print the order tables and return their lines."""
     lines: list[str] = []
 
     sols = [_solution_u(_refined(cfg, steps=cfg.grid.steps * 2 ** k))
@@ -646,10 +679,7 @@ def cmd_convergence(cfg: RunConfig, refinements: int, out_dir: Path | None, out)
         _order_table("spatial refinement (h halving):",
                      [base_el * 2 ** k for k in range(refinements + 1)],
                      diffs_h, floor, out, lines)
-
-    if out_dir is not None:
-        (out_dir / "convergence.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return 0
+    return lines
 
 
 # ---------------------------------------------------------------- verify
@@ -793,7 +823,18 @@ def _parser() -> argparse.ArgumentParser:
 _PARSER = _parser()
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one ``warning: <message>`` line on stderr, without its source."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        return _main(argv)
+
+
+def _main(argv) -> int:
     try:
         args = vars(_PARSER.parse_args(argv))
     except SystemExit as exc:       # argparse exits 2 on a usage error, 0 after --help

@@ -41,6 +41,24 @@ _COUPLING_RTOL = 1e-10
 _BLOCK_DOUBLES = 2 ** 14
 
 
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(p, 1)`` of a 2-D block, bit for bit.
+
+    numpy adds fewer than 8 values left to right onto ``+0.0``, so on a
+    block that narrow the sum of its columns, in order and from ``+0.0``, is
+    the same, signed zeros included; from 64 rows on it also beats the
+    reduce, whose loop runs once per row.  Wider blocks, which numpy sums
+    pairwise, and shorter ones take the reduce.
+    """
+    rows, width = p.shape
+    if width >= 8 or rows < 64:
+        return np.add.reduce(p, 1)
+    out = p[:, 0] + 0.0
+    for j in range(1, width):
+        out += p[:, j]
+    return out
+
+
 class DimensionMismatchError(ValueError):
     """Vector or matrix shape inconsistent with the declared space."""
 
@@ -132,7 +150,7 @@ class HilbertSpace:
         # ndarray.dot is the BLAS product of @, bit for bit, and np.add.reduce
         # the sum of ndarray.sum, each without the call overhead that
         # dominates on a few rows
-        return np.sqrt(np.maximum(np.add.reduce(vs.dot(self.metric) * vs, 1), 0.0))
+        return np.sqrt(np.maximum(_row_sums(vs.dot(self.metric) * vs), 0.0))
 
     def solve_metric(self, bs) -> np.ndarray:
         """Riesz map: ``M^{-1} b`` for a vector ``b`` or for each row of ``bs``."""
@@ -393,35 +411,57 @@ def sample_unit_directions(cone: ConstraintCone, count: int, seed: int) -> np.nd
     after them, so low-dimensional corners are never missed.  Points whose
     projection is (numerically) zero are dropped.
 
-    The sample is built in place: the draws (``count`` rows of
-    ``default_rng(seed).standard_normal``, the same stream as one
-    ``(count, dim)`` draw) and the axes fill one buffer, which is projected
-    and measured in blocks of about ``_BLOCK_DOUBLES`` values (at least 128
-    rows) and then divided by its norms, so the call holds the sample and
-    one block; only a sample with null rows is copied once, to drop them.
+    The ``head = count`` case of :func:`_nested_unit_directions`, which
+    builds the sample in place and holds it and one block.
+    """
+    return _nested_unit_directions(cone, count, count, seed)[0]
+
+
+def _nested_unit_directions(cone: ConstraintCone, head: int, count: int,
+                            seed: int) -> tuple[np.ndarray, int]:
+    """One sample of ``count`` draws whose prefix is the sample of its first ``head``.
+
+    Returns the directions and the length of their prefix, which is
+    ``sample_unit_directions(cone, head, seed)`` bit for bit: the first
+    ``head`` rows of ``default_rng(seed).standard_normal`` (the same stream
+    as one ``(count, dim)`` draw), then the signed axes, then the remaining
+    ``count - head`` draws (none when ``count <= head``).  The rows fill
+    one buffer, which is projected and measured in blocks of about
+    ``_BLOCK_DOUBLES`` values (at least 128 rows), the prefix in the blocks
+    a sample of ``head`` draws has, and then divided by its norms, so the
+    call holds the sample and one block; only a sample with null rows is
+    copied once, to drop them.
     """
     space, dim = cone.space, cone.space.dim
-    count = max(count, 0)
+    head = max(head, 0)
+    count = max(count, head)
+    lead = head + 2 * dim                   # the prefix rows: head draws and the axes
     pts = np.empty((count + 2 * dim, dim))
-    np.random.default_rng(seed).standard_normal(out=pts[:count])
-    pts[count:count + dim] = 0.0
-    pts[count + dim:] = -0.0
-    np.fill_diagonal(pts[count:count + dim], 1.0)
-    np.fill_diagonal(pts[count + dim:], -1.0)
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=pts[:head])
+    rng.standard_normal(out=pts[lead:])
+    pts[head:head + dim] = 0.0
+    pts[head + dim:lead] = -0.0
+    np.fill_diagonal(pts[head:head + dim], 1.0)
+    np.fill_diagonal(pts[head + dim:lead], -1.0)
     norms = np.empty(len(pts))
     # at least 128 rows a block, since each block's product packs the whole
     # dim x dim metric; near-equal blocks, so that none is a single row, which
     # numpy multiplies through gemv, whose sums round unlike a gemm's rows
     rows = max(128, _BLOCK_DOUBLES // dim)
-    blocks = -(-len(pts) // rows)
-    for block, out in zip(np.array_split(pts, blocks), np.array_split(norms, blocks)):
-        cone._project_rows(block)
-        out[:] = space.norms_many(block)
+    for lo, hi in ((0, lead), (lead, len(pts))):
+        blocks = -(-(hi - lo) // rows)
+        if blocks:              # the tail is empty when count == head
+            for block, out in zip(np.array_split(pts[lo:hi], blocks),
+                                  np.array_split(norms[lo:hi], blocks)):
+                cone._project_rows(block)
+                out[:] = space.norms_many(block)
     keep = norms > 1e-12
+    prefix = int(np.count_nonzero(keep[:lead]))
     if not keep.all():
         pts, norms = pts[keep], norms[keep]
     pts /= norms[:, None]
-    return pts
+    return pts, prefix
 
 
 _FUNC_KINDS = ("zero", "positive_part", "block_norm", "separable")

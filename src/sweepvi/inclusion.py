@@ -35,8 +35,8 @@ from .core import (
     HomogeneousFunctional,
     TimeGrid,
     Trajectory,
+    _nested_unit_directions,
     membership_residuals,
-    sample_unit_directions,
 )
 from .evi import (
     AuditError,
@@ -66,8 +66,8 @@ __all__ = [
 ]
 
 
-_RESIDUAL_BUDGET = 1024     # VI-residual directions drawn by a solve
-_MEMBERSHIP_BUDGET = 2048
+_RESIDUAL_BUDGET = 1024     # draws whose directions the VI residual of a solve tests
+_MEMBERSHIP_BUDGET = 2048   # draws of a solve's one sample, all tested by the membership
 _MEMBERSHIP_NODES = 8       # nodes, spread over the grid, whose membership a solve tests
 # time marching multiplies the width by 2 ** max(1, (_WIDEN_PASSES + 2 - p) // 2)
 # after a window that settles within p <= _WIDEN_PASSES passes and halves it
@@ -301,22 +301,22 @@ def _node_gradients(spec: InclusionSpec, u_samples: np.ndarray, xi: np.ndarray) 
 def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, eta: np.ndarray, xi: np.ndarray,
                  nodes: np.ndarray, seed: int,
                  residual_budget: int) -> tuple[np.ndarray, dict[int, float], dict]:
-    """Both solution tests, each on one direction sample shared by the nodes.
+    """Both solution tests, on one direction sample shared by the nodes.
 
-    Returns the VI residual at every node (``residual_budget`` directions
-    drawn from ``seed``), the inclusion membership residual at ``nodes``
-    (``_MEMBERSHIP_BUDGET`` directions from ``seed + 1``), and the sample
-    sizes: the directions actually tested after the cone projection drops
-    the null ones.
+    The sample has ``max(residual_budget, _MEMBERSHIP_BUDGET)`` draws from
+    ``seed``, its prefix being the sample of the first ``residual_budget``
+    (:func:`~sweepvi.core._nested_unit_directions`).  Returns the VI
+    residual at every node on that prefix, the inclusion membership residual
+    at ``nodes`` on the whole sample, and the sample sizes: the directions
+    each check actually tested after the cone projection drops the null ones.
     """
     grads = _node_gradients(spec, u_samples, xi)
-    dirs = sample_unit_directions(spec.cone, residual_budget, seed)
+    dirs, prefix = _nested_unit_directions(spec.cone, residual_budget,
+                                           max(residual_budget, _MEMBERSHIP_BUDGET), seed)
     residuals = vi_residuals(spec.x_space, spec.cone, spec.functional, u_samples, grads,
-                             eta, dirs)
-    sizes = {"residual_directions": len(dirs), "membership_nodes": len(nodes)}
-    del dirs                    # never hold both samples: they set the peak memory
-    dirs = sample_unit_directions(spec.cone, _MEMBERSHIP_BUDGET, seed + 1)
-    sizes["membership_directions"] = len(dirs)
+                             eta, dirs[:prefix])
+    sizes = {"residual_directions": prefix, "membership_nodes": len(nodes),
+             "membership_directions": len(dirs)}
     # at node k the moving set is f_k - C(eta_k) and z_k = A u_k + xi_k, so
     # f_k - z_k is minus the VI gradient
     member = membership_residuals(spec.functional, spec.cone, eta[nodes], -grads[nodes],
@@ -471,11 +471,11 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     iteration plan is made (:attr:`InclusionSpec.iteration_metric`); a failed
     audit raises :class:`~sweepvi.evi.AuditError`, with or without ``force``.
 
-    The result is then checked at the nodes: the VI residual at every node
-    on 1024 cone directions drawn from ``seed``, and the inclusion
-    membership at 8 nodes spread over the grid on 2048 directions drawn from
-    ``seed + 1``; each check draws its sample once and tests all its nodes
-    together.  A converged solution must pass membership within
+    The result is then checked at the nodes on one sample of 2048 cone
+    directions drawn from ``seed``: the VI residual at every node on its
+    first 1024 draws and the signed axes, and the inclusion membership at 8
+    nodes spread over the grid on the whole sample; each check tests all its
+    nodes together.  A converged solution must pass membership within
     ``max(1e-6, 100 tol)``.  The diagnostics record the sample sizes.
     """
     if mode not in ("global_picard", "time_marching"):

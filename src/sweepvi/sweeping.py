@@ -17,13 +17,14 @@ cannot drift apart.  The result is the inclusion's own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .core import DimensionMismatchError, HilbertSpace, TimeGrid, Trajectory, _vec, sample_unit_directions
-from .evi import LipschitzOperator, NonConvergenceError, _audited, solve_evi, vi_residuals
+from .evi import (LipschitzOperator, NonConvergenceError, OperatorAudit, _audited, solve_evi,
+                  vi_residuals)
 from .histop import HistoryOperator, IneligibleOperatorError, continue_trapezoid
 from .inclusion import (
     InclusionSolution,
@@ -70,20 +71,21 @@ class SweepingSpec:
     its declared Lipschitz constant is audited when the spec is built, by the
     audit every iteration plan runs (a failure raises
     :class:`~sweepvi.evi.AuditError`).  ``u0`` must be finite, one value per dof.
-    ``inclusion`` is the velocity inclusion :func:`lift_to_velocity` builds,
-    once per spec.
+    ``b_audit`` is that passed audit.  ``inclusion`` is the velocity
+    inclusion :func:`lift_to_velocity` builds, once per spec.
     """
 
     core: InclusionSpec
     b_op: LipschitzOperator
     u0: np.ndarray
+    b_audit: OperatorAudit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u0 = _vec(self.u0, self.core.x_space.dim)
         if not np.isfinite(u0).all():
             raise ValueError("u0 must be finite")
         object.__setattr__(self, "u0", u0)
-        _audited(self.b_op, self.core.x_space)
+        object.__setattr__(self, "b_audit", _audited(self.b_op, self.core.x_space))
 
     @cached_property
     def inclusion(self) -> InclusionSpec:

@@ -223,6 +223,24 @@ class TestConfigKeys:
         assert capsys.readouterr().err == ("config error: [abstract] negative effective "
                                            "weight; prox undefined\n")
 
+    @pytest.mark.parametrize("command", ["run", "convergence"])
+    def test_a_config_error_at_solve_time_leaves_no_out_and_one_warning_line(
+            self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(ABSTRACT_2D.replace("cone_indices = 0 1", "cone_indices = 0")
+                       .replace("f = 1 0.5", "f = 1 -0.5"))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", bad, "--out", out) == 4
+        assert capsys.readouterr().err == ("warning: negative parameter entries break "
+                                           "convexity of j\n"
+                                           "config error: [abstract] negative effective "
+                                           "weight; prox undefined\n")
+        assert not out.exists()
+        # a directory the run did not make stays, empty or not
+        out.mkdir()
+        assert run_cli(command, "--config", bad, "--out", out) == 4
+        assert out.is_dir()
+
     @pytest.mark.parametrize("old, new", [
         ("law = linear\nslope = 0.5", "law = saturating\nfmax = 0.3\nrate = 2.0"),
         ("law = linear\nslope = 0.5", "law = table\nslips = 0 1\nthresholds = 0 0.5"),
@@ -409,6 +427,18 @@ class TestCheck:
                                       "abstract_volterra.ini"])
     def test_all_shipped_configs_are_admissible(self, name):
         assert run_cli("check", "--config", CONFIGS / name) == 0
+
+    def test_check_prints_the_audit_of_a_sweeping_coupling(self, tmp_path, capsys):
+        text = (CONFIGS / "shear_friction.ini").read_text()
+        assert "[material]\n" in text
+        coupled = tmp_path / "coupled.ini"
+        coupled.write_text(text.replace("[material]\n", "[material]\nb = 0.3\n"))
+        assert run_cli("check", "--config", coupled) == 0
+        lines = capsys.readouterr().out.splitlines()
+        coupling = [ln for ln in lines if ln.startswith("coupling [elastic]: ")]
+        assert len(coupling) == 1, lines
+        assert re.fullmatch(r"coupling \[elastic\]: declared L=0\.29999999999999999; "
+                            r"sampled L=\S+ over 256 pairs \[pass\]", coupling[0])
 
     @pytest.mark.parametrize("cone", ["whole", "nonnegative"])
     def test_an_out_of_range_cone_index_is_a_config_error(self, tmp_path, capsys, cone):

@@ -16,6 +16,7 @@ from sweepvi.core import (
     TimeRangeError,
     Trajectory,
     UnsupportedConfigurationError,
+    _row_sums,
     sample_unit_directions,
 )
 
@@ -151,6 +152,25 @@ def test_norms_many_matches_loop():
     want = [X.norm(v) for v in vs]
     np.testing.assert_allclose(X.norms_many(vs), want, rtol=1e-13)
     assert X.norms_many(np.zeros((3, 5))).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_the_row_sum_of_a_narrow_block_is_the_reduce_bit_for_bit(width):
+    # the column sum runs from 64 rows on; magnitudes span 26 decades, and
+    # a share of the entries are signed zeros, infinities and NaNs of both signs
+    rng = np.random.default_rng(width)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    for rows in (1, 63, 64, 65, 300, 2056):
+        for share in (0.0, 0.3, 0.9):
+            p = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-13.0, 13.0,
+                                                                         (rows, width))
+            mask = rng.random((rows, width)) < share
+            p[mask] = rng.choice(special, mask.sum())
+            p[0] = -0.0                         # the reduce of -0.0 alone is +0.0
+            with np.errstate(invalid="ignore"):
+                want = np.add.reduce(p, 1)
+                got = _row_sums(p)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_time_grid_nodes_and_dt():

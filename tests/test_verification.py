@@ -1,4 +1,4 @@
-"""Batched post-solve verification: one direction sample per check per solve.
+"""Batched post-solve verification: one direction sample per solve.
 
 The kernels are compared against the per-node formulas written out here on
 the same direction sample, with ``j`` evaluated from its definition.
@@ -11,7 +11,6 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import sweepvi.core as core_module
-import sweepvi.evi as evi_module
 import sweepvi.inclusion as inclusion_module
 from sweepvi import (
     AssumptionWarning,
@@ -29,7 +28,8 @@ from sweepvi import (
     vi_residuals,
 )
 from sweepvi.cli import _build, _solve, load_config, main
-from sweepvi.core import _BLOCK_DOUBLES, _lowest_pairings, sample_unit_directions
+from sweepvi.core import (_BLOCK_DOUBLES, _lowest_pairings, _nested_unit_directions,
+                          sample_unit_directions)
 from sweepvi.inclusion import _node_gradients, _node_problem
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -290,6 +290,61 @@ def test_the_sample_drops_null_rows():
     assert np.all(np.abs(X.norms_many(dirs) - 1.0) <= 1e-15)
 
 
+def nested_ref(cone, head, count, seed):
+    """The nested sample as one whole-array pass: one draw, the axes after its first ``head``."""
+    space = cone.space
+    raw = np.random.default_rng(seed).standard_normal((count, space.dim))
+    eye = np.eye(space.dim)
+    pts = cone.project_many(np.vstack([raw[:head], eye, -eye, raw[head:]]))
+    norms = space.norms_many(pts)
+    keep = norms > 1e-12
+    return pts[keep] / norms[keep, None], int(keep[:head + 2 * space.dim].sum())
+
+
+# the prefix is blocked as a sample of its own, the tail after it: at dim 96
+# and head 1024 the prefix is 8 blocks of 152 rows, at dim 1024 and head 37
+# it is 17 blocks of 122 or 123, and a head of 0 is the axes alone
+@pytest.mark.parametrize("dim,pairs,metrics", ((4, ((0, 1), (1, 300), (300, 300)),
+                                                ("diagonal", "coupled")),
+                                               (96, ((149, 2048), (1024, 2048)),
+                                                ("diagonal", "coupled")),
+                                               (1024, ((37, 200),), ("coupled",))))
+def test_the_nested_sample_extends_the_sample_of_its_head_bit_for_bit(dim, pairs, metrics):
+    for cone in _sample_cones(dim, metrics):
+        for head, count in pairs:
+            got, prefix = _nested_unit_directions(cone, head, count, seed=3)
+            want = sample_unit_directions(cone, head, seed=3)
+            assert prefix == len(want)
+            np.testing.assert_array_equal(got[:prefix], want)
+            np.testing.assert_array_equal(np.signbit(got[:prefix]), np.signbit(want))
+            whole, whole_prefix = nested_ref(cone, head, count, seed=3)
+            assert prefix == whole_prefix
+            np.testing.assert_array_equal(got, whole)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(whole))
+
+
+def test_the_nested_sample_drops_null_rows_in_its_prefix_and_its_tail():
+    # the zero cone on every coordinate leaves no direction at all
+    X = HilbertSpace(3, np.diag([1.0, 2.0, 3.0]))
+    null = ConstraintCone.zero(X, [0, 1, 2])
+    dirs, prefix = _nested_unit_directions(null, 5, 20, seed=1)
+    assert dirs.shape == (0, 3) and prefix == 0
+    # under a diagonal metric -e_0 projects onto the origin of {x_0 >= 0}
+    cone = ConstraintCone.nonnegative(X, [0])
+    head, count = 40, 90
+    dirs, prefix = _nested_unit_directions(cone, head, count, seed=1)
+    assert prefix == head + 2 * 3 - 1 and len(dirs) == count + 2 * 3 - 1
+    np.testing.assert_array_equal(dirs[:prefix], sample_unit_directions(cone, head, seed=1))
+    # in one dimension every draw above 0, in the prefix or the tail, projects
+    # onto the origin of {x <= 0}, and so does the axis +e_0
+    tail_null = ConstraintCone.nonpositive(HilbertSpace(1), [0])
+    dirs, prefix = _nested_unit_directions(tail_null, 3, 50, seed=2)
+    draws = np.random.default_rng(2).standard_normal(50)
+    assert prefix == (draws[:3] < 0).sum() + 1
+    assert len(dirs) == (draws < 0).sum() + 1
+    assert np.all(dirs == -1.0)
+
+
 def test_the_sample_holds_itself_and_a_few_blocks():
     import tracemalloc
 
@@ -298,6 +353,21 @@ def test_the_sample_holds_itself_and_a_few_blocks():
     tracemalloc.start()
     try:
         sample_unit_directions(cone, count, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sample_bytes = (count + 2 * dim) * dim * 8
+    assert peak <= sample_bytes + 4 * _BLOCK_DOUBLES * 8
+
+
+def test_the_nested_sample_holds_itself_and_a_few_blocks():
+    import tracemalloc
+
+    cone = ConstraintCone.whole_space(_coupled_space(96, seed=2))
+    head, count, dim = 1024, 2048, 96
+    tracemalloc.start()
+    try:
+        _nested_unit_directions(cone, head, count, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -357,26 +427,27 @@ def test_negative_parameters_still_warn():
         membership_residuals(functional, cone, etas, gs, us, dirs)
 
 
-# ---------------------------------------------- one sample per check per solve
+# ------------------------------------------------------ one sample per solve
 
 @pytest.fixture
 def sample_calls(monkeypatch):
+    """Every direction sample built, as ``(head, count, seed)``."""
     calls = []
-    original = core_module.sample_unit_directions
+    original = core_module._nested_unit_directions
 
-    def counting(cone, count, seed):
-        calls.append((count, seed))
-        return original(cone, count, seed)
+    def counting(cone, head, count, seed):
+        calls.append((head, count, seed))
+        return original(cone, head, count, seed)
 
-    for module in (core_module, evi_module, inclusion_module):
-        monkeypatch.setattr(module, "sample_unit_directions", counting)
+    for module in (core_module, inclusion_module):
+        monkeypatch.setattr(module, "_nested_unit_directions", counting)
     return calls
 
 
-def test_a_run_draws_one_sample_per_check(sample_calls, tmp_path):
+def test_a_run_draws_one_sample_for_both_checks(sample_calls, tmp_path):
     assert main(["run", "--config", str(CONFIGS / "rod_compliance.ini"),
                  "--out", str(tmp_path), "--seed", "5"]) == 0
-    assert sample_calls == [(1024, 5), (2048, 6)]
+    assert sample_calls == [(1024, 2048, 5)]
     lines = (tmp_path / "diagnostics.txt").read_text().splitlines()
     # the budget plus the 2 * 4 signed axes, none null in the whole space
     assert "residual_directions: 1032" in lines
@@ -384,12 +455,29 @@ def test_a_run_draws_one_sample_per_check(sample_calls, tmp_path):
     assert "membership_directions: 2056" in lines
 
 
-def test_verify_draws_one_sample_per_check(sample_calls, tmp_path):
+def test_verify_draws_one_sample_for_both_checks(sample_calls, tmp_path):
     config = str(CONFIGS / "shear_friction.ini")
     assert main(["run", "--config", config, "--out", str(tmp_path)]) == 0
     sample_calls.clear()
     assert main(["verify", "--config", config, "--out", str(tmp_path)]) == 0
-    assert sample_calls == [(2048, 0), (2048, 1)]
+    assert sample_calls == [(2048, 2048, 0)]
+
+
+def test_a_residual_budget_above_the_membership_budget_draws_the_larger(sample_calls):
+    cfg = load_config(CONFIGS / "rod_compliance.ini")
+    _, spec = _build(cfg)
+    core = spec.inclusion
+    sol = _solve(cfg, spec)
+    u = sol.u.samples
+    nodes = np.array([0, cfg.grid.steps])
+    residuals, _, sizes = inclusion_module._node_checks(core, u, sol.eta.samples,
+                                                        sol.xi.samples, nodes, 0, 3000)
+    assert sample_calls[-1] == (3000, 3000, 0)
+    assert sizes["residual_directions"] == sizes["membership_directions"] == 3000 + 2 * 4
+    dirs = sample_unit_directions(core.cone, 3000, 0)
+    grads = _node_gradients(core, u, sol.xi.samples)
+    want = vi_residuals(core.x_space, core.cone, core.functional, u, grads, sol.eta.samples, dirs)
+    np.testing.assert_array_equal(residuals, want)
 
 
 # ------------------------------------------------------------ audits, Riesz map
