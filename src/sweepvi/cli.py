@@ -482,21 +482,22 @@ def _csv_rows(cfg: RunConfig, sol: InclusionSolution, stress):
             cols.append(stress.sigma_tau)
     header += ["residual", "iterations"]
     cols.append(np.asarray(sol.per_step_residuals, dtype=float))
-    iters = np.asarray(sol.per_step_iterations, dtype=int).tolist()
-    # one format per row: each float as _g prints it, the count as an int
-    fmt = ",".join(["%.17g"] * len(cols)) + ",%d\n"
-    rows = [fmt % (*row, it) for row, it in zip(np.column_stack(cols).tolist(), iters)]
-    return header, rows
+    # each float as _g prints it, the count as an int; imported here because check,
+    # verify and a failed run write no solution and need not load the kernel
+    from .csvtext import format_block
+
+    return header, format_block(np.column_stack(cols), sol.per_step_iterations)
 
 
 def _failure(exc: NonConvergenceError) -> str:
     return "non-finite" if isinstance(exc, NonFiniteError) else "non-convergence"
 
 
-def _write_csv(path: Path, header, rows):
-    """Write the header and the formatted rows (newline included) in one call."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n" + "".join(rows))
+def _write_csv(path: Path, header, body: bytes):
+    """Write the header line, then the formatted rows."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.write(body)
 
 
 def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
@@ -578,14 +579,16 @@ def cmd_run(cfg: RunConfig, out_dir: Path, out) -> int:
     except NonConvergenceError as exc:
         text = _diagnostics_text(cfg, problem, spec, None, error=exc)
         (out_dir / "diagnostics.txt").write_text(text, encoding="utf-8")
+        # a solution an earlier run left here does not belong to these diagnostics
+        (out_dir / "solution.csv").unlink(missing_ok=True)
         print(f"{_failure(exc)}: {exc}", file=out)
         return 3
     stress = recover_stress(problem, sol.u, sol.v) if problem is not None else None
-    header, rows = _csv_rows(cfg, sol, stress)
-    _write_csv(out_dir / "solution.csv", header, rows)
+    header, body = _csv_rows(cfg, sol, stress)
+    _write_csv(out_dir / "solution.csv", header, body)
     (out_dir / "diagnostics.txt").write_text(
         _diagnostics_text(cfg, problem, spec, sol, stress), encoding="utf-8")
-    print(f"wrote {out_dir / 'solution.csv'} ({len(rows)} rows) "
+    print(f"wrote {out_dir / 'solution.csv'} ({cfg.grid.steps + 1} rows) "
           f"and {out_dir / 'diagnostics.txt'}", file=out)
     if not sol.converged:
         print("run finished without meeting the stopping rule (recorded)", file=out)

@@ -805,30 +805,60 @@ class TestRun:
         assert counts == {"lift_to_velocity": 1, "iteration_metric": 1}
 
     def test_the_csv_writer_prints_every_value_as_17_significant_digits(self, tmp_path):
+        self._assert_special_values_print_as_python(tmp_path, repeats=1)   # value by value
+
+    def test_the_csv_writer_prints_the_same_values_on_the_array_path(self, tmp_path):
+        self._assert_special_values_print_as_python(tmp_path, repeats=40)
+
+    @staticmethod
+    def _assert_special_values_print_as_python(tmp_path, repeats):
+        # 4 rows of 8 fields are below the kernel's crossover, 160 rows above it
         from types import SimpleNamespace
 
         import sweepvi.cli as cli
         from sweepvi import HilbertSpace, TimeGrid, Trajectory
         from sweepvi.contact import StressRecord
+        from sweepvi.csvtext import _CROSSOVER
 
-        grid = TimeGrid(1.0, 3)
-        u = np.array([[-0.0, 1.0], [np.inf, -np.inf], [np.nan, 5e-324], [1 / 3, -2.5e-310]])
-        v = np.array([[0.1], [-0.0], [1e300], [np.nan]])
+        rows = 4 * repeats
+        assert (rows * 8 >= _CROSSOVER) == (repeats > 1)
+        grid = TimeGrid(1.0, rows - 1)
+        u = np.tile([[-0.0, 1.0], [np.inf, -np.inf], [np.nan, 5e-324], [1 / 3, -2.5e-310]],
+                    (repeats, 1))
+        v = np.tile([[0.1], [-0.0], [1e300], [np.nan]], (repeats, 1))
         sol = SimpleNamespace(u=Trajectory(HilbertSpace(2), grid, u),
                               v=Trajectory(HilbertSpace(1), grid, v),
-                              per_step_residuals=[0.0, -0.0, np.nan, 4.9e-324],
-                              per_step_iterations=[0, 1, 2**62, 2**63 - 1])
-        stress = StressRecord(np.zeros((4, 1, 1)), sigma_nu=np.array([-0.0, np.inf, 1.5, 7.0]),
-                              sigma_tau=np.array([1e-320, 2.0, 2.2250738585072014e-308, 0.1 + 0.2]))
-        header, rows = cli._csv_rows(SimpleNamespace(grid=grid), sol, stress)
-        cli._write_csv(tmp_path / "solution.csv", header, rows)
+                              per_step_residuals=[0.0, -0.0, np.nan, 4.9e-324] * repeats,
+                              per_step_iterations=[0, 1, 2**62, 2**63 - 1] * repeats)
+        stress = StressRecord(np.zeros((rows, 1, 1)),
+                              sigma_nu=np.tile([-0.0, np.inf, 1.5, 7.0], repeats),
+                              sigma_tau=np.tile([1e-320, 2.0, 2.2250738585072014e-308, 0.1 + 0.2],
+                                                repeats))
+        header, body = cli._csv_rows(SimpleNamespace(grid=grid), sol, stress)
+        cli._write_csv(tmp_path / "solution.csv", header, body)
         cols = [grid.nodes, u[:, 0], u[:, 1], v[:, 0], stress.sigma_nu, stress.sigma_tau,
                 sol.per_step_residuals]
         want = ["t,u0,u1,v0,sigma_nu,sigma_tau,residual,iterations"]
         want += [",".join(["%.17g" % float(c[k]) for c in cols] + [str(sol.per_step_iterations[k])])
-                 for k in range(4)]
+                 for k in range(rows)]
         assert (tmp_path / "solution.csv").read_bytes() == ("\n".join(want) + "\n").encode()
-        assert len(rows) == 4
+        assert body.count(b"\n") == rows
+
+    def test_a_failed_run_removes_the_solution_an_earlier_run_left(self, tmp_path, capsys):
+        # the diagnostics of the failed run must not sit beside a solution that
+        # verify would then check and pass
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIGS / "rod_compliance.ini", "--out", out) == 0
+        assert (out / "solution.csv").exists()
+        short = tmp_path / "short.ini"
+        short.write_text((CONFIGS / "rod_compliance.ini").read_text()
+                         .replace("seed = 0", "seed = 0\nmax_iter = 2"))
+        assert run_cli("run", "--config", short, "--out", out) == 3
+        assert "converged: false" in (out / "diagnostics.txt").read_text()
+        assert not (out / "solution.csv").exists()
+        capsys.readouterr()
+        assert run_cli("verify", "--config", CONFIGS / "rod_compliance.ini", "--out", out) == 4
+        assert "cannot read solution file" in capsys.readouterr().err
 
     def test_run_reports_the_number_of_rows_written(self, tmp_path, capsys):
         out = tmp_path / "out"
