@@ -441,7 +441,7 @@ def cmd_check(cfg: RunConfig, out) -> int:
     audit = core.iteration_metric.audit     # a failed audit raises AuditError: exit 2
     print(f"problem: {cfg.kind}", file=out)
     print(_audit_line("operator", core.operator.tag, audit), file=out)
-    if isinstance(spec, SweepingSpec):      # B was audited when the spec was built
+    if isinstance(spec, SweepingSpec) and spec.b_op is not None:   # audited when built
         print(_audit_line("coupling", spec.b_op.tag, spec.b_audit), file=out)
     if problem is not None and problem.law.F is not None:
         print(f"contact law: F(0)=0, F>=0, sampled slope <= L_F={_g(problem.law.L_F)} "

@@ -352,12 +352,10 @@ def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | Non
                      components: int = 1) -> LipschitzOperator:
     """Linear elastic coupling ``b * strain`` with its exact energy norm ``max(b)``:
     the strain matrix is invertible, so ``b`` holds the eigenvalues of the pencil
-    ``(Kb, K)``.  ``b = 0`` on every element gives :meth:`LipschitzOperator.zero`.
+    ``(Kb, K)``.
     """
     space = space or assemble_space(mesh, components)
     b = material.b_field(mesh)
-    if not b.any():
-        return LipschitzOperator.zero(tag="elastic")
     _, _, Kb = _strain_form(mesh, b, components)
 
     def apply(us: np.ndarray) -> np.ndarray:
@@ -525,7 +523,8 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
             "memory_pair", cone=ConstraintCone.zero(space, [nu_dof]), functional=functional,
             parameter_memory=slip_memory(law, space, tau_dof, grid),
             load_memory=relaxation, operator=A, f=f, grid=grid)
-        b_op = assemble_elastic(mesh, material, space, components)
+        b_op = (assemble_elastic(mesh, material, space, components)
+                if material.b_field(mesh).any() else None)
         u0 = np.zeros(space.dim) if u0 is None else _vec(u0, space.dim)
         if abs(u0[nu_dof]) > 1e-14:
             raise UnsupportedConfigurationError(

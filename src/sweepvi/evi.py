@@ -187,20 +187,6 @@ class LipschitzOperator:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u)
 
-    @classmethod
-    def zero(cls, tag: str = "zero") -> "LipschitzOperator":
-        """The operator that maps every vector to zero, with ``L = 0``."""
-        return cls(apply=np.zeros_like, L=0.0, tag=tag)
-
-    @property
-    def is_zero(self) -> bool:
-        """Whether this is :meth:`zero`'s operator: zero by construction.
-
-        A declared ``L`` of 0 does not say it; the audit bounds ``L`` only
-        to a relative 1e-7.
-        """
-        return self.apply is np.zeros_like
-
 
 @dataclass(frozen=True)
 class OperatorAudit:
@@ -271,7 +257,9 @@ class IterationMetric:
     metric from the cone, runs in it too; ``layout`` is the functional's
     :meth:`~sweepvi.core.HomogeneousFunctional.prox_layout` for that cone
     (``None`` where the closed form does not hold); ``q`` is
-    the contraction factor in its norm.  ``scale`` is ``c = sqrt(lambda_max(M, P))``,
+    the contraction factor in its norm and ``gap`` is ``1 - q``, computed
+    without the cancellation that rounds it to 0 where ``q`` is within
+    rounding of 1.  ``scale`` is ``c = sqrt(lambda_max(M, P))``,
     so ``||x||_M <= c ||x||_P`` turns a distance bound back into the space
     norm (1 in the space metric).  ``audit`` is the sampled check of the
     operator's declared ``(m, L)`` in the space metric that the plan passed.
@@ -283,15 +271,18 @@ class IterationMetric:
     layout: tuple | None
     rho: float
     q: float
+    gap: float
     audit: OperatorAudit
     scale: float = 1.0
     force: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _rate(rho: float, m: float, L: float) -> float:
-    """Contraction factor of the projected step ``rho`` for constants ``(m, L)``."""
+def _rate(rho: float, m: float, L: float) -> tuple[float, float]:
+    """Contraction factor ``q`` of the projected step ``rho`` for constants
+    ``(m, L)``, and ``1 - q`` as ``(1 - q^2) / (1 + q)``: ``(m / L)^2 / (1 + q)``
+    at ``rho = m / L^2``, which stays positive where ``q`` rounds to 1."""
     q = float(np.sqrt(max(1.0 - 2.0 * rho * m + (rho * L) ** 2, 0.0)))
-    return min(q, 1.0 - 1e-16)
+    return q, (2.0 * rho * m - (rho * L) ** 2) / (1.0 + q)
 
 
 def _audited(operator: MonotoneOperator | LipschitzOperator,
@@ -333,20 +324,23 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
     audit = _audited(operator, space)
 
     def space_plan() -> IterationMetric:
-        rho = operator.m / (operator.L * operator.L)
+        rho = operator.m / operator.L / operator.L     # L^2 may underflow
         try:
             layout = functional.prox_layout(cone)
         except UnsupportedConfigurationError:
             layout = None
         return IterationMetric("space", space, cone, layout, rho,
-                               _rate(rho, operator.m, operator.L), audit)
+                               *_rate(rho, operator.m, operator.L), audit)
 
     energy = operator.energy
     # the factors are monotone in m / L; the margin keeps a uniform material,
     # whose two ratios agree up to rounding, on the space metric
     if energy is None or not energy.m / energy.L > (1.0 + 1e-12) * operator.m / operator.L:
         return space_plan()
-    P = energy.space
+    try:
+        P = energy.space
+    except ValueError:              # P too ill-conditioned to factor
+        return space_plan()
     cone_p = cone.in_space(P)
     try:
         layout_p = functional.prox_layout(cone_p)
@@ -358,10 +352,10 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
 
     _audited(MonotoneOperator(apply=in_p, m=energy.m, L=energy.L,
                               tag=f"{operator.tag} in its energy metric"), P)
-    rho_p = energy.m / (energy.L * energy.L)
+    rho_p = energy.m / energy.L / energy.L
     scale = float(np.sqrt(P.metric_eigvalsh(space)[-1]))
     return IterationMetric("energy", P, cone_p, layout_p, rho_p,
-                           _rate(rho_p, energy.m, energy.L), audit, scale, energy.force)
+                           *_rate(rho_p, energy.m, energy.L), audit, scale, energy.force)
 
 
 @dataclass(frozen=True)
@@ -476,10 +470,16 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
     block of no rows returns empty arrays at once.
     """
     plan = metric or iteration_metric(space, cone, operator, functional)
-    rho, q, scale = plan.rho, plan.q, plan.scale
+    rho, q, gap, scale = plan.rho, plan.q, plan.gap, plan.scale
     # displacement threshold equivalent to a distance-to-solution of tol; it
-    # is finite, so a row whose displacement is not finite never stops
-    threshold = min(tol * (1.0 - q) / (q * scale), _FLOAT_MAX) if q > 0.0 else _FLOAT_MAX
+    # is finite, so a row whose displacement is not finite never stops, and
+    # negative where gap underflows, so no row stops on a bound it cannot state
+    if q == 0.0:
+        threshold = _FLOAT_MAX
+    elif gap > 0.0:
+        threshold = min(tol * gap / (q * scale), _FLOAT_MAX)
+    else:
+        threshold = -1.0
     fs = np.asarray(fs, dtype=float)
     rows = len(fs)
     if fs.shape != (rows, space.dim):
@@ -541,7 +541,7 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
                                    contraction)
         if not count:
             continue
-        bound = scale * disp * q / (1.0 - q) if q > 0.0 else np.zeros(len(disp))
+        bound = scale * disp * q / gap if q > 0.0 else np.zeros(len(disp))
         if count == len(done):
             stopped.append((index, us, it, bound, contraction))
             break

@@ -31,7 +31,8 @@ _MAX_DIM = 3
 _INCLUSION_PASSES = 60      # grid-search passes per node of brute_inclusion
 _INCLUSION_MAX_DIM = 2      # brute_inclusion's caps on dimension and time steps
 _INCLUSION_MAX_STEPS = 16
-_RECENTRINGS = 8            # times brute_vi moves its refinement box onto an edge pick
+_RECENTRINGS = 8            # times brute_vi moves a refinement box onto an edge pick
+_LAST_RESOLUTION = 21       # points per axis of brute_vi's last refinement box
 _CONTAINS_TOL = 1e-12       # cone violation a grid point may have, as ConstraintCone.contains
 
 
@@ -68,18 +69,20 @@ def _grid_points(center: np.ndarray, radius: np.ndarray, res: np.ndarray) -> np.
 
 
 def _scores(problem: EviProblem, candidates: np.ndarray, tests: np.ndarray,
-            j_tests: np.ndarray, chunk: int = 512) -> np.ndarray:
+            j_tests: np.ndarray, chunk: int = 64) -> np.ndarray:
     """Worst VI violation of each candidate over the test set.
 
     violation(y, v) = (f - Ay, v - y) + j(y) - j(v); a solution has
-    max over v in K of violation <= 0.
+    max over v in K of violation <= 0.  The candidates go in chunks of
+    ``chunk`` rows, so the block of pairings stays in cache.
     """
     w = problem.space.apply_metric(problem.f - problem.operator(candidates))
     j_cand = problem.functional.eval_many(problem.eta, candidates)
     out = np.empty(len(candidates))
     for lo in range(0, len(candidates), chunk):
         hi = min(lo + chunk, len(candidates))
-        cross = w[lo:hi] @ tests.T - j_tests[None, :]
+        cross = w[lo:hi] @ tests.T
+        cross -= j_tests
         own = np.einsum("ij,ij->i", w[lo:hi], candidates[lo:hi]) - j_cand[lo:hi]
         out[lo:hi] = cross.max(axis=1) - own
     return out
@@ -96,14 +99,16 @@ def _on_edge(point: np.ndarray, center: np.ndarray, radius: np.ndarray, res: np.
 
 
 def brute_vi(problem: EviProblem, cfg: GridSearchConfig = GridSearchConfig()) -> np.ndarray:
-    """Grid-search the EVI: minimize the worst sampled violation, then refine.
+    """Grid-search the EVI: minimize the worst sampled violation, then refine twice.
 
     The coarse pick must lie inside the box.  The refinement box has the
     same resolution and a radius of 1.25 coarse spacings, centred on that
     pick; its points are scored against the coarse points and its own.
-    While the refined pick lies on the edge of its box, the box is centred
-    on it again, at most 8 times.  A pick on the edge of either box raises
-    :class:`OracleInconclusiveError`.
+    The last box has 21 points per axis and a radius of 1.25 refinement
+    spacings around the refined pick, and is scored against all three.
+    While the pick of either refinement box lies on its edge, that box is
+    centred on it again, at most 8 times.  A pick on the edge of any box
+    raises :class:`OracleInconclusiveError`.
     """
     dim = problem.space.dim
     radius, res, center = cfg.axes(dim)
@@ -115,17 +120,23 @@ def brute_vi(problem: EviProblem, cfg: GridSearchConfig = GridSearchConfig()) ->
     if _on_edge(best, center, radius, res):
         raise OracleInconclusiveError(
             f"best point {best} touches the search box; enlarge the radius")
-    fine_radius = 1.25 * (2.0 * radius / (res - 1))
-    for _ in range(_RECENTRINGS + 1):
-        center = best
-        fine = _feasible(problem, _grid_points(center, fine_radius, res))
-        tests = np.vstack([coarse, fine])
-        j_tests = problem.functional.eval_many(problem.eta, tests)
-        best = fine[np.argmin(_scores(problem, fine, tests, j_tests))]
-        if not _on_edge(best, center, fine_radius, res):
-            return best
-    raise OracleInconclusiveError(
-        f"refined point {best} still touches its box after {_RECENTRINGS} re-centrings")
+    tests = coarse
+    for box_res in (res, np.full(dim, _LAST_RESOLUTION)):
+        # a radius of 1.25 grid spacings of the box before
+        radius, res = 1.25 * (2.0 * radius / (res - 1)), box_res
+        for _ in range(_RECENTRINGS + 1):
+            center = best
+            box = _feasible(problem, _grid_points(center, radius, res))
+            pool = np.vstack([tests, box])
+            j_pool = problem.functional.eval_many(problem.eta, pool)
+            best = box[np.argmin(_scores(problem, box, pool, j_pool))]
+            if not _on_edge(best, center, radius, res):
+                break
+        else:
+            raise OracleInconclusiveError(
+                f"refined point {best} still touches its box after {_RECENTRINGS} re-centrings")
+        tests = pool
+    return best
 
 
 def brute_inclusion(spec: InclusionSpec, cfg: GridSearchConfig = GridSearchConfig()) -> Trajectory:

@@ -67,25 +67,28 @@ class SweepingSpec:
     """A velocity inclusion plus the displacement coupling ``B`` and ``u0``.
 
     ``core`` is stated in the velocity variable: its memories consume
-    velocity trajectories.  ``b_op`` acts on the reconstructed displacement;
-    its declared Lipschitz constant is audited when the spec is built, by the
-    audit every iteration plan runs (a failure raises
-    :class:`~sweepvi.evi.AuditError`).  ``u0`` must be finite, one value per dof.
-    ``b_audit`` is that passed audit.  ``inclusion`` is the velocity
-    inclusion :func:`lift_to_velocity` builds, once per spec.
+    velocity trajectories.  ``b_op`` acts on the reconstructed displacement,
+    or is ``None`` when nothing couples the velocity to it.  A ``B`` has its
+    declared Lipschitz constant audited when the spec is built, by the audit
+    every iteration plan runs (a failure raises
+    :class:`~sweepvi.evi.AuditError`); ``b_audit`` is that passed audit,
+    ``None`` exactly when ``b_op`` is.  ``u0`` must be finite, one value per
+    dof.  ``inclusion`` is the velocity inclusion :func:`lift_to_velocity`
+    builds, once per spec.
     """
 
     core: InclusionSpec
-    b_op: LipschitzOperator
+    b_op: LipschitzOperator | None
     u0: np.ndarray
-    b_audit: OperatorAudit = field(init=False, repr=False, compare=False)
+    b_audit: OperatorAudit | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u0 = _vec(self.u0, self.core.x_space.dim)
         if not np.isfinite(u0).all():
             raise ValueError("u0 must be finite")
         object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "b_audit", _audited(self.b_op, self.core.x_space))
+        object.__setattr__(self, "b_audit", None if self.b_op is None
+                           else _audited(self.b_op, self.core.x_space))
 
     @cached_property
     def inclusion(self) -> InclusionSpec:
@@ -143,14 +146,13 @@ def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
     """Fold ``B u`` into the load memory of the velocity inclusion.
 
     The composite ``v -> B(int v + u0) + S v`` keeps the instantaneous
-    constant of ``S`` and gains ``L_B`` on the integral constant.  When
-    ``B`` is :meth:`~sweepvi.evi.LipschitzOperator.zero` the composite is
-    ``S`` itself: no displacement is integrated and ``B`` is never applied.
+    constant of ``S`` and gains ``L_B`` on the integral constant.  A spec
+    with no ``B`` lifts to ``S`` itself: no displacement is integrated.
     """
     core = spec.core
     s_op, b_op = core.load_memory, spec.b_op
     space, grid = core.x_space, core.grid
-    if b_op.is_zero:
+    if b_op is None:
         def advance(state, first, inputs):
             # + 0.0 is the sum below with B u = +0: a new array, -0.0 made +0.0
             state, s_out = s_op.run(state, first, inputs)
@@ -168,7 +170,8 @@ def lift_to_velocity(spec: SweepingSpec) -> InclusionSpec:
             return (disp_state, s_state), np.array([b_op(d) for d in disps]) + s_out
 
         start = (disp.init_state(grid), s_op.init_state(grid))
-    lifted = HistoryOperator(start, advance, l=s_op.l, L=b_op.L + s_op.L,
+    lifted = HistoryOperator(start, advance, l=s_op.l,
+                             L=s_op.L if b_op is None else b_op.L + s_op.L,
                              tag=f"{s_op.tag}+coupled", out_space=space, grid=grid)
     return replace(core, load_memory=lifted)
 
@@ -198,7 +201,7 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10) -> InclusionSo
     Independent code path used as a cross-check on :func:`solve_sweeping`:
     at node k the displacement is accumulated from the already-settled
     velocities plus the current guess, and the per-node EVI is iterated with
-    that displacement in the load.
+    ``B`` of that displacement in the load (a spec without ``B`` skips both).
     """
     core = spec.core
     report = check_smallness(spec.inclusion)
@@ -214,9 +217,11 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10) -> InclusionSo
             v[k] = v[k - 1]
         for inner in range(1, _DIRECT_PASSES + 1):
             v_traj = Trajectory(X, grid, v)
-            disp_k = spec.u0 if k == 0 else spec.u0 + np.trapezoid(v[:k + 1], dx=dt, axis=0)
             eta_k = core.parameter_memory.at_node(v_traj, k)
-            xi_k = spec.b_op(disp_k) + core.load_memory.at_node(v_traj, k)
+            xi_k = core.load_memory.at_node(v_traj, k)
+            if spec.b_op is not None:
+                disp_k = spec.u0 if k == 0 else spec.u0 + np.trapezoid(v[:k + 1], dx=dt, axis=0)
+                xi_k = spec.b_op(disp_k) + xi_k
             problem = _node_problem(core, eta_k, xi_k, core.f.node(k))
             sol = solve_evi(problem, tol=0.05 * tol, start=v[k])
             iters[k] += sol.iterations
@@ -241,9 +246,9 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10) -> InclusionSo
 
 
 def build_sweeping_variant(variant: str, *, core: InclusionSpec,
-                           b_op: LipschitzOperator, u0,
+                           b_op: LipschitzOperator | None, u0,
                            displacement_memory: HistoryOperator | None = None) -> SweepingSpec:
-    """Assemble the canonical sweeping couplings.
+    """Assemble the canonical sweeping couplings; ``b_op`` is ``None`` for none.
 
     memory_pair
         Both velocity memories strictly history-dependent, else

@@ -210,6 +210,19 @@ class TestConfigKeys:
                                                "needs a parameter-dependent functional\n")
         assert not (tmp_path / "out").exists()
 
+    def test_the_2d_abstract_config_verifies_against_the_oracle(self, tmp_path, capsys):
+        # the oracle's refined spacing, 1.17e-3, is above the 1e-3 bound on
+        # the oracle gap; its last box brings the gap to 2e-4
+        cfg = tmp_path / "abstract_2d.ini"
+        cfg.write_text(ABSTRACT_2D)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("verify", "--config", cfg, "--out", out) == 0
+        gap = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("grid-search oracle gap: ")]
+        assert len(gap) == 1 and float(gap[0].split(": ")[1]) <= 2.5e-4
+
     @pytest.mark.filterwarnings("ignore:negative parameter entries")
     @pytest.mark.parametrize("command", ["run", "convergence"])
     def test_a_parameter_that_turns_negative_exits_4_naming_abstract(self, tmp_path, capsys,
@@ -439,6 +452,33 @@ class TestCheck:
         assert len(coupling) == 1, lines
         assert re.fullmatch(r"coupling \[elastic\]: declared L=0\.29999999999999999; "
                             r"sampled L=\S+ over 256 pairs \[pass\]", coupling[0])
+
+    @pytest.mark.parametrize("b, audits", [("0", 1), ("0.3", 2)])
+    def test_a_shear_run_audits_the_coupling_only_where_there_is_one(self, tmp_path, b, audits,
+                                                                      monkeypatch):
+        # the operator's audit, plus the audit of B when b is nonzero somewhere
+        import sweepvi.evi as evi
+
+        calls = []
+        audit = evi.audit_operator
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].tag)
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(evi, "audit_operator", counting)
+        cfg = tmp_path / "shear.ini"
+        cfg.write_text((CONFIGS / "shear_friction.ini").read_text().replace(
+            "[material]\n", f"[material]\nb = {b}\n"))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert sorted(calls) == ["elastic", "viscosity"][2 - audits:]
+
+    def test_check_prints_no_coupling_line_for_a_layer_without_one(self, capsys):
+        # b = 0 on every element: no B, so nothing to audit or print
+        assert run_cli("check", "--config", CONFIGS / "shear_friction.ini") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "problem: shear_friction"
+        assert not [ln for ln in lines if ln.startswith("coupling [")], lines
 
     @pytest.mark.parametrize("cone", ["whole", "nonnegative"])
     def test_an_out_of_range_cone_index_is_a_config_error(self, tmp_path, capsys, cone):
@@ -759,6 +799,25 @@ class TestRun:
         assert "at iteration 1" in printed
         metric = "energy" if a != "1.0" else "space"
         assert f"evi_metric: {metric}" in (out / "diagnostics.txt").read_text().splitlines()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name, a, failure", [
+        ("rod_compliance.ini", "1e-200", "non-finite: "),
+        ("shear_friction.ini", "1e-200", "non-finite: "),
+        ("rod_compliance.ini", "1e-17 1 1 1", "non-convergence: ")])
+    def test_a_degenerate_viscosity_passes_check_and_its_run_exits_3(self, tmp_path, capsys,
+                                                                      name, a, failure):
+        # a = 1e-200 makes L^2 underflow in the step m / L^2; a = 1e-17 1 1 1
+        # gives an energy metric too ill-conditioned to factor
+        cfg = tmp_path / "degenerate.ini"
+        cfg.write_text(re.sub(r"^a = .*$", f"a = {a}", (CONFIGS / name).read_text(),
+                              count=1, flags=re.M))
+        assert f"\na = {a}\n" in cfg.read_text()
+        assert run_cli("check", "--config", cfg) == 0
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 3
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1].startswith(failure), printed
+        assert "evi_metric: space" in (tmp_path / "out" / "diagnostics.txt").read_text()
 
     def test_tol_flag_overrides_the_config(self, tmp_path):
         out = tmp_path / "out"

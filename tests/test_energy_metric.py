@@ -64,6 +64,16 @@ def test_energy_metric_agrees_with_the_space_metric(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_an_energy_metric_too_ill_conditioned_to_factor_falls_back_to_the_space_metric(kind):
+    # m_P / L_P = 1 beats m / L = 1e-17, but Cholesky refuses the stiffness P
+    spec = inclusion_spec(contact_problem(kind, [1e-17, 1.0, 1.0, 1.0], 0.0))
+    with pytest.raises(ValueError, match="positive definite"):
+        spec.operator.energy.space
+    plan = spec.iteration_metric
+    assert plan.name == "space" and plan.space is spec.x_space and plan.scale == 1.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_linear_material_takes_one_step_per_solve(kind):
     problem = contact_problem(kind, CONTRAST_10, 0.0)
     assert inclusion_spec(problem).iteration_metric.q == 0.0

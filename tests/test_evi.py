@@ -176,6 +176,39 @@ def test_non_convergence_raises_with_partial_state():
     assert info.value.displacement > 0
 
 
+@pytest.mark.parametrize("ratio", [1e-30, 1e-200])
+def test_a_factor_that_rounds_to_one_never_stops_on_a_false_bound(ratio):
+    # m / L = ratio: q rounds to 1, so 1 - q by subtraction is 0; the plan's
+    # gap keeps (m / L)^2 / 2 where that is a double and 0 where it
+    # underflows, and neither lets a first step of size ~ratio pass as a
+    # distance below tol from a solution 1 / ratio away
+    X = HilbertSpace(2)
+    op = MonotoneOperator.from_matrix(X, np.diag([ratio, 1.0]))
+    prob = EviProblem(X, ConstraintCone.whole_space(X), op, HomogeneousFunctional.zero(X),
+                      np.zeros(0), np.array([1.0, 1.0]))
+    plan = iteration_metric(X, prob.cone, op, prob.functional)
+    assert plan.q == 1.0
+    assert plan.gap == pytest.approx(0.5 * (op.m / op.L) ** 2, rel=1e-15, abs=0.0)
+    with pytest.raises(NonConvergenceError, match="no convergence in 50 iterations"):
+        solve_evi(prob, tol=1e-10, max_iter=50)
+
+
+def test_the_gap_is_one_minus_the_factor():
+    X = HilbertSpace(2)
+    for K in (np.diag([1.0, 4.0]), np.diag([1.0, 1e4]), np.diag([3.0, 3.0])):
+        op = MonotoneOperator.from_matrix(X, K)
+        plan = iteration_metric(X, ConstraintCone.whole_space(X), op, HomogeneousFunctional.zero(X))
+        assert plan.gap == pytest.approx(1.0 - plan.q, rel=1e-12)
+
+
+def test_a_viscosity_whose_square_underflows_still_gets_a_step():
+    # L^2 = 1e-400 is 0 in floating point; m / L / L is the step 1e200
+    X = HilbertSpace(1)
+    op = MonotoneOperator(lambda x: 1e-200 * x, 1e-200, 1e-200, tag="tiny")
+    plan = iteration_metric(X, ConstraintCone.whole_space(X), op, HomogeneousFunctional.zero(X))
+    assert plan.rho == 1e200 and plan.q == 0.0
+
+
 def test_nan_in_the_load_raises_non_finite_at_iteration_one():
     prob = scalar_problem(f=np.nan)
     with pytest.raises(NonFiniteError, match="non-finite step at iteration 1$") as info:

@@ -132,6 +132,11 @@ class TestRefinement:
         pick = brute_vi(problem, self.CFG)
         assert np.abs(pick - exact).max() <= 2.0 * self.FINE_SPACING
 
+    def test_the_last_box_brings_the_pick_within_a_quarter_of_the_fine_spacing(self):
+        problem = coupled_2d_node()
+        exact = solve_evi(problem, tol=1e-12).u
+        assert np.abs(brute_vi(problem, self.CFG) - exact).max() <= 0.25 * self.FINE_SPACING
+
     def test_the_refinement_moves_a_bounded_number_of_times(self, monkeypatch):
         import sweepvi.oracle as oracle
 

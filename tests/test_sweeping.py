@@ -234,7 +234,7 @@ class TestVariantsAndAudits:
             "state_parameter", cone=FREE,
             operator=MonotoneOperator.from_matrix(X, [[1.0]]),
             functional=jp, f=Trajectory.constant(X, grid, [1.0]), grid=grid)
-        spec = SweepingSpec(core=core, b_op=LipschitzOperator.zero(), u0=[0.0])
+        spec = SweepingSpec(core=core, b_op=None, u0=[0.0])
         for solve in (solve_sweeping, solve_sweeping_direct):
             with pytest.raises(SmallnessError):
                 solve(spec, tol=1e-10)

@@ -548,7 +548,7 @@ SHIPPED_CONSTANTS = {
     "gate_fail": (2.0, 2.0, 1.2, 0.0, 0.0, None, 1.0),
     "rod_compliance": (1.0, 1.0, 1.0000000000000002, 0.3, 0.5000000000000001, None, 1.0),
     "rod_rigid": (1.0, 1.0, 0.0, 0.0, 0.0, None, 1.0),
-    "shear_friction": (0.5, 0.5, 1.0000000000000002, 0.0, 18.000000000000004, 0.0, 1.0),
+    "shear_friction": (0.5, 0.5, 1.0000000000000002, 0.0, 18.000000000000004, None, 1.0),
 }
 
 
