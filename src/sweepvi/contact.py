@@ -30,6 +30,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     UnsupportedConfigurationError,
+    _reading_norm,
     _vec,
 )
 from .evi import EnergyMetric, LipschitzOperator, MonotoneOperator
@@ -312,7 +313,7 @@ def assemble_space(mesh: Mesh1D, components: int = 1) -> HilbertSpace:
 
 def trace_constant(space: HilbertSpace, dof: int) -> float:
     """Exact norm of point evaluation at one dof: sup |v_dof| / ||v||."""
-    return float(np.sqrt(space.inverse_columns([dof])[dof, 0]))
+    return _reading_norm(space, [[dof]], [1.0])
 
 
 def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = None,

@@ -464,6 +464,15 @@ def _nested_unit_directions(cone: ConstraintCone, head: int, count: int,
     return pts, prefix
 
 
+def _reading_norm(space: HilbertSpace, units, weights) -> float:
+    """``sup sqrt(sum_u d_u |v on u|^2)`` over ``||v|| = 1``, disjoint units ``u``, ``d = weights``:
+    ``sqrt(lambda_max(D^1/2 (M^-1)_SS D^1/2))`` on their coordinates ``S``, 0 for none."""
+    coords = np.concatenate([np.zeros(0, int), *units])
+    s = np.repeat(np.sqrt(weights), [len(u) for u in units])
+    block = s[:, None] * space.inverse_columns(coords)[coords] * s
+    return float(np.sqrt(np.linalg.eigvalsh(block).max(initial=0.0)))
+
+
 _FUNC_KINDS = ("zero", "positive_part", "block_norm", "separable")
 
 
@@ -489,7 +498,7 @@ class HomogeneousFunctional:
 
     Each instance declares ``alpha``: the best constant with
     ``j(e1,v2)-j(e1,v1)+j(e2,v1)-j(e2,v2) <= alpha ||e1-e2||_Y ||v1-v2||_X``,
-    computed exactly from the metrics (a generalized eigenvalue problem).
+    computed exactly from the metrics (by :func:`_reading_norm`).
     """
 
     def __init__(self, kind, x_space, y_space, weights=None, indices=None, blocks=None,
@@ -570,15 +579,6 @@ class HomogeneousFunctional:
 
     # -- structure ----------------------------------------------------------
 
-    def _extraction_constant(self, d_weights: np.ndarray) -> float:
-        # sup of sqrt(sum_u d_u * |v restricted to unit u|^2) over ||v||_X = 1,
-        # an exact generalized eigenvalue computation.
-        Q = np.zeros((self.x_space.dim, self.x_space.dim))
-        for d, u in zip(d_weights, self.units):
-            for i in u:
-                Q[i, i] += d
-        return float(np.sqrt(max(self.x_space.eigvalsh(Q)[-1], 0.0)))
-
     def _compute_alpha(self) -> float:
         if self.eta_free:
             return 0.0
@@ -586,11 +586,11 @@ class HomogeneousFunctional:
             return float(self.p_lipschitz) * self.v_lipschitz()
         # the metric's diagonal, as its products with the coordinate axes
         my = np.diag(self.y_space.apply_metric(np.eye(self.y_space.dim)))
-        return self._extraction_constant(self.weights**2 / my)
+        return _reading_norm(self.x_space, self.units, self.weights**2 / my)
 
     def v_lipschitz(self) -> float:
         """Lipschitz constant of ``v -> j(eta, v)`` at unit parameter values (``p(eta) = 1``)."""
-        return self._extraction_constant(self.weights**2)
+        return _reading_norm(self.x_space, self.units, self.weights**2)
 
     def _param_rows(self, etas) -> np.ndarray:
         etas = np.asarray(etas, dtype=float)

@@ -91,7 +91,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class NonFiniteError(NonConvergenceError):
-    """An iterate, or the step fed to the prox, is no longer finite."""
+    """An iterate, the step fed to the prox, or the norm of a displacement is no longer finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +241,11 @@ def audit_operator(op: MonotoneOperator | LipschitzOperator, space: HilbertSpace
     ad = _block(op, us[keep]) - _block(op, vs[keep])
     ad_m = space.apply_metric(ad)
     m_obs = ((ad_m * d).sum(1) / nd2).min(initial=np.inf)
-    l_obs = np.sqrt(np.maximum((ad_m * ad).sum(1), 0.0) / nd2).max(initial=0.0)
+    # |ad|^2 with the binary exponent of L taken out of ad, which is exact, so
+    # the squares neither overflow where L is huge nor underflow where it is tiny
+    shift = int(np.frexp(op.L)[1])
+    ad, ad_m = np.ldexp(ad, -shift), np.ldexp(ad_m, -shift)
+    l_obs = np.ldexp(np.sqrt(np.maximum((ad_m * ad).sum(1), 0.0) / nd2).max(initial=0.0), shift)
     m = op.m if isinstance(op, MonotoneOperator) else None
     return OperatorAudit(m, op.L, float(m_obs), float(l_obs), trials)
 
@@ -458,8 +462,12 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
     block operator application and one block prox.  A row stops on the same threshold as a
     one-row solve and is then left alone, so it gets the iterate, count and
     bound its one-row solve gives, up to the rounding of block products.
+    A row whose step rounds away in every coordinate (``u - step == u``)
+    stops only where ``c ||step|| / (1 - q)``, the distance that lost step
+    bounds, is within ``tol``, and reports that bound.
 
-    A non-finite step or iterate raises :class:`NonFiniteError` and a row
+    A non-finite step or iterate, or a finite iterate whose displacement
+    norm overflows, raises :class:`NonFiniteError` and a row
     still moving after ``max_iter`` iterations :class:`NonConvergenceError`;
     either names the first row concerned (``row`` on the error) when the
     block has more than one.  That test of each step is the one finiteness
@@ -517,9 +525,10 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
 
     for it in range(1, max_iter + 1):
         if force is None:
-            w = us - rho * (operator.apply(us) - data)
+            step = rho * (operator.apply(us) - data)
         else:
-            w = us - rho * riesz(force(us) - data)
+            step = rho * riesz(force(us) - data)
+        w = us - step
         finite = np.isfinite(w)
         if np.count_nonzero(finite) < finite.size:
             raise fail(NonFiniteError, f"non-finite step at iteration {it}",
@@ -528,10 +537,24 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
         prev, disp = disp, norms(u_next - us)
         done = disp <= threshold
         count = np.count_nonzero(done)
-        # us is finite here, so a non-finite u_next gives a non-finite disp
+        # us is finite here, so a non-finite u_next gives a non-finite disp;
+        # a finite u_next gives one only where the norm overflows
         if count < len(done) and not np.isfinite(disp).all():
-            raise fail(NonFiniteError, f"non-finite iterate at iteration {it}",
-                       ~np.isfinite(disp), u_next, disp)
+            bad = ~np.isfinite(disp)
+            reason = (f"displacement norm overflowed at iteration {it} (the iterate is finite)"
+                      if np.isfinite(u_next[np.flatnonzero(bad)[0]]).all()
+                      else f"non-finite iterate at iteration {it}")
+            raise fail(NonFiniteError, reason, bad, u_next, disp)
+        lost_bound = None
+        if count and q > 0.0:
+            # a stopping row whose step rounded away in every coordinate (w == u)
+            # measured no move: the step it lost bounds its distance to the
+            # solution, scale ||step|| / gap, and it stops only within tol
+            lost = done & ~(w != us).any(axis=1)
+            if lost.any():
+                lost_bound = np.where(lost, scale * norms(step) / gap, 0.0)
+                done &= lost_bound <= tol
+                count = np.count_nonzero(done)
         us = u_next
         if prev is None:
             contraction = np.zeros(len(disp))
@@ -542,6 +565,8 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
         if not count:
             continue
         bound = scale * disp * q / gap if q > 0.0 else np.zeros(len(disp))
+        if lost_bound is not None:
+            bound = np.maximum(bound, lost_bound)
         if count == len(done):
             stopped.append((index, us, it, bound, contraction))
             break

@@ -194,6 +194,21 @@ def test_a_nan_parameter_names_its_row_at_the_first_non_finite_iterate():
                        np.ones((3, 1)))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_finite_iterate_whose_displacement_norm_overflows_is_named_so():
+    # A = I: row 1's first iterate is its load 1e305 (1, 1, 1), finite, but
+    # the square of its displacement norm overflows
+    X = HilbertSpace(3)
+    fs = np.ones((2, 3))
+    fs[1] *= 1e305
+    with pytest.raises(NonFiniteError, match=r"^row 1: displacement norm overflowed at "
+                                             r"iteration 1 \(the iterate is finite\)$") as info:
+        solve_evi_many(X, ConstraintCone.whole_space(X), MonotoneOperator(lambda u: u, 1.0, 1.0),
+                       HomogeneousFunctional.zero(X), None, fs)
+    assert np.array_equal(info.value.last_iterate, fs[1])
+    assert info.value.displacement == np.inf
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_an_overflowing_load_is_a_non_finite_step_in_the_energy_metric():

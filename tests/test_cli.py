@@ -47,6 +47,17 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def edited_config(tmp_path, name, **values):
+    """The shipped config ``name`` with the line of each key set to its value."""
+    text = (CONFIGS / name).read_text()
+    for key, value in values.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+        assert count == 1, key
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
 class TestLoadConfig:
     def test_reads_a_full_contact_config(self):
         cfg = load_config(CONFIGS / "rod_rigid.ini")
@@ -503,6 +514,40 @@ class TestCheck:
         assert calls == [{"trials": 256, "seed": 0}]
         assert "over 256 pairs [pass]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, values, pencils", [
+        ("rod_compliance.ini", {}, 0),
+        ("shear_friction.ini", {}, 0),
+        ("shear_friction.ini", {"elements": 48}, 0),                   # shear-fine
+        ("rod_compliance.ini", {"a": "1 3 6 10", "steps": 2}, 1)])     # rod-contrast
+    def test_building_and_planning_solve_a_pencil_only_for_the_energy_scale(
+            self, tmp_path, monkeypatch, name, values, pencils):
+        # alpha and the trace constant read the inverse metric; the one pencil
+        # left is the energy plan's scale lambda_max(M, P)
+        import sweepvi.cli as cli
+        from sweepvi.core import HilbertSpace
+
+        calls = []
+        eigvalsh = HilbertSpace.eigvalsh
+
+        def counting(self, A):
+            calls.append(A.shape)
+            return eigvalsh(self, A)
+
+        monkeypatch.setattr(HilbertSpace, "eigvalsh", counting)
+        _, spec = cli._build(load_config(edited_config(tmp_path, name, **values)))
+        assert spec.inclusion.iteration_metric.name == ("energy" if pencils else "space")
+        assert len(calls) == pencils
+
+    @pytest.mark.parametrize("name", ["rod_compliance.ini", "shear_friction.ini"])
+    def test_a_huge_viscosity_passes_its_audit_and_runs(self, tmp_path, capsys, name):
+        # a = 1e160: the squared differences of the audit's pairs would overflow
+        cfg = edited_config(tmp_path, name, a="1e160")
+        assert run_cli("check", "--config", cfg) == 0
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 0
+        printed = capsys.readouterr()
+        assert "failed the sampled audit" not in printed.out + printed.err
+        assert "declared m=1e+160 L=1e+160; sampled m=" in printed.out
+
 
     def test_check_prints_what_the_contact_law_audit_checks(self, tmp_path, capsys):
         # a decreasing table passes the audit, so check must not claim monotonicity
@@ -785,20 +830,25 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("a", ["1.0", "1 3 6 10"])
-    def test_an_overflowing_load_exits_3_in_either_metric(self, tmp_path, capsys, a):
-        # body = 1.7e308 is finite, so the config takes it; its covector
-        # overflows, in the energy metric (the contrast rod) as in the space one
+    @pytest.mark.parametrize("a, reason", [
+        ("1.0", "displacement norm overflowed at iteration 1 (the iterate is finite)"),
+        ("1 3 6 10", "non-finite step at iteration 1")], ids=["1.0", "1 3 6 10"])
+    def test_an_overflowing_load_exits_3_in_either_metric(self, tmp_path, capsys, a, reason):
+        # body = 1.7e308 is finite, so the config takes it; in the energy metric
+        # (the contrast rod) its covector overflows in the step, in the space
+        # metric its Riesz representative, the first iterate, is finite and the
+        # square of its norm overflows
         cfg = tmp_path / "huge.ini"
         cfg.write_text((CONFIGS / "rod_compliance.ini").read_text()
                        .replace("a = 1.0", f"a = {a}").replace("body = 2.0", "body = 1.7e308"))
         out = tmp_path / "out"
         assert run_cli("run", "--config", cfg, "--out", out) == 3
         printed = capsys.readouterr().out
-        assert printed.startswith("non-finite: EVI stalled at node 0: non-finite "), printed
-        assert "at iteration 1" in printed
+        assert printed == f"non-finite: EVI stalled at node 0: {reason}\n", printed
         metric = "energy" if a != "1.0" else "space"
-        assert f"evi_metric: {metric}" in (out / "diagnostics.txt").read_text().splitlines()
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        assert f"evi_metric: {metric}" in lines
+        assert f"error: EVI stalled at node 0: {reason}" in lines
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("name, a, failure", [

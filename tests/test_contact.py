@@ -6,6 +6,7 @@ from sweepvi import (
     DimensionMismatchError,
     ExponentialProfile,
     HilbertSpace,
+    HomogeneousFunctional,
     Loads,
     Material,
     Mesh1D,
@@ -64,6 +65,19 @@ class TestMeshAndAssembly:
         mesh = Mesh1D.uniform(1.0, 8)
         space = assemble_space(mesh)
         assert trace_constant(space, mesh.n_free - 1) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_trace_constant_is_alpha_of_a_unit_positive_part_bit_for_bit(self, components):
+        # one formula reads both: the one-coordinate, unit-weight case, which is
+        # the square root of the dof's entry of the inverse metric
+        widths = np.random.default_rng(5).uniform(0.02, 0.2, 12)
+        for mesh in (Mesh1D.uniform(1.0, 8), Mesh1D(np.cumsum(np.r_[0.0, widths]))):
+            space = assemble_space(mesh, components)
+            for dof in range(space.dim):
+                j = HomogeneousFunctional.positive_part(space, HilbertSpace(1), weights=[1.0],
+                                                        indices=[dof])
+                c0 = trace_constant(space, dof)
+                assert c0 == j.alpha == np.sqrt(space.inverse_columns([dof])[dof, 0])
 
     @pytest.mark.parametrize("dof", [-1, 4])
     def test_trace_constant_rejects_a_dof_outside_the_space(self, dof):

@@ -329,6 +329,68 @@ def test_alpha_is_the_exact_extraction_constant():
     assert j2.alpha == pytest.approx(0.7)
 
 
+def pencil_reading_norm(space, units, d):
+    """The reading norm by the dense n x n pencil: sqrt(lambda_max(Q, M)), Q = sum_u d_u P_u."""
+    Q = np.zeros((space.dim, space.dim))
+    for d_u, unit in zip(d, units):
+        for i in unit:
+            Q[i, i] += d_u
+    return float(np.sqrt(max(space.eigvalsh(Q)[-1], 0.0)))
+
+
+def random_coupled_space(rng, dim):
+    B = rng.standard_normal((dim, dim))
+    return HilbertSpace(dim, B @ B.T + 0.5 * np.eye(dim))
+
+
+def test_alpha_and_v_lipschitz_match_the_dense_pencil_on_coupled_metrics():
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(200):
+        dim = int(rng.integers(3, 10))
+        X = random_coupled_space(rng, dim)
+        perm = rng.permutation(dim)
+        k = int(rng.integers(1, dim))
+        Y = HilbertSpace(k, metric=np.diag(rng.uniform(0.2, 5.0, k)))
+        weights = rng.uniform(0.0, 3.0, k)
+        indices = perm[:k]
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=k - 1, replace=False))
+        blocks = np.split(perm, cuts)           # k blocks, at least one of several coordinates
+        my = np.diag(Y.metric)
+        direct = HomogeneousFunctional.positive_part(X, Y, weights=weights, indices=indices)
+        norms = HomogeneousFunctional.block_norm(X, Y, weights=weights, blocks=blocks)
+        base = HomogeneousFunctional.block_norm(X, HilbertSpace(k), weights=weights,
+                                                blocks=blocks, eta_free=True)
+        lip = float(rng.uniform(0.1, 2.0))
+        sep = HomogeneousFunctional.separable(Y, p=lambda e: 1.0 + e[0], p_lipschitz=lip,
+                                              base=base)
+        for j, units in ((direct, indices[:, None]), (norms, blocks)):
+            for got, d in ((j.alpha, weights ** 2 / my), (j.v_lipschitz(), weights ** 2)):
+                want = pencil_reading_norm(X, units, d)
+                worst = max(worst, abs(got - want) / want)
+        want = lip * pencil_reading_norm(X, blocks, weights ** 2)
+        worst = max(worst, abs(sep.alpha - want) / want,
+                    abs(base.v_lipschitz() - want / lip) / (want / lip))
+    assert worst <= 1e-14
+
+
+def test_a_functional_with_no_units_reads_nothing():
+    X = random_coupled_space(np.random.default_rng(3), 4)
+    j = HomogeneousFunctional.zero(X)
+    assert j.units == () and j.alpha == 0.0 and j.v_lipschitz() == 0.0
+
+
+def test_alpha_and_v_lipschitz_solve_no_pencil(monkeypatch):
+    def refuse(self, A):
+        raise AssertionError("pencil solved")
+
+    monkeypatch.setattr(HilbertSpace, "eigvalsh", refuse)
+    X = random_coupled_space(np.random.default_rng(4), 6)
+    j = HomogeneousFunctional.block_norm(X, HilbertSpace(2), weights=[1.0, 0.5],
+                                         blocks=[[0, 3], [5]])
+    assert j.alpha > 0.0 and j.v_lipschitz() > 0.0
+
+
 def test_eta_free_functional_ignores_its_parameter():
     X = HilbertSpace(1)
     j = HomogeneousFunctional.block_norm(X, HilbertSpace(1), weights=[1.0],

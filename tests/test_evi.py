@@ -201,6 +201,48 @@ def test_the_gap_is_one_minus_the_factor():
         assert plan.gap == pytest.approx(1.0 - plan.q, rel=1e-12)
 
 
+def stalled_problem():
+    """``diag(1e-9, 1) u = (2e-9, 1)``, solved by ``(2, 1)``: from ``(1, 1)`` the step
+    ``rho (A u - f) = (-1e-18, 0)`` is below half an ulp of 1 and rounds away."""
+    X = HilbertSpace(2)
+    op = MonotoneOperator.from_matrix(X, np.diag([1e-9, 1.0]))
+    return EviProblem(X, ConstraintCone.whole_space(X), op, HomogeneousFunctional.zero(X),
+                      np.zeros(0), np.array([2e-9, 1.0]))
+
+
+def test_a_step_lost_to_rounding_is_no_stop():
+    # the iterate stays at (1, 1), a distance 1 from the solution, so no
+    # iteration may claim tol = 1e-10
+    with pytest.raises(NonConvergenceError, match="no convergence in 50 iterations"):
+        solve_evi(stalled_problem(), tol=1e-10, max_iter=50, start=np.array([1.0, 1.0]))
+
+
+def test_a_lost_step_bounds_the_distance_of_the_row_it_stops():
+    # ||step|| / gap = 1e-18 / 5e-19 = 2 bounds the distance 1; a tol above it stops
+    prob = stalled_problem()
+    plan = iteration_metric(prob.space, prob.cone, prob.operator, prob.functional)
+    sol = solve_evi(prob, tol=3.0, start=np.array([1.0, 1.0]))
+    assert sol.iterations == 1 and np.array_equal(sol.u, [1.0, 1.0])
+    assert sol.residual == pytest.approx(plan.rho * 1e-9 / plan.gap, rel=1e-12)
+    assert 1.0 <= sol.residual <= 3.0
+
+
+def test_the_audit_takes_the_exponent_of_l_out_before_squaring():
+    # |A u - A v|^2 ~ 1e322 overflows in a coupled metric, and ~ 1e-398 underflows;
+    # scaled by a power of two the audit reads L, and where neither happens it
+    # keeps its bits
+    X = HilbertSpace(2, metric=np.array([[2.0, -1.0], [-1.0, 1.0]]))
+    for a in (1e160, 1e-200):
+        audit = audit_operator(MonotoneOperator(lambda x, a=a: a * x, a, a), X)
+        assert audit.ok and audit.L_observed == pytest.approx(a, rel=1e-12)
+    op = MonotoneOperator(lambda x: 3.7 * x, 3.7, 3.7)
+    pts = 10.0 * np.random.default_rng(0).standard_normal((256, 2, 2))
+    d = pts[:, 0] - pts[:, 1]
+    ad = op(pts[:, 0]) - op(pts[:, 1])
+    l_obs = np.sqrt(((ad @ X.metric) * ad).sum(1) / ((d @ X.metric) * d).sum(1)).max()
+    assert audit_operator(op, X).L_observed == l_obs
+
+
 def test_a_viscosity_whose_square_underflows_still_gets_a_step():
     # L^2 = 1e-400 is 0 in floating point; m / L / L is the step 1e200
     X = HilbertSpace(1)
