@@ -3,11 +3,11 @@
 Subcommands, each reading --config:
   check        parse the config, audit assumptions, print the smallness gate
   run          solve and write solution.csv + diagnostics.txt into --out;
-               --tol, --mode, --seed and --force override the config
+               --tol, --mode and --force override the config
   convergence  refinement study in dt (and h for contact kinds), with the
                flags of run and --refinements
   verify       recompute residuals and oracle gaps from the files in --out,
-               sampled from --seed
+               and cross-check them on directions sampled from --seed
 
 Exit codes: 0 ok (also for --help), 2 gate or verification failure,
 3 non-convergence, 4 config or usage error.
@@ -49,6 +49,8 @@ from .core import (
     TimeGrid,
     Trajectory,
     UnsupportedConfigurationError,
+    membership_residuals,
+    sample_unit_directions,
 )
 from .evi import (
     AuditError,
@@ -56,6 +58,7 @@ from .evi import (
     NonConvergenceError,
     NonFiniteError,
     OperatorAudit,
+    vi_residuals,
 )
 from .histop import (
     ExponentialProfile,
@@ -68,6 +71,7 @@ from .inclusion import (
     InclusionSpec,
     SmallnessError,
     _node_checks,
+    _node_gradients,
     build_inclusion_variant,
     check_smallness,
 )
@@ -82,6 +86,8 @@ _ABSTRACT_SECTIONS = ("problem", "time", "solver", "abstract")
 # the keys each contact law reads besides ``law``
 _LAW_KEYS = {"rigid": (), "zero": (), "linear": ("slope",), "saturating": ("fmax", "rate"),
              "table": ("slips", "thresholds")}
+_CROSS_CHECK_DRAWS = 2048   # directions verify samples to cross-check the exact residuals
+_CROSS_CHECK_RTOL = 1e-12   # rounding a sampled residual may exceed an exact one by
 
 
 class ConfigError(Exception):
@@ -277,14 +283,24 @@ def _abstract_from(sec) -> dict:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+            text = fh.read()
+        parser.read_string(text, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"parse error in {path}: {exc}") from exc
+    # ";" after whitespace starts a comment, so in a list of blocks it would
+    # drop the blocks after it without a word
+    for line in text.splitlines() if parser.has_option("abstract", "blocks") else ():
+        key, _, value = line.replace(":", "=", 1).partition("=")
+        value = value.strip()
+        if key.strip() == "blocks" and (" ;" in value or "\t;" in value):
+            raise ConfigError("[abstract] blocks: ' ;' starts an inline comment and would drop "
+                              "the blocks after it; separate blocks as in '0; 1', and comment "
+                              "with '#'")
 
     prob = _require(parser, "problem")
     kind = _get(prob, "kind")
@@ -460,7 +476,7 @@ def _solve(cfg: RunConfig, spec, force=None) -> InclusionSolution:
     """Solve ``spec`` as configured; a prox undefined at a parameter the run reaches (a
     negative one, say) is a config error of the problem's section."""
     try:
-        return solve_spec(spec, tol=cfg.tol, mode=cfg.mode, seed=cfg.seed,
+        return solve_spec(spec, tol=cfg.tol, mode=cfg.mode,
                           force=cfg.force if force is None else force, max_passes=cfg.max_iter)
     except UnsupportedConfigurationError as exc:
         section = "abstract" if cfg.kind == "abstract" else "problem"
@@ -506,8 +522,7 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
     lines = [f"problem: {cfg.kind}"]
     if cfg.abstract:
         lines.append(f"variant: {cfg.abstract['variant']}")
-    lines += [f"mode: {cfg.mode}", f"tol: {_g(cfg.tol)}", f"seed: {cfg.seed}",
-              f"forced: {str(cfg.force).lower()}"]
+    lines += [f"mode: {cfg.mode}", f"tol: {_g(cfg.tol)}", f"forced: {str(cfg.force).lower()}"]
     rep = check_smallness(core)
     lines += ["smallness:",
               f"  alpha: {_g(rep.alpha)}",
@@ -536,11 +551,11 @@ def _diagnostics_text(cfg: RunConfig, problem, spec, sol, stress=None,
     lines.append(f"mixed_passes: {sol.diagnostics['mixed_passes']}")
     lines.append(f"coupling_windows: {len(sol.diagnostics['windows'])}")
     lines.append(f"clipped_windows: {sol.diagnostics['clipped_windows']}")
-    membership = sol.diagnostics.get("membership", {})
-    if membership:
-        lines.append(f"membership_worst: {_g(max(membership.values()))}")
-    lines += [f"{key}: {sol.diagnostics[key]}"
-              for key in ("residual_directions", "membership_nodes", "membership_directions")]
+    membership = sol.diagnostics["membership"]
+    lines.append(f"membership_worst: {_g(membership.max())}")
+    lines.append("certificate: exact")
+    lines.append(f"certificate_coordinates: {sol.diagnostics['certificate_coordinates']}")
+    lines.append(f"membership_nodes: {membership.size}")
     if problem is not None:
         report = contact_diagnostics(problem, sol.u, sol.v, stress)
         lines.append("contact:")
@@ -706,26 +721,44 @@ def _columns(header, data, prefix):
 
 
 def _verify_fields(cfg, core, u_samples, v_samples, out):
-    """Recompute residuals from file data; return the list of failures."""
+    """Recompute residuals from file data; return the list of failures.
+
+    The residuals are the exact ones of a run (:func:`~sweepvi.inclusion._node_checks`).
+    The same checks on a sample of 2048 directions from ``[solver] seed``
+    are a lower bound of them, so a sampled value above the exact one by
+    more than rounding fails.
+    """
     failures = []
-    driver = v_samples if v_samples is not None else u_samples
-    traj = Trajectory(core.x_space, cfg.grid, driver)
-    nodes = np.arange(cfg.grid.steps + 1)
-    residuals, membership, _ = _node_checks(core, driver, core.parameter_memory(traj).samples,
-                                            core.load_memory(traj).samples, nodes, cfg.seed,
-                                            residual_budget=2048)
+    unknown = v_samples if v_samples is not None else u_samples
+    traj = Trajectory(core.x_space, cfg.grid, unknown)
+    eta, xi = core.parameter_memory(traj).samples, core.load_memory(traj).samples
+    residuals, membership = _node_checks(core, unknown, eta, xi)
     worst_vi = float(residuals.max())
     print(f"worst recomputed VI residual: {_g(worst_vi)}", file=out)
     if worst_vi > 1e-6:
         failures.append(f"VI residual {worst_vi:.3e} > 1e-06")
 
-    worst_mem = max(membership.values())
+    worst_mem = float(membership.max())
     print(f"worst inclusion membership residual: {_g(worst_mem)}", file=out)
     if worst_mem > 1e-5:
         failures.append(f"membership residual {worst_mem:.3e} > 1e-05")
 
+    dirs = sample_unit_directions(core.cone, _CROSS_CHECK_DRAWS, cfg.seed)
+    grads = _node_gradients(core, unknown, xi)
+    sampled = (vi_residuals(core.x_space, core.cone, core.functional, unknown, grads, eta, dirs),
+               membership_residuals(core.functional, core.cone, eta, -grads, unknown, dirs))
+    # rounding of the pairings, at the far radius of the VI candidates
+    scale = 2.0 * (core.x_space.norms_many(unknown) + 1.0) * (core.x_space.norms_many(grads) + 1.0)
+    excess = max(float(np.max((got - exact) / scale))
+                 for got, exact in zip(sampled, (residuals, membership)))
+    print(f"sampled cross-check: {len(dirs)} directions, largest excess over the exact "
+          f"residuals {_g(excess)} (relative)", file=out)
+    if excess > _CROSS_CHECK_RTOL:
+        failures.append(f"a sampled residual exceeds the exact one by {excess:.3e} "
+                        f"(relative) > {_CROSS_CHECK_RTOL:g}")
+
     # written as "not within" so that a NaN row counts as a violation
-    outside = np.flatnonzero(~(core.cone.violations(driver) <= 1e-9))
+    outside = np.flatnonzero(~(core.cone.violations(unknown) <= 1e-9))
     if outside.size:
         failures.append(f"constraint violated at node {outside[0]}")
     return failures, traj
@@ -793,14 +826,15 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, out) -> int:
 
 # ---------------------------------------------------------------- entry
 
-# the flags of run and convergence besides --config, as argparse reads them
-_SOLVE_FLAGS = {
+# the flags of the subcommands besides --config, as argparse reads them
+_FLAGS = {
     "out": dict(default="out", help="output directory (default: out)"),
     "tol": dict(type=float, help="override solver tolerance"),
     "mode": dict(choices=("time_marching", "global_picard"), help="override solver mode"),
-    "seed": dict(type=int, help="override sampling seed"),
     "force": dict(action="store_true", help="run even when the smallness gate fails"),
+    "seed": dict(type=int, help="override the seed of the sampled cross-check"),
 }
+_SOLVE_FLAGS = ("out", "tol", "mode", "force")      # run and convergence
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -816,7 +850,7 @@ def _parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=doc)
         q.add_argument("--config", required=True, help="path to the INI-style config")
         for flag in flags:
-            q.add_argument(f"--{flag}", **_SOLVE_FLAGS[flag])
+            q.add_argument(f"--{flag}", **_FLAGS[flag])
         if name == "convergence":
             q.add_argument("--refinements", type=int, default=3,
                            help="number of halvings (>= 2)")

@@ -59,6 +59,12 @@ def _row_sums(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norms_from(mvs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """:meth:`HilbertSpace.norms_many` of the rows ``vs`` from their product ``mvs = vs M``, bit for bit,
+    for a caller that has that product for another use."""
+    return np.sqrt(np.maximum(_row_sums(mvs * vs), 0.0))
+
+
 class DimensionMismatchError(ValueError):
     """Vector or matrix shape inconsistent with the declared space."""
 
@@ -150,7 +156,7 @@ class HilbertSpace:
         # ndarray.dot is the BLAS product of @, bit for bit, and np.add.reduce
         # the sum of ndarray.sum, each without the call overhead that
         # dominates on a few rows
-        return np.sqrt(np.maximum(_row_sums(vs.dot(self.metric) * vs), 0.0))
+        return _norms_from(vs.dot(self.metric), vs)
 
     def solve_metric(self, bs) -> np.ndarray:
         """Riesz map: ``M^{-1} b`` for a vector ``b`` or for each row of ``bs``."""
@@ -898,28 +904,51 @@ def _lowest_pairings(space: HilbertSpace, functional: HomogeneousFunctional, dir
     return out
 
 
+def _direction_support(functional: HomogeneousFunctional, cone: ConstraintCone, dirs,
+                       distances, xs: np.ndarray, etas, weights: np.ndarray) -> np.ndarray:
+    """``sup over v of -(x_k, v) - j_k(v)``: exact over the unit sphere of the cone by
+    ``distances`` (from :func:`~sweepvi.certificate.direction_terms` when not given) without
+    ``dirs``, else over the rows of ``dirs``."""
+    if dirs is not None:
+        return -_lowest_pairings(cone.space, functional, dirs, xs, weights)
+    if distances is None:
+        # deferred, as in the node checks: a process that checks no node
+        # need not load the certificate
+        from .certificate import DirectionBlock, direction_terms
+
+        distances = direction_terms(DirectionBlock(cone, functional), xs, etas)
+    return np.asarray(distances, dtype=float)
+
+
 def membership_residuals(functional: HomogeneousFunctional, cone: ConstraintCone, etas,
-                         ws: np.ndarray, us: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+                         ws: np.ndarray, us: np.ndarray, dirs: np.ndarray | None = None,
+                         distances: np.ndarray | None = None) -> np.ndarray:
     """Violation of ``-u_k in N_{C(eta_k, t_k)}(z_k)`` at every node ``k``.
 
     ``ws[k] = shift_k - z_k`` and ``etas[k]`` is the node's parameter
     (``None`` for a functional that ignores it).  The test works through the
     equivalent variational statement for ``u_k``: its distance to the cone,
-    the support inequalities ``(w_k, v) <= j(eta_k, v)`` over the directions
-    ``dirs`` (shared by all nodes) and ``u_k / ||u_k||``, and the
+    the support inequalities ``(w_k, v) <= j(eta_k, v)`` over the unit
+    directions ``v`` of the cone and ``u_k / ||u_k||``, and the
     complementarity ``j(eta_k, u_k) - (w_k, u_k)``; the residual is the
-    largest violation, 0 when all hold.
+    largest violation, 0 when all hold.  The support term is the exact
+    direction term at ``-w_k`` (:func:`~sweepvi.certificate.direction_terms`; ``distances`` when
+    the caller has it), or, with ``dirs``, its largest value over those
+    directions (shared by all nodes), a lower bound.
     """
     space = cone.space
     ws = np.asarray(ws, dtype=float)
     us = np.asarray(us, dtype=float)
     weights = functional.unit_weights(etas)
     weights = np.broadcast_to(weights, (len(us), weights.shape[1]))
-    support = -_lowest_pairings(space, functional, dirs, -ws, weights)
+    support = _direction_support(functional, cone, dirs, distances, -ws, etas, weights)
     ju = (functional.unit_values(us) * weights).sum(1)
-    compl = ju - (space.apply_metric(us) * ws).sum(1)
+    mus = space.apply_metric(us)
+    compl = ju - (mus * ws).sum(1)
     # the direction u_k / ||u_k||, by homogeneity of j, where u_k is not zero
-    un = space.norms_many(us)
+    un = _norms_from(mus, us)
     along_u = np.divide(-compl, un, out=np.zeros_like(un), where=un > 1e-12)
-    cone_gap = space.norms_many(us - cone.project_many(us))
+    # the whole space projects each row onto itself
+    cone_gap = (np.zeros(len(us)) if cone.kind == "whole"
+                else space.norms_many(us - cone.project_many(us)))
     return np.maximum.reduce([np.maximum(support, 0.0), along_u, compl, cone_gap])

@@ -32,7 +32,9 @@ from .core import (
     HilbertSpace,
     HomogeneousFunctional,
     UnsupportedConfigurationError,
+    _direction_support,
     _lowest_pairings,
+    _norms_from,
     sample_unit_directions,
 )
 
@@ -464,7 +466,10 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
     bound its one-row solve gives, up to the rounding of block products.
     A row whose step rounds away in every coordinate (``u - step == u``)
     stops only where ``c ||step|| / (1 - q)``, the distance that lost step
-    bounds, is within ``tol``, and reports that bound.
+    bounds, is within ``tol``, and reports that bound; where it is not and
+    the iterate repeats bit for bit, every later iteration would repeat it,
+    so :class:`NonConvergenceError` is raised at once, naming the lost step
+    and its bound.
 
     A non-finite step or iterate, or a finite iterate whose displacement
     norm overflows, raises :class:`NonFiniteError` and a row
@@ -552,8 +557,20 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
             # solution, scale ||step|| / gap, and it stops only within tol
             lost = done & ~(w != us).any(axis=1)
             if lost.any():
-                lost_bound = np.where(lost, scale * norms(step) / gap, 0.0)
-                done &= lost_bound <= tol
+                step_norms = norms(step)
+                lost_bound = np.where(lost, scale * step_norms / gap, 0.0)
+                held = lost & ~(lost_bound <= tol)
+                # a held row whose iterate repeats bit for bit is at a fixed
+                # point of the computed map: every later iteration repeats it
+                stuck = held & (u_next == us).all(axis=1)
+                if stuck.any():
+                    r = int(np.flatnonzero(stuck)[0])
+                    raise fail(NonConvergenceError,
+                               f"step lost to rounding at iteration {it}: the iterate repeats, "
+                               f"and the lost step (norm {step_norms[r]:.3e}) bounds its "
+                               f"distance to the solution only by {lost_bound[r]:.3e} > tol "
+                               f"{tol:.3e}", stuck, us, disp)
+                done &= ~held
                 count = np.count_nonzero(done)
         us = u_next
         if prev is None:
@@ -597,33 +614,41 @@ def solve_evi_many(space: HilbertSpace, cone: ConstraintCone, operator: Monotone
 
 
 def vi_residuals(space: HilbertSpace, cone: ConstraintCone, functional: HomogeneousFunctional,
-                 us: np.ndarray, gs: np.ndarray, etas, dirs: np.ndarray,
-                 extra_points: np.ndarray | None = None) -> np.ndarray:
-    """Largest sampled violation of the variational inequality at every node.
+                 us: np.ndarray, gs: np.ndarray, etas, dirs: np.ndarray | None = None,
+                 extra_points: np.ndarray | None = None,
+                 distances: np.ndarray | None = None) -> np.ndarray:
+    """Largest violation of the variational inequality at every node.
 
     Node ``k`` has the point ``u_k``, the gradient ``g_k = A u_k - f_k`` and
     the parameter ``etas[k]`` (``None`` for a functional that ignores it).
     Its residual is ``-min`` over candidates ``v`` in the cone of
     ``(g_k, v - u_k) + j(eta_k, v) - j(eta_k, u_k)``.  The candidates are the
-    directions ``dirs`` (shared by all nodes), the same directions at the
-    radius ``2 (||u_k|| + 1)`` past which far-from-origin violations show
-    (cones are closed under positive scaling), the origin, ``u_k`` itself and
+    unit directions of the cone, the same directions at the radius
+    ``2 (||u_k|| + 1)`` past which far-from-origin violations show (cones
+    are closed under positive scaling), the origin, ``u_k`` itself and
     ``extra_points``, so the value is nonnegative and a solution stays at
     solver-tolerance size.  An infeasible ``u_k`` gets ``+inf``.
 
-    Since ``j`` is positively homogeneous, the direction rows are the lifted
-    product ``[G M | C] [D | Phi(D)]^T`` and the far rows that block times
-    the radius; see :meth:`~sweepvi.core.HomogeneousFunctional.unit_values`.
+    Since ``j`` is positively homogeneous, the directions enter through
+    ``low``, the least ``(g_k, v) + j(eta_k, v)`` over unit ``v`` in the
+    cone, as ``min(low, radius * low)``.  Only a negative ``low`` changes the
+    value, and there ``-low`` is the exact direction term
+    (:func:`~sweepvi.certificate.direction_terms`; ``distances`` when the caller
+    has it), so ``low = -distance`` gives the residual over every direction.
+    With ``dirs`` the directions are those rows instead (shared by all
+    nodes), and the value is a lower bound: the lifted product
+    ``[G M | C] [D | Phi(D)]^T``; see
+    :meth:`~sweepvi.core.HomogeneousFunctional.unit_values`.
     """
     us = np.asarray(us, dtype=float)
     gs = np.asarray(gs, dtype=float)
     weights = functional.unit_weights(etas)
     weights = np.broadcast_to(weights, (len(us), weights.shape[1]))
     # the value at the origin: -(g_k, u_k) - j(eta_k, u_k)
-    base = -((space.apply_metric(us) * gs).sum(1)
-             + (functional.unit_values(us) * weights).sum(1))
-    far = 2.0 * (space.norms_many(us) + 1.0)
-    low = _lowest_pairings(space, functional, dirs, gs, weights)
+    mus = space.apply_metric(us)
+    base = -((mus * gs).sum(1) + (functional.unit_values(us) * weights).sum(1))
+    far = 2.0 * (_norms_from(mus, us) + 1.0)
+    low = -_direction_support(functional, cone, dirs, distances, gs, etas, weights)
     # u_k itself scores exactly 0
     vals = np.minimum(np.minimum(low, far * low) + base, np.minimum(base, 0.0))
     if extra_points is not None and len(extra_points):

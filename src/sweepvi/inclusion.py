@@ -35,7 +35,6 @@ from .core import (
     HomogeneousFunctional,
     TimeGrid,
     Trajectory,
-    _nested_unit_directions,
     membership_residuals,
 )
 from .evi import (
@@ -66,9 +65,6 @@ __all__ = [
 ]
 
 
-_RESIDUAL_BUDGET = 1024     # draws whose directions the VI residual of a solve tests
-_MEMBERSHIP_BUDGET = 2048   # draws of a solve's one sample, all tested by the membership
-_MEMBERSHIP_NODES = 8       # nodes, spread over the grid, whose membership a solve tests
 # time marching multiplies the width by 2 ** max(1, (_WIDEN_PASSES + 2 - p) // 2)
 # after a window that settles within p <= _WIDEN_PASSES passes and halves it
 # after one that needs more than _NARROW_PASSES or does not settle
@@ -163,6 +159,14 @@ class InclusionSpec:
     def iteration_metric(self) -> IterationMetric:
         """The metric every node's EVI iterates in, audited and decided once per spec."""
         return iteration_metric(self.x_space, self.cone, self.operator, self.functional)
+
+    @cached_property
+    def direction_block(self):
+        """The :class:`~sweepvi.certificate.DirectionBlock` of the node checks, built at the
+        first check, after the first solve."""
+        from .certificate import DirectionBlock     # deferred, with the module
+
+        return DirectionBlock(self.cone, self.functional)
 
 
 @dataclass(frozen=True)
@@ -298,30 +302,30 @@ def _node_gradients(spec: InclusionSpec, u_samples: np.ndarray, xi: np.ndarray) 
     return spec.operator.apply(u_samples) - (spec.f.samples - xi)
 
 
-def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, eta: np.ndarray, xi: np.ndarray,
-                 nodes: np.ndarray, seed: int,
-                 residual_budget: int) -> tuple[np.ndarray, dict[int, float], dict]:
-    """Both solution tests, on one direction sample shared by the nodes.
+def _node_checks(spec: InclusionSpec, u_samples: np.ndarray, eta: np.ndarray,
+                 xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both solution tests at every node, on one exact direction term.
 
-    The sample has ``max(residual_budget, _MEMBERSHIP_BUDGET)`` draws from
-    ``seed``, its prefix being the sample of the first ``residual_budget``
-    (:func:`~sweepvi.core._nested_unit_directions`).  Returns the VI
-    residual at every node on that prefix, the inclusion membership residual
-    at ``nodes`` on the whole sample, and the sample sizes: the directions
-    each check actually tested after the cone projection drops the null ones.
+    Returns the VI residual and the inclusion membership residual of each
+    node.  Both pair the cone's unit directions with the same vector, since
+    the membership's ``w_k`` is minus the VI gradient, so the exact term
+    ``dist_{M^-1}(-M g_k, dj(eta_k, 0) + K°)``
+    (:func:`~sweepvi.certificate.direction_terms`, on the spec's cached
+    :attr:`InclusionSpec.direction_block`) is computed once for both: the VI
+    residual reads it as ``low = -distance`` and the membership as its
+    support term.  No direction is sampled.
     """
+    from .certificate import direction_terms    # loaded at the first check, not with the package
+
     grads = _node_gradients(spec, u_samples, xi)
-    dirs, prefix = _nested_unit_directions(spec.cone, residual_budget,
-                                           max(residual_budget, _MEMBERSHIP_BUDGET), seed)
+    distances = direction_terms(spec.direction_block, grads, eta)
     residuals = vi_residuals(spec.x_space, spec.cone, spec.functional, u_samples, grads,
-                             eta, dirs[:prefix])
-    sizes = {"residual_directions": prefix, "membership_nodes": len(nodes),
-             "membership_directions": len(dirs)}
+                             eta, distances=distances)
     # at node k the moving set is f_k - C(eta_k) and z_k = A u_k + xi_k, so
     # f_k - z_k is minus the VI gradient
-    member = membership_residuals(spec.functional, spec.cone, eta[nodes], -grads[nodes],
-                                  u_samples[nodes], dirs)
-    return residuals, dict(zip(nodes.tolist(), member.tolist())), sizes
+    member = membership_residuals(spec.functional, spec.cone, eta, -grads, u_samples,
+                                  distances=distances)
+    return residuals, member
 
 
 def _predict(u: np.ndarray, first: int, last: int) -> np.ndarray:
@@ -418,7 +422,7 @@ class _Mixer:
 
 def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
                     mode: str = "time_marching", force: bool = False,
-                    max_passes: int = 500, seed: int = 0) -> InclusionSolution:
+                    max_passes: int = 500) -> InclusionSolution:
     """Drive the coupling map to its fixed point and return the trajectory.
 
     Both modes run Picard passes of the coupling map over windows of nodes,
@@ -471,12 +475,12 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     iteration plan is made (:attr:`InclusionSpec.iteration_metric`); a failed
     audit raises :class:`~sweepvi.evi.AuditError`, with or without ``force``.
 
-    The result is then checked at the nodes on one sample of 2048 cone
-    directions drawn from ``seed``: the VI residual at every node on its
-    first 1024 draws and the signed axes, and the inclusion membership at 8
-    nodes spread over the grid on the whole sample; each check tests all its
-    nodes together.  A converged solution must pass membership within
-    ``max(1e-6, 100 tol)``.  The diagnostics record the sample sizes.
+    The result is then checked at every node (:func:`_node_checks`): the VI
+    residual and the inclusion membership, each over every unit direction of
+    the cone through the exact direction term, with no sample.  A converged
+    solution must pass membership within ``max(1e-6, 100 tol)``.  The
+    diagnostics record the membership of each node and the count of
+    coordinates the exact term works on (``certificate_coordinates``).
     """
     if mode not in ("global_picard", "time_marching"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -578,16 +582,13 @@ def solve_inclusion(spec: InclusionSpec, tol: float = 1e-10,
     diagnostics["windows"] = windows
     diagnostics["clipped_windows"] = clipped
 
-    count = min(_MEMBERSHIP_NODES, spec.grid.steps + 1)
-    nodes = np.unique(np.linspace(0, spec.grid.steps, count).round().astype(int))
     eta_all, xi_all = theta_all[:, :ny], theta_all[:, ny:]
-    residuals, membership, sizes = _node_checks(spec, u, eta_all, xi_all, nodes, seed,
-                                                _RESIDUAL_BUDGET)
+    residuals, membership = _node_checks(spec, u, eta_all, xi_all)
     diagnostics["membership"] = membership
-    diagnostics.update(sizes)
+    diagnostics["certificate_coordinates"] = spec.direction_block.coords.size
     if converged:
         limit = max(1e-6, 100.0 * tol)
-        worst = max(membership.values())
+        worst = float(membership.max())
         if worst > limit:
             raise AuditError(f"solution failed the inclusion membership check: "
                              f"worst residual {worst:.3e} > {limit:.3e}")

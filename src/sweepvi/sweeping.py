@@ -30,7 +30,6 @@ from .inclusion import (
     InclusionSolution,
     InclusionSpec,
     SmallnessError,
-    _RESIDUAL_BUDGET,
     _node_gradients,
     _node_problem,
     _theta_changes,
@@ -51,7 +50,8 @@ __all__ = [
 ]
 
 _DIRECT_PASSES = 500        # inner passes per node of the direct marching
-_DIRECT_SEED = 0            # seed of its VI-residual directions
+_DIRECT_BUDGET = 1024       # draws of its VI-residual directions
+_DIRECT_SEED = 0            # and their seed
 
 
 def integrate_velocity(v: Trajectory, u0) -> Trajectory:
@@ -235,7 +235,7 @@ def solve_sweeping_direct(spec: SweepingSpec, tol: float = 1e-10) -> InclusionSo
                                       last_iterate=v[k])
     v_traj = Trajectory(X, grid, v)
     residuals = vi_residuals(X, core.cone, core.functional, v, _node_gradients(core, v, xi), eta,
-                             sample_unit_directions(core.cone, _RESIDUAL_BUDGET, _DIRECT_SEED))
+                             sample_unit_directions(core.cone, _DIRECT_BUDGET, _DIRECT_SEED))
     return InclusionSolution(u=integrate_velocity(v_traj, spec.u0), v=v_traj,
                              eta=Trajectory(core.y_space, grid, eta),
                              xi=Trajectory(X, grid, xi), per_step_iterations=iters,

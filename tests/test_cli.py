@@ -111,7 +111,7 @@ class TestLoadConfig:
                 assert name in err
 
     @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
-                                             ("--tol", "inf"), ("--seed", "-3")])
+                                             ("--tol", "inf")])
     def test_bad_flag_override_exits_4_naming_the_key(self, tmp_path, capsys, flag, value):
         cfg = tmp_path / "zero.ini"
         cfg.write_text(ZERO_LOAD)
@@ -121,6 +121,22 @@ class TestLoadConfig:
             err = capsys.readouterr().err
             assert err.startswith("config error: ")
             assert f"[solver] {flag[2:]}:" in err
+
+    def test_a_bad_seed_override_of_verify_exits_4_naming_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(ZERO_LOAD)
+        assert run_cli("verify", "--config", cfg, "--out", tmp_path / "out", "--seed=-3") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "[solver] seed:" in err
+
+    def test_an_inline_semicolon_starts_a_comment(self, tmp_path):
+        # as "#" does, after whitespace
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(ZERO_LOAD.replace("a = 1.0", "a = 1.0 ; note")
+                       .replace("steps = 8", "steps = 8 # note"))
+        loaded = load_config(cfg)
+        assert loaded.material.a == 1.0 and loaded.grid.steps == 8
 
     def test_mode_flag_override_rechecks_max_iter(self, tmp_path, capsys):
         # a coupling window needs two passes whatever the mode
@@ -314,13 +330,18 @@ class TestConfigKeys:
                        .replace("blocks = 0 1", "blocks = 0; 1").replace("weights = 1", "weights = 1 1"))
         assert _build_spec(cfg).y_space.dim == 2
 
-    def test_a_spaced_semicolon_separates_blocks(self, tmp_path):
-        # only "#" starts an inline comment, so " ; 1" is a second block
+    @pytest.mark.parametrize("blocks", ["0 ; 1", "0\t; 1", "0 1 ; note"])
+    def test_a_spaced_semicolon_in_a_block_list_exits_4(self, tmp_path, capsys, blocks):
+        # ";" after whitespace starts an inline comment, as "#" does, so
+        # " ; 1" would drop the second block without a word (with one weight
+        # the run would go on with one block); it is refused
         cfg = tmp_path / "block.ini"
-        cfg.write_text(BLOCK_NORM.replace("blocks = 0 1", "blocks = 0 ; 1")
+        cfg.write_text(BLOCK_NORM.replace("blocks = 0 1", f"blocks = {blocks}"))
+        assert run_cli("check", "--config", cfg) == 4
+        assert capsys.readouterr().err.startswith("config error: [abstract] blocks: ' ;' starts")
+        cfg.write_text(BLOCK_NORM.replace("blocks = 0 1", "blocks = 0; 1 # two blocks")
                        .replace("weights = 1", "weights = 1 1"))
         assert load_config(cfg).abstract["blocks"] == [[0], [1]]
-        assert _build_spec(cfg).y_space.dim == 2
         out = tmp_path / "out"
         assert run_cli("run", "--config", cfg, "--out", out) == 0
         assert run_cli("verify", "--config", cfg, "--out", out) == 0
@@ -395,6 +416,8 @@ class TestUsage:
         (("run", "--config", CONFIGS / "rod_rigid.ini", "--mode", "bogus"), "bogus"),
         (("solve", "--config", CONFIGS / "rod_rigid.ini"), "solve"),
         (("check", "--config", CONFIGS / "rod_rigid.ini", "--seed", "5"), "--seed 5"),
+        (("run", "--config", CONFIGS / "rod_rigid.ini", "--seed", "1"), "--seed 1"),
+        (("convergence", "--config", CONFIGS / "rod_rigid.ini", "--seed", "1"), "--seed 1"),
         (("check", "--config", CONFIGS / "rod_rigid.ini", "--out", "x"), "--out x"),
         (("verify", "--config", CONFIGS / "rod_rigid.ini", "--mode", "global_picard"),
          "--mode global_picard"),
@@ -415,9 +438,9 @@ class TestUsage:
 
     def test_each_subcommand_takes_only_the_flags_it_reads(self, capsys):
         for command, flags in (("check", []), ("verify", ["--out", "--seed"]),
-                               ("run", ["--out", "--tol", "--mode", "--seed", "--force"]),
-                               ("convergence", ["--out", "--tol", "--mode", "--seed",
-                                                "--force", "--refinements"])):
+                               ("run", ["--out", "--tol", "--mode", "--force"]),
+                               ("convergence", ["--out", "--tol", "--mode", "--force",
+                                                "--refinements"])):
             assert run_cli(command, "--help") == 0
             text = capsys.readouterr().out
             taken = sorted(set(re.findall(r"--[a-z]+", text)) - {"--help", "--config"})

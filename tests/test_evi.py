@@ -212,9 +212,19 @@ def stalled_problem():
 
 def test_a_step_lost_to_rounding_is_no_stop():
     # the iterate stays at (1, 1), a distance 1 from the solution, so no
-    # iteration may claim tol = 1e-10
-    with pytest.raises(NonConvergenceError, match="no convergence in 50 iterations"):
-        solve_evi(stalled_problem(), tol=1e-10, max_iter=50, start=np.array([1.0, 1.0]))
+    # iteration may claim tol = 1e-10; it repeats at once, so the solve raises
+    # at iteration 1 of its 5000, naming the lost step 1e-18 and its bound 2
+    prob = stalled_problem()
+    plan = iteration_metric(prob.space, prob.cone, prob.operator, prob.functional)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_evi(prob, tol=1e-10, start=np.array([1.0, 1.0]))
+    bound = plan.rho * 1e-9 / plan.gap
+    assert str(info.value) == (
+        "step lost to rounding at iteration 1: the iterate repeats, and the lost step "
+        f"(norm {plan.rho * 1e-9:.3e}) bounds its distance to the solution only by "
+        f"{bound:.3e} > tol 1.000e-10")
+    assert f"{bound:.3e}" == "2.000e+00"
+    np.testing.assert_array_equal(info.value.last_iterate, [1.0, 1.0])
 
 
 def test_a_lost_step_bounds_the_distance_of_the_row_it_stops():

@@ -371,7 +371,7 @@ class TestSolveInclusion:
 
     def test_membership_residuals_certify_the_inclusion(self):
         sol = solve_inclusion(feedback_spec(), tol=1e-11)
-        assert max(sol.diagnostics["membership"].values()) <= 1e-7
+        assert sol.diagnostics["membership"].max() <= 1e-7
 
     def test_vi_residuals_reported_per_node(self):
         spec = decay_spec(16)
@@ -538,7 +538,7 @@ class TestOperatorAudit:
             return audit(*args, **kwargs)
 
         monkeypatch.setattr(evi, "audit_operator", counting)
-        solve_inclusion(spec, seed=3)
+        solve_inclusion(spec)
         assert calls == [{"trials": 256, "seed": 0}]
         assert spec.iteration_metric.audit.ok and spec.iteration_metric.audit.trials == 256
         solve_inclusion(spec, mode="global_picard")

@@ -1,15 +1,19 @@
-"""Batched post-solve verification: one direction sample per solve.
+"""Batched post-solve verification: the exact direction term and the sampled kernels.
 
-The kernels are compared against the per-node formulas written out here on
-the same direction sample, with ``j`` evaluated from its definition.
+The sampled kernels are compared against the per-node formulas written out
+here on the same direction sample, with ``j`` evaluated from its definition;
+the exact term against every sample, the direction it certifies and values
+worked out by hand.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+import sweepvi.certificate as certificate_module
 import sweepvi.core as core_module
 import sweepvi.inclusion as inclusion_module
 from sweepvi import (
@@ -21,6 +25,7 @@ from sweepvi import (
     LipschitzOperator,
     MonotoneOperator,
     MovingSet,
+    UnsupportedConfigurationError,
     audit_operator,
     membership_residuals,
     solve_evi,
@@ -28,6 +33,7 @@ from sweepvi import (
     vi_residuals,
 )
 from sweepvi.cli import _build, _solve, load_config, main
+from sweepvi.certificate import DirectionBlock, _direction_residuals, direction_terms
 from sweepvi.core import (_BLOCK_DOUBLES, _lowest_pairings, _nested_unit_directions,
                           sample_unit_directions)
 from sweepvi.inclusion import _node_gradients, _node_problem
@@ -427,7 +433,100 @@ def test_negative_parameters_still_warn():
         membership_residuals(functional, cone, etas, gs, us, dirs)
 
 
-# ------------------------------------------------------ one sample per solve
+# ------------------------------------------------------- the exact direction term
+
+# per functional kind, cone indices of each kind that meet the functional's
+# units where the exact term allows it: a one-coordinate unit (positive part,
+# norm block of one) under any cone, a norm block of more coordinates only
+# under a zero cone, which frees part of it
+MEETING = {
+    "zero": {"nonpositive": (0, 2), "nonnegative": (1,), "zero": (3,)},
+    "positive_part": {"nonpositive": (0, 2), "nonnegative": (3,), "zero": (0, 1)},
+    "block_norm": {"nonpositive": (4, 0), "nonnegative": (4,), "zero": (1, 3)},
+    "separable": {"nonpositive": (1, 2), "nonnegative": (3,), "zero": (4,)},
+}
+
+
+def _cone_for(kind, cone_kind, X):
+    return ConstraintCone(X, cone_kind, () if cone_kind == "whole" else MEETING[kind][cone_kind])
+
+
+def _direction_value(X, functional, g, eta, v):
+    """``-(g, v) - j(eta, v)`` at one direction, ``j`` from its definition."""
+    return -X.inner(g, v) - j_ref(functional, eta, v)
+
+
+@pytest.mark.parametrize("kind", ("zero", "positive_part", "block_norm", "separable"))
+@pytest.mark.parametrize("cone_kind", ("whole", "nonpositive", "nonnegative", "zero"))
+def test_the_exact_term_bounds_every_sample_and_is_attained(kind, cone_kind):
+    # on random coupled metrics: at least the value of every sampled
+    # direction, and the value of the direction -r / ||r|| it certifies
+    for seed in range(6):
+        X = _coupled_space(5, seed=40 + seed)
+        cone = _cone_for(kind, cone_kind, X)
+        functional = _functional(kind, X)
+        rng = np.random.default_rng(seed)
+        nodes = 12
+        gs = 2.0 * rng.standard_normal((nodes, 5))
+        gs[:3] *= 1e-3                  # some nodes near the set
+        gs[3] = 0.0                     # and one in it
+        etas = rng.uniform(0.0, 2.0, (nodes, 2))
+        block = DirectionBlock(cone, functional)
+        exact = direction_terms(block, gs, etas)
+        dirs = sample_unit_directions(cone, 3000, seed=seed)
+        weights = functional.unit_weights(etas)
+        sampled = -_lowest_pairings(X, functional, dirs, gs, weights)
+        scale = 1e-12 * (X.norms_many(gs) + weights.sum(1) + 1.0)
+        assert np.all(np.maximum(sampled, 0.0) <= exact + scale), (sampled - exact).max()
+        rs = _direction_residuals(block, gs, etas)
+        for g, eta, r, value in zip(gs, etas, rs, exact):
+            if value <= 1e-9:
+                continue
+            v = cone.project(-r / X.norm(r))
+            attained = _direction_value(X, functional, g, eta, v / X.norm(v))
+            assert abs(attained - value) <= 1e-12 * (1.0 + value)
+
+
+def test_the_exact_term_matches_the_hand_computed_distance_on_a_diagonal_metric():
+    # M = diag(2, 4, 1), j(v) = 3 max(v_0, 0), v_1 <= 0, g = (-2, 1, 0.5):
+    # -M g = (4, -4, -0.5); y_0 in [0, 3] takes 3, y_1 in [0, inf) takes 0, so
+    # dist^2 = (4 - 3)^2 / 2 + 4^2 / 4 + 0.5^2 / 1 = 4.75
+    X = HilbertSpace(3, np.diag([2.0, 4.0, 1.0]))
+    functional = HomogeneousFunctional.positive_part(X, HilbertSpace(1), weights=[3.0],
+                                                     indices=[0])
+    cone = ConstraintCone.nonpositive(X, [1])
+    g = np.array([[-2.0, 1.0, 0.5]])
+    got = direction_terms(DirectionBlock(cone, functional), g, np.ones((1, 1)))
+    assert got[0] == pytest.approx(np.sqrt(4.75), rel=1e-15)
+    # M = diag(1, 1, 3), j(v) = 2 ||(v_0, v_1)||, v_2 = 0, g = (3, 4, 1): the
+    # ball of radius 2 takes 2 of the 5 of (3, 4), and the line all of g_2:
+    # dist^2 = (5 - 2)^2
+    X = HilbertSpace(3, np.diag([1.0, 1.0, 3.0]))
+    functional = HomogeneousFunctional.block_norm(X, HilbertSpace(1), weights=[2.0],
+                                                  blocks=[[0, 1]])
+    got = direction_terms(DirectionBlock(ConstraintCone.zero(X, [2]), functional),
+                          np.array([[3.0, 4.0, 1.0]]), np.ones((1, 1)))
+    assert got[0] == pytest.approx(3.0, rel=1e-15)
+    # the same without the cone: the line's 3 * 1^2 adds, dist^2 = 9 + 3
+    got = direction_terms(DirectionBlock(ConstraintCone.whole_space(X), functional),
+                          np.array([[3.0, 4.0, 1.0]]), np.ones((1, 1)))
+    assert got[0] == pytest.approx(np.sqrt(12.0), rel=1e-15)
+
+
+def test_a_norm_block_on_a_sign_constraint_has_no_exact_term():
+    X = _coupled_space(5, seed=1)
+    functional = _functional("block_norm", X)
+    with pytest.raises(UnsupportedConfigurationError, match="sign constraint"):
+        DirectionBlock(ConstraintCone.nonpositive(X, [2]), functional)
+
+
+# --------------------------------------------------- no sample in a run's checks
+
+def _bindings(name):
+    """Every loaded sweepvi module that binds ``name``."""
+    return [m for key, m in list(sys.modules.items())
+            if (key == "sweepvi" or key.startswith("sweepvi.")) and hasattr(m, name)]
+
 
 @pytest.fixture
 def sample_calls(monkeypatch):
@@ -439,20 +538,27 @@ def sample_calls(monkeypatch):
         calls.append((head, count, seed))
         return original(cone, head, count, seed)
 
-    for module in (core_module, inclusion_module):
+    for module in _bindings("_nested_unit_directions"):
         monkeypatch.setattr(module, "_nested_unit_directions", counting)
     return calls
 
 
-def test_a_run_draws_one_sample_for_both_checks(sample_calls, tmp_path):
-    assert main(["run", "--config", str(CONFIGS / "rod_compliance.ini"),
-                 "--out", str(tmp_path), "--seed", "5"]) == 0
-    assert sample_calls == [(1024, 2048, 5)]
-    lines = (tmp_path / "diagnostics.txt").read_text().splitlines()
-    # the budget plus the 2 * 4 signed axes, none null in the whole space
-    assert "residual_directions: 1032" in lines
-    assert "membership_nodes: 8" in lines
-    assert "membership_directions: 2056" in lines
+@pytest.mark.parametrize("name, code", [("abstract_volterra", 0), ("rod_compliance", 0),
+                                        ("rod_rigid", 0), ("shear_friction", 0),
+                                        ("gate_fail", 2)])
+def test_a_run_draws_no_direction_sample(monkeypatch, tmp_path, name, code):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run drew a direction sample")
+
+    for fn in ("_nested_unit_directions", "sample_unit_directions"):
+        for module in _bindings(fn):
+            monkeypatch.setattr(module, fn, refuse)
+    assert main(["run", "--config", str(CONFIGS / f"{name}.ini"), "--out", str(tmp_path)]) == code
+    if code == 0:
+        lines = (tmp_path / "diagnostics.txt").read_text().splitlines()
+        assert "certificate: exact" in lines
+        assert not any(line.startswith(("residual_directions", "membership_directions"))
+                       for line in lines)
 
 
 def test_verify_draws_one_sample_for_both_checks(sample_calls, tmp_path):
@@ -463,21 +569,33 @@ def test_verify_draws_one_sample_for_both_checks(sample_calls, tmp_path):
     assert sample_calls == [(2048, 2048, 0)]
 
 
-def test_a_residual_budget_above_the_membership_budget_draws_the_larger(sample_calls):
-    cfg = load_config(CONFIGS / "rod_compliance.ini")
+def test_node_checks_pair_one_exact_term(monkeypatch):
+    cfg = load_config(CONFIGS / "shear_friction.ini")
     _, spec = _build(cfg)
     core = spec.inclusion
     sol = _solve(cfg, spec)
-    u = sol.u.samples
-    nodes = np.array([0, cfg.grid.steps])
-    residuals, _, sizes = inclusion_module._node_checks(core, u, sol.eta.samples,
-                                                        sol.xi.samples, nodes, 0, 3000)
-    assert sample_calls[-1] == (3000, 3000, 0)
-    assert sizes["residual_directions"] == sizes["membership_directions"] == 3000 + 2 * 4
-    dirs = sample_unit_directions(core.cone, 3000, 0)
-    grads = _node_gradients(core, u, sol.xi.samples)
-    want = vi_residuals(core.x_space, core.cone, core.functional, u, grads, sol.eta.samples, dirs)
-    np.testing.assert_array_equal(residuals, want)
+    u, eta, xi = sol.v.samples, sol.eta.samples, sol.xi.samples
+    calls = []
+
+    def counting(block, gs, etas):
+        calls.append(block)
+        return direction_terms(block, gs, etas)
+
+    monkeypatch.setattr(certificate_module, "direction_terms", counting)
+    residuals, member = inclusion_module._node_checks(core, u, eta, xi)
+    assert calls == [core.direction_block]
+    grads = _node_gradients(core, u, xi)
+    dist = direction_terms(DirectionBlock(core.cone, core.functional), grads, eta)
+    np.testing.assert_array_equal(
+        residuals, vi_residuals(core.x_space, core.cone, core.functional, u, grads, eta,
+                                distances=dist))
+    np.testing.assert_array_equal(
+        member, membership_residuals(core.functional, core.cone, eta, -grads, u,
+                                     distances=dist))
+    # without distances or directions the kernels compute the same exact term
+    np.testing.assert_array_equal(
+        residuals, vi_residuals(core.x_space, core.cone, core.functional, u, grads, eta))
+    assert residuals.max() <= 1e-10 and member.max() <= 1e-10
 
 
 # ------------------------------------------------------------ audits, Riesz map
