@@ -30,7 +30,9 @@ from .core import (
     TimeGrid,
     Trajectory,
     UnsupportedConfigurationError,
+    _banded,
     _reading_norm,
+    _stiffness,
     _vec,
 )
 from .evi import EnergyMetric, LipschitzOperator, MonotoneOperator
@@ -286,29 +288,31 @@ def _traction_values(raw, components: int) -> np.ndarray:
 
 
 def _mass(mesh: Mesh1D) -> np.ndarray:
-    """Full P1 mass matrix over all mesh nodes (fixed node included)."""
-    m = mesh.nodes.size
-    M = np.zeros((m, m))
-    h = mesh.h
-    for e in range(mesh.n_elements):
-        M[e:e + 2, e:e + 2] += h[e] / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    return M
+    """Full P1 mass matrix over all mesh nodes (fixed node included): element
+    ``e`` adds ``h_e / 6 * [[2, 1], [1, 2]]`` at its two nodes."""
+    third = mesh.h / 6.0 * 2.0
+    diag = np.zeros(mesh.nodes.size)
+    diag[:-1] += third
+    diag[1:] += third
+    return _banded(diag, mesh.h / 6.0)
 
 
 def _strain_form(mesh: Mesh1D, coeff: np.ndarray, components: int):
     """``(G, h, G^T diag(coeff h) G)``: the strain matrix ``G`` of every component
     (the clamped end contributes zero), the element lengths ``h`` and the
-    free-node Gram matrix of ``int coeff u' v'``."""
+    free-node Gram matrix of ``int coeff u' v'``.  The Gram matrix is written
+    directly as its tridiagonal per component (:func:`~sweepvi.core._stiffness`);
+    it is the product ``(G^T * coeff h) @ G`` up to one rounding of a diagonal
+    entry, and bit for bit on the shipped configs."""
     inv_h = 1.0 / mesh.h
     G = np.kron(np.eye(components), np.diag(inv_h) - np.diag(inv_h[1:], -1))
-    h = np.tile(mesh.h, components)
-    return G, h, (G.T * (np.tile(coeff, components) * h)) @ G
+    return G, np.tile(mesh.h, components), _stiffness(mesh.h, coeff, components)
 
 
 def assemble_space(mesh: Mesh1D, components: int = 1) -> HilbertSpace:
-    """Energy inner product ``int u' v'`` on the free nodes, per component."""
-    _, _, K = _strain_form(mesh, np.ones(mesh.n_elements), components)
-    return HilbertSpace(mesh.n_free * components, K)
+    """Energy inner product ``int u' v'`` on the free nodes, per component, with its
+    closed-form inverse (:meth:`~sweepvi.core.HilbertSpace.clamped`)."""
+    return HilbertSpace.clamped(mesh.h, np.ones(mesh.n_elements), components)
 
 
 def trace_constant(space: HilbertSpace, dof: int) -> float:
@@ -324,7 +328,9 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
     monotonicity: m = min(a), L = max(a) + mu, both exact in the energy norm.
 
     The energy metric of the linear part, ``Ka = G^T diag(a h) G``, is
-    declared as well.  The operator's Jacobian lies between ``Ka`` and
+    declared as well; its space, with the closed-form inverse of
+    :meth:`~sweepvi.core.HilbertSpace.clamped`, is built if a plan asks.
+    The operator's Jacobian lies between ``Ka`` and
     ``Ka + mu G^T diag(h) G <= (1 + mu / min(a)) Ka``, so in the Ka-norm
     m_P = 1 and L_P = 1 + mu / min(a), free of the contrast max(a) / min(a).
     """
@@ -344,7 +350,8 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
     def apply(us: np.ndarray) -> np.ndarray:
         return space.solve_metric(force(us))
 
-    energy = EnergyMetric(Ka, force, m=1.0, L=1.0 + mu / float(a.min()))
+    energy = EnergyMetric(Ka, force, m=1.0, L=1.0 + mu / float(a.min()),
+                          space_of=lambda: HilbertSpace.clamped(mesh.h, a, components))
     return MonotoneOperator(apply=apply, m=float(a.min()), L=float(a.max()) + mu,
                             tag="viscosity", energy=energy)
 
@@ -357,7 +364,7 @@ def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | Non
     """
     space = space or assemble_space(mesh, components)
     b = material.b_field(mesh)
-    _, _, Kb = _strain_form(mesh, b, components)
+    Kb = _stiffness(mesh.h, b, components)
 
     def apply(us: np.ndarray) -> np.ndarray:
         return space.solve_metric(us @ Kb)

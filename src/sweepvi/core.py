@@ -88,18 +88,66 @@ def _vec(x, dim: int) -> np.ndarray:
     return v
 
 
+def _stiffness_bands(h: np.ndarray, c: np.ndarray,
+                     components: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal of ``G^T diag(c h) G``, ``components`` copies along the diagonal.
+
+    ``G`` is the strain matrix of P1 elements of lengths ``h`` on an
+    interval clamped at its left end (``(G u)_e = (u_e - u_{e-1}) / h_e``,
+    ``u_{-1} = 0``).  Element ``e`` adds ``t_e = c_e / h_e``, rounded as
+    ``(1 / h_e) (c_e h_e) (1 / h_e)``, to the diagonal at nodes ``e - 1`` and
+    ``e`` and ``-t_e`` between them; the superdiagonal is 0 where one copy
+    meets the next.
+    """
+    inv_h = 1.0 / h
+    t = inv_h * (c * h) * inv_h
+    diag = t.copy()
+    diag[:-1] += t[1:]
+    off = np.append(-t[1:], 0.0)
+    return np.tile(diag, components), np.tile(off, components)[:-1]
+
+
+def _banded(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The dense symmetric tridiagonal matrix with bands ``diag`` and ``off``."""
+    n = diag.size
+    out = np.zeros((n, n))
+    out.flat[::n + 1] = diag
+    out.flat[1::n + 1] = off
+    out.flat[n::n + 1] = off
+    return out
+
+
+def _stiffness(h: np.ndarray, c: np.ndarray, components: int = 1) -> np.ndarray:
+    """``G^T diag(c h) G`` (see :func:`_stiffness_bands`) as a dense matrix; ``c >= 0``."""
+    return _banded(*_stiffness_bands(h, c, components))
+
+
+def _inverse_factor(metric: np.ndarray) -> np.ndarray:
+    """``F^{-1}``, read-only, for the Cholesky factor ``M = F F^T``; ``ValueError``
+    when ``M`` is not positive definite."""
+    try:
+        inv_factor = np.linalg.inv(np.linalg.cholesky(metric))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("metric must be positive definite") from exc
+    inv_factor.flags.writeable = False
+    return inv_factor
+
+
 class HilbertSpace:
     """Real inner-product space of fixed dimension with an SPD metric.
 
-    The metric ``M`` is factored once, ``M = F F^T`` (Cholesky), and only the
-    inverse factor ``F^{-1}`` is kept.  The inverse metric ``F^{-T} F^{-1}``
-    and the pencil eigenvalues :meth:`eigvalsh` are read from it.  Other
-    modules reach ``M`` and ``M^{-1}`` only through the methods here: the
-    metric :meth:`apply_metric`, the Riesz map :meth:`solve_metric`, columns
-    of the inverse (:meth:`inverse_columns`) and pencil eigenvalues
-    (:meth:`eigvalsh`, :meth:`metric_eigvalsh`).  A block of vectors is a
-    stack of rows: the metric methods take a vector or a matrix whose rows
-    are vectors, and act on each row.
+    ``HilbertSpace(dim, metric)`` factors the metric once, ``M = F F^T``
+    (Cholesky), and reads the inverse metric ``F^{-T} F^{-1}`` from the
+    inverse factor ``F^{-1}``.  :meth:`clamped` builds the energy space of a
+    1-D body clamped at one end, whose metric is tridiagonal and whose
+    inverse has a closed form, with no factorisation.  The inverse factor
+    of such a space is formed only when :meth:`eigvalsh` first asks for
+    it.  Other modules reach ``M`` and ``M^{-1}`` only through the methods
+    here: the metric :meth:`apply_metric`, the Riesz map
+    :meth:`solve_metric`, columns of the inverse (:meth:`inverse_columns`)
+    and pencil eigenvalues (:meth:`eigvalsh`, :meth:`metric_eigvalsh`).  A
+    block of vectors is a stack of rows: the metric methods take a vector or
+    a matrix whose rows are vectors, and act on each row.
 
     Parameters
     ----------
@@ -125,18 +173,54 @@ class HilbertSpace:
         if np.abs(metric - metric.T).max() > 1e-12 * scale:
             raise ValueError("metric must be symmetric")
         metric = 0.5 * (metric + metric.T)
-        try:
-            self._inv_factor = np.linalg.inv(np.linalg.cholesky(metric))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("metric must be positive definite") from exc
-        self.metric = metric
-        self._inv_metric = self._inv_factor.T @ self._inv_factor
-        self._inv_metric = 0.5 * (self._inv_metric + self._inv_metric.T)
+        self._inv_factor = _inverse_factor(metric)
+        inverse = self._inv_factor.T @ self._inv_factor
         off = metric - np.diag(np.diag(metric))
-        self.is_diagonal = bool(np.abs(off).max() <= 1e-14 * scale) if self.dim > 1 else True
+        self._keep(metric, 0.5 * (inverse + inverse.T), np.abs(off).max() <= 1e-14 * scale)
+
+    @classmethod
+    def clamped(cls, h, c, components: int = 1) -> "HilbertSpace":
+        """Energy space of ``int c u' v'`` on P1 elements of lengths ``h``, clamped at the left end.
+
+        The free nodes of each of ``components`` copies are the coordinates;
+        the metric is ``G^T diag(c h) G`` per copy, tridiagonal, and its
+        inverse is the discrete Green's function ``(M^{-1})_ij = s_min(i,j)``
+        with ``s = cumsum(h / c)``, both built here in closed form from
+        ``h > 0`` and ``c > 0``.  ``ValueError`` when ``s`` is not strictly
+        increasing in floating point, where that inverse is singular.
+        """
+        h = np.asarray(h, dtype=float)
+        c = np.asarray(c, dtype=float)
+        if h.ndim != 1 or not h.size or c.shape != h.shape or components < 1:
+            raise DimensionMismatchError("need one length and one coefficient per element "
+                                         "and at least one component")
+        if not (np.isfinite(h).all() and np.isfinite(c).all() and (h > 0).all()
+                and (c > 0).all()):
+            raise ValueError("element lengths and coefficients must be finite and positive")
+        diag, off = _stiffness_bands(h, c, components)
+        green = np.cumsum(h / c)
+        if not (np.isfinite(diag).all() and np.isfinite(green).all()):
+            raise ValueError("metric must be finite and nonzero")
+        if not (np.diff(green, prepend=0.0) > 0.0).all():
+            raise ValueError("metric must be positive definite: its inverse cumsum(h / c) "
+                             "does not increase in floating point")
+        space = cls.__new__(cls)
+        space.dim = h.size * components
+        inverse = np.zeros((space.dim, space.dim))
+        block = np.minimum.outer(green, green)          # s_min(i,j), as s increases
+        for lo in range(0, space.dim, h.size):
+            inverse[lo:lo + h.size, lo:lo + h.size] = block
+        space._keep(_banded(diag, off), inverse,
+                    np.abs(off).max(initial=0.0) <= 1e-14 * diag.max())
+        space._inv_factor = None
+        return space
+
+    def _keep(self, metric: np.ndarray, inverse: np.ndarray, diagonal) -> None:
+        self.metric = metric
+        self._inv_metric = inverse
+        self.is_diagonal = bool(diagonal) if self.dim > 1 else True
         self.metric.flags.writeable = False
         self._inv_metric.flags.writeable = False
-        self._inv_factor.flags.writeable = False
 
     def inner(self, u, v) -> float:
         u = _vec(u, self.dim)
@@ -191,8 +275,11 @@ class HilbertSpace:
         """Ascending eigenvalues of the symmetric pencil ``(A, M)``: ``A x = lambda M x``.
 
         Computed as the eigenvalues of ``F^{-1} A F^{-T}``; their extremes are
-        the sup and inf of ``(x^T A x) / ||x||^2`` over X.
+        the sup and inf of ``(x^T A x) / ||x||^2`` over X.  A :meth:`clamped`
+        space forms its inverse factor on the first call.
         """
+        if self._inv_factor is None:
+            self._inv_factor = _inverse_factor(self.metric)
         return np.linalg.eigvalsh(self._inv_factor @ A @ self._inv_factor.T)
 
     def metric_eigvalsh(self, other: "HilbertSpace") -> np.ndarray:

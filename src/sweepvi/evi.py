@@ -104,13 +104,19 @@ class EnergyMetric:
     metric ``M``, of a vector or of each row of a matrix, so one solve
     with ``P`` gives ``P^{-1} M A u`` without the space's Riesz map.  ``m``
     and ``L`` are the strong monotonicity and Lipschitz constants of
-    ``u -> P^{-1} force(u)`` in the ``P``-norm.
+    ``u -> P^{-1} force(u)`` in the ``P``-norm.  :attr:`space` is built on
+    first use, by ``space_of()`` when given (a structured ``P`` with a
+    closed-form inverse, such as :meth:`~sweepvi.core.HilbertSpace.clamped`),
+    whose metric must be ``matrix`` itself, and by ``HilbertSpace(dim,
+    matrix)`` otherwise; either raises ``ValueError`` for a ``P`` it cannot
+    invert.
     """
 
     matrix: np.ndarray
     force: Callable[[np.ndarray], np.ndarray]
     m: float
     L: float
+    space_of: Callable[[], HilbertSpace] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (self.m > 0.0 and np.isfinite(self.m) and self.L >= self.m):
@@ -118,7 +124,12 @@ class EnergyMetric:
 
     @cached_property
     def space(self) -> HilbertSpace:
-        return HilbertSpace(self.matrix.shape[0], self.matrix)
+        if self.space_of is None:
+            return HilbertSpace(self.matrix.shape[0], self.matrix)
+        space = self.space_of()
+        if not np.array_equal(space.metric, self.matrix):
+            raise ValueError("space_of() built a space whose metric is not the energy matrix")
+        return space
 
 
 @dataclass(frozen=True)
@@ -227,20 +238,22 @@ def audit_operator(op: MonotoneOperator | LipschitzOperator, space: HilbertSpace
                    trials: int = _AUDIT_TRIALS, seed: int = _AUDIT_SEED) -> OperatorAudit:
     """Check the declared constants on ``trials`` random pairs of points.
 
-    The pairs are drawn from ``seed`` with standard deviation 10, and each
-    side is one block call of ``apply``, which must return the block's shape
-    (``ValueError`` naming the operator's tag otherwise).  A
+    One chain of ``trials + 1`` points is drawn from ``seed`` with standard
+    deviation 10, and its ``trials`` consecutive pairs ``(p_i, p_{i+1})``
+    are audited; the whole chain is one block call of ``apply``, which must
+    return the block's shape (``ValueError`` naming the operator's tag
+    otherwise).  A pair closer than ``1e-10`` in norm is skipped.  A
     :class:`MonotoneOperator` has ``(m, L)`` checked, a
     :class:`LipschitzOperator` ``L`` alone.  The defaults are the pairs every
     iteration plan audits on.
     """
-    pts = _AUDIT_RADIUS * np.random.default_rng(seed).standard_normal((trials, 2, space.dim))
-    us, vs = pts[:, 0], pts[:, 1]
-    d = us - vs
+    pts = _AUDIT_RADIUS * np.random.default_rng(seed).standard_normal((trials + 1, space.dim))
+    images = _block(op, pts)
+    d = pts[:-1] - pts[1:]
     nd2 = (space.apply_metric(d) * d).sum(1)
     keep = nd2 >= 1e-20
     d, nd2 = d[keep], nd2[keep]
-    ad = _block(op, us[keep]) - _block(op, vs[keep])
+    ad = (images[:-1] - images[1:])[keep]
     ad_m = space.apply_metric(ad)
     m_obs = ((ad_m * d).sum(1) / nd2).min(initial=np.inf)
     # |ad|^2 with the binary exponent of L taken out of ad, which is exact, so
@@ -345,7 +358,7 @@ def iteration_metric(space: HilbertSpace, cone: ConstraintCone, operator: Monoto
         return space_plan()
     try:
         P = energy.space
-    except ValueError:              # P too ill-conditioned to factor
+    except ValueError:              # P too ill-conditioned to invert
         return space_plan()
     cone_p = cone.in_space(P)
     try:

@@ -237,6 +237,9 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     rows is ``P[:n, :n] @ h + decay^{1..n} carry``, where
     ``P[i, j] = decay^{i-j}`` is the lower-triangular Toeplitz matrix built
     once per grid and ``carry`` is the last output before the chunk.  The
+    full chunks before the first non-finite row are one stacked
+    ``np.matmul``, whose products are the per-chunk ones bit for bit; their
+    carries then follow chunk by chunk and are added in one broadcast.  The
     block's outputs and a node-by-node loop agree within ``_SCAN_ROWS`` ulps
     of the largest output, not bit for bit.  From the first non-finite
     ``h_k`` on, the recurrence runs row by row, so a non-finite input never
@@ -317,7 +320,18 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
             finite = np.isfinite(hs)
             if np.count_nonzero(finite) < finite.size:
                 stop = int(finite.all(axis=1).argmin())
-            for lo in range(0, len(hs), _SCAN_ROWS):
+            # the full chunks before the first non-finite row: one batched product,
+            # then the carries chunk by chunk and one broadcast add
+            full = stop // _SCAN_ROWS * _SCAN_ROWS
+            if full:
+                blocks = out[j0:j0 + full].reshape(-1, _SCAN_ROWS, gs.shape[1])
+                np.matmul(P, hs[:full].reshape(blocks.shape), out=blocks)
+                carries = np.empty((len(blocks), gs.shape[1]))
+                for i, block in enumerate(blocks):
+                    carries[i] = carry
+                    carry = block[-1] + carried[-1] * carry
+                blocks += carried * carries[:, None]
+            for lo in range(full, len(hs), _SCAN_ROWS):
                 h = hs[lo:lo + _SCAN_ROWS]
                 n = len(h)
                 m = min(max(stop - lo, 0), n)

@@ -561,6 +561,27 @@ class TestCheck:
         assert spec.inclusion.iteration_metric.name == ("energy" if pencils else "space")
         assert len(calls) == pencils
 
+    @pytest.mark.parametrize("name, elements", [("rod_compliance.ini", 512),
+                                                ("shear_friction.ini", 256)])
+    def test_building_and_planning_factor_no_dense_matrix_of_the_space(
+            self, tmp_path, monkeypatch, name, elements):
+        # the contact space and its energy metric have closed-form inverses; the
+        # cone and the node checks factor only their k x k blocks
+        import sweepvi.cli as cli
+
+        shapes = []
+        for fn in ("cholesky", "inv"):
+            def counting(A, fn=getattr(np.linalg, fn)):
+                shapes.append(np.shape(A))
+                return fn(A)
+
+            monkeypatch.setattr(np.linalg, fn, counting)
+        _, spec = cli._build(load_config(edited_config(tmp_path, name, elements=elements)))
+        assert spec.inclusion.iteration_metric.name == "space"
+        dim = spec.inclusion.x_space.dim
+        assert dim >= elements
+        assert all(max(shape, default=0) <= 2 for shape in shapes), shapes
+
     @pytest.mark.parametrize("name", ["rod_compliance.ini", "shear_friction.ini"])
     def test_a_huge_viscosity_passes_its_audit_and_runs(self, tmp_path, capsys, name):
         # a = 1e160: the squared differences of the audit's pairs would overflow

@@ -42,6 +42,52 @@ def test_metric_must_be_spd():
         HilbertSpace(2, metric=np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
 
 
+@pytest.mark.parametrize("components", [1, 2])
+def test_clamped_inverse_matches_the_cholesky_inverse(components):
+    # random non-uniform meshes and coefficients: the Green's function
+    # s_min(i,j), s = cumsum(h / c), per copy, against inv of the Cholesky factor
+    rng = np.random.default_rng(11 + components)
+    n = 24
+    for _ in range(5):
+        h = rng.uniform(0.5, 1.5, n) / n
+        c = rng.uniform(0.5, 2.0, n)
+        X = HilbertSpace.clamped(h, c, components)
+        assert X.dim == n * components and not X.is_diagonal
+        F = np.linalg.inv(np.linalg.cholesky(X.metric))
+        want = F.T @ F
+        got = X.inverse_columns(np.arange(X.dim))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        green = np.cumsum(h / c)
+        for k in range(components):
+            block = slice(k * n, (k + 1) * n)
+            np.testing.assert_array_equal(got[block, block], np.minimum.outer(green, green))
+        assert np.count_nonzero(got) == components * n * n
+        # the metric is the strain product G^T diag(c h) G of each copy
+        G = np.diag(1.0 / h) - np.diag(1.0 / h[1:], -1)
+        K = (G.T * (c * h)) @ G
+        np.testing.assert_allclose(X.metric[:n, :n], K, rtol=0, atol=1e-14 * np.abs(K).max())
+        # the inverse factor, formed on the first pencil, gives the generic pencil
+        generic = HilbertSpace(X.dim, X.metric)
+        np.testing.assert_array_equal(X.eigvalsh(2.0 * X.metric), generic.eigvalsh(2.0 * X.metric))
+
+
+def test_clamped_refuses_what_it_cannot_invert():
+    for h, c in (([1.0, -1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, 0.0]),
+                 ([1.0, np.inf], [1.0, 1.0]), ([1.0, 1.0], [1.0, np.nan])):
+        with pytest.raises(ValueError, match="finite and positive"):
+            HilbertSpace.clamped(h, c)
+    with pytest.raises(DimensionMismatchError):
+        HilbertSpace.clamped([1.0, 1.0], [1.0])
+    # 0.25 / 1e-17 + 0.25 rounds back to 0.25 / 1e-17: the inverse would be singular
+    with pytest.raises(ValueError, match="positive definite"):
+        HilbertSpace.clamped(np.full(4, 0.25), [1e-17, 1.0, 1.0, 1.0])
+    # one element per copy: a diagonal metric
+    X = HilbertSpace.clamped([0.5], [2.0], components=2)
+    assert X.is_diagonal
+    np.testing.assert_array_equal(X.metric, 4.0 * np.eye(2))
+    np.testing.assert_array_equal(X.inverse_columns([0, 1]), 0.25 * np.eye(2))
+
+
 def test_solve_metric_inverts_the_gram_matrix():
     M = np.array([[2.0, 0.3], [0.3, 1.0]])
     X = HilbertSpace(2, metric=M)
@@ -66,15 +112,21 @@ def test_inverse_metric_is_not_public():
 
 
 def _byte_spaces():
+    """Each space with its inverse metric, derived here: in closed form for the
+    clamped stiffness space, from the Cholesky factor for the generic one."""
     from sweepvi import Mesh1D, assemble_space
     # the 48-dof stiffness metric, on which products of rows and of columns round apart
-    yield assemble_space(Mesh1D.uniform(1.0, 48))
-    yield HilbertSpace(48, metric=np.diag(np.random.default_rng(7).uniform(0.5, 2.0, 48)))
+    mesh = Mesh1D.uniform(1.0, 48)
+    green = np.cumsum(mesh.h)
+    yield assemble_space(mesh), np.minimum.outer(green, green)
+    M = np.diag(np.random.default_rng(7).uniform(0.5, 2.0, 48))
+    F = np.linalg.inv(np.linalg.cholesky(M))
+    yield HilbertSpace(48, metric=M), 0.5 * (F.T @ F + (F.T @ F).T)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 16])
 def test_metric_methods_keep_the_bits_of_the_products_they_replace(rows):
-    for X in _byte_spaces():
+    for X, G in _byte_spaces():
         M, dim = X.metric, X.dim
         xs = np.random.default_rng(rows).standard_normal((rows, dim))
         assert np.array_equal(X.apply_metric(xs), xs @ M)
@@ -84,9 +136,6 @@ def test_metric_methods_keep_the_bits_of_the_products_they_replace(rows):
         B = xs.T[:, :min(rows, 2)]      # a transposed view, as a kernel matrix B.T
         assert np.array_equal(X.apply_metric(B.T), B.T @ M)
         assert np.array_equal(X.apply_metric(xs[0]), xs[0] @ M)
-        F = np.linalg.inv(np.linalg.cholesky(M))
-        G = F.T @ F
-        G = 0.5 * (G + G.T)
         assert np.array_equal(X.solve_metric(xs), xs @ G)
         idx = np.arange(rows) * 3 % dim
         assert np.array_equal(X.inverse_columns(idx), G[:, idx])
@@ -113,13 +162,13 @@ def test_a_vector_is_a_one_row_block():
     for fn in fns:
         for x in xs:
             assert np.array_equal(fn(x), fn(x[None])[0])
-    for Y in (X, *_byte_spaces()):
+    for Y in (X, *(space for space, _ in _byte_spaces())):
         xs = rng.standard_normal((5, Y.dim))
         assert np.abs(Y.solve_metric(Y.apply_metric(xs)) - xs).max() <= 1e-12 * np.abs(xs).max()
 
 
 def test_metric_applied_to_the_axes_is_the_metric():
-    for X in _byte_spaces():
+    for X, _ in _byte_spaces():
         assert np.array_equal(X.apply_metric(np.eye(X.dim)), X.metric)
 
 

@@ -73,6 +73,29 @@ def test_an_energy_metric_too_ill_conditioned_to_factor_falls_back_to_the_space_
     assert plan.name == "space" and plan.space is spec.x_space and plan.scale == 1.0
 
 
+@pytest.mark.parametrize("a, scale", [(CONTRAST_10, 1.0),
+                                      ([0.7, 2.3, 5.9, 11.3], 1.1952286093343927)])
+def test_the_closed_form_energy_space_keeps_the_bits_of_the_scale(a, scale):
+    # the plan's scale sqrt(lambda_max(M, P)) as the Cholesky-inverted P gave it;
+    # the closed-form P forms its factor for this one pencil
+    spec = inclusion_spec(contact_problem("normal_compliance", a, 4.0))
+    plan = spec.iteration_metric
+    assert plan.name == "energy" and plan.scale == scale
+    P = spec.operator.energy.space
+    assert plan.space is P and P.metric is not spec.operator.energy.matrix
+    np.testing.assert_array_equal(P.metric, spec.operator.energy.matrix)
+    green = np.cumsum(0.25 / np.asarray(a))
+    np.testing.assert_array_equal(P.inverse_columns(np.arange(4)), np.minimum.outer(green, green))
+
+
+def test_a_space_of_another_metric_is_refused():
+    P = np.array([[2.0, 0.5], [0.5, 1.0]])
+    energy = EnergyMetric(P, lambda u: u @ P, m=1.0, L=1.0,
+                          space_of=lambda: HilbertSpace(2, 2.0 * P))
+    with pytest.raises(ValueError, match="not the energy matrix"):
+        energy.space
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_linear_material_takes_one_step_per_solve(kind):
     problem = contact_problem(kind, CONTRAST_10, 0.0)

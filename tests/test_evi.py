@@ -81,7 +81,7 @@ def test_a_bare_audit_draws_the_pairs_every_plan_audits():
 @pytest.mark.parametrize("apply, error", [
     (lambda u: np.array([[2.0, 1.0], [1.0, 2.0]]) @ u, "apply must take a block of rows"),
     (lambda u: np.array([3.0 * u[1], 3.0 * u[0]]),
-     r"apply maps a block of shape \(256, 2\) to one of shape \(2, 2\)"),
+     r"apply maps a block of shape \(257, 2\) to one of shape \(2, 2\)"),
 ], ids=["vector-only matmul", "wrong block shape"])
 def test_an_operator_that_cannot_take_a_block_is_refused_by_its_tag(apply, error):
     X = HilbertSpace(2)
@@ -246,9 +246,10 @@ def test_the_audit_takes_the_exponent_of_l_out_before_squaring():
         audit = audit_operator(MonotoneOperator(lambda x, a=a: a * x, a, a), X)
         assert audit.ok and audit.L_observed == pytest.approx(a, rel=1e-12)
     op = MonotoneOperator(lambda x: 3.7 * x, 3.7, 3.7)
-    pts = 10.0 * np.random.default_rng(0).standard_normal((256, 2, 2))
-    d = pts[:, 0] - pts[:, 1]
-    ad = op(pts[:, 0]) - op(pts[:, 1])
+    # the 256 pairs of consecutive points of one chain of 257
+    pts = 10.0 * np.random.default_rng(0).standard_normal((257, 2))
+    d = pts[:-1] - pts[1:]
+    ad = op(pts[:-1]) - op(pts[1:])
     l_obs = np.sqrt(((ad @ X.metric) * ad).sum(1) / ((d @ X.metric) * d).sum(1)).max()
     assert audit_operator(op, X).L_observed == l_obs
 

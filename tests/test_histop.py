@@ -662,6 +662,54 @@ class TestExponentialRecursion:
                 np.testing.assert_array_equal(got[:5], want[:5])
                 assert np.isfinite(got[:5]).all() and not np.isfinite(got[5:, 1]).any()
 
+    @staticmethod
+    def per_chunk_scan(amp, rate, C, grid, u):
+        """The scan from node 0 one chunk product at a time: ``P @ h`` per chunk of
+        ``SCAN_ROWS`` rows plus its carry, and row by row from the first
+        non-finite ``h`` on."""
+        G = (0.5 * grid.dt * amp) * C
+        decay = float(np.exp(-rate * grid.dt))
+        powers = decay ** np.arange(SCAN_ROWS + 1)
+        lags = np.arange(SCAN_ROWS)
+        P = np.tril(powers[np.abs(lags[:, None] - lags)])
+        carried = powers[1:, None]
+        gs = u @ G.T
+        hs = gs[1:] + decay * gs[:-1]
+        finite = np.isfinite(hs).all(axis=1)
+        stop = len(hs) if finite.all() else int(finite.argmin())
+        out = np.zeros(gs.shape)
+        carry = out[0]
+        for lo in range(0, len(hs), SCAN_ROWS):
+            h = hs[lo:lo + SCAN_ROWS].copy()
+            n, m = len(h), min(max(stop - lo, 0), len(h))
+            h[m:] = 0.0
+            rows = out[1 + lo:1 + lo + n]
+            np.dot(P[:n, :n], h, out=rows)
+            rows += carried[:n] * carry
+            for i in range(m, n):
+                rows[i] = decay * (rows[i - 1] if i else carry) + hs[lo + i]
+            carry = rows[-1]
+        return out
+
+    @pytest.mark.parametrize("steps, bad", [
+        (1, None), (64, None), (65, None), (300, None), (513, None), (1025, None),
+        (65, 30), (300, 200), (1025, 700)])
+    def test_batched_chunks_are_the_per_chunk_scan_bit_for_bit(self, steps, bad):
+        # the full chunks before the first non-finite row (an infinite input at
+        # node bad) run as one stacked matmul with the carries added after; the
+        # per-chunk loop gives the same bits
+        grid = TimeGrid(1.3, steps)
+        amp, rate, C = 0.7, 1.5, np.array([[0.3, 0.1], [0.1, 0.2]])
+        u = random_traj(SPACE2, grid, seed=51).samples.copy()
+        if bad is not None:
+            u[bad, 0] = np.inf
+        op = volterra_operator(VolterraKernel.exponential(amp, rate, C), grid, SPACE2)
+        with np.errstate(invalid="ignore"):
+            got = op(Trajectory(SPACE2, grid, u)).samples
+            want = self.per_chunk_scan(amp, rate, C, grid, u)
+        np.testing.assert_array_equal(got, want)
+        assert np.isfinite(got[:bad]).all()
+
     def test_exponential_profile_evaluates_like_its_formula(self):
         profile = ExponentialProfile(0.3, 2.0)
         assert profile(0.5) == 0.3 * np.exp(-1.0)

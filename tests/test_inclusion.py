@@ -713,13 +713,20 @@ class TestThetaPair:
         np.testing.assert_allclose(_theta_changes(spec, d_eta, d_xi), want, rtol=1e-14)
 
     def test_a_contact_solve_builds_no_space_of_the_stacked_theta(self, monkeypatch):
-        dims, init = [], HilbertSpace.__init__
+        # both constructors are recorded: the contact space is a clamped one
+        dims, init, clamped = [], HilbertSpace.__init__, HilbertSpace.clamped
 
         def recording(self, dim, metric=None):
             dims.append(int(dim))
             init(self, dim, metric)
 
+        def recording_clamped(h, c, components=1):
+            space = clamped(h, c, components)
+            dims.append(space.dim)
+            return space
+
         monkeypatch.setattr(HilbertSpace, "__init__", recording)
+        monkeypatch.setattr(HilbertSpace, "clamped", recording_clamped)
         spec = build_problem("normal_compliance", Mesh1D.uniform(1.0, 6),
                              Material(a=1.0, beta=ExponentialProfile(1.0, 1.0)),
                              ContactLaw.linear(0.5), Loads(body=2.0), TimeGrid(1.0, 8)).spec

@@ -601,12 +601,13 @@ def test_node_checks_pair_one_exact_term(monkeypatch):
 # ------------------------------------------------------------ audits, Riesz map
 
 def _loop_audit(op, space, trials, seed, radius=10.0):
-    """The per-pair audit: (m, L) of the operator and the Lipschitz quotient."""
+    """The per-pair audit along a chain of points drawn one at a time: (m, L)
+    of the operator and the Lipschitz quotient."""
     rng = np.random.default_rng(seed)
     m_obs, l_obs, worst = np.inf, 0.0, 0.0
+    v = radius * rng.standard_normal(space.dim)
     for _ in range(trials):
-        u = radius * rng.standard_normal(space.dim)
-        v = radius * rng.standard_normal(space.dim)
+        u, v = v, radius * rng.standard_normal(space.dim)
         d = u - v
         nd2 = space.inner(d, d)
         if nd2 < 1e-20:
@@ -637,11 +638,15 @@ def test_batched_audits_equal_the_per_pair_loop():
 
 
 def test_pair_block_draw_is_the_per_pair_stream():
-    block = np.random.default_rng(4).standard_normal((50, 2, 3))
+    # the audit's chain of 51 points, drawn as one block, and its 50 pairs
+    # drawn as a chain one point at a time
+    chain = np.random.default_rng(4).standard_normal((51, 3))
     rng = np.random.default_rng(4)
-    for u, v in block:
-        np.testing.assert_array_equal(u, rng.standard_normal(3))
-        np.testing.assert_array_equal(v, rng.standard_normal(3))
+    v = rng.standard_normal(3)
+    for i in range(50):
+        u, v = v, rng.standard_normal(3)
+        np.testing.assert_array_equal(u, chain[i])
+        np.testing.assert_array_equal(v, chain[i + 1])
 
 
 def test_solve_metric_matches_cho_solve_and_rejects_non_finite():
