@@ -404,7 +404,7 @@ def _build_abstract(cfg: RunConfig) -> InclusionSpec:
             x_space, y_space, weights=ab["weights"], blocks=ab["blocks"], eta_free=eta_free)
 
     def _volterra(amp, rate, out_space):
-        kernel = VolterraKernel.exponential(amp, rate, np.eye(dim))
+        kernel = VolterraKernel.exponential(amp, rate, 1.0)
         return volterra_operator(kernel, cfg.grid, x_space, out_space=out_space)
 
     parameter = None

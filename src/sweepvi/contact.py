@@ -297,16 +297,22 @@ def _mass(mesh: Mesh1D) -> np.ndarray:
     return _banded(diag, mesh.h / 6.0)
 
 
-def _strain_form(mesh: Mesh1D, coeff: np.ndarray, components: int):
-    """``(G, h, G^T diag(coeff h) G)``: the strain matrix ``G`` of every component
-    (the clamped end contributes zero), the element lengths ``h`` and the
-    free-node Gram matrix of ``int coeff u' v'``.  The Gram matrix is written
-    directly as its tridiagonal per component (:func:`~sweepvi.core._stiffness`);
-    it is the product ``(G^T * coeff h) @ G`` up to one rounding of a diagonal
-    entry, and bit for bit on the shipped configs."""
-    inv_h = 1.0 / mesh.h
-    G = np.kron(np.eye(components), np.diag(inv_h) - np.diag(inv_h[1:], -1))
-    return G, np.tile(mesh.h, components), _stiffness(mesh.h, coeff, components)
+def _strain(xs: np.ndarray, h: np.ndarray, components: int) -> np.ndarray:
+    """Element strains ``G x``, shape ``(..., components, elements)``, of free-node
+    values ``xs`` of shape ``(..., components * elements)``: per component the
+    nodal differences over the element lengths ``h``, the clamped node
+    contributing zero."""
+    nodal = xs.reshape(xs.shape[:-1] + (components, h.size))
+    return np.diff(nodal, prepend=0.0, axis=-1) / h
+
+
+def _tanh_term(us: np.ndarray, h: np.ndarray, components: int) -> np.ndarray:
+    """``G^T diag(h) tanh(G u)`` for a vector ``u`` or for each row of ``us``: per
+    component ``t_i - t_{i+1}`` with ``t = tanh(G u)`` and ``t = 0`` past the
+    last element, O(n)."""
+    t = np.tanh(_strain(us, h, components))
+    t[..., :-1] -= t[..., 1:]
+    return t.reshape(us.shape)
 
 
 def assemble_space(mesh: Mesh1D, components: int = 1) -> HilbertSpace:
@@ -328,30 +334,31 @@ def assemble_A(mesh: Mesh1D, material: Material, space: HilbertSpace | None = No
     monotonicity: m = min(a), L = max(a) + mu, both exact in the energy norm.
 
     The energy metric of the linear part, ``Ka = G^T diag(a h) G``, is
-    declared as well; its space, with the closed-form inverse of
-    :meth:`~sweepvi.core.HilbertSpace.clamped`, is built if a plan asks.
+    declared as well, by its space with the closed-form inverse of
+    :meth:`~sweepvi.core.HilbertSpace.clamped`, which is built if a plan asks.
     The operator's Jacobian lies between ``Ka`` and
     ``Ka + mu G^T diag(h) G <= (1 + mu / min(a)) Ka``, so in the Ka-norm
     m_P = 1 and L_P = 1 + mu / min(a), free of the contrast max(a) / min(a).
+    The tanh term ``G^T diag(h) tanh(G u)`` is :func:`_tanh_term`'s closed form.
     """
     space = space or assemble_space(mesh, components)
     a = material.a_field(mesh)
-    G, h, Ka = _strain_form(mesh, a, components)
+    h, Ka = mesh.h, _stiffness(mesh.h, a, components)
     mu = float(material.mu)
 
-    def force(us: np.ndarray, Ka=Ka, G=G, h=h, mu=mu) -> np.ndarray:
+    def force(us: np.ndarray, Ka=Ka, h=h, mu=mu) -> np.ndarray:
         """``M A u`` for a vector ``u`` or for each row of ``us``."""
-        # np.dot: the BLAS products of @, bit for bit, at less fixed cost
+        # np.dot: the BLAS product of @, bit for bit, at less fixed cost
         out = np.dot(us, Ka)
         if mu:
-            out = out + mu * np.dot(h * np.tanh(np.dot(us, G.T)), G)
+            out = out + mu * _tanh_term(us, h, components)
         return out
 
     def apply(us: np.ndarray) -> np.ndarray:
         return space.solve_metric(force(us))
 
-    energy = EnergyMetric(Ka, force, m=1.0, L=1.0 + mu / float(a.min()),
-                          space_of=lambda: HilbertSpace.clamped(mesh.h, a, components))
+    energy = EnergyMetric(lambda: HilbertSpace.clamped(h, a, components), force,
+                          m=1.0, L=1.0 + mu / float(a.min()))
     return MonotoneOperator(apply=apply, m=float(a.min()), L=float(a.max()) + mu,
                             tag="viscosity", energy=energy)
 
@@ -372,14 +379,14 @@ def assemble_elastic(mesh: Mesh1D, material: Material, space: HilbertSpace | Non
     return LipschitzOperator(apply=apply, L=float(b.max()), tag="elastic")
 
 
-def assemble_relaxation(material: Material, dim: int) -> VolterraKernel:
+def assemble_relaxation(material: Material) -> VolterraKernel:
     """Fading-memory kernel: the profile times the identity in Riesz form.
 
     The spatial part of the memory term matches the energy form itself, so
-    the nodal kernel is beta(t) * Id on the Riesz representatives.
+    the nodal kernel is beta(t) * Id on the Riesz representatives, declared
+    as the number factor 1.
     """
-    beta = material.beta or (lambda t: 0.0)
-    return VolterraKernel(scalar_profile=beta, matrix=np.eye(dim))
+    return VolterraKernel(scalar_profile=material.beta, matrix=1.0)
 
 
 def _threshold_memory(law: ContactLaw, space: HilbertSpace, contact_dof: int, grid: TimeGrid,
@@ -504,8 +511,8 @@ def build_problem(kind: str, mesh: Mesh1D, material: Material, law: ContactLaw,
     if material.beta is None:
         relaxation = zero_operator(space, tag="relaxation")
     else:
-        relaxation = volterra_operator(assemble_relaxation(material, space.dim), grid,
-                                       space, tag="relaxation")
+        relaxation = volterra_operator(assemble_relaxation(material), grid, space,
+                                       tag="relaxation")
 
     y_space = HilbertSpace(1)       # the one threshold parameter
     nu_dof = n - 1                  # the normal dof of the contact node
@@ -578,9 +585,8 @@ def recover_stress(problem: ContactProblem, u: Trajectory,
     rate = v if v is not None else u     # variable the viscous part acts on
 
     def strain(x: Trajectory) -> np.ndarray:
-        """(time, component, element) strains; the clamped node contributes zero."""
-        nodal = x.samples.reshape(len(x.samples), problem.components, n)
-        return np.diff(nodal, prepend=0.0, axis=-1) / mesh.h
+        """(time, component, element) strains."""
+        return _strain(x.samples, mesh.h, problem.components)
 
     eps_rate = strain(rate)
     sigma = material.a_field(mesh) * eps_rate + material.mu * np.tanh(eps_rate)

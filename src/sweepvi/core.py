@@ -504,57 +504,35 @@ def sample_unit_directions(cone: ConstraintCone, count: int, seed: int) -> np.nd
     after them, so low-dimensional corners are never missed.  Points whose
     projection is (numerically) zero are dropped.
 
-    The ``head = count`` case of :func:`_nested_unit_directions`, which
-    builds the sample in place and holds it and one block.
-    """
-    return _nested_unit_directions(cone, count, count, seed)[0]
-
-
-def _nested_unit_directions(cone: ConstraintCone, head: int, count: int,
-                            seed: int) -> tuple[np.ndarray, int]:
-    """One sample of ``count`` draws whose prefix is the sample of its first ``head``.
-
-    Returns the directions and the length of their prefix, which is
-    ``sample_unit_directions(cone, head, seed)`` bit for bit: the first
-    ``head`` rows of ``default_rng(seed).standard_normal`` (the same stream
-    as one ``(count, dim)`` draw), then the signed axes, then the remaining
-    ``count - head`` draws (none when ``count <= head``).  The rows fill
-    one buffer, which is projected and measured in blocks of about
-    ``_BLOCK_DOUBLES`` values (at least 128 rows), the prefix in the blocks
-    a sample of ``head`` draws has, and then divided by its norms, so the
-    call holds the sample and one block; only a sample with null rows is
-    copied once, to drop them.
+    The rows are the ``(count, dim)`` draw of ``default_rng(seed)
+    .standard_normal``, then the axes; they fill one buffer, which is
+    projected and measured in blocks of about ``_BLOCK_DOUBLES`` values (at
+    least 128 rows) and then divided by its norms, so the call holds the
+    sample and one block; only a sample with null rows is copied once, to
+    drop them.
     """
     space, dim = cone.space, cone.space.dim
-    head = max(head, 0)
-    count = max(count, head)
-    lead = head + 2 * dim                   # the prefix rows: head draws and the axes
+    count = max(count, 0)
     pts = np.empty((count + 2 * dim, dim))
-    rng = np.random.default_rng(seed)
-    rng.standard_normal(out=pts[:head])
-    rng.standard_normal(out=pts[lead:])
-    pts[head:head + dim] = 0.0
-    pts[head + dim:lead] = -0.0
-    np.fill_diagonal(pts[head:head + dim], 1.0)
-    np.fill_diagonal(pts[head + dim:lead], -1.0)
+    np.random.default_rng(seed).standard_normal(out=pts[:count])
+    axes = pts[count:]
+    axes[:dim] = 0.0
+    axes[dim:] = -0.0
+    np.fill_diagonal(axes[:dim], 1.0)
+    np.fill_diagonal(axes[dim:], -1.0)
     norms = np.empty(len(pts))
     # at least 128 rows a block, since each block's product packs the whole
     # dim x dim metric; near-equal blocks, so that none is a single row, which
     # numpy multiplies through gemv, whose sums round unlike a gemm's rows
-    rows = max(128, _BLOCK_DOUBLES // dim)
-    for lo, hi in ((0, lead), (lead, len(pts))):
-        blocks = -(-(hi - lo) // rows)
-        if blocks:              # the tail is empty when count == head
-            for block, out in zip(np.array_split(pts[lo:hi], blocks),
-                                  np.array_split(norms[lo:hi], blocks)):
-                cone._project_rows(block)
-                out[:] = space.norms_many(block)
+    blocks = -(-len(pts) // max(128, _BLOCK_DOUBLES // dim))
+    for block, out in zip(np.array_split(pts, blocks), np.array_split(norms, blocks)):
+        cone._project_rows(block)
+        out[:] = space.norms_many(block)
     keep = norms > 1e-12
-    prefix = int(np.count_nonzero(keep[:lead]))
     if not keep.all():
         pts, norms = pts[keep], norms[keep]
     pts /= norms[:, None]
-    return pts, prefix
+    return pts
 
 
 def _reading_norm(space: HilbertSpace, units, weights) -> float:

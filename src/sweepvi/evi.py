@@ -100,23 +100,22 @@ class NonFiniteError(NonConvergenceError):
 class EnergyMetric:
     """An SPD metric ``P`` on X in which an operator has exact constants.
 
+    ``space_of()`` builds the space of ``P``, so ``P`` is stated once, by
+    its builder (a structured ``P`` with a closed-form inverse, such as
+    :meth:`~sweepvi.core.HilbertSpace.clamped`); :attr:`space` calls it on
+    first use, and raises its ``ValueError`` for a ``P`` it cannot invert.
     ``force(u)`` is the operator as a covector, ``M A u`` for the space
     metric ``M``, of a vector or of each row of a matrix, so one solve
     with ``P`` gives ``P^{-1} M A u`` without the space's Riesz map.  ``m``
     and ``L`` are the strong monotonicity and Lipschitz constants of
-    ``u -> P^{-1} force(u)`` in the ``P``-norm.  :attr:`space` is built on
-    first use, by ``space_of()`` when given (a structured ``P`` with a
-    closed-form inverse, such as :meth:`~sweepvi.core.HilbertSpace.clamped`),
-    whose metric must be ``matrix`` itself, and by ``HilbertSpace(dim,
-    matrix)`` otherwise; either raises ``ValueError`` for a ``P`` it cannot
-    invert.
+    ``u -> P^{-1} force(u)`` in the ``P``-norm; the plan audits them, which
+    also catches a ``force`` that does not belong to the space built.
     """
 
-    matrix: np.ndarray
+    space_of: Callable[[], HilbertSpace] = field(repr=False)
     force: Callable[[np.ndarray], np.ndarray]
     m: float
     L: float
-    space_of: Callable[[], HilbertSpace] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (self.m > 0.0 and np.isfinite(self.m) and self.L >= self.m):
@@ -124,12 +123,7 @@ class EnergyMetric:
 
     @cached_property
     def space(self) -> HilbertSpace:
-        if self.space_of is None:
-            return HilbertSpace(self.matrix.shape[0], self.matrix)
-        space = self.space_of()
-        if not np.array_equal(space.metric, self.matrix):
-            raise ValueError("space_of() built a space whose metric is not the energy matrix")
-        return space
+        return self.space_of()
 
 
 @dataclass(frozen=True)

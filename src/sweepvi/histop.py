@@ -190,7 +190,8 @@ class VolterraKernel:
     ``scalar_profile`` plus ``matrix`` describes the common separable form
     ``B(t) = beta(t) * C`` which evaluates much faster; with an
     :class:`ExponentialProfile` (see :meth:`exponential`) the memory costs
-    O(1) per node.  The blocks ``B(t)`` need not be symmetric.
+    O(1) per node.  A number ``c`` as ``matrix`` is ``C = c I`` on the input
+    space, with no matrix formed.  The blocks ``B(t)`` need not be symmetric.
     """
 
     matrix_fn: Callable[[float], np.ndarray] | None = None
@@ -205,7 +206,7 @@ class VolterraKernel:
 
     @classmethod
     def exponential(cls, amplitude: float, rate: float, matrix) -> "VolterraKernel":
-        """``B(t) = amplitude * exp(-rate * t) * matrix``."""
+        """``B(t) = amplitude * exp(-rate * t) * matrix``; a number ``matrix`` is ``c I``."""
         return cls(scalar_profile=ExponentialProfile(float(amplitude), float(rate)),
                    matrix=np.asarray(matrix, dtype=float))
 
@@ -222,9 +223,10 @@ class VolterraKernel:
         return np.stack([self.at(t) for t in grid.nodes])
 
 
-def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
+def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid, dim: int):
     """``(advance, kernel norms)`` of the trapezoid convolution on ``grid``, from state ``None``.
 
+    ``dim`` is the length of an input row.
     ``advance`` is the block step of :class:`HistoryOperator`.  The kernel
     norms are ``beta`` on the grid for separable kernels (at the grid's two
     ends for an exponential profile, whose ``|beta|`` is monotone) and the
@@ -243,9 +245,9 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
     block's outputs and a node-by-node loop agree within ``_SCAN_ROWS`` ulps
     of the largest output, not bit for bit.  From the first non-finite
     ``h_k`` on, the recurrence runs row by row, so a non-finite input never
-    reaches an earlier output.  When ``C = c I`` (an exact test
-    made once), ``g_k`` is the scalar product ``(dt/2 amplitude c) u_k``, bit
-    for bit the matrix-vector product for finite inputs.
+    reaches an earlier output.  When ``C`` is a number ``c``, ``g_k`` is the
+    scalar product ``(dt/2 amplitude c) u_k``, bit for bit the matrix-vector
+    product with ``c I`` for finite inputs.
 
     General kernels sum the prefix, O(k) per node, node by node inside the
     block.  Their state after node ``k`` is one read-only array, the inputs
@@ -287,9 +289,9 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         # out_k = e^{-r dt} out_{k-1} + h_k, h_k = g_k + e^{-r dt} g_{k-1}, and
         # the state after node k is (out_k, g_k), g_k as a one-row block
         G = (0.5 * dt * profile.amplitude) * C
-        # G = g I exactly: each row of G @ u_k is g u_k plus zero terms, and
+        # G = g I: each row of (g I) @ u_k is g u_k plus zero terms, and
         # + 0.0 makes a -0 product the +0 of that sum
-        g = float(G[0, 0]) if _identity_scale(C) is not None else None
+        g = float(G) if G.ndim == 0 else None
         decay = float(np.exp(-profile.rate * dt))
         # P[i, j] = decay^{i-j}: a chunk is one product, and each output
         # carries at most one chunk's rounding on top of its carry
@@ -301,8 +303,8 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         def advance(state, first, inputs):
             if g is None:
                 gs = inputs @ G.T
-            elif inputs.shape[1:] != (len(G),):
-                raise DimensionMismatchError(f"expected input rows of length {len(G)}, "
+            elif inputs.shape[1:] != (dim,):
+                raise DimensionMismatchError(f"expected input rows of length {dim}, "
                                              f"got shape {inputs.shape}")
             else:
                 gs = g * inputs
@@ -350,27 +352,26 @@ def _volterra_steps(kernel: VolterraKernel, grid: TimeGrid):
         return advance, np.array([float(profile(t)) for t in grid.nodes[[0, -1]]])
 
     beta = kernel.profile_on_grid(grid)
-    advance = stepper(dt * beta, lambda w, U: C @ (w @ U), C.shape[0])
+    # np.dot: C @ x for a matrix, c x for a number
+    advance = stepper(dt * beta, lambda w, U: np.dot(C, w @ U), C.shape[0] if C.ndim else dim)
     return advance, beta
-
-
-def _identity_scale(C: np.ndarray) -> float | None:
-    """``c`` when ``C`` is exactly ``c I``, else ``None``."""
-    if C.ndim != 2 or C.shape[0] != C.shape[1] or not C.size:
-        return None
-    c = float(C[0, 0])
-    return c if np.array_equal(C, np.diag(np.full(len(C), c))) else None
 
 
 def _metric_norm(B: np.ndarray, input_space: HilbertSpace, target: HilbertSpace) -> float:
     """Operator norm of ``B`` between the metric norms: ``sqrt(lambda_max(B^T M_out B, M_in))``.
 
-    For ``B = c I`` into the input space itself that is ``|c|``.
+    A number ``B = c``, which is ``c I``, has the norm ``|c|`` into the input
+    space itself and ``|c| sqrt(lambda_max(M_out, M_in))`` into another
+    space of its dimension.
     """
-    c = _identity_scale(B)
-    if c is not None and target is input_space:
-        return abs(c)
-    return float(np.sqrt(max(input_space.eigvalsh(target.apply_metric(B.T) @ B)[-1], 0.0)))
+    if B.ndim:
+        return float(np.sqrt(max(input_space.eigvalsh(target.apply_metric(B.T) @ B)[-1], 0.0)))
+    if target.dim != input_space.dim:
+        raise DimensionMismatchError(f"a number kernel factor maps into its input space, "
+                                     f"of dimension {input_space.dim}, not {target.dim}")
+    if target is input_space:
+        return abs(float(B))
+    return abs(float(B)) * float(np.sqrt(max(input_space.metric_eigvalsh(target)[-1], 0.0)))
 
 
 def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: HilbertSpace,
@@ -385,7 +386,7 @@ def volterra_operator(kernel: VolterraKernel, grid: TimeGrid, input_space: Hilbe
     step in O(1) per node, as a chunked scan of their recurrence; other
     kernels sum the prefix, O(k).
     """
-    advance, norms = _volterra_steps(kernel, grid)
+    advance, norms = _volterra_steps(kernel, grid, input_space.dim)
     target = out_space or input_space
     if kernel.scalar_profile is not None:
         L = float(np.abs(norms).max()) * _metric_norm(

@@ -232,7 +232,7 @@ def test_criterion_03_inclusion_equivalence():
 def _decay_spec(steps):
     """2 u(t) + 0.5 int_0^t u = 1, hence u(t) = e^{-t/4} / 2."""
     grid = TimeGrid(1.0, steps)
-    kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1))
+    kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=1.0)
     return build_inclusion_variant(
         "parameter_free", cone=FREE1,
         operator=MonotoneOperator.from_matrix(X1, [[2.0]]),
@@ -262,8 +262,8 @@ def _block_norm_feedback(steps=8):
 
 def _memory_pair_spec(steps=12):
     grid = TimeGrid(1.0, steps)
-    pkern = VolterraKernel(scalar_profile=lambda t: 0.3, matrix=np.eye(1))
-    lkern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1))
+    pkern = VolterraKernel(scalar_profile=lambda t: 0.3, matrix=1.0)
+    lkern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=1.0)
     return build_inclusion_variant(
         "memory_pair", cone=FREE1,
         operator=MonotoneOperator.from_matrix(X1, [[2.0]]),

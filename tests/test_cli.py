@@ -1207,3 +1207,35 @@ class TestVerify:
         other.write_text((CONFIGS / "rod_rigid.ini").read_text()
                          .replace("steps = 8", "steps = 16"))
         assert run_cli("verify", "--config", other, "--out", out) == 4
+
+
+class TestBuildMemory:
+    """A 1-D build states each n x n structure once: it keeps the space metric,
+    its inverse and the viscosity's ``Ka``, and holds the mass matrix while it
+    assembles the loads, with no dense strain matrix, identity kernel or
+    second energy matrix beside them."""
+
+    @pytest.mark.parametrize("config, elements", [("rod_compliance", 512),
+                                                  ("shear_friction", 256)])
+    def test_the_build_keeps_at_most_three_and_a_half_n_squared_doubles(self, tmp_path,
+                                                                        config, elements):
+        import tracemalloc
+
+        from sweepvi.cli import _build
+
+        text = re.sub(r"^elements = .*$", f"elements = {elements}",
+                      (CONFIGS / f"{config}.ini").read_text(), flags=re.M)
+        path = tmp_path / f"{config}.ini"
+        path.write_text(text.replace("[material]\n", "[material]\nmu = 0.5\n"))
+        cfg = load_config(path)
+        assert cfg.material.mu == 0.5 and cfg.mesh.n_elements == elements
+        tracemalloc.start()
+        try:
+            problem, _ = _build(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert config != "rod_compliance" or problem.material.beta is not None
+        doubles = 8 * problem.space.dim ** 2
+        assert kept <= 3.5 * doubles
+        assert peak <= 4.5 * doubles

@@ -20,8 +20,9 @@ from sweepvi import (
     solve_contact,
     trace_constant,
 )
-from sweepvi.contact import (_mass, _strain_form, assemble_A, assemble_elastic,
+from sweepvi.contact import (_mass, _tanh_term, assemble_A, assemble_elastic,
                              assemble_loads, penetration_memory, slip_memory)
+from sweepvi.core import _stiffness
 from sweepvi.evi import LipschitzOperator, MonotoneOperator, audit_operator
 from sweepvi.histop import running_trapezoid
 from sweepvi.inclusion import _node_gradients
@@ -52,10 +53,23 @@ class TestMeshAndAssembly:
                 for components in (1, 2):
                     G = np.kron(np.eye(components), np.diag(inv_h) - np.diag(inv_h[1:], -1))
                     w = np.tile(coeff, components) * np.tile(mesh.h, components)
-                    K = _strain_form(mesh, coeff, components)[2]
+                    K = _stiffness(mesh.h, coeff, components)
                     np.testing.assert_array_equal(K, (G.T * w) @ G)
                     if coeff[0] == 1.0:
                         np.testing.assert_array_equal(assemble_space(mesh, components).metric, K)
+
+    def test_the_tanh_term_is_the_dense_strain_product(self):
+        # the closed form t_i - t_{i+1} against G^T diag(h) tanh(G u) with the
+        # dense strain matrix G, for a vector and a block, on both components
+        mesh = Mesh1D(np.cumsum(np.r_[0.0, np.random.default_rng(4).uniform(0.02, 0.2, 19)]))
+        G = np.kron(np.eye(2), _strain_matrix(mesh))
+        h = np.tile(mesh.h, 2)
+        us = 3.0 * np.random.default_rng(5).standard_normal((7, G.shape[1]))
+        for u in (us[0], us):
+            want = (h * np.tanh(u @ G.T)) @ G
+            got = _tanh_term(u, mesh.h, 2)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_mass_is_the_element_loop_bit_for_bit(self):
         widths = np.random.default_rng(8).uniform(0.02, 0.2, 17)
@@ -70,7 +84,7 @@ class TestMeshAndAssembly:
         mesh = Mesh1D(np.cumsum(np.r_[0.0, np.random.default_rng(2).uniform(0.02, 0.2, 16)]))
         material = Material(a=np.linspace(1.0, 10.0, 16), mu=0.5, b=np.linspace(0.0, 3.0, 16))
         space = assemble_space(mesh, components=2)
-        Ka = assemble_A(mesh, material, space, components=2).energy.matrix
+        Ka = assemble_A(mesh, material, space, components=2).energy.space.metric
         for A in (Ka, space.metric):
             want = eigh(A, space.metric, eigvals_only=True)
             got = space.eigvalsh(A)

@@ -32,13 +32,12 @@ from sweepvi import (
     volterra_operator,
     zero_operator,
 )
-from sweepvi import histop
 from sweepvi.contact import penetration_memory, slip_memory
 from sweepvi.histop import running_trapezoid
 
 
 def scalar_kernel(beta=0.5):
-    return VolterraKernel(scalar_profile=lambda t: beta, matrix=np.eye(1))
+    return VolterraKernel(scalar_profile=lambda t: beta, matrix=1.0)
 
 
 class TestTrapezoidWeights:
@@ -291,7 +290,7 @@ def convolution_reference(kernel, traj):
     rows = []
     for k in range(traj.grid.steps + 1):
         w = trapezoid_weights(k, dt)
-        rows.append(sum(w[j] * kernel.at(nodes[k] - nodes[j]) @ traj.samples[j]
+        rows.append(sum(w[j] * np.dot(kernel.at(nodes[k] - nodes[j]), traj.samples[j])
                         for j in range(k + 1)))
     return np.array(rows)
 
@@ -335,7 +334,7 @@ def lifted_load_memory(grid):
 MEMORIES = {
     "exponential": lambda grid: volterra_operator(EXPONENTIAL, grid, SPACE2),
     "exponential-identity": lambda grid: volterra_operator(
-        VolterraKernel.exponential(0.7, 1.5, 0.4 * np.eye(2)), grid, SPACE2),
+        VolterraKernel.exponential(0.7, 1.5, 0.4), grid, SPACE2),
     "exponential-wide": lambda grid: volterra_operator(
         VolterraKernel.exponential(0.7, 1.5, WIDE), grid, SPACE2, out_space=HilbertSpace(24)),
     "general-scalar": lambda grid: volterra_operator(
@@ -457,7 +456,7 @@ class TestCausalStepProtocol:
         # the marching solver steps the same state with several guesses
         grid = TimeGrid(1.0, 8)
         space = HilbertSpace(2)
-        op = volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space)
+        op = volterra_operator(VolterraKernel.exponential(1.0, 0.5, 1.0), grid, space)
         traj = random_traj(space, grid, seed=2)
         state = op.init_state(grid)
         for k in range(4):
@@ -477,7 +476,7 @@ class TestCausalStepProtocol:
             np.testing.assert_array_equal(op.run(state, 4, guess)[1], first, err_msg=name)
 
     @pytest.mark.parametrize("kernel", [
-        VolterraKernel(scalar_profile=lambda t: np.cos(3.0 * t), matrix=np.eye(2)),
+        VolterraKernel(scalar_profile=lambda t: np.cos(3.0 * t), matrix=1.0),
         VolterraKernel(matrix_fn=lambda t: np.array([[np.exp(-t), t], [0.0, 1.0 + t * t]])),
     ], ids=["general-scalar", "matrix"])
     def test_sibling_states_of_a_summing_kernel_stay_independent(self, kernel):
@@ -518,7 +517,7 @@ class TestCausalStepProtocol:
         space = HilbertSpace(2)
         traj = random_traj(space, grid, seed=6)
         law = ContactLaw.saturating(2.0, 1.5)
-        ops = [volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
+        ops = [volterra_operator(VolterraKernel.exponential(1.0, 0.5, 1.0), grid, space),
                penetration_memory(law, space, 0, grid), slip_memory(law, space, 1, grid),
                identity_operator(), zero_operator(space)]
         for op in ops:
@@ -538,9 +537,9 @@ class TestCausalStepProtocol:
     def test_operators_hash_and_compare_by_their_definition(self):
         grid = TimeGrid(1.0, 8)
         space = HilbertSpace(2)
-        ops = [volterra_operator(VolterraKernel(scalar_profile=np.cos, matrix=np.eye(2)),
+        ops = [volterra_operator(VolterraKernel(scalar_profile=np.cos, matrix=1.0),
                                  grid, space),
-               volterra_operator(VolterraKernel.exponential(1.0, 0.5, np.eye(2)), grid, space),
+               volterra_operator(VolterraKernel.exponential(1.0, 0.5, 1.0), grid, space),
                penetration_memory(ContactLaw.saturating(2.0, 1.5), space, 0, grid),
                identity_operator(), zero_operator(space)]
         assert len({hash(op) for op in ops}) == len(ops)
@@ -550,7 +549,7 @@ class TestCausalStepProtocol:
     def test_memory_refuses_inputs_on_another_grid(self):
         grid, finer = TimeGrid(1.0, 8), TimeGrid(1.0, 16)
         space = HilbertSpace(1)
-        kernel = VolterraKernel.exponential(1.0, 0.0, np.eye(1))
+        kernel = VolterraKernel.exponential(1.0, 0.0, 1.0)
         traj = Trajectory(space, finer, np.ones((17, 1)))
         ops = [volterra_operator(kernel, grid, space), exp_growth_memory_operator(grid),
                penetration_memory(ContactLaw.saturating(2.0, 1.5), space, 0, grid)]
@@ -569,7 +568,7 @@ class TestExponentialRecursion:
         grid = TimeGrid(2.0, 2048)
         space = HilbertSpace(1)
         amp, rate = 0.8, 3.0
-        op = volterra_operator(VolterraKernel.exponential(amp, rate, np.eye(1)), grid, space)
+        op = volterra_operator(VolterraKernel.exponential(amp, rate, 1.0), grid, space)
         rng = np.random.default_rng(9)
         u = np.sin(5.0 * grid.nodes) + 0.1 * rng.standard_normal(grid.steps + 1)
         got = op(Trajectory(space, grid, u[:, None])).samples[:, 0]
@@ -638,7 +637,7 @@ class TestExponentialRecursion:
             np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
-    @pytest.mark.parametrize("C", [np.eye(2), [[0.3, 0.1], [0.1, 0.2]]], ids=["scalar", "gemv"])
+    @pytest.mark.parametrize("C", [1.0, [[0.3, 0.1], [0.1, 0.2]]], ids=["scalar", "gemv"])
     def test_a_non_finite_input_never_reaches_an_earlier_output(self, bad, C):
         # a chunk product would multiply the zeros above its diagonal by the
         # bad row; nodes before it must keep the bits of the finite run
@@ -726,7 +725,7 @@ class TestProfileEvaluations:
 
         grid = TimeGrid(1.0, 32)
         space = HilbertSpace(2)
-        op = volterra_operator(VolterraKernel(scalar_profile=profile, matrix=np.eye(2)),
+        op = volterra_operator(VolterraKernel(scalar_profile=profile, matrix=1.0),
                                grid, space)
         traj = random_traj(space, grid, seed=1)
         op(traj)
@@ -752,14 +751,14 @@ class TestProfileEvaluations:
 
 
 class TestIdentityKernelStep:
-    """A kernel matrix ``c I`` steps by one scalar product, bit for bit the matrix-vector stack."""
+    """A number kernel factor ``c``, meaning ``c I``, steps by one scalar product, bit
+    for bit the matrix-vector stack of the dense ``c I``."""
 
     @staticmethod
-    def dense(monkeypatch, kernel, grid, space, out_space=None):
-        """The memory as a general matrix builds it: the gemv stack and the dense norm."""
-        with monkeypatch.context() as patch:
-            patch.setattr(histop, "_identity_scale", lambda C: None)
-            return volterra_operator(kernel, grid, space, out_space=out_space)
+    def dense(amp, rate, c, grid, space, out_space=None):
+        """The memory of the factor ``c * np.eye(n)``: the gemv stack and the dense norm."""
+        kernel = VolterraKernel.exponential(amp, rate, c * np.eye(space.dim))
+        return volterra_operator(kernel, grid, space, out_space=out_space)
 
     @staticmethod
     def assert_bits(got, want):
@@ -768,11 +767,12 @@ class TestIdentityKernelStep:
 
     @pytest.mark.parametrize("amp, rate", [(0.7, 1.5), (-0.4, 0.0), (0.3, -3.0)])
     @pytest.mark.parametrize("c", [0.4, -2.5, 0.0])
-    def test_scalar_step_is_the_gemv_stack_bit_for_bit(self, monkeypatch, amp, rate, c):
+    def test_scalar_step_is_the_gemv_stack_bit_for_bit(self, amp, rate, c):
         grid = TimeGrid(1.3, 200)
         space = HilbertSpace(3)
-        kernel = VolterraKernel.exponential(amp, rate, c * np.eye(3))
-        op, ref = volterra_operator(kernel, grid, space), self.dense(monkeypatch, kernel, grid, space)
+        kernel = VolterraKernel.exponential(amp, rate, c)
+        op, ref = volterra_operator(kernel, grid, space), self.dense(amp, rate, c, grid, space)
+        assert op.L == ref.L
         rng = np.random.default_rng(17)
         u = rng.standard_normal((grid.steps + 1, 3)) * np.exp(rng.uniform(-30.0, 30.0, (grid.steps + 1, 3)))
         u[rng.random(u.shape) < 0.1] = 0.0
@@ -788,20 +788,18 @@ class TestIdentityKernelStep:
         for a, b in zip(got_state, want_state):
             self.assert_bits(a, b)
 
-    def test_only_an_exact_multiple_of_the_identity_is_scalar(self):
-        assert histop._identity_scale(np.eye(3)) == 1.0
-        assert histop._identity_scale(-2.5 * np.eye(2)) == -2.5
-        assert histop._identity_scale(np.zeros((2, 2))) == 0.0
-        assert histop._identity_scale(np.diag([1.0, 1.0 + 2.0 ** -52])) is None
-        assert histop._identity_scale(np.array([[1.0, 1e-300], [0.0, 1.0]])) is None
-        assert histop._identity_scale(np.ones((1, 2))) is None
-        assert histop._identity_scale(np.eye(2)[None]) is None
-
     def test_inputs_of_another_dimension_are_refused(self):
         grid = TimeGrid(1.0, 8)
-        op = volterra_operator(VolterraKernel.exponential(0.5, 1.0, np.eye(3)), grid, HilbertSpace(3))
-        with pytest.raises(DimensionMismatchError):
+        op = volterra_operator(VolterraKernel.exponential(0.5, 1.0, 1.0), grid, HilbertSpace(3))
+        with pytest.raises(DimensionMismatchError, match="rows of length 3"):
             op.run(op.init_state(grid), 0, np.ones((4, 2)))
+
+    def test_a_number_factor_into_a_space_of_another_dimension_is_refused(self):
+        grid = TimeGrid(1.0, 8)
+        for kernel in (VolterraKernel.exponential(0.5, 1.0, 2.0),
+                       VolterraKernel(scalar_profile=np.cos, matrix=2.0)):
+            with pytest.raises(DimensionMismatchError, match="dimension 3, not 2"):
+                volterra_operator(kernel, grid, HilbertSpace(3), out_space=HilbertSpace(2))
 
     @pytest.mark.parametrize("rate", [2.0, -3.0, 0.0])
     @pytest.mark.parametrize("amp", [0.3, -0.7])
@@ -809,13 +807,13 @@ class TestIdentityKernelStep:
         # the profile's peak over the grid is at one of its ends, bit for bit
         grid = TimeGrid(1.0, 1024)
         space = HilbertSpace(2, metric=np.array([[2.0, 0.5], [0.5, 1.0]]))
-        kernel = VolterraKernel.exponential(amp, rate, -1.7 * np.eye(2))
+        kernel = VolterraKernel.exponential(amp, rate, -1.7)
         peak = np.abs(kernel.profile_on_grid(grid)).max()
         for op in (volterra_operator(kernel, grid, space),
                    volterra_operator(kernel, grid, space, out_space=space)):
             assert op.L == 1.7 * peak
 
-    def test_declared_constant_into_another_space(self, monkeypatch, tmp_path):
+    def test_declared_constant_into_another_space(self, tmp_path):
         # the abstract config's parameter kernel maps X = diag(2, 0.5) into Y = R^2
         from sweepvi.cli import _build, load_config
 
@@ -828,8 +826,7 @@ class TestIdentityKernelStep:
         grid = spec.grid
         peak = max(0.5, 0.5 * float(np.exp(-1.5)))
         assert param.L == pytest.approx(peak * np.sqrt(2.0), rel=1e-14)
-        dense = self.dense(monkeypatch, VolterraKernel.exponential(0.5, 1.5, np.eye(2)), grid,
-                           x_space, out_space=y_space)
+        dense = self.dense(0.5, 1.5, 1.0, grid, x_space, out_space=y_space)
         assert param.L == dense.L
         assert load.L == 0.25 * max(1.0, float(np.exp(0.5)))
 
@@ -839,7 +836,7 @@ class TestIdentityKernelStep:
 
         grid = TimeGrid(1.0, 16)
         X = HilbertSpace(2)
-        memory = volterra_operator(VolterraKernel.exponential(0.5, 1.0, np.eye(2)), grid, X)
+        memory = volterra_operator(VolterraKernel.exponential(0.5, 1.0, 1.0), grid, X)
         spec = build_inclusion_variant(
             "parameter_free", cone=ConstraintCone.nonnegative(X, [0]),
             operator=MonotoneOperator.from_matrix(X, 2.0 * np.eye(2)),

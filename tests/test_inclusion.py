@@ -52,7 +52,7 @@ FREE = ConstraintCone.whole_space(X)
 def decay_spec(steps, horizon=1.0):
     """2 u(t) + 0.5 int_0^t u = 1, hence u(t) = e^{-t/4} / 2."""
     grid = TimeGrid(horizon, steps)
-    kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1))
+    kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=1.0)
     return build_inclusion_variant(
         "parameter_free",
         cone=FREE,
@@ -101,7 +101,7 @@ class TestSpecValidation:
     def test_load_on_wrong_grid_rejected(self):
         grid = TimeGrid(1.0, 8)
         other = TimeGrid(1.0, 9)
-        kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=np.eye(1))
+        kern = VolterraKernel(scalar_profile=lambda t: 0.5, matrix=1.0)
         with pytest.raises(DimensionMismatchError):
             InclusionSpec(
                 x_space=X, y_space=Y, cone=FREE,
