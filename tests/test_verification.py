@@ -295,6 +295,46 @@ def test_the_sample_drops_null_rows():
     assert np.all(np.abs(X.norms_many(dirs) - 1.0) <= 1e-15)
 
 
+def _drawn_rows(cone, count, seed):
+    """The rows of ``sample_unit_directions(cone, count, seed)`` that come from its draws."""
+    raw = np.random.default_rng(seed).standard_normal((max(count, 0), cone.space.dim))
+    return int((cone.space.norms_many(cone.project_many(raw)) > 1e-12).sum())
+
+
+# a larger count only appends draws: the shorter sample's draws lead the longer
+# one's bit for bit, whichever block boundaries each falls on (at dim 96 a
+# count of 1024 is 8 blocks of 152 rows, 2048 is 14 of 160; at dim 1024 a count
+# of 37 is 17 blocks of 122 or 123, 200 is 18 of 124 or 125)
+@pytest.mark.parametrize("dim,pairs,metrics", ((4, ((0, 1), (1, 300), (300, 300)),
+                                                ("diagonal", "coupled")),
+                                               (96, ((149, 2048), (1024, 2048)),
+                                                ("diagonal", "coupled")),
+                                               (1024, ((37, 200),), ("coupled",))))
+def test_a_shorter_sample_leads_a_longer_one_bit_for_bit(dim, pairs, metrics):
+    for cone in _sample_cones(dim, metrics):
+        for short, count in pairs:
+            head = _drawn_rows(cone, short, seed=3)
+            got = sample_unit_directions(cone, count, seed=3)[:head]
+            want = sample_unit_directions(cone, short, seed=3)[:head]
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_a_shorter_sample_leads_a_longer_one_past_null_rows():
+    # in one dimension every draw above 0 projects onto the origin of {x <= 0},
+    # and so does the axis +e_0; the kept draws are the negative ones, in order
+    cone = ConstraintCone.nonpositive(HilbertSpace(1), [0])
+    draws = np.random.default_rng(2).standard_normal(50)
+    for short in (3, 20, 50):
+        dirs = sample_unit_directions(cone, short, seed=2)
+        assert len(dirs) == (draws[:short] < 0).sum() + 1
+        assert np.all(dirs == -1.0)
+    longer = sample_unit_directions(cone, 50, seed=2)
+    head = _drawn_rows(cone, 20, seed=2)
+    assert head == (draws[:20] < 0).sum()
+    np.testing.assert_array_equal(longer[:head], sample_unit_directions(cone, 20, seed=2)[:head])
+
+
 def test_the_sample_holds_itself_and_a_few_blocks():
     import tracemalloc
 
